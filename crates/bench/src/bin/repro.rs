@@ -43,10 +43,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig13", "DRAM-NVM-SSD mode throughput + YCSB"),
     ("table3", "YCSB-A tail latencies, DRAM-NVM-SSD mode"),
     ("fig14", "throughput vs NVM buffer size, tiered mode"),
-    (
-        "scaling",
-        "fillrandom vs writer threads (group-commit pipeline)",
-    ),
+    ("scaling", "fillrandom vs writer threads (group commit)"),
     (
         "faults",
         "fault matrix: seeds x fault points, typed-error-or-full-recovery",
@@ -1076,12 +1073,12 @@ fn check(quick: bool) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Scaling — concurrent-writer sweep for the group-commit write pipeline.
+// Scaling — concurrent-writer sweep over the group-commit write path.
 // ---------------------------------------------------------------------------
 fn scaling(dataset: u64, quick: bool) -> Result<()> {
     println!("\n== Scaling: fillrandom throughput vs writer threads (1 KiB values) ==");
-    println!("   group-commit pipeline: one WAL append per group, concurrent MemTable inserts;");
-    println!("   expect MioDB >=2x at 4 threads vs 1 and ~parity single-thread vs MioDB-single.");
+    println!("   group commit: contended writers queue and the leader logs and applies the whole");
+    println!("   group as one WAL record; 'avg group' is ops per commit (1.0 = nobody queued).");
     let value_len = 1024usize;
     let mut scale = Scale::new(
         if quick {
@@ -1098,7 +1095,7 @@ fn scaling(dataset: u64, quick: bool) -> Result<()> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < *threads.iter().max().unwrap() {
         println!("   NOTE: host has {cores} core(s) — writer threads cannot overlap, so the sweep");
-        println!("   measures pipeline overhead, not parallel speedup; expect flat scaling.");
+        println!("   measures commit-queue overhead, not parallel speedup; expect flat scaling.");
     }
     let widths = [14usize, 8, 12, 12, 12, 12];
     print_header(
@@ -1106,20 +1103,14 @@ fn scaling(dataset: u64, quick: bool) -> Result<()> {
         &widths,
     );
     let mut json_rows: Vec<String> = Vec::new();
-    for (label, kind, pipeline) in [
-        ("MioDB", Some(EngineKind::MioDb), true),
-        ("MioDB-single", None, false),
-        ("MatrixKV", Some(EngineKind::MatrixKv), true),
-        ("NoveLSM", Some(EngineKind::NoveLsm), true),
+    for (label, kind) in [
+        ("MioDB", EngineKind::MioDb),
+        ("MatrixKV", EngineKind::MatrixKv),
+        ("NoveLSM", EngineKind::NoveLsm),
     ] {
         let mut base_kops = 0.0f64;
         for &t in threads {
-            let engine: Box<dyn KvEngine> = match kind {
-                Some(EngineKind::MioDb) | None => {
-                    miodb_bench::build_miodb_pipeline(&scale, pipeline)?
-                }
-                Some(k) => build_engine(k, Mode::InMemory, &scale)?,
-            };
+            let engine = build_engine(kind, Mode::InMemory, &scale)?;
             // Same seed at every thread count so the sweep compares the
             // identical keyset and insertion order.
             let r = run_fill_concurrent(engine.as_ref(), scale.keys(), value_len, t, 42)?;

@@ -160,25 +160,9 @@ fn mio_options(
         repository,
         bloom_enabled: true,
         parallel_compaction: true,
-        write_pipeline: true,
         name: "MioDB".to_string(),
         telemetry: TelemetryOptions::default(),
     }
-}
-
-/// Builds MioDB at `scale` with the group-commit write pipeline toggled —
-/// the `repro scaling` experiment's pipeline-on/off comparison.
-///
-/// # Errors
-///
-/// Propagates pool-allocation failures.
-pub fn build_miodb_pipeline(scale: &Scale, write_pipeline: bool) -> Result<Box<dyn KvEngine>> {
-    let mut opts = mio_options(Mode::InMemory, scale, None, None);
-    opts.write_pipeline = write_pipeline;
-    if !write_pipeline {
-        opts.name = "MioDB-single".to_string();
-    }
-    Ok(Box::new(MioDb::open(opts)?))
 }
 
 /// Builds an engine for `kind` under `mode` at `scale`. Devices are

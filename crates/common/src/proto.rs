@@ -16,11 +16,12 @@
 //! cross-check, not a reordering mechanism). Responses set the high bit of
 //! the request's opcode; errors use the dedicated [`OP_ERR`] opcode.
 //!
-//! Version 2 extends the v1 header with a trace context — a 64-bit trace
-//! id plus a flags byte whose bit 0 marks the request as sampled — so the
+//! The header carries a trace context — a 64-bit trace id plus a flags
+//! byte whose bit 0 marks the request as sampled — so the
 //! [`trace`](crate::trace) subsystem can stitch client, server and engine
-//! spans into one tree. Writers always emit v2; readers accept v1 frames
-//! (empty trace context) for compatibility with older peers.
+//! spans into one tree. Version 2 is the only version on the wire: a frame
+//! with any other version byte is rejected as corruption and the
+//! connection is dropped.
 
 use crate::crc32::crc32;
 use crate::engine::ScanEntry;
@@ -32,8 +33,9 @@ use std::io::{Read, Write};
 /// Protocol version carried in every frame header written by this build.
 pub const PROTO_VERSION: u8 = 2;
 
-/// Oldest protocol version still accepted when reading.
-pub const MIN_PROTO_VERSION: u8 = 1;
+/// Oldest protocol version still accepted when reading: none older than
+/// the one written.
+pub const MIN_PROTO_VERSION: u8 = PROTO_VERSION;
 
 /// Largest accepted frame body: bounds allocation from untrusted input.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -75,10 +77,8 @@ pub const OP_BACKPRESSURE: u8 = 0x7B;
 /// Trace-flags bit marking the request as sampled for tracing.
 pub const TRACE_SAMPLED: u8 = 0x01;
 
-/// Fixed v1 header bytes after the length prefix (version + opcode + id).
-const HEADER_BYTES_V1: usize = 6;
-
-/// Fixed v2 header bytes after the length prefix (v1 + trace id + flags).
+/// Fixed header bytes after the length prefix (version + opcode + id +
+/// trace id + trace flags).
 const HEADER_BYTES_V2: usize = 15;
 
 /// Request opcodes.
@@ -688,7 +688,7 @@ pub struct Frame {
     pub opcode: u8,
     /// Client-chosen request id, echoed in responses.
     pub id: u32,
-    /// Trace id propagated from the client (0 on v1 frames / untraced).
+    /// Trace id propagated from the client (0 when untraced).
     pub trace_id: u64,
     /// Whether the request is sampled for tracing.
     pub sampled: bool,
@@ -723,7 +723,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>> {
 
 /// Validates the length prefix of a frame before its body is available.
 fn check_frame_len(len: usize) -> Result<()> {
-    if len < HEADER_BYTES_V1 + 4 {
+    if len < HEADER_BYTES_V2 + 4 {
         return Err(Error::Corruption(format!("frame too short: {len} bytes")));
     }
     if len > MAX_FRAME_BYTES {
@@ -742,33 +742,19 @@ fn decode_frame_rest(len: usize, rest: &[u8]) -> Result<Frame> {
     if crc32(payload) != want {
         return Err(Error::Corruption("frame crc mismatch".to_string()));
     }
-    // v1 peers are still accepted: their frames simply carry no trace
-    // context.
-    let (header_bytes, trace_id, sampled) = match payload[0] {
-        1 => (HEADER_BYTES_V1, 0, false),
-        2 => {
-            if payload.len() < HEADER_BYTES_V2 {
-                return Err(Error::Corruption(format!(
-                    "v2 frame too short: {len} bytes"
-                )));
-            }
-            let trace_id = u64::from_le_bytes(payload[6..14].try_into().expect("8-byte trace id"));
-            (HEADER_BYTES_V2, trace_id, payload[14] & TRACE_SAMPLED != 0)
-        }
-        v => {
-            return Err(Error::Corruption(format!(
-                "unsupported protocol version {v}"
-            )));
-        }
-    };
-    let opcode = payload[1];
-    let id = u32::from_le_bytes(payload[2..6].try_into().expect("4-byte id"));
+    // `check_frame_len` guarantees the payload holds a whole header.
+    if payload[0] != PROTO_VERSION {
+        return Err(Error::Corruption(format!(
+            "unsupported protocol version {}",
+            payload[0]
+        )));
+    }
     Ok(Frame {
-        opcode,
-        id,
-        trace_id,
-        sampled,
-        body: payload[header_bytes..].to_vec(),
+        opcode: payload[1],
+        id: u32::from_le_bytes(payload[2..6].try_into().expect("4-byte id")),
+        trace_id: u64::from_le_bytes(payload[6..14].try_into().expect("8-byte trace id")),
+        sampled: payload[14] & TRACE_SAMPLED != 0,
+        body: payload[HEADER_BYTES_V2..].to_vec(),
     })
 }
 
@@ -1044,26 +1030,32 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_without_trace_context_still_accepted() {
-        // Hand-craft a v1 GET frame: [len][ver=1][op][id][body][crc].
-        let mut body = Vec::new();
-        Request::Get { key: b"k".to_vec() }.encode_body(&mut body);
-        let mut payload = vec![1u8, Opcode::Get as u8];
-        payload.extend_from_slice(&7u32.to_le_bytes());
-        payload.extend_from_slice(&body);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&((payload.len() + 4) as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
-        wire.extend_from_slice(&crc32(&payload).to_le_bytes());
+    fn v1_frames_are_rejected() {
+        // Hand-craft a well-formed v1 GET frame, [len][ver=1][op][id][body]
+        // [crc], for keys below and above the v2 minimum frame length.
+        for (key, want) in [
+            (&b"k"[..], "frame too short"),
+            (&b"a-key-long-enough"[..], "unsupported protocol version 1"),
+        ] {
+            let mut body = Vec::new();
+            Request::Get { key: key.to_vec() }.encode_body(&mut body);
+            let mut payload = vec![1u8, Opcode::Get as u8];
+            payload.extend_from_slice(&7u32.to_le_bytes());
+            payload.extend_from_slice(&body);
+            let mut wire = Vec::new();
+            wire.extend_from_slice(&((payload.len() + 4) as u32).to_le_bytes());
+            wire.extend_from_slice(&payload);
+            wire.extend_from_slice(&crc32(&payload).to_le_bytes());
 
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
-        assert_eq!(frame.id, 7);
-        assert_eq!(frame.trace_id, 0);
-        assert!(!frame.sampled);
-        assert_eq!(
-            Request::decode(frame.opcode, &frame.body).unwrap(),
-            Request::Get { key: b"k".to_vec() }
-        );
+            let err = read_frame(&mut wire.as_slice()).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&wire);
+            let err = decoder.next_frame().unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -89,12 +89,13 @@ pub enum SpanKind {
     RouterFanout,
     /// Shard-router k-way merge of per-shard scan runs.
     RouterMerge,
-    /// Commit-queue wait: enqueue until the group commit completes
-    /// (includes the leader's WAL append and the member's insert hand-off).
+    /// Commit-queue wait: enqueue until the group commit completes (on
+    /// the leader it contains the group's WAL append and inserts).
     CommitWait,
-    /// Leader's combined WAL record append for one commit group.
+    /// Encode + append of one commit's WAL record; `arg` is its op count.
     WalAppend,
-    /// Skip-list insert of this request's operations into the MemTable.
+    /// Skip-list insert of one commit's operations into the MemTable;
+    /// `arg` is the op count.
     MemtableInsert,
     /// Writer blocked on MemTable rotation (interval stall); `arg` links
     /// the flush span being waited on.

@@ -21,7 +21,7 @@
 //! repository.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,7 @@ use miodb_skiplist::{
     one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark, MergeOutcome,
     SkipList,
 };
-use miodb_wal::WriteAheadLog;
+use miodb_wal::{GroupOp, WriteAheadLog};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState};
@@ -58,19 +58,20 @@ const MAX_GROUP_OPS: usize = 256;
 /// group payloads at 1 MB for the same latency-fairness reason).
 const MAX_GROUP_BYTES: u64 = 1 << 20;
 
-/// Extra MemTable capacity requested when a rotation is forced by a group
-/// (head node + allocator slack), mirroring the legacy batch path.
+/// Extra MemTable capacity requested when a commit forces a rotation
+/// (head node + allocator slack).
 const GROUP_ROTATE_SLACK: usize = 4096;
 
-/// Spin iterations before a group participant parks on the commit
-/// condvar. Group handoffs are sub-microsecond (the WAL append is the only
-/// serialized device work), so parking immediately would put condvar
-/// wakeup latency — microseconds — on the critical path of every group.
+/// Spin iterations before a queued writer parks on the commit condvar.
+/// A group commit is sub-microsecond to a few microseconds (the WAL
+/// append is the only device work), so parking immediately would put
+/// condvar wakeup latency — microseconds — on the critical path of every
+/// group.
 const COMMIT_SPINS: u32 = 4096;
 
 /// Yield iterations between spinning and parking: on a preempted or
 /// single-core host, yielding hands the CPU to the leader, which usually
-/// completes the handoff without paying a full park/unpark.
+/// completes the group without the follower paying a full park/unpark.
 const COMMIT_YIELDS: u32 = 64;
 
 /// Effective spin budget: busy-spinning burns the core the group leader
@@ -84,45 +85,56 @@ fn commit_spins() -> u32 {
     })
 }
 
-/// Commit-queue writer phases (see [`PendingWrite::phase`]).
-const PH_WAITING: u8 = 0;
-const PH_INSERT: u8 = 1;
-const PH_INSERTED: u8 = 2;
-const PH_DONE: u8 = 3;
+/// One step of a queued writer's wait: spin, then yield. Returns `false`
+/// once both budgets are spent and the caller should park.
+fn commit_backoff(spun: &mut u32) -> bool {
+    let spins = commit_spins();
+    if *spun >= spins + COMMIT_YIELDS {
+        return false;
+    }
+    if *spun < spins {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+    *spun += 1;
+    true
+}
+
+/// Operations owned by a queued writer or a [`WriteBatch`].
+type OwnedOps = Vec<(Vec<u8>, Vec<u8>, OpKind)>;
+
+/// Borrows owned operations in the form the commit routine takes.
+fn group_ops(ops: &[(Vec<u8>, Vec<u8>, OpKind)]) -> impl Iterator<Item = GroupOp<'_>> {
+    ops.iter().map(|(key, value, kind)| GroupOp {
+        key,
+        value,
+        kind: *kind,
+    })
+}
+
+/// Worst-case MemTable arena bytes the operations can consume.
+fn arena_need(ops: &[GroupOp<'_>]) -> u64 {
+    ops.iter()
+        .map(|op| miodb_skiplist::node_size_upper(op.key.len(), op.value.len()))
+        .sum()
+}
 
 /// One writer's pending operations on the commit queue.
 ///
-/// Lifecycle: the owning thread enqueues it (`PH_WAITING`), a group leader
-/// logs its ops and hands it an insert task (`PH_INSERT`), the owning
-/// thread applies the inserts (`PH_INSERTED`), and the leader publishes
-/// the result and pops it from the queue (`PH_DONE`).
+/// Lifecycle: the owning thread enqueues it and either becomes the leader
+/// (it reached the queue front) or waits; a leader commits it as part of
+/// its group, stores the `outcome`, pops it and sets `done`.
 struct PendingWrite {
-    ops: Vec<(Vec<u8>, Vec<u8>, OpKind)>,
-    /// Worst-case arena bytes for all ops (leader capacity reservation).
+    ops: OwnedOps,
+    /// Worst-case arena bytes for all ops (group sealing).
     need: u64,
-    /// User key+value bytes (stats accounting, charged once per group).
-    user_bytes: u64,
-    phase: AtomicU8,
-    /// First sequence number of this writer's dense range, set by the
-    /// leader before `PH_INSERT`.
-    seq_base: AtomicU64,
-    /// MemTable + group sync handed over by the leader before `PH_INSERT`.
-    task: Mutex<Option<GroupTask>>,
-    /// Failure published to the owning writer (leader abort or its own
-    /// insert error).
-    err: Mutex<Option<Error>>,
-}
-
-/// What a group member needs to apply its inserts.
-struct GroupTask {
-    table: Arc<MemTable>,
-    sync: Arc<GroupSync>,
-}
-
-/// Countdown of group members whose MemTable inserts are outstanding; the
-/// leader drains it to zero before releasing the writer mutex.
-struct GroupSync {
-    remaining: AtomicUsize,
+    /// Set by the leader, after `outcome`, once the group has committed
+    /// or aborted (Release; the owner's Acquire load pairs with it).
+    done: AtomicBool,
+    /// Last sequence number of the committed group, or the failure that
+    /// aborted it (`Ok(0)` until the leader stores it).
+    outcome: Mutex<Result<SequenceNumber>>,
 }
 
 /// The commit queue: concurrent writers enqueue, the front writer leads.
@@ -197,8 +209,8 @@ struct Inner {
     seq: AtomicU64,
     mem: RwLock<MemState>,
     write_mutex: Mutex<()>,
-    /// Group-commit queue (`opts.write_pipeline`); writers coordinate here
-    /// before the leader takes `write_mutex` on the whole group's behalf.
+    /// Group-commit queue: contended writers coordinate here before the
+    /// leader takes `write_mutex` on the whole group's behalf.
     commit: CommitQueue,
     imm_cv: Condvar,
     flush_flag: Mutex<bool>,
@@ -581,78 +593,126 @@ impl MioDb {
     }
 
     fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
-        self.check_usable()?;
         let t0 = Instant::now();
-        let r = if self.inner.opts.write_pipeline {
-            if key.len() > u32::MAX as usize || value.len() > u32::MAX as usize {
+        self.commit(&[GroupOp { key, value, kind }])?;
+        let h = match kind {
+            OpKind::Put => &self.inner.telemetry.put_latency,
+            OpKind::Delete => &self.inner.telemetry.delete_latency,
+        };
+        h.record(dur_ns(t0.elapsed()));
+        Ok(())
+    }
+
+    /// Commits one caller's operations (a put, a delete or a whole batch)
+    /// and waits for the replication ack level.
+    ///
+    /// With no writers queued and the writer mutex immediately available
+    /// the caller commits its own ops as a group that skipped the queue —
+    /// borrowed slices, no copies, no queue churn. Otherwise it takes the
+    /// commit queue.
+    fn commit(&self, ops: &[GroupOp<'_>]) -> Result<()> {
+        self.check_usable()?;
+        // Inside a group an encode failure would abort innocent members,
+        // so sizes the WAL cannot frame are rejected before joining one.
+        for op in ops {
+            if op.key.len() > u32::MAX as usize || op.value.len() > u32::MAX as usize {
                 return Err(Error::InvalidArgument("key/value too large".to_string()));
             }
-            match self.try_write_uncontended(key, value, kind) {
-                Some(r) => r,
-                None => self.write_grouped(vec![(key.to_vec(), value.to_vec(), kind)]),
-            }
-        } else {
-            let guard = self.inner.write_mutex.lock();
-            Stats::add(
-                &self.inner.stats.user_bytes_written,
-                (key.len() + value.len()) as u64,
-            );
-            let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            self.insert_with_rotation(guard, key, value, seq, kind)
-        };
-        if r.is_ok() {
-            let h = match kind {
-                OpKind::Put => &self.inner.telemetry.put_latency,
-                OpKind::Delete => &self.inner.telemetry.delete_latency,
-            };
-            h.record(dur_ns(t0.elapsed()));
         }
-        r
-    }
-
-    /// Uncontended fast path for the pipeline: with no writers queued and
-    /// the writer mutex immediately available, grouping can only add
-    /// overhead (allocation, key/value copies, queue churn), so the write
-    /// runs the legacy single-writer protocol — the same mutex, the same
-    /// WAL-then-insert order, so every pipeline invariant holds. Returns
-    /// `None` when contended; the caller falls back to the commit queue,
-    /// which is exactly the regime where grouping wins.
-    fn try_write_uncontended(&self, key: &[u8], value: &[u8], kind: OpKind) -> Option<Result<()>> {
-        if !self.inner.commit.queue.lock().is_empty() {
-            return None;
-        }
-        let guard = self.inner.write_mutex.try_lock()?;
-        Stats::add(
-            &self.inner.stats.user_bytes_written,
-            (key.len() + value.len()) as u64,
-        );
-        self.inner.telemetry.write_group_size.record(1);
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        Some(self.insert_with_rotation(guard, key, value, seq, kind))
-    }
-
-    /// The group-commit write path: enqueue on the commit queue, then
-    /// either lead a group (if we reach the queue front) or follow (apply
-    /// our MemTable inserts when the leader releases us).
-    ///
-    /// Callers must have validated op sizes: a `write_grouped` op can only
-    /// fail on systemic errors, which abort the whole group, never on
-    /// per-op argument errors that would punish innocent group members.
-    fn write_grouped(&self, ops: Vec<(Vec<u8>, Vec<u8>, OpKind)>) -> Result<()> {
         let inner = &*self.inner;
-        let need: u64 = ops
+        let bypass = if inner.commit.queue.lock().is_empty() {
+            inner.write_mutex.try_lock()
+        } else {
+            None
+        };
+        let seq_last = match bypass {
+            Some(guard) => self.commit_locked(guard, ops)?,
+            None => self.commit_queued(ops)?,
+        };
+        self.repl_wait(seq_last)
+    }
+
+    /// The one commit routine: every user write reaches the WAL, the
+    /// replication sink and the MemTable through here, as a group of one
+    /// (the bypass) or a sealed queue prefix (the leader).
+    ///
+    /// Under the writer mutex it reserves worst-case MemTable capacity for
+    /// the whole group (rotating if needed, so no op can hit `ArenaFull`
+    /// after logging), encodes **one** WAL record carrying the next dense
+    /// sequence range, appends it, hands the same bytes to the replication
+    /// sink, and inserts every op serially. The mutex is held until the
+    /// last insert lands, so rotation and snapshots never observe a
+    /// half-applied group.
+    ///
+    /// The sequence counter, `user_bytes_written` and `write_group_size`
+    /// advance only once the append has succeeded: a failed commit logs
+    /// nothing, consumes no sequence numbers and counts no user bytes.
+    /// Returns the group's last sequence number; callers wait for the
+    /// replication ack level on it after the mutex is released.
+    fn commit_locked(
+        &self,
+        mut guard: parking_lot::MutexGuard<'_, ()>,
+        ops: &[GroupOp<'_>],
+    ) -> Result<SequenceNumber> {
+        let inner = &*self.inner;
+        let n = ops.len() as u64;
+        let need = arena_need(ops);
+        let active = loop {
+            let active = inner.mem.read().active.clone();
+            if active.arena().remaining_bytes() >= need {
+                break active;
+            }
+            // See `insert_locked` for why the clone must not outlive the
+            // attempt.
+            drop(active);
+            self.rotate_memtable(Some(&mut guard), need as usize + GROUP_ROTATE_SLACK)?;
+        };
+        // Every sequence-counter update holds the writer mutex, so the
+        // range read here is ours until the `fetch_add` below claims it.
+        let seq_base = inner.seq.load(Ordering::Relaxed) + 1;
+        let seq_last = seq_base + n - 1;
+        {
+            let mut wal_span = trace::span(SpanKind::WalAppend);
+            wal_span.annotate(n);
+            // A lone op keeps the single-record framing; several ops share
+            // one record, which replays all-or-nothing.
+            let record = match ops {
+                [op] => miodb_wal::encode_record(op.key, op.value, seq_base, op.kind)?,
+                _ => miodb_wal::encode_group_record(ops, seq_base)?,
+            };
+            active.log(&record)?;
+            inner.seq.fetch_add(n, Ordering::Relaxed);
+            if inner.repl_armed.load(Ordering::Acquire) {
+                if let Some(sink) = inner.repl_sink.read().as_ref() {
+                    sink.publish(&record, seq_base, seq_last);
+                }
+            }
+        }
+        let user_bytes: u64 = ops
             .iter()
-            .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()))
+            .map(|op| (op.key.len() + op.value.len()) as u64)
             .sum();
-        let user_bytes: u64 = ops.iter().map(|(k, v, _)| (k.len() + v.len()) as u64).sum();
+        Stats::add(&inner.stats.user_bytes_written, user_bytes);
+        inner.telemetry.write_group_size.record(n);
+        let mut insert_span = trace::span(SpanKind::MemtableInsert);
+        insert_span.annotate(n);
+        active.apply(ops, seq_base)?;
+        Ok(seq_last)
+    }
+
+    /// The contended path: enqueue a copy of the ops on the commit queue,
+    /// then either lead a group (on reaching the queue front) or wait for
+    /// a leader to commit our ops with its own.
+    fn commit_queued(&self, ops: &[GroupOp<'_>]) -> Result<SequenceNumber> {
+        let inner = &*self.inner;
         let w = Arc::new(PendingWrite {
-            ops,
-            need,
-            user_bytes,
-            phase: AtomicU8::new(PH_WAITING),
-            seq_base: AtomicU64::new(0),
-            task: Mutex::new(None),
-            err: Mutex::new(None),
+            ops: ops
+                .iter()
+                .map(|op| (op.key.to_vec(), op.value.to_vec(), op.kind))
+                .collect(),
+            need: arena_need(ops),
+            done: AtomicBool::new(false),
+            outcome: Mutex::new(Ok(0)),
         });
         let mut commit_span = trace::span(SpanKind::CommitWait);
         {
@@ -662,106 +722,42 @@ impl MioDb {
             inner.telemetry.set_commit_queue_depth(depth);
             commit_span.annotate(depth);
         }
+        let is_front =
+            |q: &VecDeque<Arc<PendingWrite>>| q.front().is_some_and(|f| Arc::ptr_eq(f, &w));
         let mut spun = 0u32;
-        loop {
-            match w.phase.load(Ordering::Acquire) {
-                PH_DONE => {
-                    return match w.err.lock().take() {
-                        Some(e) => Err(e),
-                        // Committed: block for the replication ack level
-                        // on this writer's last sequence number (no-op
-                        // when replication is off).
-                        None => {
-                            let seq_base = w.seq_base.load(Ordering::Acquire);
-                            self.repl_wait(seq_base + w.ops.len() as u64 - 1)
-                        }
-                    };
-                }
-                PH_INSERT => {
-                    self.run_group_insert(&w);
-                    spun = 0;
-                    continue;
-                }
-                PH_WAITING => {
-                    // The queue front is popped only when its group
-                    // completes, so being front while still WAITING means
-                    // no group is in flight: we are the leader.
-                    let am_front = {
-                        let q = inner.commit.queue.lock();
-                        q.front().is_some_and(|f| Arc::ptr_eq(f, &w))
-                    };
-                    if am_front && w.phase.load(Ordering::Acquire) == PH_WAITING {
-                        self.lead_group(&w);
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            // Spin briefly — group handoffs are sub-microsecond — then
-            // yield, then park until the leader wakes us.
-            let spins = commit_spins();
-            if spun < spins {
-                spun += 1;
-                std::hint::spin_loop();
+        while !w.done.load(Ordering::Acquire) {
+            // The queue front is popped only when its group completes, so
+            // being front while not done means no group is in flight: we
+            // are the leader.
+            if is_front(&inner.commit.queue.lock()) {
+                self.lead_group(&w);
                 continue;
             }
-            if spun < spins + COMMIT_YIELDS {
-                spun += 1;
-                std::thread::yield_now();
+            if commit_backoff(&mut spun) {
                 continue;
             }
+            // Leaders change `done` and the queue front under the queue
+            // lock and notify after releasing it, so this check-then-park
+            // cannot miss a wakeup.
             let mut q = inner.commit.queue.lock();
-            let ph = w.phase.load(Ordering::Acquire);
-            let is_front = q.front().is_some_and(|f| Arc::ptr_eq(f, &w));
-            if (ph == PH_WAITING && !is_front) || ph == PH_INSERTED {
+            if !w.done.load(Ordering::Acquire) && !is_front(&q) {
                 inner.commit.cv.wait_for(&mut q, Duration::from_micros(500));
             }
         }
+        let mut outcome = w.outcome.lock();
+        std::mem::replace(&mut *outcome, Ok(0))
     }
 
-    /// Applies one group member's MemTable inserts (CAS splicing, runs
-    /// concurrently with the other members) and counts it off the group.
-    fn run_group_insert(&self, w: &PendingWrite) {
-        let inner = &*self.inner;
-        // Invariant (group-commit protocol): the leader stores a task into
-        // every member *before* moving it to PH_INSERT, and only this
-        // member takes it — a missing task is leader-protocol corruption,
-        // not a runtime condition a caller could handle.
-        let task = w.task.lock().take().expect("insert phase without task");
-        let seq_base = w.seq_base.load(Ordering::Acquire);
-        let mut insert_span = trace::span(SpanKind::MemtableInsert);
-        insert_span.annotate(w.ops.len() as u64);
-        for (i, (key, value, kind)) in w.ops.iter().enumerate() {
-            if let Err(e) = task
-                .table
-                .insert_concurrent(key, value, seq_base + i as u64, *kind)
-            {
-                *w.err.lock() = Some(e);
-                break;
-            }
-        }
-        w.phase.store(PH_INSERTED, Ordering::Release);
-        if task.sync.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last insert of the group: wake the draining leader.
-            // Lock-then-notify closes its check-then-park window.
-            drop(inner.commit.queue.lock());
-            inner.commit.cv.notify_all();
-        }
-    }
-
-    /// Leads one write group: seals a queue prefix, reserves MemTable
-    /// capacity (rotating if needed), allocates one dense sequence range,
-    /// appends **one** combined WAL record, releases the members to insert
-    /// in parallel, drains them, and publishes the results.
-    ///
-    /// The writer mutex is held from capacity reservation until the last
-    /// member's insert lands, so rotation and snapshots never observe a
-    /// half-applied group — the same quiescence point the single-writer
-    /// path provides, now at group granularity.
+    /// Leads one write group: takes the writer mutex, seals a queue prefix
+    /// (so writers that queued while the previous commit held the mutex
+    /// ride along), commits every member's ops as one
+    /// [`MioDb::commit_locked`] call, then publishes the outcome, pops the
+    /// group and wakes the members and the next leader.
     fn lead_group(&self, lw: &Arc<PendingWrite>) {
         let inner = &*self.inner;
-        // Seal the group: a prefix of the queue, bounded so one group
-        // cannot starve later arrivals or overrun a MemTable.
+        let guard = inner.write_mutex.lock();
+        // A prefix of the queue, bounded so one group cannot starve later
+        // arrivals or overrun a MemTable.
         let group: Vec<Arc<PendingWrite>> = {
             let q = inner.commit.queue.lock();
             let mut g: Vec<Arc<PendingWrite>> = Vec::new();
@@ -780,122 +776,21 @@ impl MioDb {
             g
         };
         debug_assert!(Arc::ptr_eq(&group[0], lw), "leader must be queue front");
-        let total_ops: u64 = group.iter().map(|w| w.ops.len() as u64).sum();
-        let total_need: u64 = group.iter().map(|w| w.need).sum();
-        let total_user: u64 = group.iter().map(|w| w.user_bytes).sum();
+        let gops: Vec<GroupOp<'_>> = group.iter().flat_map(|w| group_ops(&w.ops)).collect();
+        let res = self.commit_locked(guard, &gops);
 
-        let commit_res: Result<()> = (|| {
-            let mut guard = inner.write_mutex.lock();
-            // Reserve worst-case capacity for the whole group up front so
-            // no member can hit ArenaFull mid-flight.
-            loop {
-                {
-                    let active = inner.mem.read().active.clone();
-                    if active.arena().remaining_bytes() >= total_need {
-                        break;
-                    }
-                }
-                self.rotate_memtable(Some(&mut guard), total_need as usize + GROUP_ROTATE_SLACK)?;
-            }
-            let active = inner.mem.read().active.clone();
-            // One dense sequence range, one combined WAL record: the
-            // group's single modeled NVM append.
-            let seq_base = inner.seq.fetch_add(total_ops, Ordering::Relaxed) + 1;
-            let mut gops = Vec::with_capacity(total_ops as usize);
-            for w in &group {
-                for (key, value, kind) in &w.ops {
-                    gops.push(miodb_wal::GroupOp {
-                        key,
-                        value,
-                        kind: *kind,
-                    });
-                }
-            }
-            {
-                let mut wal_span = trace::span(SpanKind::WalAppend);
-                wal_span.annotate(total_ops);
-                active.log_group(&gops, seq_base)?;
-            }
-            if inner.repl_armed.load(Ordering::Acquire) {
-                // Ship the group's combined record exactly as logged; each
-                // member waits for its own ack after release.
-                if let Ok(bytes) = miodb_wal::encode_group_record(&gops, seq_base) {
-                    self.repl_publish(&bytes, seq_base, seq_base + total_ops - 1);
-                }
-            }
-            Stats::add(&inner.stats.user_bytes_written, total_user);
-            inner.telemetry.write_group_size.record(total_ops);
-
-            // Hand out the insert tasks. With spare cores the members
-            // splice into the MemTable in parallel (the leader's own
-            // inserts run on this thread); without them — a single-core
-            // host — waking a follower just to insert costs two context
-            // switches per member, so the leader applies every member's
-            // ops itself and followers wake once, at completion.
-            let leader_applies = commit_spins() == 0;
-            let sync = Arc::new(GroupSync {
-                remaining: AtomicUsize::new(group.len()),
-            });
-            let mut next_seq = seq_base;
-            for w in &group {
-                w.seq_base.store(next_seq, Ordering::Relaxed);
-                next_seq += w.ops.len() as u64;
-                *w.task.lock() = Some(GroupTask {
-                    table: active.clone(),
-                    sync: sync.clone(),
-                });
-                if !leader_applies && !Arc::ptr_eq(w, lw) {
-                    w.phase.store(PH_INSERT, Ordering::Release);
-                }
-            }
-            if leader_applies {
-                for w in &group {
-                    self.run_group_insert(w);
-                }
-            } else {
-                if group.len() > 1 {
-                    drop(inner.commit.queue.lock());
-                    inner.commit.cv.notify_all();
-                }
-                self.run_group_insert(lw);
-            }
-
-            // Drain the group before releasing the writer mutex.
-            let mut spun = 0u32;
-            let spins = commit_spins();
-            while sync.remaining.load(Ordering::Acquire) > 0 {
-                if spun < spins {
-                    spun += 1;
-                    std::hint::spin_loop();
-                    continue;
-                }
-                if spun < spins + COMMIT_YIELDS {
-                    spun += 1;
-                    std::thread::yield_now();
-                    continue;
-                }
-                let mut q = inner.commit.queue.lock();
-                if sync.remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                inner.commit.cv.wait_for(&mut q, Duration::from_micros(500));
-            }
-            drop(guard);
-            Ok(())
-        })();
-
-        // Publish results, pop the group, promote the next leader.
         let mut q = inner.commit.queue.lock();
         for w in &group {
             // Invariant (group-commit protocol): the sealed group is a
-            // prefix of the queue and only its leader pops — members park
-            // until PH_DONE, so the queue cannot lose them mid-group.
+            // prefix of the queue and only its leader pops — members wait
+            // until `done`, so the queue cannot lose them mid-group.
             let front = q.pop_front().expect("group member missing from queue");
             debug_assert!(Arc::ptr_eq(&front, w));
-            if let Err(e) = &commit_res {
-                *w.err.lock() = Some(clone_error(e));
-            }
-            w.phase.store(PH_DONE, Ordering::Release);
+            *w.outcome.lock() = match &res {
+                Ok(seq_last) => Ok(*seq_last),
+                Err(e) => Err(clone_error(e)),
+            };
+            w.done.store(true, Ordering::Release);
         }
         inner.telemetry.set_commit_queue_depth(q.len() as u64);
         drop(q);
@@ -949,16 +844,6 @@ impl MioDb {
         }
         drop(guard);
         Ok(())
-    }
-
-    /// Publishes committed record bytes to the replication sink, if set.
-    /// Call sites hold the write mutex, so publishes arrive in commit
-    /// order with dense sequence ranges.
-    #[inline]
-    fn repl_publish(&self, bytes: &[u8], seq_first: u64, seq_last: u64) {
-        if let Some(sink) = self.inner.repl_sink.read().as_ref() {
-            sink.publish(bytes, seq_first, seq_last);
-        }
     }
 
     /// Blocks until the sink's ack level is satisfied for `seq_last`
@@ -1099,48 +984,6 @@ impl MioDb {
             match r {
                 Ok(()) => return Ok(()),
                 Err(Error::ArenaFull) => self.rotate_memtable(None, min_capacity(key, value))?,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn insert_with_rotation(
-        &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            // See `insert_locked` for why the clone must not outlive the
-            // attempt.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                // Uncontended/legacy path: WAL append and skiplist splice
-                // happen inside `insert`, so the span covers both (the
-                // grouped path separates them).
-                let _insert_span = trace::span(SpanKind::MemtableInsert);
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => {
-                    if inner.repl_armed.load(Ordering::Acquire) {
-                        // Re-encode the exact framed record the WAL holds
-                        // (the encoders are deterministic) and ship it;
-                        // the ack wait happens off the mutex.
-                        if let Ok(bytes) = miodb_wal::encode_record(key, value, seq, kind) {
-                            self.repl_publish(&bytes, seq, seq);
-                        }
-                        drop(guard);
-                        return self.repl_wait(seq);
-                    }
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    self.rotate_memtable(Some(&mut guard), min_capacity(key, value))?
-                }
                 Err(e) => return Err(e),
             }
         }
@@ -2415,7 +2258,7 @@ fn dur_ns(d: Duration) -> u64 {
 /// ```
 #[derive(Debug, Default)]
 pub struct WriteBatch {
-    ops: Vec<(Vec<u8>, Vec<u8>, OpKind)>,
+    ops: OwnedOps,
 }
 
 impl WriteBatch {
@@ -2465,80 +2308,7 @@ impl MioDb {
         if batch.ops.is_empty() {
             return Ok(());
         }
-        self.check_usable()?;
-        let inner = &*self.inner;
-        if inner.opts.write_pipeline {
-            for (k, v, _) in &batch.ops {
-                if k.len() > u32::MAX as usize || v.len() > u32::MAX as usize {
-                    return Err(Error::InvalidArgument("key/value too large".to_string()));
-                }
-            }
-            // Uncontended bypass, as in `write`: no queue, mutex free —
-            // the legacy batch protocol is strictly cheaper.
-            if inner.commit.queue.lock().is_empty() {
-                if let Some(guard) = inner.write_mutex.try_lock() {
-                    inner
-                        .telemetry
-                        .write_group_size
-                        .record(batch.ops.len() as u64);
-                    return self.write_batch_locked(guard, &batch.ops);
-                }
-            }
-            // A group record is all-or-nothing on replay — at least as
-            // strong as the legacy per-batch atomicity.
-            return self.write_grouped(batch.ops);
-        }
-        let guard = inner.write_mutex.lock();
-        self.write_batch_locked(guard, &batch.ops)
-    }
-
-    /// Applies a batch under an already-held writer mutex: one WAL record,
-    /// consecutive sequence numbers, rotating until the batch fits.
-    fn write_batch_locked(
-        &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
-        ops: &[(Vec<u8>, Vec<u8>, OpKind)],
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        let user_bytes: u64 = ops.iter().map(|(k, v, _)| (k.len() + v.len()) as u64).sum();
-        Stats::add(&inner.stats.user_bytes_written, user_bytes);
-        let n = ops.len() as u64;
-        let seq_base = inner.seq.fetch_add(n, Ordering::Relaxed) + 1;
-        let need: usize = ops
-            .iter()
-            .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()) as usize)
-            .sum::<usize>()
-            + 4096;
-        loop {
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert_batch(ops, seq_base)
-            };
-            match r {
-                Ok(()) => {
-                    if inner.repl_armed.load(Ordering::Acquire) {
-                        let gops: Vec<miodb_wal::GroupOp<'_>> = ops
-                            .iter()
-                            .map(|(key, value, kind)| miodb_wal::GroupOp {
-                                key,
-                                value,
-                                kind: *kind,
-                            })
-                            .collect();
-                        if let Ok(bytes) = miodb_wal::encode_group_record(&gops, seq_base) {
-                            self.repl_publish(&bytes, seq_base, seq_base + n - 1);
-                        }
-                        drop(guard);
-                        return self.repl_wait(seq_base + n - 1);
-                    }
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    self.rotate_memtable(Some(&mut guard), need)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.commit(&group_ops(&batch.ops).collect::<Vec<_>>())
     }
 }
 

@@ -58,12 +58,6 @@ pub struct MioOptions {
     /// thread that serves all levels round-robin — the parallel-compaction
     /// ablation (Figure 9's mechanism).
     pub parallel_compaction: bool,
-    /// Group-commit write pipeline: concurrent writers enqueue on a commit
-    /// queue, a leader coalesces the queue into one WAL record, and group
-    /// members insert into the MemTable in parallel (CAS skip-list
-    /// splicing). Disabling falls back to the legacy single-writer path
-    /// where every put serializes on the writer mutex.
-    pub write_pipeline: bool,
     /// Engine name for reports.
     pub name: String,
     /// Telemetry collectors: op-latency histograms, per-level metrics,
@@ -87,7 +81,6 @@ impl Default for MioOptions {
             repository: RepositoryMode::HugePmTable,
             bloom_enabled: true,
             parallel_compaction: true,
-            write_pipeline: true,
             name: "MioDB".to_string(),
             telemetry: TelemetryOptions::default(),
         }

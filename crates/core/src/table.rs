@@ -106,8 +106,9 @@ impl MemTable {
         })
     }
 
-    /// Logs and inserts one entry. Writers must be serialized by the
-    /// caller.
+    /// Logs and inserts one entry that already carries its sequence
+    /// number (WAL replay and replicated apply). Writers must be
+    /// serialized by the caller.
     ///
     /// # Errors
     ///
@@ -125,76 +126,39 @@ impl MemTable {
         if !self.arena.fits(key.len(), value.len()) {
             return Err(miodb_common::Error::ArenaFull);
         }
-        self.wal.append(key, value, seq, kind)?;
-        self.arena.insert(key, value, seq, kind)?;
-        self.bloom.lock().insert(key);
-        Ok(())
+        self.log(&miodb_wal::encode_record(key, value, seq, kind)?)?;
+        self.apply(&[miodb_wal::GroupOp { key, value, kind }], seq)
     }
 
-    /// Logs and inserts a whole batch with consecutive sequence numbers
-    /// starting at `seq_base`, framed as a single WAL record so replay is
-    /// all-or-nothing. Writers must be serialized by the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`miodb_common::Error::ArenaFull`] (before logging anything)
-    /// when the batch does not fit — the caller must rotate to a MemTable
-    /// large enough for the whole batch.
-    pub fn insert_batch(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>, OpKind)],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        let need: u64 = entries
-            .iter()
-            .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()))
-            .sum();
-        if need > self.arena.remaining_bytes() {
-            return Err(miodb_common::Error::ArenaFull);
-        }
-        self.wal.append_batch(entries, seq_base)?;
-        let mut bloom = self.bloom.lock();
-        for (i, (key, value, kind)) in entries.iter().enumerate() {
-            self.arena.insert(key, value, seq_base + i as u64, *kind)?;
-            bloom.insert(key);
-        }
-        Ok(())
-    }
-
-    /// Logs a whole write group as **one** WAL record with consecutive
-    /// sequence numbers from `seq_base` — the group leader's single
-    /// modeled NVM append on behalf of every writer in the group. Indexing
-    /// happens afterwards via [`MemTable::insert_concurrent`].
+    /// Appends one already-encoded commit record (see
+    /// [`miodb_wal::encode_record`] / [`miodb_wal::encode_group_record`])
+    /// to this MemTable's WAL: the commit routine encodes once, logs these
+    /// bytes here and ships the same bytes to replication.
     ///
     /// # Errors
     ///
     /// Propagates WAL allocation failures; nothing is logged on error.
-    pub fn log_group(
-        &self,
-        ops: &[miodb_wal::GroupOp<'_>],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        self.wal.append_group(ops, seq_base)
+    pub fn log(&self, record: &[u8]) -> Result<()> {
+        self.wal.append_encoded(record)
     }
 
-    /// Inserts one already-logged entry concurrently with other group
-    /// members (CAS skip-list splicing; the bloom update takes a short
-    /// mutex).
+    /// Indexes already-logged operations, in order, with consecutive
+    /// sequence numbers from `seq_base`. Writers must be serialized by the
+    /// caller.
     ///
     /// # Errors
     ///
     /// Returns [`miodb_common::Error::ArenaFull`] if the arena cannot fit
-    /// the node — the group leader reserves worst-case capacity up front,
-    /// so this indicates a leader bug, but it is handled gracefully.
-    pub fn insert_concurrent(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        self.arena.insert_concurrent(key, value, seq, kind)?;
-        self.bloom.lock().insert(key);
+    /// a node — the commit routine reserves worst-case capacity before
+    /// logging, so this indicates a bug there, but it is handled
+    /// gracefully.
+    pub fn apply(&self, ops: &[miodb_wal::GroupOp<'_>], seq_base: SequenceNumber) -> Result<()> {
+        let mut bloom = self.bloom.lock();
+        for (i, op) in ops.iter().enumerate() {
+            self.arena
+                .insert(op.key, op.value, seq_base + i as u64, op.kind)?;
+            bloom.insert(op.key);
+        }
         Ok(())
     }
 
@@ -250,6 +214,33 @@ mod tests {
         assert_eq!(replayed[0].key, b"k");
         assert!(m.bloom_snapshot().may_contain(b"k"));
         assert!(!m.bloom_snapshot().may_contain(b"other"));
+    }
+
+    #[test]
+    fn logged_record_and_applied_ops_agree() {
+        let (dram, nvm) = pools();
+        let m = MemTable::new(&dram, &nvm, 64 * 1024, 64 * 1024, 16, 1024).unwrap();
+        let ops = [
+            miodb_wal::GroupOp {
+                key: b"a",
+                value: b"1",
+                kind: OpKind::Put,
+            },
+            miodb_wal::GroupOp {
+                key: b"b",
+                value: b"",
+                kind: OpKind::Delete,
+            },
+        ];
+        m.log(&miodb_wal::encode_group_record(&ops, 5).unwrap())
+            .unwrap();
+        m.apply(&ops, 5).unwrap();
+        assert_eq!(m.list().get(b"a").unwrap().seq, 5);
+        assert_eq!(m.list().get(b"b").unwrap().kind, OpKind::Delete);
+        assert!(m.bloom_snapshot().may_contain(b"b"));
+        let replayed = miodb_wal::WriteAheadLog::replay(&nvm, &m.wal_segments()).unwrap();
+        let seqs: Vec<u64> = replayed.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![5, 6]);
     }
 
     #[test]

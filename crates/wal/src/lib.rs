@@ -275,38 +275,15 @@ impl WriteAheadLog {
         seq: SequenceNumber,
         kind: OpKind,
     ) -> Result<()> {
-        self.append_record(encode_record(key, value, seq, kind)?)
+        self.append_encoded(&encode_record(key, value, seq, kind)?)
     }
 
-    /// Appends a whole batch as **one** crc-framed record: after a crash,
-    /// either every operation of the batch replays or none does (the
-    /// durability half of LevelDB's `WriteBatch` semantics). Operations
-    /// receive consecutive sequence numbers starting at `seq_base`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`WriteAheadLog::append`].
-    pub fn append_batch(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>, OpKind)],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        let ops: Vec<GroupOp<'_>> = entries
-            .iter()
-            .map(|(key, value, kind)| GroupOp {
-                key,
-                value,
-                kind: *kind,
-            })
-            .collect();
-        self.append_group(&ops, seq_base)
-    }
-
-    /// Appends a whole **write group** as one crc-framed record — the
-    /// group-commit fast path: one record header, one modeled NVM append
-    /// for every operation of every writer in the group. Operations
-    /// receive consecutive sequence numbers starting at `seq_base`, in
-    /// slice order, and replay all-or-nothing like a batch.
+    /// Appends a whole **write group** (or batch) as one crc-framed
+    /// record: one record header, one modeled NVM append for every
+    /// operation of every writer in the group. Operations receive
+    /// consecutive sequence numbers starting at `seq_base`, in slice
+    /// order, and after a crash either every operation replays or none
+    /// does (the durability half of LevelDB's `WriteBatch` semantics).
     ///
     /// The encode buffer is sized exactly from the group's byte length up
     /// front, so large groups never reallocate mid-encode.
@@ -319,12 +296,18 @@ impl WriteAheadLog {
         if buf.is_empty() {
             return Ok(());
         }
-        self.append_record(buf)
+        self.append_encoded(&buf)
     }
 
-    /// Appends one fully framed record (`crc | len | payload`, crc already
-    /// patched by the encoder).
-    fn append_record(&self, buf: Vec<u8>) -> Result<()> {
+    /// Appends one fully framed record (`crc | len | payload`) exactly as
+    /// [`encode_record`] / [`encode_group_record`] produced it, so a
+    /// caller that also ships the record encodes it once and logs and
+    /// ships the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`WriteAheadLog::append`].
+    pub fn append_encoded(&self, buf: &[u8]) -> Result<()> {
         if fault::hit(fault::points::WAL_APPEND_PRE_CRC).is_some() {
             // Injected fsync-style failure before persistence: nothing
             // reaches the log, the tail stays clean, and later appends may
@@ -378,7 +361,7 @@ impl WriteAheadLog {
             return Err(Error::Io(std::io::Error::other("injected torn wal append")));
         }
         s.cursor += total as u64;
-        self.pool.write_bytes(off, &buf);
+        self.pool.write_bytes(off, buf);
         Ok(())
     }
 
@@ -577,6 +560,17 @@ mod tests {
         .unwrap()
     }
 
+    fn group_ops(entries: &[(Vec<u8>, Vec<u8>, OpKind)]) -> Vec<GroupOp<'_>> {
+        entries
+            .iter()
+            .map(|(key, value, kind)| GroupOp {
+                key,
+                value,
+                kind: *kind,
+            })
+            .collect()
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let p = pool();
@@ -662,7 +656,7 @@ mod tests {
             (b"g1".to_vec(), b"vv1".to_vec(), OpKind::Put),
             (b"g2".to_vec(), b"vv2".to_vec(), OpKind::Put),
         ];
-        wal.append_batch(&batch, 3).unwrap();
+        wal.append_group(&group_ops(&batch), 3).unwrap();
         let end = wal.state.lock().cursor;
         let segs = wal.segments();
         let record_len = (end - start) as usize;
@@ -732,7 +726,7 @@ mod tests {
             (b"b2".to_vec(), Vec::new(), OpKind::Delete),
             (b"b3".to_vec(), b"v4".to_vec(), OpKind::Put),
         ];
-        wal.append_batch(&batch, 2).unwrap();
+        wal.append_group(&group_ops(&batch), 2).unwrap();
         wal.append(b"single2", b"v5", 5, OpKind::Put).unwrap();
         let (records, _) = WriteAheadLog::replay_chain(&p, wal.segments()[0]).unwrap();
         assert_eq!(records.len(), 5);
@@ -799,7 +793,7 @@ mod tests {
             (b"b1".to_vec(), vec![1u8; 100], OpKind::Put),
             (b"b2".to_vec(), vec![2u8; 100], OpKind::Put),
         ];
-        wal.append_batch(&batch, 2).unwrap();
+        wal.append_group(&group_ops(&batch), 2).unwrap();
         // Corrupt one byte inside the batch payload: the whole batch must
         // vanish from replay (all-or-nothing durability).
         let seg = wal.segments()[0];

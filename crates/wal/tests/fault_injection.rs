@@ -10,7 +10,7 @@ use std::sync::Arc;
 use miodb_common::fault::{self, points, FaultPolicy};
 use miodb_common::{Error, OpKind, Stats};
 use miodb_pmem::{DeviceModel, PmemPool};
-use miodb_wal::WriteAheadLog;
+use miodb_wal::{GroupOp, WriteAheadLog};
 
 fn pool() -> Arc<PmemPool> {
     PmemPool::new(
@@ -70,17 +70,14 @@ fn torn_group_append_loses_whole_group_only() {
     let _g = fault::exclusive();
     let p = pool();
     let wal = WriteAheadLog::new(p.clone(), 64 * 1024).unwrap();
-    let acked = vec![
-        (b"a1".to_vec(), b"v".to_vec(), OpKind::Put),
-        (b"a2".to_vec(), b"v".to_vec(), OpKind::Put),
-    ];
-    wal.append_batch(&acked, 1).unwrap();
+    let put = |key: &'static [u8]| GroupOp {
+        key,
+        value: b"v",
+        kind: OpKind::Put,
+    };
+    wal.append_group(&[put(b"a1"), put(b"a2")], 1).unwrap();
     fault::arm(points::WAL_APPEND_TORN, FaultPolicy::TornWrite);
-    let victim = vec![
-        (b"b1".to_vec(), b"v".to_vec(), OpKind::Put),
-        (b"b2".to_vec(), b"v".to_vec(), OpKind::Put),
-    ];
-    assert!(wal.append_batch(&victim, 3).is_err());
+    assert!(wal.append_group(&[put(b"b1"), put(b"b2")], 3).is_err());
     fault::disarm_all();
     let records = WriteAheadLog::replay(&p, &wal.segments()).unwrap();
     let keys: Vec<&[u8]> = records.iter().map(|r| r.key.as_slice()).collect();

@@ -199,12 +199,8 @@ fn overlapping_overwrites_keep_newest_under_concurrency() {
 /// message includes the engine's `debug_locate` dump for the key — which
 /// structure actually holds it — so a recurrence is diagnosable from the
 /// CI log alone.
-fn multi_writer_storm(pipeline: bool, seed: u64) {
-    let opts = MioOptions {
-        write_pipeline: pipeline,
-        ..MioOptions::small_for_tests()
-    };
-    let db = Arc::new(MioDb::open(opts).unwrap());
+fn multi_writer_storm(seed: u64) {
+    let db = Arc::new(MioDb::open(MioOptions::small_for_tests()).unwrap());
     let threads = 8u64;
     let per = 1200u64;
     let salt = seed % 997;
@@ -239,7 +235,7 @@ fn multi_writer_storm(pipeline: bool, seed: u64) {
                         assert_eq!(
                             got,
                             format!("{rt}:{ri}:{salt}").as_bytes(),
-                            "torn value for {key} (pipeline={pipeline}, seed={seed}, reader={t})"
+                            "torn value for {key} (seed={seed}, reader={t})"
                         );
                     }
                 }
@@ -249,44 +245,36 @@ fn multi_writer_storm(pipeline: bool, seed: u64) {
     assert_eq!(
         db.last_sequence(),
         threads * per,
-        "sequence numbers not dense (pipeline={pipeline}, seed={seed})"
+        "sequence numbers not dense (seed={seed})"
     );
     for t in 0..threads {
         for i in 0..per {
             let key = format!("s{salt:03}w{t:02}k{i:06}");
             let got = db.get(key.as_bytes()).unwrap().unwrap_or_else(|| {
                 let located = db.debug_locate(key.as_bytes());
-                panic!("{key} lost (pipeline={pipeline}, seed={seed}); debug_locate: {located:?}")
+                panic!("{key} lost (seed={seed}); debug_locate: {located:?}")
             });
-            assert_eq!(
-                got,
-                format!("{t}:{i}:{salt}").as_bytes(),
-                "pipeline={pipeline}, seed={seed}"
-            );
+            assert_eq!(got, format!("{t}:{i}:{salt}").as_bytes(), "seed={seed}");
         }
     }
 }
 
-/// Runs under both the group-commit pipeline and the legacy single-writer
-/// path so the two stay behaviourally interchangeable. Formerly flaky at
-/// ~1/25 runs: `get` snapshotted a level's settled tables once, and a
-/// compactor popping those tables into `merging` mid-probe left the
-/// reader searching relinked lists without the mark protocol. Fixed by
+/// Formerly flaky at ~1/25 runs: `get` snapshotted a level's settled
+/// tables once, and a compactor popping those tables into `merging`
+/// mid-probe left the reader searching relinked lists without the mark
+/// protocol. Fixed by
 /// the per-level structural version retry in `get` plus the always-live
 /// mark check in `get_skip_marked`.
 #[test]
-fn multi_writer_stress_grouped_and_legacy() {
-    for pipeline in [true, false] {
-        multi_writer_storm(pipeline, 0);
-    }
+fn multi_writer_stress() {
+    multi_writer_storm(0);
 }
 
 /// Seeded single-test stress loop for the formerly flaky storm: set
 /// `MIODB_STRESS_ROUNDS` (and optionally `MIODB_STRESS_SEED`) to rerun
 /// the exact interleaving hunt in-process without rebuilding — e.g.
 /// `MIODB_STRESS_ROUNDS=100 cargo test --release multi_writer_stress_seeded`
-/// runs 200 storms (both commit paths per round). Defaults to 2 rounds so
-/// the suite stays fast.
+/// runs 100 storms. Defaults to 2 rounds so the suite stays fast.
 #[test]
 fn multi_writer_stress_seeded_loop() {
     let rounds: u64 = std::env::var("MIODB_STRESS_ROUNDS")
@@ -298,9 +286,7 @@ fn multi_writer_stress_seeded_loop() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xC0FFEE);
     for r in 0..rounds {
-        for pipeline in [true, false] {
-            multi_writer_storm(pipeline, seed0.wrapping_add(r));
-        }
+        multi_writer_storm(seed0.wrapping_add(r));
         if rounds > 4 {
             eprintln!("stress round {}/{rounds} clean", r + 1);
         }

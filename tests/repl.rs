@@ -426,3 +426,122 @@ fn semi_sync_without_follower_is_maybe_applied() {
     db.set_commit_sink(None);
     db.close().unwrap();
 }
+
+/// The record is encoded once and the same bytes are logged and
+/// published, so the published stream *is* the commit history: under
+/// concurrent puts and batches it decodes to exactly the acknowledged
+/// operations with sequence numbers `1..=last_sequence` in publish order,
+/// and a crash-recovered copy of the leader (which replays the WAL's
+/// copy of those bytes) holds the same key → value map.
+#[test]
+fn published_stream_is_exactly_the_acknowledged_writes() {
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
+
+    use miodb::common::OpKind;
+    use miodb::wal::decode_record_bytes;
+
+    #[derive(Default)]
+    struct Capture(Mutex<Vec<(Vec<u8>, u64, u64)>>);
+    impl ReplicationSink for Capture {
+        fn publish(&self, bytes: &[u8], seq_first: u64, seq_last: u64) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((bytes.to_vec(), seq_first, seq_last));
+        }
+        fn wait_committed(&self, _seq_last: u64) -> miodb::Result<()> {
+            Ok(())
+        }
+    }
+
+    let _g = fault::exclusive();
+    let opts = test_opts("capture");
+    let db = Arc::new(MioDb::open(opts.clone()).unwrap());
+    let sink = Arc::new(Capture::default());
+    db.set_commit_sink(Some(sink.clone() as Arc<dyn ReplicationSink>));
+
+    // Each thread overwrites and deletes within its own 40 keys, so the
+    // final map depends on commit order; returns the ops it was acked.
+    type Op = (Vec<u8>, Vec<u8>, OpKind);
+    let mut acked: Vec<Op> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let db = &db;
+                s.spawn(move || {
+                    let mut mine: Vec<Op> = Vec::new();
+                    for r in 0..300u32 {
+                        let key = |i: u32| format!("t{t}k{:02}", i % 40).into_bytes();
+                        let val = format!("{t}:{r}").into_bytes();
+                        if (t + r) % 3 == 0 {
+                            let mut batch = miodb::WriteBatch::new();
+                            batch.put(&key(r), &val).delete(&key(r + 7));
+                            batch.put(&key(r + 13), &val);
+                            db.write_batch(batch).unwrap();
+                            mine.push((key(r), val.clone(), OpKind::Put));
+                            mine.push((key(r + 7), Vec::new(), OpKind::Delete));
+                            mine.push((key(r + 13), val, OpKind::Put));
+                        } else {
+                            db.put(&key(r), &val).unwrap();
+                            mine.push((key(r), val, OpKind::Put));
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    db.set_commit_sink(None);
+
+    let published = std::mem::take(&mut *sink.0.lock().unwrap());
+    let mut stream = Vec::new();
+    let mut next = 1u64;
+    for (bytes, seq_first, seq_last) in &published {
+        assert_eq!(*seq_first, next, "publish ranges must be dense");
+        next = seq_last + 1;
+        stream.extend_from_slice(bytes);
+    }
+    assert_eq!(next - 1, db.last_sequence());
+    let records = decode_record_bytes(&stream).unwrap();
+    let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+    assert_eq!(seqs, (1..=db.last_sequence()).collect::<Vec<_>>());
+
+    let mut shipped: Vec<Op> = records
+        .iter()
+        .map(|r| (r.key.clone(), r.value.clone(), r.kind))
+        .collect();
+    shipped.sort();
+    acked.sort();
+    assert_eq!(shipped, acked, "published ops != acknowledged ops");
+
+    let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+    for r in &records {
+        let value = (r.kind == OpKind::Put).then(|| r.value.clone());
+        model.insert(r.key.clone(), value);
+    }
+    let path = std::env::temp_dir().join(format!("miodb-capture-{}", std::process::id()));
+    db.snapshot(&path).unwrap();
+    let pool = miodb::pmem::PmemPool::restore_from_file(
+        &path,
+        opts.nvm_device,
+        Arc::new(miodb::Stats::new()),
+    )
+    .unwrap();
+    let recovered = MioDb::recover(pool, opts).unwrap();
+    assert_eq!(recovered.last_sequence(), db.last_sequence());
+    for (key, value) in &model {
+        assert_eq!(&db.get(key).unwrap(), value, "leader disagrees");
+        assert_eq!(
+            &recovered.get(key).unwrap(),
+            value,
+            "recovered copy disagrees"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    recovered.close().unwrap();
+    db.close().unwrap();
+}
