@@ -222,8 +222,8 @@ impl MatrixKv {
 
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
         loop {
-            // Scope the Arc clone to the attempt: holding it across the
-            // rotation wait would stall the flush worker's unique-release.
+            // Scope the Arc clone to the attempt so a MemTable that rotates
+            // out is not pinned in DRAM by its own writer.
             let r = {
                 let active = inner.mem.read().active.clone();
                 active.insert(key, value, seq, kind)
@@ -331,7 +331,8 @@ fn flush_worker(inner: Arc<Inner>) {
                 let _writers = inner.write_mutex.lock();
                 inner.imm_cv.notify_all();
             }
-            release_arena_when_unique(imm);
+            // Garbage from here on; the last reader to let go frees it.
+            imm.retire();
         }
         if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
             return;
@@ -472,21 +473,6 @@ fn lsm_worker(inner: Arc<Inner>) {
     }
 }
 
-fn release_arena_when_unique(mut arc: Arc<SkipListArena>) {
-    for _ in 0..10_000 {
-        match Arc::try_unwrap(arc) {
-            Ok(a) => {
-                a.release();
-                return;
-            }
-            Err(back) => {
-                arc = back;
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
-}
-
 impl KvEngine for MatrixKv {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.write(key, value, OpKind::Put)
@@ -586,7 +572,6 @@ impl MatrixKv {
             }
             if !row.meta.reader.may_contain(key) {
                 Stats::add(&inner.stats.bloom_skips, 1);
-                inner.telemetry.bloom_skip(0);
                 continue;
             }
             if let Some(e) = row.meta.reader.get(key, &inner.stats)? {
@@ -615,9 +600,11 @@ impl MatrixKv {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
         };
+        // The iterators own nothing: the handles taken here keep every
+        // source's memory alive until the merge has been consumed.
         let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
         sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = imm {
+        if let Some(imm) = &imm {
             sources.push(Box::new(imm.list().iter_from(start)));
         }
         let rows: Vec<Row> = inner.rows.read().clone();

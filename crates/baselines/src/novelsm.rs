@@ -199,8 +199,8 @@ impl NoveLsm {
 
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
         loop {
-            // Scope the Arc clone to the attempt: holding it across the
-            // rotation wait would stall the flush worker's unique-release.
+            // Scope the Arc clone to the attempt so a MemTable that rotates
+            // out is not pinned in DRAM by its own writer.
             let r = {
                 let active = inner.mem.read().active.clone();
                 active.insert(key, value, seq, kind)
@@ -299,7 +299,8 @@ fn drain_worker(inner: Arc<Inner>) {
                 let _writers = inner.write_mutex.lock();
                 inner.imm_cv.notify_all();
             }
-            release_arena_when_unique(imm);
+            // Garbage from here on; the last reader to let go frees it.
+            imm.retire();
 
             // Overflow: serialize the big NVM MemTable into L0 SSTables.
             if !inner.opts.no_sst {
@@ -344,41 +345,9 @@ fn flush_big_memtable(inner: &Inner) -> Result<()> {
         .telemetry
         .compaction_end(0, CompactionKind::LazyCopy, drained_bytes, t0.elapsed());
     result?;
-    release_repo_when_unique(full, inner);
+    // Its entries live in L0 now; the last reader to let go frees it.
+    full.retire();
     Ok(())
-}
-
-fn release_repo_when_unique(mut arc: Arc<GrowableSkipList>, inner: &Inner) {
-    for _ in 0..10_000 {
-        match Arc::try_unwrap(arc) {
-            Ok(list) => {
-                list.release();
-                return;
-            }
-            Err(back) => {
-                arc = back;
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
-}
-
-fn release_arena_when_unique(mut arc: Arc<SkipListArena>) {
-    for _ in 0..10_000 {
-        match Arc::try_unwrap(arc) {
-            Ok(a) => {
-                a.release();
-                return;
-            }
-            Err(back) => {
-                arc = back;
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
 }
 
 fn compaction_worker(inner: Arc<Inner>) {
@@ -515,14 +484,17 @@ impl NoveLsm {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
         };
+        // The iterators own nothing: the handles taken here keep every
+        // source's memory alive until the merge has been consumed.
         let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
         sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = imm {
+        if let Some(imm) = &imm {
             sources.push(Box::new(imm.list().iter_from(start)));
         }
         let nvm_mem = inner.nvm_mem.read().clone();
         sources.push(Box::new(nvm_mem.list().iter_from(start)));
-        if let Some(nvm_imm) = inner.nvm_imm.read().clone() {
+        let nvm_imm = inner.nvm_imm.read().clone();
+        if let Some(nvm_imm) = &nvm_imm {
             sources.push(Box::new(nvm_imm.list().iter_from(start)));
         }
         if !inner.opts.no_sst {

@@ -45,14 +45,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig14", "throughput vs NVM buffer size, tiered mode"),
     ("scaling", "fillrandom vs writer threads (group commit)"),
     (
-        "faults",
-        "fault matrix: seeds x fault points, typed-error-or-full-recovery",
-    ),
-    (
-        "check",
-        "verification: linearizability under faults + durable-prefix crash rounds",
-    ),
-    (
         "trace",
         "critical-path attribution of YCSB-A p50 vs p99.9 over the wire",
     ),
@@ -120,8 +112,6 @@ fn main() {
         "table3" => table3(dataset),
         "fig14" => fig14(dataset),
         "scaling" => scaling(dataset, quick),
-        "faults" => faults(quick),
-        "check" => check(quick),
         "trace" => trace_experiment(quick),
         "repl" => repl_experiment(quick),
         "all" => all(dataset, quick),
@@ -175,8 +165,6 @@ fn all(dataset: u64, quick: bool) -> Result<()> {
     table3(dataset)?;
     fig14(dataset)?;
     scaling(dataset, quick)?;
-    faults(quick)?;
-    check(quick)?;
     trace_experiment(quick)?;
     repl_experiment(quick)?;
     Ok(())
@@ -815,260 +803,6 @@ fn fig14(dataset: u64) -> Result<()> {
             );
         }
     }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Faults — deterministic fault-injection matrix (DESIGN.md §10).
-// ---------------------------------------------------------------------------
-fn faults(quick: bool) -> Result<()> {
-    use miodb_common::fault::{self, FaultPolicy};
-    use miodb_core::{MioDb, MioOptions};
-
-    println!("\n== Fault matrix: seeds x fault points (typed-error-or-full-recovery) ==");
-    println!("   contract: every injected failure surfaces as a typed error or is absorbed");
-    println!("   by retry; acknowledged writes are never lost; the engine ends healthy.");
-    let keys: u32 = if quick { 1_500 } else { 4_000 };
-    let points = [
-        fault::points::ENGINE_FLUSH,
-        fault::points::ENGINE_COMPACTION,
-        fault::points::ENGINE_LAZY,
-        fault::points::WAL_APPEND_PRE_CRC,
-        fault::points::PMEM_ALLOC,
-    ];
-    let widths = [22usize, 8, 8, 10, 8, 8, 12];
-    print_header(
-        &[
-            "point",
-            "seed",
-            "hits",
-            "triggered",
-            "acked",
-            "failed",
-            "outcome",
-        ],
-        &widths,
-    );
-    // Serialize against any other fault user in this process and guarantee
-    // everything is disarmed afterwards, even on early return.
-    let _guard = fault::exclusive();
-    for seed in [11u64, 23, 47] {
-        for point in points {
-            fault::arm(
-                point,
-                FaultPolicy::FailProbability {
-                    num: 1,
-                    den: 48,
-                    seed,
-                },
-            );
-            let opts = MioOptions {
-                lazy_copy_trigger: 1,
-                ..MioOptions::small_for_tests()
-            };
-            let db = MioDb::open(opts)?;
-            let mut acked: Vec<u32> = Vec::new();
-            let mut failed = 0u64;
-            for i in 0..keys {
-                match db.put(format!("key{i:06}").as_bytes(), &[7u8; 256]) {
-                    Ok(()) => acked.push(i),
-                    Err(_) => failed += 1, // typed error while armed: allowed
-                }
-            }
-            let row = fault::snapshot();
-            let (hits, triggered) = row
-                .iter()
-                .find(|(n, _, _)| n == point)
-                .map_or((0, 0), |(_, h, t)| (*h, *t));
-            fault::disarm(point);
-            db.wait_idle()?;
-            let outcome = if let Some(msg) = db.background_error() {
-                format!("DEGRADED: {msg}")
-            } else {
-                let mut lost = 0u64;
-                for i in &acked {
-                    if db.get(format!("key{i:06}").as_bytes())?.is_none() {
-                        lost += 1;
-                    }
-                }
-                if lost == 0 {
-                    "recovered".to_string()
-                } else {
-                    format!("LOST {lost}")
-                }
-            };
-            db.close()?;
-            let failed_outcome = outcome != "recovered";
-            print_row(
-                &[
-                    point.to_string(),
-                    seed.to_string(),
-                    hits.to_string(),
-                    triggered.to_string(),
-                    acked.len().to_string(),
-                    failed.to_string(),
-                    outcome,
-                ],
-                &widths,
-            );
-            if failed_outcome {
-                return Err(miodb_common::Error::Corruption(format!(
-                    "fault matrix violation at point {point} seed {seed}"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Check — linearizability + durable-prefix verification (DESIGN.md §11).
-// ---------------------------------------------------------------------------
-fn check(quick: bool) -> Result<()> {
-    use miodb_check::{check_history, run_stress, DurableOracle, StressSpec, Verdict};
-    use miodb_common::fault::{self, FaultPolicy};
-    use miodb_common::Stats;
-    use miodb_core::{MioDb, MioOptions};
-    use miodb_pmem::PmemPool;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    println!("\n== Verification: per-key linearizability + durable-prefix crash rounds ==");
-    println!("   histories from seeded interleaving stress are replayed through the");
-    println!("   Wing-Gong checker; crash rounds snapshot mid-storm and require every");
-    println!("   acknowledged write to survive recovery (in-flight: all-or-nothing).");
-    let seeds: u64 = if quick { 3 } else { 8 };
-    let busy = || MioOptions {
-        lazy_copy_trigger: 1,
-        ..MioOptions::small_for_tests()
-    };
-
-    // Phase 1: linearizability of stress histories, fault-free and with
-    // probabilistic injection at two representative engine points.
-    let widths = [22usize, 6, 8, 10, 14];
-    print_header(&["point", "seed", "ops", "ambiguous", "outcome"], &widths);
-    let _guard = fault::exclusive();
-    for seed in 0..seeds {
-        for point in [
-            None,
-            Some(fault::points::ENGINE_FLUSH),
-            Some(fault::points::WAL_APPEND_PRE_CRC),
-        ] {
-            // Open before arming: PMEM allocation faults would otherwise
-            // fire during open itself, which dedicated tests already cover.
-            let db = MioDb::open(busy())?;
-            if let Some(p) = point {
-                fault::arm(
-                    p,
-                    FaultPolicy::FailProbability {
-                        num: 1,
-                        den: 64,
-                        seed: seed.wrapping_mul(0x9E37_79B9) + 1,
-                    },
-                );
-            }
-            let spec = StressSpec {
-                threads: 4,
-                ops_per_thread: if quick { 150 } else { 300 },
-                ..StressSpec::quick(seed)
-            };
-            let history = run_stress(&db, &spec);
-            if let Some(p) = point {
-                fault::disarm(p);
-            }
-            let ambiguous = history
-                .ops
-                .iter()
-                .filter(|o| o.observed == miodb_check::Observed::Maybe)
-                .count();
-            let verdict = check_history(&history);
-            let ok = matches!(verdict, Verdict::Linearizable(_));
-            print_row(
-                &[
-                    point.unwrap_or("-").to_string(),
-                    seed.to_string(),
-                    history.len().to_string(),
-                    ambiguous.to_string(),
-                    if ok {
-                        "linearizable".to_string()
-                    } else {
-                        "VIOLATION".to_string()
-                    },
-                ],
-                &widths,
-            );
-            db.close()?;
-            if !ok {
-                return Err(miodb_common::Error::Corruption(format!(
-                    "non-linearizable history at seed {seed}: {verdict}"
-                )));
-            }
-        }
-    }
-
-    // Phase 2: durable-prefix crash rounds — snapshot races live writers,
-    // recovery is verified against the acknowledgement oracle.
-    println!("\n   crash rounds (snapshot mid-write-storm, recover, verify oracle):");
-    let cwidths = [8usize, 10, 14];
-    print_header(&["seed", "acked", "outcome"], &cwidths);
-    let path = std::env::temp_dir().join(format!("miodb-repro-check-{}", std::process::id()));
-    for seed in 0..seeds {
-        let opts = busy();
-        let db = Arc::new(MioDb::open(opts.clone())?);
-        let oracle = DurableOracle::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..2u32)
-            .map(|t| {
-                let db = Arc::clone(&db);
-                let oracle = oracle.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Acquire) {
-                        // One writer per slot: the oracle models each key
-                        // as a single-writer register.
-                        let k = format!("slot{t:02}-{:04}", n % 64);
-                        let v = format!("v{t:02}-{n:08}");
-                        oracle.put(&*db, k.as_bytes(), v.as_bytes()).ok();
-                        n += 1;
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(2 + seed % 13));
-        let crash_ns = oracle.now_ns();
-        db.snapshot(&path)?;
-        stop.store(true, Ordering::Release);
-        for w in writers {
-            w.join().expect("writer panicked");
-        }
-        db.close()?;
-        drop(db);
-        let acked = oracle.tracked_keys();
-        let pool = PmemPool::restore_from_file(&path, opts.nvm_device, Arc::new(Stats::new()))?;
-        let db = MioDb::recover(pool, opts)?;
-        let outcome = oracle.verify_engine(&db, crash_ns);
-        db.close()?;
-        print_row(
-            &[
-                seed.to_string(),
-                acked.to_string(),
-                if outcome.is_ok() {
-                    "durable".to_string()
-                } else {
-                    "VIOLATION".to_string()
-                },
-            ],
-            &cwidths,
-        );
-        if let Err(v) = outcome {
-            std::fs::remove_file(&path).ok();
-            return Err(miodb_common::Error::Corruption(format!(
-                "durable-prefix violation at seed {seed}: {v}"
-            )));
-        }
-    }
-    std::fs::remove_file(&path).ok();
     Ok(())
 }
 

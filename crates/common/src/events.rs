@@ -108,11 +108,6 @@ pub enum EventKind {
         /// Nanoseconds spent swizzling.
         dur_ns: u64,
     },
-    /// A bloom filter skipped a table during a read.
-    BloomSkip {
-        /// Level of the skipped table.
-        level: u32,
-    },
 }
 
 /// A timestamped engine event.
@@ -138,7 +133,7 @@ mod tests {
     fn ev(ts: u64) -> Event {
         Event {
             ts_ns: ts,
-            kind: EventKind::BloomSkip { level: 0 },
+            kind: EventKind::Swizzle { dur_ns: 0 },
         }
     }
 

@@ -325,19 +325,6 @@ impl Drop for ExclusiveGuard {
     }
 }
 
-/// Snapshot of `(name, hits, triggered)` for every armed point — used by the
-/// `repro faults` report.
-pub fn snapshot() -> Vec<(String, u64, u64)> {
-    let reg: MutexGuard<'_, Registry> = registry().lock();
-    let mut rows: Vec<(String, u64, u64)> = reg
-        .points
-        .iter()
-        .map(|(k, v)| (k.clone(), v.hits, v.triggered))
-        .collect();
-    rows.sort();
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 
 use crate::conc_histogram::ConcurrentHistogram;
 use crate::events::{CompactionKind, Event, EventKind, EventRing, StallKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Telemetry configuration, carried inside each engine's options struct.
@@ -23,12 +23,6 @@ pub struct TelemetryOptions {
     /// Capacity of the structured event ring (rounded up to a power of
     /// two). `0` disables event tracing entirely.
     pub event_capacity: usize,
-    /// Emit a [`EventKind::BloomSkip`] event per skipped table. High
-    /// volume; useful when debugging read paths, off by default.
-    pub trace_reads: bool,
-    /// When set, the engine spawns a reporter thread that prints the
-    /// Prometheus rendering to stderr every interval.
-    pub report_interval: Option<Duration>,
 }
 
 impl Default for TelemetryOptions {
@@ -36,8 +30,6 @@ impl Default for TelemetryOptions {
         TelemetryOptions {
             histograms: true,
             event_capacity: 4096,
-            trace_reads: false,
-            report_interval: None,
         }
     }
 }
@@ -49,8 +41,6 @@ impl TelemetryOptions {
         TelemetryOptions {
             histograms: false,
             event_capacity: 0,
-            trace_reads: false,
-            report_interval: None,
         }
     }
 }
@@ -132,7 +122,6 @@ pub struct EngineTelemetry {
     flush_span: AtomicU64,
     levels: Vec<LevelMetrics>,
     events: Option<EventRing>,
-    trace_reads: AtomicBool,
 }
 
 impl std::fmt::Debug for EngineTelemetry {
@@ -162,7 +151,6 @@ impl EngineTelemetry {
             levels: (0..num_levels).map(|_| LevelMetrics::default()).collect(),
             events: (opts.event_capacity > 0)
                 .then(|| EventRing::with_capacity(opts.event_capacity)),
-            trace_reads: AtomicBool::new(opts.trace_reads),
         };
         for h in [
             &t.put_latency,
@@ -287,21 +275,6 @@ impl EngineTelemetry {
         });
     }
 
-    /// Emits [`EventKind::BloomSkip`] when read tracing is on. Separate
-    /// from [`emit`](Self::emit) because skips fire per table per read.
-    pub fn bloom_skip(&self, level: usize) {
-        if self.trace_reads.load(Ordering::Relaxed) {
-            self.emit(EventKind::BloomSkip {
-                level: level as u32,
-            });
-        }
-    }
-
-    /// Toggles per-read event tracing at runtime.
-    pub fn set_trace_reads(&self, on: bool) {
-        self.trace_reads.store(on, Ordering::Relaxed);
-    }
-
     /// Drains all queued events in FIFO order.
     pub fn drain_events(&self) -> Vec<Event> {
         self.events
@@ -338,7 +311,6 @@ mod tests {
         let t = EngineTelemetry::new(3, &TelemetryOptions::disabled());
         t.put_latency.record(100);
         t.flush_begin(10);
-        t.bloom_skip(0);
         assert_eq!(t.put_latency.snapshot().count(), 0);
         assert!(t.drain_events().is_empty());
         assert_eq!(t.events_dropped(), 0);
@@ -375,16 +347,6 @@ mod tests {
         assert_eq!(m.lazy_copy_compactions.load(Ordering::Relaxed), 0);
         let events = t.drain_events();
         assert_eq!(events.len(), 2);
-    }
-
-    #[test]
-    fn bloom_skip_gated_by_trace_reads() {
-        let t = EngineTelemetry::new(1, &TelemetryOptions::default());
-        t.bloom_skip(0);
-        assert!(t.drain_events().is_empty());
-        t.set_trace_reads(true);
-        t.bloom_skip(0);
-        assert_eq!(t.drain_events().len(), 1);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   level's two oldest PMTables by zero-copy compaction and pushes the
 //!   result down;
 //! - one **lazy-copy worker** drains the bottom buffer level into the data
-//!   repository and reclaims arena memory (the only GC point, §4.4);
+//!   repository and retires the drained table's arenas (the only GC point,
+//!   §4.4; the memory itself returns to the pool when the last reader of
+//!   those arenas lets go — see `DESIGN.md`, "Reclamation");
 //! - in SSD mode, one **repository maintainer** runs the on-SSD LSM's
 //!   compactions.
 //!
@@ -32,7 +34,7 @@ use miodb_common::{
     ScanEntry, SequenceNumber, StallKind, Stats,
 };
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
-use miodb_pmem::{DeviceModel, PmemPool, PmemRegion};
+use miodb_pmem::{DeviceModel, PmemPool, PmemRegion, RegionLease};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::merge::MergeLimits;
 use miodb_skiplist::{
@@ -219,7 +221,10 @@ struct Inner {
     level_cv: Condvar,
     repo: Repository,
     repo_writer: Mutex<()>,
-    elastic_bytes: AtomicU64,
+    /// Bytes of elastic-buffer arenas not yet back in the pool: every
+    /// PMTable arena lease is counted in this gauge from flush (or
+    /// recovery) until its region is actually freed.
+    elastic_bytes: Arc<AtomicU64>,
     manifest: Manifest,
     shutdown: AtomicBool,
     /// Set by [`MioDb::close`] before the final flush: refuses new writes
@@ -307,7 +312,16 @@ impl MioDb {
         let mut repo: Option<Repository> = None;
         let mut seq0 = 0u64;
         let mut wal_replays: Vec<Vec<PmemRegion>> = Vec::new();
-        let mut elastic_bytes = 0u64;
+        let elastic_bytes = Arc::new(AtomicU64::new(0));
+        let rebuild = |ts: &TableState| {
+            rebuild_table(
+                &nvm,
+                ts,
+                &elastic_bytes,
+                opts.bloom_bits_per_key,
+                opts.bloom_expected_keys(),
+            )
+        };
         let mut resumed_merges: Vec<(usize, Arc<PmTable>, Arc<PmTable>)> = Vec::new();
         let mut resumed_drain: Option<Arc<PmTable>> = None;
 
@@ -340,41 +354,12 @@ impl MioDb {
                     gate: Arc::new(Mutex::new(())),
                     version: Arc::new(AtomicU64::new(0)),
                 };
-                for ts in &ls.tables {
-                    let t = rebuild_table(
-                        &nvm,
-                        ts,
-                        opts.bloom_bits_per_key,
-                        opts.bloom_expected_keys(),
-                    );
-                    elastic_bytes += t.arena_bytes();
-                    level.tables.push_back(t);
-                }
+                level.tables.extend(ls.tables.iter().map(rebuild));
                 if let Some((new_ts, old_ts)) = &ls.merging {
-                    let new_t = rebuild_table(
-                        &nvm,
-                        new_ts,
-                        opts.bloom_bits_per_key,
-                        opts.bloom_expected_keys(),
-                    );
-                    let old_t = rebuild_table(
-                        &nvm,
-                        old_ts,
-                        opts.bloom_bits_per_key,
-                        opts.bloom_expected_keys(),
-                    );
-                    elastic_bytes += new_t.arena_bytes() + old_t.arena_bytes();
-                    resumed_merges.push((i, new_t, old_t));
+                    resumed_merges.push((i, rebuild(new_ts), rebuild(old_ts)));
                 }
                 if let Some(ts) = &ls.lazy_draining {
-                    let t = rebuild_table(
-                        &nvm,
-                        ts,
-                        opts.bloom_bits_per_key,
-                        opts.bloom_expected_keys(),
-                    );
-                    elastic_bytes += t.arena_bytes();
-                    resumed_drain = Some(t);
+                    resumed_drain = Some(rebuild(ts));
                 }
                 levels.push(level);
             }
@@ -446,10 +431,7 @@ impl MioDb {
             for e in merged {
                 repo.apply(&e.key, &e.value, e.seq, e.kind)?;
             }
-            if let Ok(table) = Arc::try_unwrap(t) {
-                elastic_bytes -= table.arena_bytes();
-                table.release(&nvm);
-            }
+            t.retire();
         }
 
         let active = Arc::new(MemTable::new(
@@ -481,7 +463,7 @@ impl MioDb {
             level_cv: Condvar::new(),
             repo,
             repo_writer: Mutex::new(()),
-            elastic_bytes: AtomicU64::new(elastic_bytes),
+            elastic_bytes,
             manifest,
             shutdown: AtomicBool::new(false),
             closing: AtomicBool::new(false),
@@ -662,8 +644,7 @@ impl MioDb {
             if active.arena().remaining_bytes() >= need {
                 break active;
             }
-            // See `insert_locked` for why the clone must not outlive the
-            // attempt.
+            // Do not pin the full MemTable in DRAM across the rotation.
             drop(active);
             self.rotate_memtable(Some(&mut guard), need as usize + GROUP_ROTATE_SLACK)?;
         };
@@ -973,10 +954,8 @@ impl MioDb {
     ) -> Result<()> {
         let inner = &*self.inner;
         loop {
-            // Scope the Arc clone to the attempt: holding it across the
-            // rotation wait would keep the table's refcount elevated while
-            // the flush worker spin-waits for uniqueness — a cycle that
-            // costs the full release timeout per rotation.
+            // Scope the Arc clone to the attempt so a MemTable that rotates
+            // out is not pinned in DRAM by its own writer.
             let r = {
                 let active = inner.mem.read().active.clone();
                 active.insert(key, value, seq, kind)
@@ -1197,9 +1176,19 @@ impl MioDb {
     }
 }
 
+/// Leases one elastic-buffer arena, counted in the `elastic` gauge.
+fn lease_arena(
+    nvm: &Arc<PmemPool>,
+    region: PmemRegion,
+    elastic: &Arc<AtomicU64>,
+) -> Arc<RegionLease> {
+    Arc::new(RegionLease::new(nvm.clone(), region).counted_in(elastic))
+}
+
 fn rebuild_table(
     nvm: &Arc<PmemPool>,
     ts: &TableState,
+    elastic: &Arc<AtomicU64>,
     bloom_bits: usize,
     bloom_expected: usize,
 ) -> Arc<PmTable> {
@@ -1207,7 +1196,11 @@ fn rebuild_table(
     let bloom = PmTable::rebuild_bloom(&list, bloom_expected, bloom_bits);
     Arc::new(PmTable {
         list,
-        arenas: ts.arenas.clone(),
+        arenas: ts
+            .arenas
+            .iter()
+            .map(|&region| lease_arena(nvm, region, elastic))
+            .collect(),
         bloom,
         len: ts.len as usize,
         data_bytes: ts.data_bytes,
@@ -1221,12 +1214,14 @@ fn table_state(t: &PmTable) -> TableState {
         len: t.len as u64,
         data_bytes: t.data_bytes,
         newest_seq: t.newest_seq,
-        arenas: t.arenas.clone(),
+        arenas: t.arenas.iter().map(|a| a.region()).collect(),
     }
 }
 
 /// Builds the merged table descriptor after a zero-copy merge: the old
-/// table's head now roots the union, arenas are pooled, blooms are OR-ed.
+/// table's head now roots the union, both inputs' arena leases are shared
+/// (so a reader still holding an input keeps that input's arenas alive
+/// after the merged table is gone), blooms are OR-ed.
 fn merged_table(
     nvm: &Arc<PmemPool>,
     new_t: &PmTable,
@@ -1234,8 +1229,7 @@ fn merged_table(
     stats: miodb_skiplist::MergeStats,
     bloom_bits: usize,
 ) -> Arc<PmTable> {
-    let mut arenas = old_t.arenas.clone();
-    arenas.extend_from_slice(&new_t.arenas);
+    let arenas = old_t.arenas.iter().chain(&new_t.arenas).cloned().collect();
     let mut bloom = old_t.bloom.clone();
     if bloom.merge(&new_t.bloom).is_err() {
         // Geometry drift (e.g. recovery rebuilt with a different expected
@@ -1310,24 +1304,29 @@ fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
                 .expect("spawn flush worker"),
         );
     }
-    let n = inner.opts.elastic_levels;
-    if inner.opts.parallel_compaction {
-        for i in 0..n.saturating_sub(1) {
-            let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("miodb-compact-L{i}"))
-                    .spawn(move || compactor_worker(inner, i))
-                    .expect("spawn compactor"),
-            );
-        }
-    } else if n > 1 {
+    // Levels `0..n-1` merge downwards: one thread each (§4.5), or — the
+    // parallel-compaction ablation — one thread for all of them.
+    let merging_levels = inner.opts.elastic_levels - 1;
+    let per_thread = if inner.opts.parallel_compaction {
+        1
+    } else {
+        merging_levels.max(1)
+    };
+    for share in (0..merging_levels)
+        .step_by(per_thread)
+        .map(|i| i..i + per_thread)
+    {
         let inner = inner.clone();
+        let name = if share.len() == 1 {
+            format!("miodb-compact-L{}", share.start)
+        } else {
+            "miodb-compact-serial".to_string()
+        };
         threads.push(
             std::thread::Builder::new()
-                .name("miodb-compact-serial".to_string())
-                .spawn(move || serial_compactor_worker(inner))
-                .expect("spawn serial compactor"),
+                .name(name)
+                .spawn(move || compactor_worker(inner, share))
+                .expect("spawn compactor"),
         );
     }
     {
@@ -1346,15 +1345,6 @@ fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
                 .name("miodb-repo".to_string())
                 .spawn(move || repo_worker(inner))
                 .expect("spawn repo worker"),
-        );
-    }
-    if let Some(interval) = inner.opts.telemetry.report_interval {
-        let inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("miodb-reporter".to_string())
-                .spawn(move || reporter_worker(inner, interval))
-                .expect("spawn reporter"),
         );
     }
     threads
@@ -1423,7 +1413,7 @@ fn flush_worker(inner: Arc<Inner>) {
                 mem.imm = None;
             }
             // Re-store the manifest so it stops referencing the immutable
-            // MemTable's WAL *before* those segments are freed — otherwise
+            // MemTable's WAL *before* those segments are retired — otherwise
             // a crash in between would leave the manifest pointing at
             // recycled regions and recovery would double-free them.
             if let Err(e) = with_bg_retries(&inner, || store_manifest(&inner)) {
@@ -1438,7 +1428,8 @@ fn flush_worker(inner: Arc<Inner>) {
                 inner.imm_cv.notify_all();
             }
             match published {
-                Ok(()) => release_memtable_when_unique(imm),
+                // Garbage from here on; the last reader to let go frees it.
+                Ok(()) => imm.retire(),
                 Err(e) => set_bg_error(&inner, format!("flush failed: {e}")),
             }
         }
@@ -1532,16 +1523,16 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
 
     let table = Arc::new(PmTable {
         list: SkipList::from_raw(inner.nvm.clone(), flushed.head),
-        arenas: vec![flushed.region],
+        arenas: vec![lease_arena(
+            &inner.nvm,
+            flushed.region,
+            &inner.elastic_bytes,
+        )],
         bloom: imm.bloom_snapshot(),
         len: flushed.len,
         data_bytes: flushed.data_bytes,
         newest_seq: inner.seq.load(Ordering::Relaxed),
     });
-    inner
-        .elastic_bytes
-        .fetch_add(table.arena_bytes(), Ordering::Relaxed);
-
     {
         let mut levels = inner.levels.lock();
         levels[0].tables.push_back(table);
@@ -1572,23 +1563,34 @@ fn publish_level_gauges(inner: &Inner, i: usize, l: &Level) {
     }
 }
 
-/// Zero-copy compactor for elastic level `i` (pushes into `i + 1`).
-fn compactor_worker(inner: Arc<Inner>, i: usize) {
+/// Zero-copy compactor for the elastic levels in `share` (level `i` pushes
+/// into `i + 1`). With one level per thread (§4.5) levels never wait for
+/// each other; the parallel-compaction ablation hands one thread every
+/// level, served round-robin, so a busy deep merge blocks upper levels —
+/// the coupling the paper's per-level threads remove.
+fn compactor_worker(inner: Arc<Inner>, share: std::ops::Range<usize>) {
+    // Round-robin position within `share`: the level after the one served
+    // last is considered first.
+    let mut turn = 0usize;
     loop {
-        let (new_t, old_t, gate, mark) = {
+        let (i, new_t, old_t, gate, mark) = {
             let mut levels = inner.levels.lock();
-            loop {
+            let i = loop {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if levels[i].tables.len() >= 2 {
-                    break;
+                let ready = (0..share.len())
+                    .map(|k| share.start + (turn + k) % share.len())
+                    .find(|&i| levels[i].tables.len() >= 2);
+                if let Some(i) = ready {
+                    break i;
                 }
                 inner
                     .level_cv
                     .wait_for(&mut levels, Duration::from_millis(100));
-            }
-            // Invariant: guarded by the `tables.len() >= 2` check above,
+            };
+            turn = (i + 1 - share.start) % share.len();
+            // Invariant: guarded by the `tables.len() >= 2` pick above,
             // under the same levels lock.
             let old_t = levels[i].tables.pop_front().unwrap();
             let new_t = levels[i].tables.pop_front().unwrap();
@@ -1598,57 +1600,16 @@ fn compactor_worker(inner: Arc<Inner>, i: usize) {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
             }
-            (new_t, old_t, levels[i].gate.clone(), levels[i].mark.clone())
+            (
+                i,
+                new_t,
+                old_t,
+                levels[i].gate.clone(),
+                levels[i].mark.clone(),
+            )
         };
         if !run_one_zero_copy_merge(&inner, i, new_t, old_t, gate, mark) {
             return;
-        }
-    }
-}
-
-/// The parallel-compaction ablation: one thread serves every level in
-/// round-robin order, so a busy deep merge blocks upper levels — the
-/// coupling the paper's per-level threads remove.
-fn serial_compactor_worker(inner: Arc<Inner>) {
-    let n = inner.opts.elastic_levels;
-    loop {
-        let mut worked = false;
-        for i in 0..n.saturating_sub(1) {
-            let picked = {
-                let mut levels = inner.levels.lock();
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if levels[i].tables.len() < 2 {
-                    None
-                } else {
-                    // Invariant: the `>= 2` branch guard holds the lock.
-                    let old_t = levels[i].tables.pop_front().unwrap();
-                    let new_t = levels[i].tables.pop_front().unwrap();
-                    levels[i].merging = Some((new_t.clone(), old_t.clone()));
-                    levels[i].bump_version();
-                    if let Err(e) = store_manifest_locked(&inner, &levels) {
-                        set_bg_error(&inner, format!("manifest store failed: {e}"));
-                        return;
-                    }
-                    Some((new_t, old_t, levels[i].gate.clone(), levels[i].mark.clone()))
-                }
-            };
-            if let Some((new_t, old_t, gate, mark)) = picked {
-                if !run_one_zero_copy_merge(&inner, i, new_t, old_t, gate, mark) {
-                    return;
-                }
-                worked = true;
-            }
-        }
-        if !worked {
-            let mut levels = inner.levels.lock();
-            if inner.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            inner
-                .level_cv
-                .wait_for(&mut levels, Duration::from_millis(100));
         }
     }
 }
@@ -1763,7 +1724,7 @@ fn pick_pressure_drain(levels: &[Level]) -> Option<usize> {
 }
 
 /// Lazy-copy worker for the bottom buffer level: drains the oldest PMTable
-/// into the repository and reclaims its arenas (the GC point). Under
+/// into the repository and retires its arenas (the GC point). Under
 /// elastic-cap pressure it also drains the globally oldest table early.
 fn lazy_worker(inner: Arc<Inner>) {
     let b = inner.opts.elastic_levels - 1;
@@ -1800,7 +1761,6 @@ fn lazy_worker(inner: Arc<Inner>) {
             }
             (t, picked)
         };
-        let table = table;
         let drained_bytes = table.data_bytes;
 
         inner
@@ -1859,34 +1819,20 @@ fn lazy_worker(inner: Arc<Inner>) {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
             }
+            // GC: the manifest no longer names the drained table, so its
+            // arenas are garbage; each is freed (and leaves
+            // `elastic_bytes`) when the last table sharing it drops — here,
+            // unless a reader or scan still holds this table or one of its
+            // merge inputs. Still under the levels lock, so an engine that
+            // `wait_idle` reports idle has its memory back too.
+            table.retire();
+            drop(table);
             inner.level_cv.notify_all();
-        }
-
-        // GC: free the drained table's arenas once no reader holds it.
-        let mut arc = table;
-        loop {
-            match Arc::try_unwrap(arc) {
-                Ok(t) => {
-                    inner
-                        .elastic_bytes
-                        .fetch_sub(t.arena_bytes(), Ordering::Relaxed);
-                    t.release(&inner.nvm);
-                    break;
-                }
-                Err(back) => {
-                    arc = back;
-                    if inner.shutdown.load(Ordering::Acquire) {
-                        return; // leak rather than free under readers
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
         }
     }
 }
 
-/// Builds the engine report (shared by [`KvEngine::report`] and the
-/// periodic reporter thread, which only holds the `Inner`).
+/// Builds the engine report.
 fn build_report(inner: &Inner) -> EngineReport {
     let mut tables: Vec<usize> = {
         let levels = inner.levels.lock();
@@ -1909,25 +1855,6 @@ fn build_report(inner: &Inner) -> EngineReport {
     }
 }
 
-/// Prints the Prometheus rendering to stderr every `interval`
-/// (`TelemetryOptions::report_interval`). Polls shutdown at a short period
-/// so `Drop` joins promptly even for long intervals.
-fn reporter_worker(inner: Arc<Inner>, interval: Duration) {
-    let tick = interval.min(Duration::from_millis(20));
-    let mut next = Instant::now() + interval;
-    while !inner.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
-        if Instant::now() < next {
-            continue;
-        }
-        next = Instant::now() + interval;
-        let report = build_report(&inner);
-        let text = miodb_common::metrics::engine_registry(&report, Some(&inner.telemetry))
-            .render_prometheus();
-        eprintln!("{text}");
-    }
-}
-
 /// Background compaction of the on-SSD LSM repository (SSD mode).
 fn repo_worker(inner: Arc<Inner>) {
     while !inner.shutdown.load(Ordering::Acquire) {
@@ -1937,21 +1864,6 @@ fn repo_worker(inner: Arc<Inner>) {
             Err(e) => {
                 set_bg_error(&inner, format!("repository compaction failed: {e}"));
                 return;
-            }
-        }
-    }
-}
-
-fn release_memtable_when_unique(mut arc: Arc<MemTable>) {
-    for _ in 0..10_000 {
-        match Arc::try_unwrap(arc) {
-            Ok(m) => {
-                m.release();
-                return;
-            }
-            Err(back) => {
-                arc = back;
-                std::thread::sleep(Duration::from_micros(50));
             }
         }
     }
@@ -2070,7 +1982,12 @@ impl MioDb {
             let mut level_span = trace::span(SpanKind::LevelProbe);
             level_span.annotate(i as u64);
             'probe: for _ in 0..LEVEL_PROBE_RETRIES {
-                let (tables, merging, lazy, mark, gate, version) = {
+                // `seen` is read under the lock that guards every bump, so
+                // it is the version of exactly this snapshot: read after
+                // unlocking, it could already include the bump of a merge
+                // that re-links these tables, and the miss check below
+                // would accept a probe of a stale snapshot.
+                let (tables, merging, lazy, mark, gate, version, seen) = {
                     let levels = inner.levels.lock();
                     (
                         levels[i].tables.iter().cloned().collect::<Vec<_>>(),
@@ -2079,13 +1996,12 @@ impl MioDb {
                         levels[i].mark.clone(),
                         levels[i].gate.clone(),
                         levels[i].version.clone(),
+                        levels[i].version.load(Ordering::Acquire),
                     )
                 };
-                let seen = version.load(Ordering::Acquire);
                 for t in tables.iter().rev() {
                     if inner.opts.bloom_enabled && !t.bloom.may_contain(key) {
                         Stats::add(&inner.stats.bloom_skips, 1);
-                        inner.telemetry.bloom_skip(i);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         continue;
                     }
@@ -2127,7 +2043,6 @@ impl MioDb {
                         }
                     } else {
                         Stats::add(&inner.stats.bloom_skips, 1);
-                        inner.telemetry.bloom_skip(i);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         mark.read(key)
                     };
@@ -2180,14 +2095,22 @@ impl MioDb {
         };
         let _guards: Vec<_> = gates.iter().map(|g| g.lock()).collect();
 
+        // The iterators below walk pool memory through views that own
+        // nothing: `active`, `imm` and `pinned` hold every source's arenas
+        // until the merge has been consumed, so a flush or lazy-copy that
+        // retires them meanwhile cannot free memory under this scan.
+        let mut pinned: Vec<Arc<PmTable>> = Vec::new();
         let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
         sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = imm {
+        if let Some(imm) = &imm {
             sources.push(Box::new(imm.list().iter_from(start)));
         }
         {
             let levels = inner.levels.lock();
             for l in levels.iter() {
+                pinned.extend(l.tables.iter().cloned());
+                pinned.extend(l.merging.iter().flat_map(|(n, o)| [n.clone(), o.clone()]));
+                pinned.extend(l.lazy_draining.iter().cloned());
                 for t in l.tables.iter().rev() {
                     sources.push(Box::new(t.list.iter_from(start)));
                 }
@@ -2555,6 +2478,89 @@ mod tests {
                 value
             );
         }
+    }
+
+    #[test]
+    fn dropping_the_engine_frees_nothing() {
+        let opts = MioOptions::small_for_tests();
+        let d = MioDb::open(opts.clone()).unwrap();
+        let value = vec![4u8; 256];
+        for i in 0..3000u32 {
+            d.put(format!("key{i:06}").as_bytes(), &value).unwrap();
+        }
+        d.close().unwrap();
+        let pool = d.nvm_pool().clone();
+        let used = pool.used_bytes();
+        drop(d);
+        assert_eq!(
+            pool.used_bytes(),
+            used,
+            "persistent tables, WALs and the repository must outlive the engine"
+        );
+        let r = MioDb::recover(pool, opts).unwrap();
+        for i in (0..3000u32).step_by(211) {
+            assert_eq!(
+                r.get(format!("key{i:06}").as_bytes()).unwrap().unwrap(),
+                value
+            );
+        }
+    }
+
+    #[test]
+    fn merged_table_shares_its_inputs_arenas() {
+        let stats = Arc::new(Stats::new());
+        let dram = PmemPool::new(1 << 20, DeviceModel::dram(), stats.clone()).unwrap();
+        let nvm = PmemPool::new(4 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
+        let elastic = Arc::new(AtomicU64::new(0));
+        let flushed_table = |keys: std::ops::Range<u64>, seq0: u64| {
+            let mem = miodb_skiplist::SkipListArena::new(dram.clone(), 64 * 1024).unwrap();
+            for i in keys {
+                mem.insert(format!("k{i:04}").as_bytes(), b"v", seq0 + i, OpKind::Put)
+                    .unwrap();
+            }
+            let flushed = one_piece_flush(&mem, &nvm).unwrap();
+            swizzle(&nvm, &flushed);
+            let list = SkipList::from_raw(nvm.clone(), flushed.head);
+            Arc::new(PmTable {
+                bloom: PmTable::rebuild_bloom(&list, 128, 16),
+                list,
+                arenas: vec![lease_arena(&nvm, flushed.region, &elastic)],
+                len: flushed.len,
+                data_bytes: flushed.data_bytes,
+                newest_seq: seq0 + 100,
+            })
+        };
+        let old_t = flushed_table(0..50, 0);
+        let new_t = flushed_table(25..75, 100);
+        let (old_r, new_r) = (old_t.arenas[0].region(), new_t.arenas[0].region());
+        let live = |r: PmemRegion| nvm.region_is_live(r.offset, r.len);
+
+        let mark = InsertionMark::alloc(&nvm).unwrap();
+        let out = zero_copy_merge(
+            &nvm,
+            new_t.list.head(),
+            old_t.list.head(),
+            &mark,
+            MergeLimits::none(),
+        );
+        let merged = merged_table(&nvm, &new_t, &old_t, out.stats(), 16);
+        assert_eq!(merged.list.iter().count(), 75);
+
+        // Only a reader of the new input is left; the merged table keeps
+        // both inputs' arenas alive.
+        drop(old_t);
+        assert!(live(old_r) && live(new_r));
+        assert_eq!(elastic.load(Ordering::Relaxed), old_r.len + new_r.len);
+
+        // Drained and dropped: the arena nobody else holds goes back, the
+        // one under the reader stays until the reader lets go.
+        merged.retire();
+        drop(merged);
+        assert!(!live(old_r) && live(new_r));
+        assert_eq!(elastic.load(Ordering::Relaxed), new_r.len);
+        drop(new_t);
+        assert!(!live(new_r));
+        assert_eq!(elastic.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub struct MioOptions {
     pub parallel_compaction: bool,
     /// Engine name for reports.
     pub name: String,
-    /// Telemetry collectors: op-latency histograms, per-level metrics,
-    /// structured event tracing and the optional periodic reporter thread.
+    /// Telemetry collectors: op-latency histograms, per-level metrics and
+    /// structured event tracing.
     pub telemetry: TelemetryOptions,
 }
 

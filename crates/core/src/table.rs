@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use miodb_bloom::BloomFilter;
 use miodb_common::{OpKind, Result, SequenceNumber};
-use miodb_pmem::{PmemPool, PmemRegion};
+use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 use miodb_skiplist::{SkipList, SkipListArena};
 use miodb_wal::WriteAheadLog;
 use parking_lot::Mutex;
@@ -12,16 +12,19 @@ use parking_lot::Mutex;
 /// A persistent, immutable-by-writers skip-list table in the elastic
 /// buffer.
 ///
-/// A PMTable owns the set of arenas its nodes physically live in: after a
-/// zero-copy merge the merged table's nodes span the arenas of both inputs,
-/// so arena ownership is transferred (unioned) at merge time and memory is
-/// reclaimed only when the table is lazy-copied into the repository.
+/// A PMTable holds a lease on every arena its nodes physically live in:
+/// after a zero-copy merge the merged table's nodes span the arenas of both
+/// inputs, so it shares (clones) both inputs' leases. Holding an
+/// `Arc<PmTable>` therefore pins every arena `list` can reach; the memory
+/// is reclaimed when the table that was lazy-copied into the repository is
+/// [retired](PmTable::retire) *and* the last table sharing an arena is
+/// dropped.
 #[derive(Debug)]
 pub struct PmTable {
     /// Read view rooted at the table's head node.
     pub list: SkipList,
     /// Every arena whose nodes may be reachable from `list`.
-    pub arenas: Vec<PmemRegion>,
+    pub arenas: Vec<Arc<RegionLease>>,
     /// Mergeable bloom filter over the table's keys (kept in DRAM; rebuilt
     /// from the list on recovery).
     pub bloom: BloomFilter,
@@ -36,7 +39,7 @@ pub struct PmTable {
 impl PmTable {
     /// Total NVM bytes held by this table's arenas.
     pub fn arena_bytes(&self) -> u64 {
-        self.arenas.iter().map(|a| a.len).sum()
+        self.arenas.iter().map(|a| a.region().len).sum()
     }
 
     /// Rebuilds the bloom filter by scanning the list (recovery path).
@@ -52,12 +55,12 @@ impl PmTable {
         bloom
     }
 
-    /// Frees all arenas back to `pool`, consuming the table. The caller
-    /// must guarantee no readers hold references (see the engine's
-    /// unique-ownership GC).
-    pub fn release(self, pool: &PmemPool) {
-        for a in self.arenas {
-            pool.free(a);
+    /// Marks every arena as garbage (the table's contents now live in the
+    /// repository): each returns to the pool when the last table holding
+    /// its lease — this one, a merge input a reader still walks — drops.
+    pub fn retire(&self) {
+        for a in &self.arenas {
+            a.retire();
         }
     }
 }
@@ -182,10 +185,12 @@ impl MemTable {
         self.wal.segments()
     }
 
-    /// Releases the arena and the WAL, consuming the MemTable.
-    pub fn release(self) {
-        self.arena.release();
-        self.wal.release();
+    /// Marks the arena and the WAL as garbage (the MemTable has been
+    /// flushed): both return to their pools when the last handle to this
+    /// MemTable drops.
+    pub fn retire(&self) {
+        self.arena.retire();
+        self.wal.retire();
     }
 }
 
@@ -257,13 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_both_pools() {
+    fn retired_memtable_frees_both_pools_with_its_last_handle() {
         let (dram, nvm) = pools();
         let d0 = dram.used_bytes();
         let n0 = nvm.used_bytes();
-        let m = MemTable::new(&dram, &nvm, 64 * 1024, 16 * 1024, 16, 1024).unwrap();
+        let m = Arc::new(MemTable::new(&dram, &nvm, 64 * 1024, 16 * 1024, 16, 1024).unwrap());
         m.insert(b"k", b"v", 1, OpKind::Put).unwrap();
-        m.release();
+        let reader = m.clone();
+        m.retire();
+        drop(m);
+        assert!(dram.used_bytes() > d0 && nvm.used_bytes() > n0);
+        assert_eq!(reader.list().get(b"k").unwrap().value, b"v");
+        drop(reader);
         assert_eq!(dram.used_bytes(), d0);
         assert_eq!(nvm.used_bytes(), n0);
     }

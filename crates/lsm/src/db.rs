@@ -175,8 +175,8 @@ impl LsmDb {
     ) -> Result<()> {
         let inner = &*self.inner;
         loop {
-            // Scope the Arc clone to the attempt: holding it across the
-            // rotation wait would stall the flush worker's unique-release.
+            // Scope the Arc clone to the attempt so a MemTable that rotates
+            // out is not pinned in DRAM by its own writer.
             let r = {
                 let active = inner.mem.read().active.clone();
                 active.insert(key, value, seq, kind)
@@ -304,7 +304,8 @@ fn flush_worker(inner: Arc<DbInner>) {
                 let _writers = inner.mem_mutex.lock();
                 inner.imm_cv.notify_all();
             }
-            release_when_unique(imm);
+            // Garbage from here on; the last reader to let go frees it.
+            imm.retire();
         }
         if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
             return;
@@ -323,24 +324,6 @@ fn compaction_worker(inner: Arc<DbInner>) {
             }
         }
     }
-}
-
-/// Frees a MemTable arena once no reader holds a reference.
-fn release_when_unique(mut arc: Arc<SkipListArena>) {
-    for _ in 0..10_000 {
-        match Arc::try_unwrap(arc) {
-            Ok(arena) => {
-                arena.release();
-                return;
-            }
-            Err(back) => {
-                arc = back;
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
-    // Readers still hold it after ~0.5 s: leak the arena rather than risk
-    // a use-after-free; the pool reclaims it at process exit.
 }
 
 impl KvEngine for LsmDb {
@@ -384,10 +367,12 @@ impl KvEngine for LsmDb {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
         };
+        // The iterators own nothing: the handles taken here keep every
+        // source's memory alive until the merge has been consumed.
         let mut sources: Vec<Box<dyn Iterator<Item = miodb_skiplist::iter::OwnedEntry> + Send>> =
             Vec::new();
         sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = imm {
+        if let Some(imm) = &imm {
             sources.push(Box::new(imm.list().iter_from(start)));
         }
         sources.extend(inner.core.scan_sources(start));

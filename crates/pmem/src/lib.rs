@@ -12,6 +12,8 @@
 //!   the DRAM : NVM : SSD performance ratios the paper's results depend on;
 //! - byte counters shared with [`miodb_common::Stats`] so write
 //!   amplification is measured at the device layer for every engine;
+//! - [`RegionLease`], the ownership handle through which every structure
+//!   holds (and eventually returns) its allocations;
 //! - a file [`snapshot`](PmemPool::snapshot_to_file) / restore facility used
 //!   by the crash-consistency and recovery tests.
 //!
@@ -35,8 +37,10 @@
 //! ```
 
 pub mod device;
+pub mod lease;
 pub mod pool;
 pub mod snapshot;
 
 pub use device::{DeviceClass, DeviceModel};
+pub use lease::RegionLease;
 pub use pool::{PmemPool, PmemRegion, POOL_HEADER_BYTES};

@@ -88,10 +88,6 @@ pub struct ServerOptions {
     /// Poll tick of the readiness loops — the shutdown/maintenance poll
     /// interval when no socket event arrives.
     pub read_timeout: Duration,
-    /// Readiness-loop (shard) threads; `0` sizes from the CPU count.
-    pub event_loops: usize,
-    /// Request-execution worker threads; `0` sizes from the CPU count.
-    pub event_workers: usize,
     /// Per-connection cap of decoded-but-unserved request frames; hitting
     /// it pauses reads and sends one backpressure advisory.
     pub max_queued_requests: usize,
@@ -105,8 +101,6 @@ impl Default for ServerOptions {
         ServerOptions {
             max_connections: 64,
             read_timeout: Duration::from_millis(50),
-            event_loops: 0,
-            event_workers: 0,
             max_queued_requests: 128,
             max_conn_buffer_bytes: 1 << 20,
         }
@@ -115,27 +109,6 @@ impl Default for ServerOptions {
 
 fn cpu_count() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-impl ServerOptions {
-    fn resolved_event_loops(&self) -> usize {
-        if self.event_loops > 0 {
-            self.event_loops
-        } else {
-            cpu_count().clamp(1, 4)
-        }
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.event_workers > 0 {
-            self.event_workers
-        } else {
-            // At least 4 so one injected stall (SERVER_REQUEST_STALL holds
-            // a worker for its sleep) cannot starve unrelated connections
-            // even on a single-core box.
-            cpu_count().clamp(4, 16)
-        }
-    }
 }
 
 /// Produces a serialized pool snapshot for `SnapshotFetch` serving
@@ -487,8 +460,12 @@ impl KvServer {
         if role.is_leader() && !advertised_addr.is_empty() {
             role.set_leader_hint(&advertised_addr);
         }
-        let n_shards = opts.resolved_event_loops();
-        let n_workers = opts.resolved_workers();
+        // Readiness-loop (shard) and request-execution worker threads are
+        // sized from the CPU count. At least 4 workers, so one injected
+        // stall (SERVER_REQUEST_STALL holds a worker for its sleep) cannot
+        // starve unrelated connections even on a single-core box.
+        let n_shards = cpu_count().clamp(1, 4);
+        let n_workers = cpu_count().clamp(4, 16);
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             shards.push(Arc::new(ShardHandle {

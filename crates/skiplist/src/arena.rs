@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use miodb_common::types::mv_cmp;
 use miodb_common::{Error, OpKind, Result, SequenceNumber};
-use miodb_pmem::{PmemPool, PmemRegion};
+use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 
 use crate::node::{self, node_size, raw, SkipList, MAX_HEIGHT};
 
@@ -50,8 +50,8 @@ pub(crate) fn next_seed(salt: u64) -> u64 {
 
 /// A multi-version skip list owning a bump-allocated arena.
 pub struct SkipListArena {
-    pool: Arc<PmemPool>,
-    region: PmemRegion,
+    /// The arena's memory; retired by [`SkipListArena::retire`].
+    lease: RegionLease,
     /// Next free pool-global offset.
     cursor: AtomicU64,
     /// Xorshift state for tower heights.
@@ -65,8 +65,8 @@ pub struct SkipListArena {
 impl std::fmt::Debug for SkipListArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SkipListArena")
-            .field("head", &self.region.offset)
-            .field("capacity", &self.region.len)
+            .field("head", &self.head())
+            .field("capacity", &self.region().len)
             .field("used", &self.used_bytes())
             .field("len", &self.len())
             .finish()
@@ -100,8 +100,7 @@ impl SkipListArena {
         pool.charge_write(head_size as usize);
         Ok(SkipListArena {
             rng: AtomicU64::new(next_seed(head)),
-            pool,
-            region,
+            lease: RegionLease::new(pool, region),
             cursor: AtomicU64::new(head + head_size),
             len: AtomicU64::new(0),
             data_bytes: AtomicU64::new(0),
@@ -110,29 +109,29 @@ impl SkipListArena {
 
     /// The pool this arena was allocated from.
     pub fn pool(&self) -> &Arc<PmemPool> {
-        &self.pool
+        self.lease.pool()
     }
 
     /// The arena's region within the pool.
     pub fn region(&self) -> PmemRegion {
-        self.region
+        self.lease.region()
     }
 
     /// Offset of the head node (== region start).
     pub fn head(&self) -> u64 {
-        self.region.offset
+        self.region().offset
     }
 
     /// Bytes consumed so far (head node included). Clamped to the region
     /// length: a failed concurrent reservation may leave the cursor past
     /// the end, and flush copies exactly `used_bytes()`.
     pub fn used_bytes(&self) -> u64 {
-        (self.cursor.load(Ordering::Acquire) - self.region.offset).min(self.region.len)
+        (self.cursor.load(Ordering::Acquire) - self.head()).min(self.region().len)
     }
 
     /// Bytes still available for nodes (0 once the cursor overshoots).
     pub fn remaining_bytes(&self) -> u64 {
-        self.region
+        self.region()
             .end()
             .saturating_sub(self.cursor.load(Ordering::Acquire))
     }
@@ -154,7 +153,7 @@ impl SkipListArena {
 
     /// A read-only view of the list.
     pub fn list(&self) -> SkipList {
-        SkipList::from_raw(self.pool.clone(), self.region.offset)
+        SkipList::from_raw(self.pool().clone(), self.head())
     }
 
     /// Checks whether an entry of the given dimensions would fit.
@@ -192,7 +191,7 @@ impl SkipListArena {
     /// because callers seal the table on [`Error::ArenaFull`].
     fn alloc_node(&self, size: u64) -> Result<u64> {
         let off = self.cursor.fetch_add(size, Ordering::AcqRel);
-        if off + size > self.region.end() {
+        if off + size > self.region().end() {
             return Err(Error::ArenaFull);
         }
         Ok(off)
@@ -209,7 +208,7 @@ impl SkipListArena {
         kind: OpKind,
         height: usize,
     ) {
-        let pool = &*self.pool;
+        let pool: &PmemPool = self.pool();
         raw::write_header(pool, off, seq, key.len(), value.len(), height, kind);
         let kv_off = off + node::HEADER_BYTES + 8 * height as u64;
         pool.write_bytes(kv_off, key);
@@ -242,14 +241,14 @@ impl SkipListArena {
         let height = self.random_height();
         let size = node_size(height, key.len(), value.len());
         let off = self.alloc_node(size)?;
-        let pool = &*self.pool;
+        let pool: &PmemPool = self.pool();
 
         // Write the node fully before publication.
         self.write_node(off, key, value, seq, kind, height);
 
         // Find predecessors and link bottom-up with release stores.
         let mut preds = [0u64; MAX_HEIGHT];
-        let list = SkipList::from_raw(self.pool.clone(), self.region.offset);
+        let list = self.list();
         let _ = list.find_geq(key, seq, &mut preds);
         #[allow(clippy::needless_range_loop)] // level indexes preds AND towers
         for level in 0..height {
@@ -294,12 +293,12 @@ impl SkipListArena {
         let height = self.random_height();
         let size = node_size(height, key.len(), value.len());
         let off = self.alloc_node(size)?;
-        let pool = &*self.pool;
+        let pool: &PmemPool = self.pool();
 
         // Write the node fully before publication.
         self.write_node(off, key, value, seq, kind, height);
 
-        let list = SkipList::from_raw(self.pool.clone(), self.region.offset);
+        let list = self.list();
         let mut preds = [0u64; MAX_HEIGHT];
         let _ = list.find_geq(key, seq, &mut preds);
         for level in 0..height {
@@ -333,13 +332,18 @@ impl SkipListArena {
         Ok(())
     }
 
-    /// Releases the arena back to the pool, consuming the table.
-    ///
-    /// Callers must guarantee no readers hold node references (MioDB frees
-    /// arenas only during lazy-copy reclamation, after the tables built on
-    /// them were atomically removed from the level structure).
+    /// Marks the arena's memory as garbage: it returns to the pool when
+    /// the last handle to this arena drops. Readers iterate the arena
+    /// through [`SkipList`] views that do not own it, so they must hold a
+    /// handle (an `Arc<SkipListArena>`) for as long as they look.
+    pub fn retire(&self) {
+        self.lease.retire();
+    }
+
+    /// Retires the arena and drops this handle: a sole owner's memory is
+    /// back in the pool when this returns.
     pub fn release(self) {
-        self.pool.free(self.region);
+        self.retire();
     }
 }
 
@@ -467,6 +471,30 @@ mod tests {
     }
 
     #[test]
+    fn retired_arena_outlives_its_owner_while_a_reader_holds_it() {
+        let pool = PmemPool::new(1 << 20, DeviceModel::dram(), Arc::new(Stats::new())).unwrap();
+        let before = pool.used_bytes();
+        let owner = Arc::new(SkipListArena::new(pool.clone(), 64 * 1024).unwrap());
+        owner.insert(b"k", b"v", 1, OpKind::Put).unwrap();
+        let reader = owner.clone();
+        owner.retire();
+        drop(owner);
+        assert!(pool.used_bytes() > before, "reader still holds the arena");
+        assert_eq!(reader.list().get(b"k").unwrap().value, b"v");
+        drop(reader);
+        assert_eq!(pool.used_bytes(), before);
+    }
+
+    #[test]
+    fn dropping_an_unretired_arena_frees_nothing() {
+        let pool = PmemPool::new(1 << 20, DeviceModel::dram(), Arc::new(Stats::new())).unwrap();
+        let t = SkipListArena::new(pool.clone(), 64 * 1024).unwrap();
+        let used = pool.used_bytes();
+        drop(t);
+        assert_eq!(pool.used_bytes(), used);
+    }
+
+    #[test]
     fn iter_from_seeks_correctly() {
         let t = arena(1 << 20);
         for i in 0..50u32 {
@@ -588,7 +616,7 @@ mod tests {
         });
         assert!(full.load(Ordering::Acquire), "arena was sized to overflow");
         assert!(
-            t.used_bytes() <= t.region.len,
+            t.used_bytes() <= t.region().len,
             "used_bytes must stay clamped"
         );
         assert_eq!(t.remaining_bytes(), 0);

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use miodb_common::{Error, OpKind, Result, SequenceNumber};
-use miodb_pmem::{PmemPool, PmemRegion};
+use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 use parking_lot::Mutex;
 
 use crate::node::{self, find_preds, node_size, raw, LookupResult, SkipList, MAX_HEIGHT};
@@ -42,7 +42,7 @@ pub enum ApplyOutcome {
 
 #[derive(Debug)]
 struct GrowState {
-    chunks: Vec<PmemRegion>,
+    chunks: Vec<RegionLease>,
     /// Next free pool-global offset in the current chunk.
     cursor: u64,
     /// End of the current chunk.
@@ -120,15 +120,15 @@ impl GrowableSkipList {
         pool.charge_write(head_size as usize);
         Ok(GrowableSkipList {
             rng: AtomicU64::new(crate::arena::next_seed(head ^ 0xD1B5_4A32_D192_ED03)),
+            state: Mutex::new(GrowState {
+                cursor: head + head_size,
+                end: first.end(),
+                chunks: vec![RegionLease::new(pool.clone(), first)],
+            }),
             pool,
             head,
             chunk_size,
             keep_tombstones,
-            state: Mutex::new(GrowState {
-                cursor: head + head_size,
-                end: first.end(),
-                chunks: vec![first],
-            }),
             len: AtomicU64::new(0),
             data_bytes: AtomicU64::new(0),
         })
@@ -148,15 +148,18 @@ impl GrowableSkipList {
     ) -> GrowableSkipList {
         GrowableSkipList {
             rng: AtomicU64::new(crate::arena::next_seed(head ^ 0xD1B5_4A32_D192_ED03)),
+            state: Mutex::new(GrowState {
+                chunks: chunks
+                    .into_iter()
+                    .map(|c| RegionLease::new(pool.clone(), c))
+                    .collect(),
+                cursor,
+                end,
+            }),
             pool,
             head,
             chunk_size,
             keep_tombstones: false,
-            state: Mutex::new(GrowState {
-                chunks,
-                cursor,
-                end,
-            }),
             len: AtomicU64::new(len),
             data_bytes: AtomicU64::new(data_bytes),
         }
@@ -167,7 +170,7 @@ impl GrowableSkipList {
         let s = self.state.lock();
         (
             self.head,
-            s.chunks.clone(),
+            s.chunks.iter().map(RegionLease::region).collect(),
             s.cursor,
             s.end,
             self.len.load(Ordering::Acquire),
@@ -192,7 +195,12 @@ impl GrowableSkipList {
 
     /// Total NVM bytes held by the repository's chunks.
     pub fn allocated_bytes(&self) -> u64 {
-        self.state.lock().chunks.iter().map(|c| c.len).sum()
+        self.state
+            .lock()
+            .chunks
+            .iter()
+            .map(|c| c.region().len)
+            .sum()
     }
 
     /// Read-only view.
@@ -228,7 +236,7 @@ impl GrowableSkipList {
             let chunk = self.pool.alloc(chunk_len)?;
             s.cursor = chunk.offset;
             s.end = chunk.end();
-            s.chunks.push(chunk);
+            s.chunks.push(RegionLease::new(self.pool.clone(), chunk));
         }
         let off = s.cursor;
         s.cursor += size;
@@ -356,11 +364,13 @@ impl GrowableSkipList {
         }
     }
 
-    /// Releases every chunk back to the pool, consuming the repository.
-    pub fn release(self) {
-        let s = self.state.into_inner();
-        for c in s.chunks {
-            self.pool.free(c);
+    /// Marks every chunk as garbage: the memory returns to the pool when
+    /// the last handle to this list drops. Call only once the list has
+    /// stopped growing (a chunk allocated later would not be retired), and
+    /// hold a handle for as long as a [`SkipList`] view of it is in use.
+    pub fn retire(&self) {
+        for c in &self.state.lock().chunks {
+            c.retire();
         }
     }
 }
@@ -478,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_all_chunks() {
+    fn retired_list_frees_all_chunks_with_its_last_handle() {
         let pool = PmemPool::new(
             8 << 20,
             DeviceModel::nvm_unthrottled(),
@@ -497,7 +507,12 @@ mod tests {
             .unwrap();
         }
         assert!(pool.used_bytes() > before);
-        r.release();
+        let reader = Arc::new(r);
+        let owner = reader.clone();
+        owner.retire();
+        drop(owner);
+        assert!(pool.used_bytes() > before, "reader still holds the list");
+        drop(reader);
         assert_eq!(pool.used_bytes(), before);
     }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use miodb_common::crc32::Crc32;
 use miodb_common::{fault, Error, OpKind, Result, SequenceNumber};
-use miodb_pmem::{PmemPool, PmemRegion};
+use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 use parking_lot::Mutex;
 
 const RECORD_HEADER: usize = 4 + 4; // crc + len
@@ -207,7 +207,7 @@ fn patch_crc(buf: &mut [u8]) {
 
 #[derive(Debug)]
 struct WalState {
-    segments: Vec<PmemRegion>,
+    segments: Vec<RegionLease>,
     cursor: u64,
     end: u64,
     /// Set when a torn write left a detectably-partial record at the tail.
@@ -249,14 +249,14 @@ impl WriteAheadLog {
         // an empty log stops immediately.
         pool.write_bytes(first.offset, &[0u8; SEGMENT_HEADER + RECORD_HEADER]);
         Ok(WriteAheadLog {
-            pool,
             segment_size,
             state: Mutex::new(WalState {
                 cursor: first.offset + SEGMENT_HEADER as u64,
                 end: first.end(),
-                segments: vec![first],
+                segments: vec![RegionLease::new(pool.clone(), first)],
                 poisoned: false,
             }),
+            pool,
         })
     }
 
@@ -336,14 +336,14 @@ impl WriteAheadLog {
                 .write_bytes(seg.offset, &[0u8; SEGMENT_HEADER + RECORD_HEADER]);
             // Invariant: `segments` is non-empty from construction onwards
             // (`new` seeds it with the first segment).
-            let prev = *s.segments.last().unwrap();
+            let prev = s.segments.last().unwrap().region();
             let mut link = [0u8; SEGMENT_HEADER];
             link[0..8].copy_from_slice(&seg.offset.to_le_bytes());
             link[8..16].copy_from_slice(&seg.len.to_le_bytes());
             self.pool.write_bytes(prev.offset, &link);
             s.cursor = seg.offset + SEGMENT_HEADER as u64;
             s.end = seg.end();
-            s.segments.push(seg);
+            s.segments.push(RegionLease::new(self.pool.clone(), seg));
         }
         let off = s.cursor;
         // Terminator for torn-tail detection, then the record itself. The
@@ -376,24 +376,31 @@ impl WriteAheadLog {
         let s = self.state.lock();
         let full: u64 = s.segments[..s.segments.len() - 1]
             .iter()
-            .map(|r| r.len)
+            .map(|r| r.region().len)
             .sum();
         // Invariant: `segments` is non-empty from construction onwards.
-        full + (s.cursor - s.segments.last().unwrap().offset) - SEGMENT_HEADER as u64
+        full + (s.cursor - s.segments.last().unwrap().region().offset) - SEGMENT_HEADER as u64
     }
 
     /// Segment regions, for the manifest.
     pub fn segments(&self) -> Vec<PmemRegion> {
-        self.state.lock().segments.clone()
+        let s = self.state.lock();
+        s.segments.iter().map(RegionLease::region).collect()
     }
 
-    /// Frees every segment, consuming the log (called after the MemTable
-    /// it protected has been flushed).
-    pub fn release(self) {
-        let s = self.state.into_inner();
-        for seg in s.segments {
-            self.pool.free(seg);
+    /// Marks every segment as garbage (called after the MemTable the log
+    /// protected has been flushed and the manifest stopped naming it): the
+    /// segments return to the pool when the last handle to this log drops.
+    pub fn retire(&self) {
+        for seg in &self.state.lock().segments {
+            seg.retire();
         }
+    }
+
+    /// Retires the log and drops this handle: a sole owner's segments are
+    /// back in the pool when this returns.
+    pub fn release(self) {
+        self.retire();
     }
 
     /// Replays the log starting from its first segment, following the
@@ -691,6 +698,18 @@ mod tests {
         assert!(p.used_bytes() > before);
         wal.release();
         assert_eq!(p.used_bytes(), before);
+    }
+
+    #[test]
+    fn dropping_an_unretired_log_keeps_it_replayable() {
+        let p = pool();
+        let wal = WriteAheadLog::new(p.clone(), 4096).unwrap();
+        wal.append(b"k", b"v", 1, OpKind::Put).unwrap();
+        let segs = wal.segments();
+        let used = p.used_bytes();
+        drop(wal);
+        assert_eq!(p.used_bytes(), used, "an un-flushed log must survive");
+        assert_eq!(WriteAheadLog::replay(&p, &segs).unwrap().len(), 1);
     }
 
     #[test]

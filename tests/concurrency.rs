@@ -120,6 +120,86 @@ fn scans_race_compactions_without_losing_keys() {
     }
 }
 
+/// Scans must pin the memory they iterate. Geometry that makes the flush
+/// worker and the lazy-copy GC retire memory under nearly every scan: tiny
+/// MemTables, two levels, drain on every bottom table, one writer
+/// overwriting a small preloaded key set, two full-range scanners. Every
+/// scan must return every key, and every entry is checked for shape, so
+/// memory freed and re-used under an iterator (a use-after-free: SIGSEGV
+/// in release, `pool access out of range` in debug) cannot pass as data.
+///
+/// Scanners hold every level's merge gate, so an unthrottled writer
+/// outruns the compactors, tables pile up and each scan walks every
+/// version ever written; the buffer cap keeps the writer in step (and
+/// counts arenas that scans still pin, exercising that too).
+#[test]
+fn scans_survive_reclamation() {
+    const KEYS: u64 = 2_000;
+    const PUTS: u64 = 60_000;
+    const SCAN_ROUNDS: usize = 120;
+    const VALUE_LEN: usize = 64;
+    let db = Arc::new(
+        MioDb::open(MioOptions {
+            memtable_bytes: 32 * 1024,
+            wal_segment_bytes: 32 * 1024,
+            elastic_levels: 2,
+            lazy_copy_trigger: 1,
+            elastic_buffer_cap: Some(8 * 32 * 1024),
+            // Overwrites grow the repository (old versions are bypassed,
+            // not reclaimed).
+            nvm_pool_bytes: 256 << 20,
+            ..MioOptions::small_for_tests()
+        })
+        .unwrap(),
+    );
+    let put = |i: u64| {
+        let fill = (i / KEYS % 251) as u8;
+        db.put(format!("key{:06}", i % KEYS).as_bytes(), &[fill; VALUE_LEN])
+            .unwrap();
+    };
+    // Preloaded, so no scanner finishes its rounds on an empty store.
+    (0..KEYS).for_each(put);
+
+    std::thread::scope(|s| {
+        s.spawn(|| (KEYS..PUTS).for_each(put));
+        for _ in 0..2 {
+            let db = db.clone();
+            s.spawn(move || {
+                for round in 0..SCAN_ROUNDS {
+                    let out = db.scan(b"", usize::MAX).unwrap();
+                    assert_eq!(out.len() as u64, KEYS, "round {round}: keys lost");
+                    for w in out.windows(2) {
+                        assert!(w[0].key < w[1].key, "round {round}: order violated");
+                    }
+                    for e in &out {
+                        let key = std::str::from_utf8(&e.key).unwrap_or("<not utf-8>");
+                        let number = key.strip_prefix("key").and_then(|n| n.parse::<u64>().ok());
+                        assert!(
+                            key.len() == 9 && number.is_some_and(|n| n < KEYS),
+                            "round {round}: malformed key {key:?}"
+                        );
+                        assert!(
+                            e.value.len() == VALUE_LEN && e.value.iter().all(|&b| b == e.value[0]),
+                            "round {round}: malformed value for {key}: {:?}",
+                            e.value
+                        );
+                    }
+                }
+            });
+        }
+    });
+
+    db.wait_idle().unwrap();
+    assert_eq!(db.scan(b"", usize::MAX).unwrap().len() as u64, KEYS);
+    // The bottom level drains every table it gets, so at most one flushed
+    // MemTable (waiting in level 0 for a merge partner) is still buffered.
+    assert!(
+        db.elastic_buffer_bytes() <= 32 * 1024,
+        "retired arenas not returned: {} bytes still counted",
+        db.elastic_buffer_bytes()
+    );
+}
+
 #[test]
 fn concurrent_ycsb_a_on_miodb() {
     use miodb::workloads::{run_ycsb, YcsbSpec, YcsbWorkload};

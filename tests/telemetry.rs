@@ -92,7 +92,7 @@ fn drain_events_yields_well_formed_flush_compaction_sequence() {
                 // Both stall kinds exist; just type-check the payload here.
                 let _ = matches!(kind, StallKind::Interval | StallKind::Cumulative);
             }
-            EventKind::Swizzle { .. } | EventKind::BloomSkip { .. } => {}
+            EventKind::Swizzle { .. } => {}
         }
     }
     assert!(flushes >= 2, "expected several flushes, saw {flushes}");
