@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use miodb_common::{
     CompactionKind, EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry,
-    StallKind, Stats, TelemetryOptions,
+    StallKind, Stats, Timed,
 };
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_lsm::sstable::{SsTableBuilder, TableMeta};
@@ -48,8 +48,6 @@ pub struct MatrixKvOptions {
     pub row_device: DeviceModel,
     /// Engine name.
     pub name: String,
-    /// Telemetry collectors (same knob as MioDB's `Options::telemetry`).
-    pub telemetry: TelemetryOptions,
 }
 
 impl Default for MatrixKvOptions {
@@ -62,7 +60,6 @@ impl Default for MatrixKvOptions {
             table_device: DeviceModel::nvm(),
             row_device: DeviceModel::nvm(),
             name: "MatrixKV".to_string(),
-            telemetry: TelemetryOptions::default(),
         }
     }
 }
@@ -141,7 +138,7 @@ impl MatrixKv {
         let lsm = LsmCore::new(table_store, opts.lsm.clone());
         let active = Arc::new(SkipListArena::new(dram.clone(), opts.memtable_bytes)?);
         // Level 0 is the matrix container; deeper levels mirror the LSM.
-        let telemetry = EngineTelemetry::new(1 + lsm.tables_per_level().len(), &opts.telemetry);
+        let telemetry = EngineTelemetry::new(1 + lsm.tables_per_level().len(), stats.clone());
         let inner = Arc::new(Inner {
             opts,
             stats,
@@ -192,21 +189,17 @@ impl MatrixKv {
         }
         let op_start = Instant::now();
         let mut guard = inner.write_mutex.lock();
-        Stats::add(
-            &inner.stats.user_bytes_written,
-            (key.len() + value.len()) as u64,
-        );
+        inner
+            .stats
+            .user_bytes_written
+            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
 
         // Container backpressure: pacing past the soft budget, as MatrixKV
         // does when column compactions fall behind (cumulative stalls).
         let used = self.container_bytes();
         if used > inner.opts.container_bytes {
-            let pause = Duration::from_micros(800);
-            inner.telemetry.stall_begin(StallKind::Cumulative);
-            std::thread::sleep(pause);
-            Stats::add_time(&inner.stats.cumulative_stall_ns, pause);
-            Stats::add(&inner.stats.cumulative_stall_count, 1);
-            inner.telemetry.stall_end(StallKind::Cumulative, pause);
+            let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
+            std::thread::sleep(Duration::from_micros(800));
         }
 
         // WAL to NVM (modeled append).
@@ -234,28 +227,21 @@ impl MatrixKv {
                         OpKind::Put => &inner.telemetry.put_latency,
                         OpKind::Delete => &inner.telemetry.delete_latency,
                     };
-                    h.record(dur_ns(op_start.elapsed()));
+                    h.record_elapsed(op_start);
                     return Ok(());
                 }
                 Err(Error::ArenaFull) => {
-                    let t0 = Instant::now();
-                    let mut stalled = false;
+                    let mut stall = None;
                     while inner.mem.read().imm.is_some() {
-                        if !stalled {
-                            stalled = true;
-                            inner.telemetry.stall_begin(StallKind::Interval);
+                        if stall.is_none() {
+                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
                         }
                         inner.imm_cv.wait_for(&mut guard, Duration::from_millis(5));
                         if inner.shutdown.load(Ordering::Acquire) {
                             return Err(Error::Closed);
                         }
                     }
-                    if stalled {
-                        let waited = t0.elapsed();
-                        Stats::add_time(&inner.stats.interval_stall_ns, waited);
-                        Stats::add(&inner.stats.interval_stall_count, 1);
-                        inner.telemetry.stall_end(StallKind::Interval, waited);
-                    }
+                    drop(stall);
                     let fresh = Arc::new(SkipListArena::new(
                         inner.dram.clone(),
                         inner
@@ -292,8 +278,8 @@ fn flush_worker(inner: Arc<Inner>) {
         }
         let imm = inner.mem.read().imm.clone();
         if let Some(imm) = imm {
-            inner.telemetry.flush_begin(imm.used_bytes());
-            let t0 = Instant::now();
+            let bytes = imm.used_bytes();
+            let flush = inner.telemetry.begin(Timed::Flush { bytes });
             let result: Result<()> = (|| {
                 let mut builder = SsTableBuilder::new(
                     inner.opts.lsm.block_bytes,
@@ -314,14 +300,13 @@ fn flush_worker(inner: Arc<Inner>) {
                 }
                 Ok(())
             })();
-            if let Err(e) = result {
-                *inner.bg_error.lock() = Some(format!("row flush failed: {e}"));
+            match result {
+                Ok(()) => flush.finish(bytes),
+                Err(e) => {
+                    drop(flush);
+                    *inner.bg_error.lock() = Some(format!("row flush failed: {e}"));
+                }
             }
-            let took = t0.elapsed();
-            Stats::add_time(&inner.stats.flush_ns, took);
-            Stats::add(&inner.stats.flush_count, 1);
-            Stats::add(&inner.stats.flush_bytes, imm.used_bytes());
-            inner.telemetry.flush_end(imm.used_bytes(), took);
             {
                 let mut mem = inner.mem.write();
                 mem.imm = None;
@@ -365,10 +350,10 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
         return Ok(());
     }
     // The container is level 0; a column compaction moves data into L1.
-    inner
-        .telemetry
-        .compaction_begin(0, CompactionKind::LazyCopy);
-    let t0 = Instant::now();
+    let column_compaction = inner.telemetry.begin(Timed::Compaction {
+        level: 0,
+        kind: CompactionKind::LazyCopy,
+    });
     let target_bytes =
         (inner.opts.container_bytes / inner.opts.column_denominator).max(64 * 1024) as usize;
 
@@ -394,9 +379,6 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
         }
     }
     if column.is_empty() {
-        inner
-            .telemetry
-            .compaction_end(0, CompactionKind::LazyCopy, 0, t0.elapsed());
         return Ok(());
     }
     // Include every remaining version of the split key so no row keeps a
@@ -451,12 +433,7 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
             inner.row_store.delete(d.meta.id);
         }
     }
-    let took = t0.elapsed();
-    Stats::add_time(&inner.stats.copy_compaction_ns, took);
-    Stats::add(&inner.stats.copy_compactions, 1);
-    inner
-        .telemetry
-        .compaction_end(0, CompactionKind::LazyCopy, bytes as u64, took);
+    column_compaction.finish(bytes as u64);
     Ok(())
 }
 
@@ -486,10 +463,7 @@ impl KvEngine for MatrixKv {
         let t0 = Instant::now();
         let r = self.get_impl(key);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .get_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.get_latency.record_elapsed(t0);
         }
         r
     }
@@ -498,10 +472,7 @@ impl KvEngine for MatrixKv {
         let t0 = Instant::now();
         let r = self.scan_impl(start, limit);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .scan_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.scan_latency.record_elapsed(t0);
         }
         r
     }
@@ -549,7 +520,7 @@ impl MatrixKv {
     /// recording.
     fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
-        Stats::add(&inner.stats.gets, 1);
+        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         let (active, imm) = {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
@@ -571,7 +542,7 @@ impl MatrixKv {
                 continue;
             }
             if !row.meta.reader.may_contain(key) {
-                Stats::add(&inner.stats.bloom_skips, 1);
+                inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             if let Some(e) = row.meta.reader.get(key, &inner.stats)? {
@@ -583,7 +554,7 @@ impl MatrixKv {
         if let Some(e) = inner.lsm.get(key)? {
             return Ok(match e.kind {
                 OpKind::Put => {
-                    Stats::add(&inner.stats.get_hits, 1);
+                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                     Some(e.value)
                 }
                 OpKind::Delete => None,
@@ -630,11 +601,6 @@ impl MatrixKv {
     }
 }
 
-/// Saturating nanosecond count of a duration, for histogram recording.
-fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
 fn resolve_kind(kind: OpKind, value: Vec<u8>) -> Option<Vec<u8>> {
     match kind {
         OpKind::Put => Some(value),
@@ -644,7 +610,7 @@ fn resolve_kind(kind: OpKind, value: Vec<u8>) -> Option<Vec<u8>> {
 
 fn count_hit(stats: &Stats, kind: OpKind) {
     if kind == OpKind::Put {
-        Stats::add(&stats.get_hits, 1);
+        stats.get_hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 

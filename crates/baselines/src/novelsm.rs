@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use miodb_common::{
     CompactionKind, EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry,
-    StallKind, Stats, TelemetryOptions,
+    StallKind, Stats, Timed,
 };
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_lsm::{LsmCore, LsmOptions, TableStore};
@@ -51,8 +51,6 @@ pub struct NoveLsmOptions {
     pub nvm_pool_bytes: usize,
     /// Engine name for reports.
     pub name: String,
-    /// Telemetry collectors (same knob as MioDB's `Options::telemetry`).
-    pub telemetry: TelemetryOptions,
 }
 
 impl Default for NoveLsmOptions {
@@ -66,7 +64,6 @@ impl Default for NoveLsmOptions {
             nvm_device: DeviceModel::nvm(),
             nvm_pool_bytes: 256 << 20,
             name: "NoveLSM".to_string(),
-            telemetry: TelemetryOptions::default(),
         }
     }
 }
@@ -132,7 +129,7 @@ impl NoveLsm {
             nvm.clone(),
             1 << 20,
         )?);
-        let telemetry = EngineTelemetry::new(lsm.tables_per_level().len(), &opts.telemetry);
+        let telemetry = EngineTelemetry::new(lsm.tables_per_level().len(), stats.clone());
         let inner = Arc::new(Inner {
             opts,
             stats,
@@ -176,21 +173,17 @@ impl NoveLsm {
         }
         let op_start = Instant::now();
         let mut guard = inner.write_mutex.lock();
-        Stats::add(
-            &inner.stats.user_bytes_written,
-            (key.len() + value.len()) as u64,
-        );
+        inner
+            .stats
+            .user_bytes_written
+            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
 
         // L0 backpressure from the traditional LSM below.
         if !inner.opts.no_sst {
             let l0 = inner.lsm.l0_count();
             if l0 >= inner.opts.lsm.l0_slowdown_trigger {
-                let pause = Duration::from_micros(1000);
-                inner.telemetry.stall_begin(StallKind::Cumulative);
-                std::thread::sleep(pause);
-                Stats::add_time(&inner.stats.cumulative_stall_ns, pause);
-                Stats::add(&inner.stats.cumulative_stall_count, 1);
-                inner.telemetry.stall_end(StallKind::Cumulative, pause);
+                let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
+                std::thread::sleep(Duration::from_micros(1000));
             }
         }
 
@@ -211,28 +204,21 @@ impl NoveLsm {
                         OpKind::Put => &inner.telemetry.put_latency,
                         OpKind::Delete => &inner.telemetry.delete_latency,
                     };
-                    h.record(dur_ns(op_start.elapsed()));
+                    h.record_elapsed(op_start);
                     return Ok(());
                 }
                 Err(Error::ArenaFull) => {
-                    let t0 = Instant::now();
-                    let mut stalled = false;
+                    let mut stall = None;
                     while inner.mem.read().imm.is_some() {
-                        if !stalled {
-                            stalled = true;
-                            inner.telemetry.stall_begin(StallKind::Interval);
+                        if stall.is_none() {
+                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
                         }
                         inner.imm_cv.wait_for(&mut guard, Duration::from_millis(5));
                         if inner.shutdown.load(Ordering::Acquire) {
                             return Err(Error::Closed);
                         }
                     }
-                    if stalled {
-                        let waited = t0.elapsed();
-                        Stats::add_time(&inner.stats.interval_stall_ns, waited);
-                        Stats::add(&inner.stats.interval_stall_count, 1);
-                        inner.telemetry.stall_end(StallKind::Interval, waited);
-                    }
+                    drop(stall);
                     let fresh = Arc::new(SkipListArena::new(
                         inner.dram.clone(),
                         inner
@@ -270,8 +256,8 @@ fn drain_worker(inner: Arc<Inner>) {
         }
         let imm = inner.mem.read().imm.clone();
         if let Some(imm) = imm {
-            inner.telemetry.flush_begin(imm.used_bytes());
-            let t0 = Instant::now();
+            let bytes = imm.used_bytes();
+            let flush = inner.telemetry.begin(Timed::Flush { bytes });
             let result: Result<()> = (|| {
                 let nvm_mem = inner.nvm_mem.read().clone();
                 // Per-entry insertion into the big skip list: the cost the
@@ -281,14 +267,13 @@ fn drain_worker(inner: Arc<Inner>) {
                 }
                 Ok(())
             })();
-            if let Err(e) = result {
-                *inner.bg_error.lock() = Some(format!("nvm-memtable merge failed: {e}"));
+            match result {
+                Ok(()) => flush.finish(bytes),
+                Err(e) => {
+                    drop(flush);
+                    *inner.bg_error.lock() = Some(format!("nvm-memtable merge failed: {e}"));
+                }
             }
-            let took = t0.elapsed();
-            Stats::add_time(&inner.stats.flush_ns, took);
-            Stats::add(&inner.stats.flush_count, 1);
-            Stats::add(&inner.stats.flush_bytes, imm.used_bytes());
-            inner.telemetry.flush_end(imm.used_bytes(), took);
 
             {
                 let mut mem = inner.mem.write();
@@ -335,16 +320,14 @@ fn flush_big_memtable(inner: &Inner) -> Result<()> {
     // paper measures stem from here). The immutable list stays readable
     // until its tables are installed in L0.
     let drained_bytes = full.data_bytes();
-    inner
-        .telemetry
-        .compaction_begin(0, CompactionKind::LazyCopy);
-    let t0 = Instant::now();
+    let drain = inner.telemetry.begin(Timed::Compaction {
+        level: 0,
+        kind: CompactionKind::LazyCopy,
+    });
     let result = inner.lsm.ingest_sorted_run(full.list().iter());
     *inner.nvm_imm.write() = None;
-    inner
-        .telemetry
-        .compaction_end(0, CompactionKind::LazyCopy, drained_bytes, t0.elapsed());
     result?;
+    drain.finish(drained_bytes);
     // Its entries live in L0 now; the last reader to let go frees it.
     full.retire();
     Ok(())
@@ -379,10 +362,7 @@ impl KvEngine for NoveLsm {
         let t0 = Instant::now();
         let r = self.get_impl(key);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .get_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.get_latency.record_elapsed(t0);
         }
         r
     }
@@ -391,10 +371,7 @@ impl KvEngine for NoveLsm {
         let t0 = Instant::now();
         let r = self.scan_impl(start, limit);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .scan_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.scan_latency.record_elapsed(t0);
         }
         r
     }
@@ -440,7 +417,7 @@ impl NoveLsm {
     /// recording.
     fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
-        Stats::add(&inner.stats.gets, 1);
+        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         let (active, imm) = {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
@@ -466,7 +443,7 @@ impl NoveLsm {
             if let Some(e) = inner.lsm.get(key)? {
                 return Ok(match e.kind {
                     OpKind::Put => {
-                        Stats::add(&inner.stats.get_hits, 1);
+                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                         Some(e.value)
                     }
                     OpKind::Delete => None,
@@ -511,11 +488,6 @@ impl NoveLsm {
     }
 }
 
-/// Saturating nanosecond count of a duration, for histogram recording.
-fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
 fn resolve(r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
     match r.kind {
         OpKind::Put => Some(r.value),
@@ -525,7 +497,7 @@ fn resolve(r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
 
 fn resolve_counted(stats: &Stats, r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
     if r.kind == OpKind::Put {
-        Stats::add(&stats.get_hits, 1);
+        stats.get_hits.fetch_add(1, Ordering::Relaxed);
     }
     resolve(r)
 }

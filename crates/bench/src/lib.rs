@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use miodb_baselines::{MatrixKv, MatrixKvOptions, NoveLsm, NoveLsmOptions};
-use miodb_common::{KvEngine, Result, Stats, TelemetryOptions};
+use miodb_common::{KvEngine, Result, Stats};
 use miodb_core::{MioDb, MioOptions, RepositoryMode};
 use miodb_lsm::{LsmDb, LsmOptions};
 use miodb_pmem::DeviceModel;
@@ -161,7 +161,6 @@ fn mio_options(
         bloom_enabled: true,
         parallel_compaction: true,
         name: "MioDB".to_string(),
-        telemetry: TelemetryOptions::default(),
     }
 }
 
@@ -211,7 +210,6 @@ pub fn build_engine_with(
                 nvm_device: nvm_dev,
                 nvm_pool_bytes: scale.nvm_pool_bytes(),
                 name: if no_sst { "NoveLSM-NoSST" } else { "NoveLSM" }.to_string(),
-                telemetry: TelemetryOptions::default(),
             };
             Ok(Box::new(NoveLsm::open(opts, stats)?))
         }
@@ -224,7 +222,6 @@ pub fn build_engine_with(
                 table_device,
                 row_device: nvm_dev,
                 name: "MatrixKV".to_string(),
-                telemetry: TelemetryOptions::default(),
             };
             Ok(Box::new(MatrixKv::open(opts, stats)?))
         }

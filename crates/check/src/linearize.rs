@@ -378,13 +378,15 @@ fn render_op(op: &RecordedOp, pop: &POp) -> String {
     )
 }
 
+/// The first 24 bytes of a value, quoted. Cut as bytes before decoding: a
+/// lossily decoded string has no char boundary it can be sliced at safely.
 fn preview(v: &[u8]) -> String {
     const MAX: usize = 24;
-    let s = String::from_utf8_lossy(v);
-    if s.len() <= MAX {
-        format!("{s:?}")
+    let head = String::from_utf8_lossy(&v[..v.len().min(MAX)]);
+    if v.len() <= MAX {
+        format!("{head:?}")
     } else {
-        format!("{:?}…", &s[..MAX])
+        format!("{head:?}…")
     }
 }
 
@@ -392,6 +394,20 @@ fn preview(v: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::history::RecordedOp;
+
+    #[test]
+    fn preview_truncates_non_utf8_and_multibyte_values_without_panicking() {
+        // 0xA5 is a UTF-8 continuation byte: each decodes to one U+FFFD,
+        // and the preview is 24 bytes of the value, not of the decoding.
+        let p = preview(&[0xA5; 64]);
+        assert_eq!(p.chars().filter(|c| *c == '\u{FFFD}').count(), 24, "{p}");
+        assert!(p.ends_with('…'));
+        // 23 ASCII bytes, then a 2-byte char straddling the cut: slicing
+        // the decoded string at byte 24 would panic.
+        let p = preview(format!("{}é and more", "x".repeat(23)).as_bytes());
+        assert!(p.starts_with("\"xxxxxxxxxxxxxxxxxxxxxxx"), "{p}");
+        assert_eq!(preview(b"short"), "\"short\"");
+    }
 
     fn op(
         process: u32,

@@ -2,12 +2,12 @@
 //!
 //! [`ConcurrentHistogram`] lets every engine thread record operation
 //! latencies on the hot path with two relaxed atomic adds and no shared
-//! cache line between unrelated threads: buckets are striped into
-//! [`STRIPES`] independent copies of the [`Histogram`](crate::Histogram)
-//! log-bucket layout, and each thread hashes to a stripe by a
-//! process-global thread index. A [`snapshot`](ConcurrentHistogram::snapshot)
-//! sums the stripes into an ordinary [`Histogram`](crate::Histogram), so
-//! percentile/mean/merge logic is shared with the single-threaded type.
+//! cache line between unrelated threads: buckets are striped into 8
+//! independent copies of the [`Histogram`] log-bucket layout, and each
+//! thread hashes to a stripe by a process-global thread index. A
+//! [`snapshot`](ConcurrentHistogram::snapshot) sums the stripes into an
+//! ordinary [`Histogram`], so percentile/mean/merge logic is shared with
+//! the single-threaded type.
 //!
 //! Counts are never lost: the snapshot derives `count` from the bucket
 //! array itself, so a snapshot taken concurrently with recorders sees a
@@ -15,7 +15,8 @@
 //! at most one snapshot delta and in every later snapshot).
 
 use crate::histogram::{Histogram, NUM_BUCKETS};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Number of independent bucket stripes. A power of two so the stripe pick
 /// is a mask; 8 stripes keep the footprint at ~42 KiB per histogram while
@@ -76,9 +77,6 @@ pub struct ConcurrentHistogram {
     stripes: Vec<Stripe>,
     min: AtomicU64,
     max: AtomicU64,
-    /// When false, `record` is a single predictable-branch no-op, so
-    /// telemetry can be disabled without changing call sites.
-    enabled: AtomicBool,
 }
 
 impl Default for ConcurrentHistogram {
@@ -96,24 +94,13 @@ impl std::fmt::Debug for ConcurrentHistogram {
 }
 
 impl ConcurrentHistogram {
-    /// Creates an empty, enabled histogram.
+    /// Creates an empty histogram.
     pub fn new() -> ConcurrentHistogram {
         ConcurrentHistogram {
             stripes: (0..STRIPES).map(|_| Stripe::new()).collect(),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Enables or disables recording (snapshotting stays available).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether `record` currently stores observations.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Records one observation (e.g. a latency in nanoseconds).
@@ -122,9 +109,6 @@ impl ConcurrentHistogram {
     /// two relaxed RMWs on a stripe private to ~1/8 of the threads.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let stripe = &self.stripes[THREAD_INDEX.with(|i| *i) & (STRIPES - 1)];
         stripe.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         stripe.sum.fetch_add(value, Ordering::Relaxed);
@@ -136,6 +120,12 @@ impl ConcurrentHistogram {
         if value > self.max.load(Ordering::Relaxed) {
             self.max.fetch_max(value, Ordering::Relaxed);
         }
+    }
+
+    /// Records the time elapsed since `since`, in nanoseconds.
+    #[inline]
+    pub fn record_elapsed(&self, since: Instant) {
+        self.record(since.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Sums all stripes into a plain [`Histogram`] snapshot.
@@ -208,17 +198,6 @@ mod tests {
         for p in [50.0, 90.0, 99.0, 99.9] {
             assert_eq!(snap.percentile(p), h.percentile(p), "p{p}");
         }
-    }
-
-    #[test]
-    fn disabled_recording_is_dropped() {
-        let c = ConcurrentHistogram::new();
-        c.record(1);
-        c.set_enabled(false);
-        c.record(2);
-        c.set_enabled(true);
-        c.record(3);
-        assert_eq!(c.snapshot().count(), 2);
     }
 
     #[test]

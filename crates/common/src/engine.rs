@@ -2,6 +2,7 @@
 
 use crate::error::Result;
 use crate::events::Event;
+use crate::metrics::MetricsRegistry;
 use crate::stats::StatsSnapshot;
 use crate::telemetry::EngineTelemetry;
 
@@ -127,19 +128,23 @@ pub trait KvEngine: Send + Sync {
     /// Engines returning `Some` get op-latency summaries, per-level byte
     /// gauges, compaction breakdowns and the structured event trace in
     /// their metrics output; the default `None` limits
-    /// [`metrics_text`](KvEngine::metrics_text) to report-derived families.
+    /// [`register_metrics`](KvEngine::register_metrics) to report-derived
+    /// families.
     fn telemetry(&self) -> Option<&EngineTelemetry> {
         None
     }
 
-    /// Renders current metrics in the Prometheus text exposition format.
-    fn metrics_text(&self) -> String {
-        crate::metrics::engine_registry(&self.report(), self.telemetry()).render_prometheus()
+    /// Registers the engine's metric families into `reg`, so a caller
+    /// with families of its own (the server's STATS) renders one registry.
+    fn register_metrics(&self, reg: &mut MetricsRegistry) {
+        crate::metrics::register_engine(reg, &self.report(), self.telemetry().as_slice());
     }
 
-    /// Renders current metrics as a JSON document.
-    fn metrics_json(&self) -> String {
-        crate::metrics::engine_registry(&self.report(), self.telemetry()).render_json()
+    /// Renders current metrics in the Prometheus text exposition format.
+    fn metrics_text(&self) -> String {
+        let mut reg = MetricsRegistry::new();
+        self.register_metrics(&mut reg);
+        reg.render_prometheus()
     }
 
     /// Drains the structured event trace in FIFO order. Engines without

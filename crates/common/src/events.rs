@@ -26,7 +26,8 @@ pub enum CompactionKind {
 }
 
 impl CompactionKind {
-    /// Stable lowercase label used in metrics and logs.
+    /// Stable lowercase label: the `kind` label of the per-level
+    /// compaction families.
     pub fn label(&self) -> &'static str {
         match self {
             CompactionKind::ZeroCopy => "zero_copy",
@@ -44,16 +45,6 @@ pub enum StallKind {
     /// Writers delayed deliberately to pace ingest
     /// (paper: *cumulative stalls* / slowdowns).
     Cumulative,
-}
-
-impl StallKind {
-    /// Stable lowercase label used in metrics and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StallKind::Interval => "interval",
-            StallKind::Cumulative => "cumulative",
-        }
-    }
 }
 
 /// A structured engine event. All payloads are scalar so events are `Copy`

@@ -8,15 +8,18 @@
 //! - [`types`]: keys, values, sequence numbers and operation kinds,
 //! - [`histogram`]: a log-bucketed latency histogram with percentiles,
 //! - [`conc_histogram`]: its lock-free multi-writer counterpart,
-//! - [`stats`]: atomic counters for stalls, flushing and write amplification,
+//! - [`stats`]: the one table declaring every engine counter (stalls,
+//!   flushing, write amplification) and everything generated from it,
 //! - [`ring`]: the bounded lock-free MPMC ring backing both traces,
 //! - [`events`]: the bounded lock-free structured event trace,
 //! - [`trace`]: end-to-end request spans with critical-path attribution,
 //! - [`fault`]: the deterministic seed-driven fault-injection registry
 //!   wired through pmem, WAL, engine and network layers,
 //! - [`telemetry`]: per-engine telemetry (op histograms, level metrics,
-//!   event emission) behind the [`telemetry::TelemetryOptions`] knob,
-//! - [`metrics`]: Prometheus/JSON exposition of all of the above,
+//!   event emission) and the one guard that reports a timed background
+//!   interval to all of them,
+//! - [`metrics`]: the one registry every layer registers its families
+//!   into, rendered as Prometheus text,
 //! - [`proto`]: the length-prefixed CRC-protected network wire protocol
 //!   spoken by `miodb-server` and `miodb-client`,
 //! - [`repl`]: the replication seam ([`repl::ReplicationSink`]) between
@@ -55,6 +58,6 @@ pub use repl::{majority, AckLevel, ReplicationSink, Role, RoleState};
 pub use ring::MpmcRing;
 pub use service::ServiceTelemetry;
 pub use stats::Stats;
-pub use telemetry::{EngineTelemetry, LevelMetrics, TelemetryOptions};
+pub use telemetry::{EngineTelemetry, Interval, LevelMetrics, Timed};
 pub use trace::{SpanKind, SpanLayer, SpanRecord, TraceCtx};
 pub use types::{OpKind, SequenceNumber, MAX_SEQUENCE_NUMBER};

@@ -1,18 +1,21 @@
-//! Metrics exposition: Prometheus text format and JSON.
+//! Metrics exposition in the Prometheus text format.
 //!
 //! [`MetricsRegistry`] collects metric families (counters, gauges,
-//! summaries) and renders them in the Prometheus text exposition format or
-//! as a JSON document. [`engine_registry`] assembles the standard family
-//! set for any [`KvEngine`](crate::KvEngine) from its
-//! [`EngineReport`](crate::EngineReport) and optional
-//! [`EngineTelemetry`](crate::EngineTelemetry), which backs the provided
-//! `metrics_text()` / `metrics_json()` trait methods.
+//! summaries) and renders them once. Every layer registers its families
+//! into the same registry — the engine through [`register_engine`] (behind
+//! [`KvEngine::register_metrics`](crate::KvEngine::register_metrics)), the
+//! server through [`ServiceTelemetry::register`](crate::ServiceTelemetry::register),
+//! the replicator through its own `register` — so a STATS scrape is one
+//! registry rendered once, with `# HELP` and `# TYPE` on every family.
 
+use crate::conc_histogram::ConcurrentHistogram;
 use crate::engine::EngineReport;
+use crate::events::CompactionKind;
 use crate::histogram::Histogram;
-use crate::telemetry::EngineTelemetry;
+use crate::stats::{Unit, COUNTERS};
+use crate::telemetry::{EngineTelemetry, LevelMetrics};
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Prometheus metric family type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,33 +139,16 @@ impl MetricsRegistry {
             ("0.99", 99.0),
             ("0.999", 99.9),
         ] {
-            let mut quantile_labels: Vec<(&str, &str)> = labels.to_vec();
-            quantile_labels.push(("quantile", q));
-            self.push_sample(
-                name,
-                help,
-                MetricType::Summary,
-                "",
-                &quantile_labels,
-                hist.percentile(p) as f64 * scale,
-            );
+            let quantile_labels = [labels, &[("quantile", q)]].concat();
+            let value = hist.percentile(p) as f64 * scale;
+            self.push_sample(name, help, MetricType::Summary, "", &quantile_labels, value);
         }
-        self.push_sample(
-            name,
-            help,
-            MetricType::Summary,
-            "_sum",
-            labels,
-            hist.sum() as f64 * scale,
-        );
-        self.push_sample(
-            name,
-            help,
-            MetricType::Summary,
-            "_count",
-            labels,
-            hist.count() as f64,
-        );
+        for (suffix, value) in [
+            ("_sum", hist.sum() as f64 * scale),
+            ("_count", hist.count() as f64),
+        ] {
+            self.push_sample(name, help, MetricType::Summary, suffix, labels, value);
+        }
     }
 
     /// Renders the Prometheus text exposition format.
@@ -189,44 +175,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the same families as a JSON document:
-    /// `{"families": [{"name", "type", "help", "samples": [...]}]}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"families\":[");
-        for (fi, f) in self.families.iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"type\":\"{}\",\"help\":{},\"samples\":[",
-                json_string(&f.name),
-                f.kind.label(),
-                json_string(&f.help)
-            );
-            for (si, s) in f.samples.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"labels\":{{",
-                    json_string(&format!("{}{}", f.name, s.suffix))
-                );
-                for (li, (k, v)) in s.labels.iter().enumerate() {
-                    if li > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}:{}", json_string(k), json_string(v));
-                }
-                let _ = write!(out, "}},\"value\":{}}}", json_number(s.value));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Prometheus sample value formatting: integers without a decimal point,
@@ -236,15 +184,6 @@ fn format_value(v: f64) -> String {
         format!("{}", v as i64)
     } else {
         format!("{v}")
-    }
-}
-
-/// JSON numbers cannot be NaN/inf; map them to null.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format_value(v)
-    } else {
-        "null".to_string()
     }
 }
 
@@ -258,240 +197,49 @@ fn escape_label(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Builds the standard metric family set for an engine.
+/// Registers the standard metric family set of an engine into `r`.
 ///
-/// Families sourced from the [`EngineReport`] (stall totals, device bytes,
-/// flush totals, write amplification, per-level table counts) are present
-/// for every engine; op-latency summaries, per-level byte gauges and
-/// compaction breakdowns additionally require the engine to expose
-/// [`EngineTelemetry`].
-pub fn engine_registry(
+/// The [`EngineReport`] supplies every declared [`Stats`](crate::Stats)
+/// counter (one walk over [`COUNTERS`]), write amplification, per-level
+/// table counts and NVM usage. `telemetry` supplies op-latency summaries,
+/// per-level gauges and compaction breakdowns: one collector for a plain
+/// engine, one per shard for a router — histograms are merged and
+/// per-level values summed — or none.
+pub fn register_engine(
+    r: &mut MetricsRegistry,
     report: &EngineReport,
-    telemetry: Option<&EngineTelemetry>,
-) -> MetricsRegistry {
-    let mut r = MetricsRegistry::new();
+    telemetry: &[&EngineTelemetry],
+) {
     r.gauge(
         "miodb_engine_info",
         "Constant 1; the engine label identifies the implementation.",
         &[("engine", &report.name)],
         1.0,
     );
-
-    if let Some(t) = telemetry {
-        r.gauge(
-            "miodb_uptime_seconds",
-            "Seconds since the engine was opened.",
-            &[],
-            t.uptime().as_secs_f64(),
-        );
-        for (op, hist) in [
-            ("put", &t.put_latency),
-            ("get", &t.get_latency),
-            ("delete", &t.delete_latency),
-            ("scan", &t.scan_latency),
-        ] {
-            r.summary(
-                "miodb_op_latency_seconds",
-                "Engine-side operation latency quantiles.",
-                &[("op", op)],
-                &hist.snapshot(),
-                1e-9,
-            );
-        }
-        for (i, level) in t.levels().iter().enumerate() {
-            let label = i.to_string();
-            let labels: &[(&str, &str)] = &[("level", &label)];
-            r.gauge(
-                "miodb_level_bytes",
-                "Bytes resident per LSM level.",
-                labels,
-                level.bytes.load(Ordering::Relaxed) as f64,
-            );
-            r.gauge(
-                "miodb_level_pending_compactions",
-                "Compactions queued or running per source level.",
-                labels,
-                level.pending_compactions.load(Ordering::Relaxed) as f64,
-            );
-            for (kind, count, ns) in [
-                (
-                    "zero_copy",
-                    &level.zero_copy_compactions,
-                    &level.zero_copy_ns,
-                ),
-                (
-                    "lazy_copy",
-                    &level.lazy_copy_compactions,
-                    &level.lazy_copy_ns,
-                ),
-            ] {
-                let kind_labels: &[(&str, &str)] = &[("level", &label), ("kind", kind)];
-                r.counter(
-                    "miodb_compactions_total",
-                    "Completed compactions per source level and kind.",
-                    kind_labels,
-                    count.load(Ordering::Relaxed) as f64,
-                );
-                r.counter(
-                    "miodb_compaction_seconds_total",
-                    "Time spent compacting per source level and kind.",
-                    kind_labels,
-                    ns.load(Ordering::Relaxed) as f64 / 1e9,
-                );
-            }
-        }
-        let groups = t.write_group_size.snapshot();
-        if groups.count() > 0 {
-            r.summary(
-                "miodb_write_group_size",
-                "Operations coalesced per committed write group.",
-                &[],
-                &groups,
-                1.0,
-            );
-        }
-        r.gauge(
-            "miodb_commit_queue_depth",
-            "Writers currently enqueued on the commit queue.",
-            &[],
-            t.commit_queue_depth() as f64,
-        );
-        r.counter(
-            "miodb_trace_events_dropped_total",
-            "Structured trace events discarded because the ring was full.",
-            &[],
-            t.events_dropped() as f64,
-        );
+    if !telemetry.is_empty() {
+        register_telemetry(r, telemetry);
     }
-
     for (i, &tables) in report.tables_per_level.iter().enumerate() {
-        let label = i.to_string();
         r.gauge(
             "miodb_level_tables",
             "Tables/runs per LSM level.",
-            &[("level", &label)],
+            &[("level", &i.to_string())],
             tables as f64,
         );
     }
-
-    let s = &report.stats;
-    for (kind, ns, count) in [
-        ("interval", s.interval_stall_ns, s.interval_stall_count),
-        (
-            "cumulative",
-            s.cumulative_stall_ns,
-            s.cumulative_stall_count,
-        ),
-    ] {
-        r.counter(
-            "miodb_stall_seconds_total",
-            "Time writers were stalled, by stall kind.",
-            &[("kind", kind)],
-            ns as f64 / 1e9,
-        );
-        r.counter(
-            "miodb_stall_events_total",
-            "Number of writer stalls, by stall kind.",
-            &[("kind", kind)],
-            count as f64,
-        );
-    }
-    r.counter(
-        "miodb_user_write_bytes_total",
-        "Bytes of user data accepted by put/delete.",
-        &[],
-        s.user_bytes_written as f64,
-    );
-    for (device, written, read) in [
-        ("nvm", s.nvm_bytes_written, s.nvm_bytes_read),
-        ("ssd", s.ssd_bytes_written, s.ssd_bytes_read),
-    ] {
-        r.counter(
-            "miodb_device_write_bytes_total",
-            "Bytes physically written per device.",
-            &[("device", device)],
-            written as f64,
-        );
-        r.counter(
-            "miodb_device_read_bytes_total",
-            "Bytes physically read per device.",
-            &[("device", device)],
-            read as f64,
-        );
+    for c in COUNTERS {
+        let raw = (c.value)(&report.stats) as f64;
+        let value = match c.unit {
+            Unit::Count => raw,
+            Unit::Nanos => raw / 1e9,
+        };
+        r.counter(c.metric, c.help, c.labels, value);
     }
     r.gauge(
         "miodb_write_amplification",
         "Device bytes written divided by user bytes written.",
         &[],
-        s.write_amplification,
-    );
-    r.counter(
-        "miodb_flushes_total",
-        "MemTable flushes completed.",
-        &[],
-        s.flush_count as f64,
-    );
-    r.counter(
-        "miodb_flush_seconds_total",
-        "Time spent flushing MemTables.",
-        &[],
-        s.flush_ns as f64 / 1e9,
-    );
-    r.counter(
-        "miodb_flush_bytes_total",
-        "Bytes moved by MemTable flushes.",
-        &[],
-        s.flush_bytes as f64,
-    );
-    r.counter(
-        "miodb_swizzle_seconds_total",
-        "Time spent swizzling pointers after one-piece flushes.",
-        &[],
-        s.swizzle_ns as f64 / 1e9,
-    );
-    r.counter(
-        "miodb_gets_total",
-        "Get operations served.",
-        &[],
-        s.gets as f64,
-    );
-    r.counter(
-        "miodb_get_hits_total",
-        "Get operations that found a value.",
-        &[],
-        s.get_hits as f64,
-    );
-    r.counter(
-        "miodb_bloom_skips_total",
-        "Tables skipped by bloom filters.",
-        &[],
-        s.bloom_skips as f64,
-    );
-    r.counter(
-        "miodb_bloom_false_positives_total",
-        "Bloom filter false positives.",
-        &[],
-        s.bloom_false_positives as f64,
+        report.stats.write_amplification,
     );
     r.gauge(
         "miodb_nvm_used_bytes",
@@ -505,13 +253,122 @@ pub fn engine_registry(
         &[],
         report.nvm_peak_bytes as f64,
     );
-    r
+}
+
+/// Picks one histogram out of a collector.
+type PickHistogram = fn(&EngineTelemetry) -> &ConcurrentHistogram;
+/// Picks one gauge or counter out of a level.
+type PickLevel = fn(&LevelMetrics) -> &AtomicU64;
+
+/// The families only [`EngineTelemetry`] can supply, aggregated over `ts`.
+fn register_telemetry(r: &mut MetricsRegistry, ts: &[&EngineTelemetry]) {
+    let merged = |pick: PickHistogram| {
+        let mut h = Histogram::new();
+        for t in ts {
+            h.merge(&pick(t).snapshot());
+        }
+        h
+    };
+    let uptime = ts.iter().map(|t| t.uptime()).max().unwrap_or_default();
+    r.gauge(
+        "miodb_uptime_seconds",
+        "Seconds since the engine was opened.",
+        &[],
+        uptime.as_secs_f64(),
+    );
+    let ops: [(&str, PickHistogram); 4] = [
+        ("put", |t| &t.put_latency),
+        ("get", |t| &t.get_latency),
+        ("delete", |t| &t.delete_latency),
+        ("scan", |t| &t.scan_latency),
+    ];
+    for (op, pick) in ops {
+        r.summary(
+            "miodb_op_latency_seconds",
+            "Engine-side operation latency quantiles.",
+            &[("op", op)],
+            &merged(pick),
+            1e-9,
+        );
+    }
+    let num_levels = ts.iter().map(|t| t.levels().len()).max().unwrap_or(0);
+    for i in 0..num_levels {
+        let sum = |pick: PickLevel| -> f64 {
+            ts.iter()
+                .filter_map(|t| t.level(i))
+                .map(|m| pick(m).load(Ordering::Relaxed))
+                .sum::<u64>() as f64
+        };
+        let level = i.to_string();
+        r.gauge(
+            "miodb_level_bytes",
+            "Bytes resident per LSM level.",
+            &[("level", &level)],
+            sum(|m| &m.bytes),
+        );
+        r.gauge(
+            "miodb_level_pending_compactions",
+            "Compactions running per source level.",
+            &[("level", &level)],
+            sum(|m| &m.pending_compactions),
+        );
+        let kinds: [(CompactionKind, PickLevel, PickLevel); 2] = [
+            (
+                CompactionKind::ZeroCopy,
+                |m| &m.zero_copy_compactions,
+                |m| &m.zero_copy_ns,
+            ),
+            (
+                CompactionKind::LazyCopy,
+                |m| &m.lazy_copy_compactions,
+                |m| &m.lazy_copy_ns,
+            ),
+        ];
+        for (kind, count, ns) in kinds {
+            let labels: &[(&str, &str)] = &[("level", &level), ("kind", kind.label())];
+            r.counter(
+                "miodb_compactions_total",
+                "Completed compactions per source level and kind.",
+                labels,
+                sum(count),
+            );
+            r.counter(
+                "miodb_compaction_seconds_total",
+                "Time spent compacting per source level and kind.",
+                labels,
+                sum(ns) / 1e9,
+            );
+        }
+    }
+    let groups = merged(|t| &t.write_group_size);
+    if groups.count() > 0 {
+        r.summary(
+            "miodb_write_group_size",
+            "Operations coalesced per committed write group.",
+            &[],
+            &groups,
+            1.0,
+        );
+    }
+    r.gauge(
+        "miodb_commit_queue_depth",
+        "Writers currently enqueued on the commit queue.",
+        &[],
+        ts.iter().map(|t| t.commit_queue_depth()).sum::<u64>() as f64,
+    );
+    r.counter(
+        "miodb_trace_events_dropped_total",
+        "Structured trace events discarded because the ring was full.",
+        &[],
+        ts.iter().map(|t| t.events_dropped()).sum::<u64>() as f64,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::TelemetryOptions;
+    use crate::stats::Stats;
+    use std::sync::Arc;
 
     #[test]
     fn prometheus_renders_help_type_and_labels() {
@@ -556,22 +413,15 @@ mod tests {
         assert!(text.contains("name=\"a\\\"b\\\\c\\nd\""));
     }
 
-    #[test]
-    fn json_rendering_is_structured() {
+    fn engine_text(report: &EngineReport, telemetry: &[&EngineTelemetry]) -> String {
         let mut r = MetricsRegistry::new();
-        r.gauge("kv_depth", "De\"pth.", &[("level", "0")], 2.0);
-        let json = r.render_json();
-        assert!(json.starts_with("{\"families\":["));
-        assert!(json.contains("\"name\":\"kv_depth\""));
-        assert!(json.contains("\"help\":\"De\\\"pth.\""));
-        assert!(json.contains("\"labels\":{\"level\":\"0\"}"));
-        assert!(json.contains("\"value\":2"));
-        assert!(json.ends_with("]}"));
+        register_engine(&mut r, report, telemetry);
+        r.render_prometheus()
     }
 
     #[test]
     fn engine_registry_covers_acceptance_metrics() {
-        let t = EngineTelemetry::new(3, &TelemetryOptions::default());
+        let t = EngineTelemetry::new(3, Arc::new(Stats::new()));
         t.put_latency.record(1000);
         t.get_latency.record(2000);
         t.write_group_size.record(4);
@@ -582,7 +432,7 @@ mod tests {
             tables_per_level: vec![2, 1, 0],
             ..Default::default()
         };
-        let text = engine_registry(&report, Some(&t)).render_prometheus();
+        let text = engine_text(&report, &[&t]);
         for needle in [
             "miodb_op_latency_seconds{op=\"put\",quantile=\"0.5\"}",
             "miodb_op_latency_seconds{op=\"get\",quantile=\"0.999\"}",
@@ -608,9 +458,76 @@ mod tests {
             tables_per_level: vec![4],
             ..Default::default()
         };
-        let text = engine_registry(&report, None).render_prometheus();
+        let text = engine_text(&report, &[]);
         assert!(text.contains("miodb_level_tables{level=\"0\"} 4"));
         assert!(text.contains("miodb_stall_seconds_total"));
         assert!(!text.contains("miodb_op_latency_seconds"));
+    }
+
+    /// Walks the declared table: every counter is exported exactly once,
+    /// under a `miodb_`-prefixed series no other counter shares, carrying
+    /// its own value.
+    #[test]
+    fn every_declared_counter_is_exported_exactly_once() {
+        let stats = Stats::new();
+        for (n, c) in (1..).zip(COUNTERS) {
+            // Whole seconds for nanosecond counters, so every value prints
+            // as the integer `n`.
+            let raw = match c.unit {
+                Unit::Count => n,
+                Unit::Nanos => n * 1_000_000_000,
+            };
+            (c.cell)(&stats).fetch_add(raw, Ordering::Relaxed);
+        }
+        let report = EngineReport {
+            stats: stats.snapshot(),
+            ..Default::default()
+        };
+        let text = engine_text(&report, &[]);
+        let mut seen = std::collections::HashSet::new();
+        for (n, c) in (1..).zip(COUNTERS) {
+            assert!(c.metric.starts_with("miodb_"), "{}", c.metric);
+            let labels: Vec<String> = c
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            let series = if labels.is_empty() {
+                c.metric.to_string()
+            } else {
+                format!("{}{{{}}}", c.metric, labels.join(","))
+            };
+            assert!(seen.insert(series.clone()), "{series} declared twice");
+            let lines: Vec<&str> = text
+                .lines()
+                .filter(|l| l.split(' ').next() == Some(series.as_str()))
+                .collect();
+            assert_eq!(lines, [format!("{series} {n}")], "counter {}", c.field);
+        }
+    }
+
+    /// Two collectors (a router's shards) export the same families as one:
+    /// histograms merged, per-level values and gauges summed.
+    #[test]
+    fn several_collectors_are_merged_into_the_same_families() {
+        let a = EngineTelemetry::new(2, Arc::new(Stats::new()));
+        let b = EngineTelemetry::new(3, Arc::new(Stats::new()));
+        a.get_latency.record(1000);
+        b.get_latency.record(3000);
+        a.level(1).unwrap().set_occupancy(100, 1);
+        b.level(1).unwrap().set_occupancy(50, 1);
+        b.level(2).unwrap().set_occupancy(7, 1);
+        a.set_commit_queue_depth(1);
+        b.set_commit_queue_depth(2);
+        let text = engine_text(&EngineReport::default(), &[&a, &b]);
+        for needle in [
+            "miodb_op_latency_seconds_count{op=\"get\"} 2",
+            "miodb_level_bytes{level=\"1\"} 150",
+            "miodb_level_bytes{level=\"2\"} 7",
+            "miodb_commit_queue_depth 3",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+        assert_eq!(text.matches("# TYPE miodb_op_latency_seconds ").count(), 1);
     }
 }

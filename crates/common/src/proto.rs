@@ -18,8 +18,8 @@
 //!
 //! The header carries a trace context — a 64-bit trace id plus a flags
 //! byte whose bit 0 marks the request as sampled — so the
-//! [`trace`](crate::trace) subsystem can stitch client, server and engine
-//! spans into one tree. Version 2 is the only version on the wire: a frame
+//! [`trace`] subsystem can stitch client, server and engine spans into one
+//! tree. Version 2 is the only version on the wire: a frame
 //! with any other version byte is rejected as corruption and the
 //! connection is dropped.
 

@@ -4,8 +4,8 @@
 //! The server owns one [`ServiceTelemetry`]; handlers bump the gauges on
 //! connection open/close and around each request, and record wall-clock
 //! request latency into the per-opcode [`ConcurrentHistogram`]s. STATS
-//! responses append [`ServiceTelemetry::render_into`]'s families to the
-//! engine's own metrics, so one scrape covers both layers.
+//! responses [`register`](ServiceTelemetry::register) these families into
+//! the same registry as the engine's, so one scrape covers both layers.
 
 use crate::conc_histogram::ConcurrentHistogram;
 use crate::metrics::MetricsRegistry;
@@ -13,7 +13,7 @@ use crate::proto::Opcode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Gauges and histograms for one server instance.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServiceTelemetry {
     /// Currently open client connections.
     active_connections: AtomicU64,
@@ -33,24 +33,10 @@ pub struct ServiceTelemetry {
     latency: [ConcurrentHistogram; Opcode::ALL.len()],
 }
 
-impl Default for ServiceTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServiceTelemetry {
-    /// Creates zeroed telemetry with all histograms enabled.
+    /// Creates zeroed telemetry.
     pub fn new() -> ServiceTelemetry {
-        ServiceTelemetry {
-            active_connections: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            requests_inflight: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            backpressure_events: AtomicU64::new(0),
-            latency: std::array::from_fn(|_| ConcurrentHistogram::new()),
-        }
+        ServiceTelemetry::default()
     }
 
     /// The latency histogram for `op`.
@@ -120,9 +106,9 @@ impl ServiceTelemetry {
         self.latency.iter().map(ConcurrentHistogram::count).sum()
     }
 
-    /// Appends the service metric families to `reg` (Prometheus names are
-    /// prefixed `miodb_server_`).
-    pub fn render_into(&self, reg: &mut MetricsRegistry) {
+    /// Registers the service metric families into `reg` (Prometheus names
+    /// are prefixed `miodb_server_`).
+    pub fn register(&self, reg: &mut MetricsRegistry) {
         reg.gauge(
             "miodb_server_active_connections",
             "Currently open client connections",
@@ -183,7 +169,7 @@ impl ServiceTelemetry {
     /// Renders only the service families as Prometheus text.
     pub fn render_prometheus(&self) -> String {
         let mut reg = MetricsRegistry::new();
-        self.render_into(&mut reg);
+        self.register(&mut reg);
         reg.render_prometheus()
     }
 }

@@ -7,74 +7,199 @@
 //! ```text
 //! WA = (bytes written to NVM + bytes written to SSD) / bytes of user data
 //! ```
+//!
+//! Every counter is declared exactly once, in the `declare_stats!` table
+//! below: field, unit, exported metric name, labels and help text. [`Stats`],
+//! [`StatsSnapshot`], [`Stats::snapshot`], [`Stats::merge`],
+//! [`StatsSnapshot::diff`], the `Display` report and the Prometheus families
+//! ([`COUNTERS`], walked by [`metrics`](crate::metrics)) are all generated
+//! from it, so adding a counter is a one-entry edit. Counters are bumped
+//! with a relaxed `fetch_add` on the public field and nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Atomic counters describing one engine run.
-///
-/// All counters are monotonically increasing; durations are stored in
-/// nanoseconds. The struct is cheap to share (`Arc<Stats>`) and safe to
-/// update from flush/compaction threads.
-#[derive(Debug, Default)]
-pub struct Stats {
+/// How a counter's raw `u64` is exported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Events or bytes, exported as is.
+    Count,
+    /// Nanoseconds, exported as seconds.
+    Nanos,
+}
+
+/// One row of the counter table.
+#[derive(Debug)]
+pub struct Counter {
+    /// Field name in [`Stats`] / [`StatsSnapshot`].
+    pub field: &'static str,
+    /// Prometheus family the counter is exported under.
+    pub metric: &'static str,
+    /// Constant labels distinguishing it within the family.
+    pub labels: &'static [(&'static str, &'static str)],
+    /// `# HELP` text of the family.
+    pub help: &'static str,
+    /// Unit of the raw value.
+    pub unit: Unit,
+    /// The live counter.
+    pub cell: fn(&Stats) -> &AtomicU64,
+    /// Its value in a snapshot.
+    pub value: fn(&StatsSnapshot) -> u64,
+}
+
+macro_rules! declare_stats {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident => $unit:ident $metric:literal {$($lk:ident = $lv:literal),*} $help:literal;
+    )*) => {
+        /// Atomic counters describing one engine run.
+        ///
+        /// All counters are monotonically increasing; durations are stored
+        /// in nanoseconds. The struct is cheap to share (`Arc<Stats>`) and
+        /// safe to update from flush/compaction threads.
+        #[derive(Debug, Default)]
+        pub struct Stats {
+            $($(#[$doc])* pub $field: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`Stats`], suitable for diffing and
+        /// printing.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Persistent bytes written divided by user bytes written over
+            /// the snapshot's interval; 0.0 before any user write.
+            pub write_amplification: f64,
+        }
+
+        /// Every counter of [`Stats`], in declaration order.
+        pub const COUNTERS: &[Counter] = &[$(Counter {
+            field: stringify!($field),
+            metric: $metric,
+            labels: &[$((stringify!($lk), $lv)),*],
+            help: $help,
+            unit: Unit::$unit,
+            cell: |s| &s.$field,
+            value: |s| s.$field,
+        },)*];
+
+        impl Stats {
+            /// Adds every counter of a snapshot into this instance.
+            ///
+            /// Used to fold per-phase or per-engine snapshots into an
+            /// aggregate, the inverse of [`StatsSnapshot::diff`].
+            pub fn merge(&self, snap: &StatsSnapshot) {
+                $(self.$field.fetch_add(snap.$field, Ordering::Relaxed);)*
+            }
+
+            /// Snapshot of all counters as plain integers (for reports).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                    write_amplification: 0.0,
+                }
+                .with_write_amplification()
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Counters accumulated since `earlier` was captured (per-field
+            /// saturating subtraction). `write_amplification` is recomputed
+            /// for the interval. Used for phase-by-phase reports; the
+            /// inverse of [`Stats::merge`].
+            pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.saturating_sub(earlier.$field),)*
+                    write_amplification: 0.0,
+                }
+                .with_write_amplification()
+            }
+        }
+    };
+}
+
+declare_stats! {
     /// Bytes of user data accepted by `put`/`delete` (keys + values).
-    pub user_bytes_written: AtomicU64,
+    user_bytes_written => Count "miodb_user_write_bytes_total" {}
+        "Bytes of user data accepted by put/delete.";
     /// Bytes physically written to the (simulated) NVM device.
-    pub nvm_bytes_written: AtomicU64,
+    nvm_bytes_written => Count "miodb_device_write_bytes_total" {device = "nvm"}
+        "Bytes physically written per device.";
     /// Bytes physically written to the (simulated) SSD device.
-    pub ssd_bytes_written: AtomicU64,
+    ssd_bytes_written => Count "miodb_device_write_bytes_total" {device = "ssd"}
+        "Bytes physically written per device.";
     /// Bytes physically read from the NVM device.
-    pub nvm_bytes_read: AtomicU64,
+    nvm_bytes_read => Count "miodb_device_read_bytes_total" {device = "nvm"}
+        "Bytes physically read per device.";
     /// Bytes physically read from the SSD device.
-    pub ssd_bytes_read: AtomicU64,
+    ssd_bytes_read => Count "miodb_device_read_bytes_total" {device = "ssd"}
+        "Bytes physically read per device.";
 
     /// Total time writers were blocked because the immutable MemTable was
     /// still being flushed when the active one filled (paper: *interval
     /// stalls*, observed as full request blocking).
-    pub interval_stall_ns: AtomicU64,
+    interval_stall_ns => Nanos "miodb_stall_seconds_total" {kind = "interval"}
+        "Time writers were stalled, by stall kind.";
     /// Total time spent in deliberate short write delays used to pace
     /// writers (paper: *cumulative stalls*).
-    pub cumulative_stall_ns: AtomicU64,
+    cumulative_stall_ns => Nanos "miodb_stall_seconds_total" {kind = "cumulative"}
+        "Time writers were stalled, by stall kind.";
     /// Number of interval-stall events.
-    pub interval_stall_count: AtomicU64,
+    interval_stall_count => Count "miodb_stall_events_total" {kind = "interval"}
+        "Number of writer stalls, by stall kind.";
     /// Number of cumulative-stall (slowdown) events.
-    pub cumulative_stall_count: AtomicU64,
+    cumulative_stall_count => Count "miodb_stall_events_total" {kind = "cumulative"}
+        "Number of writer stalls, by stall kind.";
 
     /// Total time spent flushing MemTables to the persistent layer.
-    pub flush_ns: AtomicU64,
+    flush_ns => Nanos "miodb_flush_seconds_total" {}
+        "Time spent flushing MemTables.";
     /// Number of MemTable flushes.
-    pub flush_count: AtomicU64,
+    flush_count => Count "miodb_flushes_total" {}
+        "MemTable flushes completed.";
     /// Bytes moved by MemTable flushes.
-    pub flush_bytes: AtomicU64,
+    flush_bytes => Count "miodb_flush_bytes_total" {}
+        "Bytes moved by MemTable flushes.";
     /// Total time spent serializing entries into block format (baselines).
-    pub serialization_ns: AtomicU64,
+    serialization_ns => Nanos "miodb_serialization_seconds_total" {}
+        "Time spent serializing entries into block format.";
     /// Total time spent deserializing blocks during reads (baselines).
-    pub deserialization_ns: AtomicU64,
+    deserialization_ns => Nanos "miodb_deserialization_seconds_total" {}
+        "Time spent deserializing blocks during reads.";
 
     /// Total time spent in zero-copy compactions.
-    pub zero_copy_compaction_ns: AtomicU64,
+    zero_copy_compaction_ns => Nanos "miodb_zero_copy_compaction_seconds_total" {}
+        "Time spent in zero-copy compactions, all levels.";
     /// Number of zero-copy compactions performed.
-    pub zero_copy_compactions: AtomicU64,
+    zero_copy_compactions => Count "miodb_zero_copy_compactions_total" {}
+        "Zero-copy compactions completed, all levels.";
     /// Total time spent in lazy-copy compactions (MioDB) or SSTable
     /// compactions (baselines).
-    pub copy_compaction_ns: AtomicU64,
+    copy_compaction_ns => Nanos "miodb_copy_compaction_seconds_total" {}
+        "Time spent in lazy-copy and SSTable compactions.";
     /// Number of copy compactions performed.
-    pub copy_compactions: AtomicU64,
+    copy_compactions => Count "miodb_copy_compactions_total" {}
+        "Lazy-copy and SSTable compactions completed.";
     /// Total time spent swizzling pointers after one-piece flushes.
-    pub swizzle_ns: AtomicU64,
+    swizzle_ns => Nanos "miodb_swizzle_seconds_total" {}
+        "Time spent swizzling pointers after one-piece flushes.";
 
     /// Number of `get` operations served.
-    pub gets: AtomicU64,
+    gets => Count "miodb_gets_total" {}
+        "Get operations served.";
     /// Number of `get` operations that found a value.
-    pub get_hits: AtomicU64,
+    get_hits => Count "miodb_get_hits_total" {}
+        "Get operations that found a value.";
     /// Number of bloom-filter negative hits (tables skipped).
-    pub bloom_skips: AtomicU64,
+    bloom_skips => Count "miodb_bloom_skips_total" {}
+        "Tables skipped by bloom filters.";
     /// Number of bloom-filter false positives (table probed, key absent).
-    pub bloom_false_positives: AtomicU64,
+    bloom_false_positives => Count "miodb_bloom_false_positives_total" {}
+        "Bloom filter false positives.";
     /// Number of times a `get` re-probed a level because its structure
     /// (settled/merging/lazy-draining sets) changed while the probe ran.
-    pub level_probe_retries: AtomicU64,
+    level_probe_retries => Count "miodb_level_probe_retries_total" {}
+        "Gets that re-probed a level whose structure changed under them.";
 }
 
 impl Stats {
@@ -83,206 +208,20 @@ impl Stats {
         Stats::default()
     }
 
-    /// Adds `n` to a counter, saturating at `u64::MAX` instead of wrapping.
-    ///
-    /// Long-running engines accumulate nanosecond totals for days; a wrap
-    /// would silently reset write-amplification and stall accounting, so all
-    /// counter bumps go through this helper.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut cur = counter.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(n);
-            match counter.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Adds a duration to a nanosecond counter (saturating).
+    /// Adds a duration to a nanosecond counter.
     pub fn add_time(counter: &AtomicU64, d: Duration) {
-        Self::add(counter, d.as_nanos().min(u64::MAX as u128) as u64);
+        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
-
-    /// Adds every counter of a snapshot into this instance (saturating).
-    ///
-    /// Used to fold per-phase or per-engine snapshots into an aggregate, the
-    /// inverse of [`StatsSnapshot::diff`].
-    pub fn merge(&self, snap: &StatsSnapshot) {
-        Self::add(&self.user_bytes_written, snap.user_bytes_written);
-        Self::add(&self.nvm_bytes_written, snap.nvm_bytes_written);
-        Self::add(&self.ssd_bytes_written, snap.ssd_bytes_written);
-        Self::add(&self.nvm_bytes_read, snap.nvm_bytes_read);
-        Self::add(&self.ssd_bytes_read, snap.ssd_bytes_read);
-        Self::add(&self.interval_stall_ns, snap.interval_stall_ns);
-        Self::add(&self.cumulative_stall_ns, snap.cumulative_stall_ns);
-        Self::add(&self.interval_stall_count, snap.interval_stall_count);
-        Self::add(&self.cumulative_stall_count, snap.cumulative_stall_count);
-        Self::add(&self.flush_ns, snap.flush_ns);
-        Self::add(&self.flush_count, snap.flush_count);
-        Self::add(&self.flush_bytes, snap.flush_bytes);
-        Self::add(&self.serialization_ns, snap.serialization_ns);
-        Self::add(&self.deserialization_ns, snap.deserialization_ns);
-        Self::add(&self.zero_copy_compaction_ns, snap.zero_copy_compaction_ns);
-        Self::add(&self.zero_copy_compactions, snap.zero_copy_compactions);
-        Self::add(&self.copy_compaction_ns, snap.copy_compaction_ns);
-        Self::add(&self.copy_compactions, snap.copy_compactions);
-        Self::add(&self.swizzle_ns, snap.swizzle_ns);
-        Self::add(&self.gets, snap.gets);
-        Self::add(&self.get_hits, snap.get_hits);
-        Self::add(&self.bloom_skips, snap.bloom_skips);
-        Self::add(&self.bloom_false_positives, snap.bloom_false_positives);
-        Self::add(&self.level_probe_retries, snap.level_probe_retries);
-    }
-
-    /// Current write-amplification ratio: persistent bytes written divided
-    /// by user bytes written. Returns 0.0 before any user write.
-    pub fn write_amplification(&self) -> f64 {
-        let user = self.user_bytes_written.load(Ordering::Relaxed);
-        if user == 0 {
-            return 0.0;
-        }
-        let dev = self.nvm_bytes_written.load(Ordering::Relaxed)
-            + self.ssd_bytes_written.load(Ordering::Relaxed);
-        dev as f64 / user as f64
-    }
-
-    /// Snapshot of all counters as plain integers (for reports).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            user_bytes_written: ld(&self.user_bytes_written),
-            nvm_bytes_written: ld(&self.nvm_bytes_written),
-            ssd_bytes_written: ld(&self.ssd_bytes_written),
-            nvm_bytes_read: ld(&self.nvm_bytes_read),
-            ssd_bytes_read: ld(&self.ssd_bytes_read),
-            interval_stall_ns: ld(&self.interval_stall_ns),
-            cumulative_stall_ns: ld(&self.cumulative_stall_ns),
-            interval_stall_count: ld(&self.interval_stall_count),
-            cumulative_stall_count: ld(&self.cumulative_stall_count),
-            flush_ns: ld(&self.flush_ns),
-            flush_count: ld(&self.flush_count),
-            flush_bytes: ld(&self.flush_bytes),
-            serialization_ns: ld(&self.serialization_ns),
-            deserialization_ns: ld(&self.deserialization_ns),
-            zero_copy_compaction_ns: ld(&self.zero_copy_compaction_ns),
-            zero_copy_compactions: ld(&self.zero_copy_compactions),
-            copy_compaction_ns: ld(&self.copy_compaction_ns),
-            copy_compactions: ld(&self.copy_compactions),
-            swizzle_ns: ld(&self.swizzle_ns),
-            gets: ld(&self.gets),
-            get_hits: ld(&self.get_hits),
-            bloom_skips: ld(&self.bloom_skips),
-            bloom_false_positives: ld(&self.bloom_false_positives),
-            level_probe_retries: ld(&self.level_probe_retries),
-            write_amplification: self.write_amplification(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`Stats`], suitable for diffing and printing.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StatsSnapshot {
-    pub user_bytes_written: u64,
-    pub nvm_bytes_written: u64,
-    pub ssd_bytes_written: u64,
-    pub nvm_bytes_read: u64,
-    pub ssd_bytes_read: u64,
-    pub interval_stall_ns: u64,
-    pub cumulative_stall_ns: u64,
-    pub interval_stall_count: u64,
-    pub cumulative_stall_count: u64,
-    pub flush_ns: u64,
-    pub flush_count: u64,
-    pub flush_bytes: u64,
-    pub serialization_ns: u64,
-    pub deserialization_ns: u64,
-    pub zero_copy_compaction_ns: u64,
-    pub zero_copy_compactions: u64,
-    pub copy_compaction_ns: u64,
-    pub copy_compactions: u64,
-    pub swizzle_ns: u64,
-    pub gets: u64,
-    pub get_hits: u64,
-    pub bloom_skips: u64,
-    pub bloom_false_positives: u64,
-    pub level_probe_retries: u64,
-    pub write_amplification: f64,
 }
 
 impl StatsSnapshot {
-    /// Counters accumulated since `earlier` was captured (per-field
-    /// saturating subtraction). `write_amplification` is recomputed for the
-    /// interval. Used for phase-by-phase reports; the inverse of
-    /// [`Stats::merge`].
-    pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let user = self
-            .user_bytes_written
-            .saturating_sub(earlier.user_bytes_written);
-        let nvm = self
-            .nvm_bytes_written
-            .saturating_sub(earlier.nvm_bytes_written);
-        let ssd = self
-            .ssd_bytes_written
-            .saturating_sub(earlier.ssd_bytes_written);
-        StatsSnapshot {
-            user_bytes_written: user,
-            nvm_bytes_written: nvm,
-            ssd_bytes_written: ssd,
-            nvm_bytes_read: self.nvm_bytes_read.saturating_sub(earlier.nvm_bytes_read),
-            ssd_bytes_read: self.ssd_bytes_read.saturating_sub(earlier.ssd_bytes_read),
-            interval_stall_ns: self
-                .interval_stall_ns
-                .saturating_sub(earlier.interval_stall_ns),
-            cumulative_stall_ns: self
-                .cumulative_stall_ns
-                .saturating_sub(earlier.cumulative_stall_ns),
-            interval_stall_count: self
-                .interval_stall_count
-                .saturating_sub(earlier.interval_stall_count),
-            cumulative_stall_count: self
-                .cumulative_stall_count
-                .saturating_sub(earlier.cumulative_stall_count),
-            flush_ns: self.flush_ns.saturating_sub(earlier.flush_ns),
-            flush_count: self.flush_count.saturating_sub(earlier.flush_count),
-            flush_bytes: self.flush_bytes.saturating_sub(earlier.flush_bytes),
-            serialization_ns: self
-                .serialization_ns
-                .saturating_sub(earlier.serialization_ns),
-            deserialization_ns: self
-                .deserialization_ns
-                .saturating_sub(earlier.deserialization_ns),
-            zero_copy_compaction_ns: self
-                .zero_copy_compaction_ns
-                .saturating_sub(earlier.zero_copy_compaction_ns),
-            zero_copy_compactions: self
-                .zero_copy_compactions
-                .saturating_sub(earlier.zero_copy_compactions),
-            copy_compaction_ns: self
-                .copy_compaction_ns
-                .saturating_sub(earlier.copy_compaction_ns),
-            copy_compactions: self
-                .copy_compactions
-                .saturating_sub(earlier.copy_compactions),
-            swizzle_ns: self.swizzle_ns.saturating_sub(earlier.swizzle_ns),
-            gets: self.gets.saturating_sub(earlier.gets),
-            get_hits: self.get_hits.saturating_sub(earlier.get_hits),
-            bloom_skips: self.bloom_skips.saturating_sub(earlier.bloom_skips),
-            bloom_false_positives: self
-                .bloom_false_positives
-                .saturating_sub(earlier.bloom_false_positives),
-            level_probe_retries: self
-                .level_probe_retries
-                .saturating_sub(earlier.level_probe_retries),
-            write_amplification: if user == 0 {
-                0.0
-            } else {
-                (nvm + ssd) as f64 / user as f64
-            },
-        }
+    fn with_write_amplification(mut self) -> StatsSnapshot {
+        let device = self.nvm_bytes_written + self.ssd_bytes_written;
+        self.write_amplification = match self.user_bytes_written {
+            0 => 0.0,
+            user => device as f64 / user as f64,
+        };
+        self
     }
 
     /// Flush throughput in bytes per second, or 0.0 if no flush happened.
@@ -295,48 +234,21 @@ impl StatsSnapshot {
     }
 }
 
+/// One line per declared counter (nanosecond totals as seconds), then the
+/// write amplification.
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "user writes:      {} B", self.user_bytes_written)?;
-        writeln!(
-            f,
-            "device writes:    {} B nvm, {} B ssd (WA {:.2}x)",
-            self.nvm_bytes_written, self.ssd_bytes_written, self.write_amplification
-        )?;
-        writeln!(
-            f,
-            "stalls:           {:.3} s interval ({}), {:.3} s cumulative ({})",
-            self.interval_stall_ns as f64 / 1e9,
-            self.interval_stall_count,
-            self.cumulative_stall_ns as f64 / 1e9,
-            self.cumulative_stall_count
-        )?;
-        writeln!(
-            f,
-            "flushing:         {:.3} s over {} flushes ({} B)",
-            self.flush_ns as f64 / 1e9,
-            self.flush_count,
-            self.flush_bytes
-        )?;
-        writeln!(
-            f,
-            "codec:            {:.3} s serialize, {:.3} s deserialize",
-            self.serialization_ns as f64 / 1e9,
-            self.deserialization_ns as f64 / 1e9
-        )?;
-        writeln!(
-            f,
-            "compactions:      {} zero-copy ({:.3} s), {} copy ({:.3} s), swizzle {:.3} s",
-            self.zero_copy_compactions,
-            self.zero_copy_compaction_ns as f64 / 1e9,
-            self.copy_compactions,
-            self.copy_compaction_ns as f64 / 1e9,
-            self.swizzle_ns as f64 / 1e9
-        )?;
+        for c in COUNTERS {
+            let v = (c.value)(self);
+            match c.unit {
+                Unit::Count => writeln!(f, "{:<26}{v}", c.field)?,
+                Unit::Nanos => writeln!(f, "{:<26}{:.3} s", c.field, v as f64 / 1e9)?,
+            }
+        }
         write!(
             f,
-            "reads:            {} gets ({} hits), {} bloom skips, {} false positives",
-            self.gets, self.get_hits, self.bloom_skips, self.bloom_false_positives
+            "{:<26}{:.2}x",
+            "write_amplification", self.write_amplification
         )
     }
 }
@@ -346,20 +258,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_mentions_key_fields() {
+    fn display_lists_every_counter_and_wa() {
         let s = Stats::new();
         s.user_bytes_written.store(10, Ordering::Relaxed);
         s.nvm_bytes_written.store(30, Ordering::Relaxed);
+        s.flush_ns.store(1_500_000_000, Ordering::Relaxed);
         let text = s.snapshot().to_string();
-        assert!(text.contains("WA 3.00x"), "{text}");
-        assert!(text.contains("zero-copy"));
+        assert!(text.ends_with("3.00x"), "{text}");
+        assert!(text.contains("1.500 s"), "{text}");
+        for c in COUNTERS {
+            let lines = text
+                .lines()
+                .filter(|l| l.split(' ').next() == Some(c.field));
+            assert_eq!(lines.count(), 1, "{} in:\n{text}", c.field);
+        }
     }
 
     #[test]
     fn wa_is_zero_without_user_writes() {
         let s = Stats::new();
         s.nvm_bytes_written.store(100, Ordering::Relaxed);
-        assert_eq!(s.write_amplification(), 0.0);
+        assert_eq!(s.snapshot().write_amplification, 0.0);
     }
 
     #[test]
@@ -368,7 +287,7 @@ mod tests {
         s.user_bytes_written.store(100, Ordering::Relaxed);
         s.nvm_bytes_written.store(150, Ordering::Relaxed);
         s.ssd_bytes_written.store(150, Ordering::Relaxed);
-        assert!((s.write_amplification() - 3.0).abs() < 1e-9);
+        assert!((s.snapshot().write_amplification - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -396,25 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn add_saturates_at_max() {
-        let s = Stats::new();
-        s.flush_ns.store(u64::MAX - 5, Ordering::Relaxed);
-        Stats::add(&s.flush_ns, 100);
-        assert_eq!(s.flush_ns.load(Ordering::Relaxed), u64::MAX);
-        Stats::add_time(&s.flush_ns, Duration::from_secs(1));
-        assert_eq!(s.flush_ns.load(Ordering::Relaxed), u64::MAX);
-    }
-
-    #[test]
     fn snapshot_diff_isolates_interval() {
         let s = Stats::new();
         s.user_bytes_written.store(100, Ordering::Relaxed);
         s.nvm_bytes_written.store(200, Ordering::Relaxed);
         s.gets.store(10, Ordering::Relaxed);
         let before = s.snapshot();
-        Stats::add(&s.user_bytes_written, 50);
-        Stats::add(&s.nvm_bytes_written, 150);
-        Stats::add(&s.gets, 7);
+        s.user_bytes_written.fetch_add(50, Ordering::Relaxed);
+        s.nvm_bytes_written.fetch_add(150, Ordering::Relaxed);
+        s.gets.fetch_add(7, Ordering::Relaxed);
         let d = s.snapshot().diff(&before);
         assert_eq!(d.user_bytes_written, 50);
         assert_eq!(d.nvm_bytes_written, 150);
@@ -423,17 +332,27 @@ mod tests {
         assert!((d.write_amplification - 3.0).abs() < 1e-9);
     }
 
+    /// Walks the declared table: `snapshot → merge → snapshot` and `diff`
+    /// carry every field, and no two rows read the same field.
     #[test]
-    fn merge_is_inverse_of_diff() {
-        let s = Stats::new();
-        s.flush_count.store(3, Ordering::Relaxed);
-        s.bloom_skips.store(9, Ordering::Relaxed);
-        let snap = s.snapshot();
+    fn every_declared_counter_round_trips() {
+        let numbered = Stats::new();
+        for (n, c) in (1..).zip(COUNTERS) {
+            (c.cell)(&numbered).fetch_add(n, Ordering::Relaxed);
+        }
+        let one = numbered.snapshot();
+        let values: Vec<u64> = COUNTERS.iter().map(|c| (c.value)(&one)).collect();
+        assert_eq!(values, (1..=COUNTERS.len() as u64).collect::<Vec<_>>());
+
         let agg = Stats::new();
-        agg.merge(&snap);
-        agg.merge(&snap);
-        assert_eq!(agg.flush_count.load(Ordering::Relaxed), 6);
-        assert_eq!(agg.bloom_skips.load(Ordering::Relaxed), 18);
-        assert_eq!(agg.snapshot().diff(&snap).flush_count, 3);
+        agg.merge(&one);
+        assert_eq!(agg.snapshot(), one);
+        agg.merge(&one);
+        let two = agg.snapshot();
+        for c in COUNTERS {
+            assert_eq!((c.value)(&two), 2 * (c.value)(&one), "{}", c.field);
+        }
+        assert_eq!(two.diff(&one), one);
+        assert_eq!(one.diff(&two), StatsSnapshot::default());
     }
 }

@@ -1,62 +1,45 @@
-//! Engine-side telemetry: operation histograms, per-level metrics and the
-//! structured event trace, bundled as [`EngineTelemetry`].
+//! Engine-side telemetry: operation histograms, per-level metrics, the
+//! structured event trace and the one way to report a timed background
+//! interval, bundled as [`EngineTelemetry`].
 //!
 //! Every engine owns one [`EngineTelemetry`] and exposes it through
 //! [`KvEngine::telemetry`](crate::KvEngine::telemetry); the provided
-//! [`KvEngine::metrics_text`](crate::KvEngine::metrics_text) /
-//! [`KvEngine::metrics_json`](crate::KvEngine::metrics_json) methods render
-//! it together with the engine's [`EngineReport`](crate::EngineReport), so
+//! [`KvEngine::metrics_text`](crate::KvEngine::metrics_text) renders it
+//! together with the engine's [`EngineReport`](crate::EngineReport), so
 //! benchmarks and tests get identical observability from MioDB and every
 //! baseline.
+//!
+//! A flush, swizzle, compaction or writer stall is reported by exactly one
+//! call, [`EngineTelemetry::begin`]. The returned [`Interval`] reads the
+//! clock once and, when it ends, feeds the [`Stats`] counters, the level's
+//! [`LevelMetrics`], the event ring and the [`trace`] span from that one
+//! duration — so a `*Begin` event without its `*End`, or a pending gauge
+//! that never comes back down, cannot be written.
 
 use crate::conc_histogram::ConcurrentHistogram;
 use crate::events::{CompactionKind, Event, EventKind, EventRing, StallKind};
+use crate::stats::Stats;
+use crate::trace::{self, SpanGuard, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Telemetry configuration, carried inside each engine's options struct.
-#[derive(Debug, Clone)]
-pub struct TelemetryOptions {
-    /// Record per-operation latency histograms (two relaxed atomic adds per
-    /// operation when on).
-    pub histograms: bool,
-    /// Capacity of the structured event ring (rounded up to a power of
-    /// two). `0` disables event tracing entirely.
-    pub event_capacity: usize,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> TelemetryOptions {
-        TelemetryOptions {
-            histograms: true,
-            event_capacity: 4096,
-        }
-    }
-}
-
-impl TelemetryOptions {
-    /// Configuration with every collector disabled (zero overhead beyond
-    /// one predictable branch per operation).
-    pub fn disabled() -> TelemetryOptions {
-        TelemetryOptions {
-            histograms: false,
-            event_capacity: 0,
-        }
-    }
-}
+/// Capacity of every engine's structured event ring.
+const EVENT_CAPACITY: usize = 4096;
 
 /// Live gauges and counters for one LSM level.
 ///
-/// Gauges (`bytes`, `tables`, `pending_compactions`) are set by the engine
-/// at structural transitions (flush publish, merge publish, drain);
-/// compaction counters accumulate forever.
+/// The residency gauges (`bytes`, `tables`) are set by the engine at
+/// structural transitions (flush publish, merge publish, drain); the
+/// pending gauge and the compaction counters are maintained by
+/// [`Interval`].
 #[derive(Debug, Default)]
 pub struct LevelMetrics {
     /// Bytes resident in this level.
     pub bytes: AtomicU64,
     /// Number of tables/runs in this level.
     pub tables: AtomicU64,
-    /// Compactions out of this level currently queued or running.
+    /// Compactions out of this level currently running.
     pub pending_compactions: AtomicU64,
     /// Zero-copy compactions that took this level as their source.
     pub zero_copy_compactions: AtomicU64,
@@ -74,35 +57,141 @@ impl LevelMetrics {
         self.bytes.store(bytes, Ordering::Relaxed);
         self.tables.store(tables, Ordering::Relaxed);
     }
+}
 
-    /// Marks one compaction out of this level as queued/running.
-    pub fn compaction_started(&self) {
-        self.pending_compactions.fetch_add(1, Ordering::Relaxed);
+/// What a timed [`Interval`] measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timed {
+    /// A MemTable flush of (about) `bytes` bytes.
+    Flush {
+        /// Bytes in the MemTable being flushed.
+        bytes: u64,
+    },
+    /// Pointer swizzling after a one-piece flush.
+    Swizzle,
+    /// A compaction out of `level`.
+    Compaction {
+        /// Source level.
+        level: usize,
+        /// Algorithm used.
+        kind: CompactionKind,
+    },
+    /// Writers blocked or paced.
+    Stall(StallKind),
+}
+
+/// An open timed interval, from [`EngineTelemetry::begin`].
+///
+/// Dropping it ends the interval: the matching `*End` event is emitted, the
+/// trace span closes and the level's pending gauge comes back down, always.
+/// A stall or swizzle is also counted into [`Stats`] on drop; a flush or
+/// compaction counts as completed work only if [`finish`](Interval::finish)
+/// ran — dropped on an error path it leaves the completed-work counters
+/// alone and its `*End` event carries 0 bytes.
+#[must_use = "dropping the guard ends the interval"]
+pub struct Interval<'a> {
+    telemetry: &'a EngineTelemetry,
+    what: Timed,
+    start: Instant,
+    span: Option<SpanGuard>,
+    took: Option<Duration>,
+    bytes: Option<u64>,
+}
+
+impl Interval<'_> {
+    /// Stops the clock now; reporting still waits for `finish` or drop.
+    /// For work whose result is published under a lock the interval should
+    /// not be charged for.
+    pub fn stop(&mut self) -> Duration {
+        *self.took.get_or_insert_with(|| {
+            let took = self.start.elapsed();
+            if let Some(span) = self.span.take() {
+                span.end_at(self.start + took);
+            }
+            took
+        })
     }
 
-    /// Marks one compaction as finished and accumulates its cost.
-    pub fn compaction_finished(&self, kind: CompactionKind, dur: Duration) {
-        let prev = self.pending_compactions.load(Ordering::Relaxed);
-        if prev > 0 {
-            self.pending_compactions.fetch_sub(1, Ordering::Relaxed);
-        }
-        let ns = dur.as_nanos().min(u64::MAX as u128) as u64;
-        match kind {
-            CompactionKind::ZeroCopy => {
-                self.zero_copy_compactions.fetch_add(1, Ordering::Relaxed);
-                self.zero_copy_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-            CompactionKind::LazyCopy => {
-                self.lazy_copy_compactions.fetch_add(1, Ordering::Relaxed);
-                self.lazy_copy_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-        }
+    /// Ends a flush or compaction that completed and moved `bytes` bytes.
+    pub fn finish(mut self, bytes: u64) {
+        self.bytes = Some(bytes);
     }
+}
+
+impl Drop for Interval<'_> {
+    fn drop(&mut self) {
+        let t = self.telemetry;
+        let s = &*t.stats;
+        let dur_ns = dur_ns(self.stop());
+        let bytes = self.bytes.unwrap_or(0);
+        // One more interval of this length on a (time, count) pair.
+        let add = |ns: &AtomicU64, count: &AtomicU64| {
+            ns.fetch_add(dur_ns, Ordering::Relaxed);
+            count.fetch_add(1, Ordering::Relaxed);
+        };
+        let end = match self.what {
+            Timed::Flush { .. } => {
+                if self.bytes.is_some() {
+                    add(&s.flush_ns, &s.flush_count);
+                    s.flush_bytes.fetch_add(bytes, Ordering::Relaxed);
+                }
+                EventKind::FlushEnd { bytes, dur_ns }
+            }
+            Timed::Swizzle => {
+                s.swizzle_ns.fetch_add(dur_ns, Ordering::Relaxed);
+                EventKind::Swizzle { dur_ns }
+            }
+            Timed::Compaction { level, kind } => {
+                let m = t.levels.get(level);
+                if let Some(m) = m {
+                    m.pending_compactions.fetch_sub(1, Ordering::Relaxed);
+                }
+                if self.bytes.is_some() {
+                    match kind {
+                        CompactionKind::ZeroCopy => {
+                            add(&s.zero_copy_compaction_ns, &s.zero_copy_compactions);
+                            if let Some(m) = m {
+                                add(&m.zero_copy_ns, &m.zero_copy_compactions);
+                            }
+                        }
+                        CompactionKind::LazyCopy => {
+                            add(&s.copy_compaction_ns, &s.copy_compactions);
+                            if let Some(m) = m {
+                                add(&m.lazy_copy_ns, &m.lazy_copy_compactions);
+                            }
+                        }
+                    }
+                }
+                let level = level as u32;
+                EventKind::CompactionEnd {
+                    level,
+                    kind,
+                    bytes,
+                    dur_ns,
+                }
+            }
+            Timed::Stall(kind) => {
+                match kind {
+                    StallKind::Interval => add(&s.interval_stall_ns, &s.interval_stall_count),
+                    StallKind::Cumulative => add(&s.cumulative_stall_ns, &s.cumulative_stall_count),
+                }
+                EventKind::StallEnd { kind, dur_ns }
+            }
+        };
+        t.emit(end);
+    }
+}
+
+/// Saturating nanosecond count of a duration.
+fn dur_ns(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// All telemetry collectors for one engine instance.
 pub struct EngineTelemetry {
     start: Instant,
+    /// The engine's counters, shared with its device layer.
+    stats: Arc<Stats>,
     /// `put` latency in nanoseconds.
     pub put_latency: ConcurrentHistogram,
     /// `get` latency in nanoseconds.
@@ -121,7 +210,7 @@ pub struct EngineTelemetry {
     /// background flush they are waiting on.
     flush_span: AtomicU64,
     levels: Vec<LevelMetrics>,
-    events: Option<EventRing>,
+    events: EventRing,
 }
 
 impl std::fmt::Debug for EngineTelemetry {
@@ -137,10 +226,12 @@ impl std::fmt::Debug for EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    /// Creates telemetry for an engine with `num_levels` LSM levels.
-    pub fn new(num_levels: usize, opts: &TelemetryOptions) -> EngineTelemetry {
-        let t = EngineTelemetry {
+    /// Creates telemetry for an engine with `num_levels` LSM levels whose
+    /// counters live in `stats`.
+    pub fn new(num_levels: usize, stats: Arc<Stats>) -> EngineTelemetry {
+        EngineTelemetry {
             start: Instant::now(),
+            stats,
             put_latency: ConcurrentHistogram::new(),
             get_latency: ConcurrentHistogram::new(),
             delete_latency: ConcurrentHistogram::new(),
@@ -149,19 +240,59 @@ impl EngineTelemetry {
             commit_queue_depth: AtomicU64::new(0),
             flush_span: AtomicU64::new(0),
             levels: (0..num_levels).map(|_| LevelMetrics::default()).collect(),
-            events: (opts.event_capacity > 0)
-                .then(|| EventRing::with_capacity(opts.event_capacity)),
-        };
-        for h in [
-            &t.put_latency,
-            &t.get_latency,
-            &t.delete_latency,
-            &t.scan_latency,
-            &t.write_group_size,
-        ] {
-            h.set_enabled(opts.histograms);
+            events: EventRing::with_capacity(EVENT_CAPACITY),
         }
-        t
+    }
+
+    /// Starts timing `what`: emits its `*Begin` event (a swizzle has
+    /// none), raises a compaction's pending gauge, opens the background
+    /// trace span (a stall has none; the request path spans it) and, for a
+    /// flush, publishes that span's id as [`flush_span`](Self::flush_span).
+    pub fn begin(&self, what: Timed) -> Interval<'_> {
+        let start = Instant::now();
+        let open_span = |kind, arg| {
+            let mut span = trace::bg_span_at(kind, start);
+            span.annotate(arg);
+            Some(span)
+        };
+        let span = match what {
+            Timed::Flush { bytes } => {
+                self.emit(EventKind::FlushBegin { bytes });
+                let span = open_span(SpanKind::Flush, bytes);
+                self.flush_span
+                    .store(span.as_ref().map_or(0, SpanGuard::id), Ordering::Relaxed);
+                span
+            }
+            Timed::Swizzle => open_span(SpanKind::Swizzle, 0),
+            Timed::Compaction { level, kind } => {
+                if let Some(m) = self.levels.get(level) {
+                    m.pending_compactions.fetch_add(1, Ordering::Relaxed);
+                }
+                self.emit(EventKind::CompactionBegin {
+                    level: level as u32,
+                    kind,
+                });
+                // arg packs the level in the low half and the kind in the
+                // high half (1 = zero-copy, 2 = lazy-copy).
+                let kind_code: u64 = match kind {
+                    CompactionKind::ZeroCopy => 1,
+                    CompactionKind::LazyCopy => 2,
+                };
+                open_span(SpanKind::Compaction, level as u64 | (kind_code << 32))
+            }
+            Timed::Stall(kind) => {
+                self.emit(EventKind::StallBegin { kind });
+                None
+            }
+        };
+        Interval {
+            telemetry: self,
+            what,
+            start,
+            span,
+            took: None,
+            bytes: None,
+        }
     }
 
     /// Sets the commit-queue depth gauge (writers currently enqueued).
@@ -174,20 +305,15 @@ impl EngineTelemetry {
         self.commit_queue_depth.load(Ordering::Relaxed)
     }
 
-    /// Publishes (or clears, with 0) the span id of the flush currently
-    /// running on this engine.
-    pub fn set_flush_span(&self, span_id: u64) {
-        self.flush_span.store(span_id, Ordering::Relaxed);
+    /// Clears [`flush_span`](Self::flush_span): the flushed MemTable is
+    /// gone, so no writer can be waiting on that flush any more.
+    pub fn clear_flush_span(&self) {
+        self.flush_span.store(0, Ordering::Relaxed);
     }
 
     /// Span id of the in-progress flush, or 0 when none is running.
     pub fn flush_span(&self) -> u64 {
         self.flush_span.load(Ordering::Relaxed)
-    }
-
-    /// Nanoseconds since this engine's telemetry epoch (engine start).
-    pub fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
     /// Time since the engine started.
@@ -206,99 +332,23 @@ impl EngineTelemetry {
         self.levels.get(i)
     }
 
-    /// Emits a structured event (no-op when tracing is disabled; drops the
-    /// event when the ring is full — never blocks).
-    pub fn emit(&self, kind: EventKind) {
-        if let Some(ring) = &self.events {
-            ring.push(Event {
-                ts_ns: self.now_ns(),
-                kind,
-            });
-        }
-    }
-
-    /// Emits [`EventKind::FlushBegin`].
-    pub fn flush_begin(&self, bytes: u64) {
-        self.emit(EventKind::FlushBegin { bytes });
-    }
-
-    /// Emits [`EventKind::FlushEnd`].
-    pub fn flush_end(&self, bytes: u64, dur: Duration) {
-        self.emit(EventKind::FlushEnd {
-            bytes,
-            dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
-        });
-    }
-
-    /// Emits [`EventKind::CompactionBegin`] and bumps the level's pending
-    /// gauge.
-    pub fn compaction_begin(&self, level: usize, kind: CompactionKind) {
-        if let Some(m) = self.levels.get(level) {
-            m.compaction_started();
-        }
-        self.emit(EventKind::CompactionBegin {
-            level: level as u32,
+    /// Queues a structured event, stamped with nanoseconds since engine
+    /// start. A full ring drops the event — never blocks.
+    fn emit(&self, kind: EventKind) {
+        self.events.push(Event {
+            ts_ns: dur_ns(self.start.elapsed()),
             kind,
-        });
-    }
-
-    /// Emits [`EventKind::CompactionEnd`] and accumulates per-level cost.
-    pub fn compaction_end(&self, level: usize, kind: CompactionKind, bytes: u64, dur: Duration) {
-        if let Some(m) = self.levels.get(level) {
-            m.compaction_finished(kind, dur);
-        }
-        self.emit(EventKind::CompactionEnd {
-            level: level as u32,
-            kind,
-            bytes,
-            dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
-        });
-    }
-
-    /// Emits [`EventKind::StallBegin`].
-    pub fn stall_begin(&self, kind: StallKind) {
-        self.emit(EventKind::StallBegin { kind });
-    }
-
-    /// Emits [`EventKind::StallEnd`].
-    pub fn stall_end(&self, kind: StallKind, dur: Duration) {
-        self.emit(EventKind::StallEnd {
-            kind,
-            dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
-        });
-    }
-
-    /// Emits [`EventKind::Swizzle`].
-    pub fn swizzle(&self, dur: Duration) {
-        self.emit(EventKind::Swizzle {
-            dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
         });
     }
 
     /// Drains all queued events in FIFO order.
     pub fn drain_events(&self) -> Vec<Event> {
-        self.events
-            .as_ref()
-            .map(EventRing::drain)
-            .unwrap_or_default()
+        self.events.drain()
     }
 
     /// Events discarded because the ring was full.
     pub fn events_dropped(&self) -> u64 {
-        self.events.as_ref().map_or(0, EventRing::dropped)
-    }
-
-    /// Clears the four operation histograms (phase boundary helper: lets a
-    /// benchmark separate load-phase from run-phase latencies).
-    pub fn reset_op_histograms(&self) {
-        for h in [
-            &self.put_latency,
-            &self.get_latency,
-            &self.delete_latency,
-            &self.scan_latency,
-        ] {
-            h.reset();
-        }
+        self.events.dropped()
     }
 }
 
@@ -306,52 +356,98 @@ impl EngineTelemetry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_options_record_nothing() {
-        let t = EngineTelemetry::new(3, &TelemetryOptions::disabled());
-        t.put_latency.record(100);
-        t.flush_begin(10);
-        assert_eq!(t.put_latency.snapshot().count(), 0);
-        assert!(t.drain_events().is_empty());
-        assert_eq!(t.events_dropped(), 0);
+    fn telemetry(levels: usize) -> EngineTelemetry {
+        EngineTelemetry::new(levels, Arc::new(Stats::new()))
     }
 
     #[test]
-    fn events_carry_monotonic_timestamps() {
-        let t = EngineTelemetry::new(2, &TelemetryOptions::default());
-        t.flush_begin(100);
+    fn flush_feeds_stats_and_events_from_one_duration() {
+        let t = telemetry(2);
+        let flush = t.begin(Timed::Flush { bytes: 100 });
         std::thread::sleep(Duration::from_millis(2));
-        t.flush_end(100, Duration::from_millis(2));
+        flush.finish(90);
         let events = t.drain_events();
         assert_eq!(events.len(), 2);
         assert!(events[0].ts_ns <= events[1].ts_ns);
-        assert!(matches!(
-            events[0].kind,
-            EventKind::FlushBegin { bytes: 100 }
-        ));
-        assert!(
-            matches!(events[1].kind, EventKind::FlushEnd { bytes: 100, dur_ns } if dur_ns >= 1_000_000)
-        );
+        assert_eq!(events[0].kind, EventKind::FlushBegin { bytes: 100 });
+        let EventKind::FlushEnd { bytes: 90, dur_ns } = events[1].kind else {
+            panic!("{:?}", events[1]);
+        };
+        assert!(dur_ns >= 1_000_000);
+        let s = t.stats.snapshot();
+        assert_eq!((s.flush_count, s.flush_bytes, s.flush_ns), (1, 90, dur_ns));
     }
 
     #[test]
-    fn compaction_updates_level_metrics() {
-        let t = EngineTelemetry::new(4, &TelemetryOptions::default());
-        t.compaction_begin(1, CompactionKind::ZeroCopy);
+    fn compaction_updates_level_metrics_and_stats() {
+        let t = telemetry(4);
+        let mut merge = t.begin(Timed::Compaction {
+            level: 1,
+            kind: CompactionKind::ZeroCopy,
+        });
         let m = t.level(1).unwrap();
         assert_eq!(m.pending_compactions.load(Ordering::Relaxed), 1);
-        t.compaction_end(1, CompactionKind::ZeroCopy, 4096, Duration::from_micros(50));
+        let took = merge.stop();
+        std::thread::sleep(Duration::from_millis(2));
+        merge.finish(4096);
         assert_eq!(m.pending_compactions.load(Ordering::Relaxed), 0);
         assert_eq!(m.zero_copy_compactions.load(Ordering::Relaxed), 1);
-        assert!(m.zero_copy_ns.load(Ordering::Relaxed) >= 50_000);
+        // `stop` froze the duration; the sleep after it is not charged.
+        assert_eq!(m.zero_copy_ns.load(Ordering::Relaxed), dur_ns(took));
         assert_eq!(m.lazy_copy_compactions.load(Ordering::Relaxed), 0);
-        let events = t.drain_events();
-        assert_eq!(events.len(), 2);
+        let s = t.stats.snapshot();
+        assert_eq!(s.zero_copy_compactions, 1);
+        assert_eq!(s.zero_copy_compaction_ns, dur_ns(took));
+        assert_eq!(s.copy_compactions, 0);
+        assert_eq!(t.drain_events().len(), 2);
+    }
+
+    #[test]
+    fn abandoned_work_closes_its_interval_without_counting_as_done() {
+        let t = telemetry(2);
+        drop(t.begin(Timed::Compaction {
+            level: 0,
+            kind: CompactionKind::LazyCopy,
+        }));
+        drop(t.begin(Timed::Flush { bytes: 7 }));
+        let m = t.level(0).unwrap();
+        assert_eq!(m.pending_compactions.load(Ordering::Relaxed), 0);
+        assert_eq!(m.lazy_copy_compactions.load(Ordering::Relaxed), 0);
+        let s = t.stats.snapshot();
+        assert_eq!((s.copy_compactions, s.flush_count), (0, 0));
+        let kinds: Vec<EventKind> = t.drain_events().iter().map(|e| e.kind).collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                EventKind::CompactionBegin { level: 0, .. },
+                EventKind::CompactionEnd {
+                    level: 0,
+                    bytes: 0,
+                    ..
+                },
+                EventKind::FlushBegin { bytes: 7 },
+                EventKind::FlushEnd { bytes: 0, .. },
+            ]
+        ));
+    }
+
+    #[test]
+    fn stalls_and_swizzles_count_on_drop() {
+        let t = telemetry(1);
+        drop(t.begin(Timed::Stall(StallKind::Interval)));
+        drop(t.begin(Timed::Stall(StallKind::Cumulative)));
+        drop(t.begin(Timed::Stall(StallKind::Cumulative)));
+        drop(t.begin(Timed::Swizzle));
+        let s = t.stats.snapshot();
+        assert_eq!(s.interval_stall_count, 1);
+        assert_eq!(s.cumulative_stall_count, 2);
+        // Begin + End per stall, one event per swizzle.
+        assert_eq!(t.drain_events().len(), 7);
     }
 
     #[test]
     fn occupancy_gauges_update() {
-        let t = EngineTelemetry::new(2, &TelemetryOptions::default());
+        let t = telemetry(2);
         t.level(0).unwrap().set_occupancy(1 << 20, 3);
         assert_eq!(t.level(0).unwrap().bytes.load(Ordering::Relaxed), 1 << 20);
         assert_eq!(t.level(0).unwrap().tables.load(Ordering::Relaxed), 3);

@@ -110,7 +110,8 @@ pub enum SpanKind {
     BloomSkip,
     /// Background MemTable flush; `arg` is bytes flushed.
     Flush,
-    /// Background compaction; `arg` packs `level | (zero_copy as u64) << 32`.
+    /// Background compaction; `arg` packs `level | kind << 32` with kind
+    /// 1 = zero-copy, 2 = lazy-copy.
     Compaction,
     /// Pointer swizzling during a one-piece flush.
     Swizzle,
@@ -238,6 +239,11 @@ fn epoch() -> &'static Instant {
 /// Nanoseconds since the process trace epoch (first tracer touch).
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
+}
+
+/// `t` on the trace clock (0 for an instant before the epoch).
+fn ns_at(t: Instant) -> u64 {
+    t.saturating_duration_since(*epoch()).as_nanos() as u64
 }
 
 fn next_id() -> u64 {
@@ -394,7 +400,21 @@ impl SpanGuard {
         }
     }
 
-    fn open(kind: SpanKind, trace_id: u64, parent: u64, prev: TraceCtx) -> SpanGuard {
+    /// Closes the span at `end` instead of at the clock reading its drop
+    /// would take — for a caller that has already timed the interval.
+    pub fn end_at(mut self, end: Instant) {
+        if let Some(a) = &mut self.active {
+            a.rec.end_ns = ns_at(end);
+        }
+    }
+
+    fn open(
+        kind: SpanKind,
+        trace_id: u64,
+        parent: u64,
+        prev: TraceCtx,
+        start_ns: u64,
+    ) -> SpanGuard {
         let span_id = next_id();
         CTX.with(|c| {
             c.set(TraceCtx {
@@ -409,7 +429,7 @@ impl SpanGuard {
                     trace_id,
                     span_id,
                     parent_id: parent,
-                    start_ns: now_ns(),
+                    start_ns,
                     end_ns: 0,
                     arg: 0,
                     tid: tid(),
@@ -426,7 +446,9 @@ impl Drop for SpanGuard {
         if let Some(a) = self.active.take() {
             CTX.with(|c| c.set(a.prev));
             let mut rec = a.rec;
-            rec.end_ns = now_ns();
+            if rec.end_ns == 0 {
+                rec.end_ns = now_ns();
+            }
             push(rec);
         }
     }
@@ -448,13 +470,14 @@ pub fn span(kind: SpanKind) -> SpanGuard {
     } else {
         return SpanGuard::INACTIVE;
     };
-    SpanGuard::open(kind, trace_id, parent, prev)
+    SpanGuard::open(kind, trace_id, parent, prev, now_ns())
 }
 
-/// Opens a background span (flush/compaction worker). Records whenever
+/// Opens a background span (flush/compaction worker) that started at
+/// `start`, a clock reading the caller already took. Records whenever
 /// tracing is enabled; top-level background spans use trace id 0 (their
 /// own track), nested ones parent normally.
-pub fn bg_span(kind: SpanKind) -> SpanGuard {
+pub fn bg_span_at(kind: SpanKind, start: Instant) -> SpanGuard {
     if !ENABLED.load(Ordering::Relaxed) {
         return SpanGuard::INACTIVE;
     }
@@ -464,7 +487,7 @@ pub fn bg_span(kind: SpanKind) -> SpanGuard {
     } else {
         (0, 0)
     };
-    SpanGuard::open(kind, trace_id, parent, prev)
+    SpanGuard::open(kind, trace_id, parent, prev, ns_at(start))
 }
 
 /// Records a zero-duration marker under the current context (no-op when

@@ -31,7 +31,7 @@ use miodb_common::repl::ReplicationSink;
 use miodb_common::trace::{self, SpanKind};
 use miodb_common::{
     fault, CompactionKind, EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result,
-    ScanEntry, SequenceNumber, StallKind, Stats,
+    ScanEntry, SequenceNumber, StallKind, Stats, Timed,
 };
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_pmem::{DeviceModel, PmemPool, PmemRegion, RegionLease};
@@ -237,8 +237,8 @@ struct Inner {
     /// lazy worker to drain ahead of the normal trigger.
     pressure: AtomicBool,
     bg_error: Mutex<Option<String>>,
-    /// Telemetry collectors: op-latency histograms, per-level gauges and
-    /// the structured event trace (`Options::telemetry` knob).
+    /// Telemetry collectors: op-latency histograms, per-level gauges, the
+    /// structured event trace and the timed-interval guard.
     telemetry: EngineTelemetry,
     /// Replication seam ([`MioDb::set_commit_sink`]): committed WAL
     /// records are handed to the sink in commit order, under the write
@@ -443,7 +443,7 @@ impl MioDb {
             opts.bloom_expected_keys(),
         )?);
 
-        let telemetry = EngineTelemetry::new(n, &opts.telemetry);
+        let telemetry = EngineTelemetry::new(n, stats.clone());
         let inner = Arc::new(Inner {
             opts,
             stats,
@@ -581,7 +581,7 @@ impl MioDb {
             OpKind::Put => &self.inner.telemetry.put_latency,
             OpKind::Delete => &self.inner.telemetry.delete_latency,
         };
-        h.record(dur_ns(t0.elapsed()));
+        h.record_elapsed(t0);
         Ok(())
     }
 
@@ -673,7 +673,10 @@ impl MioDb {
             .iter()
             .map(|op| (op.key.len() + op.value.len()) as u64)
             .sum();
-        Stats::add(&inner.stats.user_bytes_written, user_bytes);
+        inner
+            .stats
+            .user_bytes_written
+            .fetch_add(user_bytes, Ordering::Relaxed);
         inner.telemetry.write_group_size.record(n);
         let mut insert_span = trace::span(SpanKind::MemtableInsert);
         insert_span.annotate(n);
@@ -978,21 +981,24 @@ impl MioDb {
         min_capacity: usize,
     ) -> Result<()> {
         let inner = &*self.inner;
-        let t0 = Instant::now();
-        let mut stalled = false;
         // Covers the whole rotation (stall wait, fresh-table allocation,
         // manifest store) — all of it is write-path wall time the caller
         // is blocked on. The annotation links the flush span this
         // rotation waits for (0 if none is in flight).
         let mut rotation_span = trace::span(SpanKind::RotationStall);
+        // Opened at the first sight of an unflushed `imm`; reports the
+        // interval stall when it drops, on the error returns too.
+        let mut stall = None;
+        let mut note_stall = || {
+            stall.get_or_insert_with(|| {
+                rotation_span.annotate(inner.telemetry.flush_span());
+                inner.telemetry.begin(Timed::Stall(StallKind::Interval))
+            });
+        };
         match guard {
             Some(guard) => {
                 while inner.mem.read().imm.is_some() {
-                    if !stalled {
-                        stalled = true;
-                        inner.telemetry.stall_begin(StallKind::Interval);
-                        rotation_span.annotate(inner.telemetry.flush_span());
-                    }
+                    note_stall();
                     inner.imm_cv.wait_for(guard, Duration::from_millis(5));
                     if inner.shutdown.load(Ordering::Acquire) {
                         return Err(Error::Closed);
@@ -1004,21 +1010,12 @@ impl MioDb {
             }
             None => {
                 while inner.mem.read().imm.is_some() {
-                    if !stalled {
-                        stalled = true;
-                        inner.telemetry.stall_begin(StallKind::Interval);
-                        rotation_span.annotate(inner.telemetry.flush_span());
-                    }
+                    note_stall();
                     std::thread::sleep(Duration::from_micros(100));
                 }
             }
         }
-        if stalled {
-            let waited = t0.elapsed();
-            Stats::add_time(&inner.stats.interval_stall_ns, waited);
-            Stats::add(&inner.stats.interval_stall_count, 1);
-            inner.telemetry.stall_end(StallKind::Interval, waited);
-        }
+        drop(stall);
         let fresh = Arc::new(MemTable::new(
             &inner.dram,
             &inner.nvm,
@@ -1407,7 +1404,7 @@ fn flush_worker(inner: Arc<Inner>) {
             // same keys into a duplicate table, which reads dedupe and
             // lazy-copy reclaims — never data loss.
             let published = with_bg_retries(&inner, || flush_one(&inner, &imm));
-            inner.telemetry.set_flush_span(0);
+            inner.telemetry.clear_flush_span();
             {
                 let mut mem = inner.mem.write();
                 mem.imm = None;
@@ -1446,7 +1443,9 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
     // Backpressure: respect the elastic-buffer cap (Figure 14) and pool
     // capacity; lazy-copy GC frees space.
     let need = imm.arena().used_bytes();
-    let mut throttled_since: Option<Instant> = None;
+    // Elastic-cap backpressure delays the flush pipeline as a whole — the
+    // paper's cumulative (throughput) stall, not an interval stall.
+    let mut throttled = None;
     loop {
         let used = inner.elastic_bytes.load(Ordering::Relaxed);
         // An empty buffer always accepts one flush, so a cap below the
@@ -1464,9 +1463,8 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(Error::Closed);
         }
-        if throttled_since.is_none() {
-            throttled_since = Some(Instant::now());
-            inner.telemetry.stall_begin(StallKind::Cumulative);
+        if throttled.is_none() {
+            throttled = Some(inner.telemetry.begin(Timed::Stall(StallKind::Cumulative)));
         }
         // Ask the lazy worker to drain ahead of its trigger.
         inner.pressure.store(true, Ordering::Release);
@@ -1476,22 +1474,11 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         }
         std::thread::sleep(Duration::from_micros(200));
     }
-    if let Some(since) = throttled_since {
-        // Elastic-cap backpressure delays the flush pipeline as a whole —
-        // the paper's cumulative (throughput) stall, not an interval stall.
-        let waited = since.elapsed();
-        Stats::add_time(&inner.stats.cumulative_stall_ns, waited);
-        Stats::add(&inner.stats.cumulative_stall_count, 1);
-        inner.telemetry.stall_end(StallKind::Cumulative, waited);
-    }
+    drop(throttled);
 
-    inner.telemetry.flush_begin(need);
-    // Publish this flush's span id so a writer stalled on rotation can
-    // link the flush it is waiting on (cleared by the flush worker).
-    let mut flush_span = trace::bg_span(SpanKind::Flush);
-    flush_span.annotate(need);
-    inner.telemetry.set_flush_span(flush_span.id());
-    let t0 = Instant::now();
+    // Also publishes this flush's span id, so a writer stalled on rotation
+    // can link the flush it is waiting on (cleared by the flush worker).
+    let flush = inner.telemetry.begin(Timed::Flush { bytes: need });
     let flushed = loop {
         match one_piece_flush(imm.arena(), &inner.nvm) {
             Ok(f) => break f,
@@ -1504,22 +1491,14 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
             Err(e) => return Err(e),
         }
     };
-    let flush_took = t0.elapsed();
-    Stats::add_time(&inner.stats.flush_ns, flush_took);
-    Stats::add(&inner.stats.flush_count, 1);
-    Stats::add(&inner.stats.flush_bytes, flushed.bytes);
-    inner.telemetry.flush_end(flushed.bytes, flush_took);
+    flush.finish(flushed.bytes);
 
     // Background pointer swizzling: the immutable MemTable keeps serving
     // reads while this runs.
-    let t1 = Instant::now();
     {
-        let _swizzle_span = trace::bg_span(SpanKind::Swizzle);
+        let _swizzling = inner.telemetry.begin(Timed::Swizzle);
         swizzle(&inner.nvm, &flushed);
     }
-    let swizzle_took = t1.elapsed();
-    Stats::add_time(&inner.stats.swizzle_ns, swizzle_took);
-    inner.telemetry.swizzle(swizzle_took);
 
     let table = Arc::new(PmTable {
         list: SkipList::from_raw(inner.nvm.clone(), flushed.head),
@@ -1639,13 +1618,10 @@ fn run_one_zero_copy_merge(
         set_bg_error(inner, format!("compaction failed: {e}"));
         return false;
     }
-    inner
-        .telemetry
-        .compaction_begin(i, CompactionKind::ZeroCopy);
-    // arg packs the level in the low half, kind (1 = zero-copy) high.
-    let mut comp_span = trace::bg_span(SpanKind::Compaction);
-    comp_span.annotate(i as u64 | (1 << 32));
-    let t0 = Instant::now();
+    let mut merge = inner.telemetry.begin(Timed::Compaction {
+        level: i,
+        kind: CompactionKind::ZeroCopy,
+    });
     let mut total = miodb_skiplist::MergeStats::default();
     loop {
         let _g = gate.lock();
@@ -1668,9 +1644,8 @@ fn run_one_zero_copy_merge(
             break;
         }
     }
-    let took = t0.elapsed();
-    Stats::add_time(&inner.stats.zero_copy_compaction_ns, took);
-    Stats::add(&inner.stats.zero_copy_compactions, 1);
+    // The merge is timed up to here; it is reported below, under the lock.
+    merge.stop();
 
     let merged = merged_table(
         &inner.nvm,
@@ -1694,9 +1669,7 @@ fn run_one_zero_copy_merge(
         // lock drops with `merging` cleared, `wait_idle` may report the
         // engine idle, and a consumer draining the ring right then must
         // already see this compaction closed.
-        inner
-            .telemetry
-            .compaction_end(i, CompactionKind::ZeroCopy, merged_bytes, took);
+        merge.finish(merged_bytes);
         if let Err(e) = store_manifest_locked(inner, &levels) {
             set_bg_error(inner, format!("manifest store failed: {e}"));
             return false;
@@ -1763,13 +1736,10 @@ fn lazy_worker(inner: Arc<Inner>) {
         };
         let drained_bytes = table.data_bytes;
 
-        inner
-            .telemetry
-            .compaction_begin(level_idx, CompactionKind::LazyCopy);
-        // arg packs the level in the low half, kind (2 = lazy-copy) high.
-        let mut comp_span = trace::bg_span(SpanKind::Compaction);
-        comp_span.annotate(level_idx as u64 | (2 << 32));
-        let t0 = Instant::now();
+        let mut drain = inner.telemetry.begin(Timed::Compaction {
+            level: level_idx,
+            kind: CompactionKind::LazyCopy,
+        });
         let _w = inner.repo_writer.lock();
         // Retried with backoff on failure: each attempt re-reads the intact
         // PMTable and re-applies with the same sequence numbers, so a
@@ -1794,12 +1764,13 @@ fn lazy_worker(inner: Arc<Inner>) {
             Ok(())
         });
         if let Err(e) = drained {
+            // Close the interval before the error becomes visible: whoever
+            // sees `background_error()` must already see the End event.
+            drop(drain);
             set_bg_error(&inner, format!("lazy-copy failed: {e}"));
             return;
         }
-        let took = t0.elapsed();
-        Stats::add_time(&inner.stats.copy_compaction_ns, took);
-        Stats::add(&inner.stats.copy_compactions, 1);
+        drain.stop();
 
         {
             let mut levels = inner.levels.lock();
@@ -1809,12 +1780,7 @@ fn lazy_worker(inner: Arc<Inner>) {
             // Under the levels lock for the same reason as the zero-copy
             // merge: `wait_idle` must not observe idle before the End
             // event is in the ring.
-            inner.telemetry.compaction_end(
-                level_idx,
-                CompactionKind::LazyCopy,
-                drained_bytes,
-                took,
-            );
+            drain.finish(drained_bytes);
             if let Err(e) = store_manifest_locked(&inner, &levels) {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1882,10 +1848,7 @@ impl KvEngine for MioDb {
         let t0 = Instant::now();
         let r = self.get_impl(key);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .get_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.get_latency.record_elapsed(t0);
         }
         r
     }
@@ -1894,10 +1857,7 @@ impl KvEngine for MioDb {
         let t0 = Instant::now();
         let r = self.scan_impl(start, limit);
         if r.is_ok() {
-            self.inner
-                .telemetry
-                .scan_latency
-                .record(dur_ns(t0.elapsed()));
+            self.inner.telemetry.scan_latency.record_elapsed(t0);
         }
         r
     }
@@ -1942,7 +1902,7 @@ impl MioDb {
     /// recording.
     fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
-        Stats::add(&inner.stats.gets, 1);
+        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
 
         // 1. DRAM MemTables.
         let (active, imm) = {
@@ -1952,12 +1912,12 @@ impl MioDb {
         {
             let _probe_span = trace::span(SpanKind::MemtableProbe);
             if let Some(r) = active.list().get(key) {
-                Stats::add(&inner.stats.get_hits, 1);
+                inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Self::resolve(r));
             }
             if let Some(imm) = imm {
                 if let Some(r) = imm.list().get(key) {
-                    Stats::add(&inner.stats.get_hits, 1);
+                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Self::resolve(r));
                 }
             }
@@ -2001,15 +1961,18 @@ impl MioDb {
                 };
                 for t in tables.iter().rev() {
                     if inner.opts.bloom_enabled && !t.bloom.may_contain(key) {
-                        Stats::add(&inner.stats.bloom_skips, 1);
+                        inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         continue;
                     }
                     if let Some(r) = t.list.get(key) {
-                        Stats::add(&inner.stats.get_hits, 1);
+                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(Self::resolve(r));
                     }
-                    Stats::add(&inner.stats.bloom_false_positives, 1);
+                    inner
+                        .stats
+                        .bloom_false_positives
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some((new_t, old_t)) = merging {
                     // newtable -> insertion mark -> oldtable (§4.3). The
@@ -2042,19 +2005,19 @@ impl MioDb {
                             }
                         }
                     } else {
-                        Stats::add(&inner.stats.bloom_skips, 1);
+                        inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         mark.read(key)
                     };
                     if let Some(r) = hit {
-                        Stats::add(&inner.stats.get_hits, 1);
+                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(Self::resolve(r));
                     }
                 }
                 if let Some(t) = lazy {
                     if !inner.opts.bloom_enabled || t.bloom.may_contain(key) {
                         if let Some(r) = t.list.get(key) {
-                            Stats::add(&inner.stats.get_hits, 1);
+                            inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(Self::resolve(r));
                         }
                     }
@@ -2062,7 +2025,10 @@ impl MioDb {
                 if version.load(Ordering::Acquire) == seen {
                     break 'probe;
                 }
-                Stats::add(&inner.stats.level_probe_retries, 1);
+                inner
+                    .stats
+                    .level_probe_retries
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -2070,7 +2036,7 @@ impl MioDb {
         let _repo_span = trace::span(SpanKind::RepoProbe);
         if let Some(r) = inner.repo.get(key)? {
             if r.kind == OpKind::Put {
-                Stats::add(&inner.stats.get_hits, 1);
+                inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(r.value));
             }
         }
@@ -2147,11 +2113,6 @@ impl MioDb {
 /// MemTable capacity guaranteed to accept the entry being written.
 fn min_capacity(key: &[u8], value: &[u8]) -> usize {
     miodb_skiplist::SkipListArena::capacity_for_entry(key.len(), value.len())
-}
-
-/// Saturating nanosecond count of a duration, for histogram recording.
-fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// An atomic multi-operation write (LevelDB-style `WriteBatch`).

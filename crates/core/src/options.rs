@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use miodb_common::TelemetryOptions;
 use miodb_lsm::LsmOptions;
 use miodb_pmem::DeviceModel;
 
@@ -60,9 +59,6 @@ pub struct MioOptions {
     pub parallel_compaction: bool,
     /// Engine name for reports.
     pub name: String,
-    /// Telemetry collectors: op-latency histograms, per-level metrics and
-    /// structured event tracing.
-    pub telemetry: TelemetryOptions,
 }
 
 impl Default for MioOptions {
@@ -82,7 +78,6 @@ impl Default for MioOptions {
             bloom_enabled: true,
             parallel_compaction: true,
             name: "MioDB".to_string(),
-            telemetry: TelemetryOptions::default(),
         }
     }
 }

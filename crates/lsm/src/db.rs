@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use miodb_common::{
-    EngineReport, Error, KvEngine, OpKind, Result, ScanEntry, SequenceNumber, Stats,
+    EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry, SequenceNumber,
+    StallKind, Stats, Timed,
 };
 use miodb_pmem::{DeviceModel, PmemPool};
 use miodb_skiplist::SkipListArena;
@@ -72,6 +73,7 @@ struct DbInner {
     flush_cv: Condvar,
     seq: AtomicU64,
     stats: Arc<Stats>,
+    telemetry: EngineTelemetry,
     shutdown: AtomicBool,
     background_error: Mutex<Option<String>>,
 }
@@ -106,6 +108,7 @@ impl LsmDb {
         let store = TableStore::new(opts.table_device, stats.clone());
         let core = LsmCore::new(store, opts.lsm.clone());
         let active = Arc::new(SkipListArena::new(dram.clone(), opts.memtable_bytes)?);
+        let telemetry = EngineTelemetry::new(core.tables_per_level().len(), stats.clone());
         let inner = Arc::new(DbInner {
             opts,
             core,
@@ -117,6 +120,7 @@ impl LsmDb {
             flush_cv: Condvar::new(),
             seq: AtomicU64::new(0),
             stats,
+            telemetry,
             shutdown: AtomicBool::new(false),
             background_error: Mutex::new(None),
         });
@@ -148,6 +152,7 @@ impl LsmDb {
         if let Some(msg) = inner.background_error.lock().clone() {
             return Err(Error::Background(msg));
         }
+        let op_start = Instant::now();
         let guard = inner.mem_mutex.lock();
         inner
             .stats
@@ -162,7 +167,13 @@ impl LsmDb {
         charge_device_write(&inner.stats, &inner.opts.wal_device, rec);
 
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.insert_with_rotation(guard, key, value, seq, kind)
+        self.insert_with_rotation(guard, key, value, seq, kind)?;
+        let latency = match kind {
+            OpKind::Put => &inner.telemetry.put_latency,
+            OpKind::Delete => &inner.telemetry.delete_latency,
+        };
+        latency.record_elapsed(op_start);
+        Ok(())
     }
 
     fn insert_with_rotation(
@@ -186,25 +197,17 @@ impl LsmDb {
                 Err(Error::ArenaFull) => {
                     // Rotate. If an immutable MemTable is still being
                     // flushed, this is an interval stall.
-                    let t0 = Instant::now();
-                    let mut stalled = false;
-                    loop {
-                        if inner.mem.read().imm.is_none() {
-                            break;
+                    let mut stall = None;
+                    while inner.mem.read().imm.is_some() {
+                        if stall.is_none() {
+                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
                         }
-                        stalled = true;
                         inner.imm_cv.wait_for(&mut guard, Duration::from_millis(10));
                         if inner.shutdown.load(Ordering::Acquire) {
                             return Err(Error::Closed);
                         }
                     }
-                    if stalled {
-                        Stats::add_time(&inner.stats.interval_stall_ns, t0.elapsed());
-                        inner
-                            .stats
-                            .interval_stall_count
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                    drop(stall);
                     let new_active = Arc::new(SkipListArena::new(
                         inner.dram.clone(),
                         inner
@@ -229,25 +232,18 @@ impl LsmDb {
     fn apply_l0_backpressure(&self) {
         let inner = &*self.inner;
         let l0 = inner.core.l0_count();
+        if l0 < inner.opts.lsm.l0_slowdown_trigger {
+            return;
+        }
+        let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
         if l0 >= inner.opts.lsm.l0_stop_trigger {
-            let t0 = Instant::now();
             while inner.core.l0_count() >= inner.opts.lsm.l0_stop_trigger
                 && !inner.shutdown.load(Ordering::Acquire)
             {
                 std::thread::sleep(Duration::from_micros(200));
             }
-            Stats::add_time(&inner.stats.cumulative_stall_ns, t0.elapsed());
-            inner
-                .stats
-                .cumulative_stall_count
-                .fetch_add(1, Ordering::Relaxed);
-        } else if l0 >= inner.opts.lsm.l0_slowdown_trigger {
+        } else {
             std::thread::sleep(SLOWDOWN_SLEEP);
-            Stats::add_time(&inner.stats.cumulative_stall_ns, SLOWDOWN_SLEEP);
-            inner
-                .stats
-                .cumulative_stall_count
-                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -279,18 +275,12 @@ fn flush_worker(inner: Arc<DbInner>) {
         }
         let imm = inner.mem.read().imm.clone();
         if let Some(imm) = imm {
-            let t0 = Instant::now();
-            let result = inner.core.ingest_sorted_run(imm.list().iter());
-            match result {
-                Ok(_) => {
-                    Stats::add_time(&inner.stats.flush_ns, t0.elapsed());
-                    inner.stats.flush_count.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .stats
-                        .flush_bytes
-                        .fetch_add(imm.used_bytes(), Ordering::Relaxed);
-                }
+            let bytes = imm.used_bytes();
+            let flush = inner.telemetry.begin(Timed::Flush { bytes });
+            match inner.core.ingest_sorted_run(imm.list().iter()) {
+                Ok(_) => flush.finish(bytes),
                 Err(e) => {
+                    drop(flush);
                     *inner.background_error.lock() = Some(format!("flush failed: {e}"));
                 }
             }
@@ -337,6 +327,7 @@ impl KvEngine for LsmDb {
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
+        let op_start = Instant::now();
         inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         let (active, imm) = {
             let mem = inner.mem.read();
@@ -351,6 +342,7 @@ impl KvEngine for LsmDb {
             Some(v) => Some(v),
             None => inner.core.get(key)?.map(|e| (e.value, e.kind)),
         };
+        inner.telemetry.get_latency.record_elapsed(op_start);
         match found {
             Some((_, OpKind::Delete)) => Ok(None),
             Some((v, OpKind::Put)) => {
@@ -363,6 +355,7 @@ impl KvEngine for LsmDb {
 
     fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
         let inner = &*self.inner;
+        let op_start = Instant::now();
         let (active, imm) = {
             let mem = inner.mem.read();
             (mem.active.clone(), mem.imm.clone())
@@ -377,13 +370,15 @@ impl KvEngine for LsmDb {
         }
         sources.extend(inner.core.scan_sources(start));
         let merged = dedup_newest(KWayMerge::new(sources), true);
-        Ok(merged
+        let out = merged
             .take(limit)
             .map(|e| ScanEntry {
                 key: e.key,
                 value: e.value,
             })
-            .collect())
+            .collect();
+        inner.telemetry.scan_latency.record_elapsed(op_start);
+        Ok(out)
     }
 
     fn wait_idle(&self) -> Result<()> {
@@ -413,6 +408,10 @@ impl KvEngine for LsmDb {
 
     fn name(&self) -> &str {
         &self.inner.opts.name
+    }
+
+    fn telemetry(&self) -> Option<&EngineTelemetry> {
+        Some(&self.inner.telemetry)
     }
 }
 

@@ -25,7 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use miodb_common::{
-    majority, AckLevel, ConcurrentHistogram, Error, Histogram, ReplicationSink, Result,
+    majority, AckLevel, ConcurrentHistogram, Error, Histogram, MetricsRegistry, ReplicationSink,
+    Result,
 };
 use parking_lot::{Condvar, Mutex};
 
@@ -128,14 +129,12 @@ impl std::fmt::Debug for Replicator {
 impl Replicator {
     /// Creates the hub with an empty log.
     pub fn new(opts: ReplicatorOptions) -> Arc<Replicator> {
-        let lag = ConcurrentHistogram::new();
-        lag.set_enabled(true);
         Arc::new(Replicator {
             log: Arc::new(ReplicationLog::new(opts.retain_bytes)),
             acks: Mutex::new(AckState::default()),
             ack_cv: Condvar::new(),
             opts,
-            lag,
+            lag: ConcurrentHistogram::new(),
             next_subscriber: AtomicU64::new(1),
             base: AtomicU64::new(0),
         })
@@ -316,28 +315,41 @@ impl Replicator {
         self.lag.snapshot()
     }
 
-    /// Prometheus text exposition of replication gauges: log bytes,
-    /// subscriber count, quorum availability and per-follower lag.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("# TYPE miodb_repl_log_bytes gauge\n");
-        let _ = writeln!(out, "miodb_repl_log_bytes {}", self.log.bytes());
-        out.push_str("# TYPE miodb_repl_log_last_seq gauge\n");
-        let _ = writeln!(out, "miodb_repl_log_last_seq {}", self.log.last_seq());
-        out.push_str("# TYPE miodb_repl_subscribers gauge\n");
-        let _ = writeln!(out, "miodb_repl_subscribers {}", self.subscriber_count());
-        out.push_str("# TYPE miodb_repl_quorum_available gauge\n");
-        let _ = writeln!(
-            out,
-            "miodb_repl_quorum_available {}",
-            u8::from(self.quorum_available())
+    /// Registers the replication gauges — log bytes, subscriber count,
+    /// quorum availability and per-follower lag — into `reg`.
+    pub fn register(&self, reg: &mut MetricsRegistry) {
+        reg.gauge(
+            "miodb_repl_log_bytes",
+            "Bytes retained in the replication log.",
+            &[],
+            self.log.bytes() as f64,
         );
-        out.push_str("# TYPE miodb_repl_lag_records gauge\n");
+        reg.gauge(
+            "miodb_repl_log_last_seq",
+            "Last sequence number published to the replication log.",
+            &[],
+            self.log.last_seq() as f64,
+        );
+        reg.gauge(
+            "miodb_repl_subscribers",
+            "Followers currently subscribed.",
+            &[],
+            self.subscriber_count() as f64,
+        );
+        reg.gauge(
+            "miodb_repl_quorum_available",
+            "1 while enough followers are subscribed for a quorum ack.",
+            &[],
+            f64::from(u8::from(self.quorum_available())),
+        );
         for (id, lag) in self.subscriber_lags() {
-            let _ = writeln!(out, "miodb_repl_lag_records{{follower=\"{id}\"}} {lag}");
+            reg.gauge(
+                "miodb_repl_lag_records",
+                "Records published but not yet acked, per follower.",
+                &[("follower", &id.to_string())],
+                lag as f64,
+            );
         }
-        out
     }
 }
 
@@ -537,7 +549,9 @@ mod tests {
         let r = with_level(AckLevel::Quorum, 3, 100);
         let id = r.register_subscriber();
         r.publish(&[0u8; 16], 1, 2);
-        let text = r.render_prometheus();
+        let mut reg = MetricsRegistry::new();
+        r.register(&mut reg);
+        let text = reg.render_prometheus();
         assert!(text.contains("miodb_repl_log_bytes 16"), "{text}");
         assert!(
             text.contains(&format!("miodb_repl_lag_records{{follower=\"{id}\"}} 2")),

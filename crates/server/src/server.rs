@@ -45,7 +45,9 @@
 use crate::poller::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use miodb_common::proto::{self, Frame, FrameDecoder, Opcode, ReplBatch, Request, Response};
 use miodb_common::trace::{self, SpanKind, TraceCtx};
-use miodb_common::{fault, Error, KvEngine, OpKind, Result, RoleState, ServiceTelemetry};
+use miodb_common::{
+    fault, Error, KvEngine, MetricsRegistry, OpKind, Result, RoleState, ServiceTelemetry,
+};
 use miodb_repl::Replicator;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -1314,12 +1316,13 @@ fn execute(req: &Request, shared: &Shared) -> Response {
             })
             .map(|()| Response::Ok),
         Request::Stats => {
-            let mut text = engine.metrics_text();
-            text.push_str(&shared.telemetry.render_prometheus());
+            let mut reg = MetricsRegistry::new();
+            engine.register_metrics(&mut reg);
+            shared.telemetry.register(&mut reg);
             if let Some(replicator) = &shared.replicator {
-                text.push_str(&replicator.render_prometheus());
+                replicator.register(&mut reg);
             }
-            Ok(Response::Stats(text))
+            Ok(Response::Stats(reg.render_prometheus()))
         }
         // Drains every span buffered so far (client spans too when the
         // tracer is process-global, as in netbench) as Chrome trace JSON.

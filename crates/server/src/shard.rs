@@ -12,7 +12,7 @@
 
 use miodb_common::crc32::crc32;
 use miodb_common::trace::{self, SpanKind};
-use miodb_common::{EngineReport, KvEngine, Result, ScanEntry, Stats};
+use miodb_common::{metrics, EngineReport, KvEngine, MetricsRegistry, Result, ScanEntry, Stats};
 use miodb_core::{MioDb, MioOptions};
 
 /// N engines behind one hash-partitioned keyspace.
@@ -157,6 +157,14 @@ impl<E: KvEngine> KvEngine for ShardRouter<E> {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The same families a single engine exports, aggregated over the
+    /// shards: counters and per-level gauges summed, latency histograms
+    /// merged.
+    fn register_metrics(&self, reg: &mut MetricsRegistry) {
+        let telemetry: Vec<_> = self.shards.iter().filter_map(|s| s.telemetry()).collect();
+        metrics::register_engine(reg, &self.report(), &telemetry);
     }
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example metrics_dashboard
 //! ```
 
-use miodb::common::{CompactionKind, EventKind, TelemetryOptions};
+use miodb::common::{CompactionKind, EventKind};
 use miodb::workloads::{run_ycsb, YcsbSpec, YcsbWorkload};
 use miodb::{KvEngine, MioDb, MioOptions};
 
@@ -15,10 +15,6 @@ fn main() -> miodb::Result<()> {
     let db = MioDb::open(MioOptions {
         memtable_bytes: 256 * 1024,
         nvm_pool_bytes: 256 << 20,
-        telemetry: TelemetryOptions {
-            event_capacity: 1 << 15,
-            ..TelemetryOptions::default()
-        },
         ..MioOptions::small_for_tests()
     })?;
 
@@ -43,7 +39,7 @@ fn main() -> miodb::Result<()> {
     println!("=== Prometheus exposition (db.metrics_text()) ===\n");
     print!("{}", db.metrics_text());
 
-    let t = db.telemetry().expect("telemetry enabled above");
+    let t = db.telemetry().expect("MioDB has telemetry");
     println!("\n=== Per-level occupancy and compaction activity ===\n");
     println!(
         "{:>5} {:>12} {:>8} {:>9} {:>11} {:>12} {:>11} {:>12}",

@@ -5,7 +5,7 @@
 //! that the workspace's property tests use:
 //!
 //! - [`Strategy`] with `prop_map`/`boxed`, [`any`], integer ranges,
-//!   tuples, [`collection::vec`], [`Just`] and the [`prop_oneof!`] macro;
+//!   tuples, [`collection::vec()`], [`strategy::Just`] and the [`prop_oneof!`] macro;
 //! - the [`proptest!`] macro generating `#[test]` functions that run a
 //!   configurable number of random cases ([`ProptestConfig::with_cases`]);
 //! - [`prop_assert!`]/[`prop_assert_eq!`] returning
@@ -286,7 +286,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::fmt::Debug;
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -317,7 +317,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

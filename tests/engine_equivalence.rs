@@ -44,7 +44,6 @@ fn engines() -> Vec<Box<dyn KvEngine>> {
                     nvm_device: DeviceModel::nvm_unthrottled(),
                     nvm_pool_bytes: 64 << 20,
                     name: "NoveLSM-NoSST".to_string(),
-                    ..NoveLsmOptions::default()
                 },
                 Arc::new(Stats::new()),
             )

@@ -143,6 +143,69 @@ fn lazy_copy_fault_is_retried_without_data_loss() {
     db.close().unwrap();
 }
 
+/// Background work that gives up still ends its interval: a lazy-copy
+/// drain that fails past its retry budget must not leave its level's
+/// pending-compactions gauge raised or a `CompactionBegin` without its
+/// `CompactionEnd` in the event ring.
+#[test]
+fn failed_background_work_closes_its_interval() {
+    use miodb::common::EventKind;
+    use std::sync::atomic::Ordering;
+
+    let _g = fault::exclusive();
+    fault::arm(fault::points::ENGINE_LAZY, FaultPolicy::FailNth(1));
+    let db = MioDb::open(busy_opts()).unwrap();
+    // Write until the bottom buffer level drains and the drain gives up.
+    // Puts are refused once the error is set; until then they feed it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut i = 0u32;
+    while db.background_error().is_none() {
+        assert!(
+            Instant::now() < deadline,
+            "the lazy-copy drain never failed"
+        );
+        let _ = db.put(&key(i), &[42u8; 256]);
+        i += 1;
+    }
+    assert!(fault::triggered(fault::points::ENGINE_LAZY) >= 1);
+    // Joins the workers, so whatever else was in flight has ended too.
+    let _ = db.close();
+
+    let t = db.telemetry().unwrap();
+    for (level, m) in t.levels().iter().enumerate() {
+        assert_eq!(
+            m.pending_compactions.load(Ordering::Relaxed),
+            0,
+            "level {level} still reports a running compaction"
+        );
+    }
+    assert_eq!(t.events_dropped(), 0, "ring overflowed; pairing is vacuous");
+    let mut open: Vec<String> = Vec::new();
+    let close = |open: &mut Vec<String>, what: String| {
+        let at = open
+            .iter()
+            .position(|o| *o == what)
+            .unwrap_or_else(|| panic!("{what} ended without beginning"));
+        open.swap_remove(at);
+    };
+    for e in db.drain_events() {
+        match e.kind {
+            EventKind::FlushBegin { .. } => open.push("flush".to_string()),
+            EventKind::FlushEnd { .. } => close(&mut open, "flush".to_string()),
+            EventKind::CompactionBegin { level, kind } => {
+                open.push(format!("{kind:?} out of level {level}"));
+            }
+            EventKind::CompactionEnd { level, kind, .. } => {
+                close(&mut open, format!("{kind:?} out of level {level}"));
+            }
+            EventKind::StallBegin { kind } => open.push(format!("{kind:?} stall")),
+            EventKind::StallEnd { kind, .. } => close(&mut open, format!("{kind:?} stall")),
+            EventKind::Swizzle { .. } => {}
+        }
+    }
+    assert!(open.is_empty(), "begun but never ended: {open:?}");
+}
+
 #[test]
 fn alloc_faults_surface_typed_errors_and_engine_recovers() {
     let _g = fault::exclusive();

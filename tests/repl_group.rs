@@ -6,6 +6,8 @@
 //! matrix — all verified with the per-key linearizability checker and
 //! the durable-prefix oracle (zero quorum-acked writes lost).
 
+mod support;
+
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -176,6 +178,7 @@ fn repl_metrics_render_and_parse_in_stats() {
         c.put(format!("m{i}").as_bytes(), b"v").unwrap();
     }
     let text = c.stats().unwrap();
+    support::assert_well_formed_scrape(&text);
 
     // Every repl sample line must parse as `name[{labels}] value`.
     let mut seen_log_bytes = false;

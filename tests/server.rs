@@ -4,6 +4,8 @@
 //! server kill, and the clean-shutdown guarantee that no acknowledged
 //! write relies on WAL replay.
 
+mod support;
+
 use std::sync::Arc;
 
 use miodb::pmem::PmemPool;
@@ -55,13 +57,48 @@ fn round_trip_and_stats_over_wire() {
     .unwrap();
     assert_eq!(c.get(b"gamma").unwrap().unwrap(), b"3");
     assert_eq!(c.get(b"beta").unwrap(), None);
-    // STATS carries both engine and service families in one scrape.
+    // STATS carries both engine and service families in one scrape, and
+    // the router contributes the families a single engine would: merged
+    // op latencies, summed per-level gauges and compaction counters.
     let stats = c.stats().unwrap();
-    assert!(stats.contains("miodb_server_active_connections"));
-    assert!(stats.contains("miodb_server_request_latency_seconds"));
+    support::assert_well_formed_scrape(&stats);
+    for family in [
+        "miodb_server_active_connections",
+        "miodb_server_request_latency_seconds",
+        "miodb_op_latency_seconds",
+        "miodb_level_bytes",
+        "miodb_compactions_total",
+    ] {
+        assert!(
+            stats.contains(&format!("# TYPE {family} ")),
+            "missing family {family} in:\n{stats}"
+        );
+    }
+    // Two puts and a batch put over two shards, counted once each.
+    assert!(
+        stats.contains("miodb_op_latency_seconds_count{op=\"put\"} 3"),
+        "{stats}"
+    );
     c.close().unwrap();
     server.shutdown();
     router.close().unwrap();
+
+    // A plain (unsharded) engine behind the same server scrapes as well.
+    let db = Arc::new(MioDb::open(test_opts()).unwrap());
+    let server = KvServer::start(
+        "127.0.0.1:0",
+        Arc::clone(&db) as Arc<dyn KvEngine>,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut c = KvClient::connect(server.local_addr()).unwrap();
+    c.put(b"alpha", b"1").unwrap();
+    let stats = c.stats().unwrap();
+    support::assert_well_formed_scrape(&stats);
+    assert!(stats.contains("miodb_op_latency_seconds_count{op=\"put\"} 1"));
+    c.close().unwrap();
+    server.shutdown();
+    db.close().unwrap();
 }
 
 #[test]
