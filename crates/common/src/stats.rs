@@ -173,6 +173,10 @@ declare_stats! {
     /// Number of zero-copy compactions performed.
     zero_copy_compactions => Count "miodb_zero_copy_compactions_total" {}
         "Zero-copy compactions completed, all levels.";
+    /// Nodes re-linked from a newtable into its oldtable by zero-copy
+    /// compactions; with the time above, the cost of moving one node.
+    zero_copy_nodes_moved => Count "miodb_zero_copy_nodes_moved_total" {}
+        "Nodes re-linked by zero-copy compactions, all levels.";
     /// Total time spent in lazy-copy compactions (MioDB) or SSTable
     /// compactions (baselines).
     copy_compaction_ns => Nanos "miodb_copy_compaction_seconds_total" {}

@@ -1635,17 +1635,17 @@ fn run_one_zero_copy_merge(
                 abandon_after_link_writes: None,
             },
         );
-        let s = out.stats();
-        total.moved += s.moved;
-        total.dropped_new += s.dropped_new;
-        total.bypassed_old += s.bypassed_old;
-        total.link_writes += s.link_writes;
+        total += out.stats();
         if matches!(out, MergeOutcome::Complete(_)) {
             break;
         }
     }
     // The merge is timed up to here; it is reported below, under the lock.
     merge.stop();
+    inner
+        .stats
+        .zero_copy_nodes_moved
+        .fetch_add(total.moved, Ordering::Relaxed);
 
     let merged = merged_table(
         &inner.nvm,

@@ -14,6 +14,7 @@ use miodb_skiplist::{GrowableSkipList, LookupResult};
 /// skip list holding exactly the live key set). In DRAM-NVM-SSD mode it is
 /// a traditional multi-level SSTable LSM on the SSD device, preserving
 /// backward compatibility (§4.1).
+#[allow(clippy::large_enum_variant)] // one per engine, built once, never moved
 pub enum Repository {
     /// Huge persistent skip list in the NVM pool.
     Pm(GrowableSkipList),

@@ -235,10 +235,22 @@ impl SkipListArena {
         seq: SequenceNumber,
         kind: OpKind,
     ) -> Result<()> {
+        self.insert_with_height(key, value, seq, kind, self.random_height())
+    }
+
+    /// [`SkipListArena::insert`] with the tower height chosen by the
+    /// caller (tests that need a particular shape).
+    pub(crate) fn insert_with_height(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        seq: SequenceNumber,
+        kind: OpKind,
+        height: usize,
+    ) -> Result<()> {
         if key.len() > u32::MAX as usize || value.len() > u32::MAX as usize {
             return Err(Error::InvalidArgument("key/value too large".to_string()));
         }
-        let height = self.random_height();
         let size = node_size(height, key.len(), value.len());
         let off = self.alloc_node(size)?;
         let pool: &PmemPool = self.pool();

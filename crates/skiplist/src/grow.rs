@@ -22,7 +22,9 @@ use miodb_common::{Error, OpKind, Result, SequenceNumber};
 use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 use parking_lot::Mutex;
 
-use crate::node::{self, find_preds, node_size, raw, LookupResult, SkipList, MAX_HEIGHT};
+use crate::node::{
+    self, find_preds, find_preds_from, node_size, raw, LookupResult, SkipList, MAX_HEIGHT,
+};
 
 /// What [`GrowableSkipList::apply`] did with an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +49,11 @@ struct GrowState {
     cursor: u64,
     /// End of the current chunk.
     end: u64,
+    /// The writer's finger: `preds` of the position just behind the last
+    /// applied key, from which an ascending run resumes its search.
+    /// `finger[0]` is the head until the first apply. DRAM-only — a list
+    /// rebuilt by [`GrowableSkipList::from_parts`] starts from the head.
+    finger: [u64; MAX_HEIGHT],
 }
 
 /// A growable, single-version-per-key persistent skip list.
@@ -124,6 +131,7 @@ impl GrowableSkipList {
                 cursor: head + head_size,
                 end: first.end(),
                 chunks: vec![RegionLease::new(pool.clone(), first)],
+                finger: [head; MAX_HEIGHT],
             }),
             pool,
             head,
@@ -155,6 +163,7 @@ impl GrowableSkipList {
                     .collect(),
                 cursor,
                 end,
+                finger: [head; MAX_HEIGHT],
             }),
             pool,
             head,
@@ -229,8 +238,7 @@ impl GrowableSkipList {
         h
     }
 
-    fn alloc_node(&self, size: u64) -> Result<u64> {
-        let mut s = self.state.lock();
+    fn alloc_node(&self, s: &mut GrowState, size: u64) -> Result<u64> {
         if s.cursor + size > s.end {
             let chunk_len = self.chunk_size.max(size as usize);
             let chunk = self.pool.alloc(chunk_len)?;
@@ -243,9 +251,27 @@ impl GrowableSkipList {
         Ok(off)
     }
 
+    /// [`find_preds`] for the newest version of `key`, resumed from `finger`
+    /// when `key` sorts after the key the finger was left behind.
+    fn locate(&self, finger: &[u64; MAX_HEIGHT], key: &[u8], preds: &mut [u64; MAX_HEIGHT]) -> u64 {
+        let pool = &*self.pool;
+        let newest = miodb_common::MAX_SEQUENCE_NUMBER;
+        // `finger[0]` is the node the previous apply wrote or stopped on:
+        // looking at its key again is no device read.
+        if finger[0] != self.head && raw::key(pool, finger[0]) < key {
+            find_preds_from(pool, finger, key, newest, preds)
+        } else {
+            find_preds(pool, self.head, key, newest, preds)
+        }
+    }
+
     /// Applies one entry from a lazy-copy compaction: inserts/updates a put
     /// or removes the key for a tombstone. Entries must be applied through
     /// a single writer.
+    ///
+    /// A key that sorts after the previous call's resumes the search from
+    /// where that one ended (the sorted drain of a lazy copy); any other
+    /// key searches from the head.
     ///
     /// # Errors
     ///
@@ -258,14 +284,12 @@ impl GrowableSkipList {
         kind: OpKind,
     ) -> Result<ApplyOutcome> {
         let pool = &*self.pool;
+        let mut state = self.state.lock();
         let mut preds = [0u64; MAX_HEIGHT];
-        let existing = find_preds(
-            pool,
-            self.head,
-            key,
-            miodb_common::MAX_SEQUENCE_NUMBER,
-            &mut preds,
-        );
+        let existing = self.locate(&state.finger, key, &mut preds);
+        // Whatever happens below, `preds` stay linked and before `key`:
+        // the nodes a delete or an update unlinks sort after them.
+        state.finger = preds;
         let existing = if existing != 0 && raw::key(pool, existing) == key {
             existing
         } else {
@@ -291,7 +315,7 @@ impl GrowableSkipList {
         // bypass the old chain.
         let height = self.random_height();
         let size = node_size(height, key.len(), value.len());
-        let off = self.alloc_node(size)?;
+        let off = self.alloc_node(&mut state, size)?;
         raw::write_header(pool, off, seq, key.len(), value.len(), height, kind);
         let kv_off = off + node::HEADER_BYTES + 8 * height as u64;
         pool.write_bytes(kv_off, key);
@@ -307,6 +331,7 @@ impl GrowableSkipList {
                 .store(succ, Ordering::Relaxed);
             raw::set_next(pool, preds[level], level, off);
         }
+        state.finger[..height].fill(off);
 
         let outcome = if existing != 0 {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
@@ -380,6 +405,8 @@ mod tests {
     use super::*;
     use miodb_common::Stats;
     use miodb_pmem::DeviceModel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn repo() -> GrowableSkipList {
         let pool = PmemPool::new(
@@ -534,8 +561,186 @@ mod tests {
         assert_eq!(r2.get(b"x").unwrap().value, b"1");
         assert_eq!(r2.get(b"y").unwrap().value, b"2");
         assert_eq!(r2.len(), 2);
-        // Can keep growing after reconstruction.
-        r2.apply(b"z", b"3", 3, OpKind::Put).unwrap();
-        assert_eq!(r2.len(), 3);
+        // Can keep growing after reconstruction: the finger starts cold,
+        // warms on an ascending run and falls back for a key behind it.
+        for k in [&b"z"[..], b"zz", b"zzz", b"a"] {
+            assert_eq!(
+                r2.apply(k, b"3", 3, OpKind::Put).unwrap(),
+                ApplyOutcome::Inserted
+            );
+        }
+        let keys: Vec<Vec<u8>> = r2.list().iter().map(|e| e.key).collect();
+        assert_eq!(keys, [&b"a"[..], b"x", b"y", b"z", b"zz", b"zzz"]);
+        assert_eq!(r2.len(), 6);
+    }
+
+    // ---- The finger against the head search it replaced ----------------
+
+    type Entry = (Vec<u8>, Vec<u8>, u64, OpKind);
+
+    /// An ascending run over keys `0..space`: one key in three, one entry
+    /// in five a tombstone, seqs around `seq` so that some entries update,
+    /// some are superseded and some delete what is (or is not) there.
+    fn ascending_run(r: &mut StdRng, space: u32, seq: u64) -> Vec<Entry> {
+        let mut run = Vec::new();
+        for k in 0..space {
+            if r.gen_range(0..3u32) != 0 {
+                continue;
+            }
+            let s = seq + r.gen_range(0..40u64);
+            let kind = if r.gen_range(0..5u32) == 0 {
+                OpKind::Delete
+            } else {
+                OpKind::Put
+            };
+            let value = format!("v{s}").into_bytes();
+            run.push((format!("key{k:05}").into_bytes(), value, s, kind));
+        }
+        run
+    }
+
+    fn listing(r: &GrowableSkipList) -> Vec<Entry> {
+        r.list()
+            .iter()
+            .map(|e| (e.key, e.value, e.seq, e.kind))
+            .collect()
+    }
+
+    /// Every finger entry is the head or a node still linked at its level.
+    fn assert_finger_linked(r: &GrowableSkipList) {
+        let finger = r.state.lock().finger;
+        for (level, &f) in finger.iter().enumerate() {
+            let mut cur = r.head;
+            while cur != f {
+                cur = raw::next(&r.pool, cur, level);
+                assert_ne!(cur, 0, "finger[{level}] = {f} is not linked");
+            }
+        }
+    }
+
+    #[test]
+    fn finger_apply_equals_head_search_apply() {
+        for keep_tombstones in [false, true] {
+            let pool = || {
+                PmemPool::new(
+                    8 << 20,
+                    DeviceModel::nvm_unthrottled(),
+                    Arc::new(Stats::new()),
+                )
+                .unwrap()
+            };
+            let with_finger =
+                GrowableSkipList::with_tombstone_mode(pool(), 64 * 1024, keep_tombstones).unwrap();
+            let by_head =
+                GrowableSkipList::with_tombstone_mode(pool(), 64 * 1024, keep_tombstones).unwrap();
+            let mut r = StdRng::seed_from_u64(keep_tombstones as u64);
+            let mut resumed = 0;
+            for round in 0..6u64 {
+                for (key, value, seq, kind) in ascending_run(&mut r, 600, 100 + 30 * round) {
+                    // Same predecessors, same successor, wherever the
+                    // search started.
+                    let finger = with_finger.state.lock().finger;
+                    let (mut a, mut b) = ([0u64; MAX_HEIGHT], [0u64; MAX_HEIGHT]);
+                    let found = with_finger.locate(&finger, &key, &mut a);
+                    let newest = miodb_common::MAX_SEQUENCE_NUMBER;
+                    let expect =
+                        find_preds(&with_finger.pool, with_finger.head, &key, newest, &mut b);
+                    assert_eq!((a, found), (b, expect));
+                    resumed += (finger[0] != with_finger.head) as u32;
+
+                    by_head.state.lock().finger = [by_head.head; MAX_HEIGHT];
+                    assert_eq!(
+                        with_finger.apply(&key, &value, seq, kind).unwrap(),
+                        by_head.apply(&key, &value, seq, kind).unwrap()
+                    );
+                    assert_finger_linked(&with_finger);
+                }
+                assert_eq!(listing(&with_finger), listing(&by_head), "round {round}");
+                assert_eq!(with_finger.len(), by_head.len());
+                assert_eq!(with_finger.data_bytes(), by_head.data_bytes());
+            }
+            assert!(resumed > 1000, "the runs did resume from the finger");
+            assert_eq!(with_finger.len(), with_finger.list().count_nodes());
+        }
+    }
+
+    #[test]
+    fn out_of_order_key_after_an_ascending_run_falls_back_to_the_head() {
+        let r = repo();
+        for i in (0..200u32).step_by(2) {
+            let k = format!("key{i:05}");
+            r.apply(k.as_bytes(), b"v", 1, OpKind::Put).unwrap();
+        }
+        // Before the finger, at the finger's own key, and far behind it.
+        for i in [151u32, 198, 1, 0, 77] {
+            let k = format!("key{i:05}");
+            r.apply(k.as_bytes(), b"late", 2, OpKind::Put).unwrap();
+            assert_eq!(r.get(k.as_bytes()).unwrap().value, b"late");
+            assert_finger_linked(&r);
+        }
+        let keys: Vec<Vec<u8>> = r.list().iter().map(|e| e.key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, one version");
+        assert_eq!(keys.len(), 103);
+        assert_eq!(r.len(), 103);
+    }
+
+    #[test]
+    fn a_run_applied_twice_changes_nothing_the_second_time() {
+        // The retried drain of `lazy_worker`: the same entries, same seqs.
+        let r = repo();
+        let mut rng = StdRng::seed_from_u64(7);
+        for entry in ascending_run(&mut rng, 400, 10) {
+            r.apply(&entry.0, &entry.1, entry.2, entry.3).unwrap();
+        }
+        let run = ascending_run(&mut rng, 400, 60);
+        for (key, value, seq, kind) in &run {
+            r.apply(key, value, *seq, *kind).unwrap();
+        }
+        let (once, len, bytes) = (listing(&r), r.len(), r.data_bytes());
+        for (key, value, seq, kind) in &run {
+            let again = r.apply(key, value, *seq, *kind).unwrap();
+            assert!(
+                matches!(
+                    again,
+                    ApplyOutcome::Superseded | ApplyOutcome::DeletedAbsent
+                ),
+                "{again:?}"
+            );
+            assert_finger_linked(&r);
+        }
+        assert_eq!((listing(&r), r.len(), r.data_bytes()), (once, len, bytes));
+    }
+
+    #[test]
+    fn a_delete_leaves_no_finger_entry_on_an_unlinked_node() {
+        let r = repo();
+        for i in 0..300u32 {
+            let k = format!("key{i:05}");
+            r.apply(k.as_bytes(), b"v", 1, OpKind::Put).unwrap();
+        }
+        // Ascending deletes: each victim follows the finger of the one
+        // before; then the key right behind a victim, found from it.
+        for i in (0..300u32).step_by(3) {
+            let k = format!("key{i:05}");
+            assert_eq!(
+                r.apply(k.as_bytes(), b"", 2, OpKind::Delete).unwrap(),
+                ApplyOutcome::Deleted
+            );
+            assert_finger_linked(&r);
+            let next = format!("key{:05}", i + 1);
+            assert_eq!(
+                r.apply(next.as_bytes(), b"w", 2, OpKind::Put).unwrap(),
+                ApplyOutcome::Updated
+            );
+            assert_finger_linked(&r);
+            assert!(r.get(k.as_bytes()).is_none());
+            assert_eq!(r.get(next.as_bytes()).unwrap().value, b"w");
+        }
+        // Deleting the finger's own key is not "after the finger".
+        r.apply(b"key00298", b"", 3, OpKind::Delete).unwrap();
+        r.apply(b"key00298", b"", 4, OpKind::Delete).unwrap();
+        assert_finger_linked(&r);
+        assert_eq!(r.len(), 199);
+        assert_eq!(r.list().count_nodes(), 199);
     }
 }

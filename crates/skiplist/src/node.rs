@@ -204,6 +204,58 @@ pub(crate) fn find_preds(
     raw::next(pool, preds[0], 0)
 }
 
+/// [`find_preds`] resumed from a *finger* instead of the head, for movers
+/// whose targets ascend: same `preds`, same return value, same charging
+/// rule, at the cost of the distance moved rather than the list's depth.
+///
+/// `from` must be the `preds` of an earlier position in the same list that
+/// sorts before `(key, seq)`, kept current with every link written since:
+/// a node spliced at that position replaces the entries its tower reaches,
+/// and nothing that was unlinked is an entry. Then `from[l]` is the last
+/// level-`l` node before the finger's position, so the climb from level 0
+/// can stop at the first level whose successor does not sort before the
+/// target: a higher level's successor lies beyond the finger's position,
+/// is a node of that lower level too, and so overshoots as well. Those
+/// entries are copied as they are, and the descent starts one level down
+/// on that level's finger node — which it leaves at once, passing every
+/// finger entry below.
+pub(crate) fn find_preds_from(
+    pool: &PmemPool,
+    from: &[u64; MAX_HEIGHT],
+    key: &[u8],
+    seq: SequenceNumber,
+    preds: &mut [u64; MAX_HEIGHT],
+) -> u64 {
+    let mut seen: smallset::SmallSet = smallset::SmallSet::new();
+    let mut sorts_before = |node: u64| {
+        if node == 0 {
+            return false;
+        }
+        seen.insert(node);
+        mv_cmp(raw::key(pool, node), raw::seq(pool, node), key, seq) == std::cmp::Ordering::Less
+    };
+    let mut top = 0;
+    while top < MAX_HEIGHT && sorts_before(raw::next(pool, from[top], top)) {
+        top += 1;
+    }
+    preds[top..].copy_from_slice(&from[top..]);
+    if top > 0 {
+        let mut x = from[top - 1];
+        for level in (0..top).rev() {
+            loop {
+                let nxt = raw::next(pool, x, level);
+                if !sorts_before(nxt) {
+                    break;
+                }
+                x = nxt;
+            }
+            preds[level] = x;
+        }
+    }
+    pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
+    raw::next(pool, preds[0], 0)
+}
+
 /// A tiny inline set for deduplicating descent visits.
 mod smallset {
     pub(super) struct SmallSet {

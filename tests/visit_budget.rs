@@ -1,0 +1,158 @@
+//! Exact device-access budgets of the two background movers.
+//!
+//! Zero-copy merge and lazy copy take their inputs in ascending key order
+//! and resume each search from where the last one ended (a *finger*)
+//! instead of descending from the head of the list. These tests count, on
+//! an unthrottled pool, the modeled NVM node visits per moved node and per
+//! applied record — a count repeats exactly where a timing does not — and
+//! check that the bytes *written* are a function of the towers alone: the
+//! finger may change what is read, never what is written.
+//!
+//! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
+//! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
+//! the newtable wholly above, 27.47 for 490 into 31 000), and an ascending
+//! run 22.54 / 30.00 / 31.81 per record into a repository of 0 / 62 000 /
+//! 372 000 — with exactly the bytes written that are asserted here.
+
+use std::sync::Arc;
+
+use miodb::common::OpKind;
+use miodb::pmem::{DeviceModel, PmemPool};
+use miodb::skiplist::merge::MergeLimits;
+use miodb::skiplist::{
+    node_size_upper, zero_copy_merge, GrowableSkipList, InsertionMark, SkipListArena,
+};
+use miodb::Stats;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Modeled bytes of one node visit.
+const VISIT: u64 = 32;
+const KLEN: u64 = 16;
+const VLEN: u64 = 8;
+/// Arena bytes of a node of height 0: header, key, value (8-aligned).
+const FLAT: u64 = 24 + KLEN + VLEN;
+
+fn key(k: u64) -> [u8; KLEN as usize] {
+    let mut out = [0u8; KLEN as usize];
+    out.copy_from_slice(format!("{k:016x}").as_bytes());
+    out
+}
+
+fn pool(bytes: usize) -> Arc<PmemPool> {
+    PmemPool::new(
+        bytes,
+        DeviceModel::nvm_unthrottled(),
+        Arc::new(Stats::new()),
+    )
+    .unwrap()
+}
+
+/// A table of `keys`; the sum of its tower heights, read off the arena's
+/// fill (every node is `FLAT` bytes plus one link word per level).
+fn table(pool: &Arc<PmemPool>, keys: &[u64], seq0: u64) -> (SkipListArena, u64) {
+    let cap = node_size_upper(0, 0) as usize + keys.len() * 80 + (64 << 10);
+    let t = SkipListArena::new(pool.clone(), cap).unwrap();
+    for (i, &k) in keys.iter().enumerate() {
+        t.insert(&key(k), &[7u8; VLEN as usize], seq0 + i as u64, OpKind::Put)
+            .unwrap();
+    }
+    let towers = (t.used_bytes() - node_size_upper(0, 0) - FLAT * keys.len() as u64) / 8;
+    (t, towers)
+}
+
+/// Merges a table of `new` into a table of `old`; node visits per moved
+/// node. Asserts the write budget, which is exact.
+fn merge_visits(new: &[u64], old: &[u64]) -> f64 {
+    let p = pool(((new.len() + old.len()) * 80 + (1 << 20)).next_power_of_two());
+    let (old_t, _) = table(&p, old, 1);
+    let (new_t, new_towers) = table(&p, new, 1 << 32);
+    let mark = InsertionMark::alloc(&p).unwrap();
+    let before = p.stats().snapshot();
+    let out = zero_copy_merge(&p, new_t.head(), old_t.head(), &mark, MergeLimits::none());
+    let io = p.stats().snapshot().diff(&before);
+    let stats = out.stats();
+    assert!(out.is_complete());
+    assert_eq!(stats.moved, new.len() as u64);
+    assert_eq!((stats.dropped_new, stats.bypassed_old), (0, 0));
+    assert_eq!(old_t.list().count_nodes(), new.len() + old.len());
+    // A moved node costs one link word per level to unlink and two to
+    // splice, two mark sets and a mark clear (8 + 8 + 16 B): 64.0 B a node
+    // at the expected tower of 4/3, whatever located its predecessors.
+    assert_eq!(stats.link_writes, 3 * new_towers);
+    assert_eq!(
+        io.nvm_bytes_written,
+        8 * stats.link_writes + 32 * stats.moved
+    );
+    io.nvm_bytes_read as f64 / VISIT as f64 / stats.moved as f64
+}
+
+#[test]
+fn merge_reads_a_constant_number_of_nodes_per_moved_node() {
+    let mut r = StdRng::seed_from_u64(1);
+    for side in [490usize, 4_000, 31_000] {
+        let new: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
+        let old: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
+        let visits = merge_visits(&new, &old);
+        println!("merge {side} + {side}: {visits:.2} visits per moved node");
+        assert!(visits <= 5.0, "{side} a side: {visits:.2} visits a node");
+    }
+}
+
+#[test]
+fn merge_of_a_newtable_wholly_above_reads_only_the_moved_nodes() {
+    let mut r = StdRng::seed_from_u64(2);
+    let old: Vec<u64> = (0..4_000).map(|_| r.next_u64() >> 1).collect();
+    let new: Vec<u64> = (0..4_000).map(|_| r.next_u64() | 1 << 63).collect();
+    let visits = merge_visits(&new, &old);
+    println!("merge wholly above: {visits:.2} visits per moved node");
+    assert!(visits <= 2.0, "{visits:.2} visits a node");
+}
+
+#[test]
+fn merge_of_a_small_table_into_a_large_one_pays_for_the_distance() {
+    // 490 nodes spread over 31 000: each search moves ~63 nodes along, so
+    // the finger climbs about log4(63) levels — still well under the depth
+    // of the list.
+    let mut r = StdRng::seed_from_u64(3);
+    let new: Vec<u64> = (0..490).map(|_| r.next_u64()).collect();
+    let old: Vec<u64> = (0..31_000).map(|_| r.next_u64()).collect();
+    let visits = merge_visits(&new, &old);
+    println!("merge 490 into 31000: {visits:.2} visits per moved node");
+    assert!(visits <= 18.0, "{visits:.2} visits a node");
+}
+
+#[test]
+fn lazy_copy_run_reads_few_nodes_per_applied_record() {
+    // Seven sorted runs of 62 000 distinct records, as seven lazy-copy
+    // drains deliver them; the last lands in a repository of 372 000.
+    const RUN: usize = 62_000;
+    const RUNS: usize = 7;
+    let p = pool(64 << 20);
+    let repo = GrowableSkipList::new(p.clone(), 48 << 20).unwrap();
+    let mut r = StdRng::seed_from_u64(4);
+    let mut visits_of = Vec::new();
+    for run in 0..RUNS {
+        let mut keys: Vec<u64> = (0..RUN).map(|_| r.next_u64()).collect();
+        keys.sort_unstable();
+        let (_, _, cursor, ..) = repo.parts();
+        let before = p.stats().snapshot();
+        for &k in &keys {
+            repo.apply(&key(k), &[7u8; VLEN as usize], 1 + run as u64, OpKind::Put)
+                .unwrap();
+        }
+        let io = p.stats().snapshot().diff(&before);
+        assert_eq!(repo.len(), (run + 1) * RUN);
+        // A record costs its node (header and tower, key, value) and one
+        // link word per level: 62.3 B at the expected tower of 4/3 and
+        // these 24 B of key and value — a function of the towers alone.
+        let allocated = repo.parts().2 - cursor;
+        let towers = (allocated - FLAT * RUN as u64) / 8;
+        assert_eq!(io.nvm_bytes_written, FLAT * RUN as u64 + 16 * towers);
+        visits_of.push(io.nvm_bytes_read as f64 / VISIT as f64 / RUN as f64);
+    }
+    println!("apply, visits per record by run: {visits_of:.2?}");
+    assert_eq!(visits_of[0], 0.0, "an ascending run into an empty list");
+    assert!(visits_of[1] <= 4.0, "into 62 000: {:.2}", visits_of[1]);
+    assert!(visits_of[6] <= 8.0, "into 372 000: {:.2}", visits_of[6]);
+}
