@@ -56,7 +56,7 @@ pub use metrics::MetricsRegistry;
 pub use proto::{Opcode, Request, Response};
 pub use repl::{majority, AckLevel, ReplicationSink, Role, RoleState};
 pub use ring::MpmcRing;
-pub use service::ServiceTelemetry;
+pub use service::{ServePath, ServiceTelemetry};
 pub use stats::Stats;
 pub use telemetry::{EngineTelemetry, Interval, LevelMetrics, Timed};
 pub use trace::{SpanKind, SpanLayer, SpanRecord, TraceCtx};

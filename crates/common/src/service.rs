@@ -12,6 +12,28 @@ use crate::metrics::MetricsRegistry;
 use crate::proto::Opcode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The thread a request executed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServePath {
+    /// Inline, on the event-loop shard that decoded it (run to completion).
+    Shard,
+    /// On the worker pool (frames that can block, or handed off).
+    Worker,
+}
+
+impl ServePath {
+    /// Both paths, in metric order.
+    pub const ALL: [ServePath; 2] = [ServePath::Shard, ServePath::Worker];
+
+    /// Prometheus label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            ServePath::Shard => "shard",
+            ServePath::Worker => "worker",
+        }
+    }
+}
+
 /// Gauges and histograms for one server instance.
 #[derive(Debug, Default)]
 pub struct ServiceTelemetry {
@@ -28,6 +50,8 @@ pub struct ServiceTelemetry {
     /// Backpressure advisories sent (connections paused by queue or
     /// write-buffer caps).
     backpressure_events: AtomicU64,
+    /// Requests executed, indexed by [`ServePath::ALL`] order.
+    served: [AtomicU64; 2],
     /// Per-opcode request latency in nanoseconds, indexed by
     /// [`Opcode::ALL`] order.
     latency: [ConcurrentHistogram; Opcode::ALL.len()],
@@ -91,6 +115,16 @@ impl ServiceTelemetry {
         self.backpressure_events.load(Ordering::Relaxed)
     }
 
+    /// Counts one request executed on `path`.
+    pub fn request_served(&self, path: ServePath) {
+        self.served[path as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Requests executed on `path` since start.
+    pub fn requests_on(&self, path: ServePath) -> u64 {
+        self.served[path as usize].load(Ordering::Relaxed)
+    }
+
     /// Currently open connections.
     pub fn active_connections(&self) -> u64 {
         self.active_connections.load(Ordering::Relaxed)
@@ -145,6 +179,14 @@ impl ServiceTelemetry {
             &[],
             self.backpressure_events.load(Ordering::Relaxed) as f64,
         );
+        for path in ServePath::ALL {
+            reg.counter(
+                "miodb_server_requests_total",
+                "Requests executed, by the thread that ran them",
+                &[("path", path.label())],
+                self.requests_on(path) as f64,
+            );
+        }
         reg.counter(
             "miodb_server_dropped_spans_total",
             "Trace spans discarded because the span ring was full",
@@ -212,6 +254,19 @@ mod tests {
         assert!(text.contains("miodb_server_request_latency_seconds{op=\"get\""));
         // Opcodes with no samples are omitted.
         assert!(!text.contains("op=\"batch\""));
+    }
+
+    #[test]
+    fn requests_are_counted_by_path_and_both_paths_render() {
+        let t = ServiceTelemetry::new();
+        for _ in 0..3 {
+            t.request_served(ServePath::Shard);
+        }
+        assert_eq!(t.requests_on(ServePath::Shard), 3);
+        assert_eq!(t.requests_on(ServePath::Worker), 0);
+        let text = t.render_prometheus();
+        assert!(text.contains("miodb_server_requests_total{path=\"shard\"} 3"));
+        assert!(text.contains("miodb_server_requests_total{path=\"worker\"} 0"));
     }
 
     /// Parses the exposition text line-by-line: every sampled opcode must

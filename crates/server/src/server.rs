@@ -12,18 +12,31 @@
 //!   [`FrameDecoder`](proto::FrameDecoder) (partial-frame reads), a bounded
 //!   queue of decoded-but-unserved request frames, and a write buffer of
 //!   encoded responses drained as the socket allows (partial writes).
-//! - **Worker pool.** Decoded frames are executed by a shared worker pool.
-//!   At most one worker owns a connection at a time (the `executing` flag),
-//!   so responses are appended — and therefore hit the wire — strictly in
-//!   request order, preserving the pipelining contract.
+//! - **Run to completion, hand off what can block.** A frame that cannot
+//!   wait on anything outside this process — `Get`, and `Put`/`Delete`/
+//!   `Batch` unless a replicator with a synchronous ack level may hold the
+//!   commit for a follower — executes inline on the shard thread that
+//!   decoded it, and its response leaves in the same tick. Everything else
+//!   (scans, stats, snapshots, votes, replication handshakes,
+//!   sync-replicated writes) goes to a shared worker pool, as does the
+//!   rest of a connection's queue once one such frame reaches its front or
+//!   the shard's per-round budget is spent. One `serve_conn` has both
+//!   callers; at most one of them owns a connection at a time (the
+//!   `executing` flag), so responses are appended — and therefore hit the
+//!   wire — strictly in request order, preserving the pipelining contract.
+//!   Two waits are accepted on the shard: an inline write can wait as a
+//!   group-commit follower until the current leader's apply ends, and in
+//!   a rotation stall (at most one MemTable flush) like every other
+//!   writer. The injected `server.request.stall` fault holds the shard
+//!   when it hits an inline frame.
 //! - **Backpressure.** When a connection's request queue or write buffer
 //!   hits its cap the shard stops reading from it (`EPOLLIN` dropped) and
 //!   sends a single in-band [`Response::Backpressure`] advisory (request
 //!   id 0). Reads resume once the client drains responses below half the
 //!   caps, which bounds per-connection server memory.
-//! - **Fairness.** Per-tick read rounds and per-dispatch execution are both
-//!   bounded, so one hot connection cannot starve the others on its shard
-//!   or monopolize a worker.
+//! - **Fairness.** Per-tick read rounds, inline execution per read round
+//!   and per-dispatch execution are all bounded, so one hot connection
+//!   cannot starve the others on its shard or monopolize a worker.
 //! - **Shutdown.** [`KvServer::shutdown`] stops the accept loop, has every
 //!   shard slurp each socket's already-sent bytes one final time, executes
 //!   everything queued, flushes all responses and only then closes — so
@@ -46,10 +59,11 @@ use crate::poller::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLL
 use miodb_common::proto::{self, Frame, FrameDecoder, Opcode, ReplBatch, Request, Response};
 use miodb_common::trace::{self, SpanKind, TraceCtx};
 use miodb_common::{
-    fault, Error, KvEngine, MetricsRegistry, OpKind, Result, RoleState, ServiceTelemetry,
+    fault, AckLevel, Error, KvEngine, MetricsRegistry, OpKind, Result, RoleState, ServePath,
+    ServiceTelemetry,
 };
 use miodb_repl::Replicator;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -78,7 +92,9 @@ const READ_CHUNK: usize = 16 * 1024;
 const READ_ROUNDS_PER_TICK: usize = 8;
 
 /// Fairness bound: frames one worker dispatch executes before requeueing
-/// the connection behind other pending work.
+/// the connection behind other pending work, and frames a shard executes
+/// inline for one connection per read round before handing the rest of
+/// its queue to the pool.
 const FRAMES_PER_DISPATCH: usize = 32;
 
 /// Server tunables.
@@ -190,14 +206,16 @@ impl WriteBuf {
 }
 
 /// Cross-thread state of one connection: written by the owning shard
-/// (decode/enqueue, writes) and by at most one worker at a time
-/// (execute/respond).
+/// (decode/enqueue, writes) and by whoever holds `executing` — the shard
+/// itself or one worker (execute/respond).
 struct ConnState {
     /// Decoded frames awaiting execution, in arrival order.
     queue: VecDeque<Frame>,
     /// Encoded responses awaiting the socket.
     out: WriteBuf,
-    /// A worker currently owns this connection's queue.
+    /// The shard (inline) or a worker currently owns this connection's
+    /// queue; a connection handed to the pool keeps it until the worker
+    /// drains the queue.
     executing: bool,
     /// Reads paused by the queue/buffer caps.
     read_paused: bool,
@@ -319,6 +337,9 @@ struct Shared {
     /// `ReplVote` and subscriber streams).
     replication_enabled: bool,
     replicator: Option<Arc<Replicator>>,
+    /// Mutations may run inline on a shard: no replicator can hold their
+    /// commit waiting for a follower ack (none, or an `Async` one).
+    inline_mutations: bool,
     snapshot: Option<SnapshotFn>,
     applied: Option<AppliedFn>,
     advertised_addr: String,
@@ -358,6 +379,17 @@ impl Shared {
 
     fn partitioned(&self) -> bool {
         self.partitioned.load(Ordering::Acquire)
+    }
+
+    /// Whether a frame may run on the shard that decoded it: nothing it
+    /// does waits on anything outside this process. Decided from the
+    /// opcode and this server's replication wiring alone.
+    fn runs_inline(&self, frame: &Frame) -> bool {
+        match Opcode::from_u8(frame.opcode) {
+            Some(Opcode::Get) => true,
+            Some(Opcode::Put | Opcode::Delete | Opcode::Batch) => self.inline_mutations,
+            _ => false,
+        }
     }
 }
 
@@ -462,10 +494,12 @@ impl KvServer {
         if role.is_leader() && !advertised_addr.is_empty() {
             role.set_leader_hint(&advertised_addr);
         }
-        // Readiness-loop (shard) and request-execution worker threads are
-        // sized from the CPU count. At least 4 workers, so one injected
-        // stall (SERVER_REQUEST_STALL holds a worker for its sleep) cannot
-        // starve unrelated connections even on a single-core box.
+        // Readiness-loop (shard) and worker threads are sized from the CPU
+        // count. At least 4 workers, so one handed-off frame that blocks —
+        // a sync-replicated commit waiting for its ack, or an injected
+        // SERVER_REQUEST_STALL on a handed-off frame — cannot starve the
+        // other handed-off connections even on a single-core box. (A
+        // stall on an inline frame holds its shard instead.)
         let n_shards = cpu_count().clamp(1, 4);
         let n_workers = cpu_count().clamp(4, 16);
         let mut shards = Vec::with_capacity(n_shards);
@@ -484,6 +518,9 @@ impl KvServer {
             work: WorkQueue::new(),
             role,
             replication_enabled,
+            inline_mutations: replicator
+                .as_ref()
+                .is_none_or(|r| r.ack_level() == AckLevel::Async),
             replicator,
             snapshot,
             applied,
@@ -703,6 +740,8 @@ fn shard_loop(idx: usize, shared: &Arc<Shared>, handlers: &Arc<Mutex<Vec<JoinHan
     let mut conns: HashMap<u64, ShardConn> = HashMap::new();
     let mut events: Vec<(u64, u32)> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    // Response scratch of the frames this shard executes inline.
+    let mut resp = Vec::new();
     let mut draining = false;
     loop {
         if poller
@@ -719,12 +758,12 @@ fn shard_loop(idx: usize, shared: &Arc<Shared>, handlers: &Arc<Mutex<Vec<JoinHan
             let tokens: Vec<u64> = conns.keys().copied().collect();
             for token in tokens {
                 if let Some(sc) = conns.get_mut(&token) {
-                    read_conn(sc, shared, &mut scratch, true);
+                    read_conn(sc, shared, &mut scratch, &mut resp, true);
                     sc.no_more_reads = true;
                     let mut st = sc.shared_conn.state.lock();
                     st.read_closed = true;
                 }
-                service_conn(token, &mut conns, &poller, shared, handlers);
+                service_conn(token, &mut conns, &poller, shared, handlers, &mut resp);
             }
         }
         for &(token, ev) in &events {
@@ -738,9 +777,10 @@ fn shard_loop(idx: usize, shared: &Arc<Shared>, handlers: &Arc<Mutex<Vec<JoinHan
             if ev & (EPOLLERR | EPOLLHUP) != 0 {
                 sc.shared_conn.state.lock().socket_dead = true;
             } else if ev & (EPOLLIN | EPOLLRDHUP) != 0 {
-                read_conn(sc, shared, &mut scratch, draining);
+                read_conn(sc, shared, &mut scratch, &mut resp, draining);
             }
-            service_conn(token, &mut conns, &poller, shared, handlers);
+            // Flushes what the read just executed inline, in this tick.
+            service_conn(token, &mut conns, &poller, shared, handlers, &mut resp);
         }
         loop {
             let msgs: Vec<ShardMsg> = std::mem::take(&mut *handle.mailbox.lock());
@@ -754,10 +794,10 @@ fn shard_loop(idx: usize, shared: &Arc<Shared>, handlers: &Arc<Mutex<Vec<JoinHan
                             shared.telemetry.conn_closed();
                             continue;
                         }
-                        register_conn(stream, conn, &mut conns, &poller, shared, &mut scratch);
+                        register_conn(stream, conn, &mut conns, &poller, shared);
                     }
                     ShardMsg::Touch(token) => {
-                        service_conn(token, &mut conns, &poller, shared, handlers);
+                        service_conn(token, &mut conns, &poller, shared, handlers, &mut resp);
                     }
                 }
             }
@@ -779,7 +819,6 @@ fn register_conn(
     conns: &mut HashMap<u64, ShardConn>,
     poller: &Poller,
     shared: &Arc<Shared>,
-    scratch: &mut [u8],
 ) {
     let _ = stream.set_nodelay(true);
     if stream.set_nonblocking(true).is_err() {
@@ -792,21 +831,29 @@ fn register_conn(
         shared.telemetry.conn_closed();
         return;
     }
-    let mut sc = ShardConn {
+    // Bytes the client sent before registration are not read here: the
+    // level-triggered poller reports them on its next wait, so they take
+    // the ordinary read → execute → flush path like every later frame.
+    let sc = ShardConn {
         stream,
         decoder: FrameDecoder::new(),
         shared_conn: conn,
         interest,
         no_more_reads: false,
     };
-    // The client may have sent its first frames before registration.
-    read_conn(&mut sc, shared, scratch, false);
     conns.insert(token, sc);
 }
 
 /// Reads until `WouldBlock`/EOF (bounded per tick for fairness unless
-/// `unbounded`), feeding the decoder and enqueueing decoded frames.
-fn read_conn(sc: &mut ShardConn, shared: &Arc<Shared>, scratch: &mut [u8], unbounded: bool) {
+/// `unbounded`), feeding the decoder and executing or enqueueing decoded
+/// frames (`resp` is the inline executor's response scratch).
+fn read_conn(
+    sc: &mut ShardConn,
+    shared: &Arc<Shared>,
+    scratch: &mut [u8],
+    resp: &mut Vec<u8>,
+    unbounded: bool,
+) {
     if sc.no_more_reads {
         return;
     }
@@ -828,7 +875,7 @@ fn read_conn(sc: &mut ShardConn, shared: &Arc<Shared>, scratch: &mut [u8], unbou
             }
             Ok(n) => {
                 sc.decoder.feed(&scratch[..n]);
-                decode_pending(sc, shared, unbounded);
+                decode_pending(sc, shared, resp, unbounded);
                 rounds += 1;
                 if !unbounded && rounds >= READ_ROUNDS_PER_TICK {
                     // Level-triggered: leftover bytes re-report next tick.
@@ -848,8 +895,12 @@ fn read_conn(sc: &mut ShardConn, shared: &Arc<Shared>, scratch: &mut [u8], unbou
 
 /// Drains the decoder into the request queue, applying the backpressure
 /// caps (skipped while `draining`: shutdown executes everything already
-/// sent).
-fn decode_pending(sc: &mut ShardConn, shared: &Arc<Shared>, draining: bool) {
+/// sent). A connection no one owns is claimed as its frames arrive: this
+/// shard runs its queue inline while the front frame may run here, for at
+/// most [`FRAMES_PER_DISPATCH`] frames per call, and hands the rest to the
+/// pool with `executing` still held.
+fn decode_pending(sc: &mut ShardConn, shared: &Arc<Shared>, resp: &mut Vec<u8>, draining: bool) {
+    let mut budget = FRAMES_PER_DISPATCH;
     loop {
         {
             let mut st = sc.shared_conn.state.lock();
@@ -876,11 +927,7 @@ fn decode_pending(sc: &mut ShardConn, shared: &Arc<Shared>, draining: bool) {
             Ok(Some(frame)) => {
                 let mut st = sc.shared_conn.state.lock();
                 st.queue.push_back(frame);
-                if !st.executing {
-                    st.executing = true;
-                    drop(st);
-                    shared.work.push(Arc::clone(&sc.shared_conn));
-                }
+                claim(&sc.shared_conn, st, shared, resp, &mut budget);
             }
             Ok(None) => return,
             Err(e) => {
@@ -891,14 +938,30 @@ fn decode_pending(sc: &mut ShardConn, shared: &Arc<Shared>, draining: bool) {
                 sc.no_more_reads = true;
                 let mut st = sc.shared_conn.state.lock();
                 st.pending_error = Some(format!("protocol error: {e}"));
-                if !st.executing {
-                    st.executing = true;
-                    drop(st);
-                    shared.work.push(Arc::clone(&sc.shared_conn));
-                }
+                claim(&sc.shared_conn, st, shared, resp, &mut budget);
                 return;
             }
         }
+    }
+}
+
+/// Takes ownership of a connection with new work unless someone already
+/// has it: executes inline what may run on this shard, then hands what is
+/// left to the pool, `executing` still held.
+fn claim(
+    conn: &Arc<ConnShared>,
+    mut st: MutexGuard<'_, ConnState>,
+    shared: &Arc<Shared>,
+    resp: &mut Vec<u8>,
+    budget: &mut usize,
+) {
+    if st.executing {
+        return;
+    }
+    st.executing = true;
+    drop(st);
+    if serve_conn(conn, shared, resp, ServePath::Shard, budget) {
+        shared.work.push(Arc::clone(conn));
     }
 }
 
@@ -911,6 +974,7 @@ fn service_conn(
     poller: &Poller,
     shared: &Arc<Shared>,
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    resp: &mut Vec<u8>,
 ) {
     let Some(sc) = conns.get_mut(&token) else {
         return;
@@ -940,7 +1004,7 @@ fn service_conn(
         can
     };
     if resumed {
-        decode_pending(sc, shared, false);
+        decode_pending(sc, shared, resp, false);
     }
 
     let mut st = sc.shared_conn.state.lock();
@@ -956,8 +1020,9 @@ fn service_conn(
         shared.telemetry.conn_closed();
         return;
     }
-    // A worker that stalled on the write-buffer cap parked the connection
-    // with work still queued; now that the buffer drained, reschedule.
+    // An executor (shard or worker) that stalled on the write-buffer cap
+    // parked the connection with work still queued; now that the buffer
+    // drained, reschedule it on the pool.
     if !st.executing
         && (!st.queue.is_empty() || st.pending_error.is_some())
         && st.out.pending() < shared.opts.max_conn_buffer_bytes
@@ -1070,8 +1135,8 @@ fn handoff_conn(
 fn worker_loop(shared: &Arc<Shared>) {
     let mut out = Vec::new();
     while let Some(conn) = shared.work.pop() {
-        let requeue = serve_conn(&conn, shared, &mut out);
-        if requeue {
+        let mut budget = FRAMES_PER_DISPATCH;
+        if serve_conn(&conn, shared, &mut out, ServePath::Worker, &mut budget) {
             shared.work.push(Arc::clone(&conn));
         }
         let shard = &shared.shards[conn.shard];
@@ -1079,11 +1144,17 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Executes one connection's queued frames in order. Returns `true` when
-/// the connection still holds work but yielded for fairness (the caller
-/// requeues it).
-fn serve_conn(conn: &Arc<ConnShared>, shared: &Arc<Shared>, out: &mut Vec<u8>) -> bool {
-    let mut served = 0;
+/// Executes one connection's queued frames in order, at most `budget` of
+/// them; on the shard `path`, only while the front frame may run there.
+/// Returns `true` when the connection still holds work and `executing`
+/// (the caller hands it to the pool, or requeues it there).
+fn serve_conn(
+    conn: &Arc<ConnShared>,
+    shared: &Arc<Shared>,
+    out: &mut Vec<u8>,
+    path: ServePath,
+    budget: &mut usize,
+) -> bool {
     loop {
         let frame = {
             let mut st = conn.state.lock();
@@ -1097,21 +1168,27 @@ fn serve_conn(conn: &Arc<ConnShared>, shared: &Arc<Shared>, out: &mut Vec<u8>) -
                 st.executing = false;
                 return false;
             }
-            match st.queue.pop_front() {
-                Some(f) => f,
-                None => {
-                    if let Some(msg) = st.pending_error.take() {
-                        let resp = Response::Err(msg);
-                        let _ = proto::write_response(&mut st.out.buf, 0, Opcode::Get, &resp);
-                        st.want_close = true;
-                    }
-                    st.executing = false;
-                    return false;
+            let Some(front) = st.queue.front() else {
+                if let Some(msg) = st.pending_error.take() {
+                    let resp = Response::Err(msg);
+                    let _ = proto::write_response(&mut st.out.buf, 0, Opcode::Get, &resp);
+                    st.want_close = true;
                 }
+                st.executing = false;
+                return false;
+            };
+            // Out of budget (yield to other connections), or a frame that
+            // may block reached a shard: `executing` stays set so no one
+            // else can claim the queue until the pool has it.
+            if *budget == 0 || (path == ServePath::Shard && !shared.runs_inline(front)) {
+                return true;
             }
+            *budget -= 1;
+            st.queue.pop_front().expect("front frame present")
         };
         out.clear();
         let outcome = serve_frame(&frame, shared, out);
+        shared.telemetry.request_served(path);
         match outcome {
             FrameOutcome::Wrote => {
                 let mut st = conn.state.lock();
@@ -1132,19 +1209,6 @@ fn serve_conn(conn: &Arc<ConnShared>, shared: &Arc<Shared>, out: &mut Vec<u8>) -
                 st.executing = false;
                 return false;
             }
-        }
-        served += 1;
-        if served >= FRAMES_PER_DISPATCH {
-            // Yield to other connections; `executing` stays set so no
-            // second worker can claim the queue meanwhile.
-            let has_more = {
-                let st = conn.state.lock();
-                !st.queue.is_empty() || st.pending_error.is_some()
-            };
-            if has_more {
-                return true;
-            }
-            served = 0;
         }
     }
 }
@@ -1181,7 +1245,8 @@ fn is_inter_node(opcode: u8) -> bool {
 /// open — framing is still aligned.
 fn serve_frame(frame: &Frame, shared: &Shared, out: &mut Vec<u8>) -> FrameOutcome {
     // Injected stall: a `Latency` policy sleeps inside `hit`, holding this
-    // connection's pipeline while every other connection keeps serving.
+    // connection's pipeline — and, for a frame running inline, every
+    // connection on its shard — while the other shards keep serving.
     let _ = fault::hit(fault::points::SERVER_REQUEST_STALL);
     // Injected drop: close the connection without responding — the client
     // must treat an in-flight mutation as ambiguous (`MaybeApplied`) and

@@ -553,10 +553,11 @@ pub fn get_skip_marked(
     'attempt: for _ in 0..1024 {
         let marked = mark.load().map(|(n, _)| n).unwrap_or(0);
         let mut x = head;
+        let mut nxt = 0;
         let mut visits = 0u64;
         for level in (0..MAX_HEIGHT).rev() {
             loop {
-                let nxt = raw::next(&pool, x, level);
+                nxt = raw::next(&pool, x, level);
                 if nxt == 0 {
                     break;
                 }
@@ -586,16 +587,12 @@ pub fn get_skip_marked(
                 }
             }
         }
-        let node = raw::next(&pool, x, 0);
+        // The level-0 successor the descent compared, not a reload (see
+        // `find_preds`); never the marked node, which restarts the descent
+        // and is left to the mark-read step of the protocol.
+        let node = nxt;
         pool.charge_read_batch(visits, 32);
-        if node == 0 || node == marked {
-            // Defer the marked node to the mark-read step of the protocol.
-            if node != 0 {
-                continue 'attempt;
-            }
-            return None;
-        }
-        if raw::key(&pool, node) != key {
+        if node == 0 || raw::key(&pool, node) != key {
             return None;
         }
         let value = raw::value(&pool, node).to_vec();
@@ -1442,8 +1439,7 @@ mod tests {
     /// One merger, two readers on the full newtable → mark → oldtable
     /// protocol as the engine runs it — optimistic first and, on a miss,
     /// once more under the gate the merger holds for each window of steps
-    /// (a reader preempted on a node that a step then moves, or between
-    /// the two loads `find_preds` makes of a level-0 link, can compute a
+    /// (a reader preempted on a node that a step then moves can compute a
     /// false miss) — over tables with several versions of a key on both
     /// sides. Pins what the finger must not change: no reader ever
     /// resolves a key to less than the oldtable held for it before the

@@ -162,9 +162,32 @@ pub(crate) mod raw {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Runs once, at the end of the next [`find_preds`] on this thread —
+    /// after its last comparison, before it returns.
+    static AFTER_DESCENT: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The point where a test splices concurrently with a finished descent;
+/// nothing outside the tests.
+#[inline]
+fn after_descent() {
+    #[cfg(test)]
+    if let Some(hook) = AFTER_DESCENT.with(std::cell::Cell::take) {
+        hook();
+    }
+}
+
 /// Finds, for every level, the last node strictly before the multi-version
-/// position `(key, seq)` in the list rooted at `head`; returns
-/// `preds[0].next[0]` (the first node `>= (key, seq)`, or 0).
+/// position `(key, seq)` in the list rooted at `head`; returns the first
+/// node `>= (key, seq)` the level-0 step compared (or 0).
+///
+/// That successor is returned as loaded, never re-read from `preds[0]`: a
+/// node spliced right before the target since the comparison would
+/// otherwise be returned in its place, and a lookup would miss a key the
+/// list holds.
 ///
 /// This is the shared descent used by lookups, inserts, zero-copy merges
 /// and the data repository. Each inspected node is charged as one modeled
@@ -177,6 +200,7 @@ pub(crate) fn find_preds(
     preds: &mut [u64; MAX_HEIGHT],
 ) -> u64 {
     let mut x = head;
+    let mut succ = 0;
     // A node peeked once is CPU-cache resident afterwards; count the
     // modeled NVM read only on first inspection (exact dedup — descents
     // touch a few dozen nodes, so a linear scan is cheap), and charge the
@@ -185,15 +209,15 @@ pub(crate) fn find_preds(
     let mut seen: smallset::SmallSet = smallset::SmallSet::new();
     for level in (0..MAX_HEIGHT).rev() {
         loop {
-            let nxt = raw::next(pool, x, level);
-            if nxt == 0 {
+            succ = raw::next(pool, x, level);
+            if succ == 0 {
                 break;
             }
-            seen.insert(nxt);
-            let nk = raw::key(pool, nxt);
-            let ns = raw::seq(pool, nxt);
+            seen.insert(succ);
+            let nk = raw::key(pool, succ);
+            let ns = raw::seq(pool, succ);
             if mv_cmp(nk, ns, key, seq) == std::cmp::Ordering::Less {
-                x = nxt;
+                x = succ;
             } else {
                 break;
             }
@@ -201,7 +225,8 @@ pub(crate) fn find_preds(
         preds[level] = x;
     }
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-    raw::next(pool, preds[0], 0)
+    after_descent();
+    succ
 }
 
 /// [`find_preds`] resumed from a *finger* instead of the head, for movers
@@ -234,26 +259,36 @@ pub(crate) fn find_preds_from(
         seen.insert(node);
         mv_cmp(raw::key(pool, node), raw::seq(pool, node), key, seq) == std::cmp::Ordering::Less
     };
+    // As in `find_preds`, the level-0 successor returned is the one last
+    // compared: the climb's when it stops at level 0, else the descent's.
     let mut top = 0;
-    while top < MAX_HEIGHT && sorts_before(raw::next(pool, from[top], top)) {
+    let mut succ;
+    loop {
+        succ = raw::next(pool, from[top], top);
+        if !sorts_before(succ) {
+            break;
+        }
         top += 1;
+        if top == MAX_HEIGHT {
+            break;
+        }
     }
     preds[top..].copy_from_slice(&from[top..]);
     if top > 0 {
         let mut x = from[top - 1];
         for level in (0..top).rev() {
             loop {
-                let nxt = raw::next(pool, x, level);
-                if !sorts_before(nxt) {
+                succ = raw::next(pool, x, level);
+                if !sorts_before(succ) {
                     break;
                 }
-                x = nxt;
+                x = succ;
             }
             preds[level] = x;
         }
     }
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-    raw::next(pool, preds[0], 0)
+    succ
 }
 
 /// A tiny inline set for deduplicating descent visits.
@@ -402,5 +437,35 @@ impl SkipList {
             cur = raw::next(pool, cur, 0);
         }
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SkipListArena;
+    use miodb_common::Stats;
+    use miodb_pmem::DeviceModel;
+
+    /// A node spliced right before the target after the descent compared
+    /// its level-0 successor — what a concurrent insert or merge step can
+    /// do to a reader — must not hide the target: `get` answers from the
+    /// successor the descent saw, not from a reload of `preds[0]`'s link.
+    #[test]
+    fn splice_after_the_descent_does_not_hide_the_key() {
+        let pool = PmemPool::new(8 << 20, DeviceModel::dram(), Arc::new(Stats::new())).unwrap();
+        let table = Arc::new(SkipListArena::new(pool, 64 * 1024).unwrap());
+        table.insert(b"a", b"1", 1, OpKind::Put).unwrap();
+        table.insert(b"c", b"3", 2, OpKind::Put).unwrap();
+        let splicer = Arc::clone(&table);
+        AFTER_DESCENT.set(Some(Box::new(move || {
+            splicer.insert(b"b", b"2", 3, OpKind::Put).unwrap();
+        })));
+        let found = table.list().get(b"c").expect("c is in the list");
+        assert_eq!((found.value.as_slice(), found.seq), (&b"3"[..], 2));
+        // The splice did happen, between the descent and its return.
+        assert!(AFTER_DESCENT.with(std::cell::Cell::take).is_none());
+        assert_eq!(table.list().get(b"b").unwrap().value, b"2");
+        assert_eq!(table.list().count_nodes(), 3);
     }
 }

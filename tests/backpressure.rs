@@ -196,3 +196,65 @@ fn other_connections_progress_while_one_reader_is_stalled() {
     server.shutdown();
     router.close().unwrap();
 }
+
+/// A pipelining client whose gets run inline on the shard and which then
+/// stops draining parks its connection at `max_conn_buffer_bytes`; once it
+/// reads again the connection resumes, every response arrives in request
+/// order, and the connection keeps serving.
+#[test]
+fn stalled_inline_connection_parks_and_resumes() {
+    use miodb::common::ServePath;
+    let (server, router) = start_small_server();
+    for i in 0..10u32 {
+        router
+            .put(
+                format!("big{i}").as_bytes(),
+                &vec![b'0' + i as u8; 16 << 10],
+            )
+            .unwrap();
+    }
+    let mut c = KvClient::connect(server.local_addr()).unwrap();
+    let n = 1500u32;
+    let ids: Vec<u32> = (0..n)
+        .map(|i| {
+            c.send(&Request::Get {
+                key: format!("big{}", i % 10).into_bytes(),
+            })
+            .unwrap()
+        })
+        .collect();
+    c.flush().unwrap();
+    // 24 MiB of responses against a 64 KiB cap and the kernel's socket
+    // buffers: the connection parks.
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        server.telemetry().backpressure_events() >= 1,
+        "never parked"
+    );
+    assert!(
+        server.telemetry().requests_on(ServePath::Shard) > 0,
+        "no get ran inline"
+    );
+    assert!(
+        server.telemetry().requests_on(ServePath::Shard)
+            + server.telemetry().requests_on(ServePath::Worker)
+            < u64::from(n),
+        "a parked connection executed its whole pipeline"
+    );
+    for (i, id) in ids.iter().enumerate() {
+        let (got, resp) = c.recv().unwrap();
+        assert_eq!(got, *id, "response {i} out of order");
+        match resp {
+            miodb::common::Response::Value(Some(v)) => {
+                assert_eq!(v, vec![b'0' + (i % 10) as u8; 16 << 10], "response {i}");
+            }
+            other => panic!("response {i}: unexpected {other:?}"),
+        }
+    }
+    assert!(c.counters().backpressure >= 1);
+    c.put(b"after", b"resumed").unwrap();
+    assert_eq!(c.get(b"after").unwrap().as_deref(), Some(&b"resumed"[..]));
+    c.close().unwrap();
+    server.shutdown();
+    router.close().unwrap();
+}

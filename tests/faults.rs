@@ -561,3 +561,72 @@ fn server_stall_delays_but_completes_within_client_timeout() {
     server.shutdown();
     db.close().unwrap();
 }
+
+/// A request stall that hits a frame running inline holds the shard that
+/// runs it — a connection on the same shard waits it out too — while
+/// connections on every other shard keep being served.
+#[test]
+fn request_stall_holds_its_shard_while_other_shards_serve() {
+    let _g = fault::exclusive();
+    const STALL: Duration = Duration::from_millis(600);
+    let db = Arc::new(MioDb::open(MioOptions::small_for_tests()).unwrap());
+    let server = KvServer::start(
+        "127.0.0.1:0",
+        Arc::clone(&db) as Arc<dyn KvEngine>,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    // The server runs `cpu_count().clamp(1, 4)` shards and deals accepted
+    // connections out round-robin; accepted one after another, conns[0]
+    // and conns[n_shards] share a shard and every other one is elsewhere.
+    let n_shards = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .clamp(1, 4);
+    let mut conns: Vec<KvClient> = (0..=n_shards)
+        .map(|_| {
+            let mut c = fast_client(server.local_addr());
+            c.put(b"k", b"v").unwrap();
+            c
+        })
+        .collect();
+
+    fault::arm(
+        fault::points::SERVER_REQUEST_STALL,
+        FaultPolicy::Latency(STALL),
+    );
+    let t0 = Instant::now();
+    conns[0]
+        .send(&miodb::common::Request::Get { key: b"k".to_vec() })
+        .unwrap();
+    conns[0].flush().unwrap();
+    while fault::hits(fault::points::SERVER_REQUEST_STALL) == 0 {
+        assert!(t0.elapsed() < STALL, "the stall never hit");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Only the victim's frame sleeps; nothing after it is stalled.
+    fault::disarm(fault::points::SERVER_REQUEST_STALL);
+    for c in &mut conns[1..n_shards] {
+        assert_eq!(c.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+    }
+    assert!(
+        t0.elapsed() < STALL,
+        "the other shards were held by a stall on one shard ({:?})",
+        t0.elapsed()
+    );
+    assert_eq!(
+        conns[n_shards].get(b"k").unwrap().as_deref(),
+        Some(&b"v"[..])
+    );
+    assert!(
+        t0.elapsed() >= STALL,
+        "a connection on the stalled shard was served during the stall"
+    );
+    let (_, resp) = conns[0].recv().unwrap();
+    assert_eq!(resp, miodb::common::Response::Value(Some(b"v".to_vec())));
+
+    for c in conns {
+        c.close().unwrap();
+    }
+    server.shutdown();
+    db.close().unwrap();
+}

@@ -1,8 +1,10 @@
 //! Integration tests for the sharded network service layer: wire round
 //! trips, cross-shard scan merging, visibility of delete/re-put through
 //! the server path, durability of acknowledged writes across a simulated
-//! server kill, and the clean-shutdown guarantee that no acknowledged
-//! write relies on WAL replay.
+//! server kill, the clean-shutdown guarantee that no acknowledged write
+//! relies on WAL replay, and which thread runs a frame: the shard that
+//! decoded it, or the worker pool — with responses in request order
+//! either way.
 
 mod support;
 
@@ -541,5 +543,374 @@ fn shutdown_drains_inflight_pipeline() {
         }
     }
     assert_eq!(acked, reqs.len(), "all pipelined requests must be answered");
+    router.close().unwrap();
+}
+
+// ----- run to completion on the shard: classification and order -------
+
+/// Round-robin assignment spreads accepted connections over at most this
+/// many event-loop shards (`cpu_count().clamp(1, 4)`).
+const MAX_SHARDS: usize = 4;
+
+/// One connection pipelines `Get, Put, Scan, Get, Stats, Delete, Get`
+/// over and over: gets and writes run on the shard, scans and stats on a
+/// worker, and the connection switches between the two at every
+/// scan/stats frame. Responses come back in request order with the
+/// contents the sequential execution implies.
+#[test]
+fn frames_switching_between_shard_and_worker_answer_in_order() {
+    use miodb::common::{Request, Response, ScanEntry, ServePath};
+    let (server, router) = start_server(2);
+    let mut c = KvClient::connect(server.local_addr()).unwrap();
+    // Small pipelines first (each starts on an unowned connection), then
+    // one long one that also crosses the inline budget.
+    for (batch, rounds) in [(0u32, 1u32), (1, 3), (2, 5), (3, 40)] {
+        let mut reqs = Vec::new();
+        let mut expected = Vec::new();
+        for r in 0..rounds {
+            let key = format!("mix{batch}-{r:03}").into_bytes();
+            let value = format!("v{batch}-{r}").into_bytes();
+            reqs.extend([
+                Request::Get { key: key.clone() },
+                Request::Put {
+                    key: key.clone(),
+                    value: value.clone(),
+                },
+                Request::Scan {
+                    start: key.clone(),
+                    limit: 1,
+                },
+                Request::Get { key: key.clone() },
+                Request::Stats,
+                Request::Delete { key: key.clone() },
+                Request::Get { key: key.clone() },
+            ]);
+            expected.extend([
+                Some(Response::Value(None)),
+                Some(Response::Ok),
+                // Earlier keys are deleted, later ones not yet written.
+                Some(Response::Entries(vec![ScanEntry {
+                    key,
+                    value: value.clone(),
+                }])),
+                Some(Response::Value(Some(value))),
+                None, // a scrape
+                Some(Response::Ok),
+                Some(Response::Value(None)),
+            ]);
+        }
+        let ids: Vec<u32> = reqs.iter().map(|r| c.send(r).unwrap()).collect();
+        c.flush().unwrap();
+        for (i, (id, want)) in ids.iter().zip(&expected).enumerate() {
+            let (got, resp) = c.recv().unwrap();
+            assert_eq!(got, *id, "batch {batch}, response {i} out of order");
+            match (want, resp) {
+                (Some(want), resp) => assert_eq!(&resp, want, "batch {batch}, response {i}"),
+                (None, Response::Stats(text)) => {
+                    assert!(text.contains("miodb_server_requests_total"));
+                }
+                (None, other) => panic!("batch {batch}, response {i}: want stats, got {other:?}"),
+            }
+        }
+    }
+    let t = server.telemetry();
+    assert!(t.requests_on(ServePath::Shard) > 0, "no frame ran inline");
+    assert!(
+        t.requests_on(ServePath::Worker) > 0,
+        "no frame ran on a worker"
+    );
+    assert_eq!(
+        t.requests_on(ServePath::Shard) + t.requests_on(ServePath::Worker),
+        7 * (1 + 3 + 5 + 40)
+    );
+    c.close().unwrap();
+    server.shutdown();
+    router.close().unwrap();
+}
+
+/// A semi-sync leader with no follower: a `Put` must wait out the whole
+/// `semi_sync_timeout` for an ack that never comes, so it runs on a
+/// worker. Meanwhile gets on more connections than there are shards —
+/// at least one shares the put's shard — answer at once.
+#[test]
+fn sync_replicated_put_waits_on_a_worker_while_gets_answer() {
+    use miodb::common::{AckLevel, ReplicationSink, Response, ServePath};
+    use miodb::repl::{Replicator, ReplicatorOptions};
+    use miodb::{ReplConfig, RoleState};
+    use std::time::{Duration, Instant};
+    const TIMEOUT: Duration = Duration::from_millis(1500);
+    let db = Arc::new(MioDb::open(test_opts()).unwrap());
+    db.put(b"seed", b"s").unwrap();
+    let replicator = Replicator::new(ReplicatorOptions {
+        ack_level: AckLevel::SemiSync,
+        semi_sync_timeout: TIMEOUT,
+        retain_bytes: 1 << 20,
+        group_size: 2,
+    });
+    db.set_commit_sink(Some(Arc::clone(&replicator) as Arc<dyn ReplicationSink>));
+    let server = KvServer::start_replicated(
+        "127.0.0.1:0",
+        Arc::clone(&db) as Arc<dyn KvEngine>,
+        ServerOptions::default(),
+        ReplConfig::new(
+            Some(Arc::clone(&replicator)),
+            None,
+            Arc::new(RoleState::new_leader(1)),
+            "",
+        ),
+    )
+    .unwrap();
+    // Accepted one after another, so consecutive shards: the writer plus
+    // MAX_SHARDS + 1 readers put a reader on the writer's shard.
+    let mut writer = KvClient::connect(server.local_addr()).unwrap();
+    assert_eq!(writer.get(b"seed").unwrap().as_deref(), Some(&b"s"[..]));
+    let mut readers: Vec<KvClient> = (0..=MAX_SHARDS)
+        .map(|_| {
+            let mut r = KvClient::connect(server.local_addr()).unwrap();
+            assert_eq!(r.get(b"seed").unwrap().as_deref(), Some(&b"s"[..]));
+            r
+        })
+        .collect();
+
+    let sent = Instant::now();
+    writer
+        .send(&miodb::common::Request::Put {
+            key: b"waits".to_vec(),
+            value: b"w".to_vec(),
+        })
+        .unwrap();
+    writer.flush().unwrap();
+    while server.telemetry().requests_inflight() == 0 {
+        assert!(sent.elapsed() < TIMEOUT, "the put never started executing");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for (i, r) in readers.iter_mut().enumerate() {
+        // Best of three, so a preempted test thread cannot fail it; a
+        // blocked shard would make all three wait out the put.
+        let fastest = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                assert_eq!(r.get(b"seed").unwrap().as_deref(), Some(&b"s"[..]));
+                t.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(50),
+            "reader {i} took {fastest:?} while a sync-replicated put waited"
+        );
+    }
+    assert!(
+        sent.elapsed() < TIMEOUT,
+        "the readers were not served while the put waited"
+    );
+    let (_, resp) = writer.recv().unwrap();
+    assert!(
+        sent.elapsed() >= TIMEOUT,
+        "the put answered before its ack timeout"
+    );
+    match resp {
+        Response::Err(msg) => assert!(msg.contains("may be applied"), "{msg}"),
+        other => panic!("expected the ack timeout, got {other:?}"),
+    }
+    let t = server.telemetry();
+    assert_eq!(
+        t.requests_on(ServePath::Worker),
+        1,
+        "the put ran on a worker"
+    );
+    assert_eq!(
+        t.requests_on(ServePath::Shard),
+        1 + 4 * (MAX_SHARDS as u64 + 1)
+    );
+    writer.close().unwrap();
+    for r in readers {
+        r.close().unwrap();
+    }
+    server.shutdown();
+    db.set_commit_sink(None);
+    db.close().unwrap();
+}
+
+/// On a plain server every get and put runs on the shard that decoded
+/// it: the worker pool serves none of them.
+#[test]
+fn plain_server_runs_gets_and_puts_on_the_shard() {
+    use miodb::common::ServePath;
+    let (server, router) = start_server(2);
+    let mut c = KvClient::connect(server.local_addr()).unwrap();
+    const N: u64 = 100;
+    for i in 0..N {
+        c.put(format!("plain{i:03}").as_bytes(), b"v").unwrap();
+    }
+    for i in 0..N {
+        assert!(c.get(format!("plain{i:03}").as_bytes()).unwrap().is_some());
+    }
+    let t = server.telemetry();
+    assert_eq!(t.requests_on(ServePath::Shard), 2 * N);
+    assert_eq!(t.requests_on(ServePath::Worker), 0);
+    // The scrape runs on a worker and is counted once it has rendered.
+    let stats = c.stats().unwrap();
+    support::assert_well_formed_scrape(&stats);
+    assert!(stats.contains(&format!(
+        "miodb_server_requests_total{{path=\"shard\"}} {}",
+        2 * N
+    )));
+    assert!(stats.contains("miodb_server_requests_total{path=\"worker\"} 0"));
+    assert_eq!(t.requests_on(ServePath::Worker), 1);
+    c.close().unwrap();
+    server.shutdown();
+    router.close().unwrap();
+}
+
+// ----- run to completion on the shard: edge cases ----------------------
+
+/// Writes `reqs` (ids 1, 2, …) on a raw socket in one write and reads
+/// their `(id, response)` pairs back, skipping backpressure advisories.
+fn raw_round(
+    stream: &std::net::TcpStream,
+    reqs: &[miodb::common::Request],
+) -> Vec<(u32, miodb::common::Response)> {
+    use miodb::common::proto::{self, read_frame, OP_BACKPRESSURE, RESPONSE_BIT};
+    use std::io::{BufReader, Write};
+    let mut wire = Vec::new();
+    for (i, req) in reqs.iter().enumerate() {
+        proto::write_request(&mut wire, i as u32 + 1, req).unwrap();
+    }
+    (&*stream).write_all(&wire).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut out = Vec::new();
+    while out.len() < reqs.len() {
+        let frame = read_frame(&mut reader).unwrap().expect("response, not EOF");
+        if frame.opcode & !RESPONSE_BIT != OP_BACKPRESSURE {
+            let resp = miodb::common::Response::decode(frame.opcode, &frame.body).unwrap();
+            out.push((frame.id, resp));
+        }
+    }
+    out
+}
+
+/// Frames written the moment the socket connects — before the shard has
+/// registered it — are answered without the client sending anything
+/// more.
+#[test]
+fn frames_sent_before_registration_are_answered() {
+    use miodb::common::{Request, Response};
+    let (server, router) = start_server(2);
+    for round in 0..20u32 {
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let key = format!("early{round}").into_bytes();
+        let resps = raw_round(
+            &stream,
+            &[
+                Request::Put {
+                    key: key.clone(),
+                    value: b"e".to_vec(),
+                },
+                Request::Get { key },
+                Request::Get {
+                    key: b"never-written".to_vec(),
+                },
+            ],
+        );
+        assert_eq!(
+            resps,
+            vec![
+                (1, Response::Ok),
+                (2, Response::Value(Some(b"e".to_vec()))),
+                (3, Response::Value(None)),
+            ],
+            "round {round}"
+        );
+    }
+    server.shutdown();
+    router.close().unwrap();
+}
+
+/// A burst of gets far past the per-round inline budget arrives in one
+/// read: the shard runs the first frames, hands the rest of the queue to
+/// the pool, and every response still comes back in request order.
+#[test]
+fn burst_past_the_inline_budget_keeps_its_order() {
+    use miodb::common::{Request, Response, ServePath};
+    let (server, router) = start_server(2);
+    for i in 0..100u32 {
+        router
+            .put(
+                format!("burst{i:03}").as_bytes(),
+                format!("b{i}").as_bytes(),
+            )
+            .unwrap();
+    }
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let reqs: Vec<Request> = (0..320u32)
+        .map(|i| Request::Get {
+            key: format!("burst{:03}", i % 100).into_bytes(),
+        })
+        .collect();
+    for (i, (id, resp)) in raw_round(&stream, &reqs).into_iter().enumerate() {
+        assert_eq!(id, i as u32 + 1, "response {i} out of order");
+        assert_eq!(
+            resp,
+            Response::Value(Some(format!("b{}", i % 100).into_bytes())),
+            "response {i}"
+        );
+    }
+    let t = server.telemetry();
+    assert_eq!(
+        t.requests_on(ServePath::Shard) + t.requests_on(ServePath::Worker),
+        320
+    );
+    assert!(
+        t.requests_on(ServePath::Worker) > 0,
+        "320 frames never crossed the inline budget"
+    );
+    server.shutdown();
+    router.close().unwrap();
+}
+
+/// Shutdown drains a pipeline that mixes inline frames with handed-off
+/// ones: everything already sent is answered, in order, before the close.
+#[test]
+fn shutdown_drains_inline_and_handed_off_frames() {
+    use miodb::common::{Request, Response};
+    let (server, router) = start_server(2);
+    let mut c = KvClient::connect(server.local_addr()).unwrap();
+    c.put(b"warmup", b"w").unwrap();
+    let reqs: Vec<Request> = (0..300u32)
+        .map(|i| {
+            let key = format!("sd{:04}", i / 3).into_bytes();
+            match i % 3 {
+                0 => Request::Put {
+                    key,
+                    value: vec![b'd'; 64],
+                },
+                1 if i % 30 == 1 => Request::Scan {
+                    start: key,
+                    limit: 1,
+                },
+                _ => Request::Get { key },
+            }
+        })
+        .collect();
+    let ids: Vec<u32> = reqs.iter().map(|r| c.send(r).unwrap()).collect();
+    c.flush().unwrap();
+    server.shutdown(); // returns only after every connection drained
+    for (i, (req, id)) in reqs.iter().zip(&ids).enumerate() {
+        let (got, resp) = c.recv().unwrap();
+        assert_eq!(got, *id, "response {i} out of order");
+        match (req, resp) {
+            (Request::Put { .. }, Response::Ok) => {}
+            (Request::Get { .. }, Response::Value(Some(v))) => assert_eq!(v, vec![b'd'; 64]),
+            (Request::Scan { start, .. }, Response::Entries(e)) => assert_eq!(&e[0].key, start),
+            (req, resp) => panic!("response {i}: {resp:?} to {req:?}"),
+        }
+    }
     router.close().unwrap();
 }
