@@ -3,7 +3,11 @@
 //! Both are faithful reimplementations of the *storage logic* of their
 //! research prototypes on the shared mini-LSM substrate (`miodb-lsm`), so
 //! all engines are measured with identical device models, statistics and
-//! workload drivers:
+//! workload drivers. Everything above the DRAM MemTable — write path,
+//! rotation, flush thread, MemTable reads — is `miodb_lsm::front`, the
+//! same code the LevelDB model runs; each engine here implements only
+//! [`Lower`](miodb_lsm::front::Lower): its drain, its pacing and its
+//! lower reads.
 //!
 //! - [`NoveLsm`]: the flat-NoveLSM architecture (paper Figure 1c) — a
 //!   small DRAM MemTable staged into a **large mutable NVM MemTable**

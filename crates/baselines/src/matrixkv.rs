@@ -14,21 +14,22 @@
 //! - reads binary-search each row through its DRAM-resident index
 //!   (deserializing the touched blocks), newest row first.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use miodb_common::{
-    CompactionKind, EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry,
-    StallKind, Stats, Timed,
+    CompactionKind, EngineReport, EngineTelemetry, KvEngine, OpKind, Result, ScanEntry, StallKind,
+    Stats, Timed,
 };
+use miodb_lsm::front::{run_compactions, FrontEngine, Lower, MemFront, Source};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_lsm::sstable::{SsTableBuilder, TableMeta};
 use miodb_lsm::{LsmCore, LsmOptions, TableStore};
-use miodb_pmem::{DeviceModel, PmemPool};
+use miodb_pmem::DeviceModel;
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::SkipListArena;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// MatrixKV configuration.
 #[derive(Debug, Clone)]
@@ -83,40 +84,24 @@ impl Row {
     }
 }
 
-struct MemState {
-    active: Arc<SkipListArena>,
-    imm: Option<Arc<SkipListArena>>,
-}
-
 struct Inner {
     opts: MatrixKvOptions,
-    stats: Arc<Stats>,
-    dram: Arc<PmemPool>,
+    front: MemFront,
     row_store: Arc<TableStore>,
     /// Rows, newest first.
     rows: RwLock<Vec<Row>>,
     lsm: LsmCore,
-    mem: RwLock<MemState>,
-    write_mutex: Mutex<()>,
-    imm_cv: Condvar,
-    flush_flag: Mutex<bool>,
-    flush_cv: Condvar,
-    seq: AtomicU64,
-    shutdown: AtomicBool,
-    bg_error: Mutex<Option<String>>,
-    telemetry: EngineTelemetry,
 }
 
 /// The MatrixKV baseline engine.
 pub struct MatrixKv {
-    inner: Arc<Inner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    db: FrontEngine<Inner>,
 }
 
 impl std::fmt::Debug for MatrixKv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatrixKv")
-            .field("rows", &self.inner.rows.read().len())
+            .field("rows", &self.db.rows.read().len())
             .finish()
     }
 }
@@ -128,216 +113,119 @@ impl MatrixKv {
     ///
     /// Returns allocation errors from the DRAM pool.
     pub fn open(opts: MatrixKvOptions, stats: Arc<Stats>) -> Result<MatrixKv> {
-        let dram = PmemPool::new(
-            (opts.memtable_bytes * 6).max(8 << 20),
-            DeviceModel::dram(),
-            stats.clone(),
-        )?;
         let row_store = TableStore::new(opts.row_device, stats.clone());
         let table_store = TableStore::new(opts.table_device, stats.clone());
         let lsm = LsmCore::new(table_store, opts.lsm.clone());
-        let active = Arc::new(SkipListArena::new(dram.clone(), opts.memtable_bytes)?);
         // Level 0 is the matrix container; deeper levels mirror the LSM.
-        let telemetry = EngineTelemetry::new(1 + lsm.tables_per_level().len(), stats.clone());
-        let inner = Arc::new(Inner {
+        let levels = 1 + lsm.tables_per_level().len();
+        // The WAL is appended to the container's NVM device.
+        let front = MemFront::new(opts.memtable_bytes, opts.row_device, levels, stats)?;
+        let inner = Inner {
             opts,
-            stats,
-            dram,
+            front,
             row_store,
             rows: RwLock::new(Vec::new()),
             lsm,
-            mem: RwLock::new(MemState { active, imm: None }),
-            write_mutex: Mutex::new(()),
-            imm_cv: Condvar::new(),
-            flush_flag: Mutex::new(false),
-            flush_cv: Condvar::new(),
-            seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            bg_error: Mutex::new(None),
-            telemetry,
-        });
-        let mut threads = Vec::new();
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || flush_worker(inner)));
-        }
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || column_worker(inner)));
-        }
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || lsm_worker(inner)));
-        }
+        };
         Ok(MatrixKv {
-            inner,
-            threads: Mutex::new(threads),
+            db: FrontEngine::start(
+                inner,
+                &[column_worker, |m| run_compactions(&m.front, &m.lsm)],
+            ),
         })
-    }
-
-    fn container_bytes(&self) -> u64 {
-        self.inner.row_store.total_bytes()
-    }
-
-    fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
-        let inner = &*self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(Error::Closed);
-        }
-        if let Some(msg) = inner.bg_error.lock().clone() {
-            return Err(Error::Background(msg));
-        }
-        let op_start = Instant::now();
-        let mut guard = inner.write_mutex.lock();
-        inner
-            .stats
-            .user_bytes_written
-            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-
-        // Container backpressure: pacing past the soft budget, as MatrixKV
-        // does when column compactions fall behind (cumulative stalls).
-        let used = self.container_bytes();
-        if used > inner.opts.container_bytes {
-            let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
-            std::thread::sleep(Duration::from_micros(800));
-        }
-
-        // WAL to NVM (modeled append).
-        inner
-            .row_store
-            .stats()
-            .nvm_bytes_written
-            .fetch_add((17 + key.len() + value.len()) as u64, Ordering::Relaxed);
-        inner
-            .opts
-            .row_device
-            .delay_write(17 + key.len() + value.len());
-
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        loop {
-            // Scope the Arc clone to the attempt so a MemTable that rotates
-            // out is not pinned in DRAM by its own writer.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => {
-                    let h = match kind {
-                        OpKind::Put => &inner.telemetry.put_latency,
-                        OpKind::Delete => &inner.telemetry.delete_latency,
-                    };
-                    h.record_elapsed(op_start);
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    let mut stall = None;
-                    while inner.mem.read().imm.is_some() {
-                        if stall.is_none() {
-                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
-                        }
-                        inner.imm_cv.wait_for(&mut guard, Duration::from_millis(5));
-                        if inner.shutdown.load(Ordering::Acquire) {
-                            return Err(Error::Closed);
-                        }
-                    }
-                    drop(stall);
-                    let fresh = Arc::new(SkipListArena::new(
-                        inner.dram.clone(),
-                        inner
-                            .opts
-                            .memtable_bytes
-                            .max(SkipListArena::capacity_for_entry(key.len(), value.len())),
-                    )?);
-                    {
-                        let mut mem = inner.mem.write();
-                        let old = std::mem::replace(&mut mem.active, fresh);
-                        mem.imm = Some(old);
-                    }
-                    let mut flag = inner.flush_flag.lock();
-                    *flag = true;
-                    inner.flush_cv.notify_all();
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 }
 
-/// Serializes the immutable MemTable into a new container row.
-fn flush_worker(inner: Arc<Inner>) {
-    loop {
-        {
-            let mut flag = inner.flush_flag.lock();
-            while !*flag && !inner.shutdown.load(Ordering::Acquire) {
-                inner
-                    .flush_cv
-                    .wait_for(&mut flag, Duration::from_millis(10));
-            }
-            *flag = false;
+impl Lower for Inner {
+    fn front(&self) -> &MemFront {
+        &self.front
+    }
+
+    /// Serializes the immutable MemTable into a new container row.
+    fn drain(&self, imm: &SkipListArena) -> Result<()> {
+        let mut builder =
+            SsTableBuilder::new(self.opts.lsm.block_bytes, self.opts.lsm.bloom_bits_per_key);
+        for e in imm.list().iter() {
+            builder.add(&e.key, &e.value, e.seq, e.kind);
         }
-        let imm = inner.mem.read().imm.clone();
-        if let Some(imm) = imm {
-            let bytes = imm.used_bytes();
-            let flush = inner.telemetry.begin(Timed::Flush { bytes });
-            let result: Result<()> = (|| {
-                let mut builder = SsTableBuilder::new(
-                    inner.opts.lsm.block_bytes,
-                    inner.opts.lsm.bloom_bits_per_key,
-                );
-                for e in imm.list().iter() {
-                    builder.add(&e.key, &e.value, e.seq, e.kind);
-                }
-                if builder.num_entries() > 0 {
-                    let meta = builder.finish(&inner.row_store, &inner.stats)?;
-                    inner.rows.write().insert(
-                        0,
-                        Row {
-                            meta: Arc::new(meta),
-                            lower_bound: Vec::new(),
-                        },
-                    );
-                }
-                Ok(())
-            })();
-            match result {
-                Ok(()) => flush.finish(bytes),
-                Err(e) => {
-                    drop(flush);
-                    *inner.bg_error.lock() = Some(format!("row flush failed: {e}"));
-                }
-            }
-            {
-                let mut mem = inner.mem.write();
-                mem.imm = None;
-            }
-            {
-                // Notify under the writer mutex to avoid lost wakeups.
-                let _writers = inner.write_mutex.lock();
-                inner.imm_cv.notify_all();
-            }
-            // Garbage from here on; the last reader to let go frees it.
-            imm.retire();
+        if builder.num_entries() > 0 {
+            let meta = builder.finish(&self.row_store, self.front.stats())?;
+            self.rows.write().insert(
+                0,
+                Row {
+                    meta: Arc::new(meta),
+                    lower_bound: Vec::new(),
+                },
+            );
         }
-        if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
-            return;
+        Ok(())
+    }
+
+    /// Container backpressure: pacing past the soft budget, as MatrixKV
+    /// does when column compactions fall behind (cumulative stalls).
+    fn pace(&self) {
+        if self.row_store.total_bytes() > self.opts.container_bytes {
+            let _stall = self
+                .front
+                .telemetry()
+                .begin(Timed::Stall(StallKind::Cumulative));
+            std::thread::sleep(Duration::from_micros(800));
         }
+    }
+
+    fn busy(&self) -> bool {
+        self.row_store.total_bytes() >= self.opts.container_bytes / 2
+            || self.lsm.needs_compaction().is_some()
+    }
+
+    fn get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, OpKind)>> {
+        let stats = self.front.stats();
+        // Matrix container rows, newest first.
+        let rows: Vec<Row> = self.rows.read().clone();
+        for row in &rows {
+            if !row.live(key) || key < row.meta.smallest.as_slice() {
+                continue;
+            }
+            if !row.meta.reader.may_contain(key) {
+                stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            if let Some(e) = row.meta.reader.get(key, stats)? {
+                return Ok(Some((e.value, e.kind)));
+            }
+        }
+        // LSM levels below.
+        Ok(self.lsm.get(key)?.map(|e| (e.value, e.kind)))
+    }
+
+    fn scan_sources(&self, start: &[u8]) -> Vec<Source> {
+        let rows: Vec<Row> = self.rows.read().clone();
+        let mut sources: Vec<Source> = Vec::new();
+        for row in &rows {
+            let from = if start < row.lower_bound.as_slice() {
+                row.lower_bound.clone()
+            } else {
+                start.to_vec()
+            };
+            sources.push(Box::new(
+                row.meta.reader.iter_from(&from, self.front.stats().clone()),
+            ));
+        }
+        sources.extend(self.lsm.scan_sources(start));
+        sources
     }
 }
 
 /// Column compaction: drain the lowest key-range column of the container
 /// into `L1` directly.
-fn column_worker(inner: Arc<Inner>) {
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
+fn column_worker(inner: &Inner) {
+    while !inner.front.is_shut_down() {
         if inner.row_store.total_bytes() < inner.opts.container_bytes / 2 {
             std::thread::sleep(Duration::from_millis(2));
             continue;
         }
-        if let Err(e) = run_column_compaction(&inner) {
-            *inner.bg_error.lock() = Some(format!("column compaction failed: {e}"));
+        if let Err(e) = run_column_compaction(inner) {
+            inner.front.fail(format!("column compaction failed: {e}"));
             return;
         }
     }
@@ -350,7 +238,7 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
         return Ok(());
     }
     // The container is level 0; a column compaction moves data into L1.
-    let column_compaction = inner.telemetry.begin(Timed::Compaction {
+    let column_compaction = inner.front.telemetry().begin(Timed::Compaction {
         level: 0,
         kind: CompactionKind::LazyCopy,
     });
@@ -363,7 +251,7 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
     for row in &rows {
         let lb = row.lower_bound.clone();
         sources.push(Box::new(
-            row.meta.reader.iter_from(&lb, inner.stats.clone()),
+            row.meta.reader.iter_from(&lb, inner.front.stats().clone()),
         ));
     }
     let mut merged = KWayMerge::new(sources);
@@ -437,191 +325,46 @@ fn run_column_compaction(inner: &Inner) -> Result<()> {
     Ok(())
 }
 
-fn lsm_worker(inner: Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        match inner.lsm.run_one_compaction() {
-            Ok(true) => continue,
-            Ok(false) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => {
-                *inner.bg_error.lock() = Some(format!("lsm compaction failed: {e}"));
-                return;
-            }
-        }
-    }
-}
-
 impl KvEngine for MatrixKv {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(key, value, OpKind::Put)
+        self.db.put(key, value)
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write(key, b"", OpKind::Delete)
+        self.db.delete(key)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let t0 = Instant::now();
-        let r = self.get_impl(key);
-        if r.is_ok() {
-            self.inner.telemetry.get_latency.record_elapsed(t0);
-        }
-        r
+        self.db.get(key)
     }
 
     fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
-        let t0 = Instant::now();
-        let r = self.scan_impl(start, limit);
-        if r.is_ok() {
-            self.inner.telemetry.scan_latency.record_elapsed(t0);
-        }
-        r
+        Ok(self.db.scan(start, limit))
     }
 
     fn wait_idle(&self) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            if let Some(msg) = inner.bg_error.lock().clone() {
-                return Err(Error::Background(msg));
-            }
-            let busy = inner.mem.read().imm.is_some()
-                || inner.row_store.total_bytes() >= inner.opts.container_bytes / 2
-                || inner.lsm.needs_compaction().is_some();
-            if !busy {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.db.wait_idle()
     }
 
     fn report(&self) -> EngineReport {
-        let inner = &*self.inner;
-        let mut tables = vec![inner.rows.read().len()];
-        tables.extend(inner.lsm.tables_per_level());
+        let d = &*self.db;
+        let mut tables = vec![d.rows.read().len()];
+        tables.extend(d.lsm.tables_per_level());
         EngineReport {
-            name: inner.opts.name.clone(),
-            nvm_used_bytes: inner.row_store.total_bytes() + inner.lsm.store().total_bytes(),
-            nvm_peak_bytes: inner.row_store.total_bytes(),
+            name: d.opts.name.clone(),
+            nvm_used_bytes: d.row_store.total_bytes() + d.lsm.store().total_bytes(),
+            nvm_peak_bytes: d.row_store.total_bytes(),
             tables_per_level: tables,
-            stats: inner.stats.snapshot(),
+            stats: d.front.stats().snapshot(),
         }
     }
 
     fn name(&self) -> &str {
-        &self.inner.opts.name
+        &self.db.opts.name
     }
 
     fn telemetry(&self) -> Option<&EngineTelemetry> {
-        Some(&self.inner.telemetry)
-    }
-}
-
-impl MatrixKv {
-    /// The `get` layer walk; [`KvEngine::get`] wraps it with latency
-    /// recording.
-    fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let inner = &*self.inner;
-        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        if let Some(r) = active.list().get(key) {
-            count_hit(&inner.stats, r.kind);
-            return Ok(resolve_kind(r.kind, r.value));
-        }
-        if let Some(imm) = imm {
-            if let Some(r) = imm.list().get(key) {
-                count_hit(&inner.stats, r.kind);
-                return Ok(resolve_kind(r.kind, r.value));
-            }
-        }
-        // Matrix container rows, newest first.
-        let rows: Vec<Row> = inner.rows.read().clone();
-        for row in &rows {
-            if !row.live(key) || key < row.meta.smallest.as_slice() {
-                continue;
-            }
-            if !row.meta.reader.may_contain(key) {
-                inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some(e) = row.meta.reader.get(key, &inner.stats)? {
-                count_hit(&inner.stats, e.kind);
-                return Ok(resolve_kind(e.kind, e.value));
-            }
-        }
-        // LSM levels below.
-        if let Some(e) = inner.lsm.get(key)? {
-            return Ok(match e.kind {
-                OpKind::Put => {
-                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(e.value)
-                }
-                OpKind::Delete => None,
-            });
-        }
-        Ok(None)
-    }
-
-    /// The `scan` source assembly; [`KvEngine::scan`] wraps it with latency
-    /// recording.
-    fn scan_impl(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
-        let inner = &*self.inner;
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        // The iterators own nothing: the handles taken here keep every
-        // source's memory alive until the merge has been consumed.
-        let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
-        sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = &imm {
-            sources.push(Box::new(imm.list().iter_from(start)));
-        }
-        let rows: Vec<Row> = inner.rows.read().clone();
-        for row in &rows {
-            let from = if start < row.lower_bound.as_slice() {
-                row.lower_bound.clone()
-            } else {
-                start.to_vec()
-            };
-            sources.push(Box::new(
-                row.meta.reader.iter_from(&from, inner.stats.clone()),
-            ));
-        }
-        sources.extend(inner.lsm.scan_sources(start));
-        let merged = dedup_newest(KWayMerge::new(sources), true);
-        Ok(merged
-            .take(limit)
-            .map(|e| ScanEntry {
-                key: e.key,
-                value: e.value,
-            })
-            .collect())
-    }
-}
-
-fn resolve_kind(kind: OpKind, value: Vec<u8>) -> Option<Vec<u8>> {
-    match kind {
-        OpKind::Put => Some(value),
-        OpKind::Delete => None,
-    }
-}
-
-fn count_hit(stats: &Stats, kind: OpKind) {
-    if kind == OpKind::Put {
-        stats.get_hits.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Drop for MatrixKv {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.flush_cv.notify_all();
-        self.inner.imm_cv.notify_all();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
+        Some(self.db.front.telemetry())
     }
 }
 

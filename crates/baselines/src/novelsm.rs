@@ -15,20 +15,18 @@
 //! `NoveLSM-NoSST` disables the SSTable layer entirely: the big skip list
 //! absorbs everything (used for comparison in Figure 7).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use miodb_common::{
-    CompactionKind, EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry,
-    StallKind, Stats, Timed,
+    CompactionKind, EngineReport, EngineTelemetry, KvEngine, OpKind, Result, ScanEntry, StallKind,
+    Stats, Timed,
 };
-use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
+use miodb_lsm::front::{run_compactions, FrontEngine, Lower, MemFront, Source};
 use miodb_lsm::{LsmCore, LsmOptions, TableStore};
 use miodb_pmem::{DeviceModel, PmemPool};
-use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{GrowableSkipList, SkipListArena};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// NoveLSM configuration.
 #[derive(Debug, Clone)]
@@ -68,43 +66,31 @@ impl Default for NoveLsmOptions {
     }
 }
 
-struct MemState {
-    active: Arc<SkipListArena>,
-    imm: Option<Arc<SkipListArena>>,
+/// The big mutable NVM MemTable and, while it is serialized into `L0`,
+/// its full predecessor. One lock covers both so a reader sees the
+/// handoff whole: the full list is either still `mem` or already `imm`.
+struct BigLists {
+    mem: Arc<GrowableSkipList>,
+    imm: Option<Arc<GrowableSkipList>>,
 }
 
 struct Inner {
     opts: NoveLsmOptions,
-    stats: Arc<Stats>,
-    dram: Arc<PmemPool>,
+    front: MemFront,
     nvm: Arc<PmemPool>,
-    mem: RwLock<MemState>,
-    write_mutex: Mutex<()>,
-    imm_cv: Condvar,
-    drain_flag: Mutex<bool>,
-    drain_cv: Condvar,
-    /// The big mutable NVM MemTable; swapped out atomically when flushed.
-    nvm_mem: RwLock<Arc<GrowableSkipList>>,
-    /// A full NVM MemTable being serialized into `L0`; stays readable so
-    /// its entries (and tombstones) never vanish mid-flush.
-    nvm_imm: RwLock<Option<Arc<GrowableSkipList>>>,
+    big: RwLock<BigLists>,
     lsm: LsmCore,
-    seq: AtomicU64,
-    shutdown: AtomicBool,
-    bg_error: Mutex<Option<String>>,
-    telemetry: EngineTelemetry,
 }
 
 /// The flat-NoveLSM baseline engine.
 pub struct NoveLsm {
-    inner: Arc<Inner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    db: FrontEngine<Inner>,
 }
 
 impl std::fmt::Debug for NoveLsm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NoveLsm")
-            .field("name", &self.inner.opts.name)
+            .field("name", &self.db.opts.name)
             .finish()
     }
 }
@@ -116,400 +102,181 @@ impl NoveLsm {
     ///
     /// Returns allocation errors from the DRAM or NVM pools.
     pub fn open(opts: NoveLsmOptions, stats: Arc<Stats>) -> Result<NoveLsm> {
-        let dram = PmemPool::new(
-            (opts.memtable_bytes * 6).max(8 << 20),
-            DeviceModel::dram(),
-            stats.clone(),
-        )?;
         let nvm = PmemPool::new(opts.nvm_pool_bytes, opts.nvm_device, stats.clone())?;
         let store = TableStore::new(opts.table_device, stats.clone());
         let lsm = LsmCore::new(store, opts.lsm.clone());
-        let active = Arc::new(SkipListArena::new(dram.clone(), opts.memtable_bytes)?);
-        let nvm_mem = Arc::new(GrowableSkipList::new_keeping_tombstones(
+        let levels = lsm.tables_per_level().len();
+        // The WAL is appended to the NVM device.
+        let front = MemFront::new(opts.memtable_bytes, opts.nvm_device, levels, stats)?;
+        let mem = Arc::new(GrowableSkipList::new_keeping_tombstones(
             nvm.clone(),
             1 << 20,
         )?);
-        let telemetry = EngineTelemetry::new(lsm.tables_per_level().len(), stats.clone());
-        let inner = Arc::new(Inner {
+        let compact: &[fn(&Inner)] = if opts.no_sst {
+            &[]
+        } else {
+            &[|n| run_compactions(&n.front, &n.lsm)]
+        };
+        let inner = Inner {
             opts,
-            stats,
-            dram,
+            front,
             nvm,
-            mem: RwLock::new(MemState { active, imm: None }),
-            write_mutex: Mutex::new(()),
-            imm_cv: Condvar::new(),
-            drain_flag: Mutex::new(false),
-            drain_cv: Condvar::new(),
-            nvm_mem: RwLock::new(nvm_mem),
-            nvm_imm: RwLock::new(None),
+            big: RwLock::new(BigLists { mem, imm: None }),
             lsm,
-            seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            bg_error: Mutex::new(None),
-            telemetry,
-        });
-        let mut threads = Vec::new();
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || drain_worker(inner)));
-        }
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || compaction_worker(inner)));
-        }
+        };
         Ok(NoveLsm {
-            inner,
-            threads: Mutex::new(threads),
+            db: FrontEngine::start(inner, compact),
         })
     }
+}
 
-    fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
-        let inner = &*self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(Error::Closed);
-        }
-        if let Some(msg) = inner.bg_error.lock().clone() {
-            return Err(Error::Background(msg));
-        }
-        let op_start = Instant::now();
-        let mut guard = inner.write_mutex.lock();
-        inner
-            .stats
-            .user_bytes_written
-            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
+impl Inner {
+    fn big_lists(&self) -> (Arc<GrowableSkipList>, Option<Arc<GrowableSkipList>>) {
+        let big = self.big.read();
+        (big.mem.clone(), big.imm.clone())
+    }
 
-        // L0 backpressure from the traditional LSM below.
-        if !inner.opts.no_sst {
-            let l0 = inner.lsm.l0_count();
-            if l0 >= inner.opts.lsm.l0_slowdown_trigger {
-                let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
-                std::thread::sleep(Duration::from_micros(1000));
-            }
-        }
-
-        // WAL to NVM (modeled append).
-        inner.nvm.charge_write(17 + key.len() + value.len());
-
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        loop {
-            // Scope the Arc clone to the attempt so a MemTable that rotates
-            // out is not pinned in DRAM by its own writer.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => {
-                    let h = match kind {
-                        OpKind::Put => &inner.telemetry.put_latency,
-                        OpKind::Delete => &inner.telemetry.delete_latency,
-                    };
-                    h.record_elapsed(op_start);
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    let mut stall = None;
-                    while inner.mem.read().imm.is_some() {
-                        if stall.is_none() {
-                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
-                        }
-                        inner.imm_cv.wait_for(&mut guard, Duration::from_millis(5));
-                        if inner.shutdown.load(Ordering::Acquire) {
-                            return Err(Error::Closed);
-                        }
-                    }
-                    drop(stall);
-                    let fresh = Arc::new(SkipListArena::new(
-                        inner.dram.clone(),
-                        inner
-                            .opts
-                            .memtable_bytes
-                            .max(SkipListArena::capacity_for_entry(key.len(), value.len())),
-                    )?);
-                    {
-                        let mut mem = inner.mem.write();
-                        let old = std::mem::replace(&mut mem.active, fresh);
-                        mem.imm = Some(old);
-                    }
-                    let mut flag = inner.drain_flag.lock();
-                    *flag = true;
-                    inner.drain_cv.notify_all();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// Serializes the full big NVM MemTable into `L0` SSTables.
+    fn flush_big_memtable(&self) -> Result<()> {
+        let fresh = Arc::new(GrowableSkipList::new_keeping_tombstones(
+            self.nvm.clone(),
+            1 << 20,
+        )?);
+        let full = {
+            let mut big = self.big.write();
+            let full = std::mem::replace(&mut big.mem, fresh);
+            big.imm = Some(full.clone());
+            full
+        };
+        // Serialize into SSTables (the deserialization/serialization costs
+        // the paper measures stem from here). The immutable list stays
+        // readable until its tables are installed in L0.
+        let drained_bytes = full.data_bytes();
+        let drain = self.front.telemetry().begin(Timed::Compaction {
+            level: 0,
+            kind: CompactionKind::LazyCopy,
+        });
+        let result = self.lsm.ingest_sorted_run(full.list().iter());
+        self.big.write().imm = None;
+        result?;
+        drain.finish(drained_bytes);
+        // Its entries live in L0 now; the last reader to let go frees it.
+        full.retire();
+        Ok(())
     }
 }
 
-/// Merges the immutable DRAM MemTable into the big NVM MemTable entry by
-/// entry, then flushes the big list into `L0` SSTables when it overflows.
-fn drain_worker(inner: Arc<Inner>) {
-    loop {
-        {
-            let mut flag = inner.drain_flag.lock();
-            while !*flag && !inner.shutdown.load(Ordering::Acquire) {
-                inner
-                    .drain_cv
-                    .wait_for(&mut flag, Duration::from_millis(10));
-            }
-            *flag = false;
-        }
-        let imm = inner.mem.read().imm.clone();
-        if let Some(imm) = imm {
-            let bytes = imm.used_bytes();
-            let flush = inner.telemetry.begin(Timed::Flush { bytes });
-            let result: Result<()> = (|| {
-                let nvm_mem = inner.nvm_mem.read().clone();
-                // Per-entry insertion into the big skip list: the cost the
-                // paper's Principle 2 calls out.
-                for e in imm.list().iter() {
-                    nvm_mem.apply(&e.key, &e.value, e.seq, e.kind)?;
-                }
-                Ok(())
-            })();
-            match result {
-                Ok(()) => flush.finish(bytes),
-                Err(e) => {
-                    drop(flush);
-                    *inner.bg_error.lock() = Some(format!("nvm-memtable merge failed: {e}"));
-                }
-            }
+impl Lower for Inner {
+    fn front(&self) -> &MemFront {
+        &self.front
+    }
 
-            {
-                let mut mem = inner.mem.write();
-                mem.imm = None;
-            }
-            {
-                // Notify under the writer mutex to avoid lost wakeups.
-                let _writers = inner.write_mutex.lock();
-                inner.imm_cv.notify_all();
-            }
-            // Garbage from here on; the last reader to let go frees it.
-            imm.retire();
-
-            // Overflow: serialize the big NVM MemTable into L0 SSTables.
-            if !inner.opts.no_sst {
-                let needs_flush = {
-                    let nvm_mem = inner.nvm_mem.read();
-                    nvm_mem.data_bytes() >= inner.opts.nvm_memtable_bytes
-                };
-                if needs_flush {
-                    if let Err(e) = flush_big_memtable(&inner) {
-                        *inner.bg_error.lock() = Some(format!("nvm-memtable flush failed: {e}"));
-                    }
-                }
-            }
+    /// Merges the immutable DRAM MemTable into the big NVM MemTable entry
+    /// by entry: each insert is a search in the big list (the cost the
+    /// paper's Principle 2 calls out).
+    fn drain(&self, imm: &SkipListArena) -> Result<()> {
+        let mem = self.big.read().mem.clone();
+        for e in imm.list().iter() {
+            mem.apply(&e.key, &e.value, e.seq, e.kind)?;
         }
-        if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
+        Ok(())
+    }
+
+    /// Overflow: the big NVM MemTable goes to `L0` SSTables.
+    fn after_drain(&self) {
+        if self.opts.no_sst || self.big.read().mem.data_bytes() < self.opts.nvm_memtable_bytes {
             return;
         }
+        if let Err(e) = self.flush_big_memtable() {
+            self.front.fail(format!("nvm-memtable flush failed: {e}"));
+        }
+    }
+
+    /// `L0` backpressure from the traditional LSM below.
+    fn pace(&self) {
+        if !self.opts.no_sst && self.lsm.l0_count() >= self.opts.lsm.l0_slowdown_trigger {
+            let _stall = self
+                .front
+                .telemetry()
+                .begin(Timed::Stall(StallKind::Cumulative));
+            std::thread::sleep(Duration::from_micros(1000));
+        }
+    }
+
+    fn busy(&self) -> bool {
+        self.big.read().imm.is_some()
+            || (!self.opts.no_sst && self.lsm.needs_compaction().is_some())
+    }
+
+    fn get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, OpKind)>> {
+        let (mem, imm) = self.big_lists();
+        if let Some(r) = mem.get(key).or_else(|| imm.and_then(|l| l.get(key))) {
+            return Ok(Some((r.value, r.kind)));
+        }
+        if self.opts.no_sst {
+            return Ok(None);
+        }
+        Ok(self.lsm.get(key)?.map(|e| (e.value, e.kind)))
+    }
+
+    fn scan_sources(&self, start: &[u8]) -> Vec<Source> {
+        let (mem, imm) = self.big_lists();
+        let mut sources = vec![holding_iter(mem, start)];
+        sources.extend(imm.map(|l| holding_iter(l, start)));
+        if !self.opts.no_sst {
+            sources.extend(self.lsm.scan_sources(start));
+        }
+        sources
     }
 }
 
-fn flush_big_memtable(inner: &Inner) -> Result<()> {
-    let fresh = Arc::new(GrowableSkipList::new_keeping_tombstones(
-        inner.nvm.clone(),
-        1 << 20,
-    )?);
-    let full = {
-        let mut nvm_mem = inner.nvm_mem.write();
-        std::mem::replace(&mut *nvm_mem, fresh)
-    };
-    *inner.nvm_imm.write() = Some(full.clone());
-    // Serialize into SSTables (the deserialization/serialization costs the
-    // paper measures stem from here). The immutable list stays readable
-    // until its tables are installed in L0.
-    let drained_bytes = full.data_bytes();
-    let drain = inner.telemetry.begin(Timed::Compaction {
-        level: 0,
-        kind: CompactionKind::LazyCopy,
-    });
-    let result = inner.lsm.ingest_sorted_run(full.list().iter());
-    *inner.nvm_imm.write() = None;
-    result?;
-    drain.finish(drained_bytes);
-    // Its entries live in L0 now; the last reader to let go frees it.
-    full.retire();
-    Ok(())
-}
-
-fn compaction_worker(inner: Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        if inner.opts.no_sst {
-            return;
-        }
-        match inner.lsm.run_one_compaction() {
-            Ok(true) => continue,
-            Ok(false) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => {
-                *inner.bg_error.lock() = Some(format!("compaction failed: {e}"));
-                return;
-            }
-        }
-    }
+/// Iterates `list` from `start`. A skip-list iterator owns nothing, so the
+/// source holds the list until it is dropped.
+fn holding_iter(list: Arc<GrowableSkipList>, start: &[u8]) -> Source {
+    let iter = list.list().iter_from(start);
+    Box::new(iter.inspect(move |_| {
+        let _held = &list;
+    }))
 }
 
 impl KvEngine for NoveLsm {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(key, value, OpKind::Put)
+        self.db.put(key, value)
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write(key, b"", OpKind::Delete)
+        self.db.delete(key)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let t0 = Instant::now();
-        let r = self.get_impl(key);
-        if r.is_ok() {
-            self.inner.telemetry.get_latency.record_elapsed(t0);
-        }
-        r
+        self.db.get(key)
     }
 
     fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
-        let t0 = Instant::now();
-        let r = self.scan_impl(start, limit);
-        if r.is_ok() {
-            self.inner.telemetry.scan_latency.record_elapsed(t0);
-        }
-        r
+        Ok(self.db.scan(start, limit))
     }
 
     fn wait_idle(&self) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            if let Some(msg) = inner.bg_error.lock().clone() {
-                return Err(Error::Background(msg));
-            }
-            let busy = inner.mem.read().imm.is_some()
-                || inner.nvm_imm.read().is_some()
-                || (!inner.opts.no_sst && inner.lsm.needs_compaction().is_some());
-            if !busy {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.db.wait_idle()
     }
 
     fn report(&self) -> EngineReport {
-        let inner = &*self.inner;
+        let d = &*self.db;
         EngineReport {
-            name: inner.opts.name.clone(),
-            nvm_used_bytes: inner.nvm.used_bytes() + inner.lsm.store().total_bytes(),
-            nvm_peak_bytes: inner.nvm.peak_bytes(),
-            tables_per_level: inner.lsm.tables_per_level(),
-            stats: inner.stats.snapshot(),
+            name: d.opts.name.clone(),
+            nvm_used_bytes: d.nvm.used_bytes() + d.lsm.store().total_bytes(),
+            nvm_peak_bytes: d.nvm.peak_bytes(),
+            tables_per_level: d.lsm.tables_per_level(),
+            stats: d.front.stats().snapshot(),
         }
     }
 
     fn name(&self) -> &str {
-        &self.inner.opts.name
+        &self.db.opts.name
     }
 
     fn telemetry(&self) -> Option<&EngineTelemetry> {
-        Some(&self.inner.telemetry)
-    }
-}
-
-impl NoveLsm {
-    /// The `get` layer walk; [`KvEngine::get`] wraps it with latency
-    /// recording.
-    fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let inner = &*self.inner;
-        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        if let Some(r) = active.list().get(key) {
-            return Ok(resolve_counted(&inner.stats, r));
-        }
-        if let Some(imm) = imm {
-            if let Some(r) = imm.list().get(key) {
-                return Ok(resolve_counted(&inner.stats, r));
-            }
-        }
-        let nvm_mem = inner.nvm_mem.read().clone();
-        if let Some(r) = nvm_mem.get(key) {
-            return Ok(resolve_counted(&inner.stats, r));
-        }
-        if let Some(imm) = inner.nvm_imm.read().clone() {
-            if let Some(r) = imm.get(key) {
-                return Ok(resolve_counted(&inner.stats, r));
-            }
-        }
-        if !inner.opts.no_sst {
-            if let Some(e) = inner.lsm.get(key)? {
-                return Ok(match e.kind {
-                    OpKind::Put => {
-                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                        Some(e.value)
-                    }
-                    OpKind::Delete => None,
-                });
-            }
-        }
-        Ok(None)
-    }
-
-    /// The `scan` source assembly; [`KvEngine::scan`] wraps it with latency
-    /// recording.
-    fn scan_impl(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
-        let inner = &*self.inner;
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        // The iterators own nothing: the handles taken here keep every
-        // source's memory alive until the merge has been consumed.
-        let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
-        sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = &imm {
-            sources.push(Box::new(imm.list().iter_from(start)));
-        }
-        let nvm_mem = inner.nvm_mem.read().clone();
-        sources.push(Box::new(nvm_mem.list().iter_from(start)));
-        let nvm_imm = inner.nvm_imm.read().clone();
-        if let Some(nvm_imm) = &nvm_imm {
-            sources.push(Box::new(nvm_imm.list().iter_from(start)));
-        }
-        if !inner.opts.no_sst {
-            sources.extend(inner.lsm.scan_sources(start));
-        }
-        let merged = dedup_newest(KWayMerge::new(sources), true);
-        Ok(merged
-            .take(limit)
-            .map(|e| ScanEntry {
-                key: e.key,
-                value: e.value,
-            })
-            .collect())
-    }
-}
-
-fn resolve(r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
-    match r.kind {
-        OpKind::Put => Some(r.value),
-        OpKind::Delete => None,
-    }
-}
-
-fn resolve_counted(stats: &Stats, r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
-    if r.kind == OpKind::Put {
-        stats.get_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    resolve(r)
-}
-
-impl Drop for NoveLsm {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.drain_cv.notify_all();
-        self.inner.imm_cv.notify_all();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
+        Some(self.db.front.telemetry())
     }
 }
 
@@ -626,5 +393,60 @@ mod tests {
                 String::from_utf8_lossy(&v)
             );
         }
+    }
+
+    /// Acknowledged keys stay readable while the big NVM MemTable is
+    /// handed off to `L0`. A reader sweeps the last 64 acknowledged keys
+    /// (the preload first, then whatever the writer just wrote: the DRAM
+    /// MemTables and the whole big list, at 2 KB a value) while the writer
+    /// forces 20 big-list flushes; a sweep that lands between the swap of
+    /// the full list and its publication as `imm` would miss keys.
+    #[test]
+    fn reads_never_miss_during_big_list_handoff() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let d = NoveLsm::open(
+            NoveLsmOptions {
+                nvm_memtable_bytes: 64 * 1024,
+                ..opts()
+            },
+            Arc::new(Stats::new()),
+        )
+        .unwrap();
+        let key = |i: usize| format!("key{i:06}").into_bytes();
+        let value = |i: usize| format!("{i:02000}").into_bytes();
+        let preload = 64;
+        for i in 0..preload {
+            d.put(&key(i), &value(i)).unwrap();
+        }
+        let big_flushes = || {
+            let level0 = d.db.front.telemetry().level(0).unwrap();
+            level0.lazy_copy_compactions.load(Ordering::Relaxed)
+        };
+        let acked = AtomicUsize::new(preload);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let n = acked.load(Ordering::Acquire);
+                    for i in n - preload..n {
+                        let got = d.get(&key(i)).unwrap();
+                        assert_eq!(got, Some(value(i)), "acknowledged key {i} missed");
+                    }
+                }
+            });
+            let mut i = preload;
+            while big_flushes() < 20 && i < 100_000 {
+                d.put(&key(i), &value(i)).unwrap();
+                i += 1;
+                acked.store(i, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap();
+        });
+        assert!(
+            big_flushes() >= 20,
+            "only {} big-list flushes",
+            big_flushes()
+        );
     }
 }

@@ -401,7 +401,9 @@ impl LsmCore {
         Ok(())
     }
 
-    /// Runs compactions until none is needed (used by `wait_idle`).
+    /// Runs compactions on the calling thread until none is needed (tests
+    /// drive the hierarchy with it; engines use
+    /// [`run_compactions`](crate::front::run_compactions)).
     ///
     /// # Errors
     ///

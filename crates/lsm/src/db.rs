@@ -9,21 +9,22 @@
 //! - **cumulative stalls**: `L0` reaches its slowdown trigger and every
 //!   write is delayed by a fixed pacing sleep; at the stop trigger writes
 //!   block until compaction catches up.
+//!
+//! The MemTable, rotation and flush thread are the shared
+//! [`front`](crate::front); this engine's drain ingests the flushed
+//! MemTable into `L0`, and its pacing is the `L0` triggers.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use miodb_common::{
-    EngineReport, EngineTelemetry, Error, KvEngine, OpKind, Result, ScanEntry, SequenceNumber,
-    StallKind, Stats, Timed,
+    EngineReport, EngineTelemetry, KvEngine, OpKind, Result, ScanEntry, StallKind, Stats, Timed,
 };
-use miodb_pmem::{DeviceModel, PmemPool};
+use miodb_pmem::DeviceModel;
 use miodb_skiplist::SkipListArena;
-use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::core::{LsmCore, LsmOptions};
-use crate::merge_iter::{dedup_newest, KWayMerge};
+use crate::front::{run_compactions, FrontEngine, Lower, MemFront, Source};
 use crate::storage::TableStore;
 
 /// Pacing delay applied per write while `L0` is past the slowdown trigger.
@@ -57,38 +58,64 @@ impl Default for LsmDbOptions {
     }
 }
 
-struct MemState {
-    active: Arc<SkipListArena>,
-    imm: Option<Arc<SkipListArena>>,
-}
-
 struct DbInner {
     opts: LsmDbOptions,
+    front: MemFront,
     core: LsmCore,
-    dram: Arc<PmemPool>,
-    mem: RwLock<MemState>,
-    mem_mutex: Mutex<()>,
-    imm_cv: Condvar,
-    flush_signal: Mutex<bool>,
-    flush_cv: Condvar,
-    seq: AtomicU64,
-    stats: Arc<Stats>,
-    telemetry: EngineTelemetry,
-    shutdown: AtomicBool,
-    background_error: Mutex<Option<String>>,
+}
+
+impl Lower for DbInner {
+    fn front(&self) -> &MemFront {
+        &self.front
+    }
+
+    fn drain(&self, imm: &SkipListArena) -> Result<()> {
+        self.core.ingest_sorted_run(imm.list().iter()).map(drop)
+    }
+
+    /// `L0` slowdown and stop triggers (cumulative stalls).
+    fn pace(&self) {
+        let lsm = &self.opts.lsm;
+        let l0 = self.core.l0_count();
+        if l0 < lsm.l0_slowdown_trigger {
+            return;
+        }
+        let _stall = self
+            .front
+            .telemetry()
+            .begin(Timed::Stall(StallKind::Cumulative));
+        if l0 >= lsm.l0_stop_trigger {
+            while self.core.l0_count() >= lsm.l0_stop_trigger && !self.front.is_shut_down() {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        } else {
+            std::thread::sleep(SLOWDOWN_SLEEP);
+        }
+    }
+
+    fn busy(&self) -> bool {
+        self.core.needs_compaction().is_some()
+    }
+
+    fn get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, OpKind)>> {
+        Ok(self.core.get(key)?.map(|e| (e.value, e.kind)))
+    }
+
+    fn scan_sources(&self, start: &[u8]) -> Vec<Source> {
+        self.core.scan_sources(start)
+    }
 }
 
 /// The LevelDB-model key-value engine.
 pub struct LsmDb {
-    inner: Arc<DbInner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    db: FrontEngine<DbInner>,
 }
 
 impl std::fmt::Debug for LsmDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LsmDb")
-            .field("name", &self.inner.opts.name)
-            .field("tables", &self.inner.core.tables_per_level())
+            .field("name", &self.db.opts.name)
+            .field("tables", &self.db.core.tables_per_level())
             .finish()
     }
 }
@@ -100,335 +127,67 @@ impl LsmDb {
     ///
     /// Returns an error if the DRAM pool for MemTables cannot be allocated.
     pub fn open(opts: LsmDbOptions, stats: Arc<Stats>) -> Result<LsmDb> {
-        let dram = PmemPool::new(
-            (opts.memtable_bytes * 6).max(8 << 20),
-            DeviceModel::dram(),
-            stats.clone(),
-        )?;
         let store = TableStore::new(opts.table_device, stats.clone());
         let core = LsmCore::new(store, opts.lsm.clone());
-        let active = Arc::new(SkipListArena::new(dram.clone(), opts.memtable_bytes)?);
-        let telemetry = EngineTelemetry::new(core.tables_per_level().len(), stats.clone());
-        let inner = Arc::new(DbInner {
-            opts,
-            core,
-            dram,
-            mem: RwLock::new(MemState { active, imm: None }),
-            mem_mutex: Mutex::new(()),
-            imm_cv: Condvar::new(),
-            flush_signal: Mutex::new(false),
-            flush_cv: Condvar::new(),
-            seq: AtomicU64::new(0),
-            stats,
-            telemetry,
-            shutdown: AtomicBool::new(false),
-            background_error: Mutex::new(None),
-        });
-        let mut threads = Vec::new();
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || flush_worker(inner)));
-        }
-        {
-            let inner = inner.clone();
-            threads.push(std::thread::spawn(move || compaction_worker(inner)));
-        }
+        let levels = core.tables_per_level().len();
+        let front = MemFront::new(opts.memtable_bytes, opts.wal_device, levels, stats)?;
+        let inner = DbInner { opts, front, core };
         Ok(LsmDb {
-            inner,
-            threads: Mutex::new(threads),
+            db: FrontEngine::start(inner, &[|d| run_compactions(&d.front, &d.core)]),
         })
     }
 
     /// The table hierarchy, for baselines layered on this engine.
     pub fn core(&self) -> &LsmCore {
-        &self.inner.core
-    }
-
-    fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
-        let inner = &*self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(Error::Closed);
-        }
-        if let Some(msg) = inner.background_error.lock().clone() {
-            return Err(Error::Background(msg));
-        }
-        let op_start = Instant::now();
-        let guard = inner.mem_mutex.lock();
-        inner
-            .stats
-            .user_bytes_written
-            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-
-        // L0 pacing (cumulative stalls).
-        self.apply_l0_backpressure();
-
-        // WAL append (modeled): sequential write of the record.
-        let rec = 17 + key.len() + value.len();
-        charge_device_write(&inner.stats, &inner.opts.wal_device, rec);
-
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.insert_with_rotation(guard, key, value, seq, kind)?;
-        let latency = match kind {
-            OpKind::Put => &inner.telemetry.put_latency,
-            OpKind::Delete => &inner.telemetry.delete_latency,
-        };
-        latency.record_elapsed(op_start);
-        Ok(())
-    }
-
-    fn insert_with_rotation(
-        &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            // Scope the Arc clone to the attempt so a MemTable that rotates
-            // out is not pinned in DRAM by its own writer.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => return Ok(()),
-                Err(Error::ArenaFull) => {
-                    // Rotate. If an immutable MemTable is still being
-                    // flushed, this is an interval stall.
-                    let mut stall = None;
-                    while inner.mem.read().imm.is_some() {
-                        if stall.is_none() {
-                            stall = Some(inner.telemetry.begin(Timed::Stall(StallKind::Interval)));
-                        }
-                        inner.imm_cv.wait_for(&mut guard, Duration::from_millis(10));
-                        if inner.shutdown.load(Ordering::Acquire) {
-                            return Err(Error::Closed);
-                        }
-                    }
-                    drop(stall);
-                    let new_active = Arc::new(SkipListArena::new(
-                        inner.dram.clone(),
-                        inner
-                            .opts
-                            .memtable_bytes
-                            .max(SkipListArena::capacity_for_entry(key.len(), value.len())),
-                    )?);
-                    {
-                        let mut mem = inner.mem.write();
-                        let old = std::mem::replace(&mut mem.active, new_active);
-                        mem.imm = Some(old);
-                    }
-                    let mut flag = inner.flush_signal.lock();
-                    *flag = true;
-                    inner.flush_cv.notify_all();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn apply_l0_backpressure(&self) {
-        let inner = &*self.inner;
-        let l0 = inner.core.l0_count();
-        if l0 < inner.opts.lsm.l0_slowdown_trigger {
-            return;
-        }
-        let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
-        if l0 >= inner.opts.lsm.l0_stop_trigger {
-            while inner.core.l0_count() >= inner.opts.lsm.l0_stop_trigger
-                && !inner.shutdown.load(Ordering::Acquire)
-            {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        } else {
-            std::thread::sleep(SLOWDOWN_SLEEP);
-        }
-    }
-}
-
-fn charge_device_write(stats: &Stats, device: &DeviceModel, bytes: usize) {
-    use miodb_pmem::DeviceClass;
-    match device.class {
-        DeviceClass::Nvm => stats
-            .nvm_bytes_written
-            .fetch_add(bytes as u64, Ordering::Relaxed),
-        DeviceClass::Ssd => stats
-            .ssd_bytes_written
-            .fetch_add(bytes as u64, Ordering::Relaxed),
-        DeviceClass::Dram => 0,
-    };
-    device.delay_write(bytes);
-}
-
-fn flush_worker(inner: Arc<DbInner>) {
-    loop {
-        {
-            let mut flag = inner.flush_signal.lock();
-            while !*flag && !inner.shutdown.load(Ordering::Acquire) {
-                inner
-                    .flush_cv
-                    .wait_for(&mut flag, Duration::from_millis(100));
-            }
-            *flag = false;
-        }
-        let imm = inner.mem.read().imm.clone();
-        if let Some(imm) = imm {
-            let bytes = imm.used_bytes();
-            let flush = inner.telemetry.begin(Timed::Flush { bytes });
-            match inner.core.ingest_sorted_run(imm.list().iter()) {
-                Ok(_) => flush.finish(bytes),
-                Err(e) => {
-                    drop(flush);
-                    *inner.background_error.lock() = Some(format!("flush failed: {e}"));
-                }
-            }
-            {
-                let mut mem = inner.mem.write();
-                mem.imm = None;
-            }
-            {
-                // Notify under the writer mutex to avoid lost wakeups (see
-                // miodb-core's flush worker).
-                let _writers = inner.mem_mutex.lock();
-                inner.imm_cv.notify_all();
-            }
-            // Garbage from here on; the last reader to let go frees it.
-            imm.retire();
-        }
-        if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
-            return;
-        }
-    }
-}
-
-fn compaction_worker(inner: Arc<DbInner>) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        match inner.core.run_one_compaction() {
-            Ok(true) => continue,
-            Ok(false) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => {
-                *inner.background_error.lock() = Some(format!("compaction failed: {e}"));
-                return;
-            }
-        }
+        &self.db.core
     }
 }
 
 impl KvEngine for LsmDb {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(key, value, OpKind::Put)
+        self.db.put(key, value)
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write(key, b"", OpKind::Delete)
+        self.db.delete(key)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let inner = &*self.inner;
-        let op_start = Instant::now();
-        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        let found = active
-            .list()
-            .get(key)
-            .or_else(|| imm.and_then(|m| m.list().get(key)))
-            .map(|r| (r.value, r.kind));
-        let found = match found {
-            Some(v) => Some(v),
-            None => inner.core.get(key)?.map(|e| (e.value, e.kind)),
-        };
-        inner.telemetry.get_latency.record_elapsed(op_start);
-        match found {
-            Some((_, OpKind::Delete)) => Ok(None),
-            Some((v, OpKind::Put)) => {
-                inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(v))
-            }
-            None => Ok(None),
-        }
+        self.db.get(key)
     }
 
     fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
-        let inner = &*self.inner;
-        let op_start = Instant::now();
-        let (active, imm) = {
-            let mem = inner.mem.read();
-            (mem.active.clone(), mem.imm.clone())
-        };
-        // The iterators own nothing: the handles taken here keep every
-        // source's memory alive until the merge has been consumed.
-        let mut sources: Vec<Box<dyn Iterator<Item = miodb_skiplist::iter::OwnedEntry> + Send>> =
-            Vec::new();
-        sources.push(Box::new(active.list().iter_from(start)));
-        if let Some(imm) = &imm {
-            sources.push(Box::new(imm.list().iter_from(start)));
-        }
-        sources.extend(inner.core.scan_sources(start));
-        let merged = dedup_newest(KWayMerge::new(sources), true);
-        let out = merged
-            .take(limit)
-            .map(|e| ScanEntry {
-                key: e.key,
-                value: e.value,
-            })
-            .collect();
-        inner.telemetry.scan_latency.record_elapsed(op_start);
-        Ok(out)
+        Ok(self.db.scan(start, limit))
     }
 
     fn wait_idle(&self) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            if let Some(msg) = inner.background_error.lock().clone() {
-                return Err(Error::Background(msg));
-            }
-            let imm_pending = inner.mem.read().imm.is_some();
-            if !imm_pending && inner.core.needs_compaction().is_none() {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.db.wait_idle()
     }
 
     fn report(&self) -> EngineReport {
-        let inner = &*self.inner;
+        let store = self.db.core.store();
         EngineReport {
-            name: inner.opts.name.clone(),
-            nvm_used_bytes: inner.core.store().total_bytes(),
-            nvm_peak_bytes: inner.core.store().total_bytes(),
-            tables_per_level: inner.core.tables_per_level(),
-            stats: inner.stats.snapshot(),
+            name: self.db.opts.name.clone(),
+            nvm_used_bytes: store.total_bytes(),
+            nvm_peak_bytes: store.total_bytes(),
+            tables_per_level: self.db.core.tables_per_level(),
+            stats: self.db.front.stats().snapshot(),
         }
     }
 
     fn name(&self) -> &str {
-        &self.inner.opts.name
+        &self.db.opts.name
     }
 
     fn telemetry(&self) -> Option<&EngineTelemetry> {
-        Some(&self.inner.telemetry)
-    }
-}
-
-impl Drop for LsmDb {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.flush_cv.notify_all();
-        self.inner.imm_cv.notify_all();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
+        Some(self.db.front.telemetry())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miodb_common::Error;
 
     fn db() -> LsmDb {
         let opts = LsmDbOptions {
@@ -564,7 +323,20 @@ mod tests {
     #[test]
     fn closed_db_rejects_writes() {
         let d = db();
-        d.inner.shutdown.store(true, Ordering::Release);
+        d.db.front.shut_down();
         assert!(matches!(d.put(b"k", b"v"), Err(Error::Closed)));
+    }
+
+    #[test]
+    fn first_background_error_wins() {
+        let d = db();
+        d.db.front.fail("flush failed: a".to_string());
+        d.db.front.fail("compaction failed: b".to_string());
+        for r in [d.put(b"k", b"v"), d.wait_idle()] {
+            match r {
+                Err(Error::Background(msg)) => assert_eq!(msg, "flush failed: a"),
+                other => panic!("expected the first error, got {other:?}"),
+            }
+        }
     }
 }

@@ -16,13 +16,18 @@
 //!   scans;
 //! - [`core`]: [`core::LsmCore`], the leveled table hierarchy with
 //!   compaction picking, used directly by the baselines;
-//! - [`db`]: [`db::LsmDb`], a complete engine (MemTable + flush +
-//!   background compaction + stalls) implementing
+//! - [`front`]: the DRAM MemTable front every engine here shares — write
+//!   path, rotation, flush thread, MemTable reads, shutdown — and the one
+//!   compaction loop; an engine supplies only what sits below the
+//!   MemTable ([`front::Lower`]: drain, pacing, lower reads);
+//! - [`db`]: [`db::LsmDb`], a complete engine (the front, draining into
+//!   `L0`, background compaction, `L0` stalls) implementing
 //!   [`KvEngine`](miodb_common::KvEngine) — the "LevelDB on NVM/SSD"
 //!   reference point.
 
 pub mod core;
 pub mod db;
+pub mod front;
 pub mod merge_iter;
 pub mod sstable;
 pub mod storage;

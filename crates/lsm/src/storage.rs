@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use miodb_common::{Error, Result, Stats};
-use miodb_pmem::{DeviceClass, DeviceModel};
+use miodb_pmem::DeviceModel;
 use parking_lot::RwLock;
 
 /// Identifier of a stored table.
@@ -60,40 +60,10 @@ impl TableStore {
         &self.stats
     }
 
-    fn charge_write(&self, bytes: usize) {
-        match self.device.class {
-            DeviceClass::Nvm => self
-                .stats
-                .nvm_bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Ssd => self
-                .stats
-                .ssd_bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
-        self.device.delay_write(bytes);
-    }
-
-    fn charge_read(&self, bytes: usize) {
-        match self.device.class {
-            DeviceClass::Nvm => self
-                .stats
-                .nvm_bytes_read
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Ssd => self
-                .stats
-                .ssd_bytes_read
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
-        self.device.delay_read(bytes);
-    }
-
     /// Persists `data` as a new table, charging a full sequential write.
     pub fn put_table(&self, data: Vec<u8>) -> TableId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.charge_write(data.len());
+        self.device.charge_write(&self.stats, data.len());
         self.total_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.files.write().insert(id, Arc::new(data));
@@ -146,7 +116,8 @@ impl TableStore {
         // Block-granular charging: reading 1 byte still costs a 4 KiB page.
         let first_block = offset / 4096;
         let last_block = (end.max(1) - 1) / 4096;
-        self.charge_read((last_block - first_block + 1) * 4096);
+        self.device
+            .charge_read(&self.stats, (last_block - first_block + 1) * 4096);
         Ok(file[offset..end].to_vec())
     }
 

@@ -15,13 +15,17 @@
 //! Models can be disabled (`*_unthrottled`) for unit tests and for callers
 //! that only want byte accounting.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+
+use miodb_common::Stats;
 
 /// Which physical device class an access is charged to.
 ///
-/// Used by [`PmemPool`](crate::PmemPool) to route byte counts into the right
-/// [`Stats`](miodb_common::Stats) fields (NVM vs. SSD); DRAM accesses are
-/// not counted (they are free in the write-amplification metric).
+/// [`DeviceModel::charge_read`] and [`DeviceModel::charge_write`] route
+/// byte counts into the matching [`Stats`] fields (NVM vs. SSD); DRAM
+/// accesses are not counted (they are free in the write-amplification
+/// metric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// Volatile DRAM: no persistence, no WA accounting.
@@ -157,6 +161,50 @@ impl DeviceModel {
     /// Blocks the calling thread for the modeled write cost of `bytes`.
     pub fn delay_write(&self, bytes: usize) {
         busy_delay_ns(self.write_delay_ns(bytes));
+    }
+
+    /// Counts a read of `bytes` into `stats` and blocks for its modeled
+    /// cost.
+    #[inline]
+    pub fn charge_read(&self, stats: &Stats, bytes: usize) {
+        self.count_read(stats, bytes as u64);
+        self.delay_read(bytes);
+    }
+
+    /// Counts `count` dependent random reads of `bytes_each` into `stats`
+    /// and blocks for their modeled cost in one wait: the same modeled
+    /// time as `count` separate [`charge_read`](Self::charge_read)s (each
+    /// pays the device latency — dependent pointer chases cannot
+    /// pipeline), but the spin-wait overhead is paid once.
+    #[inline]
+    pub fn charge_reads(&self, stats: &Stats, count: u64, bytes_each: usize) {
+        if count == 0 {
+            return;
+        }
+        self.count_read(stats, count * bytes_each as u64);
+        busy_delay_ns(count * self.read_delay_ns(bytes_each));
+    }
+
+    #[inline]
+    fn count_read(&self, stats: &Stats, bytes: u64) {
+        match self.class {
+            DeviceClass::Nvm => stats.nvm_bytes_read.fetch_add(bytes, Ordering::Relaxed),
+            DeviceClass::Ssd => stats.ssd_bytes_read.fetch_add(bytes, Ordering::Relaxed),
+            DeviceClass::Dram => 0,
+        };
+    }
+
+    /// Counts a write of `bytes` into `stats` and blocks for its modeled
+    /// cost.
+    #[inline]
+    pub fn charge_write(&self, stats: &Stats, bytes: usize) {
+        let n = bytes as u64;
+        match self.class {
+            DeviceClass::Nvm => stats.nvm_bytes_written.fetch_add(n, Ordering::Relaxed),
+            DeviceClass::Ssd => stats.ssd_bytes_written.fetch_add(n, Ordering::Relaxed),
+            DeviceClass::Dram => 0,
+        };
+        self.delay_write(bytes);
     }
 
     /// Returns a copy of this model scaled by `factor` (>1 slows the device

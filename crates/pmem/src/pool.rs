@@ -30,7 +30,7 @@ use std::sync::Arc;
 use miodb_common::{fault, Error, Result, Stats};
 use parking_lot::Mutex;
 
-use crate::device::{DeviceClass, DeviceModel};
+use crate::device::DeviceModel;
 
 /// Bytes reserved at the front of every pool for the manifest header.
 pub const POOL_HEADER_BYTES: u64 = 64 * 1024;
@@ -301,64 +301,21 @@ impl PmemPool {
     /// [`PmemPool::slice`].
     #[inline]
     pub fn charge_read(&self, bytes: usize) {
-        match self.device.class {
-            DeviceClass::Nvm => self
-                .stats
-                .nvm_bytes_read
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Ssd => self
-                .stats
-                .ssd_bytes_read
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
-        self.device.delay_read(bytes);
+        self.device.charge_read(&self.stats, bytes);
     }
 
-    /// Charges `count` dependent random reads of `bytes_each` in one call:
-    /// the modeled time is identical to `count` separate [`charge_read`]s
-    /// (each pays the device latency — dependent pointer chases cannot
-    /// pipeline), but the spin-wait overhead is paid once. Used by
-    /// skip-list descents.
-    ///
-    /// [`charge_read`]: PmemPool::charge_read
+    /// Charges `count` dependent random reads of `bytes_each` in one call
+    /// ([`DeviceModel::charge_reads`]). Used by skip-list descents.
     #[inline]
     pub fn charge_read_batch(&self, count: u64, bytes_each: usize) {
-        if count == 0 {
-            return;
-        }
-        let total = count * bytes_each as u64;
-        match self.device.class {
-            DeviceClass::Nvm => self
-                .stats
-                .nvm_bytes_read
-                .fetch_add(total, Ordering::Relaxed),
-            DeviceClass::Ssd => self
-                .stats
-                .ssd_bytes_read
-                .fetch_add(total, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
-        let ns = count * self.device.read_delay_ns(bytes_each);
-        crate::device::busy_delay_ns(ns);
+        self.device.charge_reads(&self.stats, count, bytes_each);
     }
 
     /// Charges (and delays for) a modeled device write of `bytes` without
     /// moving data — used for link-word updates done through atomics.
     #[inline]
     pub fn charge_write(&self, bytes: usize) {
-        match self.device.class {
-            DeviceClass::Nvm => self
-                .stats
-                .nvm_bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Ssd => self
-                .stats
-                .ssd_bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
-        self.device.delay_write(bytes);
+        self.device.charge_write(&self.stats, bytes);
     }
 
     /// Writes `data` at `off`, charging the device model.

@@ -150,6 +150,32 @@ fn all_engines_match_reference_model() {
     }
 }
 
+/// Four threads hammering 16 hot keys must see linearizable histories on
+/// every engine, while 2 KB values rotate the MemTable at least 20 times —
+/// the rotation, flush thread and MemTable reads the baselines share.
+#[test]
+fn concurrent_histories_are_linearizable_on_every_engine() {
+    use miodb::check::{check_history, run_stress, StressSpec};
+    let spec = StressSpec {
+        ops_per_thread: 600,
+        value_len: 2048,
+        ..StressSpec::quick(26)
+    };
+    for engine in engines() {
+        let history = run_stress(engine.as_ref(), &spec);
+        assert_eq!(history.len(), 4 * 600, "{}", engine.name());
+        let verdict = check_history(&history);
+        assert!(verdict.is_linearizable(), "{}: {verdict}", engine.name());
+        engine.wait_idle().unwrap();
+        let rotations = engine.report().stats.flush_count;
+        assert!(
+            rotations >= 20,
+            "{}: only {rotations} MemTables flushed",
+            engine.name()
+        );
+    }
+}
+
 #[test]
 fn empty_and_missing_keys() {
     for engine in engines() {
