@@ -61,13 +61,13 @@
 
 #![deny(missing_docs)]
 
-use miodb_common::proto::{self, Request, Response};
+use miodb_common::proto::{self, FrameDecoder, Request, Response};
 use miodb_common::trace::{self, SpanKind, TraceCtx};
 use miodb_common::{Error, OpKind, Result, ScanEntry};
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -126,14 +126,16 @@ pub struct ClientCounters {
     pub backpressure: u64,
 }
 
-/// One dialed socket. The reader owns the only descriptor; writes are
-/// buffered locally and pushed through `reader.get_ref()` (`&TcpStream`
-/// implements `Write`), so a connection costs one fd instead of a
-/// `try_clone`d pair — that factor of two is what lets a 10k-connection
-/// sweep driver fit under a 20k-fd `RLIMIT_NOFILE`.
+/// One dialed socket and the decoder its responses are read through.
+/// Reads and writes share the one descriptor (`&TcpStream` implements
+/// both `Read` and `Write`; writes are buffered locally), so a connection
+/// costs one fd instead of a `try_clone`d pair — that factor of two is
+/// what lets a 10k-connection sweep driver fit under a 20k-fd
+/// `RLIMIT_NOFILE`.
 #[derive(Debug)]
 struct Conn {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    decoder: FrameDecoder,
     wbuf: Vec<u8>,
 }
 
@@ -142,10 +144,6 @@ struct Conn {
 const WRITE_SPILL_BYTES: usize = 64 * 1024;
 
 impl Conn {
-    fn stream(&self) -> &TcpStream {
-        self.reader.get_ref()
-    }
-
     fn write_frame_with<F>(&mut self, f: F) -> std::io::Result<()>
     where
         F: FnOnce(&mut Vec<u8>) -> std::io::Result<()>,
@@ -158,7 +156,7 @@ impl Conn {
 
     fn flush(&mut self) -> std::io::Result<()> {
         if !self.wbuf.is_empty() {
-            self.stream().write_all(&self.wbuf)?;
+            (&self.stream).write_all(&self.wbuf)?;
             self.wbuf.clear();
         }
         Ok(())
@@ -299,7 +297,7 @@ impl KvClient {
             self.counters.timeouts += 1;
         }
         if let Some(conn) = self.conn.take() {
-            let _ = conn.stream().shutdown(Shutdown::Both);
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         // Responses for in-flight requests will never arrive.
         self.inflight_trace.clear();
@@ -400,7 +398,7 @@ impl KvClient {
         };
         let mut advisories = 0u64;
         let read = loop {
-            match proto::read_frame(&mut conn.reader) {
+            match conn.decoder.read_frame(&mut &conn.stream) {
                 Ok(Some(frame))
                     if frame.opcode & !proto::RESPONSE_BIT == proto::OP_BACKPRESSURE =>
                 {
@@ -476,7 +474,7 @@ impl KvClient {
     /// and responses batched instead of degenerating into one-frame
     /// ping-pong.
     pub fn buffered(&self) -> usize {
-        self.conn.as_ref().map_or(0, |c| c.reader.buffer().len())
+        self.conn.as_ref().map_or(0, |c| c.decoder.buffered())
     }
 
     /// Sends `reqs` back to back with one flush, then collects their
@@ -619,7 +617,7 @@ impl KvClient {
         }
         self.addrs = addrs;
         if let Some(conn) = self.conn.take() {
-            let _ = conn.stream().shutdown(Shutdown::Both);
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         self.inflight_trace.clear();
         true
@@ -740,7 +738,7 @@ impl KvClient {
     pub fn close(mut self) -> Result<()> {
         if let Some(mut conn) = self.conn.take() {
             conn.flush().map_err(Error::Io)?;
-            let _ = conn.stream().shutdown(Shutdown::Both);
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         Ok(())
     }
@@ -760,7 +758,8 @@ fn dial(addrs: &[SocketAddr], opts: &ClientOptions) -> Result<Conn> {
                     .set_write_timeout(opts.write_timeout)
                     .map_err(Error::Io)?;
                 return Ok(Conn {
-                    reader: BufReader::new(stream),
+                    stream,
+                    decoder: FrameDecoder::new(),
                     wbuf: Vec::new(),
                 });
             }

@@ -696,82 +696,28 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Reads one frame; `Ok(None)` means the peer closed the stream cleanly
-/// (EOF at a frame boundary).
-///
-/// A read timeout (`WouldBlock`/`TimedOut`) **before the first byte** of a
-/// frame surfaces as [`Error::Io`], letting servers poll a shutdown flag
-/// between frames; once any byte of a frame has been consumed the read
-/// retries through timeouts, because abandoning a half-read frame would
-/// desynchronize the stream.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] for transport failures and [`Error::Corruption`]
-/// for CRC mismatches, bad versions and oversized or truncated frames.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>> {
-    let mut len_buf = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_buf)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    check_frame_len(len)?;
-    let mut rest = vec![0u8; len];
-    read_exact_retry(r, &mut rest)?;
-    decode_frame_rest(len, &rest).map(Some)
-}
+/// Least room a blocking read offers the transport: the 8 KiB a
+/// `BufReader` would, so reading through the decoder never takes more
+/// `read` calls than buffered reads of the same stream.
+const READ_CHUNK: usize = 8 * 1024;
 
-/// Validates the length prefix of a frame before its body is available.
-fn check_frame_len(len: usize) -> Result<()> {
-    if len < HEADER_BYTES_V2 + 4 {
-        return Err(Error::Corruption(format!("frame too short: {len} bytes")));
-    }
-    if len > MAX_FRAME_BYTES {
-        return Err(Error::Corruption(format!("frame too large: {len} bytes")));
-    }
-    Ok(())
-}
-
-/// Decodes everything after the length prefix (header + body + CRC) into a
-/// [`Frame`]. Shared by the blocking [`read_frame`] and the incremental
-/// [`FrameDecoder`] so both paths accept and reject byte-identical input.
-fn decode_frame_rest(len: usize, rest: &[u8]) -> Result<Frame> {
-    debug_assert_eq!(rest.len(), len);
-    let (payload, crc_bytes) = rest.split_at(len - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte crc"));
-    if crc32(payload) != want {
-        return Err(Error::Corruption("frame crc mismatch".to_string()));
-    }
-    // `check_frame_len` guarantees the payload holds a whole header.
-    if payload[0] != PROTO_VERSION {
-        return Err(Error::Corruption(format!(
-            "unsupported protocol version {}",
-            payload[0]
-        )));
-    }
-    Ok(Frame {
-        opcode: payload[1],
-        id: u32::from_le_bytes(payload[2..6].try_into().expect("4-byte id")),
-        trace_id: u64::from_le_bytes(payload[6..14].try_into().expect("8-byte trace id")),
-        sampled: payload[14] & TRACE_SAMPLED != 0,
-        body: payload[HEADER_BYTES_V2..].to_vec(),
-    })
-}
-
-/// Incremental frame decoder for non-blocking transports.
+/// The frame parser: an incremental decoder that keeps a partial frame
+/// across calls.
 ///
-/// Bytes arrive in arbitrary chunks via [`feed`](Self::feed);
-/// [`next_frame`](Self::next_frame) yields each complete frame exactly as
-/// the blocking [`read_frame`] would have decoded it (same CRC, version
-/// and length validation — see `decode_frame_rest`). A decode error is
-/// sticky in practice: the stream is desynchronized, so callers must drop
-/// the connection, matching the blocking path's behavior.
+/// A non-blocking transport pushes bytes in arbitrary chunks with
+/// [`feed`](Self::feed) and drains complete frames with
+/// [`next_frame`](Self::next_frame); a blocking one pulls a frame with
+/// [`read_frame`](Self::read_frame). Both validate through `next_frame`.
+/// A decode error is sticky in practice: the stream is desynchronized, so
+/// callers must drop the connection.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `buf[start..end]` holds the undecoded bytes; `buf[end..]` is
+    /// initialized room that blocking reads land in, so a read into
+    /// storage already sized for it costs no allocation or zero-fill.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily to keep feeds O(1)
-    /// amortized.
     start: usize,
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -783,24 +729,21 @@ impl FrameDecoder {
 
     /// Appends raw bytes read from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.compact();
+        // Reclaim the consumed prefix once it dominates the buffer, so a
+        // long-lived connection doesn't grow its buffer without bound;
+        // lazily, to keep feeds O(1) amortized.
+        if self.start > 4096 && self.start * 2 >= self.end {
+            self.compact();
+        }
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 
     /// Number of buffered bytes not yet decoded into frames.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Consumes the decoder, returning the residual undecoded bytes.
-    /// Used when a connection is handed off from the event loop to a
-    /// dedicated blocking reader (replication streams): the residue is
-    /// chained in front of the socket so no bytes are lost.
-    #[must_use]
-    pub fn into_residual(mut self) -> Vec<u8> {
-        self.buf.drain(..self.start);
-        self.buf
+        self.end - self.start
     }
 
     /// Decodes the next complete frame, or `Ok(None)` if more bytes are
@@ -808,34 +751,113 @@ impl FrameDecoder {
     ///
     /// # Errors
     ///
-    /// Same corruption errors as [`read_frame`]; the connection must be
-    /// dropped afterwards.
+    /// Returns [`Error::Corruption`] for CRC mismatches, bad versions and
+    /// frames too short or too large; the connection must be dropped
+    /// afterwards.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some(len) = self.frame_len() else {
+            return Ok(None);
+        };
+        if len < HEADER_BYTES_V2 + 4 {
+            return Err(Error::Corruption(format!("frame too short: {len} bytes")));
+        }
+        if len > MAX_FRAME_BYTES {
+            return Err(Error::Corruption(format!("frame too large: {len} bytes")));
+        }
+        if self.buffered() < 4 + len {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4-byte len")) as usize;
-        check_frame_len(len)?;
-        if avail.len() < 4 + len {
-            return Ok(None);
+        let (payload, crc_bytes) = self.buf[self.start + 4..self.start + 4 + len].split_at(len - 4);
+        let want = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte crc"));
+        if crc32(payload) != want {
+            return Err(Error::Corruption("frame crc mismatch".to_string()));
         }
-        let frame = decode_frame_rest(len, &avail[4..4 + len])?;
+        // The length check above guarantees the payload holds a header.
+        if payload[0] != PROTO_VERSION {
+            return Err(Error::Corruption(format!(
+                "unsupported protocol version {}",
+                payload[0]
+            )));
+        }
+        let frame = Frame {
+            opcode: payload[1],
+            id: u32::from_le_bytes(payload[2..6].try_into().expect("4-byte id")),
+            trace_id: u64::from_le_bytes(payload[6..14].try_into().expect("8-byte trace id")),
+            sampled: payload[14] & TRACE_SAMPLED != 0,
+            body: payload[HEADER_BYTES_V2..].to_vec(),
+        };
         self.start += 4 + len;
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
             self.start = 0;
+            self.end = 0;
         }
         Ok(Some(frame))
     }
 
-    fn compact(&mut self) {
-        // Reclaim the consumed prefix once it dominates the buffer, so a
-        // long-lived connection doesn't grow its buffer without bound.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// Reads one frame from a blocking transport; `Ok(None)` means the
+    /// peer closed the stream cleanly (EOF with nothing buffered).
+    ///
+    /// A frame already buffered is returned without touching `r`;
+    /// otherwise bytes are read into the decoder until one completes. A
+    /// read timeout (`WouldBlock`/`TimedOut`) surfaces as [`Error::Io`] at
+    /// any byte: what was read stays buffered and the next call resumes,
+    /// so a timeout never desynchronizes the stream and a peer stalled
+    /// mid-frame cannot hold the caller past its timeout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] for transport failures and timeouts,
+    /// [`Error::Corruption`] for EOF mid-frame and for everything
+    /// [`next_frame`](Self::next_frame) rejects.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<Frame>> {
+        loop {
+            if let Some(frame) = self.next_frame()? {
+                return Ok(Some(frame));
+            }
+            match r.read(self.read_room()) {
+                Ok(0) if self.buffered() == 0 => return Ok(None),
+                Ok(0) => return Err(Error::Corruption("connection closed mid-frame".to_string())),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(Error::Io(e)),
+            }
         }
+    }
+
+    /// Length prefix of the buffered frame, once its four bytes are in.
+    fn frame_len(&self) -> Option<usize> {
+        (self.buffered() >= 4).then(|| {
+            let prefix = &self.buf[self.start..self.start + 4];
+            u32::from_le_bytes(prefix.try_into().expect("4-byte len")) as usize
+        })
+    }
+
+    /// Room for the next blocking read, called only when no whole frame is
+    /// buffered. The storage is sized to the pending frame, and to at
+    /// least [`READ_CHUNK`]: it grows for a large frame and shrinks back
+    /// once that frame is decoded, so a connection between large frames
+    /// holds one chunk. The room is never empty, because the buffered
+    /// bytes are always fewer than that size.
+    fn read_room(&mut self) -> &mut [u8] {
+        // `next_frame` has already bounded a buffered length prefix.
+        let want = self.frame_len().map_or(0, |len| 4 + len).max(READ_CHUNK);
+        if self.buf.len() != want {
+            let mut storage = vec![0; want];
+            storage[..self.buffered()].copy_from_slice(&self.buf[self.start..self.end]);
+            self.buf = storage;
+            self.end -= self.start;
+            self.start = 0;
+        } else if self.start > 0 {
+            self.compact();
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Moves the undecoded bytes to the front of the storage.
+    fn compact(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
     }
 }
 
@@ -864,39 +886,6 @@ pub fn write_response<W: Write>(
     let mut body = Vec::new();
     resp.encode_body(&mut body);
     write_frame(w, resp.opcode(req_op), id, &body)
-}
-
-/// Reads to fill `buf`; returns `false` on EOF before the first byte.
-/// Timeouts before the first byte propagate (poll point); after it they
-/// retry, as the frame is already partially consumed.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(Error::Corruption("connection closed mid-frame".to_string())),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if filled > 0 && is_timeout(&e) => {}
-            Err(e) => return Err(Error::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-/// Fills `buf`, retrying through timeouts (used past the length prefix,
-/// where the frame is committed).
-fn read_exact_retry<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(Error::Corruption("connection closed mid-frame".to_string())),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted || is_timeout(&e) => {}
-            Err(e) => return Err(Error::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 /// Is this a read-timeout error (`WouldBlock` on Unix, `TimedOut` on
@@ -975,11 +964,60 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// Reads the first frame of `wire` through a fresh decoder.
+    fn read_one(wire: &[u8]) -> Result<Option<Frame>> {
+        FrameDecoder::new().read_frame(&mut &wire[..])
+    }
+
+    /// A blocking transport that delivers `wire` in the pieces the
+    /// ascending offsets `cuts` split it into, with a read timeout between
+    /// consecutive pieces, then EOF.
+    struct Stalling {
+        pieces: VecDeque<Vec<u8>>,
+        stall: bool,
+    }
+
+    impl Stalling {
+        fn new(wire: &[u8], cuts: &[usize]) -> Stalling {
+            let mut pieces = VecDeque::new();
+            let mut at = 0;
+            for &cut in cuts.iter().chain([&wire.len()]) {
+                pieces.push_back(wire[at..cut].to_vec());
+                at = cut;
+            }
+            pieces.retain(|p| !p.is_empty());
+            Stalling {
+                pieces,
+                stall: false,
+            }
+        }
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.stall) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let Some(mut piece) = self.pieces.pop_front() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(out.len());
+            out[..n].copy_from_slice(&piece[..n]);
+            if n < piece.len() {
+                self.pieces.push_front(piece.split_off(n));
+            } else {
+                self.stall = !self.pieces.is_empty();
+            }
+            Ok(n)
+        }
+    }
 
     fn round_trip_request(req: Request) {
         let mut wire = Vec::new();
         write_request(&mut wire, 7, &req).unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.id, 7);
         assert_eq!(Request::decode(frame.opcode, &frame.body).unwrap(), req);
     }
@@ -1047,12 +1085,7 @@ mod tests {
             wire.extend_from_slice(&payload);
             wire.extend_from_slice(&crc32(&payload).to_le_bytes());
 
-            let err = read_frame(&mut wire.as_slice()).unwrap_err();
-            assert!(err.is_corruption(), "{err}");
-            assert!(err.to_string().contains(want), "{err}");
-            let mut decoder = FrameDecoder::new();
-            decoder.feed(&wire);
-            let err = decoder.next_frame().unwrap_err();
+            let err = read_one(&wire).unwrap_err();
             assert!(err.is_corruption(), "{err}");
             assert!(err.to_string().contains(want), "{err}");
         }
@@ -1072,14 +1105,14 @@ mod tests {
             let _c = trace::with_ctx(ctx);
             write_request(&mut wire, 1, &Request::Stats).unwrap();
         }
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.trace_id, 0xDEAD_BEEF_0042);
         assert!(frame.sampled);
 
         // Without a context the header carries zeros.
         let mut wire2 = Vec::new();
         write_request(&mut wire2, 2, &Request::Stats).unwrap();
-        let frame2 = read_frame(&mut wire2.as_slice()).unwrap().unwrap();
+        let frame2 = read_one(&wire2).unwrap().unwrap();
         assert_eq!(frame2.trace_id, 0);
         assert!(!frame2.sampled);
     }
@@ -1087,7 +1120,7 @@ mod tests {
     fn round_trip_response(req_op: Opcode, resp: Response) {
         let mut wire = Vec::new();
         write_response(&mut wire, 3, req_op, &resp).unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.id, 3);
         assert_eq!(Response::decode(frame.opcode, &frame.body).unwrap(), resp);
     }
@@ -1184,7 +1217,7 @@ mod tests {
             },
         )
         .unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.opcode, OP_NOT_LEADER | RESPONSE_BIT);
         assert_eq!(
             Response::decode(frame.opcode, &frame.body).unwrap(),
@@ -1208,7 +1241,7 @@ mod tests {
             },
         )
         .unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.opcode, OP_STALE_EPOCH | RESPONSE_BIT);
 
         let mut wire = Vec::new();
@@ -1219,7 +1252,7 @@ mod tests {
             &Response::QuorumLost { have: 2, need: 3 },
         )
         .unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.opcode, OP_QUORUM_LOST | RESPONSE_BIT);
     }
 
@@ -1233,7 +1266,7 @@ mod tests {
             &Response::Backpressure { queued: 128 },
         )
         .unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let frame = read_one(&wire).unwrap().unwrap();
         assert_eq!(frame.opcode, OP_BACKPRESSURE | RESPONSE_BIT);
         assert_eq!(frame.id, 0);
         assert_eq!(
@@ -1243,7 +1276,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_decoder_matches_blocking_path_per_byte() {
+    fn fed_and_read_bytes_decode_to_the_frames_written() {
         let mut wire = Vec::new();
         write_request(&mut wire, 1, &Request::Get { key: b"k".to_vec() }).unwrap();
         write_response(
@@ -1255,24 +1288,107 @@ mod tests {
         .unwrap();
         write_request(&mut wire, 2, &Request::Stats).unwrap();
 
-        let mut expected = Vec::new();
-        let mut r = wire.as_slice();
-        while let Some(f) = read_frame(&mut r).unwrap() {
-            expected.push(f);
-        }
-
-        // Feed one byte at a time: frames must come out identical.
+        // Fed one byte at a time.
         let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
+        let mut fed = Vec::new();
         for b in &wire {
             dec.feed(std::slice::from_ref(b));
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                fed.push(f);
             }
         }
-        assert_eq!(got, expected);
         assert_eq!(dec.buffered(), 0);
-        assert!(dec.into_residual().is_empty());
+
+        // Read from a blocking transport: one read buffers all three, and
+        // each call returns one.
+        let mut dec = FrameDecoder::new();
+        let mut r = wire.as_slice();
+        let mut read = Vec::new();
+        while let Some(f) = dec.read_frame(&mut r).unwrap() {
+            read.push(f);
+        }
+        assert_eq!(fed, read);
+        let heads: Vec<(u8, u32)> = read.iter().map(|f| (f.opcode, f.id)).collect();
+        assert_eq!(
+            heads,
+            [
+                (Opcode::Get as u8, 1),
+                (Opcode::Get as u8 | RESPONSE_BIT, 1),
+                (Opcode::Stats as u8, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn read_frame_surfaces_every_timeout_and_loses_no_byte() {
+        let req = Request::Put {
+            key: b"k".to_vec(),
+            value: vec![0x5A; 300],
+        };
+        let mut wire = Vec::new();
+        write_request(&mut wire, 9, &req).unwrap();
+        // Inside the length prefix, at its end, inside the header, inside
+        // the body and inside the CRC.
+        let cuts = [1, 4, 5, 19, wire.len() / 2, wire.len() - 1];
+        let mut r = Stalling::new(&wire, &cuts);
+        let mut dec = FrameDecoder::new();
+        let mut timeouts = 0;
+        let frame = loop {
+            match dec.read_frame(&mut r) {
+                Ok(Some(frame)) => break frame,
+                Err(Error::Io(e)) if is_timeout(&e) => timeouts += 1,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        assert_eq!(timeouts, cuts.len());
+        assert_eq!(Some(frame), read_one(&wire).unwrap());
+        assert!(
+            dec.read_frame(&mut r).unwrap().is_none(),
+            "EOF at a boundary"
+        );
+    }
+
+    #[test]
+    fn large_frame_takes_two_reads_and_its_storage_is_given_back() {
+        struct Counting<'a>(&'a [u8], usize);
+        impl Read for Counting<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.read(out)
+            }
+        }
+        let mut wire = Vec::new();
+        write_response(
+            &mut wire,
+            1,
+            Opcode::SnapshotFetch,
+            &Response::Snapshot(vec![7; 100_000]),
+        )
+        .unwrap();
+        write_request(&mut wire, 2, &Request::Stats).unwrap();
+        let mut r = Counting(&wire, 0);
+        let mut dec = FrameDecoder::new();
+        assert_eq!(dec.read_frame(&mut r).unwrap().map(|f| f.id), Some(1));
+        // One chunk holding the length prefix, then the rest of the frame
+        // in one read: what an 8 KiB `BufReader` costs.
+        assert_eq!(r.1, 2);
+        assert_eq!(dec.read_frame(&mut r).unwrap().map(|f| f.id), Some(2));
+        assert_eq!(dec.buf.len(), READ_CHUNK);
+        assert!(dec.read_frame(&mut r).unwrap().is_none());
+        assert_eq!(r.1, 4);
+    }
+
+    #[test]
+    fn eof_after_a_timeout_mid_frame_is_corruption() {
+        let mut wire = Vec::new();
+        write_request(&mut wire, 1, &Request::Stats).unwrap();
+        wire.truncate(wire.len() - 2);
+        let mut r = Stalling::new(&wire, &[6]);
+        let mut dec = FrameDecoder::new();
+        assert!(matches!(dec.read_frame(&mut r), Err(Error::Io(e)) if is_timeout(&e)));
+        let err = dec.read_frame(&mut r).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("mid-frame"), "{err}");
     }
 
     #[test]
@@ -1296,14 +1412,17 @@ mod tests {
         let cut = whole + (wire.len() - whole) / 2;
         let mut dec = FrameDecoder::new();
         dec.feed(&wire[..cut]);
-        assert!(dec.next_frame().unwrap().is_some());
+        assert_eq!(dec.next_frame().unwrap().map(|f| f.id), Some(1));
         assert_eq!(dec.buffered(), cut - whole);
-        assert_eq!(dec.into_residual(), wire[whole..cut].to_vec());
+        assert!(dec.next_frame().unwrap().is_none());
+        dec.feed(&wire[cut..]);
+        assert_eq!(dec.next_frame().unwrap().map(|f| f.id), Some(2));
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
     fn eof_at_boundary_is_clean() {
-        assert!(read_frame(&mut (&[] as &[u8])).unwrap().is_none());
+        assert!(read_one(&[]).unwrap().is_none());
     }
 
     #[test]
@@ -1311,7 +1430,7 @@ mod tests {
         let mut wire = Vec::new();
         write_request(&mut wire, 1, &Request::Stats).unwrap();
         wire.truncate(wire.len() - 2);
-        assert!(read_frame(&mut wire.as_slice()).is_err());
+        assert!(read_one(&wire).unwrap_err().is_corruption());
     }
 
     #[test]
@@ -1328,7 +1447,7 @@ mod tests {
         .unwrap();
         let mid = wire.len() / 2;
         wire[mid] ^= 0x40;
-        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        let err = read_one(&wire).unwrap_err();
         assert!(err.is_corruption(), "{err}");
     }
 
@@ -1342,7 +1461,7 @@ mod tests {
         let crc = crc32(&wire[4..4 + len - 4]);
         let at = 4 + len - 4;
         wire[at..at + 4].copy_from_slice(&crc.to_le_bytes());
-        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        let err = read_one(&wire).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
@@ -1351,7 +1470,7 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&mut wire.as_slice()).is_err());
+        assert!(read_one(&wire).is_err());
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Service-layer telemetry: connection gauges and per-opcode request
-//! latency histograms for the network front end.
+//! Service-layer telemetry: connection gauges, request counters and
+//! per-opcode request latency histograms for the network front end.
 //!
 //! The server owns one [`ServiceTelemetry`]; handlers bump the gauges on
 //! connection open/close and around each request, and record wall-clock
 //! request latency into the per-opcode [`ConcurrentHistogram`]s. STATS
 //! responses [`register`](ServiceTelemetry::register) these families into
 //! the same registry as the engine's, so one scrape covers both layers.
+//!
+//! Every scalar series is declared exactly once, in the
+//! `declare_service_series!` table below: field, registry method, metric
+//! name, labels and help text. The struct's fields and the table that
+//! `register` walks are both generated from it.
 
 use crate::conc_histogram::ConcurrentHistogram;
 use crate::metrics::MetricsRegistry;
@@ -21,40 +26,69 @@ pub enum ServePath {
     Worker,
 }
 
-impl ServePath {
-    /// Both paths, in metric order.
-    pub const ALL: [ServePath; 2] = [ServePath::Shard, ServePath::Worker];
+/// [`MetricsRegistry::gauge`] or [`MetricsRegistry::counter`].
+type AddSample = fn(&mut MetricsRegistry, &str, &str, &[(&str, &str)], f64);
 
-    /// Prometheus label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServePath::Shard => "shard",
-            ServePath::Worker => "worker",
-        }
-    }
+/// One row of the series table.
+struct Series {
+    add: AddSample,
+    metric: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    help: &'static str,
+    cell: fn(&ServiceTelemetry) -> &AtomicU64,
 }
 
-/// Gauges and histograms for one server instance.
-#[derive(Debug, Default)]
-pub struct ServiceTelemetry {
+macro_rules! declare_service_series {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident => $add:ident $metric:literal {$($lk:ident = $lv:literal),*} $help:literal;
+    )*) => {
+        /// Gauges, counters and histograms for one server instance.
+        #[derive(Debug, Default)]
+        pub struct ServiceTelemetry {
+            $($(#[$doc])* $field: AtomicU64,)*
+            /// Per-opcode request latency in nanoseconds, indexed by
+            /// [`Opcode::ALL`] order.
+            latency: [ConcurrentHistogram; Opcode::ALL.len()],
+        }
+
+        /// Every scalar series, in exposition order.
+        const SERIES: &[Series] = &[$(Series {
+            add: MetricsRegistry::$add,
+            metric: $metric,
+            labels: &[$((stringify!($lk), $lv)),*],
+            help: $help,
+            cell: |t| &t.$field,
+        },)*];
+    };
+}
+
+declare_service_series! {
     /// Currently open client connections.
-    active_connections: AtomicU64,
+    active_connections => gauge "miodb_server_active_connections" {}
+        "Currently open client connections";
     /// Connections accepted since start.
-    connections_total: AtomicU64,
+    connections_total => counter "miodb_server_connections_total" {}
+        "Connections accepted since start";
     /// Connections refused by the connection limit.
-    connections_refused: AtomicU64,
+    connections_refused => counter "miodb_server_connections_refused_total" {}
+        "Connections refused by the connection limit";
     /// Requests currently being executed (decoded but not yet answered).
-    requests_inflight: AtomicU64,
+    requests_inflight => gauge "miodb_server_requests_inflight" {}
+        "Requests currently being executed";
     /// Malformed frames that tore down a connection.
-    protocol_errors: AtomicU64,
+    protocol_errors => counter "miodb_server_protocol_errors_total" {}
+        "Malformed frames that tore down a connection";
     /// Backpressure advisories sent (connections paused by queue or
     /// write-buffer caps).
-    backpressure_events: AtomicU64,
-    /// Requests executed, indexed by [`ServePath::ALL`] order.
-    served: [AtomicU64; 2],
-    /// Per-opcode request latency in nanoseconds, indexed by
-    /// [`Opcode::ALL`] order.
-    latency: [ConcurrentHistogram; Opcode::ALL.len()],
+    backpressure_events => counter "miodb_server_backpressure_events_total" {}
+        "Backpressure advisories sent to paused connections";
+    /// Requests executed on [`ServePath::Shard`].
+    served_on_shard => counter "miodb_server_requests_total" {path = "shard"}
+        "Requests executed, by the thread that ran them";
+    /// Requests executed on [`ServePath::Worker`].
+    served_on_worker => counter "miodb_server_requests_total" {path = "worker"}
+        "Requests executed, by the thread that ran them";
 }
 
 impl ServiceTelemetry {
@@ -70,6 +104,13 @@ impl ServiceTelemetry {
             .position(|o| *o == op)
             .expect("opcode in ALL");
         &self.latency[idx]
+    }
+
+    fn served(&self, path: ServePath) -> &AtomicU64 {
+        match path {
+            ServePath::Shard => &self.served_on_shard,
+            ServePath::Worker => &self.served_on_worker,
+        }
     }
 
     /// Marks a connection accepted; returns the new active count.
@@ -117,12 +158,12 @@ impl ServiceTelemetry {
 
     /// Counts one request executed on `path`.
     pub fn request_served(&self, path: ServePath) {
-        self.served[path as usize].fetch_add(1, Ordering::Relaxed);
+        self.served(path).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Requests executed on `path` since start.
     pub fn requests_on(&self, path: ServePath) -> u64 {
-        self.served[path as usize].load(Ordering::Relaxed)
+        self.served(path).load(Ordering::Relaxed)
     }
 
     /// Currently open connections.
@@ -143,49 +184,9 @@ impl ServiceTelemetry {
     /// Registers the service metric families into `reg` (Prometheus names
     /// are prefixed `miodb_server_`).
     pub fn register(&self, reg: &mut MetricsRegistry) {
-        reg.gauge(
-            "miodb_server_active_connections",
-            "Currently open client connections",
-            &[],
-            self.active_connections.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            "miodb_server_connections_total",
-            "Connections accepted since start",
-            &[],
-            self.connections_total.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            "miodb_server_connections_refused_total",
-            "Connections refused by the connection limit",
-            &[],
-            self.connections_refused.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            "miodb_server_requests_inflight",
-            "Requests currently being executed",
-            &[],
-            self.requests_inflight.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            "miodb_server_protocol_errors_total",
-            "Malformed frames that tore down a connection",
-            &[],
-            self.protocol_errors.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            "miodb_server_backpressure_events_total",
-            "Backpressure advisories sent to paused connections",
-            &[],
-            self.backpressure_events.load(Ordering::Relaxed) as f64,
-        );
-        for path in ServePath::ALL {
-            reg.counter(
-                "miodb_server_requests_total",
-                "Requests executed, by the thread that ran them",
-                &[("path", path.label())],
-                self.requests_on(path) as f64,
-            );
+        for s in SERIES {
+            let value = (s.cell)(self).load(Ordering::Relaxed) as f64;
+            (s.add)(reg, s.metric, s.help, s.labels, value);
         }
         reg.counter(
             "miodb_server_dropped_spans_total",

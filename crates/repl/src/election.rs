@@ -26,12 +26,12 @@
 //! leader takes its first write. Vote messages honour the
 //! `repl.vote.drop` fault point so chaos tests can partition elections.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use miodb_common::proto::{self, Request, Response};
+use miodb_common::proto::{self, FrameDecoder, Request, Response};
 use miodb_common::{fault, majority, Error, Result, RoleState};
 
 /// What one peer said during a probe or vote round.
@@ -101,9 +101,7 @@ pub fn vote_rpc(
     let stream = TcpStream::connect_timeout(&sock_addr, timeout).map_err(Error::Io)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(timeout));
-    let read_half = stream.try_clone().map_err(Error::Io)?;
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::new(&stream);
     let req = Request::ReplVote {
         epoch,
         last_seq,
@@ -111,7 +109,7 @@ pub fn vote_rpc(
     };
     proto::write_request(&mut writer, 1, &req).map_err(Error::Io)?;
     writer.flush().map_err(Error::Io)?;
-    match proto::read_frame(&mut reader)? {
+    match FrameDecoder::new().read_frame(&mut &stream)? {
         Some(frame) => match Response::decode(frame.opcode, &frame.body)? {
             Response::Vote {
                 granted,

@@ -16,8 +16,8 @@
 //!   the applied offset *and the follower's epoch*, so acks double as
 //!   follower → leader heartbeats and as the fencing channel that tells
 //!   a stale leader it was deposed.
-//! - A leader quiet past `leader_dead_timeout` (no frames, or
-//!   unreachable across reconnects) ends the loop in
+//! - A leader quiet past `leader_dead_timeout` (no bytes — a partial
+//!   frame counts — or unreachable across reconnects) ends the loop in
 //!   [`FollowerState::LeaderDead`]; the supervisor reacts by running an
 //!   election.
 //! - [`Follower::promote`] is failover: drain whatever the dying leader
@@ -32,14 +32,14 @@
 //! replays the acked records from its local log, which is what makes an
 //! ack a durability promise the leader's semi-sync/quorum modes rely on.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use miodb_common::proto::{self, Request, Response};
+use miodb_common::proto::{self, FrameDecoder, Request, Response};
 use miodb_common::{fault, Error, Result, RoleState, Stats};
 use miodb_core::{MioDb, MioOptions};
 use miodb_pmem::PmemPool;
@@ -57,7 +57,7 @@ pub struct FollowerOptions {
     pub reconnect_backoff: Duration,
     /// Backoff cap.
     pub max_backoff: Duration,
-    /// Failure-detector deadline: a leader silent (no frames while
+    /// Failure-detector deadline: a leader silent (no bytes while
     /// connected, or unreachable across reconnects) for this long is
     /// declared dead and the loop ends in [`FollowerState::LeaderDead`].
     pub leader_dead_timeout: Duration,
@@ -394,11 +394,8 @@ impl LoopCtx {
         };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.opts.read_timeout));
-        let Ok(read_half) = stream.try_clone() else {
-            return StreamEnd::Disconnected("clone stream".to_string());
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
+        let mut decoder = FrameDecoder::new();
+        let mut writer = BufWriter::new(&stream);
         let detector = FailureDetector::new(self.opts.leader_dead_timeout);
 
         let from = self.applied.load(Ordering::Acquire);
@@ -408,7 +405,7 @@ impl LoopCtx {
         {
             return StreamEnd::Disconnected("subscribe send".to_string());
         }
-        match self.read_response(&mut reader, &detector) {
+        match self.read_response(&stream, &mut decoder, &detector) {
             Ok(Some(Response::ReplSubscribed {
                 log_start,
                 last,
@@ -455,7 +452,7 @@ impl LoopCtx {
         }
 
         loop {
-            match self.read_response(&mut reader, &detector) {
+            match self.read_response(&stream, &mut decoder, &detector) {
                 Ok(Some(Response::ReplRecords { epoch, batches })) => {
                     let known = self.known_epoch();
                     if epoch < known {
@@ -506,7 +503,8 @@ impl LoopCtx {
     /// requested; `Err` carries the session outcome.
     fn read_response(
         &self,
-        reader: &mut BufReader<TcpStream>,
+        mut stream: &TcpStream,
+        decoder: &mut FrameDecoder,
         detector: &FailureDetector,
     ) -> std::result::Result<Option<Response>, StreamEnd> {
         loop {
@@ -516,7 +514,8 @@ impl LoopCtx {
             if self.stop.load(Ordering::Acquire) {
                 return Ok(None);
             }
-            match proto::read_frame(reader) {
+            let before = decoder.buffered();
+            match decoder.read_frame(&mut stream) {
                 Ok(Some(frame)) => {
                     detector.observe();
                     return match Response::decode(frame.opcode, &frame.body) {
@@ -531,6 +530,11 @@ impl LoopCtx {
                     } else {
                         StreamEnd::Disconnected("leader closed stream".to_string())
                     });
+                }
+                // Part of a frame arrived: a live leader mid-way through
+                // a large frame, not a quiet one.
+                Err(Error::Io(ref e)) if proto::is_timeout(e) && decoder.buffered() > before => {
+                    detector.observe();
                 }
                 Err(Error::Io(ref e)) if proto::is_timeout(e) => {
                     if self.stop.load(Ordering::Acquire) {
@@ -605,12 +609,10 @@ impl LoopCtx {
 pub fn fetch_snapshot(leader_addr: &str) -> Result<Vec<u8>> {
     let stream = TcpStream::connect(leader_addr).map_err(Error::Io)?;
     let _ = stream.set_nodelay(true);
-    let read_half = stream.try_clone().map_err(Error::Io)?;
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::new(&stream);
     proto::write_request(&mut writer, 1, &Request::SnapshotFetch).map_err(Error::Io)?;
     writer.flush().map_err(Error::Io)?;
-    match proto::read_frame(&mut reader)? {
+    match FrameDecoder::new().read_frame(&mut &stream)? {
         Some(frame) => match Response::decode(frame.opcode, &frame.body)? {
             Response::Snapshot(bytes) => Ok(bytes),
             Response::Err(msg) => Err(Error::Background(format!("snapshot refused: {msg}"))),

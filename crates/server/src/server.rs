@@ -46,8 +46,8 @@
 //!   with a single typed `Err` frame and closed.
 //! - **Replication** (§13 of DESIGN.md). `ReplSubscribe` on a leader hands
 //!   the socket off from the event loop to a dedicated blocking stream
-//!   thread (the decoder's residual bytes are chained in front of the
-//!   socket so nothing is lost); followers refuse mutations with typed
+//!   thread, together with its decoder, so no byte the event loop already
+//!   read is lost; followers refuse mutations with typed
 //!   `NotLeader`, deposed leaders with `StaleEpoch`, and quorum-level
 //!   leaders that cannot reach a majority with `QuorumLost`.
 //!   [`KvServer::promote_to_leader`] flips the role in place during
@@ -65,7 +65,7 @@ use miodb_common::{
 use miodb_repl::Replicator;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1112,18 +1112,11 @@ fn handoff_conn(
             Ok(n) => out.consume(n),
         }
     }
-    let residual = decoder.into_residual();
     let stream_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("miodb-repl-stream".to_string())
         .spawn(move || {
-            let Ok(read_half) = stream.try_clone() else {
-                stream_shared.telemetry.conn_closed();
-                return;
-            };
-            let reader = BufReader::new(std::io::Cursor::new(residual).chain(read_half));
-            let writer = BufWriter::new(stream);
-            serve_repl_stream(id, from, leftover, reader, writer, &stream_shared);
+            serve_repl_stream(id, from, leftover, &stream, decoder, &stream_shared);
             stream_shared.telemetry.conn_closed();
         });
     match spawned {
@@ -1444,17 +1437,18 @@ fn execute(req: &Request, shared: &Shared) -> Response {
 /// or an injected `repl.stream.drop`.
 ///
 /// `leftover` carries frames the event loop had already decoded past the
-/// subscribe (acks a follower pipelined before the hello); they are
-/// credited before the socket is read.
-fn serve_repl_stream<R: Read + Send + 'static>(
+/// subscribe (acks a follower pipelined before the hello), and `decoder`
+/// any bytes it read after them; the frames are credited before the
+/// socket is read.
+fn serve_repl_stream(
     id: u32,
     from: u64,
     leftover: Vec<Frame>,
-    mut reader: BufReader<R>,
-    mut writer: BufWriter<TcpStream>,
+    stream: &TcpStream,
+    mut decoder: FrameDecoder,
     shared: &Shared,
 ) {
-    let Some(replicator) = shared.replicator.clone() else {
+    let Some(replicator) = &shared.replicator else {
         return;
     };
     let (log_start, last) = replicator.subscribe_bounds();
@@ -1463,124 +1457,128 @@ fn serve_repl_stream<R: Read + Send + 'static>(
         last,
         epoch: shared.role.epoch(),
     };
+    let mut writer = BufWriter::new(stream);
     if proto::write_response(&mut writer, id, Opcode::ReplSubscribe, &hello).is_err()
         || writer.flush().is_err()
     {
         return;
     }
     let sub_id = replicator.register_subscriber();
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Ack reader: same socket, opposite direction. Exits when the
-    // follower hangs up, or polls `stop` at its read timeout after the
-    // sender below ends the stream.
-    let ack_stop = Arc::clone(&stop);
-    let ack_replicator = Arc::clone(&replicator);
-    let ack_role = Arc::clone(&shared.role);
-    let ack_thread = std::thread::Builder::new()
-        .name("miodb-repl-ack".to_string())
-        .spawn(move || {
-            let credit = |frame: &Frame| {
-                if let Ok(Request::ReplAck { offset, epoch }) =
-                    Request::decode(frame.opcode, &frame.body)
-                {
-                    // Fencing: a follower that voted in an election we
-                    // missed reports the new epoch here; observing it
-                    // deposes this leader and the sender loop below winds
-                    // the stream down.
-                    if epoch > ack_role.epoch() {
-                        ack_role.observe_epoch(epoch, "");
-                    }
-                    ack_replicator.record_ack(sub_id, offset);
-                }
-            };
-            for frame in &leftover {
-                credit(frame);
-            }
-            loop {
-                match proto::read_frame(&mut reader) {
-                    Ok(Some(frame)) => credit(&frame),
-                    Ok(None) => break,
-                    Err(Error::Io(ref e)) if proto::is_timeout(e) => {
-                        if ack_stop.load(Ordering::Acquire) {
-                            break;
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        // Ack reader: same socket, opposite direction. Exits when the
+        // follower hangs up, or polls `stop` at its read timeout after the
+        // sender below ends the stream — mid-frame too, so a follower
+        // stalled half-way through an ack cannot hold this thread.
+        let ack_thread = std::thread::Builder::new()
+            .name("miodb-repl-ack".to_string())
+            .spawn_scoped(s, || {
+                let credit = |frame: &Frame| {
+                    if let Ok(Request::ReplAck { offset, epoch }) =
+                        Request::decode(frame.opcode, &frame.body)
+                    {
+                        // Fencing: a follower that voted in an election we
+                        // missed reports the new epoch here; observing it
+                        // deposes this leader and the sender loop below
+                        // winds the stream down.
+                        if epoch > shared.role.epoch() {
+                            shared.role.observe_epoch(epoch, "");
                         }
+                        replicator.record_ack(sub_id, offset);
                     }
-                    Err(_) => break,
+                };
+                for frame in &leftover {
+                    credit(frame);
                 }
-            }
-            ack_stop.store(true, Ordering::Release);
-        })
-        .ok();
-
-    let mut cursor = from;
-    loop {
-        if stop.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // Deposed mid-stream: say goodbye with the typed frame so the
-        // follower learns the fence even before it finds the new leader.
-        if !shared.leader() {
-            let _ =
-                proto::write_response(&mut writer, 0, Opcode::ReplRecords, &shared.stale_epoch());
-            let _ = writer.flush();
-            break;
-        }
-        // Simulated partition: the stream just dies, no goodbye.
-        if shared.partitioned() {
-            break;
-        }
-        // Follower failure detection: acks (heartbeat acks included)
-        // arrive at least every poll interval from a live follower;
-        // silence past the deadline drops it from the quorum set.
-        if shared
-            .replication_enabled
-            .then(|| replicator.ack_silent_for(sub_id))
-            .flatten()
-            .is_some_and(|silent| silent >= shared.follower_dead_timeout)
-        {
-            break;
-        }
-        // Injected stream drop: the subscriber connection dies without a
-        // goodbye; the follower reconnects and resumes from its applied
-        // offset.
-        if fault::hit(fault::points::REPL_STREAM_DROP).is_some() {
-            break;
-        }
-        let fetched = replicator.fetch_after(cursor, MAX_REPL_FETCH_BYTES, REPL_POLL);
-        if fetched.truncated {
-            let resp = Response::Err("replication log truncated; snapshot required".to_string());
-            let _ = proto::write_response(&mut writer, 0, Opcode::ReplRecords, &resp);
-            let _ = writer.flush();
-            break;
-        }
-        let batches: Vec<ReplBatch> = fetched
-            .entries
-            .iter()
-            .map(|e| ReplBatch {
-                seq_first: e.seq_first,
-                seq_last: e.seq_last,
-                bytes: e.bytes.as_ref().clone(),
+                loop {
+                    match decoder.read_frame(&mut &*stream) {
+                        Ok(Some(frame)) => credit(&frame),
+                        Ok(None) => break,
+                        Err(Error::Io(ref e)) if proto::is_timeout(e) => {
+                            if stop.load(Ordering::Acquire) {
+                                break;
+                            }
+                        }
+                        Err(_) => break,
+                    }
+                }
+                stop.store(true, Ordering::Release);
             })
-            .collect();
-        if let Some(tail) = batches.last() {
-            cursor = tail.seq_last;
+            .ok();
+
+        let mut cursor = from;
+        loop {
+            if stop.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            // Deposed mid-stream: say goodbye with the typed frame so the
+            // follower learns the fence even before it finds the new leader.
+            if !shared.leader() {
+                let _ = proto::write_response(
+                    &mut writer,
+                    0,
+                    Opcode::ReplRecords,
+                    &shared.stale_epoch(),
+                );
+                let _ = writer.flush();
+                break;
+            }
+            // Simulated partition: the stream just dies, no goodbye.
+            if shared.partitioned() {
+                break;
+            }
+            // Follower failure detection: acks (heartbeat acks included)
+            // arrive at least every poll interval from a live follower;
+            // silence past the deadline drops it from the quorum set.
+            if shared
+                .replication_enabled
+                .then(|| replicator.ack_silent_for(sub_id))
+                .flatten()
+                .is_some_and(|silent| silent >= shared.follower_dead_timeout)
+            {
+                break;
+            }
+            // Injected stream drop: the subscriber connection dies without a
+            // goodbye; the follower reconnects and resumes from its applied
+            // offset.
+            if fault::hit(fault::points::REPL_STREAM_DROP).is_some() {
+                break;
+            }
+            let fetched = replicator.fetch_after(cursor, MAX_REPL_FETCH_BYTES, REPL_POLL);
+            if fetched.truncated {
+                let resp =
+                    Response::Err("replication log truncated; snapshot required".to_string());
+                let _ = proto::write_response(&mut writer, 0, Opcode::ReplRecords, &resp);
+                let _ = writer.flush();
+                break;
+            }
+            let batches: Vec<ReplBatch> = fetched
+                .entries
+                .iter()
+                .map(|e| ReplBatch {
+                    seq_first: e.seq_first,
+                    seq_last: e.seq_last,
+                    bytes: e.bytes.as_ref().clone(),
+                })
+                .collect();
+            if let Some(tail) = batches.last() {
+                cursor = tail.seq_last;
+            }
+            // An empty batch list is the heartbeat.
+            let frame = Response::ReplRecords {
+                epoch: shared.role.epoch(),
+                batches,
+            };
+            if proto::write_response(&mut writer, 0, Opcode::ReplRecords, &frame).is_err()
+                || writer.flush().is_err()
+            {
+                break;
+            }
         }
-        // An empty batch list is the heartbeat.
-        let frame = Response::ReplRecords {
-            epoch: shared.role.epoch(),
-            batches,
-        };
-        if proto::write_response(&mut writer, 0, Opcode::ReplRecords, &frame).is_err()
-            || writer.flush().is_err()
-        {
-            break;
+        stop.store(true, Ordering::Release);
+        if let Some(t) = ack_thread {
+            let _ = t.join();
         }
-    }
-    stop.store(true, Ordering::Release);
-    drop(writer);
-    if let Some(t) = ack_thread {
-        let _ = t.join();
-    }
+    });
     replicator.deregister_subscriber(sub_id);
 }

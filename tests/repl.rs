@@ -5,16 +5,18 @@
 //! per-key linearizability checker over the merged leader+follower
 //! history and the durable-prefix oracle (zero acked writes lost).
 
-use std::net::SocketAddr;
-use std::sync::Arc;
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use miodb::check::{DurableOracle, History, HistoryRecorder};
 use miodb::common::fault::{self, points, FaultPolicy};
+use miodb::common::proto::{self, FrameDecoder, Opcode, ReplBatch, Request, Response};
 use miodb::common::{AckLevel, Error, ReplicationSink};
 use miodb::repl::{
-    bootstrap_from_leader, engine_snapshot_bytes, Follower, FollowerOptions, Replicator,
-    ReplicatorOptions,
+    bootstrap_from_leader, engine_snapshot_bytes, vote_rpc, Follower, FollowerOptions,
+    FollowerState, Replicator, ReplicatorOptions,
 };
 use miodb::{
     KvClient, KvEngine, KvServer, MioDb, MioOptions, ReplConfig, RoleState, ServerOptions,
@@ -544,4 +546,227 @@ fn published_stream_is_exactly_the_acknowledged_writes() {
     std::fs::remove_file(&path).ok();
     recovered.close().unwrap();
     db.close().unwrap();
+}
+
+// ----- peers that stall half-way through a frame ------------------------
+//
+// Each call under test runs on its own thread behind a channel watchdog,
+// so one that never returns fails its test instead of hanging the suite.
+
+/// Writes `(id, request opcode, response)` frames to `conn`, except that
+/// only the first half of the last one goes out: the peer then stalls
+/// mid-frame.
+fn send_all_but_half_of_last(conn: &mut TcpStream, frames: &[(u32, Opcode, Response)]) {
+    let mut wire = Vec::new();
+    let mut last_start = 0;
+    for (id, op, resp) in frames {
+        last_start = wire.len();
+        proto::write_response(&mut wire, *id, *op, resp).unwrap();
+    }
+    let sent = last_start + (wire.len() - last_start) / 2;
+    conn.write_all(&wire[..sent]).unwrap();
+}
+
+/// A leader that stalls half-way through a `ReplRecords` frame is as dead
+/// as a silent one: the follower reaches `LeaderDead` within its
+/// `leader_dead_timeout` (the half frame's bytes counting as the last
+/// sign of life), and `stop` returns.
+#[test]
+fn follower_declares_a_leader_stalled_mid_frame_dead() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = mpsc::channel::<()>();
+    let fake_leader = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let sub = FrameDecoder::new().read_frame(&mut conn).unwrap().unwrap();
+        let hello = Response::ReplSubscribed {
+            log_start: 0,
+            last: 0,
+            epoch: 1,
+        };
+        let records = Response::ReplRecords {
+            epoch: 1,
+            batches: vec![ReplBatch {
+                seq_first: 1,
+                seq_last: 1,
+                bytes: vec![0; 4096],
+            }],
+        };
+        send_all_but_half_of_last(
+            &mut conn,
+            &[
+                (sub.id, Opcode::ReplSubscribe, hello),
+                (0, Opcode::ReplRecords, records),
+            ],
+        );
+        let _ = held.recv();
+    });
+
+    let db = Arc::new(MioDb::open(test_opts("stalled-leader-follower")).unwrap());
+    let dead_after = Duration::from_millis(500);
+    let fopts = FollowerOptions {
+        read_timeout: Duration::from_millis(50),
+        leader_dead_timeout: dead_after,
+        ..FollowerOptions::default()
+    };
+    let started = Instant::now();
+    let follower = Follower::start(Arc::clone(&db), &addr.to_string(), fopts).unwrap();
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        while !follower.state().is_terminal() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (state, at) = (follower.state(), started.elapsed());
+        follower.stop();
+        done.send((state, at)).unwrap();
+    });
+    let (state, at) = watchdog
+        .recv_timeout(Duration::from_secs(10))
+        .expect("follower never gave up on a leader stalled mid-frame");
+    assert_eq!(state, FollowerState::LeaderDead);
+    assert!(
+        at < dead_after + Duration::from_secs(2),
+        "declared dead after {at:?}"
+    );
+    release.send(()).unwrap();
+    fake_leader.join().unwrap();
+    db.close().unwrap();
+}
+
+/// A slow but live leader: a frame whose bytes arrive steadily, yet over
+/// longer than `leader_dead_timeout`, keeps the leader alive, because
+/// every byte counts as a sign of life. The follower takes the whole frame
+/// and acks it.
+#[test]
+fn follower_counts_bytes_of_a_slow_frame_as_leader_liveness() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (acked, watchdog) = mpsc::channel();
+    let (release, held) = mpsc::channel::<()>();
+    let fake_leader = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut decoder = FrameDecoder::new();
+        let sub = decoder.read_frame(&mut conn).unwrap().unwrap();
+        let hello = Response::ReplSubscribed {
+            log_start: 0,
+            last: 0,
+            epoch: 1,
+        };
+        let mut wire = Vec::new();
+        proto::write_response(&mut wire, sub.id, Opcode::ReplSubscribe, &hello).unwrap();
+        conn.write_all(&wire).unwrap();
+        // A heartbeat, one byte per 40 ms: ≈ 1.4 s for the frame.
+        let heartbeat = Response::ReplRecords {
+            epoch: 1,
+            batches: Vec::new(),
+        };
+        let mut wire = Vec::new();
+        proto::write_response(&mut wire, 0, Opcode::ReplRecords, &heartbeat).unwrap();
+        let sent = wire.iter().all(|b| {
+            std::thread::sleep(Duration::from_millis(40));
+            conn.write_all(std::slice::from_ref(b)).is_ok()
+        });
+        let ack = decoder.read_frame(&mut conn);
+        acked
+            .send(sent && matches!(ack, Ok(Some(f)) if f.opcode == Opcode::ReplAck as u8))
+            .unwrap();
+        let _ = held.recv();
+    });
+
+    let db = Arc::new(MioDb::open(test_opts("slow-leader-follower")).unwrap());
+    let fopts = FollowerOptions {
+        read_timeout: Duration::from_millis(20),
+        leader_dead_timeout: Duration::from_millis(300),
+        ..FollowerOptions::default()
+    };
+    let follower = Follower::start(Arc::clone(&db), &addr.to_string(), fopts).unwrap();
+    let ok = watchdog
+        .recv_timeout(Duration::from_secs(10))
+        .expect("fake leader never finished its slow frame");
+    assert!(ok, "follower dropped a slow leader mid-frame");
+    follower.stop();
+    release.send(()).unwrap();
+    fake_leader.join().unwrap();
+    db.close().unwrap();
+}
+
+/// A replicated leader's shutdown returns while a subscriber holds half of
+/// a `ReplAck` frame: the stream's ack reader stops at its read timeout
+/// mid-frame instead of waiting for the rest forever.
+#[test]
+fn leader_shutdown_returns_while_a_subscriber_holds_half_an_ack() {
+    let _g = fault::exclusive();
+    let (leader, _ldb, replicator) = start_leader("half-ack-leader", AckLevel::Async, 64 << 20);
+    let mut conn = TcpStream::connect(leader.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut wire = Vec::new();
+    proto::write_request(&mut wire, 1, &Request::ReplSubscribe { from: 0, epoch: 1 }).unwrap();
+    conn.write_all(&wire).unwrap();
+    let hello = FrameDecoder::new().read_frame(&mut conn).unwrap().unwrap();
+    assert!(matches!(
+        Response::decode(hello.opcode, &hello.body).unwrap(),
+        Response::ReplSubscribed { .. }
+    ));
+    wait_subscribed(&replicator);
+    let mut ack = Vec::new();
+    proto::write_request(
+        &mut ack,
+        0,
+        &Request::ReplAck {
+            offset: 0,
+            epoch: 1,
+        },
+    )
+    .unwrap();
+    conn.write_all(&ack[..ack.len() / 2]).unwrap();
+
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        leader.shutdown();
+        done.send(()).unwrap();
+    });
+    watchdog
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown never returned past a subscriber's half-sent ack");
+    drop(conn);
+}
+
+/// `vote_rpc` against a peer that answers with half of a vote frame gives
+/// up within three times its timeout.
+#[test]
+fn vote_rpc_gives_up_on_a_peer_stalled_mid_frame() {
+    let _g = fault::exclusive();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let req = FrameDecoder::new().read_frame(&mut conn).unwrap().unwrap();
+        let vote = Response::Vote {
+            granted: true,
+            epoch: 2,
+            last_seq: 0,
+            leader_live: false,
+            leader_hint: String::new(),
+        };
+        send_all_but_half_of_last(&mut conn, &[(req.id, Opcode::ReplVote, vote)]);
+        let _ = held.recv();
+    });
+
+    let timeout = Duration::from_millis(200);
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let got = vote_rpc(&addr.to_string(), 2, 0, "127.0.0.1:1", timeout);
+        done.send((got.map(|s| s.granted), started.elapsed()))
+            .unwrap();
+    });
+    let (got, waited) = watchdog
+        .recv_timeout(Duration::from_secs(10))
+        .expect("vote_rpc never gave up on a half-sent vote");
+    assert!(got.is_err(), "{got:?}");
+    assert!(waited < 3 * timeout, "vote_rpc took {waited:?}");
+    release.send(()).unwrap();
+    peer.join().unwrap();
 }

@@ -224,8 +224,8 @@ fn connection_limit_refuses_with_error_frame() {
 /// being dropped mid-pipeline.
 #[test]
 fn unknown_opcode_answers_err_and_keeps_connection() {
-    use miodb::common::proto::{self, read_frame, write_frame, Request, Response};
-    use std::io::{BufReader, BufWriter, Write};
+    use miodb::common::proto::{self, write_frame, FrameDecoder, Request, Response};
+    use std::io::{BufWriter, Write};
     use std::net::TcpStream;
 
     let router = Arc::new(ShardRouter::open_miodb(&test_opts(), 1).unwrap());
@@ -238,13 +238,14 @@ fn unknown_opcode_answers_err_and_keeps_connection() {
     router.put(b"still", b"served").unwrap();
 
     let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
+    let mut decoder = FrameDecoder::new();
+    let mut writer = BufWriter::new(&stream);
 
     // 0x60 is no opcode this protocol revision knows.
     write_frame(&mut writer, 0x60, 1, b"whatever").unwrap();
     writer.flush().unwrap();
-    let frame = read_frame(&mut reader)
+    let frame = decoder
+        .read_frame(&mut &stream)
         .unwrap()
         .expect("typed reply, not a hangup");
     match Response::decode(frame.opcode, &frame.body).unwrap() {
@@ -265,7 +266,8 @@ fn unknown_opcode_answers_err_and_keeps_connection() {
     )
     .unwrap();
     writer.flush().unwrap();
-    let frame = read_frame(&mut reader)
+    let frame = decoder
+        .read_frame(&mut &stream)
         .unwrap()
         .expect("connection must stay open");
     assert_eq!(frame.id, 2);
@@ -275,6 +277,71 @@ fn unknown_opcode_answers_err_and_keeps_connection() {
     }
     server.shutdown();
     router.close().unwrap();
+}
+
+/// A server that stalls half-way through a response frame: `recv` gives
+/// up at its read timeout with `Error::Io`, counts the timeout, and the
+/// next operation reconnects. The call runs on its own thread behind a
+/// watchdog, so a `recv` that never returns fails the test instead of
+/// hanging the suite.
+#[test]
+fn recv_times_out_on_a_half_sent_response_and_reconnects() {
+    use miodb::common::proto::{self, FrameDecoder, Opcode, Request, Response};
+    use miodb::{ClientOptions, Error};
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = mpsc::channel::<()>();
+    // The first connection gets half of its answer and then silence, its
+    // socket held open; the second gets a whole answer.
+    let peer = std::thread::spawn(move || {
+        let mut open = Vec::new();
+        for (i, conn) in listener.incoming().take(2).enumerate() {
+            let mut conn = conn.unwrap();
+            let req = FrameDecoder::new().read_frame(&mut conn).unwrap().unwrap();
+            let mut wire = Vec::new();
+            let resp = Response::Value(Some(b"v".to_vec()));
+            proto::write_response(&mut wire, req.id, Opcode::Get, &resp).unwrap();
+            let sent = if i == 0 { wire.len() / 2 } else { wire.len() };
+            conn.write_all(&wire[..sent]).unwrap();
+            open.push(conn);
+        }
+        let _ = held.recv();
+    });
+
+    let timeout = Duration::from_millis(200);
+    let opts = ClientOptions {
+        read_timeout: Some(timeout),
+        ..ClientOptions::default()
+    };
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut c = KvClient::connect_with(addr, opts).unwrap();
+        c.send(&Request::Get { key: b"k".to_vec() }).unwrap();
+        c.flush().unwrap();
+        let started = Instant::now();
+        let recv = c.recv().map(|_| ());
+        let waited = started.elapsed();
+        let after_recv = (c.counters(), c.is_connected());
+        let next = c.get(b"k");
+        done.send((recv, waited, after_recv, next, c.counters()))
+            .unwrap();
+    });
+    let (recv, waited, (counters, connected), next, end) = watchdog
+        .recv_timeout(Duration::from_secs(10))
+        .expect("recv never gave up on a half-sent frame");
+    assert!(matches!(recv, Err(Error::Io(_))), "{recv:?}");
+    assert!(waited < 3 * timeout, "recv took {waited:?}");
+    assert_eq!(counters.timeouts, 1);
+    assert!(!connected, "a timed-out connection must be dropped");
+    assert_eq!(next.unwrap().as_deref(), Some(&b"v"[..]));
+    assert_eq!(end.reconnects, 1);
+    release.send(()).unwrap();
+    peer.join().unwrap();
 }
 
 /// Kill the server mid-load: every write the client saw acknowledged must
@@ -771,17 +838,20 @@ fn raw_round(
     stream: &std::net::TcpStream,
     reqs: &[miodb::common::Request],
 ) -> Vec<(u32, miodb::common::Response)> {
-    use miodb::common::proto::{self, read_frame, OP_BACKPRESSURE, RESPONSE_BIT};
-    use std::io::{BufReader, Write};
+    use miodb::common::proto::{self, FrameDecoder, OP_BACKPRESSURE, RESPONSE_BIT};
+    use std::io::Write;
     let mut wire = Vec::new();
     for (i, req) in reqs.iter().enumerate() {
         proto::write_request(&mut wire, i as u32 + 1, req).unwrap();
     }
     (&*stream).write_all(&wire).unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut decoder = FrameDecoder::new();
     let mut out = Vec::new();
     while out.len() < reqs.len() {
-        let frame = read_frame(&mut reader).unwrap().expect("response, not EOF");
+        let frame = decoder
+            .read_frame(&mut &*stream)
+            .unwrap()
+            .expect("response, not EOF");
         if frame.opcode & !RESPONSE_BIT != OP_BACKPRESSURE {
             let resp = miodb::common::Response::decode(frame.opcode, &frame.body).unwrap();
             out.push((frame.id, resp));
