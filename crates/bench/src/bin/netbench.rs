@@ -362,8 +362,8 @@ fn run_phase(
     });
     let elapsed = started.elapsed();
     let mut ops = 0;
-    let mut get_lat = Histogram::new();
-    let mut put_lat = Histogram::new();
+    let get_lat = Histogram::new();
+    let put_lat = Histogram::new();
     let mut counters = ClientCounters::default();
     for r in results {
         let r = r?;
@@ -810,7 +810,7 @@ fn run(cfg: &Config) -> Result<()> {
                 continue;
             }
             let step = run_sweep_step(addr, cfg, n)?;
-            let mut all = Histogram::new();
+            let all = Histogram::new();
             all.merge(&step.get_lat);
             all.merge(&step.put_lat);
             eprintln!(
@@ -881,7 +881,7 @@ fn run(cfg: &Config) -> Result<()> {
         print_phase(ycsb);
     }
     for (n, step) in &sweep_results {
-        let mut all = Histogram::new();
+        let all = Histogram::new();
         all.merge(&step.get_lat);
         all.merge(&step.put_lat);
         print_row(
@@ -971,7 +971,7 @@ fn run(cfg: &Config) -> Result<()> {
         let steps: Vec<String> = sweep_results
             .iter()
             .map(|(n, step)| {
-                let mut all = Histogram::new();
+                let all = Histogram::new();
                 all.merge(&step.get_lat);
                 all.merge(&step.put_lat);
                 format!(

@@ -16,7 +16,7 @@ use std::time::Instant;
 use miodb_bench::{
     build_engine, build_engine_with, fmt_bytes, print_header, print_row, EngineKind, Mode, Scale,
 };
-use miodb_common::{EventKind, Histogram, KvEngine, Result};
+use miodb_common::{Histogram, KvEngine, Result};
 use miodb_workloads::{
     run_db_bench, run_fill_concurrent, run_ycsb, BenchKind, YcsbSpec, YcsbWorkload,
 };
@@ -132,10 +132,10 @@ fn main() {
 /// when the engine doesn't expose telemetry (plain LevelDB).
 fn engine_latency(engine: &dyn KvEngine) -> Option<Histogram> {
     let t = engine.telemetry()?;
-    let mut h = t.put_latency.snapshot();
-    h.merge(&t.get_latency.snapshot());
-    h.merge(&t.delete_latency.snapshot());
-    h.merge(&t.scan_latency.snapshot());
+    let h = t.put_latency.snapshot();
+    h.merge(&t.get_latency);
+    h.merge(&t.delete_latency);
+    h.merge(&t.scan_latency);
     Some(h)
 }
 
@@ -529,8 +529,9 @@ fn fig8(dataset: u64) -> Result<()> {
         };
         run_ycsb(engine.as_ref(), YcsbWorkload::Load, &spec)?;
         reset_engine_latency(engine.as_ref());
-        engine.drain_events(); // discard load-phase events
+        let before = engine.report().stats;
         let r = run_ycsb(engine.as_ref(), YcsbWorkload::A, &spec)?;
+        let phase = engine.report().stats.diff(&before);
         let buckets = 40.min(r.timeline.len().max(1));
         let per = (r.timeline.len() / buckets).max(1);
         print!("{:>14}: ", kind.name());
@@ -542,18 +543,11 @@ fn fig8(dataset: u64) -> Result<()> {
             let mean = chunk.iter().sum::<u64>() as f64 / chunk.len() as f64 / 1000.0;
             print!("{mean:.0} ");
         }
-        // Tail figures from the engine-side histograms; the event trace
-        // explains the spikes (stall and compaction activity during A).
+        // Tail figures from the engine-side histograms; the stall and
+        // compaction counters over phase A explain the spikes.
         let lat = engine_latency(engine.as_ref()).unwrap_or(r.latency);
-        let events = engine.drain_events();
-        let stalls = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::StallBegin { .. }))
-            .count();
-        let compactions = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::CompactionBegin { .. }))
-            .count();
+        let stalls = phase.interval_stall_count + phase.cumulative_stall_count;
+        let compactions = phase.zero_copy_compactions + phase.copy_compactions;
         println!(
             "  [p99.9 {:.0}us max {:.0}us; {stalls} stalls, {compactions} compactions]",
             lat.percentile(99.9) as f64 / 1000.0,

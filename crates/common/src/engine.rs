@@ -1,7 +1,6 @@
 //! The uniform engine interface driven by workloads and benchmarks.
 
 use crate::error::Result;
-use crate::events::Event;
 use crate::metrics::MetricsRegistry;
 use crate::stats::StatsSnapshot;
 use crate::telemetry::EngineTelemetry;
@@ -126,8 +125,8 @@ pub trait KvEngine: Send + Sync {
     /// The engine's telemetry collectors, when it has them.
     ///
     /// Engines returning `Some` get op-latency summaries, per-level byte
-    /// gauges, compaction breakdowns and the structured event trace in
-    /// their metrics output; the default `None` limits
+    /// gauges and compaction breakdowns in their metrics output; the
+    /// default `None` limits
     /// [`register_metrics`](KvEngine::register_metrics) to report-derived
     /// families.
     fn telemetry(&self) -> Option<&EngineTelemetry> {
@@ -145,14 +144,6 @@ pub trait KvEngine: Send + Sync {
         let mut reg = MetricsRegistry::new();
         self.register_metrics(&mut reg);
         reg.render_prometheus()
-    }
-
-    /// Drains the structured event trace in FIFO order. Engines without
-    /// telemetry return an empty vector.
-    fn drain_events(&self) -> Vec<Event> {
-        self.telemetry()
-            .map(|t| t.drain_events())
-            .unwrap_or_default()
     }
 }
 

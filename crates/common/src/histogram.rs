@@ -1,11 +1,28 @@
-//! Log-bucketed latency histogram with percentile queries.
+//! Log-bucketed latency histogram with percentile queries and lock-free
+//! recording from any number of threads.
 //!
 //! The evaluation in the paper reports average, 90th, 99th and 99.9th
 //! percentile latencies (Tables 2 and 3) and per-operation latency timelines
-//! (Figure 8). This histogram records nanosecond latencies into
+//! (Figure 8). [`Histogram`] records nanosecond latencies into
 //! logarithmically spaced buckets (HdrHistogram-style: power-of-two major
 //! buckets each split into 16 linear sub-buckets, ~6% relative error) so
 //! recording is O(1) and memory use is constant.
+//!
+//! Recording takes `&self`, so one histogram serves an engine's worker
+//! threads, a server's shards or a benchmark's client threads alike. The
+//! buckets are striped into independent copies and each thread hashes to a
+//! stripe by a process-global thread index: a record is two relaxed atomic
+//! adds on a stripe private to ~1/8 of the threads. Queries sum the
+//! stripes; a [`snapshot`](Histogram::snapshot) or
+//! [`diff`](Histogram::diff) is a histogram of one stripe.
+//!
+//! Counts are never lost: `count` is derived from the buckets themselves,
+//! so a snapshot taken while other threads record sees a consistent prefix
+//! of the recorded operations (each operation appears in at most one
+//! snapshot delta and in every later snapshot).
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::time::Instant;
 
 /// Number of linear sub-buckets per power-of-two bucket.
 const SUB_BUCKETS: usize = 16;
@@ -13,32 +30,87 @@ const SUB_BUCKETS: usize = 16;
 const SUB_BITS: u32 = 4;
 /// Number of power-of-two major buckets (covers up to 2^40 ns ≈ 18 minutes).
 const MAJOR_BUCKETS: usize = 41;
-/// Total bucket count; shared with [`crate::ConcurrentHistogram`] so its
-/// snapshots reuse this exact layout.
-pub(crate) const NUM_BUCKETS: usize = MAJOR_BUCKETS * SUB_BUCKETS;
+/// Total bucket count.
+const NUM_BUCKETS: usize = MAJOR_BUCKETS * SUB_BUCKETS;
+/// Stripes of a histogram from [`Histogram::new`]. A power of two so the
+/// stripe pick is a mask; 8 stripes keep the footprint at ~42 KiB while
+/// eliminating contention for typical thread counts.
+const STRIPES: usize = 8;
 
-/// A latency histogram with log-spaced buckets.
+fn bucket_index(value: u64) -> usize {
+    if value < SUB_BUCKETS as u64 {
+        return value as usize;
+    }
+    // Values in [2^m, 2^(m+1)) are split into 16 sub-buckets of width
+    // 2^(m-4). Row 0 holds [0, 16) exactly, so row for exponent m is
+    // m - SUB_BITS + 1 (m = 4 -> row 1).
+    let m = 63 - value.leading_zeros();
+    let row = (m - SUB_BITS + 1) as usize;
+    let sub = (value >> (m - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+    (row * SUB_BUCKETS + sub).min(NUM_BUCKETS - 1)
+}
+
+/// Inclusive upper bound of a bucket (the value reported for it).
+fn bucket_value(index: usize) -> u64 {
+    if index < SUB_BUCKETS {
+        return index as u64;
+    }
+    let row = (index / SUB_BUCKETS) as u32;
+    let sub = (index % SUB_BUCKETS) as u64;
+    let m = row + SUB_BITS - 1;
+    let base = 1u64 << m;
+    let width = base >> SUB_BITS;
+    base + (sub + 1) * width - 1
+}
+
+/// One copy of the bucket layout, padded to its own cache-line region so
+/// the hot `sum` words of different stripes never share a line.
+#[repr(align(128))]
+struct Stripe {
+    buckets: Box<[AtomicU64]>,
+    sum: AtomicU64,
+}
+
+/// Process-global monotone thread index used to spread threads over stripes.
+static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Relaxed);
+}
+
+/// A latency histogram with log-spaced buckets and lock-free recording.
 ///
 /// # Examples
 ///
 /// ```
 /// use miodb_common::Histogram;
+/// use std::sync::Arc;
 ///
-/// let mut h = Histogram::new();
-/// for v in [100, 200, 300, 400, 1_000_000] {
-///     h.record(v);
+/// let h = Arc::new(Histogram::new());
+/// let threads: Vec<_> = (0..4)
+///     .map(|_| {
+///         let h = h.clone();
+///         std::thread::spawn(move || {
+///             for v in 1..=1000u64 {
+///                 h.record(v);
+///             }
+///         })
+///     })
+///     .collect();
+/// for t in threads {
+///     t.join().unwrap();
 /// }
-/// assert_eq!(h.count(), 5);
-/// assert!(h.percentile(99.9) >= 900_000);
-/// assert!(h.mean() > 100.0);
+/// let earlier = h.snapshot();
+/// h.record(1_000_000);
+/// assert_eq!(h.count(), 4001);
+/// assert!(h.percentile(99.0) >= 900);
+/// assert_eq!(h.max(), 1_000_000);
+/// assert_eq!(h.snapshot().diff(&earlier).count(), 1);
 /// ```
-#[derive(Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+    stripes: Box<[Stripe]>,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -50,7 +122,7 @@ impl Default for Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count)
+            .field("count", &self.count())
             .field("mean_ns", &self.mean())
             .field("p50_ns", &self.percentile(50.0))
             .field("p99_ns", &self.percentile(99.0))
@@ -62,95 +134,102 @@ impl std::fmt::Debug for Histogram {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
+        Histogram::with_stripes(STRIPES)
+    }
+
+    /// `stripes` must be a power of two.
+    fn with_stripes(stripes: usize) -> Histogram {
         Histogram {
-            buckets: vec![0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
+            stripes: (0..stripes)
+                .map(|_| Stripe {
+                    buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+                    sum: AtomicU64::new(0),
+                })
+                .collect(),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// Builds a histogram from raw bucket counts produced by a
-    /// [`crate::ConcurrentHistogram`] snapshot (same bucket layout).
-    pub(crate) fn from_parts(buckets: Vec<u64>, sum: u64, min: u64, max: u64) -> Histogram {
-        debug_assert_eq!(buckets.len(), NUM_BUCKETS);
-        let count = buckets.iter().sum();
-        Histogram {
-            buckets,
-            count,
-            sum,
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-        }
+    /// The calling thread's stripe.
+    #[inline]
+    fn stripe(&self) -> &Stripe {
+        &self.stripes[THREAD_INDEX.with(|i| *i) & (self.stripes.len() - 1)]
     }
 
-    pub(crate) fn bucket_index(value: u64) -> usize {
-        if value < SUB_BUCKETS as u64 {
-            return value as usize;
+    /// Lowers `min` / raises `max` to cover `[lo, hi]`. Load-then-RMW
+    /// keeps the common case (the extremes already cover the range)
+    /// read-only, avoiding cross-stripe write contention.
+    #[inline]
+    fn widen(&self, lo: u64, hi: u64) {
+        if lo < self.min.load(Relaxed) {
+            self.min.fetch_min(lo, Relaxed);
         }
-        // Values in [2^m, 2^(m+1)) are split into 16 sub-buckets of width
-        // 2^(m-4). Row 0 holds [0, 16) exactly, so row for exponent m is
-        // m - SUB_BITS + 1 (m = 4 -> row 1).
-        let m = 63 - value.leading_zeros();
-        let row = (m - SUB_BITS + 1) as usize;
-        let sub = (value >> (m - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
-        (row * SUB_BUCKETS + sub).min(NUM_BUCKETS - 1)
-    }
-
-    /// Inclusive upper bound of a bucket (the value reported for it).
-    pub(crate) fn bucket_value(index: usize) -> u64 {
-        if index < SUB_BUCKETS {
-            return index as u64;
+        if hi > self.max.load(Relaxed) {
+            self.max.fetch_max(hi, Relaxed);
         }
-        let row = (index / SUB_BUCKETS) as u32;
-        let sub = (index % SUB_BUCKETS) as u64;
-        let m = row + SUB_BITS - 1;
-        let base = 1u64 << m;
-        let width = base >> SUB_BITS;
-        base + (sub + 1) * width - 1
     }
 
     /// Records one observation (e.g. a latency in nanoseconds).
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+    ///
+    /// Lock-free and wait-free apart from the first call on a new thread;
+    /// two relaxed RMWs on a stripe private to ~1/8 of the threads.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        let stripe = self.stripe();
+        stripe.buckets[bucket_index(value)].fetch_add(1, Relaxed);
+        stripe.sum.fetch_add(value, Relaxed);
+        self.widen(value, value);
+    }
+
+    /// Records the time elapsed since `since`, in nanoseconds.
+    #[inline]
+    pub fn record_elapsed(&self, since: Instant) {
+        self.record(since.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+    }
+
+    /// Observations in bucket `i`, summed over the stripes.
+    fn bucket(&self, i: usize) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.buckets[i].load(Relaxed))
+            .sum()
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count
+        (0..NUM_BUCKETS).map(|i| self.bucket(i)).sum()
     }
 
     /// Sum of all recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum
+        self.stripes
+            .iter()
+            .fold(0, |sum, s| sum.saturating_add(s.sum.load(Relaxed)))
     }
 
     /// Arithmetic mean of the recorded values, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum() as f64 / count as f64
         }
     }
 
     /// Smallest recorded value, or 0 when empty.
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0
         } else {
-            self.min
+            self.min.load(Relaxed)
         }
     }
 
     /// Largest recorded value, or 0 when empty.
     pub fn max(&self) -> u64 {
-        self.max
+        self.max.load(Relaxed)
     }
 
     /// Value at the given percentile `p` (0–100), approximated to the bucket
@@ -162,35 +241,48 @@ impl Histogram {
     /// Panics if `p` is not within `0.0..=100.0`.
     pub fn percentile(&self, p: f64) -> u64 {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
+        let max = self.max();
         if p == 0.0 {
-            return self.min();
+            return self.min.load(Relaxed);
         }
         if p == 100.0 {
-            return self.max;
+            return max;
         }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let target = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+        for i in 0..NUM_BUCKETS {
+            seen += self.bucket(i);
             if seen >= target {
-                return Self::bucket_value(i).min(self.max);
+                return bucket_value(i).min(max);
             }
         }
-        self.max
+        max
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
+    /// Adds every observation of `other` into this histogram (on the
+    /// calling thread's stripe). `other` may be recording concurrently.
+    pub fn merge(&self, other: &Histogram) {
+        let stripe = self.stripe();
+        for (i, bucket) in stripe.buckets.iter().enumerate() {
+            bucket.fetch_add(other.bucket(i), Relaxed);
         }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        stripe.sum.fetch_add(other.sum(), Relaxed);
+        self.widen(other.min.load(Relaxed), other.max());
+    }
+
+    /// A one-stripe copy of the observations recorded so far.
+    ///
+    /// Safe to call while other threads record; the result reflects every
+    /// operation that completed before the call began and possibly some
+    /// concurrent ones.
+    pub fn snapshot(&self) -> Histogram {
+        let copy = Histogram::with_stripes(1);
+        copy.merge(self);
+        copy
     }
 
     /// Returns the observations recorded since `earlier` was captured, where
@@ -201,48 +293,47 @@ impl Histogram {
     /// Used to reconstruct latency timelines (Figure 8) from engine-side
     /// cumulative histograms.
     pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(earlier.buckets.iter())
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        Histogram {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: first.map_or(u64::MAX, Self::bucket_value),
-            max: last.map_or(0, Self::bucket_value),
-            buckets,
+        let interval = Histogram::with_stripes(1);
+        let (mut first, mut last) = (None, None);
+        for (i, bucket) in interval.stripes[0].buckets.iter().enumerate() {
+            let n = self.bucket(i).saturating_sub(earlier.bucket(i));
+            if n > 0 {
+                first.get_or_insert(i);
+                last = Some(i);
+            }
+            bucket.store(n, Relaxed);
         }
+        interval.stripes[0]
+            .sum
+            .store(self.sum().saturating_sub(earlier.sum()), Relaxed);
+        interval.widen(
+            first.map_or(u64::MAX, bucket_value),
+            last.map_or(0, bucket_value),
+        );
+        interval
     }
 
-    /// Clears all recorded observations.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-
-    /// Formats the standard latency report used by Tables 2 and 3:
-    /// `avg / p90 / p99 / p99.9` in microseconds.
-    pub fn summary_us(&self) -> String {
-        format!(
-            "avg={:.1}us p90={:.1}us p99={:.1}us p99.9={:.1}us",
-            self.mean() / 1000.0,
-            self.percentile(90.0) as f64 / 1000.0,
-            self.percentile(99.0) as f64 / 1000.0,
-            self.percentile(99.9) as f64 / 1000.0,
-        )
+    /// Clears all observations.
+    ///
+    /// Not linearizable with concurrent `record` calls: observations racing
+    /// with the reset may survive it. Intended for phase boundaries where
+    /// the workload has quiesced the engine (e.g. between YCSB load
+    /// and run phases).
+    pub fn reset(&self) {
+        for stripe in self.stripes.iter() {
+            stripe.buckets.iter().for_each(|b| b.store(0, Relaxed));
+            stripe.sum.store(0, Relaxed);
+        }
+        self.min.store(u64::MAX, Relaxed);
+        self.max.store(0, Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn empty_histogram() {
@@ -256,7 +347,7 @@ mod tests {
 
     #[test]
     fn exact_for_small_values() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 0..16u64 {
             h.record(v);
         }
@@ -267,7 +358,7 @@ mod tests {
 
     #[test]
     fn percentile_monotonic() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 1..=10_000u64 {
             h.record(v * 100);
         }
@@ -281,7 +372,7 @@ mod tests {
 
     #[test]
     fn percentile_accuracy_within_bucket_error() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 1..=100_000u64 {
             h.record(v);
         }
@@ -293,7 +384,7 @@ mod tests {
 
     #[test]
     fn mean_and_sum() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         h.record(10);
         h.record(20);
         h.record(30);
@@ -303,8 +394,8 @@ mod tests {
 
     #[test]
     fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
+        let a = Histogram::new();
+        let b = Histogram::new();
         for v in 1..=500u64 {
             a.record(v);
         }
@@ -320,17 +411,31 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut h = Histogram::new();
-        h.record(42);
+    fn reset_clears_all_stripes() {
+        let h = Arc::new(Histogram::new());
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let h = h.clone();
+                std::thread::spawn(move || {
+                    for v in 0..100 {
+                        h.record(v);
+                    }
+                })
+            })
+            .collect();
+        for t in handles {
+            t.join().unwrap();
+        }
+        assert_eq!(h.count(), 400);
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), 0);
+        assert_eq!(h.snapshot().max(), 0);
     }
 
     #[test]
     fn large_values_do_not_panic() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         h.record(u64::MAX);
         h.record(u64::MAX / 2);
         assert_eq!(h.count(), 2);
@@ -346,7 +451,7 @@ mod tests {
 
     #[test]
     fn percentile_zero_returns_min() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in [37u64, 1_000, 2_000_000] {
             h.record(v);
         }
@@ -355,7 +460,7 @@ mod tests {
 
     #[test]
     fn percentile_hundred_returns_exact_max() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 1..=10_000u64 {
             h.record(v * 3);
         }
@@ -371,11 +476,11 @@ mod tests {
 
     #[test]
     fn diff_isolates_an_interval() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 1..=1_000u64 {
             h.record(v);
         }
-        let checkpoint = h.clone();
+        let checkpoint = h.snapshot();
         for v in 100_000..=101_000u64 {
             h.record(v);
         }
@@ -388,35 +493,123 @@ mod tests {
 
     #[test]
     fn diff_of_identical_snapshots_is_empty() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         h.record(123);
-        let d = h.diff(&h.clone());
+        let d = h.diff(&h.snapshot());
         assert_eq!(d.count(), 0);
         assert_eq!(d.percentile(50.0), 0);
         assert_eq!(d.min(), 0);
     }
 
     #[test]
-    fn from_parts_round_trips_buckets() {
-        let mut h = Histogram::new();
-        for v in [5u64, 77, 3_000, 1 << 20] {
-            h.record(v);
-        }
-        let rebuilt = Histogram::from_parts(h.buckets.clone(), h.sum(), h.min(), h.max());
-        assert_eq!(rebuilt.count(), h.count());
-        assert_eq!(rebuilt.percentile(50.0), h.percentile(50.0));
-        assert_eq!(rebuilt.min(), h.min());
-        assert_eq!(rebuilt.max(), h.max());
-    }
-
-    #[test]
     fn bucket_value_is_upper_bound_of_its_bucket() {
         for v in [0u64, 1, 15, 16, 17, 100, 1000, 123_456, 10_000_000] {
-            let idx = Histogram::bucket_index(v);
-            let upper = Histogram::bucket_value(idx);
+            let upper = bucket_value(bucket_index(v));
             assert!(upper >= v, "value {v} maps to bucket with upper {upper}");
             // The representative must be within ~1/16 of the value above it.
             assert!(upper as f64 <= v as f64 * 1.07 + 16.0);
+        }
+    }
+
+    #[test]
+    fn concurrent_counts_conserved() {
+        const WRITERS: usize = 8;
+        const PER_WRITER: u64 = 20_000;
+        let h = Arc::new(Histogram::new());
+        let handles: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let h = h.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_WRITER {
+                        h.record((w as u64) * 1_000 + (i % 997));
+                    }
+                })
+            })
+            .collect();
+        // Snapshots taken mid-flight must be internally consistent.
+        for _ in 0..10 {
+            let snap = h.snapshot();
+            assert!(snap.count() <= WRITERS as u64 * PER_WRITER);
+            if snap.count() > 0 {
+                assert!(snap.percentile(50.0) <= snap.percentile(99.9).max(snap.max()));
+            }
+        }
+        for t in handles {
+            t.join().unwrap();
+        }
+        assert_eq!(h.snapshot().count(), WRITERS as u64 * PER_WRITER);
+    }
+
+    /// Records `values` into `h` from 4 threads, each taking every 4th one.
+    fn record_from_4_threads(h: &Histogram, values: &[u64]) {
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                s.spawn(move || values.iter().skip(t).step_by(4).for_each(|&v| h.record(v)));
+            }
+        });
+    }
+
+    /// The reference a percentile is checked against: the nearest-rank
+    /// value of the sorted observations, reported as its bucket's upper
+    /// bound and capped at the exact maximum.
+    fn reference_percentile(sorted: &[u64], p: f64) -> u64 {
+        let max = *sorted.last().unwrap();
+        if p == 0.0 {
+            return sorted[0];
+        }
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+        bucket_value(bucket_index(sorted[rank - 1])).min(max)
+    }
+
+    /// Latency-like values: mostly small, with a long tail.
+    fn values() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            (0u32..40, any::<u64>()).prop_map(|(bits, v)| v >> (63 - bits)),
+            1..400,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Four recording threads lose nothing: count, sum and extremes
+        /// are exact, and every percentile is the sorted reference's.
+        #[test]
+        fn four_threads_match_a_sorted_reference(values in values()) {
+            let h = Histogram::new();
+            record_from_4_threads(&h, &values);
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(h.count(), values.len() as u64);
+            prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
+            prop_assert_eq!(h.min(), sorted[0]);
+            prop_assert_eq!(h.max(), *sorted.last().unwrap());
+            for p in [0.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                prop_assert_eq!(h.percentile(p), reference_percentile(&sorted, p), "p{}", p);
+            }
+        }
+
+        /// `later.diff(&earlier)` is the histogram of the later values
+        /// alone, up to the bucket-rounded extremes a diff reports.
+        #[test]
+        fn diff_matches_a_histogram_of_the_later_values(
+            earlier in values(),
+            later in values(),
+        ) {
+            let h = Histogram::new();
+            record_from_4_threads(&h, &earlier);
+            let checkpoint = h.snapshot();
+            record_from_4_threads(&h, &later);
+            let interval = h.snapshot().diff(&checkpoint);
+            let only = Histogram::new();
+            record_from_4_threads(&only, &later);
+            prop_assert_eq!(interval.count(), only.count());
+            prop_assert_eq!(interval.sum(), only.sum());
+            prop_assert_eq!(interval.max(), bucket_value(bucket_index(only.max())));
+            prop_assert_eq!(interval.min(), bucket_value(bucket_index(only.min())));
+            for p in [50.0, 90.0, 99.0, 99.9] {
+                prop_assert_eq!(interval.percentile(p).min(only.max()), only.percentile(p), "p{}", p);
+            }
         }
     }
 }

@@ -6,18 +6,17 @@
 //!
 //! - [`error`]: the workspace-wide [`error::Error`] type,
 //! - [`types`]: keys, values, sequence numbers and operation kinds,
-//! - [`histogram`]: a log-bucketed latency histogram with percentiles,
-//! - [`conc_histogram`]: its lock-free multi-writer counterpart,
+//! - [`histogram`]: the log-bucketed latency histogram, recorded lock-free
+//!   from any number of threads, with percentiles and interval diffs,
 //! - [`stats`]: the one table declaring every engine counter (stalls,
 //!   flushing, write amplification) and everything generated from it,
-//! - [`ring`]: the bounded lock-free MPMC ring backing both traces,
-//! - [`events`]: the bounded lock-free structured event trace,
+//! - [`ring`]: the bounded lock-free MPMC ring backing the span trace,
 //! - [`trace`]: end-to-end request spans with critical-path attribution,
 //! - [`fault`]: the deterministic seed-driven fault-injection registry
 //!   wired through pmem, WAL, engine and network layers,
-//! - [`telemetry`]: per-engine telemetry (op histograms, level metrics,
-//!   event emission) and the one guard that reports a timed background
-//!   interval to all of them,
+//! - [`telemetry`]: per-engine telemetry (op histograms, level metrics)
+//!   and the one guard that reports a timed background interval to the
+//!   counters, the level and its trace span,
 //! - [`metrics`]: the one registry every layer registers its families
 //!   into, rendered as Prometheus text,
 //! - [`proto`]: the length-prefixed CRC-protected network wire protocol
@@ -29,11 +28,9 @@
 //! - [`engine`]: the [`engine::KvEngine`] trait implemented by
 //!   MioDB and every baseline so that workloads can drive them uniformly.
 
-pub mod conc_histogram;
 pub mod crc32;
 pub mod engine;
 pub mod error;
-pub mod events;
 pub mod fault;
 pub mod histogram;
 pub mod metrics;
@@ -46,10 +43,8 @@ pub mod telemetry;
 pub mod trace;
 pub mod types;
 
-pub use conc_histogram::ConcurrentHistogram;
 pub use engine::{EngineReport, KvEngine, ScanEntry};
 pub use error::{Error, Result};
-pub use events::{CompactionKind, Event, EventKind, EventRing, StallKind};
 pub use fault::{FaultAction, FaultPoint, FaultPolicy};
 pub use histogram::Histogram;
 pub use metrics::MetricsRegistry;
@@ -58,6 +53,6 @@ pub use repl::{majority, AckLevel, ReplicationSink, Role, RoleState};
 pub use ring::MpmcRing;
 pub use service::{ServePath, ServiceTelemetry};
 pub use stats::Stats;
-pub use telemetry::{EngineTelemetry, Interval, LevelMetrics, Timed};
+pub use telemetry::{CompactionKind, EngineTelemetry, Interval, LevelMetrics, StallKind, Timed};
 pub use trace::{SpanKind, SpanLayer, SpanRecord, TraceCtx};
 pub use types::{OpKind, SequenceNumber, MAX_SEQUENCE_NUMBER};

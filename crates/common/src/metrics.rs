@@ -8,12 +8,10 @@
 //! the replicator through its own `register` — so a STATS scrape is one
 //! registry rendered once, with `# HELP` and `# TYPE` on every family.
 
-use crate::conc_histogram::ConcurrentHistogram;
 use crate::engine::EngineReport;
-use crate::events::CompactionKind;
 use crate::histogram::Histogram;
 use crate::stats::{Unit, COUNTERS};
-use crate::telemetry::{EngineTelemetry, LevelMetrics};
+use crate::telemetry::{CompactionKind, EngineTelemetry, LevelMetrics};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -256,16 +254,16 @@ pub fn register_engine(
 }
 
 /// Picks one histogram out of a collector.
-type PickHistogram = fn(&EngineTelemetry) -> &ConcurrentHistogram;
+type PickHistogram = fn(&EngineTelemetry) -> &Histogram;
 /// Picks one gauge or counter out of a level.
 type PickLevel = fn(&LevelMetrics) -> &AtomicU64;
 
 /// The families only [`EngineTelemetry`] can supply, aggregated over `ts`.
 fn register_telemetry(r: &mut MetricsRegistry, ts: &[&EngineTelemetry]) {
     let merged = |pick: PickHistogram| {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for t in ts {
-            h.merge(&pick(t).snapshot());
+            h.merge(pick(t));
         }
         h
     };
@@ -356,12 +354,6 @@ fn register_telemetry(r: &mut MetricsRegistry, ts: &[&EngineTelemetry]) {
         &[],
         ts.iter().map(|t| t.commit_queue_depth()).sum::<u64>() as f64,
     );
-    r.counter(
-        "miodb_trace_events_dropped_total",
-        "Structured trace events discarded because the ring was full.",
-        &[],
-        ts.iter().map(|t| t.events_dropped()).sum::<u64>() as f64,
-    );
 }
 
 #[cfg(test)]
@@ -388,7 +380,7 @@ mod tests {
 
     #[test]
     fn summary_emits_quantiles_sum_and_count() {
-        let mut hist = Histogram::new();
+        let hist = Histogram::new();
         for v in 1..=1000u64 {
             hist.record(v * 1000);
         }

@@ -4,9 +4,7 @@
 //! arbitrates producers and consumers without locks. Producers never block
 //! — pushing into a full ring drops the value and bumps a saturating drop
 //! counter, so instrumentation can never stall the code it observes. The
-//! engine event trace ([`EventRing`](crate::events::EventRing)) and the
-//! request-span buffer ([`trace`](crate::trace)) are both instances of
-//! this ring.
+//! span buffer of [`trace`](crate::trace) is this ring.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -179,6 +177,60 @@ mod tests {
             assert!(ring.push(i));
         }
         assert_eq!(ring.drain(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn overflow_drops_newest_and_counts() {
+        let ring = MpmcRing::<u64>::with_capacity(4);
+        for i in 0..4 {
+            assert!(ring.push(i));
+        }
+        assert!(!ring.push(99));
+        assert!(!ring.push(100));
+        assert_eq!(ring.dropped(), 2);
+        // The ring kept the oldest values, not the dropped ones.
+        assert_eq!(ring.drain(), vec![0, 1, 2, 3]);
+        // Space freed by draining accepts new values again.
+        assert!(ring.push(7));
+        assert_eq!(ring.drain(), vec![7]);
+    }
+
+    #[test]
+    fn capacity_rounds_to_power_of_two() {
+        assert_eq!(MpmcRing::<u8>::with_capacity(5).capacity(), 8);
+        assert_eq!(MpmcRing::<u8>::with_capacity(0).capacity(), 2);
+    }
+
+    #[test]
+    fn concurrent_producers_lose_nothing_within_capacity() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 1024;
+        let ring = MpmcRing::<usize>::with_capacity(PRODUCERS * PER_PRODUCER);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let ring = &ring;
+                s.spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        assert!(ring.push(p * PER_PRODUCER + i));
+                    }
+                });
+            }
+        });
+        let drained = ring.drain();
+        assert_eq!(drained.len(), PRODUCERS * PER_PRODUCER);
+        assert_eq!(ring.dropped(), 0);
+        // Per-producer subsequences must appear in push order.
+        for p in 0..PRODUCERS {
+            let mine: Vec<usize> = drained
+                .iter()
+                .copied()
+                .filter(|v| v / PER_PRODUCER == p)
+                .collect();
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "producer {p} reordered"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The server owns one [`ServiceTelemetry`]; handlers bump the gauges on
 //! connection open/close and around each request, and record wall-clock
-//! request latency into the per-opcode [`ConcurrentHistogram`]s. STATS
+//! request latency into the per-opcode [`Histogram`]s. STATS
 //! responses [`register`](ServiceTelemetry::register) these families into
 //! the same registry as the engine's, so one scrape covers both layers.
 //!
@@ -12,7 +12,7 @@
 //! name, labels and help text. The struct's fields and the table that
 //! `register` walks are both generated from it.
 
-use crate::conc_histogram::ConcurrentHistogram;
+use crate::histogram::Histogram;
 use crate::metrics::MetricsRegistry;
 use crate::proto::Opcode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +49,7 @@ macro_rules! declare_service_series {
             $($(#[$doc])* $field: AtomicU64,)*
             /// Per-opcode request latency in nanoseconds, indexed by
             /// [`Opcode::ALL`] order.
-            latency: [ConcurrentHistogram; Opcode::ALL.len()],
+            latency: [Histogram; Opcode::ALL.len()],
         }
 
         /// Every scalar series, in exposition order.
@@ -98,7 +98,7 @@ impl ServiceTelemetry {
     }
 
     /// The latency histogram for `op`.
-    pub fn latency(&self, op: Opcode) -> &ConcurrentHistogram {
+    pub fn latency(&self, op: Opcode) -> &Histogram {
         let idx = Opcode::ALL
             .iter()
             .position(|o| *o == op)
@@ -178,7 +178,7 @@ impl ServiceTelemetry {
 
     /// Requests served since start (all opcodes).
     pub fn requests_total(&self) -> u64 {
-        self.latency.iter().map(ConcurrentHistogram::count).sum()
+        self.latency.iter().map(Histogram::count).sum()
     }
 
     /// Registers the service metric families into `reg` (Prometheus names

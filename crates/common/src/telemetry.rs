@@ -1,6 +1,6 @@
-//! Engine-side telemetry: operation histograms, per-level metrics, the
-//! structured event trace and the one way to report a timed background
-//! interval, bundled as [`EngineTelemetry`].
+//! Engine-side telemetry: operation histograms, per-level metrics and the
+//! one way to report a timed background interval, bundled as
+//! [`EngineTelemetry`].
 //!
 //! Every engine owns one [`EngineTelemetry`] and exposes it through
 //! [`KvEngine::telemetry`](crate::KvEngine::telemetry); the provided
@@ -12,20 +12,48 @@
 //! A flush, swizzle, compaction or writer stall is reported by exactly one
 //! call, [`EngineTelemetry::begin`]. The returned [`Interval`] reads the
 //! clock once and, when it ends, feeds the [`Stats`] counters, the level's
-//! [`LevelMetrics`], the event ring and the [`trace`] span from that one
-//! duration — so a `*Begin` event without its `*End`, or a pending gauge
-//! that never comes back down, cannot be written.
+//! [`LevelMetrics`] and the [`trace`] span from that one duration — so a
+//! span that never closes, or a pending gauge that never comes back down,
+//! cannot be written.
 
-use crate::conc_histogram::ConcurrentHistogram;
-use crate::events::{CompactionKind, Event, EventKind, EventRing, StallKind};
+use crate::histogram::Histogram;
 use crate::stats::Stats;
 use crate::trace::{self, SpanGuard, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Capacity of every engine's structured event ring.
-const EVENT_CAPACITY: usize = 4096;
+/// Which compaction algorithm a [`Timed::Compaction`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompactionKind {
+    /// Pointer-migration merge between PMTable levels (MioDB §4.3).
+    ZeroCopy,
+    /// Data-movement drain into the repository (lazy-copy, §4.4) or an
+    /// SSTable compaction in baseline engines.
+    LazyCopy,
+}
+
+impl CompactionKind {
+    /// Stable lowercase label: the `kind` label of the per-level
+    /// compaction families.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CompactionKind::ZeroCopy => "zero_copy",
+            CompactionKind::LazyCopy => "lazy_copy",
+        }
+    }
+}
+
+/// Which writer-blocking mechanism a [`Timed::Stall`] measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StallKind {
+    /// Writers blocked waiting for the immutable MemTable to flush
+    /// (paper: *interval stalls*).
+    Interval,
+    /// Writers delayed deliberately to pace ingest
+    /// (paper: *cumulative stalls* / slowdowns).
+    Cumulative,
+}
 
 /// Live gauges and counters for one LSM level.
 ///
@@ -82,12 +110,11 @@ pub enum Timed {
 
 /// An open timed interval, from [`EngineTelemetry::begin`].
 ///
-/// Dropping it ends the interval: the matching `*End` event is emitted, the
-/// trace span closes and the level's pending gauge comes back down, always.
-/// A stall or swizzle is also counted into [`Stats`] on drop; a flush or
-/// compaction counts as completed work only if [`finish`](Interval::finish)
-/// ran — dropped on an error path it leaves the completed-work counters
-/// alone and its `*End` event carries 0 bytes.
+/// Dropping it ends the interval: the trace span closes and the level's
+/// pending gauge comes back down, always. A stall or swizzle is also
+/// counted into [`Stats`] on drop; a flush or compaction counts as
+/// completed work only if [`finish`](Interval::finish) ran — dropped on an
+/// error path it leaves the completed-work counters alone.
 #[must_use = "dropping the guard ends the interval"]
 pub struct Interval<'a> {
     telemetry: &'a EngineTelemetry,
@@ -123,23 +150,20 @@ impl Drop for Interval<'_> {
         let t = self.telemetry;
         let s = &*t.stats;
         let dur_ns = dur_ns(self.stop());
-        let bytes = self.bytes.unwrap_or(0);
         // One more interval of this length on a (time, count) pair.
         let add = |ns: &AtomicU64, count: &AtomicU64| {
             ns.fetch_add(dur_ns, Ordering::Relaxed);
             count.fetch_add(1, Ordering::Relaxed);
         };
-        let end = match self.what {
+        match self.what {
             Timed::Flush { .. } => {
-                if self.bytes.is_some() {
+                if let Some(bytes) = self.bytes {
                     add(&s.flush_ns, &s.flush_count);
                     s.flush_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }
-                EventKind::FlushEnd { bytes, dur_ns }
             }
             Timed::Swizzle => {
                 s.swizzle_ns.fetch_add(dur_ns, Ordering::Relaxed);
-                EventKind::Swizzle { dur_ns }
             }
             Timed::Compaction { level, kind } => {
                 let m = t.levels.get(level);
@@ -162,23 +186,14 @@ impl Drop for Interval<'_> {
                         }
                     }
                 }
-                let level = level as u32;
-                EventKind::CompactionEnd {
-                    level,
-                    kind,
-                    bytes,
-                    dur_ns,
-                }
             }
-            Timed::Stall(kind) => {
-                match kind {
-                    StallKind::Interval => add(&s.interval_stall_ns, &s.interval_stall_count),
-                    StallKind::Cumulative => add(&s.cumulative_stall_ns, &s.cumulative_stall_count),
-                }
-                EventKind::StallEnd { kind, dur_ns }
+            Timed::Stall(StallKind::Interval) => {
+                add(&s.interval_stall_ns, &s.interval_stall_count);
             }
-        };
-        t.emit(end);
+            Timed::Stall(StallKind::Cumulative) => {
+                add(&s.cumulative_stall_ns, &s.cumulative_stall_count);
+            }
+        }
     }
 }
 
@@ -193,16 +208,16 @@ pub struct EngineTelemetry {
     /// The engine's counters, shared with its device layer.
     stats: Arc<Stats>,
     /// `put` latency in nanoseconds.
-    pub put_latency: ConcurrentHistogram,
+    pub put_latency: Histogram,
     /// `get` latency in nanoseconds.
-    pub get_latency: ConcurrentHistogram,
+    pub get_latency: Histogram,
     /// `delete` latency in nanoseconds.
-    pub delete_latency: ConcurrentHistogram,
+    pub delete_latency: Histogram,
     /// `scan` latency in nanoseconds.
-    pub scan_latency: ConcurrentHistogram,
+    pub scan_latency: Histogram,
     /// Operations coalesced per committed write group (group-commit
     /// pipeline; single-writer engines never record here).
-    pub write_group_size: ConcurrentHistogram,
+    pub write_group_size: Histogram,
     /// Writers currently enqueued on the commit queue (gauge).
     commit_queue_depth: AtomicU64,
     /// Span id of the flush currently running on this engine (0 when
@@ -210,7 +225,6 @@ pub struct EngineTelemetry {
     /// background flush they are waiting on.
     flush_span: AtomicU64,
     levels: Vec<LevelMetrics>,
-    events: EventRing,
 }
 
 impl std::fmt::Debug for EngineTelemetry {
@@ -220,7 +234,6 @@ impl std::fmt::Debug for EngineTelemetry {
             .field("puts", &self.put_latency.count())
             .field("gets", &self.get_latency.count())
             .field("levels", &self.levels.len())
-            .field("events", &self.events)
             .finish()
     }
 }
@@ -232,22 +245,21 @@ impl EngineTelemetry {
         EngineTelemetry {
             start: Instant::now(),
             stats,
-            put_latency: ConcurrentHistogram::new(),
-            get_latency: ConcurrentHistogram::new(),
-            delete_latency: ConcurrentHistogram::new(),
-            scan_latency: ConcurrentHistogram::new(),
-            write_group_size: ConcurrentHistogram::new(),
+            put_latency: Histogram::new(),
+            get_latency: Histogram::new(),
+            delete_latency: Histogram::new(),
+            scan_latency: Histogram::new(),
+            write_group_size: Histogram::new(),
             commit_queue_depth: AtomicU64::new(0),
             flush_span: AtomicU64::new(0),
             levels: (0..num_levels).map(|_| LevelMetrics::default()).collect(),
-            events: EventRing::with_capacity(EVENT_CAPACITY),
         }
     }
 
-    /// Starts timing `what`: emits its `*Begin` event (a swizzle has
-    /// none), raises a compaction's pending gauge, opens the background
-    /// trace span (a stall has none; the request path spans it) and, for a
-    /// flush, publishes that span's id as [`flush_span`](Self::flush_span).
+    /// Starts timing `what`: raises a compaction's pending gauge, opens the
+    /// background trace span (a stall has none; the request path spans it)
+    /// and, for a flush, publishes that span's id as
+    /// [`flush_span`](Self::flush_span).
     pub fn begin(&self, what: Timed) -> Interval<'_> {
         let start = Instant::now();
         let open_span = |kind, arg| {
@@ -257,7 +269,6 @@ impl EngineTelemetry {
         };
         let span = match what {
             Timed::Flush { bytes } => {
-                self.emit(EventKind::FlushBegin { bytes });
                 let span = open_span(SpanKind::Flush, bytes);
                 self.flush_span
                     .store(span.as_ref().map_or(0, SpanGuard::id), Ordering::Relaxed);
@@ -268,10 +279,6 @@ impl EngineTelemetry {
                 if let Some(m) = self.levels.get(level) {
                     m.pending_compactions.fetch_add(1, Ordering::Relaxed);
                 }
-                self.emit(EventKind::CompactionBegin {
-                    level: level as u32,
-                    kind,
-                });
                 // arg packs the level in the low half and the kind in the
                 // high half (1 = zero-copy, 2 = lazy-copy).
                 let kind_code: u64 = match kind {
@@ -280,10 +287,7 @@ impl EngineTelemetry {
                 };
                 open_span(SpanKind::Compaction, level as u64 | (kind_code << 32))
             }
-            Timed::Stall(kind) => {
-                self.emit(EventKind::StallBegin { kind });
-                None
-            }
+            Timed::Stall(_) => None,
         };
         Interval {
             telemetry: self,
@@ -331,25 +335,6 @@ impl EngineTelemetry {
     pub fn level(&self, i: usize) -> Option<&LevelMetrics> {
         self.levels.get(i)
     }
-
-    /// Queues a structured event, stamped with nanoseconds since engine
-    /// start. A full ring drops the event — never blocks.
-    fn emit(&self, kind: EventKind) {
-        self.events.push(Event {
-            ts_ns: dur_ns(self.start.elapsed()),
-            kind,
-        });
-    }
-
-    /// Drains all queued events in FIFO order.
-    pub fn drain_events(&self) -> Vec<Event> {
-        self.events.drain()
-    }
-
-    /// Events discarded because the ring was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.events.dropped()
-    }
 }
 
 #[cfg(test)]
@@ -361,21 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_feeds_stats_and_events_from_one_duration() {
+    fn flush_counts_its_bytes_and_duration() {
         let t = telemetry(2);
         let flush = t.begin(Timed::Flush { bytes: 100 });
         std::thread::sleep(Duration::from_millis(2));
         flush.finish(90);
-        let events = t.drain_events();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].ts_ns <= events[1].ts_ns);
-        assert_eq!(events[0].kind, EventKind::FlushBegin { bytes: 100 });
-        let EventKind::FlushEnd { bytes: 90, dur_ns } = events[1].kind else {
-            panic!("{:?}", events[1]);
-        };
-        assert!(dur_ns >= 1_000_000);
         let s = t.stats.snapshot();
-        assert_eq!((s.flush_count, s.flush_bytes, s.flush_ns), (1, 90, dur_ns));
+        assert_eq!((s.flush_count, s.flush_bytes), (1, 90));
+        assert!(s.flush_ns >= 1_000_000, "flush_ns = {}", s.flush_ns);
     }
 
     #[test]
@@ -399,7 +377,6 @@ mod tests {
         assert_eq!(s.zero_copy_compactions, 1);
         assert_eq!(s.zero_copy_compaction_ns, dur_ns(took));
         assert_eq!(s.copy_compactions, 0);
-        assert_eq!(t.drain_events().len(), 2);
     }
 
     #[test]
@@ -414,21 +391,10 @@ mod tests {
         assert_eq!(m.pending_compactions.load(Ordering::Relaxed), 0);
         assert_eq!(m.lazy_copy_compactions.load(Ordering::Relaxed), 0);
         let s = t.stats.snapshot();
-        assert_eq!((s.copy_compactions, s.flush_count), (0, 0));
-        let kinds: Vec<EventKind> = t.drain_events().iter().map(|e| e.kind).collect();
-        assert!(matches!(
-            kinds[..],
-            [
-                EventKind::CompactionBegin { level: 0, .. },
-                EventKind::CompactionEnd {
-                    level: 0,
-                    bytes: 0,
-                    ..
-                },
-                EventKind::FlushBegin { bytes: 7 },
-                EventKind::FlushEnd { bytes: 0, .. },
-            ]
-        ));
+        assert_eq!(
+            (s.copy_compactions, s.flush_count, s.flush_bytes),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -441,8 +407,6 @@ mod tests {
         let s = t.stats.snapshot();
         assert_eq!(s.interval_stall_count, 1);
         assert_eq!(s.cumulative_stall_count, 2);
-        // Begin + End per stall, one event per swizzle.
-        assert_eq!(t.drain_events().len(), 7);
     }
 
     #[test]

@@ -237,8 +237,8 @@ struct Inner {
     /// lazy worker to drain ahead of the normal trigger.
     pressure: AtomicBool,
     bg_error: Mutex<Option<String>>,
-    /// Telemetry collectors: op-latency histograms, per-level gauges, the
-    /// structured event trace and the timed-interval guard.
+    /// Telemetry collectors: op-latency histograms, per-level gauges and
+    /// the timed-interval guard.
     telemetry: EngineTelemetry,
     /// Replication seam ([`MioDb::set_commit_sink`]): committed WAL
     /// records are handed to the sink in commit order, under the write
@@ -1665,10 +1665,10 @@ fn run_one_zero_copy_merge(
         levels[i + 1].bump_version();
         publish_level_gauges(inner, i, &levels[i]);
         publish_level_gauges(inner, i + 1, &levels[i + 1]);
-        // Emit the End event while still holding the levels lock: once the
-        // lock drops with `merging` cleared, `wait_idle` may report the
-        // engine idle, and a consumer draining the ring right then must
-        // already see this compaction closed.
+        // Count the compaction while still holding the levels lock: once
+        // the lock drops with `merging` cleared, `wait_idle` may report the
+        // engine idle, and a consumer reading the counters right then must
+        // already see this compaction done.
         merge.finish(merged_bytes);
         if let Err(e) = store_manifest_locked(inner, &levels) {
             set_bg_error(inner, format!("manifest store failed: {e}"));
@@ -1765,7 +1765,7 @@ fn lazy_worker(inner: Arc<Inner>) {
         });
         if let Err(e) = drained {
             // Close the interval before the error becomes visible: whoever
-            // sees `background_error()` must already see the End event.
+            // sees `background_error()` must already see it closed.
             drop(drain);
             set_bg_error(&inner, format!("lazy-copy failed: {e}"));
             return;
@@ -1778,8 +1778,8 @@ fn lazy_worker(inner: Arc<Inner>) {
             levels[level_idx].bump_version();
             publish_level_gauges(&inner, level_idx, &levels[level_idx]);
             // Under the levels lock for the same reason as the zero-copy
-            // merge: `wait_idle` must not observe idle before the End
-            // event is in the ring.
+            // merge: `wait_idle` must not observe idle before the drain
+            // is counted.
             drain.finish(drained_bytes);
             if let Err(e) = store_manifest_locked(&inner, &levels) {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));

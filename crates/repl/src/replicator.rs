@@ -25,8 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use miodb_common::{
-    majority, AckLevel, ConcurrentHistogram, Error, Histogram, MetricsRegistry, ReplicationSink,
-    Result,
+    majority, AckLevel, Error, Histogram, MetricsRegistry, ReplicationSink, Result,
 };
 use parking_lot::{Condvar, Mutex};
 
@@ -107,7 +106,7 @@ pub struct Replicator {
     ack_cv: Condvar,
     opts: ReplicatorOptions,
     /// Publish-to-first-ack latency in nanoseconds.
-    lag: ConcurrentHistogram,
+    lag: Histogram,
     next_subscriber: AtomicU64,
     /// Sequences `<= base` predate this node's leadership: they were
     /// applied via replication (or recovery), never published into the
@@ -134,7 +133,7 @@ impl Replicator {
             acks: Mutex::new(AckState::default()),
             ack_cv: Condvar::new(),
             opts,
-            lag: ConcurrentHistogram::new(),
+            lag: Histogram::new(),
             next_subscriber: AtomicU64::new(1),
             base: AtomicU64::new(0),
         })

@@ -44,7 +44,7 @@ impl std::fmt::Display for BenchKind {
 }
 
 /// Result of one micro-benchmark run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BenchResult {
     /// Benchmark kind.
     pub kind: BenchKind,
@@ -131,7 +131,7 @@ pub fn run_db_bench(
     seed: u64,
 ) -> Result<BenchResult> {
     let vg = ValueGen::new(value_len);
-    let mut latency = Histogram::new();
+    let latency = Histogram::new();
     let mut hits = 0u64;
     let mut key_buf = Vec::with_capacity(16);
     let mut val_buf = Vec::with_capacity(value_len);
@@ -212,13 +212,14 @@ pub fn run_fill_concurrent(
     seed: u64,
 ) -> Result<BenchResult> {
     let threads = threads.max(1);
+    let latency = Histogram::new();
     let start = Instant::now();
-    let per_thread: Vec<Result<Histogram>> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                s.spawn(move || -> Result<Histogram> {
+                let latency = &latency;
+                s.spawn(move || -> Result<()> {
                     let vg = ValueGen::new(value_len);
-                    let mut latency = Histogram::new();
                     let mut key_buf = Vec::with_capacity(16);
                     let mut val_buf = Vec::with_capacity(value_len);
                     let mut i = t as u64;
@@ -231,17 +232,13 @@ pub fn run_fill_concurrent(
                         latency.record(t0.elapsed().as_nanos() as u64);
                         i += threads as u64;
                     }
-                    Ok(latency)
+                    Ok(())
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+        handles.into_iter().try_for_each(|h| h.join().unwrap())
+    })?;
     let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let mut latency = Histogram::new();
-    for r in per_thread {
-        latency.merge(&r?);
-    }
     Ok(BenchResult {
         kind: BenchKind::FillRandom,
         ops: n,

@@ -88,7 +88,7 @@ impl Default for YcsbSpec {
 }
 
 /// Result of one YCSB phase.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct YcsbResult {
     /// The workload run.
     pub workload: YcsbWorkload,
@@ -194,18 +194,25 @@ pub fn run_ycsb(
     let per_thread = total_ops / threads as u64;
 
     struct ThreadOut {
-        latency: Histogram,
-        read_latency: Histogram,
-        write_latency: Histogram,
         timeline: Vec<u64>,
         ops: u64,
         error: Option<miodb_common::Error>,
     }
 
+    let mut result = YcsbResult {
+        workload,
+        ops: 0,
+        elapsed_ns: 0,
+        latency: Histogram::new(),
+        read_latency: Histogram::new(),
+        write_latency: Histogram::new(),
+        timeline: Vec::new(),
+    };
     let start = Instant::now();
     let outs: Vec<ThreadOut> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..threads {
+            let result = &result;
             let insert_counter = &insert_counter;
             let spec = spec.clone();
             let ops_here = if t == threads - 1 {
@@ -215,9 +222,6 @@ pub fn run_ycsb(
             };
             handles.push(s.spawn(move || {
                 let mut out = ThreadOut {
-                    latency: Histogram::new(),
-                    read_latency: Histogram::new(),
-                    write_latency: Histogram::new(),
                     timeline: Vec::new(),
                     ops: 0,
                     error: None,
@@ -289,10 +293,10 @@ pub fn run_ycsb(
                             return out;
                         }
                     }
-                    out.latency.record(lat);
+                    result.latency.record(lat);
                     match op {
-                        Op::Read | Op::Scan => out.read_latency.record(lat),
-                        _ => out.write_latency.record(lat),
+                        Op::Read | Op::Scan => result.read_latency.record(lat),
+                        _ => result.write_latency.record(lat),
                     }
                     if record_timeline {
                         out.timeline.push(lat);
@@ -307,25 +311,12 @@ pub fn run_ycsb(
             .map(|h| h.join().expect("ycsb thread"))
             .collect()
     });
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-
-    let mut result = YcsbResult {
-        workload,
-        ops: 0,
-        elapsed_ns,
-        latency: Histogram::new(),
-        read_latency: Histogram::new(),
-        write_latency: Histogram::new(),
-        timeline: Vec::new(),
-    };
+    result.elapsed_ns = start.elapsed().as_nanos() as u64;
     for out in outs {
         if let Some(e) = out.error {
             return Err(e);
         }
         result.ops += out.ops;
-        result.latency.merge(&out.latency);
-        result.read_latency.merge(&out.read_latency);
-        result.write_latency.merge(&out.write_latency);
         if !out.timeline.is_empty() {
             result.timeline = out.timeline;
         }

@@ -1,13 +1,13 @@
 //! Eyeball the telemetry subsystem without the full repro binary: run a
 //! short YCSB-A burst against MioDB, then print the Prometheus text
-//! exposition, a per-level occupancy/compaction table, and a digest of
-//! the structured event trace.
+//! exposition, a per-level occupancy/compaction table, and the background
+//! work the burst caused (flushes, compactions, stalls), read from the
+//! engine's counters.
 //!
 //! ```text
 //! cargo run --release --example metrics_dashboard
 //! ```
 
-use miodb::common::{CompactionKind, EventKind};
 use miodb::workloads::{run_ycsb, YcsbSpec, YcsbWorkload};
 use miodb::{KvEngine, MioDb, MioOptions};
 
@@ -28,8 +28,10 @@ fn main() -> miodb::Result<()> {
         max_scan_len: 50,
     };
     run_ycsb(&db, YcsbWorkload::Load, &spec)?;
+    let before = db.report().stats;
     let r = run_ycsb(&db, YcsbWorkload::A, &spec)?;
     db.wait_idle()?;
+    let burst = db.report().stats.diff(&before);
     println!(
         "YCSB-A burst done: {} ops at {:.1} KIOPS\n",
         r.ops,
@@ -67,36 +69,20 @@ fn main() -> miodb::Result<()> {
         );
     }
 
-    let events = db.drain_events();
-    let mut flushes = 0u64;
-    let mut zero_copy = 0u64;
-    let mut lazy_copy = 0u64;
-    let mut stalls = 0u64;
-    let mut swizzles = 0u64;
-    for e in &events {
-        match e.kind {
-            EventKind::FlushEnd { .. } => flushes += 1,
-            EventKind::CompactionEnd { kind, .. } => match kind {
-                CompactionKind::ZeroCopy => zero_copy += 1,
-                CompactionKind::LazyCopy => lazy_copy += 1,
-            },
-            EventKind::StallBegin { .. } => stalls += 1,
-            EventKind::Swizzle { .. } => swizzles += 1,
-            _ => {}
-        }
-    }
-    println!("\n=== Event trace digest ===\n");
+    println!("\n=== Background work during the YCSB-A burst ===\n");
     println!(
-        "{} events drained ({} dropped): {flushes} flushes, {swizzles} swizzles, \
-         {zero_copy} zero-copy merges, {lazy_copy} lazy-copy drains, {stalls} stalls",
-        events.len(),
-        t.events_dropped(),
+        "{} flushes ({:.1}ms), {} zero-copy merges ({:.1}ms), {} lazy-copy drains ({:.1}ms), \
+         {} interval stalls ({:.1}ms), {} cumulative stalls ({:.1}ms)",
+        burst.flush_count,
+        burst.flush_ns as f64 / 1e6,
+        burst.zero_copy_compactions,
+        burst.zero_copy_compaction_ns as f64 / 1e6,
+        burst.copy_compactions,
+        burst.copy_compaction_ns as f64 / 1e6,
+        burst.interval_stall_count,
+        burst.interval_stall_ns as f64 / 1e6,
+        burst.cumulative_stall_count,
+        burst.cumulative_stall_ns as f64 / 1e6,
     );
-    if let Some(last) = events.last() {
-        println!(
-            "trace spans {:.1}ms of engine time",
-            (last.ts_ns - events.first().map_or(0, |e| e.ts_ns)) as f64 / 1e6
-        );
-    }
     Ok(())
 }

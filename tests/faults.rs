@@ -145,14 +145,17 @@ fn lazy_copy_fault_is_retried_without_data_loss() {
 
 /// Background work that gives up still ends its interval: a lazy-copy
 /// drain that fails past its retry budget must not leave its level's
-/// pending-compactions gauge raised or a `CompactionBegin` without its
-/// `CompactionEnd` in the event ring.
+/// pending-compactions gauge raised, must not count as a completed
+/// compaction, and must still close its trace span.
 #[test]
 fn failed_background_work_closes_its_interval() {
-    use miodb::common::EventKind;
+    use miodb::common::trace::{self, SpanKind};
     use std::sync::atomic::Ordering;
 
     let _g = fault::exclusive();
+    let _x = trace::exclusive();
+    // Background spans only: no request context, no implicit roots.
+    trace::enable(1 << 16, 1, false);
     fault::arm(fault::points::ENGINE_LAZY, FaultPolicy::FailNth(1));
     let db = MioDb::open(busy_opts()).unwrap();
     // Write until the bottom buffer level drains and the drain gives up.
@@ -170,6 +173,7 @@ fn failed_background_work_closes_its_interval() {
     assert!(fault::triggered(fault::points::ENGINE_LAZY) >= 1);
     // Joins the workers, so whatever else was in flight has ended too.
     let _ = db.close();
+    let spans = trace::drain();
 
     let t = db.telemetry().unwrap();
     for (level, m) in t.levels().iter().enumerate() {
@@ -179,31 +183,24 @@ fn failed_background_work_closes_its_interval() {
             "level {level} still reports a running compaction"
         );
     }
-    assert_eq!(t.events_dropped(), 0, "ring overflowed; pairing is vacuous");
-    let mut open: Vec<String> = Vec::new();
-    let close = |open: &mut Vec<String>, what: String| {
-        let at = open
-            .iter()
-            .position(|o| *o == what)
-            .unwrap_or_else(|| panic!("{what} ended without beginning"));
-        open.swap_remove(at);
-    };
-    for e in db.drain_events() {
-        match e.kind {
-            EventKind::FlushBegin { .. } => open.push("flush".to_string()),
-            EventKind::FlushEnd { .. } => close(&mut open, "flush".to_string()),
-            EventKind::CompactionBegin { level, kind } => {
-                open.push(format!("{kind:?} out of level {level}"));
-            }
-            EventKind::CompactionEnd { level, kind, .. } => {
-                close(&mut open, format!("{kind:?} out of level {level}"));
-            }
-            EventKind::StallBegin { kind } => open.push(format!("{kind:?} stall")),
-            EventKind::StallEnd { kind, .. } => close(&mut open, format!("{kind:?} stall")),
-            EventKind::Swizzle { .. } => {}
-        }
-    }
-    assert!(open.is_empty(), "begun but never ended: {open:?}");
+    // Every lazy-copy attempt fails, so none may count as done.
+    assert_eq!(
+        db.report().stats.copy_compactions,
+        0,
+        "the abandoned lazy copy was counted as a completed compaction"
+    );
+    // A span reaches the ring only when it closes; a lazy copy's `arg`
+    // carries kind code 2 in its high half.
+    assert_eq!(trace::dropped_spans(), 0, "span ring overflowed");
+    let lazy_copies: Vec<_> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Compaction && s.arg >> 32 == 2)
+        .collect();
+    assert!(
+        !lazy_copies.is_empty(),
+        "the abandoned lazy copy left no closed span"
+    );
+    assert!(lazy_copies.iter().all(|s| s.end_ns >= s.start_ns));
 }
 
 #[test]

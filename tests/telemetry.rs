@@ -1,106 +1,13 @@
-//! Integration tests for the engine telemetry subsystem: event-trace
-//! well-formedness, engine-side vs bench-side histogram agreement, and
-//! live Prometheus exposition.
+//! Integration tests for the engine telemetry subsystem: engine-side vs
+//! bench-side histogram agreement and live Prometheus exposition. That
+//! background work is recorded once — spans agree with counters — is
+//! checked in `tests/trace.rs`.
 
-use miodb::common::{CompactionKind, EventKind, StallKind};
 use miodb::workloads::{run_ycsb, YcsbSpec, YcsbWorkload};
 use miodb::{KvEngine, MioDb, MioOptions};
 
 fn opts_with_tracing() -> MioOptions {
     MioOptions::small_for_tests()
-}
-
-/// Drives enough writes through a small MioDB to force several flushes
-/// and at least one zero-copy merge, then checks the drained event trace
-/// is well formed: monotonic timestamps, balanced begin/end pairs, and
-/// sane payloads.
-#[test]
-fn drain_events_yields_well_formed_flush_compaction_sequence() {
-    let db = MioDb::open(opts_with_tracing()).unwrap();
-    let value = vec![0xA5u8; 256];
-    for i in 0..3000u32 {
-        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
-    }
-    for i in 0..100u32 {
-        db.delete(format!("key{i:06}").as_bytes()).unwrap();
-    }
-    db.wait_idle().unwrap();
-    let events = db.drain_events();
-    assert!(!events.is_empty(), "no events traced");
-    assert_eq!(
-        db.telemetry().unwrap().events_dropped(),
-        0,
-        "ring overflowed; balance checks below would be vacuous"
-    );
-
-    // Timestamps are non-decreasing in drain order, modulo the tiny race
-    // where two worker threads stamp an event and then claim ring slots
-    // in the opposite order — allow 1ms of inversion, no more.
-    for w in events.windows(2) {
-        assert!(
-            w[1].ts_ns + 1_000_000 >= w[0].ts_ns,
-            "timestamps out of order by more than 1ms"
-        );
-    }
-
-    let mut flush_depth: i64 = 0;
-    let mut flushes = 0u64;
-    // Compaction begin/end pairing tracked per (level, kind).
-    let mut compaction_depth: std::collections::HashMap<(u32, bool), i64> =
-        std::collections::HashMap::new();
-    let mut compactions = 0u64;
-    let mut stall_depth: i64 = 0;
-    for e in &events {
-        match e.kind {
-            EventKind::FlushBegin { bytes } => {
-                assert!(bytes > 0, "flush of an empty memtable");
-                flush_depth += 1;
-                flushes += 1;
-            }
-            EventKind::FlushEnd { bytes, .. } => {
-                assert!(bytes > 0);
-                flush_depth -= 1;
-                assert!(flush_depth >= 0, "FlushEnd without FlushBegin");
-            }
-            EventKind::CompactionBegin { level, kind } => {
-                let d = compaction_depth
-                    .entry((level, kind == CompactionKind::ZeroCopy))
-                    .or_insert(0);
-                *d += 1;
-                compactions += 1;
-            }
-            EventKind::CompactionEnd { level, kind, .. } => {
-                let d = compaction_depth
-                    .entry((level, kind == CompactionKind::ZeroCopy))
-                    .or_insert(0);
-                *d -= 1;
-                assert!(
-                    *d >= 0,
-                    "CompactionEnd without matching Begin at level {level}"
-                );
-            }
-            EventKind::StallBegin { .. } => stall_depth += 1,
-            EventKind::StallEnd { kind, .. } => {
-                stall_depth -= 1;
-                assert!(stall_depth >= 0, "StallEnd without StallBegin");
-                // Both stall kinds exist; just type-check the payload here.
-                let _ = matches!(kind, StallKind::Interval | StallKind::Cumulative);
-            }
-            EventKind::Swizzle { .. } => {}
-        }
-    }
-    assert!(flushes >= 2, "expected several flushes, saw {flushes}");
-    assert!(compactions >= 1, "expected at least one compaction");
-    // The engine is idle and the ring never overflowed, so every Begin
-    // must have its End.
-    assert_eq!(flush_depth, 0, "unbalanced flush events");
-    assert_eq!(stall_depth, 0, "unbalanced stall events");
-    for ((level, zero_copy), d) in &compaction_depth {
-        assert_eq!(
-            *d, 0,
-            "unbalanced compaction events at level {level} (zero_copy={zero_copy})"
-        );
-    }
 }
 
 /// Engine-side concurrent histograms must agree with the bench driver's

@@ -1,7 +1,8 @@
 //! Trace-correctness integration tests: span trees produced by live
 //! engine and server runs must be well-nested with monotonic timestamps,
-//! trace ids must survive the wire unchanged, and disabled tracing must
-//! stay cheap enough to leave compiled into every build.
+//! background spans must agree with the engine's counters, trace ids must
+//! survive the wire unchanged, and disabled tracing must stay cheap enough
+//! to leave compiled into every build.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -89,6 +90,40 @@ fn engine_spans_form_well_nested_trees_with_monotonic_timestamps() {
         engine_kinds.contains(&SpanKind::MemtableInsert),
         "writes must produce memtable-insert spans, saw {engine_kinds:?}"
     );
+}
+
+/// A flush, swizzle or compaction is recorded once, by one `Interval`:
+/// after `wait_idle` the background spans it closed and the counters it
+/// bumped must tell the same story.
+#[test]
+fn background_spans_agree_with_counters() {
+    let _x = trace::exclusive();
+    // Background spans only: no request context, no implicit roots.
+    trace::enable(1 << 16, 1, false);
+    let db = MioDb::open(MioOptions::small_for_tests()).unwrap();
+    let value = vec![0xA5u8; 256];
+    for i in 0..3000u32 {
+        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
+    }
+    for i in 0..100u32 {
+        db.delete(format!("key{i:06}").as_bytes()).unwrap();
+    }
+    db.wait_idle().unwrap();
+    let stats = db.report().stats;
+    let spans = trace::drain();
+    assert_eq!(trace::dropped_spans(), 0, "span ring overflowed");
+    db.close().unwrap();
+
+    let count = |kind| spans.iter().filter(|s| s.kind == kind).count() as u64;
+    assert!(stats.flush_count >= 2, "expected several flushes");
+    assert_eq!(count(SpanKind::Flush), stats.flush_count, "flush spans");
+    assert_eq!(count(SpanKind::Swizzle), stats.flush_count, "swizzle spans");
+    let compactions = stats.zero_copy_compactions + stats.copy_compactions;
+    assert!(compactions >= 1, "expected at least one compaction");
+    assert_eq!(count(SpanKind::Compaction), compactions, "compaction spans");
+    for s in &spans {
+        assert!(s.end_ns >= s.start_ns, "{:?} ends before it starts", s.kind);
+    }
 }
 
 #[test]
