@@ -1191,18 +1191,19 @@ fn rebuild_table(
 ) -> Arc<PmTable> {
     let list = SkipList::from_raw(nvm.clone(), ts.head);
     let bloom = PmTable::rebuild_bloom(&list, bloom_expected, bloom_bits);
-    Arc::new(PmTable {
+    let arenas = ts
+        .arenas
+        .iter()
+        .map(|&region| lease_arena(nvm, region, elastic))
+        .collect();
+    Arc::new(PmTable::new(
         list,
-        arenas: ts
-            .arenas
-            .iter()
-            .map(|&region| lease_arena(nvm, region, elastic))
-            .collect(),
+        arenas,
         bloom,
-        len: ts.len as usize,
-        data_bytes: ts.data_bytes,
-        newest_seq: ts.newest_seq,
-    })
+        ts.len as usize,
+        ts.data_bytes,
+        ts.newest_seq,
+    ))
 }
 
 fn table_state(t: &PmTable) -> TableState {
@@ -1218,7 +1219,9 @@ fn table_state(t: &PmTable) -> TableState {
 /// Builds the merged table descriptor after a zero-copy merge: the old
 /// table's head now roots the union, both inputs' arena leases are shared
 /// (so a reader still holding an input keeps that input's arenas alive
-/// after the merged table is gone), blooms are OR-ed.
+/// after the merged table is gone), blooms are OR-ed, and the fences are
+/// walked afresh from the merged list. No node moved in the pool, so
+/// nothing of an input's fences needs fixing up; they are simply dropped.
 fn merged_table(
     nvm: &Arc<PmemPool>,
     new_t: &PmTable,
@@ -1234,14 +1237,14 @@ fn merged_table(
         bloom = PmTable::rebuild_bloom(&old_t.list, old_t.len + new_t.len, bloom_bits);
     }
     let len = (old_t.len as u64 + stats.moved).saturating_sub(stats.bypassed_old) as usize;
-    Arc::new(PmTable {
-        list: SkipList::from_raw(nvm.clone(), old_t.list.head()),
+    Arc::new(PmTable::new(
+        SkipList::from_raw(nvm.clone(), old_t.list.head()),
         arenas,
         bloom,
         len,
-        data_bytes: old_t.data_bytes + new_t.data_bytes,
-        newest_seq: new_t.newest_seq.max(old_t.newest_seq),
-    })
+        old_t.data_bytes + new_t.data_bytes,
+        new_t.newest_seq.max(old_t.newest_seq),
+    ))
 }
 
 /// Serializes the full engine state for the manifest. Takes the levels
@@ -1500,18 +1503,19 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         swizzle(&inner.nvm, &flushed);
     }
 
-    let table = Arc::new(PmTable {
-        list: SkipList::from_raw(inner.nvm.clone(), flushed.head),
-        arenas: vec![lease_arena(
+    // The fences are walked over the swizzled links.
+    let table = Arc::new(PmTable::new(
+        SkipList::from_raw(inner.nvm.clone(), flushed.head),
+        vec![lease_arena(
             &inner.nvm,
             flushed.region,
             &inner.elastic_bytes,
         )],
-        bloom: imm.bloom_snapshot(),
-        len: flushed.len,
-        data_bytes: flushed.data_bytes,
-        newest_seq: inner.seq.load(Ordering::Relaxed),
-    });
+        imm.bloom_snapshot(),
+        flushed.len,
+        flushed.data_bytes,
+        inner.seq.load(Ordering::Relaxed),
+    ));
     {
         let mut levels = inner.levels.lock();
         levels[0].tables.push_back(table);
@@ -1897,6 +1901,25 @@ impl KvEngine for MioDb {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Runs once, in the next `get_impl` on this thread, after a level's
+    /// settled and lazy-draining tables were probed and before the probe is
+    /// checked against the level version.
+    static AFTER_LEVEL_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The point where a test re-links a level under a finished probe; nothing
+/// outside the tests.
+#[inline]
+fn after_level_probe() {
+    #[cfg(test)]
+    if let Some(hook) = AFTER_LEVEL_PROBE.with(std::cell::Cell::take) {
+        hook();
+    }
+}
+
 impl MioDb {
     /// The `get` visibility walk; [`KvEngine::get`] wraps it with latency
     /// recording.
@@ -1925,28 +1948,30 @@ impl MioDb {
 
         // 2. Elastic buffer, level by level, newest table first, following
         //    the paper's merge-visibility protocol. Each level's state is
-        //    snapshotted once; a settled table probed through the plain
-        //    (non-mark-aware) path may be popped into `merging` and
-        //    re-linked *while we search it*, silently bypassing the
-        //    newtable→mark→oldtable protocol below. Misses therefore
-        //    re-check the level's structural version and retry the level
-        //    on change — a retry that races the pop sees `merging = Some`
-        //    and takes the protected path. Bounded: a level can only
-        //    transition a handful of times while one probe runs; the cap
-        //    merely keeps a pathological schedule from livelocking, and on
-        //    exhaustion we fall through (no worse than the unversioned
+        //    snapshotted once; a settled or lazy-draining table, probed
+        //    through its fences and the plain (non-mark-aware) descent, may
+        //    be popped into `merging` and re-linked *while we search it*,
+        //    silently bypassing the newtable→mark→oldtable protocol below:
+        //    a miss can be false, and a hit can be the other input's older
+        //    version, reached from a fence that moved there. Both therefore
+        //    re-check the level's structural version and retry the level on
+        //    change — a retry that races the pop sees `merging = Some` and
+        //    takes the protected path. Bounded: a level can only transition
+        //    a handful of times while one probe runs; the cap merely keeps a
+        //    pathological schedule from livelocking, and on exhaustion we
+        //    take the last probe's answer (no worse than the unversioned
         //    probe).
         const LEVEL_PROBE_RETRIES: u32 = 64;
         let n = inner.opts.elastic_levels;
         for i in 0..n {
             let mut level_span = trace::span(SpanKind::LevelProbe);
             level_span.annotate(i as u64);
-            'probe: for _ in 0..LEVEL_PROBE_RETRIES {
+            for attempt in 1..=LEVEL_PROBE_RETRIES {
                 // `seen` is read under the lock that guards every bump, so
                 // it is the version of exactly this snapshot: read after
                 // unlocking, it could already include the bump of a merge
-                // that re-links these tables, and the miss check below
-                // would accept a probe of a stale snapshot.
+                // that re-links these tables, and the check below would
+                // accept a probe of a stale snapshot.
                 let (tables, merging, lazy, mark, gate, version, seen) = {
                     let levels = inner.levels.lock();
                     (
@@ -1959,22 +1984,23 @@ impl MioDb {
                         levels[i].version.load(Ordering::Acquire),
                     )
                 };
+                let mut hit = None;
                 for t in tables.iter().rev() {
                     if inner.opts.bloom_enabled && !t.bloom.may_contain(key) {
                         inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         continue;
                     }
-                    if let Some(r) = t.list.get(key) {
-                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Self::resolve(r));
+                    hit = t.get(key);
+                    if hit.is_some() {
+                        break;
                     }
                     inner
                         .stats
                         .bloom_false_positives
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some((new_t, old_t)) = merging {
+                if let (None, Some((new_t, old_t))) = (&hit, merging) {
                     // newtable -> insertion mark -> oldtable (§4.3). The
                     // newtable search skips the in-flight node (Case 2): a
                     // traversal crossing it mid-splice would follow rewritten
@@ -2014,21 +2040,26 @@ impl MioDb {
                         return Ok(Self::resolve(r));
                     }
                 }
-                if let Some(t) = lazy {
-                    if !inner.opts.bloom_enabled || t.bloom.may_contain(key) {
-                        if let Some(r) = t.list.get(key) {
-                            inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(Self::resolve(r));
-                        }
+                if hit.is_none() {
+                    hit = lazy
+                        .filter(|t| !inner.opts.bloom_enabled || t.bloom.may_contain(key))
+                        .and_then(|t| t.get(key));
+                }
+                after_level_probe();
+                if version.load(Ordering::Acquire) != seen {
+                    inner
+                        .stats
+                        .level_probe_retries
+                        .fetch_add(1, Ordering::Relaxed);
+                    if attempt < LEVEL_PROBE_RETRIES {
+                        continue;
                     }
                 }
-                if version.load(Ordering::Acquire) == seen {
-                    break 'probe;
+                if let Some(r) = hit {
+                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Self::resolve(r));
                 }
-                inner
-                    .stats
-                    .level_probe_retries
-                    .fetch_add(1, Ordering::Relaxed);
+                break;
             }
         }
 
@@ -2224,6 +2255,9 @@ impl Drop for MioDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn db() -> MioDb {
         MioDb::open(MioOptions::small_for_tests()).unwrap()
@@ -2467,32 +2501,60 @@ mod tests {
         }
     }
 
+    /// One record of a hand-built table: key, value, sequence, kind, and
+    /// a tower height (`None`: drawn as an insert draws it).
+    type Rec = (Vec<u8>, Vec<u8>, u64, OpKind, Option<usize>);
+
+    /// Flushes `recs` as the engine does — one-piece copy from a DRAM
+    /// arena into `nvm`, then swizzle — and wraps them as a settled table.
+    fn flushed_table(
+        dram: &Arc<PmemPool>,
+        nvm: &Arc<PmemPool>,
+        elastic: &Arc<AtomicU64>,
+        recs: &[Rec],
+    ) -> Arc<PmTable> {
+        let cap = recs
+            .iter()
+            .map(|(k, v, ..)| miodb_skiplist::node_size_upper(k.len(), v.len()) as usize)
+            .sum::<usize>()
+            + (16 << 10);
+        let mem = miodb_skiplist::SkipListArena::new(dram.clone(), cap).unwrap();
+        for (k, v, seq, kind, height) in recs {
+            match height {
+                Some(h) => mem.insert_with_height(k, v, *seq, *kind, *h),
+                None => mem.insert(k, v, *seq, *kind),
+            }
+            .unwrap();
+        }
+        let flushed = one_piece_flush(&mem, nvm).unwrap();
+        swizzle(nvm, &flushed);
+        let list = SkipList::from_raw(nvm.clone(), flushed.head);
+        Arc::new(PmTable::new(
+            list.clone(),
+            vec![lease_arena(nvm, flushed.region, elastic)],
+            PmTable::rebuild_bloom(&list, recs.len().max(64), 16),
+            flushed.len,
+            flushed.data_bytes,
+            recs.iter().map(|r| r.2).max().unwrap_or(0),
+        ))
+    }
+
+    fn puts(keys: std::ops::Range<u64>, seq0: u64) -> Vec<Rec> {
+        keys.map(|i| {
+            let k = format!("k{i:04}").into_bytes();
+            (k, b"v".to_vec(), seq0 + i, OpKind::Put, None)
+        })
+        .collect()
+    }
+
     #[test]
     fn merged_table_shares_its_inputs_arenas() {
         let stats = Arc::new(Stats::new());
         let dram = PmemPool::new(1 << 20, DeviceModel::dram(), stats.clone()).unwrap();
         let nvm = PmemPool::new(4 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
         let elastic = Arc::new(AtomicU64::new(0));
-        let flushed_table = |keys: std::ops::Range<u64>, seq0: u64| {
-            let mem = miodb_skiplist::SkipListArena::new(dram.clone(), 64 * 1024).unwrap();
-            for i in keys {
-                mem.insert(format!("k{i:04}").as_bytes(), b"v", seq0 + i, OpKind::Put)
-                    .unwrap();
-            }
-            let flushed = one_piece_flush(&mem, &nvm).unwrap();
-            swizzle(&nvm, &flushed);
-            let list = SkipList::from_raw(nvm.clone(), flushed.head);
-            Arc::new(PmTable {
-                bloom: PmTable::rebuild_bloom(&list, 128, 16),
-                list,
-                arenas: vec![lease_arena(&nvm, flushed.region, &elastic)],
-                len: flushed.len,
-                data_bytes: flushed.data_bytes,
-                newest_seq: seq0 + 100,
-            })
-        };
-        let old_t = flushed_table(0..50, 0);
-        let new_t = flushed_table(25..75, 100);
+        let old_t = flushed_table(&dram, &nvm, &elastic, &puts(0..50, 0));
+        let new_t = flushed_table(&dram, &nvm, &elastic, &puts(25..75, 100));
         let (old_r, new_r) = (old_t.arenas[0].region(), new_t.arenas[0].region());
         let live = |r: PmemRegion| nvm.region_is_live(r.offset, r.len);
 
@@ -2522,6 +2584,147 @@ mod tests {
         drop(new_t);
         assert!(!live(new_r));
         assert_eq!(elastic.load(Ordering::Relaxed), 0);
+    }
+
+    /// A hit from a settled table is returned only if the level did not
+    /// change under the probe. Here a merge pops the probed table into
+    /// `merging`, behind a table holding a newer version, between the
+    /// probe and the check: the GET must retry and answer through the
+    /// merging pair.
+    #[test]
+    fn settled_hit_retries_when_the_level_changes_under_it() {
+        let d = db();
+        let inner = d.inner.clone();
+        let (dram, nvm, elastic) = (&inner.dram, &inner.nvm, &inner.elastic_bytes);
+        let rec = |value: &[u8], seq| (b"k".to_vec(), value.to_vec(), seq, OpKind::Put, None);
+        let old_t = flushed_table(dram, nvm, elastic, &[rec(b"old", 1)]);
+        let new_t = flushed_table(dram, nvm, elastic, &[rec(b"new", 2)]);
+        {
+            let mut levels = inner.levels.lock();
+            levels[0].tables.push_back(old_t);
+            levels[0].bump_version();
+        }
+        let popper = inner.clone();
+        AFTER_LEVEL_PROBE.with(|h| {
+            h.set(Some(Box::new(move || {
+                let mut levels = popper.levels.lock();
+                let old_t = levels[0].tables.pop_back().unwrap();
+                levels[0].merging = Some((new_t, old_t));
+                levels[0].bump_version();
+            })))
+        });
+        let retries = d.stats().level_probe_retries.load(Ordering::Relaxed);
+        assert_eq!(d.get(b"k").unwrap().as_deref(), Some(&b"new"[..]));
+        assert!(d.stats().level_probe_retries.load(Ordering::Relaxed) > retries);
+        // Leave the level as no merge would: empty.
+        let mut levels = inner.levels.lock();
+        levels[0].merging = None;
+        levels[0].bump_version();
+    }
+
+    /// Records of keys `k00000, k00002, …` (odd keys stay absent), each
+    /// with 1–3 versions and some tombstones, sequence numbers from
+    /// `seq0`, every tower `height` high.
+    fn versioned(rng: &mut StdRng, keys: usize, seq0: u64, height: Option<usize>) -> Vec<Rec> {
+        let mut recs = Vec::new();
+        let mut seq = seq0;
+        for i in 0..keys {
+            for _ in 0..rng.gen_range(1..4u32) {
+                seq += 1;
+                let kind = if rng.gen_range(0..4u32) == 0 {
+                    OpKind::Delete
+                } else {
+                    OpKind::Put
+                };
+                let key = format!("k{:05}", 2 * i).into_bytes();
+                recs.push((key, seq.to_le_bytes().to_vec(), seq, kind, height));
+            }
+        }
+        recs
+    }
+
+    /// `PmTable::get` answers as the head descent `list.get` does — value,
+    /// seq and kind — for every key of `t`, every fence key, and absent
+    /// keys below the first, between any two, and above the last.
+    fn assert_fenced_get_matches(t: &PmTable) -> TestCaseResult {
+        let mut probes = vec![b"".to_vec(), b"a".to_vec(), b"k".to_vec(), b"z".to_vec()];
+        t.list
+            .walk_level(crate::table::FENCE_LEVEL, |k, _| probes.push(k.to_vec()));
+        prop_assert_eq!(probes.len() - 4, t.fences.count());
+        for e in t.list.iter() {
+            let mut between = e.key.clone();
+            between.push(0);
+            probes.push(between);
+            probes.push(e.key);
+        }
+        probes.sort_unstable();
+        probes.dedup();
+        for key in &probes {
+            prop_assert_eq!(t.get(key), t.list.get(key), "key {:?}", key);
+        }
+        Ok(())
+    }
+
+    /// Fenced lookups on a flushed table, on the zero-copy merge of two of
+    /// them, and on the merged table rebuilt from a snapshot of the pool.
+    fn check_fenced_get(seed: u64, keys: usize, towers: usize) -> TestCaseResult {
+        let height = [None, Some(1), Some(miodb_skiplist::MAX_HEIGHT)][towers];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stats = Arc::new(Stats::new());
+        let dram = PmemPool::new(4 << 20, DeviceModel::dram(), stats.clone()).unwrap();
+        let nvm = PmemPool::new(16 << 20, DeviceModel::nvm_unthrottled(), stats.clone()).unwrap();
+        let elastic = Arc::new(AtomicU64::new(0));
+
+        let old_t = flushed_table(&dram, &nvm, &elastic, &versioned(&mut rng, keys, 0, height));
+        assert_fenced_get_matches(&old_t)?;
+        let newer = versioned(&mut rng, keys / 2 + 1, 1 << 32, height);
+        let new_t = flushed_table(&dram, &nvm, &elastic, &newer);
+        assert_fenced_get_matches(&new_t)?;
+
+        let mark = InsertionMark::alloc(&nvm).unwrap();
+        let out = zero_copy_merge(
+            &nvm,
+            new_t.list.head(),
+            old_t.list.head(),
+            &mark,
+            MergeLimits::none(),
+        );
+        prop_assert!(out.is_complete());
+        let merged = merged_table(&nvm, &new_t, &old_t, out.stats(), 16);
+        assert_fenced_get_matches(&merged)?;
+
+        let path = std::env::temp_dir().join(format!(
+            "miodb-fences-{}-{seed:x}-{keys}-{towers}.snap",
+            std::process::id()
+        ));
+        nvm.snapshot_to_file(&path).unwrap();
+        let restored =
+            PmemPool::restore_from_file(&path, DeviceModel::nvm_unthrottled(), stats).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let rebuilt = rebuild_table(&restored, &table_state(&merged), &elastic, 16, 256);
+        assert_fenced_get_matches(&rebuilt)
+    }
+
+    #[test]
+    fn fenced_get_on_empty_and_single_node_tables() {
+        for keys in [0, 1] {
+            for towers in 0..3 {
+                check_fenced_get(keys as u64, keys, towers).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fenced_get_matches_the_head_descent(
+            seed in any::<u64>(),
+            keys in 2usize..160,
+            towers in 0usize..3,
+        ) {
+            check_fenced_get(seed, keys, towers)?;
+        }
     }
 
     #[test]

@@ -5,9 +5,73 @@ use std::sync::Arc;
 use miodb_bloom::BloomFilter;
 use miodb_common::{OpKind, Result, SequenceNumber};
 use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
-use miodb_skiplist::{SkipList, SkipListArena};
+use miodb_skiplist::{LookupResult, SkipList, SkipListArena};
 use miodb_wal::WriteAheadLog;
 use parking_lot::Mutex;
+
+/// The tower level a table's fence array indexes. With the skip list's
+/// branching factor of 4, about 1 node in 16 is a fence, and a fenced
+/// lookup descends levels `FENCE_LEVEL - 1` down to 0 only.
+pub const FENCE_LEVEL: usize = 2;
+
+/// A settled table's DRAM search layer, a sibling of its bloom filter: the
+/// key and node offset of every node whose tower reaches [`FENCE_LEVEL`],
+/// in list order. Built once, with the table; immutable afterwards.
+///
+/// Keys live back to back in one buffer, so a table holds three
+/// allocations whatever its fence count.
+#[derive(Debug, Default)]
+pub struct Fences {
+    /// Every fence key, back to back.
+    keys: Vec<u8>,
+    /// Where fence `i`'s key ends in `keys`.
+    ends: Vec<usize>,
+    /// Node offset of fence `i`.
+    nodes: Vec<u64>,
+}
+
+impl Fences {
+    /// Walks `list`'s level [`FENCE_LEVEL`], charging one modeled visit per
+    /// fence.
+    pub fn build(list: &SkipList) -> Fences {
+        let mut f = Fences::default();
+        list.walk_level(FENCE_LEVEL, |key, node| {
+            f.keys.extend_from_slice(key);
+            f.ends.push(f.keys.len());
+            f.nodes.push(node);
+        });
+        f.keys.shrink_to_fit();
+        f.ends.shrink_to_fit();
+        f.nodes.shrink_to_fit();
+        f
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.keys[start..self.ends[i]]
+    }
+
+    /// The last fence whose key sorts strictly below `key`: every version
+    /// of `key` lies after it. A fence *equal* to `key` may be the newest
+    /// version itself or an older one, so it never qualifies.
+    pub fn start_for(&self, key: &[u8]) -> Option<u64> {
+        let (mut lo, mut hi) = (0, self.nodes.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.checked_sub(1).map(|i| self.nodes[i])
+    }
+
+    /// Number of fences.
+    pub fn count(&self) -> usize {
+        self.nodes.len()
+    }
+}
 
 /// A persistent, immutable-by-writers skip-list table in the elastic
 /// buffer.
@@ -28,6 +92,8 @@ pub struct PmTable {
     /// Mergeable bloom filter over the table's keys (kept in DRAM; rebuilt
     /// from the list on recovery).
     pub bloom: BloomFilter,
+    /// DRAM fences over `list` as it was when the table was created.
+    pub fences: Fences,
     /// Approximate number of nodes.
     pub len: usize,
     /// Approximate user bytes.
@@ -37,6 +103,42 @@ pub struct PmTable {
 }
 
 impl PmTable {
+    /// Wraps a settled list — no writer or merge links nodes into it any
+    /// more — and builds its fences: one walk of level [`FENCE_LEVEL`],
+    /// charged to the calling thread (a background one, except at
+    /// recovery).
+    pub fn new(
+        list: SkipList,
+        arenas: Vec<Arc<RegionLease>>,
+        bloom: BloomFilter,
+        len: usize,
+        data_bytes: u64,
+        newest_seq: SequenceNumber,
+    ) -> PmTable {
+        PmTable {
+            fences: Fences::build(&list),
+            list,
+            arenas,
+            bloom,
+            len,
+            data_bytes,
+            newest_seq,
+        }
+    }
+
+    /// The newest version of `key` in the table (tombstones included): a
+    /// binary search of the fences in DRAM, then a descent of the levels
+    /// below [`FENCE_LEVEL`] from the fence found (or from the head).
+    ///
+    /// Exact only while the list is as it was when the fences were built.
+    /// Once a merge re-links the table, a fence may have moved into the
+    /// other input, and the walk from it can reach that input's older
+    /// version; the engine validates every hit against the level version.
+    pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
+        let start = self.fences.start_for(key).unwrap_or(self.list.head());
+        self.list.get_from(start, FENCE_LEVEL, key)
+    }
+
     /// Total NVM bytes held by this table's arenas.
     pub fn arena_bytes(&self) -> u64 {
         self.arenas.iter().map(|a| a.region().len).sum()

@@ -238,9 +238,14 @@ impl SkipListArena {
         self.insert_with_height(key, value, seq, kind, self.random_height())
     }
 
-    /// [`SkipListArena::insert`] with the tower height chosen by the
-    /// caller (tests that need a particular shape).
-    pub(crate) fn insert_with_height(
+    /// [`SkipListArena::insert`] with the tower height, `1..=MAX_HEIGHT`,
+    /// chosen by the caller (tests that need a particular shape).
+    ///
+    /// # Errors
+    ///
+    /// As `insert`, and [`Error::InvalidArgument`] for a height out of
+    /// range.
+    pub fn insert_with_height(
         &self,
         key: &[u8],
         value: &[u8],
@@ -250,6 +255,9 @@ impl SkipListArena {
     ) -> Result<()> {
         if key.len() > u32::MAX as usize || value.len() > u32::MAX as usize {
             return Err(Error::InvalidArgument("key/value too large".to_string()));
+        }
+        if !(1..=MAX_HEIGHT).contains(&height) {
+            return Err(Error::InvalidArgument(format!("tower height {height}")));
         }
         let size = node_size(height, key.len(), value.len());
         let off = self.alloc_node(size)?;

@@ -180,6 +180,55 @@ fn after_descent() {
     }
 }
 
+/// Whether `node`, a successor just loaded (0 at the end of a level), sorts
+/// before the multi-version position `(key, seq)`. A node is recorded in
+/// `seen` when its key is compared.
+#[inline]
+fn sorts_before(
+    pool: &PmemPool,
+    node: u64,
+    key: &[u8],
+    seq: SequenceNumber,
+    seen: &mut smallset::SmallSet,
+) -> bool {
+    if node == 0 {
+        return false;
+    }
+    seen.insert(node);
+    mv_cmp(raw::key(pool, node), raw::seq(pool, node), key, seq) == std::cmp::Ordering::Less
+}
+
+/// The one descent loop: from `start`, over levels `top - 1` down to 0,
+/// records in `preds[level]` the last node of each level strictly before
+/// `(key, seq)` and returns the level-0 successor it compared (or 0).
+/// Every compared node goes into `seen`; the caller charges them.
+///
+/// `start` must sort before `(key, seq)`, and its tower must reach level
+/// `top - 1`: the head, a finger entry, or a table's fence node.
+fn descend(
+    pool: &PmemPool,
+    start: u64,
+    top: usize,
+    key: &[u8],
+    seq: SequenceNumber,
+    preds: &mut [u64; MAX_HEIGHT],
+    seen: &mut smallset::SmallSet,
+) -> u64 {
+    let mut x = start;
+    let mut succ = 0;
+    for level in (0..top).rev() {
+        loop {
+            succ = raw::next(pool, x, level);
+            if !sorts_before(pool, succ, key, seq, seen) {
+                break;
+            }
+            x = succ;
+        }
+        preds[level] = x;
+    }
+    succ
+}
+
 /// Finds, for every level, the last node strictly before the multi-version
 /// position `(key, seq)` in the list rooted at `head`; returns the first
 /// node `>= (key, seq)` the level-0 step compared (or 0).
@@ -199,31 +248,13 @@ pub(crate) fn find_preds(
     seq: SequenceNumber,
     preds: &mut [u64; MAX_HEIGHT],
 ) -> u64 {
-    let mut x = head;
-    let mut succ = 0;
     // A node peeked once is CPU-cache resident afterwards; count the
     // modeled NVM read only on first inspection (exact dedup — descents
     // touch a few dozen nodes, so a linear scan is cheap), and charge the
     // whole descent in one batched call (same modeled latency per visit,
     // one spin).
-    let mut seen: smallset::SmallSet = smallset::SmallSet::new();
-    for level in (0..MAX_HEIGHT).rev() {
-        loop {
-            succ = raw::next(pool, x, level);
-            if succ == 0 {
-                break;
-            }
-            seen.insert(succ);
-            let nk = raw::key(pool, succ);
-            let ns = raw::seq(pool, succ);
-            if mv_cmp(nk, ns, key, seq) == std::cmp::Ordering::Less {
-                x = succ;
-            } else {
-                break;
-            }
-        }
-        preds[level] = x;
-    }
+    let mut seen = smallset::SmallSet::new();
+    let succ = descend(pool, head, MAX_HEIGHT, key, seq, preds, &mut seen);
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
     after_descent();
     succ
@@ -251,21 +282,14 @@ pub(crate) fn find_preds_from(
     seq: SequenceNumber,
     preds: &mut [u64; MAX_HEIGHT],
 ) -> u64 {
-    let mut seen: smallset::SmallSet = smallset::SmallSet::new();
-    let mut sorts_before = |node: u64| {
-        if node == 0 {
-            return false;
-        }
-        seen.insert(node);
-        mv_cmp(raw::key(pool, node), raw::seq(pool, node), key, seq) == std::cmp::Ordering::Less
-    };
+    let mut seen = smallset::SmallSet::new();
     // As in `find_preds`, the level-0 successor returned is the one last
     // compared: the climb's when it stops at level 0, else the descent's.
     let mut top = 0;
     let mut succ;
     loop {
         succ = raw::next(pool, from[top], top);
-        if !sorts_before(succ) {
+        if !sorts_before(pool, succ, key, seq, &mut seen) {
             break;
         }
         top += 1;
@@ -275,17 +299,7 @@ pub(crate) fn find_preds_from(
     }
     preds[top..].copy_from_slice(&from[top..]);
     if top > 0 {
-        let mut x = from[top - 1];
-        for level in (0..top).rev() {
-            loop {
-                succ = raw::next(pool, x, level);
-                if !sorts_before(succ) {
-                    break;
-                }
-                x = succ;
-            }
-            preds[level] = x;
-        }
+        succ = descend(pool, from[top - 1], top, key, seq, preds, &mut seen);
     }
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
     succ
@@ -389,11 +403,36 @@ impl SkipList {
     pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
         let mut preds = [0u64; MAX_HEIGHT];
         let node = self.find_geq(key, miodb_common::MAX_SEQUENCE_NUMBER, &mut preds);
-        if node == 0 {
-            return None;
-        }
+        self.found(node, key)
+    }
+
+    /// [`SkipList::get`] descending from `start` over levels `top - 1`
+    /// down to 0 instead of from the head over every level.
+    ///
+    /// `start` is the head, or a node of this list whose tower reaches
+    /// level `top - 1` and whose key sorts strictly below `key` — a fence
+    /// from a table's DRAM fence array. The lookup is exact for any such
+    /// node; it is short when `start`'s level-`top` successor does not sort
+    /// before `key`. Charged like `get`, plus one visit for `start`'s tower
+    /// unless it is the head.
+    pub fn get_from(&self, start: u64, top: usize, key: &[u8]) -> Option<LookupResult> {
         let pool = &*self.pool;
-        if raw::key(pool, node) != key {
+        let mut seen = smallset::SmallSet::new();
+        if start != self.head {
+            seen.insert(start);
+        }
+        let mut preds = [0u64; MAX_HEIGHT];
+        let seq = miodb_common::MAX_SEQUENCE_NUMBER;
+        let node = descend(pool, start, top, key, seq, &mut preds, &mut seen);
+        pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
+        self.found(node, key)
+    }
+
+    /// The lookup result at `node`, the first node at or after the newest
+    /// position of `key` (0 past the end), charging the value read.
+    fn found(&self, node: u64, key: &[u8]) -> Option<LookupResult> {
+        let pool = &*self.pool;
+        if node == 0 || raw::key(pool, node) != key {
             return None;
         }
         let value = raw::value(pool, node).to_vec();
@@ -403,6 +442,21 @@ impl SkipList {
             seq: raw::seq(pool, node),
             kind: raw::kind(pool, node),
         })
+    }
+
+    /// Calls `f(key, node)` for every node whose tower reaches `level`, in
+    /// list order, charging one modeled visit per node in one batch. This
+    /// is how a table's DRAM fence array is built.
+    pub fn walk_level(&self, level: usize, mut f: impl FnMut(&[u8], u64)) {
+        let pool = &*self.pool;
+        let mut visits = 0;
+        let mut node = raw::next(pool, self.head, level);
+        while node != 0 {
+            visits += 1;
+            f(raw::key(pool, node), node);
+            node = raw::next(pool, node, level);
+        }
+        pool.charge_read_batch(visits, VISIT_BYTES);
     }
 
     /// Offset of the first data node (0 when empty).

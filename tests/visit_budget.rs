@@ -1,4 +1,5 @@
-//! Exact device-access budgets of the two background movers.
+//! Exact device-access budgets of the two background movers, and of a
+//! point lookup through a settled table's DRAM fences.
 //!
 //! Zero-copy merge and lazy copy take their inputs in ascending key order
 //! and resume each search from where the last one ended (a *finger*)
@@ -7,6 +8,10 @@
 //! applied record — a count repeats exactly where a timing does not — and
 //! check that the bytes *written* are a function of the towers alone: the
 //! finger may change what is read, never what is written.
+//!
+//! A fenced lookup binary-searches the fences in DRAM (free, like a bloom
+//! probe), reads the fence node's tower (one visit) and descends only the
+//! levels below the fence level.
 //!
 //! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
 //! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
@@ -17,10 +22,11 @@
 use std::sync::Arc;
 
 use miodb::common::OpKind;
+use miodb::core::table::{Fences, FENCE_LEVEL};
 use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::merge::MergeLimits;
 use miodb::skiplist::{
-    node_size_upper, zero_copy_merge, GrowableSkipList, InsertionMark, SkipListArena,
+    node_size_upper, zero_copy_merge, GrowableSkipList, InsertionMark, LookupResult, SkipListArena,
 };
 use miodb::Stats;
 use rand::rngs::StdRng;
@@ -155,4 +161,72 @@ fn lazy_copy_run_reads_few_nodes_per_applied_record() {
     assert_eq!(visits_of[0], 0.0, "an ascending run into an empty list");
     assert!(visits_of[1] <= 4.0, "into 62 000: {:.2}", visits_of[1]);
     assert!(visits_of[6] <= 8.0, "into 372 000: {:.2}", visits_of[6]);
+}
+
+/// Modeled node visits of `lookup` per key of `keys`, net of the value
+/// each hit reads.
+fn visits_per_get(
+    p: &PmemPool,
+    keys: &[u64],
+    lookup: impl Fn(&[u8]) -> Option<LookupResult>,
+) -> f64 {
+    let before = p.stats().snapshot();
+    for &k in keys {
+        assert!(lookup(&key(k)).is_some());
+    }
+    let io = p.stats().snapshot().diff(&before);
+    let visit_bytes = io.nvm_bytes_read - VLEN * keys.len() as u64;
+    assert_eq!(visit_bytes % VISIT, 0);
+    visit_bytes as f64 / VISIT as f64 / keys.len() as f64
+}
+
+#[test]
+fn a_fence_walk_reads_each_fence_once() {
+    // Towers cycle through 1..=5, so exactly the nodes of height 4 and 5
+    // reach level 3, and those of height 3 to 5 reach level `FENCE_LEVEL`.
+    const N: u64 = 4_000;
+    let p = pool(1 << 20);
+    let t = SkipListArena::new(p.clone(), (N * 80) as usize + (64 << 10)).unwrap();
+    for k in 0..N {
+        let height = 1 + (k % 5) as usize;
+        t.insert_with_height(&key(k), &[7u8; VLEN as usize], 1, OpKind::Put, height)
+            .unwrap();
+    }
+    let tall = |h: u64| (0..N).filter(|k| 1 + k % 5 > h).count();
+    let before = p.stats().snapshot();
+    let fences = Fences::build(&t.list());
+    let io = p.stats().snapshot().diff(&before);
+    assert_eq!(fences.count(), tall(FENCE_LEVEL as u64));
+    assert_eq!(io.nvm_bytes_read, VISIT * fences.count() as u64);
+    assert_eq!(io.nvm_bytes_written, 0);
+
+    let before = p.stats().snapshot();
+    let mut walked = 0;
+    t.list().walk_level(3, |_, _| walked += 1);
+    assert_eq!(walked, tall(3));
+    assert_eq!(
+        p.stats().snapshot().diff(&before).nvm_bytes_read,
+        VISIT * walked as u64
+    );
+}
+
+#[test]
+fn a_fenced_get_reads_a_constant_number_of_nodes() {
+    // The size of the deepest table of the `read` workload.
+    const N: usize = 62_000;
+    let p = pool(8 << 20);
+    let mut r = StdRng::seed_from_u64(5);
+    let keys: Vec<u64> = (0..N).map(|_| r.next_u64()).collect();
+    let (t, _) = table(&p, &keys, 1);
+    let list = t.list();
+    let fences = Fences::build(&list);
+    let probes: Vec<u64> = (0..2_000).map(|_| keys[r.gen_range(0..N)]).collect();
+    let fenced = visits_per_get(&p, &probes, |k| {
+        let start = fences.start_for(k).unwrap_or(list.head());
+        list.get_from(start, FENCE_LEVEL, k)
+    });
+    let head = visits_per_get(&p, &probes, |k| list.get(k));
+    println!("get in {N}: {fenced:.2} visits fenced, {head:.2} from the head");
+    assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
+    assert!(head >= 20.0, "from the head: {head:.2} visits a get");
 }
