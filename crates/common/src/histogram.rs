@@ -78,6 +78,14 @@ thread_local! {
     static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Relaxed);
 }
 
+/// The calling thread's index, shared by every striped recorder (this
+/// histogram's buckets and the [`Stats`](crate::Stats) counters), so a
+/// thread writes the same stripe of each.
+#[inline]
+pub(crate) fn thread_index() -> usize {
+    THREAD_INDEX.with(|i| *i)
+}
+
 /// A latency histogram with log-spaced buckets and lock-free recording.
 ///
 /// # Examples
@@ -154,7 +162,7 @@ impl Histogram {
     /// The calling thread's stripe.
     #[inline]
     fn stripe(&self) -> &Stripe {
-        &self.stripes[THREAD_INDEX.with(|i| *i) & (self.stripes.len() - 1)]
+        &self.stripes[thread_index() & (self.stripes.len() - 1)]
     }
 
     /// Lowers `min` / raises `max` to cover `[lo, hi]`. Load-then-RMW

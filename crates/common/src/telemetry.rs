@@ -17,7 +17,7 @@
 //! cannot be written.
 
 use crate::histogram::Histogram;
-use crate::stats::Stats;
+use crate::stats::{Stats, StripedCounter};
 use crate::trace::{self, SpanGuard, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,7 +151,11 @@ impl Drop for Interval<'_> {
         let s = &*t.stats;
         let dur_ns = dur_ns(self.stop());
         // One more interval of this length on a (time, count) pair.
-        let add = |ns: &AtomicU64, count: &AtomicU64| {
+        let add = |ns: &StripedCounter, count: &StripedCounter| {
+            ns.fetch_add(dur_ns, Ordering::Relaxed);
+            count.fetch_add(1, Ordering::Relaxed);
+        };
+        let add_level = |ns: &AtomicU64, count: &AtomicU64| {
             ns.fetch_add(dur_ns, Ordering::Relaxed);
             count.fetch_add(1, Ordering::Relaxed);
         };
@@ -175,13 +179,13 @@ impl Drop for Interval<'_> {
                         CompactionKind::ZeroCopy => {
                             add(&s.zero_copy_compaction_ns, &s.zero_copy_compactions);
                             if let Some(m) = m {
-                                add(&m.zero_copy_ns, &m.zero_copy_compactions);
+                                add_level(&m.zero_copy_ns, &m.zero_copy_compactions);
                             }
                         }
                         CompactionKind::LazyCopy => {
                             add(&s.copy_compaction_ns, &s.copy_compactions);
                             if let Some(m) = m {
-                                add(&m.lazy_copy_ns, &m.lazy_copy_compactions);
+                                add_level(&m.lazy_copy_ns, &m.lazy_copy_compactions);
                             }
                         }
                     }

@@ -190,8 +190,8 @@ impl DeviceModel {
         match self.class {
             DeviceClass::Nvm => stats.nvm_bytes_read.fetch_add(bytes, Ordering::Relaxed),
             DeviceClass::Ssd => stats.ssd_bytes_read.fetch_add(bytes, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
+            DeviceClass::Dram => {}
+        }
     }
 
     /// Counts a write of `bytes` into `stats` and blocks for its modeled
@@ -202,8 +202,8 @@ impl DeviceModel {
         match self.class {
             DeviceClass::Nvm => stats.nvm_bytes_written.fetch_add(n, Ordering::Relaxed),
             DeviceClass::Ssd => stats.ssd_bytes_written.fetch_add(n, Ordering::Relaxed),
-            DeviceClass::Dram => 0,
-        };
+            DeviceClass::Dram => {}
+        }
         self.delay_write(bytes);
     }
 
