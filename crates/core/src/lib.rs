@@ -43,6 +43,7 @@
 pub mod db;
 pub mod manifest;
 pub mod options;
+mod read;
 pub mod repository;
 pub mod table;
 
