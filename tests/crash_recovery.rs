@@ -258,3 +258,48 @@ fn recovery_rejects_mismatched_level_count() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// Every CRC-32 the store writes is part of its format: WAL records and
+/// manifest slots in the pool, frame trailers on the wire, the shard a key
+/// routes to. These values come from the byte-at-a-time table loop the
+/// crate used before its current kernels, so a pool or a peer from that
+/// build still reads. The inputs reach both kernels: the key and the GET
+/// frame go through slicing-by-16, the longer inputs through folding
+/// where the CPU has it.
+#[test]
+fn checksums_match_the_stored_format() {
+    use miodb::common::crc32::crc32;
+    use miodb::common::proto::write_frame;
+    use miodb::common::{OpKind, Request};
+
+    let bytes =
+        |n: usize, mul: usize| -> Vec<u8> { (0..n).map(|i| (i * mul + i / 251) as u8).collect() };
+    let trailer = |b: &[u8]| u32::from_le_bytes(b[b.len() - 4..].try_into().unwrap());
+    let frame = |req: Request| {
+        let mut body = Vec::new();
+        req.encode_body(&mut body);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, req.opcode() as u8, 7, &body).unwrap();
+        frame
+    };
+    let key = bytes(16, 31);
+
+    let record = miodb::wal::encode_record(&key, &bytes(1024, 13), 42, OpKind::Put).unwrap();
+    assert_eq!(record.len(), 1065);
+    assert_eq!(
+        u32::from_le_bytes(record[..4].try_into().unwrap()),
+        0xF0D3_3858
+    );
+
+    let put = frame(Request::Put {
+        key: key.clone(),
+        value: bytes(256, 7),
+    });
+    assert_eq!((put.len(), trailer(&put)), (303, 0xF976_56A8));
+    let get = frame(Request::Get { key: key.clone() });
+    assert_eq!((get.len(), trailer(&get)), (43, 0x5D23_2C9C));
+
+    assert_eq!(crc32(&key), 0xB8B4_11E5);
+    assert_eq!(crc32(&bytes(7 * 1024, 5)), 0xDCD0_825F);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
