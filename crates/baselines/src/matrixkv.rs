@@ -221,6 +221,9 @@ impl Lower for Inner {
 fn column_worker(inner: &Inner) {
     while !inner.front.is_shut_down() {
         if inner.row_store.total_bytes() < inner.opts.container_bytes / 2 {
+            // Settle: precedes the idle poll (a column compaction's `L1`
+            // install settles first; see `LsmCore::build_tables`).
+            miodb_pmem::device::settle_idle();
             std::thread::sleep(Duration::from_millis(2));
             continue;
         }

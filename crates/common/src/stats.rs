@@ -181,6 +181,14 @@ declare_stats! {
     /// Bytes physically read from the SSD device.
     ssd_bytes_read => Count "miodb_device_read_bytes_total" {device = "ssd"}
         "Bytes physically read per device.";
+    /// Modeled device time charged on foreground (client) threads, which
+    /// spin it off inside the operation that charged it.
+    device_model_fg_ns => Nanos "miodb_device_model_seconds_total" {thread = "foreground"}
+        "Modeled device time charged, by the kind of thread that charged it.";
+    /// Modeled device time charged on background workers, which sleep it
+    /// off at their settle points.
+    device_model_bg_ns => Nanos "miodb_device_model_seconds_total" {thread = "background"}
+        "Modeled device time charged, by the kind of thread that charged it.";
 
     /// Total time writers were blocked because the immutable MemTable was
     /// still being flushed when the active one filled (paper: *interval

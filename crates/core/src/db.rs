@@ -23,8 +23,8 @@
 //! repository.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use miodb_common::repl::ReplicationSink;
@@ -34,7 +34,7 @@ use miodb_common::{
     ScanEntry, SequenceNumber, StallKind, Stats, Timed,
 };
 use miodb_lsm::merge_iter::dedup_newest;
-use miodb_pmem::{DeviceModel, PmemPool, PmemRegion, RegionLease};
+use miodb_pmem::{device, DeviceModel, PmemPool, PmemRegion, RegionLease};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::merge::MergeLimits;
 use miodb_skiplist::{
@@ -143,6 +143,9 @@ struct PendingWrite {
 /// The commit queue: concurrent writers enqueue, the front writer leads.
 struct CommitQueue {
     queue: Mutex<VecDeque<Arc<PendingWrite>>>,
+    /// The queue's length, stored under the queue lock after every push
+    /// and pop: the bypass test reads it without taking the lock.
+    len: AtomicUsize,
     /// Wakes parked writers on group handoff, group completion and leader
     /// promotion.
     cv: Condvar,
@@ -234,7 +237,10 @@ pub(crate) struct Inner {
     /// Set while a flush is blocked on the elastic-buffer cap; tells the
     /// lazy worker to drain ahead of the normal trigger.
     pressure: AtomicBool,
-    bg_error: Mutex<Option<String>>,
+    /// The first background failure (set once; later ones are dropped so
+    /// the root cause stays visible). Reading it is one atomic load, so
+    /// every write checks it.
+    bg_error: OnceLock<String>,
     /// Telemetry collectors: op-latency histograms, per-level gauges and
     /// the timed-interval guard.
     telemetry: EngineTelemetry,
@@ -457,6 +463,7 @@ impl MioDb {
             write_mutex: Mutex::new(()),
             commit: CommitQueue {
                 queue: Mutex::new(VecDeque::new()),
+                len: AtomicUsize::new(0),
                 cv: Condvar::new(),
             },
             imm_cv: Condvar::new(),
@@ -473,7 +480,7 @@ impl MioDb {
             closing: AtomicBool::new(false),
             recovered_wal_records: AtomicU64::new(0),
             pressure: AtomicBool::new(false),
-            bg_error: Mutex::new(None),
+            bg_error: OnceLock::new(),
             telemetry,
             repl_sink: RwLock::new(None),
             repl_armed: AtomicBool::new(false),
@@ -536,7 +543,7 @@ impl MioDb {
     /// The sticky background error, if a flush/compaction/lazy-copy worker
     /// exhausted its retries and degraded the engine to read-only.
     pub fn background_error(&self) -> Option<String> {
-        self.inner.bg_error.lock().clone()
+        self.inner.bg_error.get().cloned()
     }
 
     /// Takes a point-in-time snapshot of the NVM pool (crash simulation).
@@ -569,8 +576,8 @@ impl MioDb {
         {
             return Err(Error::Closed);
         }
-        if let Some(msg) = self.inner.bg_error.lock().clone() {
-            return Err(Error::Background(msg));
+        if let Some(msg) = self.inner.bg_error.get() {
+            return Err(Error::Background(msg.clone()));
         }
         Ok(())
     }
@@ -603,7 +610,7 @@ impl MioDb {
             }
         }
         let inner = &*self.inner;
-        let bypass = if inner.commit.queue.lock().is_empty() {
+        let bypass = if inner.commit.len.load(Ordering::Acquire) == 0 {
             inner.write_mutex.try_lock()
         } else {
             None
@@ -703,6 +710,7 @@ impl MioDb {
         {
             let mut q = inner.commit.queue.lock();
             q.push_back(w.clone());
+            inner.commit.len.store(q.len(), Ordering::Release);
             let depth = q.len() as u64;
             inner.telemetry.set_commit_queue_depth(depth);
             commit_span.annotate(depth);
@@ -740,7 +748,17 @@ impl MioDb {
     /// group and wakes the members and the next leader.
     fn lead_group(&self, lw: &Arc<PendingWrite>) {
         let inner = &*self.inner;
-        let guard = inner.write_mutex.lock();
+        // The mutex is usually held for one short commit: spin and yield
+        // on it, as a queued writer does, before parking on it.
+        let mut spun = 0u32;
+        let guard = loop {
+            if let Some(guard) = inner.write_mutex.try_lock() {
+                break guard;
+            }
+            if !commit_backoff(&mut spun) {
+                break inner.write_mutex.lock();
+            }
+        };
         // A prefix of the queue, bounded so one group cannot starve later
         // arrivals or overrun a MemTable.
         let group: Vec<Arc<PendingWrite>> = {
@@ -777,6 +795,7 @@ impl MioDb {
             };
             w.done.store(true, Ordering::Release);
         }
+        inner.commit.len.store(q.len(), Ordering::Release);
         inner.telemetry.set_commit_queue_depth(q.len() as u64);
         drop(q);
         inner.commit.cv.notify_all();
@@ -907,8 +926,8 @@ impl MioDb {
     fn drain_for_close(&self) -> Result<()> {
         let inner = &*self.inner;
         let bg_failed = |inner: &Inner| -> Result<()> {
-            match inner.bg_error.lock().clone() {
-                Some(msg) => Err(Error::Background(msg)),
+            match inner.bg_error.get() {
+                Some(msg) => Err(Error::Background(msg.clone())),
                 None => Ok(()),
             }
         };
@@ -1004,8 +1023,8 @@ impl MioDb {
                     if inner.shutdown.load(Ordering::Acquire) {
                         return Err(Error::Closed);
                     }
-                    if let Some(msg) = inner.bg_error.lock().clone() {
-                        return Err(Error::Background(msg));
+                    if let Some(msg) = inner.bg_error.get() {
+                        return Err(Error::Background(msg.clone()));
                     }
                 }
             }
@@ -1268,17 +1287,26 @@ fn store_manifest_locked(inner: &Inner, levels: &[Level]) -> Result<()> {
     inner.manifest.store(&state)
 }
 
+/// Starts one background worker. It is marked as one before it runs, so
+/// the device time it charges accrues as debt that its settle points sleep
+/// off ([`device::settle`]) instead of spinning on a core the writers need.
+fn spawn_worker(
+    inner: &Arc<Inner>,
+    name: String,
+    work: impl FnOnce(Arc<Inner>) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let inner = inner.clone();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            device::mark_background();
+            work(inner)
+        })
+        .expect("spawn background worker")
+}
+
 fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
-    let mut threads = Vec::new();
-    {
-        let inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("miodb-flush".to_string())
-                .spawn(move || flush_worker(inner))
-                .expect("spawn flush worker"),
-        );
-    }
+    let mut threads = vec![spawn_worker(inner, "miodb-flush".to_string(), flush_worker)];
     // Levels `0..n-1` merge downwards: one thread each (§4.5), or — the
     // parallel-compaction ablation — one thread for all of them.
     let merging_levels = inner.opts.elastic_levels - 1;
@@ -1291,45 +1319,24 @@ fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
         .step_by(per_thread)
         .map(|i| i..i + per_thread)
     {
-        let inner = inner.clone();
         let name = if share.len() == 1 {
             format!("miodb-compact-L{}", share.start)
         } else {
             "miodb-compact-serial".to_string()
         };
-        threads.push(
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || compactor_worker(inner, share))
-                .expect("spawn compactor"),
-        );
+        threads.push(spawn_worker(inner, name, move |inner| {
+            compactor_worker(inner, share)
+        }));
     }
-    {
-        let inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("miodb-lazy".to_string())
-                .spawn(move || lazy_worker(inner))
-                .expect("spawn lazy worker"),
-        );
-    }
+    threads.push(spawn_worker(inner, "miodb-lazy".to_string(), lazy_worker));
     if matches!(inner.repo, Repository::Lsm(_)) {
-        let inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("miodb-repo".to_string())
-                .spawn(move || repo_worker(inner))
-                .expect("spawn repo worker"),
-        );
+        threads.push(spawn_worker(inner, "miodb-repo".to_string(), repo_worker));
     }
     threads
 }
 
 fn set_bg_error(inner: &Inner, msg: String) {
-    let mut e = inner.bg_error.lock();
-    if e.is_none() {
-        *e = Some(msg);
-    }
+    let _ = inner.bg_error.set(msg);
 }
 
 /// Background-worker retry budget: a transient failure (injected fault,
@@ -1364,6 +1371,9 @@ fn with_bg_retries<T>(inner: &Inner, mut op: impl FnMut() -> Result<T>) -> Resul
 /// One-piece flush + background swizzle of the immutable MemTable.
 fn flush_worker(inner: Arc<Inner>) {
     loop {
+        // Settle: precedes waiting for the next rotation (pays the
+        // manifest store that dropped the last flushed MemTable's WAL).
+        device::settle_idle();
         {
             let mut flag = inner.flush_flag.lock();
             while !*flag && !inner.shutdown.load(Ordering::Acquire) {
@@ -1382,6 +1392,9 @@ fn flush_worker(inner: Arc<Inner>) {
             // same keys into a duplicate table, which reads dedupe and
             // lazy-copy reclaims — never data loss.
             let published = with_bg_retries(&inner, || flush_one(&inner, &imm));
+            // Settle: precedes clearing `imm`, which releases a stalled
+            // writer (pays the level-0 push's manifest store).
+            device::settle();
             inner.telemetry.clear_flush_span();
             {
                 let mut mem = inner.mem.write();
@@ -1470,6 +1483,9 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
             Err(e) => return Err(e),
         }
     };
+    // Settle: precedes the end of the flush interval, which must span the
+    // memcpy's device time.
+    device::settle();
     flush.finish(flushed.bytes);
 
     // Background pointer swizzling: the immutable MemTable keeps serving
@@ -1477,6 +1493,8 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
     {
         let _swizzling = inner.telemetry.begin(Timed::Swizzle);
         swizzle(&inner.nvm, &flushed);
+        // Settle: precedes the end of the swizzle interval.
+        device::settle();
     }
 
     // The fences are walked over the swizzled links.
@@ -1492,6 +1510,8 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         flushed.data_bytes,
         inner.seq.load(Ordering::Relaxed),
     ));
+    // Settle: precedes the level-0 push (pays the fence walk).
+    device::settle();
     {
         let mut levels = inner.levels.lock();
         levels[0].tables.push_back(table);
@@ -1533,6 +1553,9 @@ fn compactor_worker(inner: Arc<Inner>, share: std::ops::Range<usize>) {
     // last is considered first.
     let mut turn = 0usize;
     loop {
+        // Settle: precedes waiting for the next merge (pays the last
+        // push's manifest store).
+        device::settle_idle();
         let (i, new_t, old_t, gate, mark) = {
             let mut levels = inner.levels.lock();
             let i = loop {
@@ -1606,22 +1629,30 @@ fn run_one_zero_copy_merge(
     });
     let mut total = miodb_skiplist::MergeStats::default();
     loop {
-        let _g = gate.lock();
-        let out = zero_copy_merge(
-            &inner.nvm,
-            new_t.list.head(),
-            old_t.list.head(),
-            &mark,
-            MergeLimits {
-                max_steps: Some(MERGE_STEPS_PER_GATE),
-                abandon_after_link_writes: None,
-            },
-        );
+        let out = {
+            let _g = gate.lock();
+            zero_copy_merge(
+                &inner.nvm,
+                new_t.list.head(),
+                old_t.list.head(),
+                &mark,
+                MergeLimits {
+                    max_steps: Some(MERGE_STEPS_PER_GATE),
+                    abandon_after_link_writes: None,
+                },
+            )
+        };
         total += out.stats();
         if matches!(out, MergeOutcome::Complete(_)) {
             break;
         }
+        // Settle once a quantum is owed: precedes the next gated batch,
+        // with the gate released.
+        device::settle_due();
     }
+    // Settle: precedes the end of the merge interval, which must span the
+    // merge's device time.
+    device::settle();
     // The merge is timed up to here; it is reported below, under the lock.
     merge.stop();
     inner
@@ -1639,6 +1670,9 @@ fn run_one_zero_copy_merge(
     let merged_bytes = merged.data_bytes;
     drop(new_t);
     drop(old_t);
+    // Settle: precedes pushing `merged` to the next level (pays its fence
+    // walk).
+    device::settle();
     {
         let mut levels = inner.levels.lock();
         levels[i].merging = None;
@@ -1684,6 +1718,9 @@ fn pick_pressure_drain(levels: &[Level]) -> Option<usize> {
 fn lazy_worker(inner: Arc<Inner>) {
     let b = inner.opts.elastic_levels - 1;
     loop {
+        // Settle: precedes waiting for the next drain (pays the last
+        // drain's manifest store).
+        device::settle_idle();
         let (table, level_idx) = {
             let mut levels = inner.levels.lock();
             let picked = loop {
@@ -1723,7 +1760,7 @@ fn lazy_worker(inner: Arc<Inner>) {
             level: level_idx,
             kind: CompactionKind::LazyCopy,
         });
-        let _w = inner.repo_writer.lock();
+        let repo_writer = inner.repo_writer.lock();
         // Retried with backoff on failure: each attempt re-reads the intact
         // PMTable and re-applies with the same sequence numbers, so a
         // partially applied earlier attempt is simply overwritten
@@ -1746,6 +1783,7 @@ fn lazy_worker(inner: Arc<Inner>) {
             }
             Ok(())
         });
+        drop(repo_writer);
         if let Err(e) = drained {
             // Close the interval before the error becomes visible: whoever
             // sees `background_error()` must already see it closed.
@@ -1753,6 +1791,9 @@ fn lazy_worker(inner: Arc<Inner>) {
             set_bg_error(&inner, format!("lazy-copy failed: {e}"));
             return;
         }
+        // Settle: precedes the end of the drain interval and clearing
+        // `lazy_draining`, with the repository writer released.
+        device::settle();
         drain.stop();
 
         {
@@ -1813,7 +1854,12 @@ fn repo_worker(inner: Arc<Inner>) {
     while !inner.shutdown.load(Ordering::Acquire) {
         match with_bg_retries(&inner, || inner.repo.maintain()) {
             Ok(true) => continue,
-            Ok(false) => std::thread::sleep(Duration::from_millis(2)),
+            Ok(false) => {
+                // Settle: precedes the idle poll (a compaction's install
+                // settles first; see `LsmCore::build_tables`).
+                device::settle_idle();
+                std::thread::sleep(Duration::from_millis(2));
+            }
             Err(e) => {
                 set_bg_error(&inner, format!("repository compaction failed: {e}"));
                 return;

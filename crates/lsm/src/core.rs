@@ -176,6 +176,10 @@ impl LsmCore {
                 out.push(Arc::new(b.finish(&self.store, &self.stats)?));
             }
         }
+        // Settle: precedes every caller's install of `out`. A background
+        // caller holds at most `compaction_lock`, which only background
+        // threads take.
+        miodb_pmem::device::settle();
         Ok(out)
     }
 

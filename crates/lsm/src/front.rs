@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use miodb_common::{
     EngineTelemetry, Error, OpKind, Result, ScanEntry, SequenceNumber, StallKind, Stats, Timed,
 };
-use miodb_pmem::{DeviceModel, PmemPool};
+use miodb_pmem::{device, DeviceModel, PmemPool};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::SkipListArena;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -276,7 +276,9 @@ impl<L: Lower> std::ops::Deref for FrontEngine<L> {
 }
 
 impl<L: Lower> FrontEngine<L> {
-    /// Starts the flush thread and one thread per entry of `workers`.
+    /// Starts the flush thread and one thread per entry of `workers`, each
+    /// marked as a background thread: the device time it charges is slept
+    /// off at its settle points, not spun (see [`miodb_pmem::device`]).
     pub fn start(inner: L, workers: &[fn(&L)]) -> FrontEngine<L> {
         let inner = Arc::new(inner);
         let flush: fn(&L) = flush_loop;
@@ -284,7 +286,10 @@ impl<L: Lower> FrontEngine<L> {
             .chain(workers.iter().copied())
             .map(|work| {
                 let inner = inner.clone();
-                std::thread::spawn(move || work(&inner))
+                std::thread::spawn(move || {
+                    device::mark_background();
+                    work(&inner)
+                })
             })
             .collect();
         FrontEngine { inner, threads }
@@ -420,6 +425,8 @@ impl<L: Lower> Drop for FrontEngine<L> {
 fn flush_loop<L: Lower>(lower: &L) {
     let f = lower.front();
     loop {
+        // Settle: precedes waiting for the next rotation.
+        device::settle_idle();
         {
             let mut signal = f.flush_signal.lock();
             while !*signal && !f.is_shut_down() {
@@ -431,7 +438,11 @@ fn flush_loop<L: Lower>(lower: &L) {
         if let Some(imm) = imm {
             let bytes = imm.used_bytes();
             let flush = f.telemetry.begin(Timed::Flush { bytes });
-            match lower.drain(&imm) {
+            let drained = lower.drain(&imm);
+            // Settle: precedes the end of the flush interval and releasing
+            // the immutable MemTable to writers.
+            device::settle();
+            match drained {
                 Ok(()) => flush.finish(bytes),
                 Err(e) => {
                     drop(flush);
@@ -461,7 +472,12 @@ pub fn run_compactions(front: &MemFront, core: &LsmCore) {
     while !front.is_shut_down() {
         match core.run_one_compaction() {
             Ok(true) => {}
-            Ok(false) => std::thread::sleep(IDLE_POLL),
+            Ok(false) => {
+                // Settle: precedes the idle poll (a compaction's install
+                // settles first; see `LsmCore::build_tables`).
+                device::settle_idle();
+                std::thread::sleep(IDLE_POLL);
+            }
             Err(e) => {
                 front.fail(format!("compaction failed: {e}"));
                 return;

@@ -324,13 +324,24 @@ impl PmemPool {
     ///
     /// Panics in debug builds if the range exceeds the pool.
     pub fn write_bytes(&self, off: u64, data: &[u8]) {
+        self.store_bytes(off, data);
+        self.charge_write(data.len());
+    }
+
+    /// Copies `data` to `off` without charging the device: for a caller
+    /// that stores several pieces of one modeled write and charges their
+    /// total once with [`PmemPool::charge_write`].
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the range exceeds the pool.
+    pub fn store_bytes(&self, off: u64, data: &[u8]) {
         self.check_range(off, data.len());
         // SAFETY: range checked; caller guarantees no concurrent access to
         // this unpublished region (see crate concurrency discipline).
         unsafe {
             std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr(off), data.len());
         }
-        self.charge_write(data.len());
     }
 
     /// Reads `out.len()` bytes at `off` into `out`, charging the device.

@@ -349,19 +349,22 @@ impl WriteAheadLog {
         // Terminator for torn-tail detection, then the record itself. The
         // record's first bytes (the crc) are written last-ish by virtue of
         // being part of one bulk write; a torn write is caught by the crc.
+        // Both pieces are one modeled device write: one fixed latency.
         self.pool
-            .write_bytes(off + total as u64, &[0u8; RECORD_HEADER]);
+            .store_bytes(off + total as u64, &[0u8; RECORD_HEADER]);
         if fault::hit(fault::points::WAL_APPEND_TORN).is_some() {
             // Injected crash mid-append: the header (with the final crc)
             // lands, the payload is cut short. Replay sees a crc mismatch
             // and stops at the previous record; this log is poisoned until
             // rotation (see `WalState::poisoned`).
-            self.pool.write_bytes(off, &buf[..total / 2]);
+            self.pool.store_bytes(off, &buf[..total / 2]);
+            self.pool.charge_write(total / 2 + RECORD_HEADER);
             s.poisoned = true;
             return Err(Error::Io(std::io::Error::other("injected torn wal append")));
         }
         s.cursor += total as u64;
-        self.pool.write_bytes(off, buf);
+        self.pool.store_bytes(off, buf);
+        self.pool.charge_write(total + RECORD_HEADER);
         Ok(())
     }
 

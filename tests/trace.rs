@@ -8,6 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use miodb::common::trace::{self, SpanKind, SpanLayer, SpanRecord};
+use miodb::pmem::DeviceModel;
 use miodb::{KvClient, KvEngine, KvServer, MioDb, MioOptions, ServerOptions};
 
 /// Groups spans by trace id, dropping the background track (trace 0).
@@ -124,6 +125,51 @@ fn background_spans_agree_with_counters() {
     for s in &spans {
         assert!(s.end_ns >= s.start_ns, "{:?} ends before it starts", s.kind);
     }
+}
+
+/// The flush worker sleeps its modeled device time off instead of spinning
+/// it, but a flush still takes it: on a throttled pool every flush span
+/// lasts at least the modeled write of the bytes it copied.
+#[test]
+fn flush_spans_last_their_modeled_device_time() {
+    let _x = trace::exclusive();
+    trace::enable(1 << 16, 1, false);
+    let nvm = DeviceModel::nvm();
+    let db = MioDb::open(MioOptions {
+        memtable_bytes: 256 * 1024,
+        nvm_device: nvm,
+        ..MioOptions::small_for_tests()
+    })
+    .unwrap();
+    let value = vec![0x5Au8; 1024];
+    for i in 0..2000u32 {
+        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
+    }
+    db.wait_idle().unwrap();
+    let spans = trace::drain();
+    trace::disable();
+    let stats = db.report().stats;
+    db.close().unwrap();
+
+    let flushes: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Flush).collect();
+    assert!(
+        flushes.len() >= 4,
+        "expected several flushes, saw {}",
+        flushes.len()
+    );
+    for s in &flushes {
+        let modeled = nvm.write_delay_ns(s.arg as usize);
+        let took = s.end_ns - s.start_ns;
+        assert!(
+            took >= modeled,
+            "flush of {} B took {took} ns, modeled {modeled} ns",
+            s.arg
+        );
+    }
+    // The flusher and compactors charged their device time as background
+    // time; the writer only its own WAL appends and inserts.
+    assert!(stats.device_model_bg_ns >= flushes.len() as u64 * nvm.write_delay_ns(0));
+    assert!(stats.device_model_fg_ns > 0);
 }
 
 #[test]
