@@ -46,7 +46,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState};
 use crate::options::{MioOptions, RepositoryMode};
-use crate::read::{publish_mem, republish, Version};
+use crate::read::{publish_mem, repo_run, republish, Version};
 use crate::repository::Repository;
 use crate::table::{MemTable, PmTable};
 
@@ -222,6 +222,10 @@ pub(crate) struct Inner {
     pub(crate) current: RwLock<Arc<Version>>,
     pub(crate) repo: Repository,
     repo_writer: Mutex<()>,
+    /// The repository's run epoch: odd while a lazy-copy run writes it,
+    /// even between runs (`read::repo_run`). Fenced repository probes are
+    /// checked against it.
+    pub(crate) repo_epoch: AtomicU64,
     /// Bytes of elastic-buffer arenas not yet back in the pool: every
     /// PMTable arena lease is counted in this gauge from flush (or
     /// recovery) until its region is actually freed.
@@ -452,6 +456,9 @@ impl MioDb {
             active: active.clone(),
             imm: None,
             levels: levels.iter().map(Level::view).collect(),
+            // After the resumed drain: nothing writes the repository again
+            // before the lazy worker's first run.
+            repo_fences: repo.build_fences(0).map(Arc::new),
         }));
         let inner = Arc::new(Inner {
             opts,
@@ -474,6 +481,7 @@ impl MioDb {
             current,
             repo,
             repo_writer: Mutex::new(()),
+            repo_epoch: AtomicU64::new(0),
             elastic_bytes,
             manifest,
             shutdown: AtomicBool::new(false),
@@ -1764,24 +1772,27 @@ fn lazy_worker(inner: Arc<Inner>) {
         // Retried with backoff on failure: each attempt re-reads the intact
         // PMTable and re-applies with the same sequence numbers, so a
         // partially applied earlier attempt is simply overwritten
-        // (idempotent) rather than doubled.
-        let drained: Result<()> = with_bg_retries(&inner, || {
-            if fault::hit(fault::points::ENGINE_LAZY).is_some() {
-                return Err(Error::Background("injected lazy-copy failure".to_string()));
-            }
-            let merged = dedup_newest(table.list.iter(), false);
-            match &inner.repo {
-                Repository::Pm(_) => {
-                    for e in merged {
-                        inner.repo.apply(&e.key, &e.value, e.seq, e.kind)?;
+        // (idempotent) rather than doubled. All attempts are one run: the
+        // fences are rebuilt once, after the last.
+        let drained: Result<()> = repo_run(&inner, || {
+            with_bg_retries(&inner, || {
+                if fault::hit(fault::points::ENGINE_LAZY).is_some() {
+                    return Err(Error::Background("injected lazy-copy failure".to_string()));
+                }
+                let merged = dedup_newest(table.list.iter(), false);
+                match &inner.repo {
+                    Repository::Pm(_) => {
+                        for e in merged {
+                            inner.repo.apply(&e.key, &e.value, e.seq, e.kind)?;
+                        }
+                    }
+                    Repository::Lsm(_) => {
+                        let entries: Vec<OwnedEntry> = merged.collect();
+                        inner.repo.ingest_run(entries.into_iter())?;
                     }
                 }
-                Repository::Lsm(_) => {
-                    let entries: Vec<OwnedEntry> = merged.collect();
-                    inner.repo.ingest_run(entries.into_iter())?;
-                }
-            }
-            Ok(())
+                Ok(())
+            })
         });
         drop(repo_writer);
         if let Err(e) = drained {
@@ -2071,7 +2082,7 @@ impl MioDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::AFTER_LEVEL_PROBE;
+    use crate::read::{AFTER_LEVEL_PROBE, AFTER_REPO_PROBE};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2626,6 +2637,184 @@ mod tests {
             towers in 0usize..3,
         ) {
             check_fenced_get(seed, keys, towers)?;
+        }
+    }
+
+    /// Applies `entries` to the repository as one lazy-copy run, as the
+    /// lazy worker does.
+    fn repo_run_of(inner: &Inner, entries: impl IntoIterator<Item = OwnedEntry>) {
+        let _writer = inner.repo_writer.lock();
+        repo_run(inner, || {
+            for e in entries {
+                inner.repo.apply(&e.key, &e.value, e.seq, e.kind).unwrap();
+            }
+        });
+    }
+
+    fn put_entry(key: &[u8], value: &[u8], seq: u64) -> OwnedEntry {
+        OwnedEntry {
+            key: key.to_vec(),
+            value: value.to_vec(),
+            seq,
+            kind: OpKind::Put,
+        }
+    }
+
+    /// A fenced repository probe for the key right after a fence node
+    /// misses; then, before its run-epoch re-check, a lazy-copy run
+    /// updates the fence's key — bypassing the fence node — and inserts
+    /// the key. The GET must see the epoch move and answer by the head
+    /// descent: the fence node's own links skip the new key.
+    #[test]
+    fn fenced_repo_miss_retries_when_a_run_moves_under_it() {
+        let d = db();
+        let inner = d.inner.clone();
+        repo_run_of(
+            &inner,
+            (0..2000u32).map(|i| put_entry(format!("key{:06}", 2 * i).as_bytes(), b"old", 1)),
+        );
+        let f = inner.version().repo_fences.clone().unwrap();
+        assert_eq!((f.epoch, inner.repo_epoch.load(Ordering::Acquire)), (2, 2));
+        let mut fence_keys = Vec::new();
+        f.list.walk_level(crate::table::FENCE_LEVEL, |k, _| {
+            fence_keys.push(k.to_vec())
+        });
+        assert_eq!(fence_keys.len(), f.fences.count());
+        let fence = fence_keys[fence_keys.len() / 2].clone();
+        let mut after = fence.clone();
+        after.push(0);
+
+        let runner = inner.clone();
+        let (fence_key, new_key) = (fence.clone(), after.clone());
+        AFTER_REPO_PROBE.with(|h| {
+            h.set(Some(Box::new(move || {
+                repo_run_of(
+                    &runner,
+                    [
+                        put_entry(&fence_key, b"updated", 2),
+                        put_entry(&new_key, b"new", 2),
+                    ],
+                );
+            })))
+        });
+        let fallbacks = || d.stats().repo_index_fallbacks.load(Ordering::Relaxed);
+        let before = fallbacks();
+        assert_eq!(d.get(&after).unwrap().as_deref(), Some(&b"new"[..]));
+        assert!(
+            AFTER_REPO_PROBE.with(std::cell::Cell::take).is_none(),
+            "the run ran under the probe"
+        );
+        assert_eq!(fallbacks(), before + 1);
+        // The fence node is bypassed: a probe through the stale fences
+        // would still miss.
+        assert!(f.get(&after).is_none());
+        // The run published fences for its epoch, and probes use them again.
+        assert_eq!(d.get(&after).unwrap().as_deref(), Some(&b"new"[..]));
+        assert_eq!(d.get(&fence).unwrap().as_deref(), Some(&b"updated"[..]));
+        assert_eq!(fallbacks(), before + 1);
+        assert_eq!(inner.version().repo_fences.as_ref().unwrap().epoch, 4);
+    }
+
+    /// The fenced repository probe answers as the head descent does, for
+    /// every key in `probes`, every fence key and keys between them, on
+    /// `d`'s published fences — with no fallback.
+    fn assert_fenced_repo_get_matches(d: &MioDb, probes: &[Vec<u8>]) -> TestCaseResult {
+        let inner = &*d.inner;
+        let v = inner.version();
+        let f = v.repo_fences.as_deref().expect("a huge-PMTable repository");
+        prop_assert_eq!(f.epoch, inner.repo_epoch.load(Ordering::Acquire));
+        let Repository::Pm(repo) = &inner.repo else {
+            unreachable!("a huge-PMTable repository")
+        };
+        let mut keys = probes.to_vec();
+        f.list
+            .walk_level(crate::table::FENCE_LEVEL, |k, _| keys.push(k.to_vec()));
+        prop_assert_eq!(keys.len() - probes.len(), f.fences.count());
+        for i in 0..keys.len() {
+            let mut between = keys[i].clone();
+            between.push(0);
+            keys.push(between);
+        }
+        keys.extend([b"".to_vec(), b"z".to_vec()]);
+        let fallbacks = inner.stats.repo_index_fallbacks.load(Ordering::Relaxed);
+        for key in &keys {
+            let fenced = inner.repo_get(Some(f), key).unwrap();
+            prop_assert_eq!(fenced, repo.get(key), "key {:?}", key);
+        }
+        prop_assert_eq!(
+            inner.stats.repo_index_fallbacks.load(Ordering::Relaxed),
+            fallbacks
+        );
+        Ok(())
+    }
+
+    /// Lazy-copy runs of random tables — 1–3 versions a key, tombstones —
+    /// into the repository, so runs insert, update (bypass) and delete
+    /// (unlink); then a snapshot with one more drain in flight, recovered,
+    /// which resumes the drain before the fences are built.
+    fn check_fenced_repo_get(seed: u64, runs: usize, keys: usize) -> TestCaseResult {
+        let opts = MioOptions {
+            nvm_pool_bytes: 8 << 20,
+            ..MioOptions::small_for_tests()
+        };
+        let d = MioDb::open(opts.clone()).unwrap();
+        let inner = &*d.inner;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let probes: Vec<Vec<u8>> = (0..2 * keys + 2)
+            .map(|i| format!("k{i:05}").into_bytes())
+            .collect();
+        let mut table = |run: u64| {
+            let recs = versioned(&mut rng, keys, run << 32, None);
+            let recs: Vec<Rec> = recs.into_iter().filter(|_| rng.gen_bool(0.6)).collect();
+            flushed_table(&inner.dram, &inner.nvm, &inner.elastic_bytes, &recs)
+        };
+        for run in 1..=runs as u64 {
+            let t = table(run);
+            repo_run_of(inner, dedup_newest(t.list.iter(), false));
+            assert_fenced_repo_get_matches(&d, &probes)?;
+        }
+
+        let draining = table(runs as u64 + 1);
+        let b = opts.elastic_levels - 1;
+        let set_draining = |t: Option<Arc<PmTable>>| {
+            let mut levels = inner.levels.lock();
+            levels[b].lazy_draining = t;
+            store_manifest_locked(inner, &levels).unwrap();
+            republish(inner, &levels, &[b]);
+        };
+        set_draining(Some(draining.clone()));
+        let path = std::env::temp_dir().join(format!(
+            "miodb-repo-fences-{}-{seed:x}-{runs}-{keys}.snap",
+            std::process::id()
+        ));
+        d.snapshot(&path).unwrap();
+        set_draining(None);
+        repo_run_of(inner, dedup_newest(draining.list.iter(), false));
+        let restored = PmemPool::restore_from_file(
+            &path,
+            DeviceModel::nvm_unthrottled(),
+            Arc::new(Stats::new()),
+        )
+        .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let r = MioDb::recover(restored, opts).unwrap();
+        assert_fenced_repo_get_matches(&r, &probes)?;
+        for key in &probes {
+            prop_assert_eq!(r.inner.repo.get(key).unwrap(), inner.repo.get(key).unwrap());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn fenced_repo_get_matches_the_head_descent(
+            seed in any::<u64>(),
+            runs in 1usize..5,
+            keys in 1usize..300,
+        ) {
+            check_fenced_repo_get(seed, runs, keys)?;
         }
     }
 

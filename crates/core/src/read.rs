@@ -1,18 +1,20 @@
 //! The read path: the published [`Version`] readers load, the helpers
 //! that republish it, and `get` and `scan` over it. The write and
 //! background paths in [`db`](crate::db) change `mem` and `levels` under
-//! their locks and republish here; readers never take those locks.
+//! their locks and republish here, and write the repository in runs
+//! through [`repo_run`]; readers never take those locks.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
 
 use miodb_common::trace::{self, SpanKind};
 use miodb_common::{OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
-use miodb_skiplist::InsertionMark;
+use miodb_skiplist::{InsertionMark, LookupResult};
 
 use crate::db::{Inner, Level, MemState, MioDb};
+use crate::repository::RepoFences;
 use crate::table::MemTable;
 
 /// Everything a GET or a scan reads, published as one immutable value:
@@ -22,18 +24,24 @@ use crate::table::MemTable;
 ///
 /// It is republished, under the lock that guards the mutation, at every
 /// structural transition: `mem` changes through [`publish_mem`], `levels`
-/// changes through [`republish`]. So the published `Version` never lags
-/// the locked state a reader could otherwise have seen. Lock order:
-/// `levels` before `mem` before the `Version`; nothing takes `levels` or
-/// `mem` while holding the `Version`.
+/// changes through [`republish`], and the repository's fences through
+/// [`repo_run`]. So the published `Version` never lags the locked state a
+/// reader could otherwise have seen. Lock order: `levels` before `mem`
+/// before the `Version`, and the repository writer before the `Version`;
+/// nothing takes `levels`, `mem` or the repository writer while holding
+/// the `Version`.
 ///
 /// The `Version` holds each table it names, so a retired table's arenas
 /// return to the pool only once it is republished without them and every
 /// reader that loaded an older one has let go.
+#[derive(Clone)]
 pub(crate) struct Version {
     pub(crate) active: Arc<MemTable>,
     pub(crate) imm: Option<Arc<MemTable>>,
     pub(crate) levels: Arc<[LevelView]>,
+    /// The huge-PMTable repository's fences as the last lazy-copy run left
+    /// them (`None` for the LSM repository); see `Inner::repo_get`.
+    pub(crate) repo_fences: Option<Arc<RepoFences>>,
 }
 
 /// One level of a [`Version`]: its state and the structural version
@@ -59,9 +67,8 @@ pub(crate) fn republish(inner: &Inner, levels: &[Level], changed: &[usize]) {
     // The replaced `Version` drops under the write lock, so a table it
     // held last is freed before any reader can load the new one.
     *current = Arc::new(Version {
-        active: current.active.clone(),
-        imm: current.imm.clone(),
         levels: levels.iter().map(Level::view).collect(),
+        ..Version::clone(&current)
     });
 }
 
@@ -72,8 +79,33 @@ pub(crate) fn publish_mem(inner: &Inner, mem: &MemState) {
     *current = Arc::new(Version {
         active: mem.active.clone(),
         imm: mem.imm.clone(),
-        levels: current.levels.clone(),
+        ..Version::clone(&current)
     });
+}
+
+/// Runs `apply`, which writes the repository, as one lazy-copy run: a
+/// seqlock with the lazy worker as its one writer. The run epoch is odd
+/// while `apply` links and unlinks nodes; then the fences are rebuilt —
+/// one walk of level [`FENCE_LEVEL`](crate::table::FENCE_LEVEL), charged
+/// to the caller — the epoch turns even, and the fences, tagged with it,
+/// are published. Callers hold the repository writer.
+pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce() -> T) -> T {
+    let epoch = inner.repo_epoch.load(Ordering::Relaxed);
+    inner.repo_epoch.store(epoch + 1, Ordering::Relaxed);
+    // Orders the odd epoch before every link store of the run: a probe
+    // that loads one of those stores sees the odd epoch at its re-check.
+    atomic::fence(Ordering::Release);
+    let out = apply();
+    let fences = inner.repo.build_fences(epoch + 2);
+    inner.repo_epoch.store(epoch + 2, Ordering::Release);
+    if let Some(fences) = fences {
+        let mut current = inner.current.write();
+        *current = Arc::new(Version {
+            repo_fences: Some(Arc::new(fences)),
+            ..Version::clone(&current)
+        });
+    }
+    out
 }
 
 impl Level {
@@ -92,6 +124,40 @@ impl Inner {
     pub(crate) fn version(&self) -> Arc<Version> {
         self.current.read().clone()
     }
+
+    /// The repository's version of `key`, through `fences` — the ones the
+    /// loaded `Version` carries — when they are exact for the list.
+    ///
+    /// They are while the run epoch equals their tag: no run is in
+    /// progress, and none ended since they were built. Repository nodes are
+    /// never freed while the engine runs, and every link store is Release.
+    /// So a probe that loaded none of a later run's link stores walked the
+    /// list the fences were built over, and a probe that loaded one sees
+    /// that run's odd epoch after the Acquire fence. A probe whose epoch
+    /// moved, or that started during a run or before the fences of the
+    /// last one were published, is answered by the head descent.
+    pub(crate) fn repo_get(
+        &self,
+        fences: Option<&RepoFences>,
+        key: &[u8],
+    ) -> Result<Option<LookupResult>> {
+        let Some(f) = fences else {
+            return self.repo.get(key);
+        };
+        let epoch = self.repo_epoch.load(Ordering::Acquire);
+        if epoch == f.epoch {
+            let found = f.get(key);
+            after_repo_probe();
+            atomic::fence(Ordering::Acquire);
+            if self.repo_epoch.load(Ordering::Relaxed) == epoch {
+                return Ok(found);
+            }
+        }
+        self.stats
+            .repo_index_fallbacks
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(f.list.get(key))
+    }
 }
 
 #[cfg(test)]
@@ -109,6 +175,24 @@ thread_local! {
 fn after_level_probe() {
     #[cfg(test)]
     if let Some(hook) = AFTER_LEVEL_PROBE.with(std::cell::Cell::take) {
+        hook();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs once, in the next fenced repository probe on this thread,
+    /// after the probe and before its run-epoch re-check.
+    pub(crate) static AFTER_REPO_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The point where a test runs a lazy-copy run under a finished fenced
+/// repository probe; nothing outside the tests.
+#[inline]
+fn after_repo_probe() {
+    #[cfg(test)]
+    if let Some(hook) = AFTER_REPO_PROBE.with(std::cell::Cell::take) {
         hook();
     }
 }
@@ -252,9 +336,9 @@ impl MioDb {
             }
         }
 
-        // 3. Data repository.
+        // 3. Data repository, through its fences when they are current.
         let _repo_span = trace::span(SpanKind::RepoProbe);
-        if let Some(r) = inner.repo.get(key)? {
+        if let Some(r) = inner.repo_get(v.repo_fences.as_deref(), key)? {
             if r.kind == OpKind::Put {
                 inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(r.value));

@@ -6,7 +6,31 @@ use miodb_common::{OpKind, Result, SequenceNumber, Stats};
 use miodb_lsm::{LsmCore, LsmOptions};
 use miodb_pmem::{DeviceModel, PmemPool};
 use miodb_skiplist::iter::OwnedEntry;
-use miodb_skiplist::{GrowableSkipList, LookupResult};
+use miodb_skiplist::{GrowableSkipList, LookupResult, SkipList};
+
+use crate::table::Fences;
+
+/// DRAM fences over the huge-PMTable repository, exact for its list as the
+/// lazy-copy run that ended at run epoch `epoch` left it. The lazy worker
+/// builds a new array at the end of every run; the engine probes through
+/// one only while the repository's run epoch still equals `epoch`.
+#[derive(Debug)]
+pub struct RepoFences {
+    /// The run epoch the fences were built for. Always even: odd epochs
+    /// are runs in progress.
+    pub epoch: u64,
+    /// Read view of the repository.
+    pub list: SkipList,
+    /// The fences over `list`.
+    pub fences: Fences,
+}
+
+impl RepoFences {
+    /// The repository's version of `key`, through the fences.
+    pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
+        self.fences.get(&self.list, key)
+    }
+}
 
 /// The destination of lazy-copy compactions.
 ///
@@ -106,6 +130,25 @@ impl Repository {
                 seq: e.seq,
                 kind: e.kind,
             })),
+        }
+    }
+
+    /// Fences over the huge-PMTable repository as it is now, tagged with
+    /// run epoch `epoch`: one walk of level
+    /// [`FENCE_LEVEL`](crate::table::FENCE_LEVEL), charged to the calling
+    /// thread. `None` for the LSM repository. The caller holds the
+    /// repository writer.
+    pub fn build_fences(&self, epoch: u64) -> Option<RepoFences> {
+        match self {
+            Repository::Pm(r) => {
+                let list = r.list();
+                Some(RepoFences {
+                    epoch,
+                    fences: Fences::build(&list),
+                    list,
+                })
+            }
+            Repository::Lsm(_) => None,
         }
     }
 

@@ -71,6 +71,17 @@ impl Fences {
     pub fn count(&self) -> usize {
         self.nodes.len()
     }
+
+    /// The newest version of `key` in `list` (tombstones included): a
+    /// binary search of the fences in DRAM, then a descent of the levels
+    /// below [`FENCE_LEVEL`] from the fence found (or from the head).
+    ///
+    /// Exact only while `list` is as it was when the fences were built;
+    /// callers check that it still is.
+    pub fn get(&self, list: &SkipList, key: &[u8]) -> Option<LookupResult> {
+        let start = self.start_for(key).unwrap_or(list.head());
+        list.get_from(start, FENCE_LEVEL, key)
+    }
 }
 
 /// A persistent, immutable-by-writers skip-list table in the elastic
@@ -126,17 +137,14 @@ impl PmTable {
         }
     }
 
-    /// The newest version of `key` in the table (tombstones included): a
-    /// binary search of the fences in DRAM, then a descent of the levels
-    /// below [`FENCE_LEVEL`] from the fence found (or from the head).
+    /// The newest version of `key` in the table (tombstones included),
+    /// through its fences ([`Fences::get`]).
     ///
-    /// Exact only while the list is as it was when the fences were built.
     /// Once a merge re-links the table, a fence may have moved into the
     /// other input, and the walk from it can reach that input's older
     /// version; the engine validates every hit against the level version.
     pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
-        let start = self.fences.start_for(key).unwrap_or(self.list.head());
-        self.list.get_from(start, FENCE_LEVEL, key)
+        self.fences.get(&self.list, key)
     }
 
     /// Total NVM bytes held by this table's arenas.

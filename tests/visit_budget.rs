@@ -1,5 +1,6 @@
 //! Exact device-access budgets of the two background movers, and of a
-//! point lookup through a settled table's DRAM fences.
+//! point lookup through the DRAM fences of a settled table or of the data
+//! repository.
 //!
 //! Zero-copy merge and lazy copy take their inputs in ascending key order
 //! and resume each search from where the last one ended (a *finger*)
@@ -229,4 +230,46 @@ fn a_fenced_get_reads_a_constant_number_of_nodes() {
     println!("get in {N}: {fenced:.2} visits fenced, {head:.2} from the head");
     assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
     assert!(head >= 20.0, "from the head: {head:.2} visits a get");
+}
+
+#[test]
+fn a_fenced_repository_get_reads_a_constant_number_of_nodes() {
+    // The repository of `lazy_copy_run_reads_few_nodes_per_applied_record`,
+    // six sorted runs of 62 000 as `fill`'s drains deliver them, with the
+    // fences rebuilt after each run as the lazy worker rebuilds them.
+    const RUN: usize = 62_000;
+    const RUNS: usize = 6;
+    let p = pool(64 << 20);
+    let repo = GrowableSkipList::new(p.clone(), 48 << 20).unwrap();
+    let mut r = StdRng::seed_from_u64(6);
+    let mut stored = Vec::new();
+    let mut fences = Fences::default();
+    for run in 0..RUNS {
+        let mut keys: Vec<u64> = (0..RUN).map(|_| r.next_u64()).collect();
+        keys.sort_unstable();
+        for &k in &keys {
+            repo.apply(&key(k), &[7u8; VLEN as usize], 1 + run as u64, OpKind::Put)
+                .unwrap();
+        }
+        stored.extend(keys);
+        let before = p.stats().snapshot();
+        fences = Fences::build(&repo.list());
+        let io = p.stats().snapshot().diff(&before);
+        assert_eq!(io.nvm_bytes_read, VISIT * fences.count() as u64);
+        assert_eq!(io.nvm_bytes_written, 0);
+    }
+    assert_eq!(repo.len(), RUNS * RUN);
+    let list = repo.list();
+    let probes: Vec<u64> = (0..2_000)
+        .map(|_| stored[r.gen_range(0..stored.len())])
+        .collect();
+    let fenced = visits_per_get(&p, &probes, |k| fences.get(&list, k));
+    let head = visits_per_get(&p, &probes, |k| repo.get(k));
+    println!(
+        "get in a repository of {}: {fenced:.2} visits fenced ({} fences), {head:.2} from the head",
+        RUNS * RUN,
+        fences.count()
+    );
+    assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
+    assert!(head >= 28.0, "from the head: {head:.2} visits a get");
 }
