@@ -357,8 +357,10 @@ impl KvEngine for MatrixKv {
             name: d.opts.name.clone(),
             nvm_used_bytes: d.row_store.total_bytes() + d.lsm.store().total_bytes(),
             nvm_peak_bytes: d.row_store.total_bytes(),
+            dram_huge_page_bytes: d.front.dram().huge_page_bytes(),
             tables_per_level: tables,
             stats: d.front.stats().snapshot(),
+            ..EngineReport::default()
         }
     }
 

@@ -266,6 +266,8 @@ impl KvEngine for NoveLsm {
             name: d.opts.name.clone(),
             nvm_used_bytes: d.nvm.used_bytes() + d.lsm.store().total_bytes(),
             nvm_peak_bytes: d.nvm.peak_bytes(),
+            nvm_huge_page_bytes: d.nvm.huge_page_bytes(),
+            dram_huge_page_bytes: d.front.dram().huge_page_bytes(),
             tables_per_level: d.lsm.tables_per_level(),
             stats: d.front.stats().snapshot(),
         }

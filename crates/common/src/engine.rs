@@ -24,6 +24,12 @@ pub struct EngineReport {
     pub nvm_used_bytes: u64,
     /// High-water mark of NVM pool usage.
     pub nvm_peak_bytes: u64,
+    /// Bytes of the NVM pool backed by transparent huge pages, read when
+    /// the pool was opened.
+    pub nvm_huge_page_bytes: u64,
+    /// Bytes of the MemTables' DRAM pool backed by transparent huge pages,
+    /// read when the pool was opened.
+    pub dram_huge_page_bytes: u64,
     /// Number of tables/runs per level, top to bottom.
     pub tables_per_level: Vec<usize>,
     /// Statistics snapshot.

@@ -251,6 +251,17 @@ pub fn register_engine(
         &[],
         report.nvm_peak_bytes as f64,
     );
+    for (pool, bytes) in [
+        ("nvm", report.nvm_huge_page_bytes),
+        ("dram", report.dram_huge_page_bytes),
+    ] {
+        r.gauge(
+            "miodb_pool_huge_page_bytes",
+            "Bytes of a pool's mapping backed by transparent huge pages, read at open.",
+            &[("pool", pool)],
+            bytes as f64,
+        );
+    }
 }
 
 /// Picks one histogram out of a collector.
@@ -422,6 +433,7 @@ mod tests {
         let report = EngineReport {
             name: "MioDB".to_string(),
             tables_per_level: vec![2, 1, 0],
+            nvm_huge_page_bytes: 4 << 20,
             ..Default::default()
         };
         let text = engine_text(&report, &[&t]);
@@ -438,6 +450,8 @@ mod tests {
             "miodb_engine_info{engine=\"MioDB\"} 1",
             "miodb_write_group_size{quantile=\"0.5\"}",
             "miodb_commit_queue_depth 2",
+            "miodb_pool_huge_page_bytes{pool=\"nvm\"} 4194304",
+            "miodb_pool_huge_page_bytes{pool=\"dram\"} 0",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

@@ -1855,6 +1855,8 @@ fn build_report(inner: &Inner) -> EngineReport {
         name: inner.opts.name.clone(),
         nvm_used_bytes: inner.nvm.used_bytes(),
         nvm_peak_bytes: inner.nvm.peak_bytes(),
+        nvm_huge_page_bytes: inner.nvm.huge_page_bytes(),
+        dram_huge_page_bytes: inner.dram.huge_page_bytes(),
         tables_per_level: tables,
         stats: inner.stats.snapshot(),
     }

@@ -170,8 +170,10 @@ impl KvEngine for LsmDb {
             name: self.db.opts.name.clone(),
             nvm_used_bytes: store.total_bytes(),
             nvm_peak_bytes: store.total_bytes(),
+            dram_huge_page_bytes: self.db.front.dram().huge_page_bytes(),
             tables_per_level: self.db.core.tables_per_level(),
             stats: self.db.front.stats().snapshot(),
+            ..EngineReport::default()
         }
     }
 

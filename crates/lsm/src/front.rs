@@ -123,6 +123,11 @@ impl MemFront {
         })
     }
 
+    /// The DRAM pool the MemTables are allocated from.
+    pub fn dram(&self) -> &Arc<PmemPool> {
+        &self.dram
+    }
+
     /// The engine's statistics.
     pub fn stats(&self) -> &Arc<Stats> {
         &self.stats

@@ -6,7 +6,10 @@
 //! - a single large, stable address space ([`PmemPool`]) from which arenas
 //!   are allocated — mirroring a DAX-mapped persistent region, so that
 //!   offsets ("pointers") stay valid across PMTables and for the pool's
-//!   whole lifetime;
+//!   whole lifetime. It is mapped as DAX maps Optane: one anonymous
+//!   mapping, 2 MiB-aligned, backed by transparent huge pages where the
+//!   host allows them ([`PmemPool::huge_page_bytes`]) and pre-faulted once
+//!   at open, so no access after open takes a page fault;
 //! - a calibrated **device timing model** ([`DeviceModel`]) that injects
 //!   read/write latency and bandwidth delays at access points, reproducing
 //!   the DRAM : NVM : SSD performance ratios the paper's results depend on;
@@ -38,6 +41,7 @@
 
 pub mod device;
 pub mod lease;
+mod mapping;
 pub mod pool;
 pub mod snapshot;
 

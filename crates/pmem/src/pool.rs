@@ -6,6 +6,10 @@
 //! remain valid across zero-copy compactions that link nodes of different
 //! arenas into one skip list.
 //!
+//! The pool's memory is one anonymous mapping, 2 MiB-aligned, huge-page
+//! backed and pre-faulted at open, as a DAX mapping of Optane is (the
+//! crate's `mapping` module); a zeroed heap block off Linux.
+//!
 //! Offset `0` is the universal NIL "pointer"; the first
 //! [`POOL_HEADER_BYTES`] of the pool are reserved for the manifest so no
 //! allocation can ever sit at offset 0.
@@ -22,8 +26,6 @@
 //!   [`PmemPool::atomic_u64`] (release stores by the single compactor of a
 //!   level, acquire loads by readers).
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +33,7 @@ use miodb_common::{fault, Error, Result, Stats};
 use parking_lot::Mutex;
 
 use crate::device::DeviceModel;
+use crate::mapping::Mapping;
 
 /// Bytes reserved at the front of every pool for the manifest header.
 pub const POOL_HEADER_BYTES: u64 = 64 * 1024;
@@ -113,8 +116,9 @@ impl FreeList {
 ///
 /// See the [crate docs](crate) for an example.
 pub struct PmemPool {
-    base: NonNull<u8>,
+    memory: Mapping,
     capacity: usize,
+    huge_page_bytes: u64,
     device: DeviceModel,
     stats: Arc<Stats>,
     free_list: Mutex<FreeList>,
@@ -124,7 +128,8 @@ pub struct PmemPool {
 
 // SAFETY: the pool hands out raw memory; synchronization of contents is the
 // documented responsibility of callers (atomics for link words, publish-
-// then-read for payloads). The allocator state is mutex-protected.
+// then-read for payloads). The mapping is owned by the pool alone and
+// unmapped only when it drops. The allocator state is mutex-protected.
 unsafe impl Send for PmemPool {}
 unsafe impl Sync for PmemPool {}
 
@@ -139,27 +144,15 @@ impl std::fmt::Debug for PmemPool {
     }
 }
 
-impl Drop for PmemPool {
-    fn drop(&mut self) {
-        // SAFETY: base was allocated in `new` with the same layout.
-        unsafe {
-            dealloc(
-                self.base.as_ptr(),
-                Layout::from_size_align_unchecked(self.capacity, POOL_ALIGN as usize),
-            );
-        }
-    }
-}
-
 impl PmemPool {
-    /// Creates a pool of `capacity` bytes (zero-initialized) charged to
-    /// `device`, with byte counters routed into `stats`.
+    /// Creates a pool of `capacity` bytes (zero-initialized and resident)
+    /// charged to `device`, with byte counters routed into `stats`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] if `capacity` is smaller than the
-    /// reserved header, and [`Error::PoolExhausted`] if the host allocation
-    /// fails.
+    /// reserved header, and [`Error::PoolExhausted`] if the host cannot map
+    /// it (address space exhausted, e.g. under `RLIMIT_AS`).
     pub fn new(capacity: usize, device: DeviceModel, stats: Arc<Stats>) -> Result<Arc<PmemPool>> {
         if (capacity as u64) < POOL_HEADER_BYTES * 2 {
             return Err(Error::InvalidArgument(format!(
@@ -168,16 +161,13 @@ impl PmemPool {
             )));
         }
         let capacity = (capacity as u64 & !(POOL_ALIGN - 1)) as usize;
-        let layout = Layout::from_size_align(capacity, POOL_ALIGN as usize)
-            .map_err(|e| Error::InvalidArgument(e.to_string()))?;
-        // SAFETY: layout has non-zero size (checked above).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let base = NonNull::new(raw).ok_or(Error::PoolExhausted {
+        let memory = Mapping::new(capacity).ok_or(Error::PoolExhausted {
             requested: capacity,
             available: 0,
         })?;
         Ok(Arc::new(PmemPool {
-            base,
+            huge_page_bytes: memory.huge_page_bytes(),
+            memory,
             capacity,
             device,
             stats,
@@ -190,6 +180,12 @@ impl PmemPool {
     /// Total pool capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Bytes of the pool the host backs with transparent huge pages, read
+    /// once at open; 0 with THP off or off Linux.
+    pub fn huge_page_bytes(&self) -> u64 {
+        self.huge_page_bytes
     }
 
     /// Bytes currently allocated.
@@ -293,7 +289,7 @@ impl PmemPool {
         debug_assert!((off as usize) < self.capacity);
         // SAFETY: offset checked against capacity (debug); base is valid for
         // the pool's lifetime.
-        unsafe { self.base.as_ptr().add(off as usize) }
+        unsafe { self.memory.base().as_ptr().add(off as usize) }
     }
 
     /// Charges (and delays for) a modeled device read of `bytes` without
@@ -424,7 +420,7 @@ impl PmemPool {
     /// [`snapshot`](crate::snapshot)).
     pub(crate) fn raw_parts(&self) -> (*const u8, u64, Vec<(u64, u64)>) {
         let fl = self.free_list.lock();
-        (self.base.as_ptr(), fl.high_water, fl.holes.clone())
+        (self.memory.base().as_ptr(), fl.high_water, fl.holes.clone())
     }
 
     /// Rebuilds allocator state after a restore.
@@ -440,7 +436,7 @@ impl PmemPool {
 
     /// Raw mutable pointer for restore.
     pub(crate) fn base_ptr(&self) -> *mut u8 {
-        self.base.as_ptr()
+        self.memory.base().as_ptr()
     }
 }
 

@@ -131,13 +131,17 @@ impl<E: KvEngine> KvEngine for ShardRouter<E> {
 
     fn report(&self) -> EngineReport {
         let agg = Stats::new();
-        let mut nvm_used = 0u64;
-        let mut nvm_peak = 0u64;
+        let mut total = EngineReport {
+            name: self.name.clone(),
+            ..EngineReport::default()
+        };
         let mut tables: Vec<usize> = Vec::new();
         for s in &self.shards {
             let r = s.report();
-            nvm_used += r.nvm_used_bytes;
-            nvm_peak += r.nvm_peak_bytes;
+            total.nvm_used_bytes += r.nvm_used_bytes;
+            total.nvm_peak_bytes += r.nvm_peak_bytes;
+            total.nvm_huge_page_bytes += r.nvm_huge_page_bytes;
+            total.dram_huge_page_bytes += r.dram_huge_page_bytes;
             if tables.len() < r.tables_per_level.len() {
                 tables.resize(r.tables_per_level.len(), 0);
             }
@@ -147,11 +151,9 @@ impl<E: KvEngine> KvEngine for ShardRouter<E> {
             agg.merge(&r.stats);
         }
         EngineReport {
-            name: self.name.clone(),
-            nvm_used_bytes: nvm_used,
-            nvm_peak_bytes: nvm_peak,
             tables_per_level: tables,
             stats: agg.snapshot(),
+            ..total
         }
     }
 
