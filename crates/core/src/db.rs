@@ -46,7 +46,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState};
 use crate::options::{MioOptions, RepositoryMode};
-use crate::read::{publish_mem, repo_run, republish, Version};
+use crate::read::{publish, repo_run, Version};
 use crate::repository::Repository;
 use crate::table::{MemTable, PmTable};
 
@@ -185,7 +185,7 @@ pub(crate) struct Level {
     pub(crate) mark: InsertionMark,
     /// Scans exclude zero-copy pointer motion through this gate.
     pub(crate) gate: Arc<Mutex<()>>,
-    /// Structural version, bumped by [`republish`] whenever a table
+    /// Structural version, bumped by [`Version::relinked`] whenever a table
     /// changes role: settled ↔ merging ↔ lazy-draining ↔ pushed down.
     /// Readers probe a level as one [`Version`] published it; if the
     /// version moved by the time their probe ends, a table may have been
@@ -212,14 +212,17 @@ pub(crate) struct Inner {
     /// Group-commit queue: contended writers coordinate here before the
     /// leader takes `write_mutex` on the whole group's behalf.
     commit: CommitQueue,
-    imm_cv: Condvar,
-    flush_flag: Mutex<bool>,
-    flush_cv: Condvar,
     pub(crate) levels: Mutex<Vec<Level>>,
-    level_cv: Condvar,
     /// The published [`Version`]: what readers load instead of taking
     /// `mem` and `levels`.
     pub(crate) current: RwLock<Arc<Version>>,
+    /// The engine's wait lock: every wait checks its predicate under it
+    /// ([`Inner::wait_until`]) and every wake takes it ([`Inner::wake`]).
+    /// A leaf but for the `Version`, which waiters load while holding it.
+    pub(crate) changed: Mutex<()>,
+    /// The one waker: notified at every publish and every other change a
+    /// wait checks.
+    pub(crate) wakeup: Condvar,
     pub(crate) repo: Repository,
     repo_writer: Mutex<()>,
     /// The repository's run epoch: odd while a lazy-copy run writes it,
@@ -231,7 +234,7 @@ pub(crate) struct Inner {
     /// recovery) until its region is actually freed.
     elastic_bytes: Arc<AtomicU64>,
     manifest: Manifest,
-    shutdown: AtomicBool,
+    pub(crate) shutdown: AtomicBool,
     /// Set by [`MioDb::close`] before the final flush: refuses new writes
     /// while the in-flight commit-queue groups and MemTables drain.
     closing: AtomicBool,
@@ -244,7 +247,7 @@ pub(crate) struct Inner {
     /// The first background failure (set once; later ones are dropped so
     /// the root cause stays visible). Reading it is one atomic load, so
     /// every write checks it.
-    bg_error: OnceLock<String>,
+    pub(crate) bg_error: OnceLock<String>,
     /// Telemetry collectors: op-latency histograms, per-level gauges and
     /// the timed-interval guard.
     telemetry: EngineTelemetry,
@@ -473,12 +476,10 @@ impl MioDb {
                 len: AtomicUsize::new(0),
                 cv: Condvar::new(),
             },
-            imm_cv: Condvar::new(),
-            flush_flag: Mutex::new(false),
-            flush_cv: Condvar::new(),
             levels: Mutex::new(levels),
-            level_cv: Condvar::new(),
             current,
+            changed: Mutex::new(()),
+            wakeup: Condvar::new(),
             repo,
             repo_writer: Mutex::new(()),
             repo_epoch: AtomicU64::new(0),
@@ -584,10 +585,7 @@ impl MioDb {
         {
             return Err(Error::Closed);
         }
-        if let Some(msg) = self.inner.bg_error.get() {
-            return Err(Error::Background(msg.clone()));
-        }
-        Ok(())
+        self.inner.background()
     }
 
     fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
@@ -649,7 +647,7 @@ impl MioDb {
     /// replication ack level on it after the mutex is released.
     fn commit_locked(
         &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
+        _writers: parking_lot::MutexGuard<'_, ()>,
         ops: &[GroupOp<'_>],
     ) -> Result<SequenceNumber> {
         let inner = &*self.inner;
@@ -662,7 +660,7 @@ impl MioDb {
             }
             // Do not pin the full MemTable in DRAM across the rotation.
             drop(active);
-            self.rotate_memtable(Some(&mut guard), need as usize + GROUP_ROTATE_SLACK)?;
+            self.rotate_memtable(need as usize + GROUP_ROTATE_SLACK)?;
         };
         // Every sequence-counter update holds the writer mutex, so the
         // range read here is ours until the `fetch_add` below claims it.
@@ -898,33 +896,29 @@ impl MioDb {
     /// Returns background-thread failures observed while draining; the
     /// engine still shuts down.
     pub fn close(&self) -> Result<()> {
-        let inner = &*self.inner;
-        if inner.closing.swap(true, Ordering::AcqRel) {
-            // Another closer (or a prior close) owns the drain; wait for
-            // the handoff point where background work is stopped.
-            while !inner.shutdown.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            for t in self.threads.lock().drain(..) {
-                let _ = t.join();
-            }
+        if self.inner.closing.swap(true, Ordering::AcqRel) {
+            // Another closer (or a prior close) owns the drain. A worker
+            // exits only at shutdown or on a background error, so joining
+            // them waits for that closer to stop them.
+            self.join_workers();
             return Ok(());
         }
         let drained = self.drain_for_close();
-        inner.shutdown.store(true, Ordering::Release);
-        inner.flush_cv.notify_all();
-        {
-            let _writers = inner.write_mutex.lock();
-            inner.imm_cv.notify_all();
-        }
-        {
-            let _levels = inner.levels.lock();
-            inner.level_cv.notify_all();
-        }
+        self.stop_workers();
+        drained
+    }
+
+    /// Stores `shutdown`, wakes every wait and joins the workers.
+    fn stop_workers(&self) {
+        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.wake();
+        self.join_workers();
+    }
+
+    fn join_workers(&self) {
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
-        drained
     }
 
     /// The close-time drain: waits out the commit queue, flushes the
@@ -933,28 +927,22 @@ impl MioDb {
     /// writer finishes.
     fn drain_for_close(&self) -> Result<()> {
         let inner = &*self.inner;
-        let bg_failed = |inner: &Inner| -> Result<()> {
-            match inner.bg_error.get() {
-                Some(msg) => Err(Error::Background(msg.clone())),
-                None => Ok(()),
-            }
-        };
         loop {
             // In-flight groups: leaders hold the writer mutex until the
             // whole group's WAL record and MemTable inserts land, so an
             // empty queue means every acknowledged grouped write is
-            // applied.
-            while !inner.commit.queue.lock().is_empty() {
-                bg_failed(inner)?;
-                std::thread::sleep(Duration::from_micros(50));
+            // applied. Every leader notifies `commit.cv` after its pop.
+            {
+                let mut q = inner.commit.queue.lock();
+                while !q.is_empty() {
+                    inner.background()?;
+                    inner.commit.cv.wait(&mut q);
+                }
             }
             // Let the flush worker finish any sealed MemTable.
-            while inner.mem.read().imm.is_some() {
-                bg_failed(inner)?;
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            inner.wait_until(None, |v| v.imm.is_none())?;
             {
-                let mut guard = inner.write_mutex.lock();
+                let _writers = inner.write_mutex.lock();
                 let active_empty = {
                     let mem = inner.mem.read();
                     mem.active.list().iter().next().is_none() && mem.imm.is_none()
@@ -964,11 +952,10 @@ impl MioDb {
                     // that raced past `closing` would have needed this
                     // mutex, so the engine is quiesced.
                     if inner.commit.queue.lock().is_empty() {
-                        drop(guard);
                         break;
                     }
                 } else {
-                    self.rotate_memtable(Some(&mut guard), 0)?;
+                    self.rotate_memtable(0)?;
                 }
             }
         }
@@ -993,57 +980,30 @@ impl MioDb {
             };
             match r {
                 Ok(()) => return Ok(()),
-                Err(Error::ArenaFull) => self.rotate_memtable(None, min_capacity(key, value))?,
+                Err(Error::ArenaFull) => self.rotate_memtable(min_capacity(key, value))?,
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Seals the active MemTable and installs a fresh one. If an immutable
-    /// MemTable is still being flushed this blocks — an **interval stall**
-    /// in the paper's terminology (in MioDB it is nearly always zero
-    /// because one-piece flushing is a single memcpy).
-    fn rotate_memtable(
-        &self,
-        guard: Option<&mut parking_lot::MutexGuard<'_, ()>>,
-        min_capacity: usize,
-    ) -> Result<()> {
+    /// Seals the active MemTable and installs a fresh one. Callers hold
+    /// the writer mutex. If an immutable MemTable is still being flushed
+    /// this blocks, the mutex held — an **interval stall** in the paper's
+    /// terminology; `core.interval_stalls` counts them.
+    fn rotate_memtable(&self, min_capacity: usize) -> Result<()> {
         let inner = &*self.inner;
         // Covers the whole rotation (stall wait, fresh-table allocation,
         // manifest store) — all of it is write-path wall time the caller
         // is blocked on. The annotation links the flush span this
         // rotation waits for (0 if none is in flight).
         let mut rotation_span = trace::span(SpanKind::RotationStall);
-        // Opened at the first sight of an unflushed `imm`; reports the
-        // interval stall when it drops, on the error returns too.
-        let mut stall = None;
-        let mut note_stall = || {
-            stall.get_or_insert_with(|| {
-                rotation_span.annotate(inner.telemetry.flush_span());
-                inner.telemetry.begin(Timed::Stall(StallKind::Interval))
-            });
-        };
-        match guard {
-            Some(guard) => {
-                while inner.mem.read().imm.is_some() {
-                    note_stall();
-                    inner.imm_cv.wait_for(guard, Duration::from_millis(5));
-                    if inner.shutdown.load(Ordering::Acquire) {
-                        return Err(Error::Closed);
-                    }
-                    if let Some(msg) = inner.bg_error.get() {
-                        return Err(Error::Background(msg.clone()));
-                    }
-                }
-            }
-            None => {
-                while inner.mem.read().imm.is_some() {
-                    note_stall();
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
+        if inner.mem.read().imm.is_some() {
+            rotation_span.annotate(inner.telemetry.flush_span());
+            // Reports the interval stall when it drops, on the error
+            // returns too.
+            let _stall = inner.telemetry.begin(Timed::Stall(StallKind::Interval));
+            inner.wait_until(None, |v| v.imm.is_none())?;
         }
-        drop(stall);
         let fresh = Arc::new(MemTable::new(
             &inner.dram,
             &inner.nvm,
@@ -1056,26 +1016,16 @@ impl MioDb {
             let mut mem = inner.mem.write();
             let old = std::mem::replace(&mut mem.active, fresh);
             mem.imm = Some(old);
-            publish_mem(inner, &mem);
+            // Wakes the flush worker, whatever the store below does.
+            publish(inner, |v| v.with_mem(&mem));
         }
-        // Wake the flush worker no matter how the manifest store below
-        // fares: once `imm` is set, failing to kick the worker would leave
-        // it sealed forever and every later rotation would stall on
-        // `imm.is_some()` with no background error to break the wait.
-        let kick_flush = || {
-            let mut flag = inner.flush_flag.lock();
-            *flag = true;
-            inner.flush_cv.notify_all();
-        };
         if let Err(e) = with_bg_retries(inner, || store_manifest(inner)) {
             // The manifest must reference the fresh WAL before writes into
             // it are acknowledged; degrade instead of risking silent loss
             // of those acknowledged writes on a crash.
             set_bg_error(inner, format!("manifest store failed: {e}"));
-            kick_flush();
             return Err(e);
         }
-        kick_flush();
         Ok(())
     }
 
@@ -1343,8 +1293,11 @@ fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
     threads
 }
 
+/// Records the first background failure and wakes every wait, so stalled
+/// writers and idle workers see it.
 fn set_bg_error(inner: &Inner, msg: String) {
     let _ = inner.bg_error.set(msg);
+    inner.wake();
 }
 
 /// Background-worker retry budget: a transient failure (injected fault,
@@ -1354,9 +1307,17 @@ const BG_RETRIES: u32 = 5;
 const BG_BACKOFF_BASE: Duration = Duration::from_millis(1);
 const BG_BACKOFF_MAX: Duration = Duration::from_millis(64);
 
+/// How often a flush blocked on the elastic-buffer cap re-checks it, and
+/// one blocked on a full pool retries: both wait for a region to be
+/// freed, which also happens when a reader drops the last `Version`
+/// holding its table, outside any publish.
+const CAP_RECHECK: Duration = Duration::from_micros(200);
+const POOL_RECHECK: Duration = Duration::from_micros(500);
+
 /// Runs `op`, retrying failures with exponential backoff instead of letting
-/// the calling worker thread die on the first error. Gives up early on
-/// shutdown and after [`BG_RETRIES`] attempts, returning the last error for
+/// the calling worker thread die on the first error. Gives up after
+/// [`BG_RETRIES`] attempts, and early at shutdown or once another worker
+/// failed, which cut the backoff wait short; returns the last error for
 /// the caller to report via [`set_bg_error`].
 fn with_bg_retries<T>(inner: &Inner, mut op: impl FnMut() -> Result<T>) -> Result<T> {
     let mut delay = BG_BACKOFF_BASE;
@@ -1365,11 +1326,11 @@ fn with_bg_retries<T>(inner: &Inner, mut op: impl FnMut() -> Result<T>) -> Resul
         match op() {
             Ok(v) => return Ok(v),
             Err(e) => {
-                if attempt >= BG_RETRIES || inner.shutdown.load(Ordering::Acquire) {
+                let backoff = Instant::now() + delay;
+                if attempt >= BG_RETRIES || inner.wait_until(Some(backoff), |_| false).is_err() {
                     return Err(e);
                 }
                 attempt += 1;
-                std::thread::sleep(delay);
                 delay = (delay * 2).min(BG_BACKOFF_MAX);
             }
         }
@@ -1382,57 +1343,45 @@ fn flush_worker(inner: Arc<Inner>) {
         // Settle: precedes waiting for the next rotation (pays the
         // manifest store that dropped the last flushed MemTable's WAL).
         device::settle_idle();
-        {
-            let mut flag = inner.flush_flag.lock();
-            while !*flag && !inner.shutdown.load(Ordering::Acquire) {
-                inner
-                    .flush_cv
-                    .wait_for(&mut flag, Duration::from_millis(100));
-            }
-            *flag = false;
-        }
-        let imm = inner.mem.read().imm.clone();
-        if let Some(imm) = imm {
-            // A failed flush is retried with backoff: everything before the
-            // level publish is side-effect free on error (the one-piece
-            // flush either completes or allocates nothing durable), and a
-            // rare post-publish manifest failure at worst re-flushes the
-            // same keys into a duplicate table, which reads dedupe and
-            // lazy-copy reclaims — never data loss.
-            let published = with_bg_retries(&inner, || flush_one(&inner, &imm));
-            // Settle: precedes clearing `imm`, which releases a stalled
-            // writer (pays the level-0 push's manifest store).
-            device::settle();
-            inner.telemetry.clear_flush_span();
-            {
-                let mut mem = inner.mem.write();
-                mem.imm = None;
-                publish_mem(&inner, &mem);
-            }
-            // Re-store the manifest so it stops referencing the immutable
-            // MemTable's WAL *before* those segments are retired — otherwise
-            // a crash in between would leave the manifest pointing at
-            // recycled regions and recovery would double-free them.
-            if let Err(e) = with_bg_retries(&inner, || store_manifest(&inner)) {
-                set_bg_error(&inner, format!("manifest store failed: {e}"));
-            }
-            {
-                // Notify under the writer mutex: a rotating writer checks
-                // `imm` and then parks on `imm_cv` while holding it, so an
-                // unsynchronized notify could land in that gap and be lost
-                // (costing the full wait timeout per rotation).
-                let _writers = inner.write_mutex.lock();
-                inner.imm_cv.notify_all();
-            }
-            match published {
-                // Garbage from here on; the last reader to let go frees it.
-                Ok(()) => imm.retire(),
-                Err(e) => set_bg_error(&inner, format!("flush failed: {e}")),
-            }
-        }
-        if inner.shutdown.load(Ordering::Acquire) && inner.mem.read().imm.is_none() {
+        if inner.wait_until(None, |v| v.imm.is_some()).is_err() {
             return;
         }
+        // Only this worker clears `imm`.
+        let Some(imm) = inner.mem.read().imm.clone() else {
+            continue;
+        };
+        // A failed flush is retried with backoff: everything before the
+        // level publish is side-effect free on error (the one-piece
+        // flush either completes or allocates nothing durable), and a
+        // rare post-publish manifest failure at worst re-flushes the
+        // same keys into a duplicate table, which reads dedupe and
+        // lazy-copy reclaims — never data loss.
+        if let Err(e) = with_bg_retries(&inner, || flush_one(&inner, &imm)) {
+            // `imm` stays published and named by the manifest: its WAL
+            // holds acknowledged writes that no table has yet.
+            inner.telemetry.clear_flush_span();
+            set_bg_error(&inner, format!("flush failed: {e}"));
+            return;
+        }
+        // Settle: precedes clearing `imm`, which releases a stalled
+        // writer (pays the level-0 push's manifest store).
+        device::settle();
+        inner.telemetry.clear_flush_span();
+        {
+            let mut mem = inner.mem.write();
+            mem.imm = None;
+            publish(&inner, |v| v.with_mem(&mem));
+        }
+        // Re-store the manifest so it stops referencing the immutable
+        // MemTable's WAL *before* those segments are retired — otherwise
+        // a crash in between would leave the manifest pointing at
+        // recycled regions and recovery would double-free them.
+        if let Err(e) = with_bg_retries(&inner, || store_manifest(&inner)) {
+            set_bg_error(&inner, format!("manifest store failed: {e}"));
+            return;
+        }
+        // Garbage from here on; the last reader to let go frees it.
+        imm.retire();
     }
 }
 
@@ -1443,38 +1392,27 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
     // Backpressure: respect the elastic-buffer cap (Figure 14) and pool
     // capacity; lazy-copy GC frees space.
     let need = imm.arena().used_bytes();
-    // Elastic-cap backpressure delays the flush pipeline as a whole — the
-    // paper's cumulative (throughput) stall, not an interval stall.
-    let mut throttled = None;
-    loop {
+    // An empty buffer always accepts one flush, so a cap below the
+    // MemTable size degrades to "one table at a time" instead of
+    // deadlocking.
+    let over_cap = || {
         let used = inner.elastic_bytes.load(Ordering::Relaxed);
-        // An empty buffer always accepts one flush, so a cap below the
-        // MemTable size degrades to "one table at a time" instead of
-        // deadlocking.
-        let over_cap = used > 0
+        used > 0
             && inner
                 .opts
                 .elastic_buffer_cap
-                .is_some_and(|cap| used + need > cap);
-        if !over_cap {
-            inner.pressure.store(false, Ordering::Release);
-            break;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(Error::Closed);
-        }
-        if throttled.is_none() {
-            throttled = Some(inner.telemetry.begin(Timed::Stall(StallKind::Cumulative)));
-        }
+                .is_some_and(|cap| used + need > cap)
+    };
+    if over_cap() {
+        // Elastic-cap backpressure delays the flush pipeline as a whole —
+        // the paper's cumulative (throughput) stall, not an interval stall.
+        let _throttled = inner.telemetry.begin(Timed::Stall(StallKind::Cumulative));
         // Ask the lazy worker to drain ahead of its trigger.
         inner.pressure.store(true, Ordering::Release);
-        {
-            let _levels = inner.levels.lock();
-            inner.level_cv.notify_all();
-        }
-        std::thread::sleep(Duration::from_micros(200));
+        inner.wake();
+        while !inner.wait_until(Some(Instant::now() + CAP_RECHECK), |_| !over_cap())? {}
+        inner.pressure.store(false, Ordering::Release);
     }
-    drop(throttled);
 
     // Also publishes this flush's span id, so a writer stalled on rotation
     // can link the flush it is waiting on (cleared by the flush worker).
@@ -1483,10 +1421,7 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         match one_piece_flush(imm.arena(), &inner.nvm) {
             Ok(f) => break f,
             Err(Error::PoolExhausted { .. }) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return Err(Error::Closed);
-                }
-                std::thread::sleep(Duration::from_micros(500));
+                inner.wait_until(Some(Instant::now() + POOL_RECHECK), |_| false)?;
             }
             Err(e) => return Err(e),
         }
@@ -1525,9 +1460,8 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         levels[0].tables.push_back(table);
         publish_level_gauges(inner, 0, &levels[0]);
         let stored = store_manifest_locked(inner, &levels);
-        republish(inner, &levels, &[0]);
+        publish(inner, |v| v.relinked(&levels, &[0]));
         stored?;
-        inner.level_cv.notify_all();
     }
     Ok(())
 }
@@ -1551,6 +1485,39 @@ fn publish_level_gauges(inner: &Inner, i: usize, l: &Level) {
     }
 }
 
+impl AsRef<Level> for Level {
+    fn as_ref(&self) -> &Level {
+        self
+    }
+}
+
+impl Level {
+    /// The one "has work" rule, shared by the workers' waits and
+    /// `wait_idle`: level `i` holds a merge its compactor would start (two
+    /// settled tables) or, at the bottom, a lazy-copy drain the lazy worker
+    /// would start (`lazy_copy_trigger` settled tables, none draining).
+    pub(crate) fn has_work(&self, opts: &MioOptions, i: usize) -> bool {
+        if i + 1 < opts.elastic_levels {
+            self.tables.len() >= 2
+        } else {
+            self.tables.len() >= opts.lazy_copy_trigger && self.lazy_draining.is_none()
+        }
+    }
+}
+
+/// The first level of `share`, from `turn` on, whose merge is due, in the
+/// locked levels or a published `Version`'s.
+fn merge_due<L: AsRef<Level>>(
+    opts: &MioOptions,
+    levels: &[L],
+    share: &std::ops::Range<usize>,
+    turn: usize,
+) -> Option<usize> {
+    (0..share.len())
+        .map(|k| share.start + (turn + k) % share.len())
+        .find(|&i| levels[i].as_ref().has_work(opts, i))
+}
+
 /// Zero-copy compactor for the elastic levels in `share` (level `i` pushes
 /// into `i + 1`). With one level per thread (§4.5) levels never wait for
 /// each other; the parallel-compaction ablation hands one thread every
@@ -1564,30 +1531,28 @@ fn compactor_worker(inner: Arc<Inner>, share: std::ops::Range<usize>) {
         // Settle: precedes waiting for the next merge (pays the last
         // push's manifest store).
         device::settle_idle();
+        if inner
+            .wait_until(None, |v| {
+                merge_due(&inner.opts, &v.levels, &share, turn).is_some()
+            })
+            .is_err()
+        {
+            return;
+        }
         let (i, new_t, old_t, gate, mark) = {
             let mut levels = inner.levels.lock();
-            let i = loop {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let ready = (0..share.len())
-                    .map(|k| share.start + (turn + k) % share.len())
-                    .find(|&i| levels[i].tables.len() >= 2);
-                if let Some(i) = ready {
-                    break i;
-                }
-                inner
-                    .level_cv
-                    .wait_for(&mut levels, Duration::from_millis(100));
+            // A pressure drain may have taken a table since the wait.
+            let Some(i) = merge_due(&inner.opts, &levels, &share, turn) else {
+                continue;
             };
             turn = (i + 1 - share.start) % share.len();
-            // Invariant: guarded by the `tables.len() >= 2` pick above,
-            // under the same levels lock.
+            // Invariant: guarded by the `has_work` pick above, under the
+            // same levels lock.
             let old_t = levels[i].tables.pop_front().unwrap();
             let new_t = levels[i].tables.pop_front().unwrap();
             levels[i].merging = Some((new_t.clone(), old_t.clone()));
             let stored = store_manifest_locked(&inner, &levels);
-            republish(&inner, &levels, &[i]);
+            publish(&inner, |v| v.relinked(&levels, &[i]));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1693,12 +1658,11 @@ fn run_one_zero_copy_merge(
         // already see this compaction done.
         merge.finish(merged_bytes);
         let stored = store_manifest_locked(inner, &levels);
-        republish(inner, &levels, &[i, i + 1]);
+        publish(inner, |v| v.relinked(&levels, &[i, i + 1]));
         if let Err(e) = stored {
             set_bg_error(inner, format!("manifest store failed: {e}"));
             return false;
         }
-        inner.level_cv.notify_all();
     }
     true
 }
@@ -1707,8 +1671,8 @@ fn run_one_zero_copy_merge(
 /// only if no in-flight merge could later push *older* data below it —
 /// draining its front (oldest) table to the repository then preserves the
 /// newer-shadows-older read order.
-fn pick_pressure_drain(levels: &[Level]) -> Option<usize> {
-    for (i, l) in levels.iter().enumerate().rev() {
+fn pick_pressure_drain<L: AsRef<Level>>(levels: &[L]) -> Option<usize> {
+    for (i, l) in levels.iter().map(L::as_ref).enumerate().rev() {
         let busy = l.merging.is_some() || l.lazy_draining.is_some();
         if !l.tables.is_empty() {
             return if busy { None } else { Some(i) };
@@ -1724,38 +1688,28 @@ fn pick_pressure_drain(levels: &[Level]) -> Option<usize> {
 /// into the repository and retires its arenas (the GC point). Under
 /// elastic-cap pressure it also drains the globally oldest table early.
 fn lazy_worker(inner: Arc<Inner>) {
-    let b = inner.opts.elastic_levels - 1;
     loop {
         // Settle: precedes waiting for the next drain (pays the last
         // drain's manifest store).
         device::settle_idle();
+        if inner
+            .wait_until(None, |v| drain_due(&inner, &v.levels).is_some())
+            .is_err()
+        {
+            return;
+        }
         let (table, level_idx) = {
             let mut levels = inner.levels.lock();
-            let picked = loop {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if levels[b].tables.len() >= inner.opts.lazy_copy_trigger
-                    && levels[b].lazy_draining.is_none()
-                {
-                    break b;
-                }
-                if inner.pressure.load(Ordering::Acquire) {
-                    if let Some(i) = pick_pressure_drain(&levels) {
-                        break i;
-                    }
-                }
-                inner
-                    .level_cv
-                    .wait_for(&mut levels, Duration::from_millis(100));
+            let Some(picked) = drain_due(&inner, &levels) else {
+                continue;
             };
-            // Invariant: both pick paths (`lazy_copy_trigger` check and
+            // Invariant: both pick paths (`has_work` and
             // `pick_pressure_drain`) only select non-empty levels, under
             // this same levels lock.
             let t = levels[picked].tables.pop_front().unwrap();
             levels[picked].lazy_draining = Some(t.clone());
             let stored = store_manifest_locked(&inner, &levels);
-            republish(&inner, &levels, &[picked]);
+            publish(&inner, |v| v.relinked(&levels, &[picked]));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1768,14 +1722,14 @@ fn lazy_worker(inner: Arc<Inner>) {
             level: level_idx,
             kind: CompactionKind::LazyCopy,
         });
-        let repo_writer = inner.repo_writer.lock();
-        // Retried with backoff on failure: each attempt re-reads the intact
-        // PMTable and re-applies with the same sequence numbers, so a
-        // partially applied earlier attempt is simply overwritten
-        // (idempotent) rather than doubled. All attempts are one run: the
-        // fences are rebuilt once, after the last.
-        let drained: Result<()> = repo_run(&inner, || {
-            with_bg_retries(&inner, || {
+        // Retried with backoff on failure: each attempt is one run that
+        // re-reads the intact PMTable and re-applies with the same
+        // sequence numbers, so a partially applied earlier attempt is
+        // simply overwritten (idempotent) rather than doubled. The backoff
+        // waits with the repository writer released.
+        let drained: Result<()> = with_bg_retries(&inner, || {
+            let _writer = inner.repo_writer.lock();
+            repo_run(&inner, || {
                 if fault::hit(fault::points::ENGINE_LAZY).is_some() {
                     return Err(Error::Background("injected lazy-copy failure".to_string()));
                 }
@@ -1794,7 +1748,6 @@ fn lazy_worker(inner: Arc<Inner>) {
                 Ok(())
             })
         });
-        drop(repo_writer);
         if let Err(e) = drained {
             // Close the interval before the error becomes visible: whoever
             // sees `background_error()` must already see it closed.
@@ -1811,7 +1764,7 @@ fn lazy_worker(inner: Arc<Inner>) {
             let mut levels = inner.levels.lock();
             levels[level_idx].lazy_draining = None;
             publish_level_gauges(&inner, level_idx, &levels[level_idx]);
-            // Before the republish for the same reason as the zero-copy
+            // Before the publish for the same reason as the zero-copy
             // merge: `wait_idle` must not observe idle before the drain
             // is counted.
             drain.finish(drained_bytes);
@@ -1820,20 +1773,33 @@ fn lazy_worker(inner: Arc<Inner>) {
                 // GC: the manifest no longer names the drained table, so
                 // its arenas are garbage; each is freed (and leaves
                 // `elastic_bytes`) when the last table sharing it drops —
-                // in the republish below, which drops the last `Version`
+                // in the publish below, which drops the last `Version`
                 // naming it, unless a reader or scan still holds this table
                 // or one of its merge inputs. So an engine that `wait_idle`
                 // reports idle has its memory back too.
                 table.retire();
             }
             drop(table);
-            republish(&inner, &levels, &[level_idx]);
+            publish(&inner, |v| v.relinked(&levels, &[level_idx]));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
             }
-            inner.level_cv.notify_all();
         }
+    }
+}
+
+/// The level the lazy worker drains next, in the locked levels or a
+/// published `Version`'s: the bottom level once its drain is due, else,
+/// under elastic-cap pressure, [`pick_pressure_drain`]'s.
+fn drain_due<L: AsRef<Level>>(inner: &Inner, levels: &[L]) -> Option<usize> {
+    let b = levels.len() - 1;
+    if levels[b].as_ref().has_work(&inner.opts, b) {
+        Some(b)
+    } else if inner.pressure.load(Ordering::Acquire) {
+        pick_pressure_drain(levels)
+    } else {
+        None
     }
 }
 
@@ -1864,19 +1830,26 @@ fn build_report(inner: &Inner) -> EngineReport {
 
 /// Background compaction of the on-SSD LSM repository (SSD mode).
 fn repo_worker(inner: Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::Acquire) {
+    loop {
         match with_bg_retries(&inner, || inner.repo.maintain()) {
-            Ok(true) => continue,
-            Ok(false) => {
-                // Settle: precedes the idle poll (a compaction's install
-                // settles first; see `LsmCore::build_tables`).
-                device::settle_idle();
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // The repository's quiescence, which `wait_idle` checks,
+            // changes outside any publish.
+            Ok(true) => inner.wake(),
+            // Settle: precedes the idle wait (a compaction's install
+            // settles first; see `LsmCore::build_tables`).
+            Ok(false) => device::settle_idle(),
             Err(e) => {
                 set_bg_error(&inner, format!("repository compaction failed: {e}"));
                 return;
             }
+        }
+        // The lazy worker's ingest, the only other repository writer,
+        // ends in a publish.
+        if inner
+            .wait_until(None, |_| !inner.repo.is_quiescent())
+            .is_err()
+        {
+            return;
         }
     }
 }
@@ -1909,26 +1882,17 @@ impl KvEngine for MioDb {
     }
 
     fn wait_idle(&self) -> Result<()> {
+        self.check_usable()?;
         let inner = &*self.inner;
-        loop {
-            self.check_usable()?;
-            let busy = {
-                let v = inner.version();
-                let n = v.levels.len();
-                v.imm.is_some()
-                    || v.levels.iter().enumerate().any(|(i, view)| {
-                        let l = &view.level;
-                        l.merging.is_some()
-                            || l.lazy_draining.is_some()
-                            || (i + 1 < n && l.tables.len() >= 2)
-                            || (i + 1 == n && l.tables.len() >= inner.opts.lazy_copy_trigger)
-                    })
-            };
-            if !busy && inner.repo.is_quiescent() {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        inner.wait_until(None, |v| {
+            v.imm.is_none()
+                && v.levels.iter().enumerate().all(|(i, view)| {
+                    let l = &view.level;
+                    l.merging.is_none() && l.lazy_draining.is_none() && !l.has_work(&inner.opts, i)
+                })
+                && inner.repo.is_quiescent()
+        })?;
+        Ok(())
     }
 
     fn report(&self) -> EngineReport {
@@ -2034,16 +1998,9 @@ impl Drop for MioDb {
     fn drop(&mut self) {
         // The same graceful drain as `close`: flush in-flight commit
         // groups and the active MemTable so even a drop-only shutdown
-        // leaves nothing that depends on WAL replay. Errors are ignored —
-        // the fallthrough still stops and joins every worker.
+        // leaves nothing that depends on WAL replay. Errors are ignored:
+        // `close` stops and joins every worker whatever the drain did.
         let _ = self.close();
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.flush_cv.notify_all();
-        self.inner.imm_cv.notify_all();
-        self.inner.level_cv.notify_all();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -2084,7 +2041,7 @@ impl MioDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::{AFTER_LEVEL_PROBE, AFTER_REPO_PROBE};
+    use crate::read::{LevelView, AFTER_LEVEL_PROBE, AFTER_REPO_PROBE};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2432,7 +2389,7 @@ mod tests {
         {
             let mut levels = inner.levels.lock();
             levels[0].tables.push_back(old_t);
-            republish(&inner, &levels, &[0]);
+            publish(&inner, |v| v.relinked(&levels, &[0]));
         }
         d.assert_version_current();
         let popper = inner.clone();
@@ -2441,7 +2398,7 @@ mod tests {
                 let mut levels = popper.levels.lock();
                 let old_t = levels[0].tables.pop_back().unwrap();
                 levels[0].merging = Some((new_t, old_t));
-                republish(&popper, &levels, &[0]);
+                publish(&popper, |v| v.relinked(&levels, &[0]));
             })))
         });
         let retries = d.stats().level_probe_retries.load(Ordering::Relaxed);
@@ -2451,7 +2408,7 @@ mod tests {
         // Leave the level as no merge would: empty.
         let mut levels = inner.levels.lock();
         levels[0].merging = None;
-        republish(&inner, &levels, &[0]);
+        publish(&inner, |v| v.relinked(&levels, &[0]));
     }
 
     /// Runs `work` on another thread while this one compares the published
@@ -2470,13 +2427,13 @@ mod tests {
         d.assert_version_current();
     }
 
-    /// Polls the locked levels until `started` holds.
-    fn wait_for(d: &MioDb, what: &str, started: impl Fn(&[Level]) -> bool) {
+    /// Waits until `started` holds for the published levels. The caller
+    /// may hold a gate or the repository writer: the start it waits for is
+    /// published before the worker takes either.
+    fn wait_for(d: &MioDb, what: &str, started: impl Fn(&[LevelView]) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !started(&d.inner.levels.lock()) {
-            assert!(Instant::now() < deadline, "no {what} started");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let began = d.inner.wait_until(Some(deadline), |v| started(&v.levels));
+        assert!(began.unwrap(), "no {what} started");
     }
 
     /// Every kind of structural transition republishes the `Version`:
@@ -2514,7 +2471,7 @@ mod tests {
             let v = d.inner.version();
             let _gate = v.levels[0].level.gate.lock();
             fill(1);
-            wait_for(&d, "merge", |l| l[0].merging.is_some());
+            wait_for(&d, "merge", |l| l[0].level.merging.is_some());
             d.assert_version_current();
         }
         settle();
@@ -2529,7 +2486,7 @@ mod tests {
             let _repo = d.inner.repo_writer.lock();
             fill(24);
             wait_for(&d, "lazy copy", |l| {
-                l.iter().any(|l| l.lazy_draining.is_some())
+                l.iter().any(|l| l.level.lazy_draining.is_some())
             });
             d.assert_version_current();
         }
@@ -2782,7 +2739,7 @@ mod tests {
             let mut levels = inner.levels.lock();
             levels[b].lazy_draining = t;
             store_manifest_locked(inner, &levels).unwrap();
-            republish(inner, &levels, &[b]);
+            publish(inner, |v| v.relinked(&levels, &[b]));
         };
         set_draining(Some(draining.clone()));
         let path = std::env::temp_dir().join(format!(

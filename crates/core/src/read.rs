@@ -1,14 +1,16 @@
-//! The read path: the published [`Version`] readers load, the helpers
-//! that republish it, and `get` and `scan` over it. The write and
-//! background paths in [`db`](crate::db) change `mem` and `levels` under
-//! their locks and republish here, and write the repository in runs
-//! through [`repo_run`]; readers never take those locks.
+//! The read path: the published [`Version`] readers load, the one
+//! [`publish`] that replaces it and wakes every engine wait, and `get` and
+//! `scan` over it. The write and background paths in [`db`](crate::db)
+//! change `mem` and `levels` under their locks and publish here, write the
+//! repository in runs through [`repo_run`], and wait through
+//! [`Inner::wait_until`]; readers never take those locks.
 
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use miodb_common::trace::{self, SpanKind};
-use miodb_common::{OpKind, Result, ScanEntry};
+use miodb_common::{Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{InsertionMark, LookupResult};
@@ -22,14 +24,18 @@ use crate::table::MemTable;
 /// LevelDB and RocksDB). A reader loads it once — one read-lock, one `Arc`
 /// clone — and takes neither the levels lock nor the MemTable lock.
 ///
-/// It is republished, under the lock that guards the mutation, at every
-/// structural transition: `mem` changes through [`publish_mem`], `levels`
-/// changes through [`republish`], and the repository's fences through
-/// [`repo_run`]. So the published `Version` never lags the locked state a
-/// reader could otherwise have seen. Lock order: `levels` before `mem`
-/// before the `Version`, and the repository writer before the `Version`;
-/// nothing takes `levels`, `mem` or the repository writer while holding
-/// the `Version`.
+/// It is republished through [`publish`], under the lock that guards the
+/// mutation, at every structural transition: `mem` changes with
+/// [`Version::with_mem`], `levels` changes with [`Version::relinked`], and
+/// the repository's fences through [`repo_run`]. So the published
+/// `Version` never lags the locked state a reader could otherwise have
+/// seen, and every engine wait, a predicate over it, is woken by the
+/// publish that can make it true. Lock order: `levels` before `mem` before
+/// the `Version`, the repository writer before the `Version`, and
+/// `changed`, the engine's wait lock, before the `Version`; nothing takes
+/// `levels`, `mem`, the repository writer or `changed` while holding the
+/// `Version`, and no waiter holds `levels`, `mem`, the repository writer
+/// or a gate while it holds `changed`.
 ///
 /// The `Version` holds each table it names, so a retired table's arenas
 /// return to the pool only once it is republished without them and every
@@ -51,36 +57,48 @@ pub(crate) struct LevelView {
     pub(crate) seen: u64,
 }
 
-/// Republishes the levels part of the [`Version`] after a `levels`
-/// mutation: bumps the version of every level in `changed` and publishes
-/// every level's current state. Callers hold the levels lock and call it
-/// last in the mutating scope, so a reader that sees the new `Version` —
-/// `wait_idle` among them — sees everything the scope did. The bump and
-/// the swap happen under the `Version` write lock: a reader whose probe
-/// sees the bump and retries blocks on the reload until the new `Version`
-/// is in place.
-pub(crate) fn republish(inner: &Inner, levels: &[Level], changed: &[usize]) {
-    let mut current = inner.current.write();
-    for &i in changed {
-        levels[i].version.fetch_add(1, Ordering::Release);
+/// Publishes the [`Version`] that `next` builds from the current one, then
+/// wakes every engine wait ([`Inner::wait_until`]): the one way a
+/// structural transition becomes visible, to readers and waiters alike.
+/// `next` runs under the `Version` write lock, so a level version it bumps
+/// ([`Version::relinked`]) is in place by the time a reader that saw the
+/// bump reloads. The replaced `Version` drops under that lock too, so a
+/// table it held last is freed before any reader or waiter can load the
+/// new one. The wake follows the release: a publisher never holds the
+/// `Version` while it takes `changed`.
+pub(crate) fn publish(inner: &Inner, next: impl FnOnce(&Version) -> Version) {
+    {
+        let mut current = inner.current.write();
+        *current = Arc::new(next(&current));
     }
-    // The replaced `Version` drops under the write lock, so a table it
-    // held last is freed before any reader can load the new one.
-    *current = Arc::new(Version {
-        levels: levels.iter().map(Level::view).collect(),
-        ..Version::clone(&current)
-    });
+    inner.wake();
 }
 
-/// Republishes the MemTable part of the [`Version`] after a `mem`
-/// mutation. Callers hold the `mem` write lock.
-pub(crate) fn publish_mem(inner: &Inner, mem: &MemState) {
-    let mut current = inner.current.write();
-    *current = Arc::new(Version {
-        active: mem.active.clone(),
-        imm: mem.imm.clone(),
-        ..Version::clone(&current)
-    });
+impl Version {
+    /// This `Version` with every level's current state, after a `levels`
+    /// mutation: bumps the version of every level in `moved` first.
+    /// Callers hold the levels lock and publish last in the mutating
+    /// scope, so a reader that sees the new `Version` — `wait_idle` among
+    /// them — sees everything the scope did.
+    pub(crate) fn relinked(&self, levels: &[Level], moved: &[usize]) -> Version {
+        for &i in moved {
+            levels[i].version.fetch_add(1, Ordering::Release);
+        }
+        Version {
+            levels: levels.iter().map(Level::view).collect(),
+            ..self.clone()
+        }
+    }
+
+    /// This `Version` with the MemTables of `mem`, after a `mem` mutation.
+    /// Callers hold the `mem` write lock.
+    pub(crate) fn with_mem(&self, mem: &MemState) -> Version {
+        Version {
+            active: mem.active.clone(),
+            imm: mem.imm.clone(),
+            ..self.clone()
+        }
+    }
 }
 
 /// Runs `apply`, which writes the repository, as one lazy-copy run: a
@@ -99,13 +117,19 @@ pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce() -> T) -> T {
     let fences = inner.repo.build_fences(epoch + 2);
     inner.repo_epoch.store(epoch + 2, Ordering::Release);
     if let Some(fences) = fences {
-        let mut current = inner.current.write();
-        *current = Arc::new(Version {
-            repo_fences: Some(Arc::new(fences)),
-            ..Version::clone(&current)
+        let fences = Arc::new(fences);
+        publish(inner, |v| Version {
+            repo_fences: Some(fences),
+            ..v.clone()
         });
     }
     out
+}
+
+impl AsRef<Level> for LevelView {
+    fn as_ref(&self) -> &Level {
+        &self.level
+    }
 }
 
 impl Level {
@@ -123,6 +147,54 @@ impl Inner {
     /// The published [`Version`]: one read-lock, one `Arc` clone.
     pub(crate) fn version(&self) -> Arc<Version> {
         self.current.read().clone()
+    }
+
+    /// Wakes every engine wait to re-check its predicate. [`publish`]
+    /// calls it; so does every change a wait checks outside the
+    /// `Version`: the background error, shutdown, flush pressure and the
+    /// LSM repository's quiescence.
+    pub(crate) fn wake(&self) {
+        let _changed = self.changed.lock();
+        self.wakeup.notify_all();
+    }
+
+    /// The background error, if a worker set one.
+    pub(crate) fn background(&self) -> Result<()> {
+        match self.bg_error.get() {
+            Some(msg) => Err(Error::Background(msg.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// The one engine wait: blocks until `done` holds for the published
+    /// [`Version`] (`Ok(true)`) or `deadline` passes (`Ok(false)`), and
+    /// returns [`Error::Closed`] at shutdown and [`Error::Background`]
+    /// once a worker failed, whether or not `done` holds. The predicate is
+    /// checked under `changed`, which every wake takes, so a publish that
+    /// lands between the check and the wait still wakes it. A wait whose
+    /// condition changes only at a publish or a wake passes no deadline.
+    pub(crate) fn wait_until(
+        &self,
+        deadline: Option<Instant>,
+        done: impl Fn(&Version) -> bool,
+    ) -> Result<bool> {
+        let mut changed = self.changed.lock();
+        loop {
+            if self.shutdown.load(Ordering::Acquire) {
+                return Err(Error::Closed);
+            }
+            self.background()?;
+            if done(&self.version()) {
+                return Ok(true);
+            }
+            match deadline {
+                None => self.wakeup.wait(&mut changed),
+                Some(d) if Instant::now() >= d => return Ok(false),
+                Some(d) => {
+                    self.wakeup.wait_until(&mut changed, d);
+                }
+            }
+        }
     }
 
     /// The repository's version of `key`, through `fences` — the ones the

@@ -203,6 +203,96 @@ fn failed_background_work_closes_its_interval() {
     assert!(lazy_copies.iter().all(|s| s.end_ns >= s.start_ns));
 }
 
+/// `value(i)` padded to 200 bytes.
+fn value_200(i: u32) -> Vec<u8> {
+    let mut v = value(i);
+    v.resize(200, b'v');
+    v
+}
+
+/// A flush that gives up keeps its MemTable: the sealed table stays
+/// published and named by the manifest, so every acknowledged write reads
+/// back on the degraded engine and again after recovery, and the writer
+/// stalled behind it is refused with the background error.
+#[test]
+fn flush_give_up_keeps_every_acknowledged_write() {
+    let _g = fault::exclusive();
+    let opts = MioOptions::small_for_tests();
+    let path = tmp("flush-give-up");
+    fault::arm(fault::points::ENGINE_FLUSH, FaultPolicy::FailNth(1));
+    let db = MioDb::open(opts.clone()).unwrap();
+    let mut model = BTreeMap::new();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut i = 0u32;
+    let refused = loop {
+        assert!(Instant::now() < deadline, "no write saw the failed flush");
+        let (k, v) = (key(i), value_200(i));
+        match db.put(&k, &v) {
+            Ok(()) => {
+                model.insert(k, v);
+            }
+            Err(e) => break e,
+        }
+        i += 1;
+    };
+    assert!(
+        matches!(refused, Error::Background(_)),
+        "refused with {refused}"
+    );
+    assert!(db.background_error().is_some());
+    verify_model(&db, &model);
+    db.snapshot(&path).unwrap();
+    fault::disarm(fault::points::ENGINE_FLUSH);
+    drop(db);
+
+    let pool = PmemPool::restore_from_file(&path, opts.nvm_device, Arc::new(Stats::new())).unwrap();
+    let db = MioDb::recover(pool, opts).unwrap();
+    assert!(db.recovered_wal_records() > 0);
+    verify_model(&db, &model);
+    db.close().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A replicated apply that needs a MemTable the failed flush never frees
+/// returns the background error instead of rotating past it or hanging.
+#[test]
+fn replicated_apply_into_a_failed_engine_returns_background() {
+    use miodb::common::OpKind;
+    use miodb::wal::WalRecord;
+
+    let _g = fault::exclusive();
+    let opts = MioOptions::small_for_tests();
+    fault::arm(fault::points::ENGINE_FLUSH, FaultPolicy::FailNth(1));
+    let db = Arc::new(MioDb::open(opts.clone()).unwrap());
+    // Every record takes more than 200 arena bytes, so these span at
+    // least four MemTables.
+    let n = 4 * (opts.memtable_bytes / 200) as u32;
+    let records: Vec<WalRecord> = (0..n)
+        .map(|i| WalRecord {
+            key: key(i),
+            value: value_200(i),
+            seq: u64::from(i) + 1,
+            kind: OpKind::Put,
+        })
+        .collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let applier = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(db.apply_replicated(&records));
+        })
+    };
+    let applied = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("apply_replicated into a failed engine never returned");
+    assert!(
+        matches!(applied, Err(Error::Background(_))),
+        "apply_replicated returned {applied:?}"
+    );
+    applier.join().unwrap();
+    fault::disarm(fault::points::ENGINE_FLUSH);
+}
+
 #[test]
 fn alloc_faults_surface_typed_errors_and_engine_recovers() {
     let _g = fault::exclusive();
