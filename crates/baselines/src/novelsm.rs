@@ -270,6 +270,7 @@ impl KvEngine for NoveLsm {
             dram_huge_page_bytes: d.front.dram().huge_page_bytes(),
             tables_per_level: d.lsm.tables_per_level(),
             stats: d.front.stats().snapshot(),
+            ..EngineReport::default()
         }
     }
 

@@ -74,15 +74,20 @@ impl BloomFilter {
         self.num_hashes
     }
 
+    /// Heap bytes the filter's bits hold.
+    pub fn bytes(&self) -> u64 {
+        (self.bits.capacity() * 8) as u64
+    }
+
     /// Number of keys inserted (including via merges).
     pub fn inserted(&self) -> u64 {
         self.inserted
     }
 
+    /// The bit positions of the key whose [`key_hash`] is `h`, by double
+    /// hashing (Kirsch–Mitzenmacher): `h_i = h1 + i * h2`.
     #[inline]
-    fn probe_positions(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
-        // Double hashing (Kirsch–Mitzenmacher): h_i = h1 + i * h2.
-        let h = hash64(key);
+    fn positions(&self, h: u64) -> impl Iterator<Item = usize> {
         let h1 = h;
         let h2 = h.rotate_left(32) | 1;
         let n = self.num_bits as u64;
@@ -91,8 +96,7 @@ impl BloomFilter {
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<usize> = self.probe_positions(key).collect();
-        for pos in positions {
+        for pos in self.positions(key_hash(key)) {
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
         self.inserted += 1;
@@ -101,7 +105,13 @@ impl BloomFilter {
     /// Returns `false` if the key is definitely absent; `true` if it may be
     /// present.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.probe_positions(key)
+        self.may_contain_hash(key_hash(key))
+    }
+
+    /// [`may_contain`](Self::may_contain) for the key whose [`key_hash`] is
+    /// `h`: a lookup that probes many filters hashes its key once.
+    pub fn may_contain_hash(&self, h: u64) -> bool {
+        self.positions(h)
             .all(|pos| self.bits[pos / 64] & (1u64 << (pos % 64)) != 0)
     }
 
@@ -166,8 +176,11 @@ impl BloomFilter {
     }
 }
 
-/// FNV-1a–style 64-bit hash with an avalanche finish.
-fn hash64(key: &[u8]) -> u64 {
+/// The hash every filter derives a key's bit positions from: FNV-1a–style,
+/// with an avalanche finish. Filter geometry does not enter it, so one hash
+/// serves every filter a lookup probes
+/// ([`BloomFilter::may_contain_hash`]).
+pub fn key_hash(key: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in key {
         h ^= b as u64;
@@ -275,7 +288,7 @@ mod tests {
         let f = BloomFilter::new(1 << 16, 1);
         let mut positions = std::collections::HashSet::new();
         for i in 0..1000u32 {
-            for p in f.probe_positions(format!("k{i}").as_bytes()) {
+            for p in f.positions(key_hash(format!("k{i}").as_bytes())) {
                 positions.insert(p);
             }
         }
@@ -284,5 +297,37 @@ mod tests {
             "only {} distinct positions",
             positions.len()
         );
+    }
+
+    /// The positions of the original per-key formula, written out: hash,
+    /// then `(h1 + i * h2) mod m` for `i < k`. Filters persist nothing, but
+    /// OR-merges, recovery rebuilds and the measured false-positive rate
+    /// all assume every filter sets exactly these bits.
+    fn reference_positions(key: &[u8], num_bits: usize, k: u32) -> Vec<usize> {
+        let h = key_hash(key);
+        let h2 = h.rotate_left(32) | 1;
+        (0..k as u64)
+            .map(|i| (h.wrapping_add(i.wrapping_mul(h2)) % num_bits as u64) as usize)
+            .collect()
+    }
+
+    #[test]
+    fn bit_positions_match_the_reference_formula() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+        for (num_bits, k) in [(64, 1), (1 << 10, 4), ((1 << 14) + 64, 11), (1 << 20, 30)] {
+            let mut f = BloomFilter::new(num_bits, k);
+            let mut reference = vec![0u64; f.words().len()];
+            for _ in 0..500 {
+                let len = rng.gen_range(0..40usize);
+                let key: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                f.insert(&key);
+                for pos in reference_positions(&key, f.num_bits(), k) {
+                    reference[pos / 64] |= 1u64 << (pos % 64);
+                }
+                assert!(f.may_contain_hash(key_hash(&key)));
+            }
+            assert_eq!(f.words(), &reference[..], "{num_bits} bits, k = {k}");
+        }
     }
 }

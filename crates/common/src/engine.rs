@@ -30,10 +30,48 @@ pub struct EngineReport {
     /// Bytes of the MemTables' DRAM pool backed by transparent huge pages,
     /// read when the pool was opened.
     pub dram_huge_page_bytes: u64,
+    /// Engine-owned DRAM by use (all zero for engines that do not
+    /// account it).
+    pub dram_bytes: DramBytes,
     /// Number of tables/runs per level, top to bottom.
     pub tables_per_level: Vec<usize>,
     /// Statistics snapshot.
     pub stats: StatsSnapshot,
+}
+
+/// Engine-owned DRAM in bytes, by what it holds: the `miodb_dram_bytes`
+/// gauge family, one series per [`use`](DramBytes::uses).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DramBytes {
+    /// The MemTables' arenas, active and immutable.
+    pub memtable: u64,
+    /// Every bloom filter: the MemTables' and the PMTables'.
+    pub bloom: u64,
+    /// The PMTables' exact key indexes.
+    pub index: u64,
+    /// The data repository's fences.
+    pub repo_fences: u64,
+}
+
+impl DramBytes {
+    /// Each use with its `use` label.
+    pub fn uses(&self) -> [(&'static str, u64); 4] {
+        [
+            ("memtable", self.memtable),
+            ("bloom", self.bloom),
+            ("index", self.index),
+            ("repo_fences", self.repo_fences),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for DramBytes {
+    fn add_assign(&mut self, other: DramBytes) {
+        self.memtable += other.memtable;
+        self.bloom += other.bloom;
+        self.index += other.index;
+        self.repo_fences += other.repo_fences;
+    }
 }
 
 /// A key-value storage engine.

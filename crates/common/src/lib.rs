@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod types;
 
-pub use engine::{EngineReport, KvEngine, ScanEntry};
+pub use engine::{DramBytes, EngineReport, KvEngine, ScanEntry};
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPoint, FaultPolicy};
 pub use histogram::Histogram;

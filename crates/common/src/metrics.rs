@@ -262,6 +262,14 @@ pub fn register_engine(
             bytes as f64,
         );
     }
+    for (use_, bytes) in report.dram_bytes.uses() {
+        r.gauge(
+            "miodb_dram_bytes",
+            "Engine-owned DRAM by use, over the tables the engine currently reads.",
+            &[("use", use_)],
+            bytes as f64,
+        );
+    }
 }
 
 /// Picks one histogram out of a collector.
@@ -452,6 +460,7 @@ mod tests {
             "miodb_commit_queue_depth 2",
             "miodb_pool_huge_page_bytes{pool=\"nvm\"} 4194304",
             "miodb_pool_huge_page_bytes{pool=\"dram\"} 0",
+            "miodb_dram_bytes{use=\"index\"} 0",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use miodb_bloom::BloomFilter;
 use miodb_common::repl::ReplicationSink;
 use miodb_common::trace::{self, SpanKind};
 use miodb_common::{
@@ -48,7 +49,7 @@ use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState
 use crate::options::{MioOptions, RepositoryMode};
 use crate::read::{publish, repo_run, Version};
 use crate::repository::Repository;
-use crate::table::{MemTable, PmTable};
+use crate::table::{MemTable, PmTable, TableIndex};
 
 /// Merge steps executed per scan-gate acquisition: bounds how long a scan
 /// can be blocked by a zero-copy merge.
@@ -310,7 +311,15 @@ impl MioDb {
         stats: Arc<Stats>,
         recovering: Option<()>,
     ) -> Result<MioDb> {
-        let dram = PmemPool::new(opts.dram_pool_bytes, DeviceModel::dram(), stats.clone())?;
+        // Only the MemTables' first-fit working set — the active, the
+        // immutable and up to two retired arenas a reader still holds — is
+        // made resident at open; the rest of the pool is faulted on use.
+        let dram = PmemPool::with_populated(
+            opts.dram_pool_bytes,
+            4 * opts.memtable_bytes,
+            DeviceModel::dram(),
+            stats.clone(),
+        )?;
 
         let (manifest, prior) = if recovering.is_some() {
             Manifest::load(nvm.clone())?
@@ -421,15 +430,13 @@ impl MioDb {
         // Resume interrupted zero-copy merges synchronously.
         let mut pending_pushes: Vec<(usize, Arc<PmTable>)> = Vec::new();
         for (i, new_t, old_t) in resumed_merges {
-            let level_mark = levels[i].mark.clone();
-            let out = zero_copy_merge(
+            let merged = resume_merge(
                 &nvm,
-                new_t.list.head(),
-                old_t.list.head(),
-                &level_mark,
-                MergeLimits::none(),
+                &new_t,
+                &old_t,
+                &levels[i].mark,
+                opts.bloom_bits_per_key,
             );
-            let merged = merged_table(&nvm, &new_t, &old_t, out.stats(), opts.bloom_bits_per_key);
             pending_pushes.push((i + 1, merged));
         }
         for (target, merged) in pending_pushes {
@@ -1134,6 +1141,9 @@ fn lease_arena(
     Arc::new(RegionLease::new(nvm.clone(), region).counted_in(elastic))
 }
 
+/// A table named by the manifest, as recovery finds it: its bloom filter
+/// and its index are rebuilt by walking the list's level 0 in NVM, the one
+/// place an index is built from NVM.
 fn rebuild_table(
     nvm: &Arc<PmemPool>,
     ts: &TableState,
@@ -1142,20 +1152,27 @@ fn rebuild_table(
     bloom_expected: usize,
 ) -> Arc<PmTable> {
     let list = SkipList::from_raw(nvm.clone(), ts.head);
-    let bloom = PmTable::rebuild_bloom(&list, bloom_expected, bloom_bits);
+    let mut bloom = BloomFilter::with_bits_per_key(bloom_expected.max(16), bloom_bits);
+    let mut index = TableIndex::default();
+    list.walk_newest(|key, node| {
+        bloom.insert(key);
+        index.push(key, node);
+    });
+    index.shrink_to_fit();
     let arenas = ts
         .arenas
         .iter()
         .map(|&region| lease_arena(nvm, region, elastic))
         .collect();
-    Arc::new(PmTable::new(
+    Arc::new(PmTable {
         list,
         arenas,
         bloom,
-        ts.len as usize,
-        ts.data_bytes,
-        ts.newest_seq,
-    ))
+        index,
+        len: ts.len as usize,
+        data_bytes: ts.data_bytes,
+        newest_seq: ts.newest_seq,
+    })
 }
 
 fn table_state(t: &PmTable) -> TableState {
@@ -1171,15 +1188,17 @@ fn table_state(t: &PmTable) -> TableState {
 /// Builds the merged table descriptor after a zero-copy merge: the old
 /// table's head now roots the union, both inputs' arena leases are shared
 /// (so a reader still holding an input keeps that input's arenas alive
-/// after the merged table is gone), blooms are OR-ed, and the fences are
-/// walked afresh from the merged list. No node moved in the pool, so
-/// nothing of an input's fences needs fixing up; they are simply dropped.
+/// after the merged table is gone), blooms are OR-ed, and `index` indexes
+/// the union — [`TableIndex::merged`] from the inputs' indexes, built in
+/// DRAM since no node moved in the pool, or walked at recovery
+/// ([`resume_merge`]).
 fn merged_table(
     nvm: &Arc<PmemPool>,
     new_t: &PmTable,
     old_t: &PmTable,
     stats: miodb_skiplist::MergeStats,
     bloom_bits: usize,
+    index: TableIndex,
 ) -> Arc<PmTable> {
     let arenas = old_t.arenas.iter().chain(&new_t.arenas).cloned().collect();
     let mut bloom = old_t.bloom.clone();
@@ -1189,14 +1208,37 @@ fn merged_table(
         bloom = PmTable::rebuild_bloom(&old_t.list, old_t.len + new_t.len, bloom_bits);
     }
     let len = (old_t.len as u64 + stats.moved).saturating_sub(stats.bypassed_old) as usize;
-    Arc::new(PmTable::new(
-        SkipList::from_raw(nvm.clone(), old_t.list.head()),
+    Arc::new(PmTable {
+        list: SkipList::from_raw(nvm.clone(), old_t.list.head()),
         arenas,
         bloom,
+        index,
         len,
-        old_t.data_bytes + new_t.data_bytes,
-        new_t.newest_seq.max(old_t.newest_seq),
-    ))
+        data_bytes: old_t.data_bytes + new_t.data_bytes,
+        newest_seq: new_t.newest_seq.max(old_t.newest_seq),
+    })
+}
+
+/// Completes, at recovery, a zero-copy merge a crash interrupted, and
+/// builds the merged table. Its index is walked from the merged list: the
+/// node in flight at the crash may be linked into neither input as
+/// recovery walked them, so the union of their indexes could miss it.
+fn resume_merge(
+    nvm: &Arc<PmemPool>,
+    new_t: &PmTable,
+    old_t: &PmTable,
+    mark: &InsertionMark,
+    bloom_bits: usize,
+) -> Arc<PmTable> {
+    let out = zero_copy_merge(
+        nvm,
+        new_t.list.head(),
+        old_t.list.head(),
+        mark,
+        MergeLimits::none(),
+    );
+    let index = TableIndex::walk(&old_t.list);
+    merged_table(nvm, new_t, old_t, out.stats(), bloom_bits, index)
 }
 
 /// Serializes the full engine state for the manifest. Takes the levels
@@ -1440,21 +1482,21 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         device::settle();
     }
 
-    // The fences are walked over the swizzled links.
-    let table = Arc::new(PmTable::new(
-        SkipList::from_raw(inner.nvm.clone(), flushed.head),
-        vec![lease_arena(
+    // The index is built from the immutable MemTable's level 0 in DRAM,
+    // its offsets shifted into the copy.
+    let table = Arc::new(PmTable {
+        list: SkipList::from_raw(inner.nvm.clone(), flushed.head),
+        arenas: vec![lease_arena(
             &inner.nvm,
             flushed.region,
             &inner.elastic_bytes,
         )],
-        imm.bloom_snapshot(),
-        flushed.len,
-        flushed.data_bytes,
-        inner.seq.load(Ordering::Relaxed),
-    ));
-    // Settle: precedes the level-0 push (pays the fence walk).
-    device::settle();
+        bloom: imm.bloom_snapshot(),
+        index: TableIndex::flushed(&imm.list(), flushed.delta),
+        len: flushed.len,
+        data_bytes: flushed.data_bytes,
+        newest_seq: inner.seq.load(Ordering::Relaxed),
+    });
     {
         let mut levels = inner.levels.lock();
         levels[0].tables.push_back(table);
@@ -1639,13 +1681,11 @@ fn run_one_zero_copy_merge(
         &old_t,
         total,
         inner.opts.bloom_bits_per_key,
+        TableIndex::merged(&new_t.index, &old_t.index),
     );
     let merged_bytes = merged.data_bytes;
     drop(new_t);
     drop(old_t);
-    // Settle: precedes pushing `merged` to the next level (pays its fence
-    // walk).
-    device::settle();
     {
         let mut levels = inner.levels.lock();
         levels[i].merging = None;
@@ -1823,6 +1863,7 @@ fn build_report(inner: &Inner) -> EngineReport {
         nvm_peak_bytes: inner.nvm.peak_bytes(),
         nvm_huge_page_bytes: inner.nvm.huge_page_bytes(),
         dram_huge_page_bytes: inner.dram.huge_page_bytes(),
+        dram_bytes: inner.version().dram_bytes(),
         tables_per_level: tables,
         stats: inner.stats.snapshot(),
     }
@@ -2042,6 +2083,7 @@ impl MioDb {
 mod tests {
     use super::*;
     use crate::read::{LevelView, AFTER_LEVEL_PROBE, AFTER_REPO_PROBE};
+    use miodb_common::DramBytes;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2316,14 +2358,27 @@ mod tests {
         let flushed = one_piece_flush(&mem, nvm).unwrap();
         swizzle(nvm, &flushed);
         let list = SkipList::from_raw(nvm.clone(), flushed.head);
-        Arc::new(PmTable::new(
-            list.clone(),
-            vec![lease_arena(nvm, flushed.region, elastic)],
-            PmTable::rebuild_bloom(&list, recs.len().max(64), 16),
-            flushed.len,
-            flushed.data_bytes,
-            recs.iter().map(|r| r.2).max().unwrap_or(0),
-        ))
+        Arc::new(PmTable {
+            bloom: PmTable::rebuild_bloom(&list, recs.len().max(64), 16),
+            list,
+            arenas: vec![lease_arena(nvm, flushed.region, elastic)],
+            index: TableIndex::flushed(&mem.list(), flushed.delta),
+            len: flushed.len,
+            data_bytes: flushed.data_bytes,
+            newest_seq: recs.iter().map(|r| r.2).max().unwrap_or(0),
+        })
+    }
+
+    /// The merged table the compactor builds once the merge of `new_t`
+    /// into `old_t` is complete.
+    fn merged(
+        nvm: &Arc<PmemPool>,
+        new_t: &PmTable,
+        old_t: &PmTable,
+        stats: miodb_skiplist::MergeStats,
+    ) -> Arc<PmTable> {
+        let index = TableIndex::merged(&new_t.index, &old_t.index);
+        merged_table(nvm, new_t, old_t, stats, 16, index)
     }
 
     fn puts(keys: std::ops::Range<u64>, seq0: u64) -> Vec<Rec> {
@@ -2332,6 +2387,53 @@ mod tests {
             (k, b"v".to_vec(), seq0 + i, OpKind::Put, None)
         })
         .collect()
+    }
+
+    /// `miodb_dram_bytes{use}` equals, use by use, the bytes of the
+    /// structures the published `Version` names, counted here from the
+    /// structures themselves: each MemTable's arena, every filter's bits,
+    /// and every index at its exact size — 12 bytes a key plus the key.
+    #[test]
+    fn dram_gauges_equal_what_the_version_names() {
+        let d = db();
+        let value = vec![42u8; 256];
+        for i in 0..3000u32 {
+            d.put(format!("key{:06}", i % 2000).as_bytes(), &value)
+                .unwrap();
+        }
+        d.wait_idle().unwrap();
+        let v = d.inner.version();
+        let mut expect = DramBytes {
+            repo_fences: v.repo_fences.as_ref().unwrap().fences.bytes(),
+            ..DramBytes::default()
+        };
+        for m in std::iter::once(&v.active).chain(&v.imm) {
+            expect.memtable += m.arena().region().len;
+            expect.bloom += m.bloom_snapshot().num_bits() as u64 / 8;
+        }
+        let mut indexed = 0;
+        for l in v.levels.iter().map(|l| &l.level) {
+            assert!(l.merging.is_none() && l.lazy_draining.is_none());
+            for t in &l.tables {
+                let mut keys: Vec<Vec<u8>> = t.list.iter().map(|e| e.key).collect();
+                keys.dedup();
+                indexed += keys.len();
+                expect.bloom += t.bloom.num_bits() as u64 / 8;
+                expect.index += keys.iter().map(|k| 12 + k.len() as u64).sum::<u64>();
+            }
+        }
+        assert!(indexed > 0, "no settled table to account");
+        let text = d.metrics_text();
+        for (use_, bytes) in expect.uses() {
+            let series = format!("miodb_dram_bytes{{use=\"{use_}\"}} ");
+            let value: f64 = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&series))
+                .unwrap_or_else(|| panic!("no {series}in:\n{text}"))
+                .parse()
+                .unwrap();
+            assert_eq!(value, bytes as f64, "{use_}");
+        }
     }
 
     #[test]
@@ -2353,7 +2455,7 @@ mod tests {
             &mark,
             MergeLimits::none(),
         );
-        let merged = merged_table(&nvm, &new_t, &old_t, out.stats(), 16);
+        let merged = merged(&nvm, &new_t, &old_t, out.stats());
         assert_eq!(merged.list.iter().count(), 75);
 
         // Only a reader of the new input is left; the merged table keeps
@@ -2515,73 +2617,150 @@ mod tests {
         recs
     }
 
-    /// `PmTable::get` answers as the head descent `list.get` does — value,
-    /// seq and kind — for every key of `t`, every fence key, and absent
-    /// keys below the first, between any two, and above the last.
-    fn assert_fenced_get_matches(t: &PmTable) -> TestCaseResult {
+    /// Every key of `list`, a key before each, one after the last, and a
+    /// few beyond both ends: every position a lookup can land on.
+    fn probe_keys(list: &SkipList) -> Vec<Vec<u8>> {
         let mut probes = vec![b"".to_vec(), b"a".to_vec(), b"k".to_vec(), b"z".to_vec()];
-        t.list
-            .walk_level(crate::table::FENCE_LEVEL, |k, _| probes.push(k.to_vec()));
-        prop_assert_eq!(probes.len() - 4, t.fences.count());
-        for e in t.list.iter() {
-            let mut between = e.key.clone();
-            between.push(0);
-            probes.push(between);
+        for e in list.iter() {
+            let mut after = e.key.clone();
+            after.push(0);
+            probes.push(after);
+            let mut before = e.key.clone();
+            before.pop();
+            probes.push(before);
             probes.push(e.key);
         }
         probes.sort_unstable();
         probes.dedup();
-        for key in &probes {
+        probes
+    }
+
+    /// `PmTable::get` answers as the head descent `list.get` does — value,
+    /// seq and kind — at every probe key of `t`, and its index holds one
+    /// entry per key.
+    fn assert_indexed_get_matches(t: &PmTable) -> TestCaseResult {
+        let mut keys: Vec<Vec<u8>> = t.list.iter().map(|e| e.key).collect();
+        keys.dedup();
+        prop_assert_eq!(t.index.len(), keys.len());
+        for key in &probe_keys(&t.list) {
             prop_assert_eq!(t.get(key), t.list.get(key), "key {:?}", key);
         }
         Ok(())
     }
 
-    /// Fenced lookups on a flushed table, on the zero-copy merge of two of
-    /// them, and on the merged table rebuilt from a snapshot of the pool.
-    fn check_fenced_get(seed: u64, keys: usize, towers: usize) -> TestCaseResult {
+    /// Indexed lookups on two flushed tables of multi-version records and
+    /// tombstones; during and after their zero-copy merge, paused at every
+    /// gate as the compactor runs it; on the merge resumed after a crash
+    /// mid-step; and on the merged table rebuilt from a snapshot of the
+    /// pool.
+    fn check_indexed_get(seed: u64, keys: usize, towers: usize) -> TestCaseResult {
         let height = [None, Some(1), Some(miodb_skiplist::MAX_HEIGHT)][towers];
         let mut rng = StdRng::seed_from_u64(seed);
         let stats = Arc::new(Stats::new());
         let dram = PmemPool::new(4 << 20, DeviceModel::dram(), stats.clone()).unwrap();
         let nvm = PmemPool::new(16 << 20, DeviceModel::nvm_unthrottled(), stats.clone()).unwrap();
         let elastic = Arc::new(AtomicU64::new(0));
+        let snapshot = |pool: &PmemPool, what: &str| {
+            let path = std::env::temp_dir().join(format!(
+                "miodb-index-{what}-{}-{seed:x}-{keys}-{towers}.snap",
+                std::process::id()
+            ));
+            pool.snapshot_to_file(&path).unwrap();
+            let restored =
+                PmemPool::restore_from_file(&path, DeviceModel::nvm_unthrottled(), stats.clone())
+                    .unwrap();
+            std::fs::remove_file(&path).unwrap();
+            restored
+        };
 
         let old_t = flushed_table(&dram, &nvm, &elastic, &versioned(&mut rng, keys, 0, height));
-        assert_fenced_get_matches(&old_t)?;
+        assert_indexed_get_matches(&old_t)?;
+        // Newer versions of a prefix of the keys, and keys past the end.
         let newer = versioned(&mut rng, keys / 2 + 1, 1 << 32, height);
         let new_t = flushed_table(&dram, &nvm, &elastic, &newer);
-        assert_fenced_get_matches(&new_t)?;
-
+        assert_indexed_get_matches(&new_t)?;
         let mark = InsertionMark::alloc(&nvm).unwrap();
-        let out = zero_copy_merge(
-            &nvm,
-            new_t.list.head(),
-            old_t.list.head(),
-            &mark,
-            MergeLimits::none(),
-        );
-        prop_assert!(out.is_complete());
-        let merged = merged_table(&nvm, &new_t, &old_t, out.stats(), 16);
-        assert_fenced_get_matches(&merged)?;
+        let before_merge = snapshot(&nvm, "inputs");
 
-        let path = std::env::temp_dir().join(format!(
-            "miodb-fences-{}-{seed:x}-{keys}-{towers}.snap",
-            std::process::id()
-        ));
-        nvm.snapshot_to_file(&path).unwrap();
-        let restored =
-            PmemPool::restore_from_file(&path, DeviceModel::nvm_unthrottled(), stats).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        // The merge, 128 steps a window. At every gate the union index
+        // answers as the merge-visibility read of the two lists does, and
+        // each input's own index still answers for its input as it did.
+        let union = TableIndex::merged(&new_t.index, &old_t.index);
+        let probes = probe_keys(&old_t.list)
+            .into_iter()
+            .chain(probe_keys(&new_t.list))
+            .collect::<Vec<_>>();
+        let inputs: Vec<_> = probes
+            .iter()
+            .map(|k| (new_t.get(k), old_t.get(k)))
+            .collect();
+        let union_list = SkipList::from_raw(nvm.clone(), old_t.list.head());
+        let mut total = miodb_skiplist::MergeStats::default();
+        loop {
+            let out = zero_copy_merge(
+                &nvm,
+                new_t.list.head(),
+                old_t.list.head(),
+                &mark,
+                MergeLimits {
+                    max_steps: Some(MERGE_STEPS_PER_GATE),
+                    abandon_after_link_writes: None,
+                },
+            );
+            total += out.stats();
+            for (key, input) in probes.iter().zip(&inputs) {
+                let visible = new_t
+                    .list
+                    .get(key)
+                    .or_else(|| mark.read(key))
+                    .or_else(|| old_t.list.get(key));
+                prop_assert_eq!(union.get(&union_list, key), visible, "key {:?}", key);
+                prop_assert_eq!(&(new_t.get(key), old_t.get(key)), input);
+            }
+            if out.is_complete() {
+                break;
+            }
+        }
+        let merged = merged(&nvm, &new_t, &old_t, total);
+        assert_indexed_get_matches(&merged)?;
+
+        // The same merge, crashed after a random link write: recovery walks
+        // both inputs afresh, then resumes.
+        if total.link_writes > 0 {
+            let crashed = before_merge;
+            let rebuild = |t: &PmTable| rebuild_table(&crashed, &table_state(t), &elastic, 16, 256);
+            let crash_mark = InsertionMark::from_raw(crashed.clone(), mark.region());
+            let out = zero_copy_merge(
+                &crashed,
+                new_t.list.head(),
+                old_t.list.head(),
+                &crash_mark,
+                MergeLimits {
+                    max_steps: None,
+                    abandon_after_link_writes: Some(rng.gen_range(0..total.link_writes)),
+                },
+            );
+            prop_assert!(!out.is_complete());
+            let resumed = resume_merge(
+                &crashed,
+                &rebuild(&new_t),
+                &rebuild(&old_t),
+                &crash_mark,
+                16,
+            );
+            assert_indexed_get_matches(&resumed)?;
+        }
+
+        let restored = snapshot(&nvm, "merged");
         let rebuilt = rebuild_table(&restored, &table_state(&merged), &elastic, 16, 256);
-        assert_fenced_get_matches(&rebuilt)
+        assert_indexed_get_matches(&rebuilt)
     }
 
     #[test]
-    fn fenced_get_on_empty_and_single_node_tables() {
+    fn indexed_get_on_empty_and_single_node_tables() {
         for keys in [0, 1] {
             for towers in 0..3 {
-                check_fenced_get(keys as u64, keys, towers).unwrap();
+                check_indexed_get(keys as u64, keys, towers).unwrap();
             }
         }
     }
@@ -2590,12 +2769,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn fenced_get_matches_the_head_descent(
+        fn indexed_get_matches_the_head_descent(
             seed in any::<u64>(),
             keys in 2usize..160,
             towers in 0usize..3,
         ) {
-            check_fenced_get(seed, keys, towers)?;
+            check_indexed_get(seed, keys, towers)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Tables large enough that the merge pauses at one gate or more
+        /// (the newer table moves over 128 keys). Drawn towers only: a flat
+        /// or all-tall list makes every head descent linear.
+        #[test]
+        fn indexed_get_matches_the_head_descent_across_merge_gates(
+            seed in any::<u64>(),
+            keys in 260usize..700,
+        ) {
+            check_indexed_get(seed, keys, 0)?;
         }
     }
 

@@ -9,8 +9,9 @@ use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use miodb_bloom::key_hash;
 use miodb_common::trace::{self, SpanKind};
-use miodb_common::{Error, OpKind, Result, ScanEntry};
+use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{InsertionMark, LookupResult};
@@ -124,6 +125,36 @@ pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce() -> T) -> T {
         });
     }
     out
+}
+
+impl Version {
+    /// The DRAM this `Version` names, by use: its MemTables, and the bloom
+    /// filter and index of every table its levels hold — settled, merging
+    /// or draining — and the repository's fences.
+    pub(crate) fn dram_bytes(&self) -> DramBytes {
+        let mut d = DramBytes {
+            repo_fences: self.repo_fences.as_ref().map_or(0, |f| f.fences.bytes()),
+            ..DramBytes::default()
+        };
+        for m in std::iter::once(&self.active).chain(&self.imm) {
+            let (arena, bloom) = m.dram_bytes();
+            d.memtable += arena;
+            d.bloom += bloom;
+        }
+        for LevelView { level, .. } in self.levels.iter() {
+            let merging = level.merging.iter().flat_map(|(n, o)| [n, o]);
+            for t in level
+                .tables
+                .iter()
+                .chain(merging)
+                .chain(&level.lazy_draining)
+            {
+                d.bloom += t.bloom.bytes();
+                d.index += t.index.bytes();
+            }
+        }
+        d
+    }
 }
 
 impl AsRef<Level> for LevelView {
@@ -295,20 +326,24 @@ impl MioDb {
 
         // 2. Elastic buffer, level by level, newest table first, following
         //    the paper's merge-visibility protocol. Each level is probed as
-        //    the loaded `Version` published it; a settled or lazy-draining
-        //    table, probed through its fences and the plain
-        //    (non-mark-aware) descent, may be popped into `merging` and
-        //    re-linked *while we search it*, silently bypassing the
-        //    newtable→mark→oldtable protocol below: a miss can be false,
-        //    and a hit can be the other input's older version, reached from
-        //    a fence that moved there. Both therefore re-check the level's
-        //    structural version and, on change, reload the `Version` and
-        //    retry the level — a retry that races the pop sees
-        //    `merging = Some` and takes the protected path. Bounded: a level
-        //    can only transition a handful of times while one probe runs;
-        //    the cap merely keeps a pathological schedule from livelocking,
-        //    and on exhaustion we take the last probe's answer (no worse
-        //    than the unversioned probe).
+        //    the loaded `Version` published it. A settled or lazy-draining
+        //    table answers through its exact index, which a merge that
+        //    re-links the table under us cannot invalidate. But the level
+        //    can change between the probe and the answer — a merge can pop
+        //    the probed table into `merging` behind a newer one — so a
+        //    probe re-checks the level's structural version and, on change,
+        //    reloads the `Version` and retries the level; a retry that races
+        //    the pop sees `merging = Some` and takes the protected path.
+        //    Bounded: a level can only transition a handful of times while
+        //    one probe runs; the cap merely keeps a pathological schedule
+        //    from livelocking, and on exhaustion we take the last probe's
+        //    answer (no worse than the unversioned probe).
+        //
+        //    The key is hashed once, for every bloom filter probed.
+        let h = key_hash(key);
+        let may_contain = |bloom: &miodb_bloom::BloomFilter| {
+            !inner.opts.bloom_enabled || bloom.may_contain_hash(h)
+        };
         const LEVEL_PROBE_RETRIES: u32 = 64;
         for i in 0..v.levels.len() {
             let mut level_span = trace::span(SpanKind::LevelProbe);
@@ -327,7 +362,7 @@ impl MioDb {
                 let LevelView { level, seen } = &v.levels[i];
                 let mut hit = None;
                 for t in level.tables.iter().rev() {
-                    if inner.opts.bloom_enabled && !t.bloom.may_contain(key) {
+                    if !may_contain(&t.bloom) {
                         inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                         trace::instant(SpanKind::BloomSkip, i as u64);
                         continue;
@@ -347,10 +382,7 @@ impl MioDb {
                     // traversal crossing it mid-splice would follow rewritten
                     // pointers into the oldtable and miss newtable entries.
                     let mark = &level.mark;
-                    let hit = if !inner.opts.bloom_enabled
-                        || new_t.bloom.may_contain(key)
-                        || old_t.bloom.may_contain(key)
-                    {
+                    let hit = if may_contain(&new_t.bloom) || may_contain(&old_t.bloom) {
                         let optimistic = miodb_skiplist::get_skip_marked(&new_t.list, key, mark)
                             .or_else(|| mark.read(key))
                             .or_else(|| old_t.list.get(key));
@@ -386,7 +418,7 @@ impl MioDb {
                     hit = level
                         .lazy_draining
                         .as_ref()
-                        .filter(|t| !inner.opts.bloom_enabled || t.bloom.may_contain(key))
+                        .filter(|t| may_contain(&t.bloom))
                         .and_then(|t| t.get(key));
                 }
                 after_level_probe();

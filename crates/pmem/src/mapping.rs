@@ -6,10 +6,12 @@
 //! anonymous mapping whose base is 2 MiB-aligned (the capacity plus 2 MiB
 //! is mapped and the unaligned head and tail are unmapped again), marked
 //! `MADV_HUGEPAGE` and pre-faulted once with `MADV_POPULATE_WRITE` (one
-//! write per page where the kernel refuses it). The whole pool is resident
-//! and zero when `new` returns, as it was with a zeroed heap block, so the
-//! measured phase takes no page faults; what changes is that it is faulted
-//! in 2 MiB at a time and every later access walks a 2 MiB page.
+//! write per page where the kernel refuses it). The populated prefix —
+//! the whole pool unless the caller asks for less — is resident and zero
+//! when `new` returns, as it was with a zeroed heap block, so the measured
+//! phase takes no page faults there; what changes is that it is faulted in
+//! 2 MiB at a time and every later access walks a 2 MiB page. The rest
+//! reads zero too and is faulted in, huge pages still, on first use.
 //!
 //! When transparent huge pages are off (`never`) the same mapping is
 //! simply served with 4 KiB pages. Elsewhere (other operating systems,
@@ -63,9 +65,10 @@ mod imp {
     }
 
     impl Mapping {
-        /// Maps, aligns and pre-faults at least `capacity` zeroed bytes;
-        /// `None` if the address space is exhausted.
-        pub(crate) fn new(capacity: usize) -> Option<Mapping> {
+        /// Maps and aligns at least `capacity` zeroed bytes and pre-faults
+        /// the first `populate` of them; `None` if the address space is
+        /// exhausted.
+        pub(crate) fn new(capacity: usize, populate: usize) -> Option<Mapping> {
             // SAFETY: sysconf has no preconditions.
             let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) })
                 .ok()
@@ -105,24 +108,26 @@ mod imp {
                 base: NonNull::new(base as *mut u8)?,
                 len,
             };
-            mapping.prefault(page);
+            let populate = populate.checked_next_multiple_of(page)?.min(len);
+            mapping.prefault(page, populate);
             Some(mapping)
         }
 
-        /// Asks for huge pages and faults every page in once. Refusals are
-        /// not errors: without THP the mapping keeps its base pages, and
-        /// without `MADV_POPULATE_WRITE` (before Linux 5.14) one write per
-        /// page faults them in instead.
-        fn prefault(&self, page: usize) {
+        /// Asks for huge pages over the whole mapping and faults each page
+        /// of its first `populate` bytes in once. Refusals are not errors:
+        /// without THP the mapping keeps its base pages, and without
+        /// `MADV_POPULATE_WRITE` (before Linux 5.14) one write per page
+        /// faults them in instead.
+        fn prefault(&self, page: usize, populate: usize) {
             let base = self.base.as_ptr();
-            // SAFETY: advice over exactly the range this mapping owns.
+            // SAFETY: advice over ranges this mapping owns.
             unsafe {
                 madvise(base.cast(), self.len, MADV_HUGEPAGE);
-                if madvise(base.cast(), self.len, MADV_POPULATE_WRITE) == 0 {
+                if populate == 0 || madvise(base.cast(), populate, MADV_POPULATE_WRITE) == 0 {
                     return;
                 }
             }
-            for off in (0..self.len).step_by(page) {
+            for off in (0..populate).step_by(page) {
                 // SAFETY: in range; the page is fresh anonymous memory, so
                 // writing the zero it already holds changes nothing.
                 unsafe { base.add(off).write_volatile(0) };
@@ -221,9 +226,9 @@ mod imp {
     }
 
     impl Mapping {
-        /// Allocates `capacity` zeroed bytes; `None` if the allocation
-        /// fails.
-        pub(crate) fn new(capacity: usize) -> Option<Mapping> {
+        /// Allocates `capacity` zeroed bytes, all of them resident whatever
+        /// `populate` asks; `None` if the allocation fails.
+        pub(crate) fn new(capacity: usize, _populate: usize) -> Option<Mapping> {
             let layout = Layout::from_size_align(capacity, 64).ok()?;
             // SAFETY: the pool never asks for zero bytes.
             let base = NonNull::new(unsafe { alloc_zeroed(layout) })?;

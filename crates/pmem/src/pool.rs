@@ -154,6 +154,24 @@ impl PmemPool {
     /// reserved header, and [`Error::PoolExhausted`] if the host cannot map
     /// it (address space exhausted, e.g. under `RLIMIT_AS`).
     pub fn new(capacity: usize, device: DeviceModel, stats: Arc<Stats>) -> Result<Arc<PmemPool>> {
+        PmemPool::with_populated(capacity, capacity, device, stats)
+    }
+
+    /// [`PmemPool::new`], with only the first `populate` bytes (rounded up
+    /// to a page) resident at open; the rest reads zero as well and is
+    /// faulted in on first use. For a DRAM pool whose working set is far
+    /// below its capacity: the engine's MemTables, allocated first fit,
+    /// stay near the bottom of theirs.
+    ///
+    /// # Errors
+    ///
+    /// As [`PmemPool::new`].
+    pub fn with_populated(
+        capacity: usize,
+        populate: usize,
+        device: DeviceModel,
+        stats: Arc<Stats>,
+    ) -> Result<Arc<PmemPool>> {
         if (capacity as u64) < POOL_HEADER_BYTES * 2 {
             return Err(Error::InvalidArgument(format!(
                 "pool capacity {capacity} below minimum {}",
@@ -161,7 +179,7 @@ impl PmemPool {
             )));
         }
         let capacity = (capacity as u64 & !(POOL_ALIGN - 1)) as usize;
-        let memory = Mapping::new(capacity).ok_or(Error::PoolExhausted {
+        let memory = Mapping::new(capacity, populate).ok_or(Error::PoolExhausted {
             requested: capacity,
             available: 0,
         })?;

@@ -142,6 +142,7 @@ impl<E: KvEngine> KvEngine for ShardRouter<E> {
             total.nvm_peak_bytes += r.nvm_peak_bytes;
             total.nvm_huge_page_bytes += r.nvm_huge_page_bytes;
             total.dram_huge_page_bytes += r.dram_huge_page_bytes;
+            total.dram_bytes += r.dram_bytes;
             if tables.len() < r.tables_per_level.len() {
                 tables.resize(r.tables_per_level.len(), 0);
             }

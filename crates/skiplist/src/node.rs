@@ -431,22 +431,57 @@ impl SkipList {
     /// The lookup result at `node`, the first node at or after the newest
     /// position of `key` (0 past the end), charging the value read.
     fn found(&self, node: u64, key: &[u8]) -> Option<LookupResult> {
-        let pool = &*self.pool;
-        if node == 0 || raw::key(pool, node) != key {
+        if node == 0 || raw::key(&self.pool, node) != key {
             return None;
         }
+        Some(self.entry(node))
+    }
+
+    /// The version stored at `node`, a data node of this list: one charged
+    /// visit for its header and key, then its value. This is how a table's
+    /// exact DRAM index answers a hit — the index found `node` already, so
+    /// nothing is descended and nothing else is read.
+    pub fn entry_at(&self, node: u64) -> LookupResult {
+        raw::charge_visit(&self.pool);
+        self.entry(node)
+    }
+
+    /// The version at `node`, charging the value read only.
+    fn entry(&self, node: u64) -> LookupResult {
+        let pool = &*self.pool;
         let value = raw::value(pool, node).to_vec();
         pool.charge_read(value.len());
-        Some(LookupResult {
+        LookupResult {
             value,
             seq: raw::seq(pool, node),
             kind: raw::kind(pool, node),
-        })
+        }
+    }
+
+    /// Calls `f(key, node)` for the newest version of every key — the first
+    /// node of each run of equal keys on level 0 — in key order, charging
+    /// one modeled visit per node of the level in one batch. On a DRAM
+    /// list (an immutable MemTable) the walk is free in the model.
+    pub fn walk_newest(&self, mut f: impl FnMut(&[u8], u64)) {
+        let pool = &*self.pool;
+        let mut visits = 0;
+        let mut last: &[u8] = &[];
+        let mut node = self.first();
+        while node != 0 {
+            visits += 1;
+            let key = raw::key(pool, node);
+            if visits == 1 || key != last {
+                f(key, node);
+                last = key;
+            }
+            node = raw::next(pool, node, 0);
+        }
+        pool.charge_read_batch(visits, VISIT_BYTES);
     }
 
     /// Calls `f(key, node)` for every node whose tower reaches `level`, in
     /// list order, charging one modeled visit per node in one batch. This
-    /// is how a table's DRAM fence array is built.
+    /// is how the repository's DRAM fence array is built.
     pub fn walk_level(&self, level: usize, mut f: impl FnMut(&[u8], u64)) {
         let pool = &*self.pool;
         let mut visits = 0;

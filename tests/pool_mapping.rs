@@ -1,7 +1,9 @@
 //! The pool's memory is mapped the way a DAX device is: 2 MiB-aligned,
 //! backed by transparent huge pages where the host allows them, zero and
 //! resident at open, unmapped exactly on drop, and refused with a typed
-//! error when the address space cannot hold it.
+//! error when the address space cannot hold it. A DRAM pool may ask for
+//! less to be resident at open: the engine's holds its MemTables, which
+//! touch only the bottom few of its pages, and faults the rest on use.
 //!
 //! The tests here measure the process (`VmSize`, `/proc/self/smaps`), so
 //! they take one lock and run one at a time.
@@ -140,6 +142,47 @@ fn snapshot_restore_is_byte_identical_to_the_high_water_mark() {
     assert!(rest.iter().all(|&b| b == 0), "bytes above the mark");
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn a_partly_populated_pool_is_resident_only_where_asked() {
+    let _serial = serial();
+    if !MAPPED {
+        return;
+    }
+    let before = status_bytes("VmRSS:");
+    let p = PmemPool::with_populated(
+        64 << 20,
+        4 << 20,
+        DeviceModel::dram(),
+        Arc::new(Stats::new()),
+    )
+    .unwrap();
+    let opened = status_bytes("VmRSS:");
+    assert!(
+        opened < before + (16 << 20),
+        "RSS grew {} bytes opening a 64 MiB pool with 4 MiB populated",
+        opened - before
+    );
+    assert!(p.huge_page_bytes() <= 4 << 20, "{}", p.huge_page_bytes());
+    // The rest reads zero and takes writes, faulted in on first use.
+    let r = p.alloc(48 << 20).unwrap();
+    for off in (r.offset..r.end()).step_by(4096) {
+        // SAFETY: nothing has been written; every byte is initialized zero.
+        assert_eq!(unsafe { p.slice(off, 1) }[0], 0, "page at offset {off}");
+    }
+    p.store_bytes(r.end() - 8, &[0xA5; 8]);
+    assert!(status_bytes("VmRSS:") > opened);
+    drop(p);
+
+    let before = status_bytes("VmRSS:");
+    let whole = pool(64 << 20);
+    assert!(
+        status_bytes("VmRSS:") >= before + (60 << 20),
+        "a pool opened with `new` is resident whole"
+    );
+    drop(whole);
+}
+
 #[test]
 fn huge_page_gauge_is_bounded_and_nonzero_where_thp_is_on() {
     let _serial = serial();
@@ -154,11 +197,20 @@ fn huge_page_gauge_is_bounded_and_nonzero_where_thp_is_on() {
     }
 }
 
+/// The NVM pool is populated whole, so its gauge is bounded by its
+/// capacity; the DRAM pool only up to the MemTables' working set, four
+/// MemTables, which THP rounds up to whole huge pages.
 #[test]
 fn engine_exports_both_pools_huge_page_bytes() {
     let _serial = serial();
     let opts = MioOptions::small_for_tests();
-    let caps = [("nvm", opts.nvm_pool_bytes), ("dram", opts.dram_pool_bytes)];
+    let caps = [
+        ("nvm", opts.nvm_pool_bytes),
+        (
+            "dram",
+            (4 * opts.memtable_bytes).next_multiple_of(HUGE_PAGE),
+        ),
+    ];
     let db = MioDb::open(opts).unwrap();
     let text = db.metrics_text();
     assert!(

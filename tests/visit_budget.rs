@@ -12,7 +12,10 @@
 //!
 //! A fenced lookup binary-searches the fences in DRAM (free, like a bloom
 //! probe), reads the fence node's tower (one visit) and descends only the
-//! levels below the fence level.
+//! levels below the fence level. A settled table's exact index goes one
+//! step further: its binary search finds the node itself, so a hit reads
+//! one node and a miss none, and building it — from the flushed MemTable
+//! in DRAM, or from the two indexes a merge joins — reads no NVM at all.
 //!
 //! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
 //! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
@@ -23,11 +26,12 @@
 use std::sync::Arc;
 
 use miodb::common::OpKind;
-use miodb::core::table::{Fences, FENCE_LEVEL};
+use miodb::core::table::{Fences, TableIndex, FENCE_LEVEL};
 use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::merge::MergeLimits;
 use miodb::skiplist::{
-    node_size_upper, zero_copy_merge, GrowableSkipList, InsertionMark, LookupResult, SkipListArena,
+    node_size_upper, one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark,
+    LookupResult, SkipList, SkipListArena,
 };
 use miodb::Stats;
 use rand::rngs::StdRng;
@@ -272,4 +276,88 @@ fn a_fenced_repository_get_reads_a_constant_number_of_nodes() {
     );
     assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
     assert!(head >= 28.0, "from the head: {head:.2} visits a get");
+}
+
+/// A table of `keys` flushed as the engine flushes one: inserted into a
+/// MemTable arena in `dram`, copied into `nvm` in one piece and swizzled,
+/// and indexed from the MemTable. Asserts that the index read no NVM.
+fn flushed(
+    dram: &Arc<PmemPool>,
+    nvm: &Arc<PmemPool>,
+    keys: &[u64],
+    seq0: u64,
+) -> (SkipList, TableIndex) {
+    let (mem, _) = table(dram, keys, seq0);
+    let copy = one_piece_flush(&mem, nvm).unwrap();
+    swizzle(nvm, &copy);
+    let before = nvm.stats().snapshot();
+    let index = TableIndex::flushed(&mem.list(), copy.delta);
+    assert_eq!(nvm.stats().snapshot().diff(&before).nvm_bytes_read, 0);
+    (SkipList::from_raw(nvm.clone(), copy.head), index)
+}
+
+/// Modeled NVM bytes `lookup` reads over `keys`, each of which it misses.
+fn bytes_per_miss(
+    p: &PmemPool,
+    keys: &[u64],
+    lookup: impl Fn(&[u8]) -> Option<LookupResult>,
+) -> u64 {
+    let before = p.stats().snapshot();
+    for &k in keys {
+        assert!(lookup(&key(k)).is_none());
+    }
+    p.stats().snapshot().diff(&before).nvm_bytes_read
+}
+
+#[test]
+fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
+    // Two tables the size of the deepest of the `read` workload, flushed
+    // and merged as the engine does; present keys are even, absent odd.
+    const N: usize = 31_000;
+    let stats = Arc::new(Stats::new());
+    let dram = PmemPool::new(16 << 20, DeviceModel::dram(), stats.clone()).unwrap();
+    let nvm = PmemPool::new(16 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
+    let mut r = StdRng::seed_from_u64(7);
+    let mut draw = || -> Vec<u64> { (0..N).map(|_| r.next_u64() & !1).collect() };
+    let (old_keys, new_keys) = (draw(), draw());
+    let (old_list, old_index) = flushed(&dram, &nvm, &old_keys, 1);
+    let (new_list, new_index) = flushed(&dram, &nvm, &new_keys, 1 << 32);
+    let absent: Vec<u64> = (0..2_000).map(|_| r.next_u64() | 1).collect();
+
+    let probes: Vec<u64> = (0..2_000).map(|_| old_keys[r.gen_range(0..N)]).collect();
+    let hit = visits_per_get(&nvm, &probes, |k| old_index.get(&old_list, k));
+    assert_eq!(hit, 1.0, "a flushed table's indexed hit");
+    assert_eq!(
+        bytes_per_miss(&nvm, &absent, |k| old_index.get(&old_list, k)),
+        0
+    );
+
+    let mark = InsertionMark::alloc(&nvm).unwrap();
+    let out = zero_copy_merge(
+        &nvm,
+        new_list.head(),
+        old_list.head(),
+        &mark,
+        MergeLimits::none(),
+    );
+    assert!(out.is_complete());
+    let before = nvm.stats().snapshot();
+    let merged = TableIndex::merged(&new_index, &old_index);
+    assert_eq!(nvm.stats().snapshot().diff(&before).nvm_bytes_read, 0);
+    assert_eq!(merged.len(), 2 * N);
+
+    let probes: Vec<u64> = (0..2_000)
+        .map(|i| [&old_keys, &new_keys][i % 2][r.gen_range(0..N)])
+        .collect();
+    let hit = visits_per_get(&nvm, &probes, |k| merged.get(&old_list, k));
+    let head = visits_per_get(&nvm, &probes, |k| old_list.get(k));
+    println!(
+        "get in a merged {}: 1 visit indexed, {head:.2} from the head",
+        2 * N
+    );
+    assert_eq!(hit, 1.0, "a merged table's indexed hit");
+    assert_eq!(
+        bytes_per_miss(&nvm, &absent, |k| merged.get(&old_list, k)),
+        0
+    );
 }
