@@ -328,6 +328,8 @@ struct Shared {
     engine: RwLock<Arc<dyn KvEngine>>,
     telemetry: ServiceTelemetry,
     shutdown: AtomicBool,
+    /// Wakes the accept thread out of its readiness wait at shutdown.
+    accept_wake: WakeFd,
     opts: ServerOptions,
     shards: Vec<Arc<ShardHandle>>,
     work: WorkQueue,
@@ -513,6 +515,7 @@ impl KvServer {
             engine: RwLock::new(engine),
             telemetry: ServiceTelemetry::new(),
             shutdown: AtomicBool::new(false),
+            accept_wake: WakeFd::new().map_err(Error::Io)?,
             opts,
             shards,
             work: WorkQueue::new(),
@@ -651,6 +654,7 @@ impl KvServer {
     /// [`ShardRouter::close`](crate::ShardRouter::close).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.accept_wake.wake();
         for shard in &self.shared.shards {
             shard.wake.wake();
         }
@@ -681,7 +685,20 @@ impl Drop for KvServer {
     }
 }
 
+/// Accepts until shutdown, asleep in a readiness wait on the listener and
+/// the accept wake fd whenever no connection is pending.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let Ok(poller) = Poller::new() else {
+        return;
+    };
+    if poller.add(listener.as_raw_fd(), 0, EPOLLIN).is_err()
+        || poller
+            .add(shared.accept_wake.fd(), WAKE_TOKEN, EPOLLIN)
+            .is_err()
+    {
+        return;
+    }
+    let mut events = Vec::new();
     let mut next_token: u64 = 1;
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -698,7 +715,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 shared.shards[shard_idx].send(ShardMsg::NewConn(stream, conn));
             }
             Err(e) if proto::is_timeout(&e) => {
-                std::thread::sleep(Duration::from_millis(1));
+                // Level-triggered: a connection that arrived, or a wake
+                // that shutdown sent, before the wait ends it at once.
+                if poller.wait(&mut events, None).is_err() {
+                    return;
+                }
             }
             Err(_) => {
                 // Transient accept failure (e.g. fd exhaustion): back off.
