@@ -49,8 +49,8 @@ pub struct DramBytes {
     pub bloom: u64,
     /// The PMTables' exact key indexes.
     pub index: u64,
-    /// The data repository's fences.
-    pub repo_fences: u64,
+    /// The data repository's exact key index.
+    pub repo_index: u64,
 }
 
 impl DramBytes {
@@ -60,7 +60,7 @@ impl DramBytes {
             ("memtable", self.memtable),
             ("bloom", self.bloom),
             ("index", self.index),
-            ("repo_fences", self.repo_fences),
+            ("repo_index", self.repo_index),
         ]
     }
 }
@@ -70,7 +70,7 @@ impl std::ops::AddAssign for DramBytes {
         self.memtable += other.memtable;
         self.bloom += other.bloom;
         self.index += other.index;
-        self.repo_fences += other.repo_fences;
+        self.repo_index += other.repo_index;
     }
 }
 

@@ -259,11 +259,6 @@ declare_stats! {
     /// (settled/merging/lazy-draining sets) changed while the probe ran.
     level_probe_retries => Count "miodb_level_probe_retries_total" {}
         "Gets that re-probed a level whose structure changed under them.";
-    /// Number of repository probes answered by the head descent instead of
-    /// the repository's fences, because a lazy-copy run was in progress,
-    /// had just ended, or moved under the fenced probe.
-    repo_index_fallbacks => Count "miodb_repo_index_fallbacks_total" {}
-        "Repository probes answered by the head descent, not the fences.";
 }
 
 impl Stats {

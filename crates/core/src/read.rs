@@ -4,8 +4,13 @@
 //! change `mem` and `levels` under their locks and publish here, write the
 //! repository in runs through [`repo_run`], and wait through
 //! [`Inner::wait_until`]; readers never take those locks.
+//!
+//! Every table a GET probes answers through an exact DRAM index: a settled
+//! or lazy-draining table through its own, the huge-PMTable repository
+//! through the one its `Version` carries
+//! ([`RepoIndex`](crate::repository::RepoIndex)).
 
-use std::sync::atomic::{self, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -14,11 +19,11 @@ use miodb_common::trace::{self, SpanKind};
 use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
-use miodb_skiplist::{InsertionMark, LookupResult};
+use miodb_skiplist::InsertionMark;
 
 use crate::db::{Inner, Level, MemState, MioDb};
-use crate::repository::RepoFences;
-use crate::table::MemTable;
+use crate::repository::RepoIndex;
+use crate::table::{MemTable, TableIndex};
 
 /// Everything a GET or a scan reads, published as one immutable value:
 /// the MemTables and every level's tables (the Version/SuperVersion of
@@ -28,7 +33,7 @@ use crate::table::MemTable;
 /// It is republished through [`publish`], under the lock that guards the
 /// mutation, at every structural transition: `mem` changes with
 /// [`Version::with_mem`], `levels` changes with [`Version::relinked`], and
-/// the repository's fences through [`repo_run`]. So the published
+/// the repository's index through [`repo_run`]. So the published
 /// `Version` never lags the locked state a reader could otherwise have
 /// seen, and every engine wait, a predicate over it, is woken by the
 /// publish that can make it true. Lock order: `levels` before `mem` before
@@ -46,9 +51,9 @@ pub(crate) struct Version {
     pub(crate) active: Arc<MemTable>,
     pub(crate) imm: Option<Arc<MemTable>>,
     pub(crate) levels: Arc<[LevelView]>,
-    /// The huge-PMTable repository's fences as the last lazy-copy run left
-    /// them (`None` for the LSM repository); see `Inner::repo_get`.
-    pub(crate) repo_fences: Option<Arc<RepoFences>>,
+    /// The huge-PMTable repository's index as the last lazy-copy run left
+    /// it (`None` for the LSM repository).
+    pub(crate) repo_index: Option<Arc<RepoIndex>>,
 }
 
 /// One level of a [`Version`]: its state and the structural version
@@ -102,25 +107,25 @@ impl Version {
     }
 }
 
-/// Runs `apply`, which writes the repository, as one lazy-copy run: a
-/// seqlock with the lazy worker as its one writer. The run epoch is odd
-/// while `apply` links and unlinks nodes; then the fences are rebuilt —
-/// one walk of level [`FENCE_LEVEL`](crate::table::FENCE_LEVEL), charged
-/// to the caller — the epoch turns even, and the fences, tagged with it,
-/// are published. Callers hold the repository writer.
-pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce() -> T) -> T {
-    let epoch = inner.repo_epoch.load(Ordering::Relaxed);
-    inner.repo_epoch.store(epoch + 1, Ordering::Relaxed);
-    // Orders the odd epoch before every link store of the run: a probe
-    // that loads one of those stores sees the odd epoch at its re-check.
-    atomic::fence(Ordering::Release);
-    let out = apply();
-    let fences = inner.repo.build_fences(epoch + 2);
-    inner.repo_epoch.store(epoch + 2, Ordering::Release);
-    if let Some(fences) = fences {
-        let fences = Arc::new(fences);
+/// Runs `apply` as one lazy-copy run: `apply` writes the repository and
+/// records each change to its index, in key order, in the edits it is
+/// passed ([`TableIndex::record`]); then the index with those edits
+/// applied is built in DRAM and published. A run that fails part way
+/// publishes what it did, so a retry that finds those entries already
+/// applied loses none of them. Callers hold the repository writer, the
+/// one publisher of the index: the index the run starts from is still the
+/// published one when its successor is.
+pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce(&mut TableIndex) -> T) -> T {
+    let mut edits = TableIndex::default();
+    let out = apply(&mut edits);
+    let last = inner.version().repo_index.clone();
+    if let (Some(last), false) = (last, edits.is_empty()) {
+        let next = Arc::new(RepoIndex {
+            list: last.list.clone(),
+            index: last.index.edited(&edits),
+        });
         publish(inner, |v| Version {
-            repo_fences: Some(fences),
+            repo_index: Some(next),
             ..v.clone()
         });
     }
@@ -130,10 +135,10 @@ pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce() -> T) -> T {
 impl Version {
     /// The DRAM this `Version` names, by use: its MemTables, and the bloom
     /// filter and index of every table its levels hold — settled, merging
-    /// or draining — and the repository's fences.
+    /// or draining — and the repository's index.
     pub(crate) fn dram_bytes(&self) -> DramBytes {
         let mut d = DramBytes {
-            repo_fences: self.repo_fences.as_ref().map_or(0, |f| f.fences.bytes()),
+            repo_index: self.repo_index.as_ref().map_or(0, |r| r.index.bytes()),
             ..DramBytes::default()
         };
         for m in std::iter::once(&self.active).chain(&self.imm) {
@@ -227,40 +232,6 @@ impl Inner {
             }
         }
     }
-
-    /// The repository's version of `key`, through `fences` — the ones the
-    /// loaded `Version` carries — when they are exact for the list.
-    ///
-    /// They are while the run epoch equals their tag: no run is in
-    /// progress, and none ended since they were built. Repository nodes are
-    /// never freed while the engine runs, and every link store is Release.
-    /// So a probe that loaded none of a later run's link stores walked the
-    /// list the fences were built over, and a probe that loaded one sees
-    /// that run's odd epoch after the Acquire fence. A probe whose epoch
-    /// moved, or that started during a run or before the fences of the
-    /// last one were published, is answered by the head descent.
-    pub(crate) fn repo_get(
-        &self,
-        fences: Option<&RepoFences>,
-        key: &[u8],
-    ) -> Result<Option<LookupResult>> {
-        let Some(f) = fences else {
-            return self.repo.get(key);
-        };
-        let epoch = self.repo_epoch.load(Ordering::Acquire);
-        if epoch == f.epoch {
-            let found = f.get(key);
-            after_repo_probe();
-            atomic::fence(Ordering::Acquire);
-            if self.repo_epoch.load(Ordering::Relaxed) == epoch {
-                return Ok(found);
-            }
-        }
-        self.stats
-            .repo_index_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(f.list.get(key))
-    }
 }
 
 #[cfg(test)]
@@ -272,30 +243,12 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// The point where a test re-links a level under a finished probe; nothing
-/// outside the tests.
+/// The point where a test re-links a level, or runs a lazy copy, under a
+/// finished probe; nothing outside the tests.
 #[inline]
 fn after_level_probe() {
     #[cfg(test)]
     if let Some(hook) = AFTER_LEVEL_PROBE.with(std::cell::Cell::take) {
-        hook();
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Runs once, in the next fenced repository probe on this thread,
-    /// after the probe and before its run-epoch re-check.
-    pub(crate) static AFTER_REPO_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The point where a test runs a lazy-copy run under a finished fenced
-/// repository probe; nothing outside the tests.
-#[inline]
-fn after_repo_probe() {
-    #[cfg(test)]
-    if let Some(hook) = AFTER_REPO_PROBE.with(std::cell::Cell::take) {
         hook();
     }
 }
@@ -440,9 +393,13 @@ impl MioDb {
             }
         }
 
-        // 3. Data repository, through its fences when they are current.
+        // 3. Data repository, through the index `v` carries.
         let _repo_span = trace::span(SpanKind::RepoProbe);
-        if let Some(r) = inner.repo_get(v.repo_fences.as_deref(), key)? {
+        let found = match &v.repo_index {
+            Some(r) => r.get(key),
+            None => inner.repo.get(key)?,
+        };
+        if let Some(r) = found {
             if r.kind == OpKind::Put {
                 inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(r.value));

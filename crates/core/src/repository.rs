@@ -1,4 +1,10 @@
 //! The bottom-level data repository: huge PMTable or on-SSD LSM.
+//!
+//! A GET reaches the huge-PMTable repository through its exact DRAM index
+//! ([`RepoIndex`]), published in the engine's `Version`: a binary search in
+//! DRAM, then one node read for a hit and none for a miss. Each lazy-copy
+//! run builds the next index in DRAM from the previous one and the run's
+//! own edits; only recovery walks the list in NVM to build one.
 
 use std::sync::Arc;
 
@@ -8,27 +14,34 @@ use miodb_pmem::{DeviceModel, PmemPool};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{GrowableSkipList, LookupResult, SkipList};
 
-use crate::table::Fences;
+use crate::table::TableIndex;
 
-/// DRAM fences over the huge-PMTable repository, exact for its list as the
-/// lazy-copy run that ended at run epoch `epoch` left it. The lazy worker
-/// builds a new array at the end of every run; the engine probes through
-/// one only while the repository's run epoch still equals `epoch`.
+/// The huge-PMTable repository's exact DRAM index: every key with the
+/// offset of its one node, as the last lazy-copy run left the list.
+///
+/// It needs no check against runs in progress. Repository nodes are never
+/// rewritten and never freed while the engine runs, so an entry stays
+/// readable after a later run bypasses or unlinks its node. And a run only
+/// touches keys of the table it drains, whose data any `Version` published
+/// before the run's own index names — as that table, in its level or as
+/// `lazy_draining` until after the publish, or, in a `Version` older than
+/// the table, as the MemTables and tables it came from — and a GET probes
+/// all of those before the repository. So an older index is exact for
+/// every key the run does not touch, and the data its `Version` names
+/// answers every key the run does.
 #[derive(Debug)]
-pub struct RepoFences {
-    /// The run epoch the fences were built for. Always even: odd epochs
-    /// are runs in progress.
-    pub epoch: u64,
+pub struct RepoIndex {
     /// Read view of the repository.
     pub list: SkipList,
-    /// The fences over `list`.
-    pub fences: Fences,
+    /// Every key of `list` and the offset of its node.
+    pub index: TableIndex,
 }
 
-impl RepoFences {
-    /// The repository's version of `key`, through the fences.
+impl RepoIndex {
+    /// The repository's version of `key`: one node read for a hit, none
+    /// for a miss.
     pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
-        self.fences.get(&self.list, key)
+        self.index.get(&self.list, key)
     }
 }
 
@@ -133,18 +146,16 @@ impl Repository {
         }
     }
 
-    /// Fences over the huge-PMTable repository as it is now, tagged with
-    /// run epoch `epoch`: one walk of level
-    /// [`FENCE_LEVEL`](crate::table::FENCE_LEVEL), charged to the calling
-    /// thread. `None` for the LSM repository. The caller holds the
-    /// repository writer.
-    pub fn build_fences(&self, epoch: u64) -> Option<RepoFences> {
+    /// The huge-PMTable repository's index, walked over its level 0 in
+    /// NVM ([`TableIndex::walk`]); `None` for the LSM repository. Recovery
+    /// is the only caller: a running engine derives each index from the
+    /// last ([`RepoIndex::edited`]).
+    pub fn walk_index(&self) -> Option<RepoIndex> {
         match self {
             Repository::Pm(r) => {
                 let list = r.list();
-                Some(RepoFences {
-                    epoch,
-                    fences: Fences::build(&list),
+                Some(RepoIndex {
+                    index: TableIndex::walk(&list),
                     list,
                 })
             }

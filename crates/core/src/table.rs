@@ -5,92 +5,9 @@ use std::sync::Arc;
 use miodb_bloom::BloomFilter;
 use miodb_common::{OpKind, Result, SequenceNumber};
 use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
-use miodb_skiplist::{LookupResult, SkipList, SkipListArena};
+use miodb_skiplist::{ApplyOutcome, LookupResult, SkipList, SkipListArena};
 use miodb_wal::WriteAheadLog;
 use parking_lot::Mutex;
-
-/// The tower level the repository's fence array indexes. With the skip
-/// list's branching factor of 4, about 1 node in 16 is a fence, and a
-/// fenced lookup descends levels `FENCE_LEVEL - 1` down to 0 only.
-pub const FENCE_LEVEL: usize = 2;
-
-/// A DRAM search layer over a list that changes in runs — the data
-/// repository ([`RepoFences`](crate::repository::RepoFences)): the key and
-/// node offset of every node whose tower reaches [`FENCE_LEVEL`], in list
-/// order. Rebuilt after each run; immutable afterwards.
-///
-/// Keys live back to back in one buffer, so the array holds three
-/// allocations whatever its fence count.
-#[derive(Debug, Default)]
-pub struct Fences {
-    /// Every fence key, back to back.
-    keys: Vec<u8>,
-    /// Where fence `i`'s key ends in `keys`.
-    ends: Vec<usize>,
-    /// Node offset of fence `i`.
-    nodes: Vec<u64>,
-}
-
-impl Fences {
-    /// Walks `list`'s level [`FENCE_LEVEL`], charging one modeled visit per
-    /// fence.
-    pub fn build(list: &SkipList) -> Fences {
-        let mut f = Fences::default();
-        list.walk_level(FENCE_LEVEL, |key, node| {
-            f.keys.extend_from_slice(key);
-            f.ends.push(f.keys.len());
-            f.nodes.push(node);
-        });
-        f.keys.shrink_to_fit();
-        f.ends.shrink_to_fit();
-        f.nodes.shrink_to_fit();
-        f
-    }
-
-    fn key(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.keys[start..self.ends[i]]
-    }
-
-    /// The last fence whose key sorts strictly below `key`: every version
-    /// of `key` lies after it. A fence *equal* to `key` may be the newest
-    /// version itself or an older one, so it never qualifies.
-    pub fn start_for(&self, key: &[u8]) -> Option<u64> {
-        let (mut lo, mut hi) = (0, self.nodes.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.checked_sub(1).map(|i| self.nodes[i])
-    }
-
-    /// Number of fences.
-    pub fn count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Heap bytes the array holds.
-    pub fn bytes(&self) -> u64 {
-        (self.keys.capacity()
-            + self.ends.capacity() * std::mem::size_of::<usize>()
-            + self.nodes.capacity() * 8) as u64
-    }
-
-    /// The newest version of `key` in `list` (tombstones included): a
-    /// binary search of the fences in DRAM, then a descent of the levels
-    /// below [`FENCE_LEVEL`] from the fence found (or from the head).
-    ///
-    /// Exact only while `list` is as it was when the fences were built;
-    /// callers check that it still is.
-    pub fn get(&self, list: &SkipList, key: &[u8]) -> Option<LookupResult> {
-        let start = self.start_for(key).unwrap_or(list.head());
-        list.get_from(start, FENCE_LEVEL, key)
-    }
-}
 
 /// A settled table's exact DRAM index, a sibling of its bloom filter: every
 /// key of the table, in key order, with the offset of that key's newest
@@ -102,9 +19,14 @@ impl Fences {
 /// so the index stays exact for the table's contents even while a later
 /// merge re-links its nodes into another list.
 ///
+/// The data repository has one too
+/// ([`RepoIndex`](crate::repository::RepoIndex)): each lazy-copy run
+/// records its edits in a `TableIndex` ([`TableIndex::record`]) and
+/// publishes the previous index with them applied ([`TableIndex::edited`]).
+///
 /// Keys live back to back in one buffer, and each of the three arrays ends
 /// at its exact size: 12 bytes per entry plus the key.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TableIndex {
     /// Every key, back to back.
     keys: Vec<u8>,
@@ -179,6 +101,34 @@ impl TableIndex {
         index
     }
 
+    /// Records what a repository apply did to `key`, which sorts after
+    /// every key recorded so far: its new node, or its removal. An apply
+    /// that changed nothing — a superseded entry, a tombstone for an absent
+    /// key — records nothing.
+    pub fn record(&mut self, key: &[u8], outcome: ApplyOutcome) {
+        match outcome {
+            ApplyOutcome::Inserted(node) | ApplyOutcome::Updated(node) => self.push(key, node),
+            ApplyOutcome::Deleted => self.push(key, REMOVED),
+            ApplyOutcome::DeletedAbsent | ApplyOutcome::Superseded => {}
+        }
+    }
+
+    /// This index with `edits` ([`TableIndex::record`]) applied: an edit
+    /// wins over the entry it shares a key with, and a removal drops the
+    /// key. Reads no NVM, and makes one pass: the arrays are sized for
+    /// disjoint inputs and shrunk to the result.
+    pub fn edited(&self, edits: &TableIndex) -> TableIndex {
+        let mut index =
+            TableIndex::with_capacity(edits.len() + self.len(), edits.keys.len() + self.keys.len());
+        union(edits, self, |key, node| {
+            if node != REMOVED {
+                index.push(key, node);
+            }
+        });
+        index.shrink_to_fit();
+        index
+    }
+
     /// The index of `list`, walked over its level 0 in NVM: one charged
     /// visit per node. Recovery is the only caller; a running engine
     /// builds every index from DRAM.
@@ -225,6 +175,9 @@ impl TableIndex {
         self.find(key).map(|node| list.entry_at(node))
     }
 }
+
+/// The node an edit records for a removed key: offset 0 is never a node.
+const REMOVED: u64 = 0;
 
 /// Calls `f(key, node)` for every key of `new` or `old`, in key order; a
 /// key both hold comes from `new`.
@@ -320,6 +273,8 @@ impl PmTable {
 /// incrementally built bloom filter (inherited by the flushed PMTable).
 pub struct MemTable {
     arena: SkipListArena,
+    /// Read view of `arena`, built once so a probe clones no pool handle.
+    list: SkipList,
     wal: WriteAheadLog,
     bloom: Mutex<BloomFilter>,
 }
@@ -351,6 +306,7 @@ impl MemTable {
         let arena = SkipListArena::new(dram.clone(), capacity)?;
         let wal = WriteAheadLog::new(nvm.clone(), wal_segment)?;
         Ok(MemTable {
+            list: arena.list(),
             arena,
             wal,
             bloom: Mutex::new(BloomFilter::with_bits_per_key(
@@ -422,8 +378,8 @@ impl MemTable {
     }
 
     /// Read view.
-    pub fn list(&self) -> SkipList {
-        self.arena.list()
+    pub fn list(&self) -> &SkipList {
+        &self.list
     }
 
     /// DRAM bytes of the arena and of the bloom filter.

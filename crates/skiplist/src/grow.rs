@@ -29,10 +29,11 @@ use crate::node::{
 /// What [`GrowableSkipList::apply`] did with an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyOutcome {
-    /// The key was new; a node was inserted.
-    Inserted,
-    /// An older version existed and was replaced (old node bypassed).
-    Updated,
+    /// The key was new; the node at this offset was inserted.
+    Inserted(u64),
+    /// An older version existed and was replaced by the node at this
+    /// offset (the old node bypassed).
+    Updated(u64),
     /// A tombstone removed an existing key.
     Deleted,
     /// A tombstone arrived for a key the repository never had.
@@ -337,10 +338,10 @@ impl GrowableSkipList {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
             self.bypass_older(&preds, off, height, key);
             self.data_bytes.fetch_sub(old_bytes, Ordering::Release);
-            ApplyOutcome::Updated
+            ApplyOutcome::Updated(off)
         } else {
             self.len.fetch_add(1, Ordering::Release);
-            ApplyOutcome::Inserted
+            ApplyOutcome::Inserted(off)
         };
         self.data_bytes
             .fetch_add((key.len() + value.len()) as u64, Ordering::Release);
@@ -421,16 +422,19 @@ mod tests {
     #[test]
     fn insert_update_get() {
         let r = repo();
-        assert_eq!(
-            r.apply(b"k", b"v1", 1, OpKind::Put).unwrap(),
-            ApplyOutcome::Inserted
-        );
+        let ApplyOutcome::Inserted(first) = r.apply(b"k", b"v1", 1, OpKind::Put).unwrap() else {
+            panic!("a new key is inserted")
+        };
         assert_eq!(r.get(b"k").unwrap().value, b"v1");
-        assert_eq!(
-            r.apply(b"k", b"v2", 2, OpKind::Put).unwrap(),
-            ApplyOutcome::Updated
-        );
+        assert_eq!(Some(r.list().entry_at(first)), r.get(b"k"));
+        let ApplyOutcome::Updated(second) = r.apply(b"k", b"v2", 2, OpKind::Put).unwrap() else {
+            panic!("a newer version updates")
+        };
+        assert_ne!(first, second);
         assert_eq!(r.get(b"k").unwrap().value, b"v2");
+        assert_eq!(Some(r.list().entry_at(second)), r.get(b"k"));
+        // The bypassed node is unlinked, not rewritten.
+        assert_eq!(r.list().entry_at(first).value, b"v1");
         assert_eq!(r.len(), 1);
         assert_eq!(r.list().count_nodes(), 1, "old node bypassed");
     }
@@ -564,10 +568,10 @@ mod tests {
         // Can keep growing after reconstruction: the finger starts cold,
         // warms on an ascending run and falls back for a key behind it.
         for k in [&b"z"[..], b"zz", b"zzz", b"a"] {
-            assert_eq!(
+            assert!(matches!(
                 r2.apply(k, b"3", 3, OpKind::Put).unwrap(),
-                ApplyOutcome::Inserted
-            );
+                ApplyOutcome::Inserted(_)
+            ));
         }
         let keys: Vec<Vec<u8>> = r2.list().iter().map(|e| e.key).collect();
         assert_eq!(keys, [&b"a"[..], b"x", b"y", b"z", b"zz", b"zzz"]);
@@ -604,6 +608,20 @@ mod tests {
             .iter()
             .map(|e| (e.key, e.value, e.seq, e.kind))
             .collect()
+    }
+
+    /// What an apply did, with the node it reports read back: two lists
+    /// whose towers differ apply an entry alike when these are equal.
+    fn applied(
+        r: &GrowableSkipList,
+        outcome: Result<ApplyOutcome>,
+    ) -> (std::mem::Discriminant<ApplyOutcome>, Option<LookupResult>) {
+        let outcome = outcome.unwrap();
+        let node = match outcome {
+            ApplyOutcome::Inserted(n) | ApplyOutcome::Updated(n) => Some(r.list().entry_at(n)),
+            _ => None,
+        };
+        (std::mem::discriminant(&outcome), node)
     }
 
     /// Every finger entry is the head or a node still linked at its level.
@@ -650,8 +668,8 @@ mod tests {
 
                     by_head.state.lock().finger = [by_head.head; MAX_HEIGHT];
                     assert_eq!(
-                        with_finger.apply(&key, &value, seq, kind).unwrap(),
-                        by_head.apply(&key, &value, seq, kind).unwrap()
+                        applied(&with_finger, with_finger.apply(&key, &value, seq, kind)),
+                        applied(&by_head, by_head.apply(&key, &value, seq, kind))
                     );
                     assert_finger_linked(&with_finger);
                 }
@@ -728,10 +746,10 @@ mod tests {
             );
             assert_finger_linked(&r);
             let next = format!("key{:05}", i + 1);
-            assert_eq!(
+            assert!(matches!(
                 r.apply(next.as_bytes(), b"w", 2, OpKind::Put).unwrap(),
-                ApplyOutcome::Updated
-            );
+                ApplyOutcome::Updated(_)
+            ));
             assert_finger_linked(&r);
             assert!(r.get(k.as_bytes()).is_none());
             assert_eq!(r.get(next.as_bytes()).unwrap().value, b"w");

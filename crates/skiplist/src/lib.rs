@@ -47,7 +47,7 @@ pub mod node;
 
 pub use arena::SkipListArena;
 pub use flush::{one_piece_flush, swizzle, FlushedTable};
-pub use grow::GrowableSkipList;
+pub use grow::{ApplyOutcome, GrowableSkipList};
 pub use iter::SkipListIter;
 pub use merge::{get_skip_marked, zero_copy_merge, InsertionMark, MergeOutcome, MergeStats};
 pub use node::{LookupResult, SkipList, MAX_HEIGHT};

@@ -204,7 +204,7 @@ fn sorts_before(
 /// Every compared node goes into `seen`; the caller charges them.
 ///
 /// `start` must sort before `(key, seq)`, and its tower must reach level
-/// `top - 1`: the head, a finger entry, or a table's fence node.
+/// `top - 1`: the head or a finger entry.
 fn descend(
     pool: &PmemPool,
     start: u64,
@@ -406,28 +406,6 @@ impl SkipList {
         self.found(node, key)
     }
 
-    /// [`SkipList::get`] descending from `start` over levels `top - 1`
-    /// down to 0 instead of from the head over every level.
-    ///
-    /// `start` is the head, or a node of this list whose tower reaches
-    /// level `top - 1` and whose key sorts strictly below `key` — a fence
-    /// from a table's DRAM fence array. The lookup is exact for any such
-    /// node; it is short when `start`'s level-`top` successor does not sort
-    /// before `key`. Charged like `get`, plus one visit for `start`'s tower
-    /// unless it is the head.
-    pub fn get_from(&self, start: u64, top: usize, key: &[u8]) -> Option<LookupResult> {
-        let pool = &*self.pool;
-        let mut seen = smallset::SmallSet::new();
-        if start != self.head {
-            seen.insert(start);
-        }
-        let mut preds = [0u64; MAX_HEIGHT];
-        let seq = miodb_common::MAX_SEQUENCE_NUMBER;
-        let node = descend(pool, start, top, key, seq, &mut preds, &mut seen);
-        pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-        self.found(node, key)
-    }
-
     /// The lookup result at `node`, the first node at or after the newest
     /// position of `key` (0 past the end), charging the value read.
     fn found(&self, node: u64, key: &[u8]) -> Option<LookupResult> {
@@ -439,7 +417,7 @@ impl SkipList {
 
     /// The version stored at `node`, a data node of this list: one charged
     /// visit for its header and key, then its value. This is how a table's
-    /// exact DRAM index answers a hit — the index found `node` already, so
+    /// or the data repository's exact DRAM index answers a hit — the index found `node` already, so
     /// nothing is descended and nothing else is read.
     pub fn entry_at(&self, node: u64) -> LookupResult {
         raw::charge_visit(&self.pool);
@@ -475,21 +453,6 @@ impl SkipList {
                 last = key;
             }
             node = raw::next(pool, node, 0);
-        }
-        pool.charge_read_batch(visits, VISIT_BYTES);
-    }
-
-    /// Calls `f(key, node)` for every node whose tower reaches `level`, in
-    /// list order, charging one modeled visit per node in one batch. This
-    /// is how the repository's DRAM fence array is built.
-    pub fn walk_level(&self, level: usize, mut f: impl FnMut(&[u8], u64)) {
-        let pool = &*self.pool;
-        let mut visits = 0;
-        let mut node = raw::next(pool, self.head, level);
-        while node != 0 {
-            visits += 1;
-            f(raw::key(pool, node), node);
-            node = raw::next(pool, node, level);
         }
         pool.charge_read_batch(visits, VISIT_BYTES);
     }

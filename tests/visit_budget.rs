@@ -1,6 +1,6 @@
 //! Exact device-access budgets of the two background movers, and of a
-//! point lookup through the DRAM fences of a settled table or of the data
-//! repository.
+//! point lookup through the exact DRAM index of a settled table or of the
+//! data repository.
 //!
 //! Zero-copy merge and lazy copy take their inputs in ascending key order
 //! and resume each search from where the last one ended (a *finger*)
@@ -10,12 +10,11 @@
 //! check that the bytes *written* are a function of the towers alone: the
 //! finger may change what is read, never what is written.
 //!
-//! A fenced lookup binary-searches the fences in DRAM (free, like a bloom
-//! probe), reads the fence node's tower (one visit) and descends only the
-//! levels below the fence level. A settled table's exact index goes one
-//! step further: its binary search finds the node itself, so a hit reads
-//! one node and a miss none, and building it — from the flushed MemTable
-//! in DRAM, or from the two indexes a merge joins — reads no NVM at all.
+//! An indexed lookup binary-searches the index in DRAM (free, like a bloom
+//! probe) and finds the node itself, so a hit reads one node and a miss
+//! none. Building an index — a settled table's from the flushed MemTable
+//! in DRAM or from the two indexes a merge joins, the repository's from
+//! the last one and a lazy-copy run's edits — reads no NVM at all.
 //!
 //! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
 //! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
@@ -26,7 +25,7 @@
 use std::sync::Arc;
 
 use miodb::common::OpKind;
-use miodb::core::table::{Fences, TableIndex, FENCE_LEVEL};
+use miodb::core::table::TableIndex;
 use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::merge::MergeLimits;
 use miodb::skiplist::{
@@ -186,96 +185,64 @@ fn visits_per_get(
 }
 
 #[test]
-fn a_fence_walk_reads_each_fence_once() {
-    // Towers cycle through 1..=5, so exactly the nodes of height 4 and 5
-    // reach level 3, and those of height 3 to 5 reach level `FENCE_LEVEL`.
-    const N: u64 = 4_000;
-    let p = pool(1 << 20);
-    let t = SkipListArena::new(p.clone(), (N * 80) as usize + (64 << 10)).unwrap();
-    for k in 0..N {
-        let height = 1 + (k % 5) as usize;
-        t.insert_with_height(&key(k), &[7u8; VLEN as usize], 1, OpKind::Put, height)
-            .unwrap();
-    }
-    let tall = |h: u64| (0..N).filter(|k| 1 + k % 5 > h).count();
-    let before = p.stats().snapshot();
-    let fences = Fences::build(&t.list());
-    let io = p.stats().snapshot().diff(&before);
-    assert_eq!(fences.count(), tall(FENCE_LEVEL as u64));
-    assert_eq!(io.nvm_bytes_read, VISIT * fences.count() as u64);
-    assert_eq!(io.nvm_bytes_written, 0);
-
-    let before = p.stats().snapshot();
-    let mut walked = 0;
-    t.list().walk_level(3, |_, _| walked += 1);
-    assert_eq!(walked, tall(3));
-    assert_eq!(
-        p.stats().snapshot().diff(&before).nvm_bytes_read,
-        VISIT * walked as u64
-    );
-}
-
-#[test]
-fn a_fenced_get_reads_a_constant_number_of_nodes() {
-    // The size of the deepest table of the `read` workload.
-    const N: usize = 62_000;
-    let p = pool(8 << 20);
-    let mut r = StdRng::seed_from_u64(5);
-    let keys: Vec<u64> = (0..N).map(|_| r.next_u64()).collect();
-    let (t, _) = table(&p, &keys, 1);
-    let list = t.list();
-    let fences = Fences::build(&list);
-    let probes: Vec<u64> = (0..2_000).map(|_| keys[r.gen_range(0..N)]).collect();
-    let fenced = visits_per_get(&p, &probes, |k| {
-        let start = fences.start_for(k).unwrap_or(list.head());
-        list.get_from(start, FENCE_LEVEL, k)
-    });
-    let head = visits_per_get(&p, &probes, |k| list.get(k));
-    println!("get in {N}: {fenced:.2} visits fenced, {head:.2} from the head");
-    assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
-    assert!(head >= 20.0, "from the head: {head:.2} visits a get");
-}
-
-#[test]
-fn a_fenced_repository_get_reads_a_constant_number_of_nodes() {
+fn a_repository_get_reads_one_node_and_a_miss_none() {
     // The repository of `lazy_copy_run_reads_few_nodes_per_applied_record`,
-    // six sorted runs of 62 000 as `fill`'s drains deliver them, with the
-    // fences rebuilt after each run as the lazy worker rebuilds them.
+    // six sorted runs of 62 000 as `fill`'s drains deliver them, each run
+    // updating a tenth of the stored keys and deleting another tenth, with
+    // the index rebuilt after each run as the lazy worker rebuilds it.
+    // Present keys are even, absent odd.
     const RUN: usize = 62_000;
     const RUNS: usize = 6;
     let p = pool(64 << 20);
     let repo = GrowableSkipList::new(p.clone(), 48 << 20).unwrap();
     let mut r = StdRng::seed_from_u64(6);
-    let mut stored = Vec::new();
-    let mut fences = Fences::default();
+    let mut index = TableIndex::default();
     for run in 0..RUNS {
-        let mut keys: Vec<u64> = (0..RUN).map(|_| r.next_u64()).collect();
-        keys.sort_unstable();
-        for &k in &keys {
-            repo.apply(&key(k), &[7u8; VLEN as usize], 1 + run as u64, OpKind::Put)
-                .unwrap();
+        let seq = 1 + run as u64;
+        let mut entries: Vec<(u64, OpKind)> =
+            (0..RUN).map(|_| (r.next_u64() & !1, OpKind::Put)).collect();
+        if !index.is_empty() {
+            let stored = repo.list().iter().map(|e| e.key).collect::<Vec<_>>();
+            for i in 0..RUN / 5 {
+                let k = &stored[r.gen_range(0..stored.len())];
+                let k = u64::from_str_radix(std::str::from_utf8(k).unwrap(), 16).unwrap();
+                let kind = [OpKind::Put, OpKind::Delete][i % 2];
+                entries.push((k, kind));
+            }
         }
-        stored.extend(keys);
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.dedup_by_key(|&mut (k, _)| k);
+        let mut edits = TableIndex::default();
+        for &(k, kind) in &entries {
+            let outcome = repo
+                .apply(&key(k), &[7u8; VLEN as usize], seq, kind)
+                .unwrap();
+            edits.record(&key(k), outcome);
+        }
         let before = p.stats().snapshot();
-        fences = Fences::build(&repo.list());
+        index = index.edited(&edits);
         let io = p.stats().snapshot().diff(&before);
-        assert_eq!(io.nvm_bytes_read, VISIT * fences.count() as u64);
-        assert_eq!(io.nvm_bytes_written, 0);
+        assert_eq!(io.nvm_bytes_read, 0, "run {run}: the rebuild reads no NVM");
+        assert_eq!(index.len(), repo.len());
     }
-    assert_eq!(repo.len(), RUNS * RUN);
     let list = repo.list();
+    assert_eq!(index, TableIndex::walk(&list));
+    let stored: Vec<u64> = list
+        .iter()
+        .map(|e| u64::from_str_radix(std::str::from_utf8(&e.key).unwrap(), 16).unwrap())
+        .collect();
     let probes: Vec<u64> = (0..2_000)
         .map(|_| stored[r.gen_range(0..stored.len())])
         .collect();
-    let fenced = visits_per_get(&p, &probes, |k| fences.get(&list, k));
+    let hit = visits_per_get(&p, &probes, |k| index.get(&list, k));
     let head = visits_per_get(&p, &probes, |k| repo.get(k));
     println!(
-        "get in a repository of {}: {fenced:.2} visits fenced ({} fences), {head:.2} from the head",
-        RUNS * RUN,
-        fences.count()
+        "get in a repository of {}: 1 visit indexed, {head:.2} from the head",
+        repo.len()
     );
-    assert!(fenced <= 12.0, "fenced: {fenced:.2} visits a get");
-    assert!(head >= 28.0, "from the head: {head:.2} visits a get");
+    assert_eq!(hit, 1.0, "a repository hit");
+    let absent: Vec<u64> = (0..2_000).map(|_| r.next_u64() | 1).collect();
+    assert_eq!(bytes_per_miss(&p, &absent, |k| index.get(&list, k)), 0);
 }
 
 /// A table of `keys` flushed as the engine flushes one: inserted into a
