@@ -25,6 +25,8 @@
 //! assert!(a.may_contain(b"banana"));
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use miodb_common::{Error, Result};
 
 /// A fixed-geometry bloom filter combinable by bitwise OR.
@@ -59,8 +61,7 @@ impl BloomFilter {
     /// (the paper uses 16 bits/key), with the standard optimal probe count
     /// `k = bits_per_key * ln 2` clamped to `[1, 30]`.
     pub fn with_bits_per_key(expected_keys: usize, bits_per_key: usize) -> BloomFilter {
-        let num_bits = (expected_keys.max(1) * bits_per_key).max(64);
-        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
+        let (num_bits, k) = geometry(expected_keys, bits_per_key);
         BloomFilter::new(num_bits, k)
     }
 
@@ -84,14 +85,9 @@ impl BloomFilter {
         self.inserted
     }
 
-    /// The bit positions of the key whose [`key_hash`] is `h`, by double
-    /// hashing (Kirsch–Mitzenmacher): `h_i = h1 + i * h2`.
     #[inline]
     fn positions(&self, h: u64) -> impl Iterator<Item = usize> {
-        let h1 = h;
-        let h2 = h.rotate_left(32) | 1;
-        let n = self.num_bits as u64;
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % n) as usize)
+        positions(h, self.num_bits, self.num_hashes)
     }
 
     /// Inserts a key.
@@ -173,6 +169,101 @@ impl BloomFilter {
     /// Estimated false-positive rate at the current fill: `fill^k`.
     pub fn estimated_fp_rate(&self) -> f64 {
         self.fill_ratio().powi(self.num_hashes as i32)
+    }
+}
+
+/// The bit count and probe count of a filter sized for `expected_keys` at
+/// `bits_per_key`: at least 64 bits, and `k = bits_per_key * ln 2` clamped
+/// to `[1, 30]`.
+fn geometry(expected_keys: usize, bits_per_key: usize) -> (usize, u32) {
+    let num_bits = (expected_keys.max(1) * bits_per_key).max(64);
+    let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
+    (num_bits, k)
+}
+
+/// The bit positions of the key whose [`key_hash`] is `h` in a filter of
+/// `num_bits` bits and `k` probes, by double hashing (Kirsch–Mitzenmacher):
+/// `h_i = h1 + i * h2`. Every filter type sets exactly these bits.
+#[inline]
+fn positions(h: u64, num_bits: usize, k: u32) -> impl Iterator<Item = usize> {
+    let h1 = h;
+    let h2 = h.rotate_left(32) | 1;
+    let n = num_bits as u64;
+    (0..k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % n) as usize)
+}
+
+/// A MemTable's filter: one writer sets bits while any number of readers
+/// probe it, without a lock. Its geometry and bit positions are those of a
+/// [`BloomFilter`] of the same size, and [`snapshot`](Self::snapshot)
+/// returns that filter, bit for bit.
+///
+/// The writer stores a key's bits with `Release` before it publishes
+/// anything that holds the key, and a reader probes with `Acquire` loads:
+/// a reader that has seen a node (through an `Acquire` load of the link
+/// that publishes it) sees the node's bits too. Bits are only ever set.
+#[derive(Debug)]
+pub struct AtomicBloomFilter {
+    bits: Box<[AtomicU64]>,
+    num_bits: usize,
+    num_hashes: u32,
+    inserted: AtomicU64,
+}
+
+impl AtomicBloomFilter {
+    /// An empty filter with the geometry of
+    /// [`BloomFilter::with_bits_per_key`].
+    pub fn with_bits_per_key(expected_keys: usize, bits_per_key: usize) -> AtomicBloomFilter {
+        let (num_bits, num_hashes) = geometry(expected_keys, bits_per_key);
+        let words = num_bits.div_ceil(64);
+        AtomicBloomFilter {
+            bits: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            num_bits: words * 64,
+            num_hashes,
+            inserted: AtomicU64::new(0),
+        }
+    }
+
+    /// Sets the bits of the key whose [`key_hash`] is `h`. Only one thread
+    /// inserts at a time (the caller serializes writers), so a word is
+    /// loaded and stored, not read-modify-written, and a word that already
+    /// holds the bit is not stored at all.
+    pub fn insert_hash(&self, h: u64) {
+        for pos in positions(h, self.num_bits, self.num_hashes) {
+            let word = &self.bits[pos / 64];
+            let w = word.load(Ordering::Relaxed);
+            let bit = 1u64 << (pos % 64);
+            if w & bit == 0 {
+                word.store(w | bit, Ordering::Release);
+            }
+        }
+        let n = self.inserted.load(Ordering::Relaxed);
+        self.inserted.store(n + 1, Ordering::Relaxed);
+    }
+
+    /// [`BloomFilter::may_contain_hash`], concurrently with the writer.
+    pub fn may_contain_hash(&self, h: u64) -> bool {
+        positions(h, self.num_bits, self.num_hashes)
+            .all(|pos| self.bits[pos / 64].load(Ordering::Acquire) & (1u64 << (pos % 64)) != 0)
+    }
+
+    /// Heap bytes the filter's bits hold.
+    pub fn bytes(&self) -> u64 {
+        (self.bits.len() * 8) as u64
+    }
+
+    /// A copy of the filter as a [`BloomFilter`] (a flushed MemTable's
+    /// filter becomes its table's).
+    pub fn snapshot(&self) -> BloomFilter {
+        BloomFilter {
+            bits: self
+                .bits
+                .iter()
+                .map(|w| w.load(Ordering::Acquire))
+                .collect(),
+            num_bits: self.num_bits,
+            num_hashes: self.num_hashes,
+            inserted: self.inserted.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -328,6 +419,30 @@ mod tests {
                 assert!(f.may_contain_hash(key_hash(&key)));
             }
             assert_eq!(f.words(), &reference[..], "{num_bits} bits, k = {k}");
+        }
+        // The single-writer filter a MemTable keeps, at geometries as
+        // `with_bits_per_key` draws them (k = 1 to 30): the same bits as
+        // the formula, and its snapshot equals the filter that took the
+        // same inserts, `inserted` included.
+        for (expected, bits_per_key) in [(1, 1), (64, 16), (1025, 16), (4096, 44), (65536, 16)] {
+            let mut f = BloomFilter::with_bits_per_key(expected, bits_per_key);
+            let atomic = AtomicBloomFilter::with_bits_per_key(expected, bits_per_key);
+            let k = f.num_hashes();
+            let mut reference = vec![0u64; f.words().len()];
+            for _ in 0..500 {
+                let len = rng.gen_range(0..40usize);
+                let key: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                f.insert(&key);
+                atomic.insert_hash(key_hash(&key));
+                for pos in reference_positions(&key, f.num_bits(), k) {
+                    reference[pos / 64] |= 1u64 << (pos % 64);
+                }
+                assert!(atomic.may_contain_hash(key_hash(&key)));
+            }
+            let what = format!("{} bits, k = {k}", f.num_bits());
+            assert_eq!(atomic.snapshot().words(), &reference[..], "{what}");
+            assert_eq!(atomic.snapshot(), f, "{what}");
+            assert_eq!(atomic.bytes(), f.bytes(), "{what}");
         }
     }
 }

@@ -5,10 +5,12 @@
 //! repository in runs through [`repo_run`], and wait through
 //! [`Inner::wait_until`]; readers never take those locks.
 //!
-//! Every table a GET probes answers through an exact DRAM index: a settled
-//! or lazy-draining table through its own, the huge-PMTable repository
-//! through the one its `Version` carries
-//! ([`RepoIndex`](crate::repository::RepoIndex)).
+//! Every table a GET probes answers through an exact DRAM index: a settled,
+//! merging or lazy-draining table through its own, the huge-PMTable
+//! repository through the one its `Version` carries
+//! ([`RepoIndex`](crate::repository::RepoIndex)). A hit reads its value
+//! from NVM and nothing else; a MemTable is descended only if its bloom
+//! filter admits the key.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -19,11 +21,10 @@ use miodb_common::trace::{self, SpanKind};
 use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
-use miodb_skiplist::InsertionMark;
 
 use crate::db::{Inner, Level, MemState, MioDb};
 use crate::repository::RepoIndex;
-use crate::table::{MemTable, TableIndex};
+use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 
 /// Everything a GET or a scan reads, published as one immutable value:
 /// the MemTables and every level's tables (the Version/SuperVersion of
@@ -237,9 +238,14 @@ impl Inner {
 #[cfg(test)]
 thread_local! {
     /// Runs once, in the next `get_impl` on this thread, after a level's
-    /// settled and lazy-draining tables were probed and before the probe is
-    /// checked against the level version.
+    /// tables were probed and before the probe is checked against the
+    /// level version.
     pub(crate) static AFTER_LEVEL_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+    /// Runs once, in the next `get_impl` on this thread, right after a
+    /// merging pair's newtable was probed — hit, miss or bloom skip — and
+    /// before the oldtable is.
+    pub(crate) static AFTER_NEWTABLE_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::Cell::new(None) };
 }
 
@@ -253,6 +259,23 @@ fn after_level_probe() {
     }
 }
 
+/// The point, after `t` was probed in `level`, where a test completes a
+/// merge under a GET that has probed the merging newtable `t` and not yet
+/// its oldtable; nothing outside the tests.
+#[inline]
+fn after_table_probe(_level: &Level, _t: &Arc<PmTable>) {
+    #[cfg(test)]
+    if _level
+        .merging
+        .as_ref()
+        .is_some_and(|(new_t, _)| Arc::ptr_eq(new_t, _t))
+    {
+        if let Some(hook) = AFTER_NEWTABLE_PROBE.with(std::cell::Cell::take) {
+            hook();
+        }
+    }
+}
+
 impl MioDb {
     /// The `get` visibility walk;
     /// [`KvEngine::get`](miodb_common::KvEngine::get) wraps it with latency
@@ -261,39 +284,44 @@ impl MioDb {
         let inner = &*self.inner;
         inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         let mut v = inner.version();
+        // The key is hashed once, for every bloom filter probed.
+        let h = key_hash(key);
 
-        // 1. DRAM MemTables.
+        // 1. DRAM MemTables, each descended only if its filter admits the
+        //    key. A writer stores a key's bits before it links the key's
+        //    node, so a filter never rejects a node the descent could see.
         {
             let _probe_span = trace::span(SpanKind::MemtableProbe);
-            if let Some(r) = v.active.list().get(key) {
-                inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Self::resolve(r));
-            }
-            if let Some(imm) = &v.imm {
-                if let Some(r) = imm.list().get(key) {
+            for m in std::iter::once(&v.active).chain(&v.imm) {
+                if inner.opts.bloom_enabled && !m.may_contain_hash(h) {
+                    continue;
+                }
+                if let Some(r) = m.list().get(key) {
                     inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Self::resolve(r));
+                    return Ok(Self::resolve(r.into()));
                 }
             }
         }
 
-        // 2. Elastic buffer, level by level, newest table first, following
-        //    the paper's merge-visibility protocol. Each level is probed as
-        //    the loaded `Version` published it. A settled or lazy-draining
-        //    table answers through its exact index, which a merge that
-        //    re-links the table under us cannot invalidate. But the level
-        //    can change between the probe and the answer — a merge can pop
-        //    the probed table into `merging` behind a newer one — so a
-        //    probe re-checks the level's structural version and, on change,
-        //    reloads the `Version` and retries the level; a retry that races
-        //    the pop sees `merging = Some` and takes the protected path.
-        //    Bounded: a level can only transition a handful of times while
-        //    one probe runs; the cap merely keeps a pathological schedule
-        //    from livelocking, and on exhaustion we take the last probe's
-        //    answer (no worse than the unversioned probe).
+        // 2. Elastic buffer, level by level. A level is one probe loop:
+        //    settled tables newest first, then an in-flight merge's
+        //    newtable, its oldtable, and a lazy-draining table — each
+        //    through its bloom filter and its exact index, which no merge
+        //    step that re-links the table's nodes can invalidate (node
+        //    payloads never change). So a merging pair needs neither the
+        //    insertion mark nor the level gate: the newtable's index holds
+        //    every key the newtable held, the in-flight node's included,
+        //    and its versions are newer than the oldtable's.
         //
-        //    The key is hashed once, for every bloom filter probed.
-        let h = key_hash(key);
+        //    What can change under a probe is the level: a merge can pop
+        //    the probed tables into `merging` behind a newer one, or push
+        //    its result down onto a level not yet probed. So every probe,
+        //    hit or miss, re-checks the level's structural version and, on
+        //    change, reloads the `Version` and retries the level. Bounded:
+        //    a level can only transition a handful of times while one probe
+        //    runs; the cap merely keeps a pathological schedule from
+        //    livelocking, and on exhaustion we take the last probe's answer
+        //    (no worse than the unversioned probe).
         let may_contain = |bloom: &miodb_bloom::BloomFilter| {
             !inner.opts.bloom_enabled || bloom.may_contain_hash(h)
         };
@@ -313,66 +341,26 @@ impl MioDb {
                 // that re-links these tables, and the check below would
                 // accept a probe of a stale snapshot.
                 let LevelView { level, seen } = &v.levels[i];
+                let merging = level.merging.iter().flat_map(|(n, o)| [n, o]);
+                let tables = level.tables.iter().rev().chain(merging);
                 let mut hit = None;
-                for t in level.tables.iter().rev() {
+                for t in tables.chain(&level.lazy_draining) {
                     if !may_contain(&t.bloom) {
                         inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
                         trace::instant(SpanKind::BloomSkip, i as u64);
-                        continue;
+                    } else {
+                        hit = t.get(key);
+                        if hit.is_none() {
+                            inner
+                                .stats
+                                .bloom_false_positives
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    hit = t.get(key);
+                    after_table_probe(level, t);
                     if hit.is_some() {
                         break;
                     }
-                    inner
-                        .stats
-                        .bloom_false_positives
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if let (None, Some((new_t, old_t))) = (&hit, &level.merging) {
-                    // newtable -> insertion mark -> oldtable (§4.3). The
-                    // newtable search skips the in-flight node (Case 2): a
-                    // traversal crossing it mid-splice would follow rewritten
-                    // pointers into the oldtable and miss newtable entries.
-                    let mark = &level.mark;
-                    let hit = if may_contain(&new_t.bloom) || may_contain(&old_t.bloom) {
-                        let optimistic = miodb_skiplist::get_skip_marked(&new_t.list, key, mark)
-                            .or_else(|| mark.read(key))
-                            .or_else(|| old_t.list.get(key));
-                        match optimistic {
-                            Some(r) => Some(r),
-                            None => {
-                                // Rare revalidation: a reader preempted while
-                                // standing on a node that a whole merge step
-                                // then moved can compute a false miss that no
-                                // optimistic check can detect (ABA). Under the
-                                // level gate the merge is at a step boundary
-                                // (mark clear, lists well-formed), so plain
-                                // searches are exact.
-                                let _quiesce = level.gate.lock();
-                                new_t
-                                    .list
-                                    .get(key)
-                                    .or_else(|| mark.read(key))
-                                    .or_else(|| old_t.list.get(key))
-                            }
-                        }
-                    } else {
-                        inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(SpanKind::BloomSkip, i as u64);
-                        mark.read(key)
-                    };
-                    if let Some(r) = hit {
-                        inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Self::resolve(r));
-                    }
-                }
-                if hit.is_none() {
-                    hit = level
-                        .lazy_draining
-                        .as_ref()
-                        .filter(|t| may_contain(&t.bloom))
-                        .and_then(|t| t.get(key));
                 }
                 after_level_probe();
                 if level.version.load(Ordering::Acquire) != *seen {
@@ -397,15 +385,15 @@ impl MioDb {
         let _repo_span = trace::span(SpanKind::RepoProbe);
         let found = match &v.repo_index {
             Some(r) => r.get(key),
-            None => inner.repo.get(key)?,
+            None => inner.repo.get(key)?.map(IndexHit::from),
         };
-        if let Some(r) = found {
-            if r.kind == OpKind::Put {
+        match found.and_then(Self::resolve) {
+            Some(value) => {
                 inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(r.value));
+                Ok(Some(value))
             }
+            None => Ok(None),
         }
-        Ok(None)
     }
 
     /// The `scan` source assembly and k-way merge;
@@ -438,13 +426,9 @@ impl MioDb {
             }
             if let Some((new_t, old_t)) = &l.merging {
                 sources.push(Box::new(new_t.list.iter_from(start)));
-                if let Some(e) = l.mark.load().map(|_| ()).and_then(|()| {
-                    // Materialize the in-flight node as a one-entry source.
-                    mark_entry(&l.mark)
-                }) {
-                    if e.key.as_slice() >= start {
-                        sources.push(Box::new(std::iter::once(e)));
-                    }
+                // The in-flight node, materialized as a one-entry source.
+                if let Some(e) = l.mark.entry().filter(|e| e.key.as_slice() >= start) {
+                    sources.push(Box::new(std::iter::once(e)));
                 }
                 sources.push(Box::new(old_t.list.iter_from(start)));
             }
@@ -465,18 +449,10 @@ impl MioDb {
     }
 
     /// Resolves a lookup result into the engine-level answer.
-    fn resolve(r: miodb_skiplist::LookupResult) -> Option<Vec<u8>> {
+    fn resolve(r: IndexHit) -> Option<Vec<u8>> {
         match r.kind {
             OpKind::Put => Some(r.value),
             OpKind::Delete => None,
         }
     }
-}
-
-/// Materializes the insertion mark's node, if any, as an owned entry.
-fn mark_entry(mark: &InsertionMark) -> Option<OwnedEntry> {
-    let (_node, _) = mark.load()?;
-    // Reading via the mark's own lookup keeps all unsafe access inside the
-    // skiplist crate; the key is unknown, so expose it via the raw load.
-    mark.entry()
 }

@@ -1,8 +1,8 @@
 //! The bottom-level data repository: huge PMTable or on-SSD LSM.
 //!
 //! A GET reaches the huge-PMTable repository through its exact DRAM index
-//! ([`RepoIndex`]), published in the engine's `Version`: a binary search in
-//! DRAM, then one node read for a hit and none for a miss. Each lazy-copy
+//! ([`RepoIndex`]), published in the engine's `Version`: a search in DRAM,
+//! then one read of the value for a hit and none for a miss. Each lazy-copy
 //! run builds the next index in DRAM from the previous one and the run's
 //! own edits; only recovery walks the list in NVM to build one.
 
@@ -14,10 +14,10 @@ use miodb_pmem::{DeviceModel, PmemPool};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{GrowableSkipList, LookupResult, SkipList};
 
-use crate::table::TableIndex;
+use crate::table::{IndexHit, TableIndex};
 
-/// The huge-PMTable repository's exact DRAM index: every key with the
-/// offset of its one node, as the last lazy-copy run left the list.
+/// The huge-PMTable repository's exact DRAM index: every key with where
+/// its one node's value lives, as the last lazy-copy run left the list.
 ///
 /// It needs no check against runs in progress. Repository nodes are never
 /// rewritten and never freed while the engine runs, so an entry stays
@@ -33,14 +33,14 @@ use crate::table::TableIndex;
 pub struct RepoIndex {
     /// Read view of the repository.
     pub list: SkipList,
-    /// Every key of `list` and the offset of its node.
+    /// Every key of `list` and where its value lives.
     pub index: TableIndex,
 }
 
 impl RepoIndex {
-    /// The repository's version of `key`: one node read for a hit, none
-    /// for a miss.
-    pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
+    /// The repository's version of `key`: one read of the value for a
+    /// hit, none for a miss.
+    pub fn get(&self, key: &[u8]) -> Option<IndexHit> {
         self.index.get(&self.list, key)
     }
 }
@@ -149,7 +149,7 @@ impl Repository {
     /// The huge-PMTable repository's index, walked over its level 0 in
     /// NVM ([`TableIndex::walk`]); `None` for the LSM repository. Recovery
     /// is the only caller: a running engine derives each index from the
-    /// last ([`RepoIndex::edited`]).
+    /// last ([`TableIndex::edited`]).
     pub fn walk_index(&self) -> Option<RepoIndex> {
         match self {
             Repository::Pm(r) => {

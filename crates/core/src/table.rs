@@ -2,65 +2,139 @@
 
 use std::sync::Arc;
 
-use miodb_bloom::BloomFilter;
+use miodb_bloom::{key_hash, AtomicBloomFilter, BloomFilter};
 use miodb_common::{OpKind, Result, SequenceNumber};
 use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
-use miodb_skiplist::{ApplyOutcome, LookupResult, SkipList, SkipListArena};
+use miodb_skiplist::{ApplyOutcome, LookupResult, SkipList, SkipListArena, ValueRef};
 use miodb_wal::WriteAheadLog;
-use parking_lot::Mutex;
 
 /// A settled table's exact DRAM index, a sibling of its bloom filter: every
-/// key of the table, in key order, with the offset of that key's newest
-/// node (a tombstone included). Built once, with the table, from DRAM
-/// alone — the flushed MemTable's level 0, or the two inputs' indexes of a
-/// zero-copy merge — and immutable afterwards.
+/// key of the table, in key order, with where that key's newest version's
+/// value lives and whether that version is a tombstone ([`ValueRef`]).
+/// Built once, with the table, from DRAM alone — the flushed MemTable's
+/// level 0, or the two inputs' indexes of a zero-copy merge — and
+/// immutable afterwards.
 ///
 /// Node payloads never change and a table's leases keep its nodes mapped,
 /// so the index stays exact for the table's contents even while a later
-/// merge re-links its nodes into another list.
+/// merge re-links its nodes into another list. A hit reads the value and
+/// nothing else; a tombstone hit and a miss read no NVM.
 ///
 /// The data repository has one too
 /// ([`RepoIndex`](crate::repository::RepoIndex)): each lazy-copy run
 /// records its edits in a `TableIndex` ([`TableIndex::record`]) and
 /// publishes the previous index with them applied ([`TableIndex::edited`]).
 ///
-/// Keys live back to back in one buffer, and each of the three arrays ends
-/// at its exact size: 12 bytes per entry plus the key.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// # Key windows
+///
+/// A lookup compares 8-byte words, not keys. Every key starts with a
+/// prefix known before the index is filled — the one its first and last
+/// key share, or, for an index built from two, the one the smallest and
+/// the largest key of both share — so the index keeps its length and, per
+/// entry, the *window*: the 8 key bytes after the prefix, big-endian
+/// and zero-padded. Windows ascend with the keys, so a key sorts before
+/// every key whose window exceeds its own. `top` holds every 16th window
+/// (one per block); a lookup rejects a key without the prefix at once,
+/// else searches `top`, then one block, and compares whole keys only across
+/// the run of windows equal to its own.
+///
+/// Keys live back to back in one buffer, and each array ends at its exact
+/// size: 24 bytes per entry plus the key, and 8 per block.
+#[derive(Debug, Default)]
 pub struct TableIndex {
     /// Every key, back to back.
     keys: Vec<u8>,
     /// Where entry `i`'s key ends in `keys`.
     ends: Vec<u32>,
-    /// Offset of entry `i`'s newest node.
-    nodes: Vec<u64>,
+    /// Pool offset of entry `i`'s value ([`ValueRef::offset`]).
+    values: Vec<u64>,
+    /// Length and tombstone bit of entry `i`'s value ([`ValueRef::len`]).
+    lens: Vec<u32>,
+    /// Bytes at the start of every key that all keys share.
+    prefix: usize,
+    /// Entry `i`'s window.
+    windows: Vec<u64>,
+    /// `windows[b * BLOCK]` for every block `b`.
+    top: Vec<u64>,
+}
+
+/// Entries per block of a [`TableIndex`]'s window search.
+const BLOCK: usize = 16;
+
+/// Two indexes are equal when they hold the same entries; the windows are
+/// derived from the keys, under a prefix that depends on how the index was
+/// built.
+impl PartialEq for TableIndex {
+    fn eq(&self, other: &TableIndex) -> bool {
+        (&self.keys, &self.ends, &self.values, &self.lens)
+            == (&other.keys, &other.ends, &other.values, &other.lens)
+    }
+}
+
+impl Eq for TableIndex {}
+
+/// What an index answers for a key it holds: the newest version's kind
+/// and value (empty for a tombstone). An index keeps no sequence number,
+/// so its answer carries none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexHit {
+    /// Put or tombstone.
+    pub kind: OpKind,
+    /// The value bytes.
+    pub value: Vec<u8>,
+}
+
+impl From<LookupResult> for IndexHit {
+    fn from(r: LookupResult) -> IndexHit {
+        IndexHit {
+            kind: r.kind,
+            value: r.value,
+        }
+    }
 }
 
 impl TableIndex {
-    fn with_capacity(entries: usize, key_bytes: usize) -> TableIndex {
+    /// An empty index for `entries` keys of `key_bytes` in all, every one
+    /// sorting between `first` and `last`: their shared prefix is every
+    /// key's.
+    fn with_capacity(entries: usize, key_bytes: usize, first: &[u8], last: &[u8]) -> TableIndex {
         TableIndex {
             keys: Vec::with_capacity(key_bytes),
             ends: Vec::with_capacity(entries),
-            nodes: Vec::with_capacity(entries),
+            values: Vec::with_capacity(entries),
+            lens: Vec::with_capacity(entries),
+            prefix: shared_prefix(first, last),
+            windows: Vec::with_capacity(entries),
+            top: Vec::with_capacity(entries.div_ceil(BLOCK)),
         }
     }
 
-    /// Appends `key`, which sorts after every key already in the index.
-    pub(crate) fn push(&mut self, key: &[u8], node: u64) {
+    /// Appends `key`, which sorts after every key already in the index and
+    /// starts with the index's prefix, and where its value lives.
+    fn push(&mut self, key: &[u8], value: ValueRef) {
         debug_assert!(self.is_empty() || self.key(self.len() - 1) < key);
+        let w = window(&key[self.prefix..]);
+        if self.windows.len().is_multiple_of(BLOCK) {
+            self.top.push(w);
+        }
+        self.windows.push(w);
         self.keys.extend_from_slice(key);
         // Invariant: a table's keys fit its arenas, and no arena reaches
         // 4 GiB.
         self.ends
             .push(u32::try_from(self.keys.len()).expect("index keys < 4 GiB"));
-        self.nodes.push(node);
+        self.values.push(value.offset);
+        self.lens.push(value.len);
     }
 
     /// Frees the spare capacity of an index built from upper bounds.
-    pub(crate) fn shrink_to_fit(&mut self) {
+    fn shrink_to_fit(&mut self) {
         self.keys.shrink_to_fit();
         self.ends.shrink_to_fit();
-        self.nodes.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.lens.shrink_to_fit();
+        self.windows.shrink_to_fit();
+        self.top.shrink_to_fit();
     }
 
     fn key(&self, i: usize) -> &[u8] {
@@ -68,46 +142,65 @@ impl TableIndex {
         &self.keys[start..self.ends[i] as usize]
     }
 
+    fn value(&self, i: usize) -> ValueRef {
+        ValueRef {
+            offset: self.values[i],
+            len: self.lens[i],
+        }
+    }
+
+    /// Every key, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.key(i))
+    }
+
     /// The index of a flushed table: one walk of `mem`'s level 0 — the
-    /// immutable MemTable, in DRAM — to size it and one to fill it, each
-    /// node offset shifted by `delta`
+    /// immutable MemTable, in DRAM — to size it and find its first and
+    /// last key, and one to fill it, each value offset shifted by `delta`
     /// ([`FlushedTable::delta`](miodb_skiplist::FlushedTable)). Reads no
     /// NVM.
     pub fn flushed(mem: &SkipList, delta: u64) -> TableIndex {
         let (mut entries, mut key_bytes) = (0, 0);
+        let (mut first, mut last): (&[u8], &[u8]) = (&[], &[]);
         mem.walk_newest(|key, _| {
+            if entries == 0 {
+                first = key;
+            }
+            last = key;
             entries += 1;
             key_bytes += key.len();
         });
-        let mut index = TableIndex::with_capacity(entries, key_bytes);
-        mem.walk_newest(|key, node| index.push(key, node.wrapping_add(delta)));
+        let mut index = TableIndex::with_capacity(entries, key_bytes, first, last);
+        mem.walk_newest(|key, v| {
+            let offset = v.offset.wrapping_add(delta);
+            index.push(key, ValueRef { offset, ..v });
+        });
         index
     }
 
     /// The index of the zero-copy merge of the table indexed by `new` into
     /// the one indexed by `old`: the union of both, merged in DRAM. A merge
-    /// moves no node, so every offset stays as it was. A key both hold
-    /// resolves to `new`'s node, the version the merge keeps: the two
+    /// moves no node, so every value stays where it was. A key both hold
+    /// resolves to `new`'s version, the one the merge keeps: the two
     /// inputs are adjacent in age, so each of `new`'s versions carries a
     /// higher sequence number than any version of its key in `old`, and
     /// the merge bypasses the older one. Reads no NVM, and makes one pass:
     /// the arrays are sized for disjoint inputs and shrunk to the union
     /// when keys were shared.
     pub fn merged(new: &TableIndex, old: &TableIndex) -> TableIndex {
-        let mut index =
-            TableIndex::with_capacity(new.len() + old.len(), new.keys.len() + old.keys.len());
-        union(new, old, |key, node| index.push(key, node));
+        let mut index = TableIndex::joined(new, old);
+        union(new, old, |key, v| index.push(key, v));
         index.shrink_to_fit();
         index
     }
 
     /// Records what a repository apply did to `key`, which sorts after
-    /// every key recorded so far: its new node, or its removal. An apply
-    /// that changed nothing — a superseded entry, a tombstone for an absent
-    /// key — records nothing.
+    /// every key recorded so far: where the value it wrote lives, or the
+    /// key's removal. An apply that changed nothing — a superseded entry,
+    /// a tombstone for an absent key — records nothing.
     pub fn record(&mut self, key: &[u8], outcome: ApplyOutcome) {
         match outcome {
-            ApplyOutcome::Inserted(node) | ApplyOutcome::Updated(node) => self.push(key, node),
+            ApplyOutcome::Inserted(v) | ApplyOutcome::Updated(v) => self.push(key, v),
             ApplyOutcome::Deleted => self.push(key, REMOVED),
             ApplyOutcome::DeletedAbsent | ApplyOutcome::Superseded => {}
         }
@@ -118,90 +211,142 @@ impl TableIndex {
     /// key. Reads no NVM, and makes one pass: the arrays are sized for
     /// disjoint inputs and shrunk to the result.
     pub fn edited(&self, edits: &TableIndex) -> TableIndex {
-        let mut index =
-            TableIndex::with_capacity(edits.len() + self.len(), edits.keys.len() + self.keys.len());
-        union(edits, self, |key, node| {
-            if node != REMOVED {
-                index.push(key, node);
+        let mut index = TableIndex::joined(edits, self);
+        union(edits, self, |key, v| {
+            if v != REMOVED {
+                index.push(key, v);
             }
         });
         index.shrink_to_fit();
         index
     }
 
+    /// An empty index with room for the keys of `a` and `b`, whose prefix
+    /// is the one the smallest and the largest of them share.
+    fn joined(a: &TableIndex, b: &TableIndex) -> TableIndex {
+        let ends = [a, b].into_iter().filter(|i| !i.is_empty());
+        let first = ends.clone().map(|i| i.key(0)).min().unwrap_or_default();
+        let last = ends.map(|i| i.key(i.len() - 1)).max().unwrap_or_default();
+        TableIndex::with_capacity(a.len() + b.len(), a.keys.len() + b.keys.len(), first, last)
+    }
+
     /// The index of `list`, walked over its level 0 in NVM: one charged
     /// visit per node. Recovery is the only caller; a running engine
-    /// builds every index from DRAM.
+    /// builds every index from DRAM. The last key is known only once the
+    /// walk ends, so the walk indexes under an empty prefix, and the
+    /// windows are then taken again, in DRAM, under the prefix the first
+    /// and the last key share.
     pub fn walk(list: &SkipList) -> TableIndex {
         let mut index = TableIndex::default();
-        list.walk_newest(|key, node| index.push(key, node));
+        list.walk_newest(|key, v| index.push(key, v));
+        if let Some(last) = index.len().checked_sub(1) {
+            let p = shared_prefix(index.key(0), index.key(last));
+            index.prefix = p;
+            for i in 0..index.len() {
+                index.windows[i] = window(&index.key(i)[p..]);
+            }
+            index.top = index.windows.iter().step_by(BLOCK).copied().collect();
+        }
         index.shrink_to_fit();
         index
     }
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ends.len()
     }
 
     /// Whether the index holds no key.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.ends.is_empty()
     }
 
     /// Heap bytes the index holds.
     pub fn bytes(&self) -> u64 {
-        (self.keys.capacity() + self.ends.capacity() * 4 + self.nodes.capacity() * 8) as u64
+        (self.keys.capacity()
+            + self.ends.capacity() * 4
+            + self.values.capacity() * 8
+            + self.lens.capacity() * 4
+            + (self.windows.capacity() + self.top.capacity()) * 8) as u64
     }
 
-    /// The offset of `key`'s newest node, by binary search in DRAM.
-    fn find(&self, key: &[u8]) -> Option<u64> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.key(mid).cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(self.nodes[mid]),
+    /// The entry of `key`, by its window: rejected at once without the
+    /// prefix, else a search of `top`, then of one block, then whole keys
+    /// compared across the windows equal to its own. All in DRAM.
+    fn find(&self, key: &[u8]) -> Option<usize> {
+        let p = self.prefix;
+        if self.is_empty() || key.len() < p || key[..p] != self.keys[..p] {
+            return None;
+        }
+        let w = window(&key[p..]);
+        // `top[b - 1] < w <= top[b]`: the first window not below `w` is in
+        // block `b - 1`, past its first entry, or is block `b`'s first.
+        let b = self.top.partition_point(|&t| t < w);
+        let lo = b.saturating_sub(1) * BLOCK;
+        let hi = (b * BLOCK).min(self.windows.len());
+        let mut i = lo + self.windows[lo..hi].partition_point(|&x| x < w);
+        while self.windows.get(i) == Some(&w) {
+            match self.key(i)[p..].cmp(&key[p..]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Equal => return Some(i),
+                std::cmp::Ordering::Greater => return None,
             }
         }
         None
     }
 
     /// The newest version of `key` in the table whose nodes `list` reads
-    /// (tombstones included): a binary search in DRAM, then one node read
-    /// for a hit and none for a miss.
-    pub fn get(&self, list: &SkipList, key: &[u8]) -> Option<LookupResult> {
-        self.find(key).map(|node| list.entry_at(node))
+    /// (tombstones included): found in DRAM, then one read of exactly the
+    /// value's bytes for a hit, and none for a tombstone or a miss.
+    pub fn get(&self, list: &SkipList, key: &[u8]) -> Option<IndexHit> {
+        let v = self.value(self.find(key)?);
+        Some(IndexHit {
+            kind: v.kind(),
+            value: list.value_at(v),
+        })
     }
 }
 
-/// The node an edit records for a removed key: offset 0 is never a node.
-const REMOVED: u64 = 0;
+/// What an edit records for a removed key: offset 0 is never a value.
+const REMOVED: ValueRef = ValueRef { offset: 0, len: 0 };
 
-/// Calls `f(key, node)` for every key of `new` or `old`, in key order; a
+/// How many bytes `a` and `b` share at their start.
+fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// The window of a key whose bytes after the prefix are `rest`: its first
+/// 8, big-endian, zero-padded.
+fn window(rest: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    let n = rest.len().min(8);
+    w[..n].copy_from_slice(&rest[..n]);
+    u64::from_be_bytes(w)
+}
+
+/// Calls `f(key, value)` for every key of `new` or `old`, in key order; a
 /// key both hold comes from `new`.
-fn union(new: &TableIndex, old: &TableIndex, mut f: impl FnMut(&[u8], u64)) {
+fn union(new: &TableIndex, old: &TableIndex, mut f: impl FnMut(&[u8], ValueRef)) {
     let (mut i, mut j) = (0, 0);
     while i < new.len() && j < old.len() {
         let (a, b) = (new.key(i), old.key(j));
         match a.cmp(b) {
             std::cmp::Ordering::Greater => {
-                f(b, old.nodes[j]);
+                f(b, old.value(j));
                 j += 1;
             }
             ord => {
-                f(a, new.nodes[i]);
+                f(a, new.value(i));
                 i += 1;
                 j += usize::from(ord == std::cmp::Ordering::Equal);
             }
         }
     }
     for i in i..new.len() {
-        f(new.key(i), new.nodes[i]);
+        f(new.key(i), new.value(i));
     }
     for j in j..old.len() {
-        f(old.key(j), old.nodes[j]);
+        f(old.key(j), old.value(j));
     }
 }
 
@@ -236,9 +381,10 @@ pub struct PmTable {
 
 impl PmTable {
     /// The newest version of `key` in the table (tombstones included),
-    /// through its index ([`TableIndex::get`]): one node read for a hit,
-    /// none for a miss. Exact whatever a merge has since done to `list`.
-    pub fn get(&self, key: &[u8]) -> Option<LookupResult> {
+    /// through its index ([`TableIndex::get`]): one read of the value for
+    /// a hit, none for a tombstone or a miss. Exact whatever a merge has
+    /// since done to `list`.
+    pub fn get(&self, key: &[u8]) -> Option<IndexHit> {
         self.index.get(&self.list, key)
     }
 
@@ -271,12 +417,14 @@ impl PmTable {
 
 /// The engine-side MemTable: a DRAM skip-list arena plus its WAL and an
 /// incrementally built bloom filter (inherited by the flushed PMTable).
+/// Readers probe the filter without a lock before they descend the arena
+/// ([`MemTable::may_contain_hash`]).
 pub struct MemTable {
     arena: SkipListArena,
     /// Read view of `arena`, built once so a probe clones no pool handle.
     list: SkipList,
     wal: WriteAheadLog,
-    bloom: Mutex<BloomFilter>,
+    bloom: AtomicBloomFilter,
 }
 
 impl std::fmt::Debug for MemTable {
@@ -309,10 +457,7 @@ impl MemTable {
             list: arena.list(),
             arena,
             wal,
-            bloom: Mutex::new(BloomFilter::with_bits_per_key(
-                bloom_expected_keys,
-                bloom_bits_per_key,
-            )),
+            bloom: AtomicBloomFilter::with_bits_per_key(bloom_expected_keys, bloom_bits_per_key),
         })
     }
 
@@ -363,13 +508,21 @@ impl MemTable {
     /// logging, so this indicates a bug there, but it is handled
     /// gracefully.
     pub fn apply(&self, ops: &[miodb_wal::GroupOp<'_>], seq_base: SequenceNumber) -> Result<()> {
-        let mut bloom = self.bloom.lock();
         for (i, op) in ops.iter().enumerate() {
+            // The key's filter bits are stored before its node links: a
+            // reader that sees the node sees them too.
+            self.bloom.insert_hash(key_hash(op.key));
             self.arena
                 .insert(op.key, op.value, seq_base + i as u64, op.kind)?;
-            bloom.insert(op.key);
         }
         Ok(())
+    }
+
+    /// Whether the key whose [`key_hash`] is `h` may be in this MemTable:
+    /// `false` only for a key no node of it holds, whatever a concurrent
+    /// writer does (see [`AtomicBloomFilter`]).
+    pub fn may_contain_hash(&self, h: u64) -> bool {
+        self.bloom.may_contain_hash(h)
     }
 
     /// The underlying arena (flush path).
@@ -384,12 +537,12 @@ impl MemTable {
 
     /// DRAM bytes of the arena and of the bloom filter.
     pub fn dram_bytes(&self) -> (u64, u64) {
-        (self.arena.region().len, self.bloom.lock().bytes())
+        (self.arena.region().len, self.bloom.bytes())
     }
 
     /// Snapshot of the bloom filter (cloned into the flushed PMTable).
     pub fn bloom_snapshot(&self) -> BloomFilter {
-        self.bloom.lock().clone()
+        self.bloom.snapshot()
     }
 
     /// WAL segments, persisted in the manifest for replay.
@@ -411,6 +564,14 @@ mod tests {
     use super::*;
     use miodb_common::Stats;
     use miodb_pmem::DeviceModel;
+    use miodb_skiplist::merge::MergeLimits;
+    use miodb_skiplist::{
+        one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark,
+    };
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn pools() -> (Arc<PmemPool>, Arc<PmemPool>) {
         let stats = Arc::new(Stats::new());
@@ -502,6 +663,291 @@ mod tests {
         let bloom = PmTable::rebuild_bloom(&arena.list(), 100, 16);
         for i in 0..100u32 {
             assert!(bloom.may_contain(format!("k{i}").as_bytes()));
+        }
+    }
+
+    /// The filter a flushed table inherits is, bit for bit and count for
+    /// count, the one the same inserts make in a [`BloomFilter`].
+    #[test]
+    fn memtable_filter_equals_a_bloom_filter_of_its_keys() {
+        let (dram, nvm) = pools();
+        let m = MemTable::new(&dram, &nvm, 256 * 1024, 64 * 1024, 16, 1024).unwrap();
+        let mut reference = BloomFilter::with_bits_per_key(1024, 16);
+        for i in 0..1500u32 {
+            let key = format!("key{:05}", i % 1000);
+            m.insert(key.as_bytes(), b"v", u64::from(i) + 1, OpKind::Put)
+                .unwrap();
+            reference.insert(key.as_bytes());
+        }
+        assert_eq!(m.bloom_snapshot(), reference);
+        assert_eq!(m.dram_bytes().1, reference.bytes());
+    }
+
+    /// A reader that sees a node in a MemTable — by a descent to it or a
+    /// walk over it — sees the node's filter bits: the writer stores them
+    /// before the node links. Two readers race one writer's inserts, over
+    /// a fresh MemTable each round.
+    #[test]
+    fn a_reader_sees_the_filter_bits_of_every_node_it_sees() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        const KEYS: u32 = 4000;
+        let (dram, nvm) = pools();
+        let key = |i: u32| format!("key{:05}", (i * 7919) % KEYS).into_bytes();
+        for _round in 0..8 {
+            let m = MemTable::new(&dram, &nvm, 1 << 20, 1 << 20, 16, KEYS as usize).unwrap();
+            let written = AtomicU32::new(0);
+            std::thread::scope(|s| {
+                let (m, written) = (&m, &written);
+                s.spawn(move || {
+                    for i in 0..KEYS {
+                        m.insert(&key(i), b"v", u64::from(i) + 1, OpKind::Put)
+                            .unwrap();
+                        written.store(i + 1, Ordering::Release);
+                    }
+                });
+                // Descents: a key at, or just ahead of, the writer.
+                s.spawn(move || {
+                    let mut seen = 0;
+                    while seen < KEYS {
+                        let ahead = written.load(Ordering::Acquire);
+                        for i in ahead.saturating_sub(2)..(ahead + 2).min(KEYS) {
+                            if m.list().get(&key(i)).is_some() {
+                                assert!(m.may_contain_hash(key_hash(&key(i))), "key {i}");
+                            }
+                        }
+                        seen = ahead;
+                    }
+                });
+                // Walks: every node a level-0 walk reaches.
+                s.spawn(move || {
+                    let mut nodes = 0;
+                    while nodes < KEYS as usize {
+                        nodes = 0;
+                        for e in m.list().iter() {
+                            assert!(m.may_contain_hash(key_hash(&e.key)), "{:?}", e.key);
+                            nodes += 1;
+                        }
+                    }
+                });
+            });
+            m.retire();
+        }
+    }
+
+    /// Keys that stress the windows: a prefix of 0–12 bytes most keys
+    /// share, then 0–20 bytes in runs over `0x00`, `0x01`, `a` and `0xFF`.
+    /// So keys share more than 8 bytes past the prefix, are prefixes of
+    /// one another, hold `0x00` bytes, and equal the prefix; and the empty
+    /// key, or one off the prefix, is in one set in four.
+    fn window_keys(rng: &mut StdRng, n: usize) -> Vec<Vec<u8>> {
+        let prefix: Vec<u8> = (0..rng.gen_range(0..13usize))
+            .map(|_| rng.gen_range(0..256u32) as u8)
+            .collect();
+        let mut keys = std::collections::BTreeSet::new();
+        match rng.gen_range(0..8u32) {
+            0 => drop(keys.insert(Vec::new())),
+            1 => drop(keys.insert(vec![0xFF; 3])),
+            _ => {}
+        }
+        while keys.len() < n {
+            let len = prefix.len() + rng.gen_range(0..21usize);
+            let mut k = prefix.clone();
+            while k.len() < len {
+                let b = [0x00, 0x01, b'a', 0xFF][rng.gen_range(0..4usize)];
+                k.extend(std::iter::repeat_n(b, rng.gen_range(1..12usize)));
+            }
+            k.truncate(len);
+            keys.insert(k);
+        }
+        keys.into_iter().collect()
+    }
+
+    /// Every key of `keys`, a key just before and just after each, and
+    /// keys beyond both ends.
+    fn window_probes(keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut probes = vec![Vec::new(), vec![0x00], vec![0xFF; 40]];
+        for k in keys {
+            let mut after = k.clone();
+            after.push(0);
+            let mut before = k.clone();
+            match before.pop() {
+                Some(0) | None => {}
+                Some(b) => before.extend([b - 1, 0xFF, 0xFF]),
+            }
+            probes.extend([k.clone(), before, after]);
+        }
+        probes
+    }
+
+    type Model = BTreeMap<Vec<u8>, IndexHit>;
+
+    /// `index` answers as `model` does at every probe of `keys`, reading
+    /// values through `list`.
+    fn assert_answers(
+        index: &TableIndex,
+        list: &SkipList,
+        model: &Model,
+        keys: &[Vec<u8>],
+    ) -> TestCaseResult {
+        prop_assert_eq!(index.len(), model.len());
+        for probe in window_probes(keys) {
+            prop_assert_eq!(
+                index.get(list, &probe),
+                model.get(&probe).cloned(),
+                "key {:?}",
+                probe
+            );
+        }
+        Ok(())
+    }
+
+    /// Writes `recs` — `(key, seq, kind)`, a value naming its seq — into a
+    /// MemTable arena in `dram`, flushes it into `nvm` as the engine does,
+    /// and indexes it from the MemTable; adds each key's newest version to
+    /// `model`, over what it held.
+    fn flushed(
+        dram: &Arc<PmemPool>,
+        nvm: &Arc<PmemPool>,
+        recs: &[(Vec<u8>, u64, OpKind)],
+        model: &mut Model,
+    ) -> (SkipList, TableIndex) {
+        let cap = recs
+            .iter()
+            .map(|(k, ..)| miodb_skiplist::node_size_upper(k.len(), 8) as usize)
+            .sum::<usize>()
+            + 4096;
+        let mem = SkipListArena::new(dram.clone(), cap).unwrap();
+        let mut newest = BTreeMap::new();
+        for (k, seq, kind) in recs {
+            let value = if kind.is_delete() {
+                Vec::new()
+            } else {
+                seq.to_le_bytes().to_vec()
+            };
+            mem.insert(k, &value, *seq, *kind).unwrap();
+            if newest.get(k).is_none_or(|&(s, _)| s < *seq) {
+                newest.insert(k.clone(), (*seq, IndexHit { kind: *kind, value }));
+            }
+        }
+        model.extend(newest.into_iter().map(|(k, (_, hit))| (k, hit)));
+        let copy = one_piece_flush(&mem, nvm).unwrap();
+        swizzle(nvm, &copy);
+        (
+            SkipList::from_raw(nvm.clone(), copy.head),
+            TableIndex::flushed(&mem.list(), copy.delta),
+        )
+    }
+
+    /// 1–3 versions of each of `keys`, one in four a tombstone, sequence
+    /// numbers from `seq0` up.
+    fn versions(rng: &mut StdRng, keys: &[Vec<u8>], seq0: u64) -> Vec<(Vec<u8>, u64, OpKind)> {
+        let mut seq = seq0;
+        let mut recs = Vec::new();
+        for k in keys {
+            for _ in 0..rng.gen_range(1..4u32) {
+                seq += 1;
+                let kind = if rng.gen_range(0..4u32) == 0 {
+                    OpKind::Delete
+                } else {
+                    OpKind::Put
+                };
+                recs.push((k.clone(), seq, kind));
+            }
+        }
+        recs
+    }
+
+    /// The key-window index built each way the engine builds one —
+    /// flushed, merged, edited and walked — answers as a `BTreeMap` of the
+    /// same entries at every key, key before and key after.
+    fn check_window_index(seed: u64, n: usize) -> TestCaseResult {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stats = Arc::new(Stats::new());
+        let dram = PmemPool::new(4 << 20, DeviceModel::dram(), stats.clone()).unwrap();
+        let nvm = PmemPool::new(8 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
+        let keys = window_keys(&mut rng, n);
+
+        // Flushed, and walked: the older table holds about two keys in
+        // three.
+        let old_keys: Vec<Vec<u8>> = keys
+            .iter()
+            .filter(|_| rng.gen_range(0..3u32) > 0)
+            .cloned()
+            .collect();
+        let mut model = Model::new();
+        let (old_list, old_index) =
+            flushed(&dram, &nvm, &versions(&mut rng, &old_keys, 0), &mut model);
+        assert_answers(&old_index, &old_list, &model, &keys)?;
+        let walked = TableIndex::walk(&old_list);
+        prop_assert_eq!(&walked, &old_index);
+        assert_answers(&walked, &old_list, &model, &keys)?;
+
+        // Merged: a newer table over about half the keys, many of them the
+        // older table's too; a key both hold resolves to the newer side.
+        let new_keys: Vec<Vec<u8>> = keys.iter().filter(|_| rng.gen_bool(0.5)).cloned().collect();
+        let (new_list, new_index) = flushed(
+            &dram,
+            &nvm,
+            &versions(&mut rng, &new_keys, 1 << 32),
+            &mut model,
+        );
+        let merged = TableIndex::merged(&new_index, &old_index);
+        assert_answers(&merged, &old_list, &model, &keys)?;
+        let mark = InsertionMark::alloc(&nvm).unwrap();
+        let out = zero_copy_merge(
+            &nvm,
+            new_list.head(),
+            old_list.head(),
+            &mark,
+            MergeLimits::none(),
+        );
+        prop_assert!(out.is_complete());
+        let walked = TableIndex::walk(&old_list);
+        prop_assert_eq!(&walked, &merged);
+        assert_answers(&walked, &old_list, &model, &keys)?;
+
+        // Edited: two lazy-copy runs into a repository, the second
+        // updating, removing and inserting keys.
+        let repo = GrowableSkipList::new(nvm.clone(), 256 * 1024).unwrap();
+        let mut index = TableIndex::default();
+        let mut model = Model::new();
+        for run in 0..2u64 {
+            let mut edits = TableIndex::default();
+            let touched: Vec<&Vec<u8>> =
+                keys.iter().filter(|_| rng.gen_range(0..3u32) > 0).collect();
+            for k in touched {
+                let seq = run + 1;
+                let (kind, value) = match run == 1 && rng.gen_range(0..3u32) == 0 {
+                    true => (OpKind::Delete, Vec::new()),
+                    false => (OpKind::Put, format!("{k:?}@{seq}").into_bytes()),
+                };
+                edits.record(k, repo.apply(k, &value, seq, kind).unwrap());
+                match kind {
+                    OpKind::Put => model.insert(k.clone(), IndexHit { kind, value }),
+                    OpKind::Delete => model.remove(k),
+                };
+            }
+            index = index.edited(&edits);
+            assert_answers(&index, &repo.list(), &model, &keys)?;
+        }
+        let walked = TableIndex::walk(&repo.list());
+        prop_assert_eq!(&walked, &index);
+        assert_answers(&walked, &repo.list(), &model, &keys)
+    }
+
+    #[test]
+    fn window_index_of_no_key_and_of_one() {
+        for seed in 0..16 {
+            check_window_index(seed, seed as usize % 2).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn window_index_answers_as_a_btreemap(seed in any::<u64>(), n in 2usize..400) {
+            check_window_index(seed, n)?;
         }
     }
 }

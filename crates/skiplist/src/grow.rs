@@ -23,17 +23,17 @@ use miodb_pmem::{PmemPool, PmemRegion, RegionLease};
 use parking_lot::Mutex;
 
 use crate::node::{
-    self, find_preds, find_preds_from, node_size, raw, LookupResult, SkipList, MAX_HEIGHT,
+    self, find_preds, find_preds_from, node_size, raw, LookupResult, SkipList, ValueRef, MAX_HEIGHT,
 };
 
 /// What [`GrowableSkipList::apply`] did with an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyOutcome {
-    /// The key was new; the node at this offset was inserted.
-    Inserted(u64),
-    /// An older version existed and was replaced by the node at this
-    /// offset (the old node bypassed).
-    Updated(u64),
+    /// The key was new; a node holding the value named here was inserted.
+    Inserted(ValueRef),
+    /// An older version existed and was replaced by a node holding the
+    /// value named here (the old node bypassed).
+    Updated(ValueRef),
     /// A tombstone removed an existing key.
     Deleted,
     /// A tombstone arrived for a key the repository never had.
@@ -334,14 +334,15 @@ impl GrowableSkipList {
         }
         state.finger[..height].fill(off);
 
+        let written = ValueRef::new(kv_off + key.len() as u64, value.len(), kind);
         let outcome = if existing != 0 {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
             self.bypass_older(&preds, off, height, key);
             self.data_bytes.fetch_sub(old_bytes, Ordering::Release);
-            ApplyOutcome::Updated(off)
+            ApplyOutcome::Updated(written)
         } else {
             self.len.fetch_add(1, Ordering::Release);
-            ApplyOutcome::Inserted(off)
+            ApplyOutcome::Inserted(written)
         };
         self.data_bytes
             .fetch_add((key.len() + value.len()) as u64, Ordering::Release);
@@ -426,15 +427,18 @@ mod tests {
             panic!("a new key is inserted")
         };
         assert_eq!(r.get(b"k").unwrap().value, b"v1");
-        assert_eq!(Some(r.list().entry_at(first)), r.get(b"k"));
+        assert_eq!(
+            (r.list().value_at(first), first.kind()),
+            (b"v1".to_vec(), OpKind::Put)
+        );
         let ApplyOutcome::Updated(second) = r.apply(b"k", b"v2", 2, OpKind::Put).unwrap() else {
             panic!("a newer version updates")
         };
         assert_ne!(first, second);
         assert_eq!(r.get(b"k").unwrap().value, b"v2");
-        assert_eq!(Some(r.list().entry_at(second)), r.get(b"k"));
+        assert_eq!(r.list().value_at(second), b"v2");
         // The bypassed node is unlinked, not rewritten.
-        assert_eq!(r.list().entry_at(first).value, b"v1");
+        assert_eq!(r.list().value_at(first), b"v1");
         assert_eq!(r.len(), 1);
         assert_eq!(r.list().count_nodes(), 1, "old node bypassed");
     }
@@ -610,18 +614,23 @@ mod tests {
             .collect()
     }
 
-    /// What an apply did, with the node it reports read back: two lists
+    /// What an apply did, with the value it reports read back: two lists
     /// whose towers differ apply an entry alike when these are equal.
     fn applied(
         r: &GrowableSkipList,
         outcome: Result<ApplyOutcome>,
-    ) -> (std::mem::Discriminant<ApplyOutcome>, Option<LookupResult>) {
+    ) -> (
+        std::mem::Discriminant<ApplyOutcome>,
+        Option<(OpKind, Vec<u8>)>,
+    ) {
         let outcome = outcome.unwrap();
-        let node = match outcome {
-            ApplyOutcome::Inserted(n) | ApplyOutcome::Updated(n) => Some(r.list().entry_at(n)),
+        let value = match outcome {
+            ApplyOutcome::Inserted(v) | ApplyOutcome::Updated(v) => {
+                Some((v.kind(), r.list().value_at(v)))
+            }
             _ => None,
         };
-        (std::mem::discriminant(&outcome), node)
+        (std::mem::discriminant(&outcome), value)
     }
 
     /// Every finger entry is the head or a node still linked at its level.

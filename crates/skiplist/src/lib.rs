@@ -15,7 +15,7 @@
 //! - [`merge::zero_copy_merge`]: merges two PMTables by **re-linking
 //!   pointers only** (no data movement, §4.3), publishing every link with a
 //!   release store and keeping the in-flight node reachable through a
-//!   persistent [`merge::InsertionMark`] so concurrent lock-free readers
+//!   persistent [`merge::InsertionMark`] so concurrent lock-free scans
 //!   never miss it. The merge is resumable after a crash.
 //! - [`grow::GrowableSkipList`]: the bottom-level "huge PMTable" data
 //!   repository that receives lazy-copy compactions (§4.4).
@@ -49,8 +49,8 @@ pub use arena::SkipListArena;
 pub use flush::{one_piece_flush, swizzle, FlushedTable};
 pub use grow::{ApplyOutcome, GrowableSkipList};
 pub use iter::SkipListIter;
-pub use merge::{get_skip_marked, zero_copy_merge, InsertionMark, MergeOutcome, MergeStats};
-pub use node::{LookupResult, SkipList, MAX_HEIGHT};
+pub use merge::{zero_copy_merge, InsertionMark, MergeOutcome, MergeStats};
+pub use node::{LookupResult, SkipList, ValueRef, MAX_HEIGHT};
 
 /// Worst-case arena bytes one entry can consume (max tower height).
 pub fn node_size_upper(klen: usize, vlen: usize) -> u64 {

@@ -14,10 +14,13 @@
 //!    duplicates already there,
 //! 5. the mark is cleared.
 //!
-//! All link updates are single atomic release stores, so concurrent point
-//! lookups never block; a reader that consults **newtable → mark →
-//! oldtable** (see [`InsertionMark::read`]) observes every node at every
-//! instant of the merge (paper §4.3, cases 1–2).
+//! All link updates are single atomic release stores, so concurrent
+//! readers never block; an iterator that merges **newtable → mark →
+//! oldtable** (the mark's node through [`InsertionMark::entry`]) observes
+//! every node at every instant of the merge (paper §4.3, cases 1–2). Point
+//! lookups need none of this: the engine answers them through each input's
+//! exact DRAM index, which no merge step can invalidate, since node
+//! payloads never change.
 //!
 //! Unlinked nodes keep their outgoing pointers, so a reader standing on one
 //! continues traversing correctly; their memory is reclaimed only by the
@@ -64,7 +67,7 @@ use std::sync::Arc;
 use miodb_common::Result;
 use miodb_pmem::{PmemPool, PmemRegion};
 
-use crate::node::{find_preds, find_preds_from, raw, LookupResult, MAX_HEIGHT};
+use crate::node::{find_preds, find_preds_from, raw, MAX_HEIGHT};
 
 #[cfg(test)]
 thread_local! {
@@ -93,9 +96,9 @@ pub enum MergePhase {
 /// A persistent one-word slot naming the node currently in flight between
 /// the two tables of a zero-copy merge.
 ///
-/// Readers call [`InsertionMark::read`] between searching the newtable and
-/// the oldtable so the in-flight node is never missed. The slot lives in
-/// NVM, making merges crash-resumable.
+/// Scans materialize its node ([`InsertionMark::entry`]) between the
+/// newtable and the oldtable so the in-flight node is never missed. The
+/// slot lives in NVM, making merges crash-resumable.
 #[derive(Clone)]
 pub struct InsertionMark {
     pool: Arc<PmemPool>,
@@ -187,25 +190,6 @@ impl InsertionMark {
         self.pool
             .atomic_u64(self.region.offset + 8)
             .load(Ordering::Acquire)
-    }
-
-    /// Checks whether the in-flight node (if any) matches `key`, returning
-    /// its version. Safe to call concurrently with the merge: node payloads
-    /// are immutable and the mark always names a fully written node.
-    pub fn read(&self, key: &[u8]) -> Option<LookupResult> {
-        let (node, _) = self.load()?;
-        let pool = &*self.pool;
-        raw::charge_visit(pool);
-        if raw::key(pool, node) != key {
-            return None;
-        }
-        let value = raw::value(pool, node).to_vec();
-        pool.charge_read(value.len());
-        Some(LookupResult {
-            value,
-            seq: raw::seq(pool, node),
-            kind: raw::kind(pool, node),
-        })
     }
 
     /// Materializes the in-flight node (key included) as an owned entry,
@@ -533,82 +517,6 @@ pub fn zero_copy_merge(
     Ctx::new(pool, limits).run(new_head, old_head, mark)
 }
 
-/// Mark-aware point lookup for the **newtable** of an in-flight merge
-/// (the paper's §4.3 Case 2): a traversal that stepped onto the marked
-/// node while it was being spliced would follow its rewritten pointers
-/// into the oldtable and silently miss the rest of the newtable. This
-/// descent therefore never crosses the currently marked node — on
-/// encountering it, the whole descent restarts from the head, where the
-/// unlink (which precedes the splice phase) has already bypassed it.
-///
-/// Callers follow the full protocol: `get_skip_marked(new) -> mark.read ->
-/// old.get`, so the marked node itself is still found via the mark.
-pub fn get_skip_marked(
-    list: &crate::SkipList,
-    key: &[u8],
-    mark: &InsertionMark,
-) -> Option<LookupResult> {
-    let pool = list.pool().clone();
-    let head = list.head();
-    'attempt: for _ in 0..1024 {
-        let marked = mark.load().map(|(n, _)| n).unwrap_or(0);
-        let mut x = head;
-        let mut nxt = 0;
-        let mut visits = 0u64;
-        for level in (0..MAX_HEIGHT).rev() {
-            loop {
-                nxt = raw::next(&pool, x, level);
-                if nxt == 0 {
-                    break;
-                }
-                // Check the attempt-start snapshot *and* the live mark on
-                // every step: a merge step can complete and mark a
-                // different node mid-descent, and crossing that newly
-                // marked node while its tower is rewritten into the
-                // oldtable loses the rest of the newtable (the stale
-                // `marked` snapshot alone missed exactly that — the root
-                // cause of the multi_writer_stress lost-read flake).
-                if nxt == marked || Some(nxt) == mark.load().map(|(n, _)| n) {
-                    // The in-flight node is (or just became) unsafe to
-                    // cross; restart from the head, which already bypasses
-                    // it (unlink precedes the splice phase).
-                    pool.charge_read_batch(visits, 32);
-                    continue 'attempt;
-                }
-                visits += 1;
-                let nk = raw::key(&pool, nxt);
-                let ns = raw::seq(&pool, nxt);
-                if miodb_common::types::mv_cmp(nk, ns, key, miodb_common::MAX_SEQUENCE_NUMBER)
-                    == std::cmp::Ordering::Less
-                {
-                    x = nxt;
-                } else {
-                    break;
-                }
-            }
-        }
-        // The level-0 successor the descent compared, not a reload (see
-        // `find_preds`); never the marked node, which restarts the descent
-        // and is left to the mark-read step of the protocol.
-        let node = nxt;
-        pool.charge_read_batch(visits, 32);
-        if node == 0 || raw::key(&pool, node) != key {
-            return None;
-        }
-        let value = raw::value(&pool, node).to_vec();
-        pool.charge_read(value.len());
-        return Some(LookupResult {
-            value,
-            seq: raw::seq(&pool, node),
-            kind: raw::kind(&pool, node),
-        });
-    }
-    // Practically unreachable (requires colliding with the in-flight node
-    // 1024 consecutive times); the caller's mark/oldtable steps still
-    // cover the marked node itself.
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,266 +737,6 @@ mod tests {
             assert!(mark.load().is_none(), "crash_at={crash_at}");
             assert!(SkipList::from_raw(p.clone(), new.head()).is_empty());
         }
-    }
-
-    /// Deterministic regression for the multi_writer_stress lost-read
-    /// flake (ROADMAP item 6): tables transitioning settled → merging →
-    /// merged must never lose a key from the reader protocol
-    /// (`get_skip_marked(new)` → `mark.read` → `old.get`). Part 1 pauses
-    /// the merge at *every step boundary* and probes every key — the
-    /// suspect interleaving (reader probing while half the keys have
-    /// migrated to the oldtable) run as a deterministic schedule instead
-    /// of a racy stress. Part 2 freezes the merge after every individual
-    /// link write (mark set, tower half re-pointed) and probes the
-    /// guaranteed-visible set: the marked key itself, everything already
-    /// merged ahead of it, and the oldtable's own keys.
-    #[test]
-    fn reader_protocol_sees_every_key_at_every_merge_interleaving() {
-        let keys: Vec<String> = (0..24u32).map(|i| format!("k{i:03}")).collect();
-        let build = |p: &Arc<PmemPool>| {
-            // Every 4th key carries an older duplicate in the newtable so
-            // the steps exercise drop-front-duplicates too.
-            let mut new_entries: Vec<(Vec<u8>, Vec<u8>, u64)> = Vec::new();
-            for (i, k) in keys.iter().enumerate() {
-                if i % 4 == 0 {
-                    new_entries.push((k.clone().into_bytes(), b"superseded".to_vec(), 50));
-                }
-                new_entries.push((k.clone().into_bytes(), format!("new-{k}").into_bytes(), 100));
-            }
-            let new_refs: Vec<(&[u8], &[u8], u64)> = new_entries
-                .iter()
-                .map(|(k, v, s)| (k.as_slice(), v.as_slice(), *s))
-                .collect();
-            let new = table(p, &new_refs);
-            let old = table(p, &[(b"m-aaa", b"old", 1), (b"m-zzz", b"old", 2)]);
-            let mark = InsertionMark::alloc(p).unwrap();
-            (new, old, mark)
-        };
-        let probe = |new_view: &SkipList, old_view: &SkipList, mark: &InsertionMark, k: &str| {
-            get_skip_marked(new_view, k.as_bytes(), mark)
-                .or_else(|| mark.read(k.as_bytes()))
-                .or_else(|| old_view.get(k.as_bytes()))
-        };
-
-        // Part 1: pause at every clean step boundary, probe every key.
-        {
-            let p = pool();
-            let (new, old, mark) = build(&p);
-            let new_view = SkipList::from_raw(p.clone(), new.head());
-            let old_view = SkipList::from_raw(p.clone(), old.head());
-            let mut boundary = 0usize;
-            loop {
-                for k in &keys {
-                    let found = probe(&new_view, &old_view, &mark, k)
-                        .unwrap_or_else(|| panic!("{k} invisible at step boundary {boundary}"));
-                    assert_eq!(
-                        found.value,
-                        format!("new-{k}").as_bytes(),
-                        "stale {k} at step boundary {boundary}"
-                    );
-                }
-                for mk in ["m-aaa", "m-zzz"] {
-                    assert_eq!(
-                        probe(&new_view, &old_view, &mark, mk).unwrap().value,
-                        b"old",
-                        "{mk} lost at step boundary {boundary}"
-                    );
-                }
-                let out = zero_copy_merge(
-                    &p,
-                    new.head(),
-                    old.head(),
-                    &mark,
-                    MergeLimits {
-                        max_steps: Some(1),
-                        abandon_after_link_writes: None,
-                    },
-                );
-                assert!(mark.load().is_none(), "mark leaked past a step boundary");
-                boundary += 1;
-                if out.is_complete() {
-                    break;
-                }
-                assert!(boundary < 1000, "merge did not converge");
-            }
-        }
-
-        // Part 2: freeze after every individual link write; mid-step the
-        // guaranteed-visible set is the marked key (covered by the mark
-        // itself), every key merged ahead of it, and the oldtable keys.
-        for crash_at in 1..10_000u64 {
-            let p = pool();
-            let (new, old, mark) = build(&p);
-            let out = zero_copy_merge(
-                &p,
-                new.head(),
-                old.head(),
-                &mark,
-                MergeLimits {
-                    max_steps: None,
-                    abandon_after_link_writes: Some(crash_at),
-                },
-            );
-            let new_view = SkipList::from_raw(p.clone(), new.head());
-            let old_view = SkipList::from_raw(p.clone(), old.head());
-            let marked_key = mark
-                .load()
-                .map(|(n, _)| String::from_utf8(raw::key(&p, n).to_vec()).unwrap());
-            for k in &keys {
-                match &marked_key {
-                    Some(mk) if k == mk => {
-                        // The in-flight key must be served by the mark
-                        // (its list linkage is arbitrary mid-step).
-                        let found = mark.read(k.as_bytes()).unwrap_or_else(|| {
-                            panic!("marked {k} invisible at crash_at={crash_at}")
-                        });
-                        assert_eq!(found.value, format!("new-{k}").as_bytes());
-                    }
-                    Some(mk) if k < mk => {
-                        // Fully merged ahead of the frozen step: the plain
-                        // oldtable probe must already serve it.
-                        let found = old_view.get(k.as_bytes()).unwrap_or_else(|| {
-                            panic!("merged {k} invisible at crash_at={crash_at}")
-                        });
-                        assert_eq!(
-                            found.value,
-                            format!("new-{k}").as_bytes(),
-                            "stale {k} at crash_at={crash_at}"
-                        );
-                    }
-                    _ => {
-                        // Beyond the marked node (or merge complete): the
-                        // full protocol finds it; skip get_skip_marked's
-                        // bounded-restart fallback which presumes a live
-                        // compactor advancing the mark.
-                        let found = new_view
-                            .get(k.as_bytes())
-                            .or_else(|| mark.read(k.as_bytes()))
-                            .or_else(|| old_view.get(k.as_bytes()))
-                            .unwrap_or_else(|| panic!("{k} invisible at crash_at={crash_at}"));
-                        assert_eq!(
-                            found.value,
-                            format!("new-{k}").as_bytes(),
-                            "stale {k} at crash_at={crash_at}"
-                        );
-                    }
-                }
-            }
-            for mk in ["m-aaa", "m-zzz"] {
-                assert_eq!(
-                    old_view.get(mk.as_bytes()).unwrap().value,
-                    b"old",
-                    "{mk} lost at crash_at={crash_at}"
-                );
-            }
-            if out.is_complete() {
-                break; // later crash points are no-ops
-            }
-        }
-    }
-
-    #[test]
-    fn mark_read_finds_in_flight_node() {
-        let p = pool();
-        let new = table(&p, &[(b"k", b"v", 5)]);
-        let old = table(&p, &[]);
-        let mark = InsertionMark::alloc(&p).unwrap();
-        // Crash immediately after the node is unlinked from new (the node
-        // now lives only in the mark).
-        let out = zero_copy_merge(
-            &p,
-            new.head(),
-            old.head(),
-            &mark,
-            MergeLimits {
-                max_steps: None,
-                abandon_after_link_writes: Some(1),
-            },
-        );
-        assert!(!out.is_complete());
-        // Reader protocol: newtable -> mark -> oldtable.
-        let new_view = SkipList::from_raw(p.clone(), new.head());
-        let old_view = SkipList::from_raw(p.clone(), old.head());
-        let found = new_view
-            .get(b"k")
-            .or_else(|| mark.read(b"k"))
-            .or_else(|| old_view.get(b"k"))
-            .expect("in-flight node must be visible");
-        assert_eq!(found.value, b"v");
-        assert!(mark.read(b"other").is_none());
-    }
-
-    #[test]
-    fn concurrent_reads_during_merge() {
-        use std::sync::atomic::{AtomicBool, Ordering as AOrd};
-        let p = pool();
-        let n = 400u32;
-        let entries: Vec<(Vec<u8>, Vec<u8>, u64)> = (0..n)
-            .map(|i| {
-                (
-                    format!("k{i:04}").into_bytes(),
-                    format!("new{i}").into_bytes(),
-                    1000 + i as u64,
-                )
-            })
-            .collect();
-        let refs: Vec<(&[u8], &[u8], u64)> = entries
-            .iter()
-            .map(|(k, v, s)| (k.as_slice(), v.as_slice(), *s))
-            .collect();
-        let new = table(&p, &refs);
-        // Old table holds older versions of the even keys.
-        let old_entries: Vec<(Vec<u8>, Vec<u8>, u64)> = (0..n)
-            .step_by(2)
-            .map(|i| (format!("k{i:04}").into_bytes(), b"old".to_vec(), i as u64))
-            .collect();
-        let old_refs: Vec<(&[u8], &[u8], u64)> = old_entries
-            .iter()
-            .map(|(k, v, s)| (k.as_slice(), v.as_slice(), *s))
-            .collect();
-        let old = table(&p, &old_refs);
-        let mark = InsertionMark::alloc(&p).unwrap();
-
-        let new_view = SkipList::from_raw(p.clone(), new.head());
-        let old_view = SkipList::from_raw(p.clone(), old.head());
-        let done = Arc::new(AtomicBool::new(false));
-
-        std::thread::scope(|s| {
-            // Reader threads follow the paper's lookup protocol.
-            for t in 0..4 {
-                let new_view = new_view.clone();
-                let old_view = old_view.clone();
-                let mark = mark.clone();
-                let done = done.clone();
-                s.spawn(move || {
-                    let mut i = t;
-                    let mut checked = 0u32;
-                    while !done.load(AOrd::Acquire) || checked < 200 {
-                        let key = format!("k{:04}", i % n);
-                        let found = new_view
-                            .get(key.as_bytes())
-                            .or_else(|| mark.read(key.as_bytes()))
-                            .or_else(|| old_view.get(key.as_bytes()))
-                            .unwrap_or_else(|| panic!("{key} invisible during merge"));
-                        // Must never see a stale "old" value for a key that
-                        // has a newer version: newest-first protocol.
-                        assert!(
-                            found.value.starts_with(b"new"),
-                            "stale read for {key}: {:?}",
-                            String::from_utf8_lossy(&found.value)
-                        );
-                        i += 7;
-                        checked += 1;
-                    }
-                });
-            }
-            let out = zero_copy_merge(&p, new.head(), old.head(), &mark, MergeLimits::none());
-            assert!(out.is_complete());
-            done.store(true, AOrd::Release);
-        });
-
-        let m = merged_view(&p, &old);
-        assert_eq!(m.count_nodes(), n as usize);
     }
 
     // ---- The finger against the head search it replaced ----------------
@@ -1434,112 +1082,5 @@ mod tests {
             finger_reads * 3 < head_reads,
             "{finger_reads} B read with the finger, {head_reads} B without"
         );
-    }
-
-    /// One merger, two readers on the full newtable → mark → oldtable
-    /// protocol as the engine runs it — optimistic first and, on a miss,
-    /// once more under the gate the merger holds for each window of steps
-    /// (a reader preempted on a node that a step then moves can compute a
-    /// false miss) — over tables with several versions of a key on both
-    /// sides. Pins what the finger must not change: no reader ever
-    /// resolves a key to less than the oldtable held for it before the
-    /// merge began. (A reader may still see that older version after a
-    /// newer one exists — ROADMAP item 1 — which this test does not judge.)
-    #[test]
-    fn concurrent_readers_never_see_less_than_the_oldtable_held() {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AOrd};
-        let p = PmemPool::new(
-            8 << 20,
-            DeviceModel::nvm_unthrottled(),
-            Arc::new(Stats::new()),
-        )
-        .unwrap();
-        let keys = 1500u32;
-        let probes = AtomicU64::new(0);
-        for round in 0..40u64 {
-            let mut r = StdRng::seed_from_u64(round);
-            let old = SkipListArena::new(p.clone(), 1 << 20).unwrap();
-            let new = SkipListArena::new(p.clone(), 1 << 20).unwrap();
-            // Oldtable: every third key absent, the rest in 1–3 versions.
-            let mut held = vec![0u64; keys as usize];
-            for k in 0..keys {
-                for v in 0..r.gen_range(0..4u64) {
-                    let seq = 10 + v;
-                    let key = format!("k{k:05}");
-                    old.insert(key.as_bytes(), &seq.to_le_bytes(), seq, OpKind::Put)
-                        .unwrap();
-                    held[k as usize] = seq;
-                }
-            }
-            for k in 0..keys {
-                for v in 0..r.gen_range(0..3u64) {
-                    let seq = 100 + v;
-                    let key = format!("k{k:05}");
-                    new.insert(key.as_bytes(), &seq.to_le_bytes(), seq, OpKind::Put)
-                        .unwrap();
-                }
-            }
-            let mark = InsertionMark::alloc(&p).unwrap();
-            let new_view = new.list();
-            let old_view = old.list();
-            let done = AtomicBool::new(false);
-            let gate = parking_lot::Mutex::new(());
-            std::thread::scope(|s| {
-                for t in 0..2u32 {
-                    let (new_view, old_view, mark) = (&new_view, &old_view, &mark);
-                    let (held, done, probes, gate) = (&held, &done, &probes, &gate);
-                    s.spawn(move || {
-                        let mut k = t * 751;
-                        let mut mine = 0u64;
-                        while !done.load(AOrd::Acquire) {
-                            k = (k + 37) % keys;
-                            let key = format!("k{k:05}");
-                            let key = key.as_bytes();
-                            let found = get_skip_marked(new_view, key, mark)
-                                .or_else(|| mark.read(key))
-                                .or_else(|| old_view.get(key))
-                                .or_else(|| {
-                                    let _quiesce = gate.lock();
-                                    new_view
-                                        .get(key)
-                                        .or_else(|| mark.read(key))
-                                        .or_else(|| old_view.get(key))
-                                });
-                            let seq = found.as_ref().map_or(0, |f| f.seq);
-                            assert!(
-                                seq >= held[k as usize],
-                                "k{k:05}: seq {seq}, the oldtable held {}",
-                                held[k as usize]
-                            );
-                            if let Some(f) = found {
-                                assert_eq!(f.value, f.seq.to_le_bytes());
-                            }
-                            mine += 1;
-                        }
-                        probes.fetch_add(mine, AOrd::Relaxed);
-                    });
-                }
-                // The engine's windows: every call re-seeds its finger.
-                let window = MergeLimits {
-                    max_steps: Some(128),
-                    abandon_after_link_writes: None,
-                };
-                loop {
-                    let _window = gate.lock();
-                    if zero_copy_merge(&p, new.head(), old.head(), &mark, window).is_complete() {
-                        break;
-                    }
-                }
-                done.store(true, AOrd::Release);
-            });
-            for k in (0..keys).filter(|&k| held[k as usize] > 0) {
-                let key = format!("k{k:05}");
-                assert!(old_view.get(key.as_bytes()).unwrap().seq >= held[k as usize]);
-            }
-            mark.release();
-            new.release();
-            old.release();
-        }
-        assert!(probes.load(AOrd::Relaxed) > 0);
     }
 }

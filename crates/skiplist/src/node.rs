@@ -100,6 +100,14 @@ pub(crate) mod raw {
         unsafe { pool.slice(off + HEADER_BYTES + 8 * h + k, v) }
     }
 
+    /// Where the node's value lives, and its kind.
+    #[inline]
+    pub fn value_ref(pool: &PmemPool, off: u64) -> ValueRef {
+        let h = height(pool, off) as u64;
+        let offset = off + HEADER_BYTES + 8 * h + klen(pool, off) as u64;
+        ValueRef::new(offset, vlen(pool, off), kind(pool, off))
+    }
+
     /// Offset of the link word for `level`.
     #[inline]
     pub fn tower_slot(off: u64, level: usize) -> u64 {
@@ -340,6 +348,54 @@ mod smallset {
     }
 }
 
+/// Where a version's value lives, and whether the version is a tombstone:
+/// all an exact DRAM index keeps of a version, so that a hit reads the
+/// value and nothing else of its node ([`SkipList::value_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueRef {
+    /// Pool-global offset of the value bytes.
+    pub offset: u64,
+    /// The value's length, with [`ValueRef::TOMBSTONE`] set for a
+    /// tombstone.
+    pub len: u32,
+}
+
+impl ValueRef {
+    /// The bit of [`len`](Self::len) that marks a tombstone.
+    pub const TOMBSTONE: u32 = 1 << 31;
+
+    /// The value of `len` bytes at `offset`, of a version of `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` reaches 2 GiB; no arena holds such a value.
+    pub fn new(offset: u64, len: usize, kind: OpKind) -> ValueRef {
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&l| l < Self::TOMBSTONE)
+            .expect("values < 2 GiB");
+        let tombstone = if kind.is_delete() { Self::TOMBSTONE } else { 0 };
+        ValueRef {
+            offset,
+            len: len | tombstone,
+        }
+    }
+
+    /// Put or tombstone.
+    pub fn kind(self) -> OpKind {
+        if self.len & Self::TOMBSTONE == 0 {
+            OpKind::Put
+        } else {
+            OpKind::Delete
+        }
+    }
+
+    /// Length of the value in bytes.
+    pub fn value_len(self) -> usize {
+        (self.len & !Self::TOMBSTONE) as usize
+    }
+}
+
 /// Result of a successful point lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupResult {
@@ -415,13 +471,21 @@ impl SkipList {
         Some(self.entry(node))
     }
 
-    /// The version stored at `node`, a data node of this list: one charged
-    /// visit for its header and key, then its value. This is how a table's
-    /// or the data repository's exact DRAM index answers a hit — the index found `node` already, so
-    /// nothing is descended and nothing else is read.
-    pub fn entry_at(&self, node: u64) -> LookupResult {
-        raw::charge_visit(&self.pool);
-        self.entry(node)
+    /// The value `v` names, a [`ValueRef`] of a node of this list's pool:
+    /// one charged read of exactly its bytes, and none for an empty value
+    /// or a tombstone. This is how a table's or the data repository's
+    /// exact DRAM index answers a hit — the index holds where the value
+    /// is, so nothing else of the node is read.
+    pub fn value_at(&self, v: ValueRef) -> Vec<u8> {
+        let len = v.value_len();
+        if len == 0 {
+            return Vec::new();
+        }
+        // SAFETY: `v` was read from a published node, whose value bytes
+        // are immutable (crate invariant).
+        let value = unsafe { self.pool.slice(v.offset, len) }.to_vec();
+        self.pool.charge_read(len);
+        value
     }
 
     /// The version at `node`, charging the value read only.
@@ -436,11 +500,12 @@ impl SkipList {
         }
     }
 
-    /// Calls `f(key, node)` for the newest version of every key — the first
-    /// node of each run of equal keys on level 0 — in key order, charging
-    /// one modeled visit per node of the level in one batch. On a DRAM
+    /// Calls `f(key, value)` for the newest version of every key — the
+    /// first node of each run of equal keys on level 0 — in key order,
+    /// charging one modeled visit per node of the level in one batch; the
+    /// [`ValueRef`] is read off the header that visit covers. On a DRAM
     /// list (an immutable MemTable) the walk is free in the model.
-    pub fn walk_newest(&self, mut f: impl FnMut(&[u8], u64)) {
+    pub fn walk_newest<'a>(&'a self, mut f: impl FnMut(&'a [u8], ValueRef)) {
         let pool = &*self.pool;
         let mut visits = 0;
         let mut last: &[u8] = &[];
@@ -449,7 +514,7 @@ impl SkipList {
             visits += 1;
             let key = raw::key(pool, node);
             if visits == 1 || key != last {
-                f(key, node);
+                f(key, raw::value_ref(pool, node));
                 last = key;
             }
             node = raw::next(pool, node, 0);

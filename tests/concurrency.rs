@@ -342,9 +342,9 @@ fn multi_writer_storm(seed: u64) {
 /// Formerly flaky at ~1/25 runs: `get` snapshotted a level's settled
 /// tables once, and a compactor popping those tables into `merging`
 /// mid-probe left the reader searching relinked lists without the mark
-/// protocol. Fixed by
-/// the per-level structural version retry in `get` plus the always-live
-/// mark check in `get_skip_marked`.
+/// protocol. Fixed by the per-level structural version retry in `get`;
+/// today every table of a level, a merging pair's included, answers
+/// through its exact DRAM index, which no merge step can invalidate.
 #[test]
 fn multi_writer_stress() {
     multi_writer_storm(0);

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use miodb::common::OpKind;
-use miodb::core::table::TableIndex;
+use miodb::core::table::{IndexHit, TableIndex};
 use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::GrowableSkipList;
 use miodb::{KvEngine, MioDb, MioOptions, Stats};
@@ -64,7 +64,8 @@ fn assert_index_is_the_walk(
     }
     probes.extend([b"".to_vec(), b"z".to_vec()]);
     for key in &probes {
-        prop_assert_eq!(index.get(&list, key), repo.get(key), "key {:?}", key);
+        let descent = repo.get(key).map(IndexHit::from);
+        prop_assert_eq!(index.get(&list, key), descent, "key {:?}", key);
     }
     Ok(())
 }

@@ -10,11 +10,14 @@
 //! check that the bytes *written* are a function of the towers alone: the
 //! finger may change what is read, never what is written.
 //!
-//! An indexed lookup binary-searches the index in DRAM (free, like a bloom
-//! probe) and finds the node itself, so a hit reads one node and a miss
-//! none. Building an index — a settled table's from the flushed MemTable
-//! in DRAM or from the two indexes a merge joins, the repository's from
-//! the last one and a lazy-copy run's edits — reads no NVM at all.
+//! An indexed lookup searches the index in DRAM (free, like a bloom probe)
+//! and finds where the value lives, so a hit reads exactly the value's
+//! bytes — no node visit — and a tombstone hit and a miss read nothing.
+//! That holds for a flushed table, a merged one, the two tables of a merge
+//! in flight and the data repository. Building an index — a settled
+//! table's from the flushed MemTable in DRAM or from the two indexes a
+//! merge joins, the repository's from the last one and a lazy-copy run's
+//! edits — reads no NVM at all.
 //!
 //! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
 //! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
@@ -25,12 +28,12 @@
 use std::sync::Arc;
 
 use miodb::common::OpKind;
-use miodb::core::table::TableIndex;
+use miodb::core::table::{IndexHit, TableIndex};
 use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::merge::MergeLimits;
 use miodb::skiplist::{
     node_size_upper, one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark,
-    LookupResult, SkipList, SkipListArena,
+    SkipList, SkipListArena,
 };
 use miodb::Stats;
 use rand::rngs::StdRng;
@@ -167,21 +170,29 @@ fn lazy_copy_run_reads_few_nodes_per_applied_record() {
     assert!(visits_of[6] <= 8.0, "into 372 000: {:.2}", visits_of[6]);
 }
 
-/// Modeled node visits of `lookup` per key of `keys`, net of the value
-/// each hit reads.
-fn visits_per_get(
-    p: &PmemPool,
-    keys: &[u64],
-    lookup: impl Fn(&[u8]) -> Option<LookupResult>,
-) -> f64 {
+/// Modeled NVM bytes `lookup` reads per key of `keys`, each of which it
+/// finds.
+fn bytes_per_hit(p: &PmemPool, keys: &[u64], lookup: impl Fn(&[u8]) -> bool) -> f64 {
     let before = p.stats().snapshot();
     for &k in keys {
-        assert!(lookup(&key(k)).is_some());
+        assert!(lookup(&key(k)));
     }
     let io = p.stats().snapshot().diff(&before);
-    let visit_bytes = io.nvm_bytes_read - VLEN * keys.len() as u64;
-    assert_eq!(visit_bytes % VISIT, 0);
-    visit_bytes as f64 / VISIT as f64 / keys.len() as f64
+    io.nvm_bytes_read as f64 / keys.len() as f64
+}
+
+/// Modeled NVM bytes `lookup` reads over `keys`, each of which it misses.
+fn bytes_per_miss(p: &PmemPool, keys: &[u64], lookup: impl Fn(&[u8]) -> Option<IndexHit>) -> u64 {
+    let before = p.stats().snapshot();
+    for &k in keys {
+        assert!(lookup(&key(k)).is_none());
+    }
+    p.stats().snapshot().diff(&before).nvm_bytes_read
+}
+
+/// Whether `hit` is the put of a value of `VLEN` bytes.
+fn is_value(hit: Option<IndexHit>) -> bool {
+    hit.is_some_and(|h| h.kind == OpKind::Put && h.value.len() == VLEN as usize)
 }
 
 #[test]
@@ -190,7 +201,8 @@ fn a_repository_get_reads_one_node_and_a_miss_none() {
     // six sorted runs of 62 000 as `fill`'s drains deliver them, each run
     // updating a tenth of the stored keys and deleting another tenth, with
     // the index rebuilt after each run as the lazy worker rebuilds it.
-    // Present keys are even, absent odd.
+    // Present keys are even, absent odd. A hit reads its value's bytes and
+    // nothing else — no node visit — and a miss and a rebuild read nothing.
     const RUN: usize = 62_000;
     const RUNS: usize = 6;
     let p = pool(64 << 20);
@@ -234,13 +246,13 @@ fn a_repository_get_reads_one_node_and_a_miss_none() {
     let probes: Vec<u64> = (0..2_000)
         .map(|_| stored[r.gen_range(0..stored.len())])
         .collect();
-    let hit = visits_per_get(&p, &probes, |k| index.get(&list, k));
-    let head = visits_per_get(&p, &probes, |k| repo.get(k));
+    let hit = bytes_per_hit(&p, &probes, |k| is_value(index.get(&list, k)));
+    let head = bytes_per_hit(&p, &probes, |k| repo.get(k).is_some());
     println!(
-        "get in a repository of {}: 1 visit indexed, {head:.2} from the head",
+        "get in a repository of {}: {hit} B read indexed, {head:.1} B from the head",
         repo.len()
     );
-    assert_eq!(hit, 1.0, "a repository hit");
+    assert_eq!(hit, VLEN as f64, "a repository hit reads its value only");
     let absent: Vec<u64> = (0..2_000).map(|_| r.next_u64() | 1).collect();
     assert_eq!(bytes_per_miss(&p, &absent, |k| index.get(&list, k)), 0);
 }
@@ -263,23 +275,13 @@ fn flushed(
     (SkipList::from_raw(nvm.clone(), copy.head), index)
 }
 
-/// Modeled NVM bytes `lookup` reads over `keys`, each of which it misses.
-fn bytes_per_miss(
-    p: &PmemPool,
-    keys: &[u64],
-    lookup: impl Fn(&[u8]) -> Option<LookupResult>,
-) -> u64 {
-    let before = p.stats().snapshot();
-    for &k in keys {
-        assert!(lookup(&key(k)).is_none());
-    }
-    p.stats().snapshot().diff(&before).nvm_bytes_read
-}
-
 #[test]
 fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
-    // Two tables the size of the deepest of the `read` workload, flushed
-    // and merged as the engine does; present keys are even, absent odd.
+    // Two tables the size of the deepest of the `read` workload, flushed,
+    // read as a merging pair half way through their merge, and merged, as
+    // the engine does; present keys are even, absent odd. Every hit reads
+    // its value's bytes and nothing else — no node visit — and every miss
+    // and every index build reads nothing.
     const N: usize = 31_000;
     let stats = Arc::new(Stats::new());
     let dram = PmemPool::new(16 << 20, DeviceModel::dram(), stats.clone()).unwrap();
@@ -292,14 +294,34 @@ fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
     let absent: Vec<u64> = (0..2_000).map(|_| r.next_u64() | 1).collect();
 
     let probes: Vec<u64> = (0..2_000).map(|_| old_keys[r.gen_range(0..N)]).collect();
-    let hit = visits_per_get(&nvm, &probes, |k| old_index.get(&old_list, k));
-    assert_eq!(hit, 1.0, "a flushed table's indexed hit");
+    let hit = bytes_per_hit(&nvm, &probes, |k| is_value(old_index.get(&old_list, k)));
+    assert_eq!(hit, VLEN as f64, "a flushed table's indexed hit");
     assert_eq!(
         bytes_per_miss(&nvm, &absent, |k| old_index.get(&old_list, k)),
         0
     );
 
+    // The merging pair, paused after half the newtable moved: a GET probes
+    // the newtable's index, then the oldtable's.
+    let pair = |k: &[u8]| {
+        new_index
+            .get(&new_list, k)
+            .or_else(|| old_index.get(&old_list, k))
+    };
     let mark = InsertionMark::alloc(&nvm).unwrap();
+    let half = MergeLimits {
+        max_steps: Some(N / 2),
+        abandon_after_link_writes: None,
+    };
+    let out = zero_copy_merge(&nvm, new_list.head(), old_list.head(), &mark, half);
+    assert!(!out.is_complete() && out.stats().moved > 0);
+    let probes: Vec<u64> = (0..2_000)
+        .map(|i| [&old_keys, &new_keys][i % 2][r.gen_range(0..N)])
+        .collect();
+    let hit = bytes_per_hit(&nvm, &probes, |k| is_value(pair(k)));
+    assert_eq!(hit, VLEN as f64, "a merging pair's indexed hit");
+    assert_eq!(bytes_per_miss(&nvm, &absent, pair), 0);
+
     let out = zero_copy_merge(
         &nvm,
         new_list.head(),
@@ -313,18 +335,41 @@ fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
     assert_eq!(nvm.stats().snapshot().diff(&before).nvm_bytes_read, 0);
     assert_eq!(merged.len(), 2 * N);
 
-    let probes: Vec<u64> = (0..2_000)
-        .map(|i| [&old_keys, &new_keys][i % 2][r.gen_range(0..N)])
-        .collect();
-    let hit = visits_per_get(&nvm, &probes, |k| merged.get(&old_list, k));
-    let head = visits_per_get(&nvm, &probes, |k| old_list.get(k));
+    let hit = bytes_per_hit(&nvm, &probes, |k| is_value(merged.get(&old_list, k)));
+    let head = bytes_per_hit(&nvm, &probes, |k| old_list.get(k).is_some());
     println!(
-        "get in a merged {}: 1 visit indexed, {head:.2} from the head",
+        "get in a merged {}: {hit} B read indexed, {head:.1} B from the head",
         2 * N
     );
-    assert_eq!(hit, 1.0, "a merged table's indexed hit");
+    assert_eq!(hit, VLEN as f64, "a merged table's indexed hit");
     assert_eq!(
         bytes_per_miss(&nvm, &absent, |k| merged.get(&old_list, k)),
         0
     );
+}
+
+#[test]
+fn an_indexed_tombstone_hit_reads_nothing() {
+    // A flushed table of tombstones over puts: the index answers each key
+    // with its tombstone, from DRAM alone.
+    let stats = Arc::new(Stats::new());
+    let dram = PmemPool::new(4 << 20, DeviceModel::dram(), stats.clone()).unwrap();
+    let nvm = PmemPool::new(4 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
+    let mem = SkipListArena::new(dram, 1 << 20).unwrap();
+    for k in 0..1_000u64 {
+        mem.insert(&key(k), &[7u8; VLEN as usize], 1, OpKind::Put)
+            .unwrap();
+        mem.insert(&key(k), &[], 2, OpKind::Delete).unwrap();
+    }
+    let copy = one_piece_flush(&mem, &nvm).unwrap();
+    swizzle(&nvm, &copy);
+    let index = TableIndex::flushed(&mem.list(), copy.delta);
+    let list = SkipList::from_raw(nvm.clone(), copy.head);
+    let keys: Vec<u64> = (0..1_000).collect();
+    let tombstone = |k: &[u8]| {
+        index
+            .get(&list, k)
+            .is_some_and(|h| h.kind == OpKind::Delete)
+    };
+    assert_eq!(bytes_per_hit(&nvm, &keys, tombstone), 0.0);
 }
