@@ -232,6 +232,11 @@ declare_stats! {
     /// compactions; with the time above, the cost of moving one node.
     zero_copy_nodes_moved => Count "miodb_zero_copy_nodes_moved_total" {}
         "Nodes re-linked by zero-copy compactions, all levels.";
+    /// NVM bytes zero-copy compactions wrote: three link words and the
+    /// insertion mark per moved run, the mark's clear per merge. A share of
+    /// `nvm_bytes_written`, so of the write amplification.
+    zero_copy_bytes_written => Count "miodb_zero_copy_write_bytes_total" {}
+        "NVM bytes written by zero-copy compactions (links and mark), all levels.";
     /// Total time spent in lazy-copy compactions (MioDB) or SSTable
     /// compactions (baselines).
     copy_compaction_ns => Nanos "miodb_copy_compaction_seconds_total" {}

@@ -41,7 +41,7 @@ use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::merge::MergeLimits;
 use miodb_skiplist::{
     one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark, MergeOutcome,
-    SkipList,
+    RunMerge, SkipList,
 };
 use miodb_wal::{GroupOp, WriteAheadLog};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -52,8 +52,8 @@ use crate::read::{publish, repo_run, Version};
 use crate::repository::Repository;
 use crate::table::{MemTable, PmTable, TableIndex};
 
-/// Merge steps executed per scan-gate acquisition: bounds how long a scan
-/// can be blocked by a zero-copy merge.
+/// Merge runs moved per gate acquisition: bounds how long
+/// [`MioDb::snapshot`] can be blocked by a zero-copy merge.
 const MERGE_STEPS_PER_GATE: usize = 128;
 
 /// Cap on operations coalesced into one write group.
@@ -183,10 +183,11 @@ pub(crate) struct Level {
     pub(crate) merging: Option<(Arc<PmTable>, Arc<PmTable>)>,
     /// Table currently being lazy-copied into the repository.
     pub(crate) lazy_draining: Option<Arc<PmTable>>,
-    /// The level's persistent insertion mark: scans read its node, and
-    /// recovery resumes the merge it names.
+    /// The level's persistent insertion mark: recovery finishes the run it
+    /// names.
     pub(crate) mark: InsertionMark,
-    /// Scans exclude zero-copy pointer motion through this gate.
+    /// [`MioDb::snapshot`] excludes zero-copy pointer motion through this
+    /// gate; nothing else takes it.
     pub(crate) gate: Arc<Mutex<()>>,
     /// Structural version, bumped by [`Version::relinked`] whenever a table
     /// changes role: settled ↔ merging ↔ lazy-draining ↔ pushed down.
@@ -431,10 +432,11 @@ impl MioDb {
         for (i, new_t, old_t) in resumed_merges {
             let merged = resume_merge(
                 &nvm,
+                &stats,
                 &new_t,
                 &old_t,
                 &levels[i].mark,
-                opts.bloom_bits_per_key,
+                (opts.bloom_bits_per_key, opts.bloom_expected_keys()),
             );
             pending_pushes.push((i + 1, merged));
         }
@@ -566,7 +568,7 @@ impl MioDb {
     /// A real power failure freezes all stores at one instant; a memcpy of
     /// the live pool does not. To keep the captured state self-consistent
     /// this briefly quiesces every *structural* transition — writers, all
-    /// zero-copy merges (via the scan gates), the lazy-copy drain and
+    /// zero-copy merges (via the level gates), the lazy-copy drain and
     /// manifest stores — before copying. Lock order (gates → repo →
     /// levels) never inverts any background thread's order, so this cannot
     /// deadlock. Unpublished work (an in-flight one-piece flush memcpy)
@@ -1036,7 +1038,8 @@ impl MioDb {
     }
 
     /// Searches every structure without bloom filters and reports where
-    /// `key` is found — a diagnostic for visibility debugging.
+    /// `key` is found — a diagnostic for visibility debugging. MemTables
+    /// are descended; every PMTable answers through its index.
     #[doc(hidden)]
     pub fn debug_locate(&self, key: &[u8]) -> Vec<String> {
         let inner = &*self.inner;
@@ -1052,37 +1055,18 @@ impl MioDb {
         }
         for (i, view) in v.levels.iter().enumerate() {
             let l = &view.level;
-            for (j, t) in l.tables.iter().enumerate() {
-                if t.list.get(key).is_some() {
-                    let b = t.bloom.may_contain(key);
-                    found.push(format!("L{i}[{j}] bloom={b}"));
-                }
-            }
-            if let Some((new_t, old_t)) = &l.merging {
-                if new_t.list.get(key).is_some() {
-                    found.push(format!(
-                        "L{i}.merging.new bloom={} bits={} n={}",
-                        new_t.bloom.may_contain(key),
-                        new_t.bloom.num_bits(),
-                        new_t.len
-                    ));
-                }
-                if old_t.list.get(key).is_some() {
-                    found.push(format!(
-                        "L{i}.merging.old bloom={} (new-side bloom={}) old_bits={} new_bits={}",
-                        old_t.bloom.may_contain(key),
-                        new_t.bloom.may_contain(key),
-                        old_t.bloom.num_bits(),
-                        new_t.bloom.num_bits()
-                    ));
-                }
-            }
-            if l.mark.entry().is_some_and(|e| e.key == key) {
-                found.push(format!("L{i}.mark"));
-            }
-            if let Some(t) = &l.lazy_draining {
-                if t.list.get(key).is_some() {
-                    found.push(format!("L{i}.lazy bloom={}", t.bloom.may_contain(key)));
+            let merging = l
+                .merging
+                .iter()
+                .flat_map(|(n, o)| [("merging.new", n), ("merging.old", o)]);
+            let tables = l.tables.iter().enumerate().map(|(j, t)| (j.to_string(), t));
+            let tables = tables
+                .chain(merging.map(|(role, t)| (role.to_string(), t)))
+                .chain(l.lazy_draining.iter().map(|t| ("lazy".to_string(), t)));
+            for (role, t) in tables {
+                if t.get(key).is_some() {
+                    let bloom = t.bloom.may_contain(key);
+                    found.push(format!("L{i}.{role} bloom={bloom} n={}", t.len));
                 }
             }
         }
@@ -1092,7 +1076,7 @@ impl MioDb {
         found
     }
 
-    /// Audits every table's bloom filter against its list contents,
+    /// Audits every table's bloom filter against its index's keys,
     /// returning descriptions of any false negatives (which must never
     /// exist). Diagnostic only.
     #[doc(hidden)]
@@ -1104,9 +1088,9 @@ impl MioDb {
             let mut audit = |label: String, t: &Arc<PmTable>| {
                 let mut missing = 0usize;
                 let mut total = 0usize;
-                for e in t.list.iter() {
+                for key in t.index.keys() {
                     total += 1;
-                    if !t.bloom.may_contain(&e.key) {
+                    if !t.bloom.may_contain(key) {
                         missing += 1;
                     }
                 }
@@ -1152,10 +1136,7 @@ fn rebuild_table(
 ) -> Arc<PmTable> {
     let list = SkipList::from_raw(nvm.clone(), ts.head);
     let index = TableIndex::walk(&list);
-    let mut bloom = BloomFilter::with_bits_per_key(bloom_expected.max(16), bloom_bits);
-    for key in index.keys() {
-        bloom.insert(key);
-    }
+    let bloom = index_bloom(&index, bloom_expected, bloom_bits);
     let arenas = ts
         .arenas
         .iter()
@@ -1182,50 +1163,64 @@ fn table_state(t: &PmTable) -> TableState {
     }
 }
 
+/// A bloom filter of `index`'s keys, sized for `expected` keys.
+fn index_bloom(index: &TableIndex, expected: usize, bits: usize) -> BloomFilter {
+    let mut bloom = BloomFilter::with_bits_per_key(expected.max(16), bits);
+    index.keys().for_each(|key| bloom.insert(key));
+    bloom
+}
+
+/// The bloom filter of a merge's output: the inputs' OR-ed, or, on
+/// geometry drift, one of the merged index's keys.
+fn merged_bloom(new_t: &PmTable, old_t: &PmTable, index: &TableIndex, bits: usize) -> BloomFilter {
+    let mut bloom = old_t.bloom.clone();
+    match bloom.merge(&new_t.bloom) {
+        Ok(()) => bloom,
+        Err(_) => index_bloom(index, index.len(), bits),
+    }
+}
+
 /// Builds the merged table descriptor after a zero-copy merge: the old
 /// table's head now roots the union, both inputs' arena leases are shared
 /// (so a reader still holding an input keeps that input's arenas alive
-/// after the merged table is gone), blooms are OR-ed, and `index` indexes
-/// the union — [`TableIndex::merged`] from the inputs' indexes, built in
-/// DRAM since no node moved in the pool, or walked at recovery
-/// ([`resume_merge`]).
+/// after the merged table is gone), and `index` indexes the union —
+/// [`TableIndex::merged`] from the inputs' indexes, built in DRAM since no
+/// node moved in the pool, or walked at recovery ([`resume_merge`]). Its
+/// length is the index's: one node per key is what a merged table is read
+/// through.
 fn merged_table(
     nvm: &Arc<PmemPool>,
     new_t: &PmTable,
     old_t: &PmTable,
-    stats: miodb_skiplist::MergeStats,
-    bloom_bits: usize,
+    bloom: BloomFilter,
     index: TableIndex,
 ) -> Arc<PmTable> {
     let arenas = old_t.arenas.iter().chain(&new_t.arenas).cloned().collect();
-    let mut bloom = old_t.bloom.clone();
-    if bloom.merge(&new_t.bloom).is_err() {
-        // Geometry drift (e.g. recovery rebuilt with a different expected
-        // size): rebuild from the merged list.
-        bloom = PmTable::rebuild_bloom(&old_t.list, old_t.len + new_t.len, bloom_bits);
-    }
-    let len = (old_t.len as u64 + stats.moved).saturating_sub(stats.bypassed_old) as usize;
     Arc::new(PmTable {
         list: SkipList::from_raw(nvm.clone(), old_t.list.head()),
         arenas,
         bloom,
+        len: index.len(),
         index,
-        len,
         data_bytes: old_t.data_bytes + new_t.data_bytes,
         newest_seq: new_t.newest_seq.max(old_t.newest_seq),
     })
 }
 
-/// Completes, at recovery, a zero-copy merge a crash interrupted, and
-/// builds the merged table. Its index is walked from the merged list: the
-/// node in flight at the crash may be linked into neither input as
-/// recovery walked them, so the union of their indexes could miss it.
+/// Completes, at recovery, a zero-copy merge a crash interrupted — the
+/// run in flight first, then the rest planned from level-0 walks — and
+/// builds the merged table. Its index and bloom filter are built from a
+/// walk of the merged list: with a run in flight, the newtable's level 0
+/// as recovery walked it may stop at the run's last node or run on into
+/// the oldtable, so neither the union of the inputs' indexes nor the OR of
+/// their filters need cover the merge.
 fn resume_merge(
     nvm: &Arc<PmemPool>,
+    stats: &Stats,
     new_t: &PmTable,
     old_t: &PmTable,
     mark: &InsertionMark,
-    bloom_bits: usize,
+    (bloom_bits, bloom_expected): (usize, usize),
 ) -> Arc<PmTable> {
     let out = zero_copy_merge(
         nvm,
@@ -1234,8 +1229,20 @@ fn resume_merge(
         mark,
         MergeLimits::none(),
     );
+    count_merge(stats, out.stats());
     let index = TableIndex::walk(&old_t.list);
-    merged_table(nvm, new_t, old_t, out.stats(), bloom_bits, index)
+    let bloom = index_bloom(&index, bloom_expected, bloom_bits);
+    merged_table(nvm, new_t, old_t, bloom, index)
+}
+
+/// Counts a merge's moved keys and the bytes its stores wrote.
+fn count_merge(stats: &Stats, merge: miodb_skiplist::MergeStats) {
+    stats
+        .zero_copy_nodes_moved
+        .fetch_add(merge.moved, Ordering::Relaxed);
+    stats
+        .zero_copy_bytes_written
+        .fetch_add(8 * merge.stores, Ordering::Relaxed);
 }
 
 /// Serializes the full engine state for the manifest. Takes the levels
@@ -1639,20 +1646,24 @@ fn run_one_zero_copy_merge(
         level: i,
         kind: CompactionKind::ZeroCopy,
     });
+    // The runs are planned from the two indexes, in DRAM, with one cursor
+    // pair across every gated batch.
+    let mut runs = RunMerge::new(
+        &inner.nvm,
+        new_t.list.head(),
+        old_t.list.head(),
+        &mark,
+        new_t.index.nodes(),
+        old_t.index.nodes(),
+    );
     let mut total = miodb_skiplist::MergeStats::default();
     loop {
         let out = {
             let _g = gate.lock();
-            zero_copy_merge(
-                &inner.nvm,
-                new_t.list.head(),
-                old_t.list.head(),
-                &mark,
-                MergeLimits {
-                    max_steps: Some(MERGE_STEPS_PER_GATE),
-                    abandon_after_link_writes: None,
-                },
-            )
+            runs.run(MergeLimits {
+                max_steps: Some(MERGE_STEPS_PER_GATE),
+                abandon_after_link_writes: None,
+            })
         };
         total += out.stats();
         if matches!(out, MergeOutcome::Complete(_)) {
@@ -1662,24 +1673,18 @@ fn run_one_zero_copy_merge(
         // with the gate released.
         device::settle_due();
     }
+    // It borrows both tables' indexes, which are dropped below.
+    drop(runs);
     // Settle: precedes the end of the merge interval, which must span the
     // merge's device time.
     device::settle();
     // The merge is timed up to here; it is reported below, under the lock.
     merge.stop();
-    inner
-        .stats
-        .zero_copy_nodes_moved
-        .fetch_add(total.moved, Ordering::Relaxed);
+    count_merge(&inner.stats, total);
 
-    let merged = merged_table(
-        &inner.nvm,
-        &new_t,
-        &old_t,
-        total,
-        inner.opts.bloom_bits_per_key,
-        TableIndex::merged(&new_t.index, &old_t.index),
-    );
+    let index = TableIndex::merged(&new_t.index, &old_t.index);
+    let bloom = merged_bloom(&new_t, &old_t, &index, inner.opts.bloom_bits_per_key);
+    let merged = merged_table(&inner.nvm, &new_t, &old_t, bloom, index);
     let merged_bytes = merged.data_bytes;
     drop(new_t);
     drop(old_t);
@@ -2369,14 +2374,47 @@ mod tests {
 
     /// The merged table the compactor builds once the merge of `new_t`
     /// into `old_t` is complete.
-    fn merged(
-        nvm: &Arc<PmemPool>,
+    fn merged(nvm: &Arc<PmemPool>, new_t: &PmTable, old_t: &PmTable) -> Arc<PmTable> {
+        let index = TableIndex::merged(&new_t.index, &old_t.index);
+        merged_table(
+            nvm,
+            new_t,
+            old_t,
+            merged_bloom(new_t, old_t, &index, 16),
+            index,
+        )
+    }
+
+    /// The merge of `new_t` into `old_t` as the compactor runs it: fed
+    /// from their indexes, `MERGE_STEPS_PER_GATE` runs a call, `at_gate`
+    /// called after each call with whether the merge is complete.
+    fn merge_indexed(
+        nvm: &PmemPool,
         new_t: &PmTable,
         old_t: &PmTable,
-        stats: miodb_skiplist::MergeStats,
-    ) -> Arc<PmTable> {
-        let index = TableIndex::merged(&new_t.index, &old_t.index);
-        merged_table(nvm, new_t, old_t, stats, 16, index)
+        mark: &InsertionMark,
+        mut at_gate: impl FnMut(bool),
+    ) -> miodb_skiplist::MergeStats {
+        let mut runs = RunMerge::new(
+            nvm,
+            new_t.list.head(),
+            old_t.list.head(),
+            mark,
+            new_t.index.nodes(),
+            old_t.index.nodes(),
+        );
+        let mut total = miodb_skiplist::MergeStats::default();
+        loop {
+            let out = runs.run(MergeLimits {
+                max_steps: Some(MERGE_STEPS_PER_GATE),
+                abandon_after_link_writes: None,
+            });
+            total += out.stats();
+            at_gate(out.is_complete());
+            if out.is_complete() {
+                return total;
+            }
+        }
     }
 
     fn puts(keys: std::ops::Range<u64>, seq0: u64) -> Vec<Rec> {
@@ -2464,15 +2502,10 @@ mod tests {
         let live = |r: PmemRegion| nvm.region_is_live(r.offset, r.len);
 
         let mark = InsertionMark::alloc(&nvm).unwrap();
-        let out = zero_copy_merge(
-            &nvm,
-            new_t.list.head(),
-            old_t.list.head(),
-            &mark,
-            MergeLimits::none(),
-        );
-        let merged = merged(&nvm, &new_t, &old_t, out.stats());
+        merge_indexed(&nvm, &new_t, &old_t, &mark, |_| {});
+        let merged = merged(&nvm, &new_t, &old_t);
         assert_eq!(merged.list.iter().count(), 75);
+        assert_eq!(merged.len, 75);
 
         // Only a reader of the new input is left; the merged table keeps
         // both inputs' arenas alive.
@@ -2609,15 +2642,11 @@ mod tests {
                         let levels = runner.levels.lock();
                         (levels[0].gate.clone(), levels[0].mark.clone())
                     };
-                    let stats = {
+                    {
                         let _gate = gate.lock();
-                        let (new_head, old_head) = (new_t.list.head(), old_t.list.head());
-                        let none = MergeLimits::none();
-                        let done = zero_copy_merge(&runner.nvm, new_head, old_head, &mark, none);
-                        assert!(done.is_complete());
-                        done.stats()
-                    };
-                    let table = merged(&runner.nvm, &new_t, &old_t, stats);
+                        merge_indexed(&runner.nvm, &new_t, &old_t, &mark, |_| {});
+                    }
+                    let table = merged(&runner.nvm, &new_t, &old_t);
                     if finish {
                         push_down(&runner, table);
                     } else {
@@ -2830,29 +2859,36 @@ mod tests {
         probes
     }
 
-    /// `PmTable::get` answers as the head descent `list.get` does — value,
-    /// seq and kind — at every probe key of `t`, and its index holds one
-    /// entry per key.
+    /// The newest version of every key of `list`, by a level-0 walk: what
+    /// a PMTable's index must answer, its towers being dead once merged.
+    fn walked(list: &SkipList) -> std::collections::BTreeMap<Vec<u8>, IndexHit> {
+        let mut out = std::collections::BTreeMap::new();
+        for e in list.iter() {
+            out.entry(e.key).or_insert(IndexHit {
+                kind: e.kind,
+                value: e.value,
+            });
+        }
+        out
+    }
+
+    /// `PmTable::get` answers as a level-0 walk of `t`'s list does — value
+    /// and kind — at every probe key of `t`, and its index is the walk's.
     fn assert_indexed_get_matches(t: &PmTable) -> TestCaseResult {
-        let mut keys: Vec<Vec<u8>> = t.list.iter().map(|e| e.key).collect();
-        keys.dedup();
-        prop_assert_eq!(t.index.len(), keys.len());
+        let walk = walked(&t.list);
+        prop_assert_eq!(&t.index, &TableIndex::walk(&t.list));
+        prop_assert_eq!(t.index.len(), walk.len());
         for key in &probe_keys(&t.list) {
-            prop_assert_eq!(
-                t.get(key),
-                t.list.get(key).map(IndexHit::from),
-                "key {:?}",
-                key
-            );
+            prop_assert_eq!(t.get(key), walk.get(key).cloned(), "key {:?}", key);
         }
         Ok(())
     }
 
     /// Indexed lookups on two flushed tables of multi-version records and
-    /// tombstones; during and after their zero-copy merge, paused at every
-    /// gate as the compactor runs it; on the merge resumed after a crash
-    /// mid-step; and on the merged table rebuilt from a snapshot of the
-    /// pool.
+    /// tombstones; during and after their zero-copy merge, fed from their
+    /// indexes and paused at every gate as the compactor runs it; on the
+    /// merge crashed at a random store and resumed as recovery resumes it;
+    /// and on the merged table rebuilt from a snapshot of the pool.
     fn check_indexed_get(seed: u64, keys: usize, towers: usize) -> TestCaseResult {
         let height = [None, Some(1), Some(miodb_skiplist::MAX_HEIGHT)][towers];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2882,10 +2918,10 @@ mod tests {
         let mark = InsertionMark::alloc(&nvm).unwrap();
         let before_merge = snapshot(&nvm, "inputs");
 
-        // The merge, 128 steps a window. At every gate — a step boundary,
-        // the mark clear — the union index answers as a descent of the
-        // newtable, then of the oldtable, does, and each input's own index
-        // still answers for its input as it did.
+        // The merge, 128 runs a window. At every gate the union index
+        // answers as a level-0 walk of the newtable, then of the oldtable,
+        // does, and each input's own index still answers for its input as
+        // it did.
         let union = TableIndex::merged(&new_t.index, &old_t.index);
         let probes = probe_keys(&old_t.list)
             .into_iter()
@@ -2896,57 +2932,52 @@ mod tests {
             .map(|k| (new_t.get(k), old_t.get(k)))
             .collect();
         let union_list = SkipList::from_raw(nvm.clone(), old_t.list.head());
-        let mut total = miodb_skiplist::MergeStats::default();
-        loop {
-            let out = zero_copy_merge(
-                &nvm,
-                new_t.list.head(),
-                old_t.list.head(),
-                &mark,
-                MergeLimits {
-                    max_steps: Some(MERGE_STEPS_PER_GATE),
-                    abandon_after_link_writes: None,
-                },
-            );
-            total += out.stats();
+        let mut seen = Ok(());
+        let total = merge_indexed(&nvm, &new_t, &old_t, &mark, |_| {
+            let (new_walk, old_walk) = (walked(&new_t.list), walked(&old_t.list));
             for (key, input) in probes.iter().zip(&inputs) {
-                let visible = new_t.list.get(key).or_else(|| old_t.list.get(key));
-                let visible = visible.map(IndexHit::from);
-                prop_assert_eq!(union.get(&union_list, key), visible, "key {:?}", key);
-                prop_assert_eq!(&(new_t.get(key), old_t.get(key)), input);
+                let visible = new_walk.get(key).or_else(|| old_walk.get(key)).cloned();
+                if union.get(&union_list, key) != visible
+                    || (new_t.get(key), old_t.get(key)) != *input
+                {
+                    seen = Err(TestCaseError::fail(format!("key {key:?}")));
+                }
             }
-            if out.is_complete() {
-                break;
-            }
-        }
-        let merged = merged(&nvm, &new_t, &old_t, total);
+        });
+        seen?;
+        let merged = merged(&nvm, &new_t, &old_t);
         assert_indexed_get_matches(&merged)?;
+        prop_assert_eq!(merged.len, merged.index.len());
 
-        // The same merge, crashed after a random link write: recovery walks
+        // The same merge, crashed after a random store: recovery walks
         // both inputs afresh, then resumes.
-        if total.link_writes > 0 {
+        if total.stores > 1 {
             let crashed = before_merge;
             let rebuild = |t: &PmTable| rebuild_table(&crashed, &table_state(t), &elastic, 16, 256);
             let crash_mark = InsertionMark::from_raw(crashed.clone(), mark.region());
-            let out = zero_copy_merge(
+            let mut runs = RunMerge::new(
                 &crashed,
                 new_t.list.head(),
                 old_t.list.head(),
                 &crash_mark,
-                MergeLimits {
-                    max_steps: None,
-                    abandon_after_link_writes: Some(rng.gen_range(0..total.link_writes)),
-                },
+                new_t.index.nodes(),
+                old_t.index.nodes(),
             );
+            let out = runs.run(MergeLimits {
+                max_steps: None,
+                abandon_after_link_writes: Some(rng.gen_range(0..total.stores)),
+            });
             prop_assert!(!out.is_complete());
             let resumed = resume_merge(
                 &crashed,
+                &stats,
                 &rebuild(&new_t),
                 &rebuild(&old_t),
                 &crash_mark,
-                16,
+                (16, 256),
             );
             assert_indexed_get_matches(&resumed)?;
+            prop_assert_eq!(&resumed.index, &merged.index);
         }
 
         let restored = snapshot(&nvm, "merged");
@@ -3211,6 +3242,103 @@ mod tests {
             keys in 1usize..300,
         ) {
             check_repo_index(seed, runs, keys)?;
+        }
+    }
+
+    /// Snapshots taken with a zero-copy merge abandoned mid-run — at each
+    /// of the first runs' stores, mark and links, and at some later ones:
+    /// the recovered engine finishes the run from its mark, then the
+    /// merge, answers every acknowledged key, and every table's index, the
+    /// merged one's included, is a level-0 walk's.
+    #[test]
+    fn a_merge_abandoned_mid_run_recovers_every_key() {
+        let opts = MioOptions {
+            nvm_pool_bytes: 8 << 20,
+            ..MioOptions::small_for_tests()
+        };
+        let mut rng = StdRng::seed_from_u64(41);
+        let old_recs = versioned(&mut rng, 120, 0, None);
+        let new_recs: Vec<Rec> = versioned(&mut rng, 160, 1 << 32, None)
+            .into_iter()
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        // Versions of a key are listed oldest first, the newtable's last.
+        let mut model = std::collections::BTreeMap::new();
+        for (key, value, _, kind, _) in old_recs.iter().chain(&new_recs) {
+            model.insert(key.clone(), (*kind == OpKind::Put).then(|| value.clone()));
+        }
+        let puts: Vec<(Vec<u8>, Vec<u8>)> = (0..50u32)
+            .map(|i| (format!("w{i:03}").into_bytes(), vec![i as u8; 40]))
+            .collect();
+        for crash_at in (0..13).chain([50, 51, 53, 102]) {
+            let d = MioDb::open(opts.clone()).unwrap();
+            let inner = &*d.inner;
+            for (k, v) in &puts {
+                d.put(k, v).unwrap();
+            }
+            let (dram, nvm, elastic) = (&inner.dram, &inner.nvm, &inner.elastic_bytes);
+            let old_t = flushed_table(dram, nvm, elastic, &old_recs);
+            let new_t = flushed_table(dram, nvm, elastic, &new_recs);
+            let mark = {
+                let mut levels = inner.levels.lock();
+                levels[0].merging = Some((new_t.clone(), old_t.clone()));
+                store_manifest_locked(inner, &levels).unwrap();
+                publish(inner, |v| v.relinked(&levels, &[0]));
+                levels[0].mark.clone()
+            };
+            let out = RunMerge::new(
+                nvm,
+                new_t.list.head(),
+                old_t.list.head(),
+                &mark,
+                new_t.index.nodes(),
+                old_t.index.nodes(),
+            )
+            .run(MergeLimits {
+                max_steps: None,
+                abandon_after_link_writes: Some(crash_at),
+            });
+            assert!(!out.is_complete(), "crash_at={crash_at}");
+            let path = std::env::temp_dir().join(format!(
+                "miodb-mid-run-{}-{crash_at}.snap",
+                std::process::id()
+            ));
+            d.snapshot(&path).unwrap();
+            drop(d);
+            let restored = PmemPool::restore_from_file(
+                &path,
+                DeviceModel::nvm_unthrottled(),
+                Arc::new(Stats::new()),
+            )
+            .unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let r = MioDb::recover(restored, opts.clone()).unwrap();
+            r.wait_idle().unwrap();
+            for (key, value) in &model {
+                assert_eq!(
+                    &r.get(key).unwrap(),
+                    value,
+                    "crash_at={crash_at}, key {key:?}"
+                );
+            }
+            for (key, value) in &puts {
+                assert_eq!(
+                    r.get(key).unwrap().as_ref(),
+                    Some(value),
+                    "crash_at={crash_at}"
+                );
+            }
+            let v = r.inner.version();
+            let mut merged = 0;
+            for LevelView { level, .. } in v.levels.iter() {
+                assert!(level.mark.load().is_none(), "crash_at={crash_at}");
+                for t in level.tables.iter() {
+                    assert_eq!(t.index, TableIndex::walk(&t.list), "crash_at={crash_at}");
+                    merged +=
+                        usize::from(t.index == TableIndex::merged(&new_t.index, &old_t.index));
+                }
+            }
+            assert_eq!(merged, 1, "crash_at={crash_at}: the merged table");
         }
     }
 

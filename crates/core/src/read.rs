@@ -5,13 +5,15 @@
 //! repository in runs through [`repo_run`], and wait through
 //! [`Inner::wait_until`]; readers never take those locks.
 //!
-//! Every table a GET probes answers through an exact DRAM index: a settled,
-//! merging or lazy-draining table through its own, the huge-PMTable
-//! repository through the one its `Version` carries
+//! Every table a GET or a scan reads answers through an exact DRAM index: a
+//! settled, merging or lazy-draining table through its own, the
+//! huge-PMTable repository through the one its `Version` carries
 //! ([`RepoIndex`](crate::repository::RepoIndex)). A hit reads its value
 //! from NVM and nothing else; a MemTable is descended only if its bloom
-//! filter admits the key.
+//! filter admits the key. A scan ranks its sources as a GET probes them,
+//! newest first, and takes no lock and no merge gate.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,9 +23,10 @@ use miodb_common::trace::{self, SpanKind};
 use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
+use miodb_skiplist::{SkipList, ValueRef};
 
 use crate::db::{Inner, Level, MemState, MioDb};
-use crate::repository::RepoIndex;
+use crate::repository::{RepoIndex, Repository};
 use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 
 /// Everything a GET or a scan reads, published as one immutable value:
@@ -249,6 +252,76 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
+/// A version a scan source offers: read already (a MemTable's, the LSM
+/// repository's), or named by an index and read only if the scan returns
+/// it.
+enum Found<'a> {
+    Read(IndexHit),
+    At(&'a SkipList, ValueRef),
+}
+
+/// A scan source: versions in key order, a key's newest first.
+type Source<'a> = Box<dyn Iterator<Item = (Cow<'a, [u8]>, Found<'a>)> + 'a>;
+
+fn owned<'a>(e: OwnedEntry) -> (Cow<'a, [u8]>, Found<'a>) {
+    let hit = IndexHit {
+        kind: e.kind,
+        value: e.value,
+    };
+    (Cow::Owned(e.key), Found::Read(hit))
+}
+
+/// The entries of `index`, whose values `list` reads, from `start` on.
+fn indexed<'a>(index: &'a TableIndex, list: &'a SkipList, start: &[u8]) -> Source<'a> {
+    Box::new(
+        index
+            .iter_from(start)
+            .map(move |(key, v)| (Cow::Borrowed(key), Found::At(list, v))),
+    )
+}
+
+/// The first `limit` live keys of `sources`, ranked newest first as a GET
+/// probes them, with their values: each key answered by the first source
+/// that holds it, tombstones dropped.
+fn ranked_merge(mut sources: Vec<Source<'_>>, limit: usize) -> Vec<ScanEntry> {
+    let mut heads: Vec<_> = sources.iter_mut().map(Iterator::next).collect();
+    let mut out = Vec::new();
+    while out.len() < limit {
+        // The smallest key, from the first source of those holding it.
+        let first = (0..heads.len())
+            .filter_map(|i| Some((heads[i].as_ref()?.0.as_ref(), i)))
+            .min()
+            .map(|(_, i)| i);
+        let Some(i) = first else {
+            break;
+        };
+        let next = sources[i].next();
+        let Some((key, found)) = std::mem::replace(&mut heads[i], next) else {
+            break;
+        };
+        for (head, source) in heads.iter_mut().zip(&mut sources) {
+            while head.as_ref().is_some_and(|(k, _)| *k == key) {
+                *head = source.next();
+            }
+        }
+        let hit = match found {
+            Found::Read(hit) => hit,
+            Found::At(_, v) if v.kind().is_delete() => continue,
+            Found::At(list, v) => IndexHit {
+                kind: v.kind(),
+                value: list.value_at(v),
+            },
+        };
+        if let Some(value) = MioDb::resolve(hit) {
+            out.push(ScanEntry {
+                key: key.into_owned(),
+                value,
+            });
+        }
+    }
+    out
+}
+
 /// The point where a test re-links a level, or runs a lazy copy, under a
 /// finished probe; nothing outside the tests.
 #[inline]
@@ -310,8 +383,8 @@ impl MioDb {
         //    step that re-links the table's nodes can invalidate (node
         //    payloads never change). So a merging pair needs neither the
         //    insertion mark nor the level gate: the newtable's index holds
-        //    every key the newtable held, the in-flight node's included,
-        //    and its versions are newer than the oldtable's.
+        //    every key the newtable held, those of the runs already moved
+        //    included, and its versions are newer than the oldtable's.
         //
         //    What can change under a probe is the level: a merge can pop
         //    the probed tables into `merging` behind a newer one, or push
@@ -396,56 +469,40 @@ impl MioDb {
         }
     }
 
-    /// The `scan` source assembly and k-way merge;
+    /// The `scan` source assembly and ranked merge;
     /// [`KvEngine::scan`](miodb_common::KvEngine::scan) wraps it with latency
     /// recording.
+    ///
+    /// A scan reads one published `Version` and takes no lock and no gate:
+    /// MemTables are iterated from a descent of their towers, every PMTable
+    /// — settled, merging or draining — and the huge-PMTable repository
+    /// through its index from the first key at or after `start`, reading
+    /// values only. Indexes never change and their values never move, so a
+    /// zero-copy merge or a lazy copy running meanwhile changes nothing a
+    /// scan reads; and `v` holds every table, so their arenas, until the
+    /// scan returns.
     pub(crate) fn scan_impl(&self, start: &[u8], limit: usize) -> Result<Vec<ScanEntry>> {
         let inner = &*self.inner;
-        // Pause zero-copy pointer motion on every level while iterators
-        // run (gates are re-acquired by compactors every
-        // MERGE_STEPS_PER_GATE steps, bounding our wait). The gates never
-        // change, so any `Version` names them; the one the iterators walk
-        // is loaded only once they are held, so no merge step runs between
-        // the snapshot and the iterators.
-        let gated = inner.version();
-        let _guards: Vec<_> = gated.levels.iter().map(|l| l.level.gate.lock()).collect();
-        // The iterators below walk pool memory through views that own
-        // nothing: `v` holds every source's MemTable and tables, and so
-        // their arenas, until the merge has been consumed, so a flush or
-        // lazy-copy that retires them meanwhile cannot free memory under
-        // this scan.
         let v = inner.version();
-        let mut sources: Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> = Vec::new();
-        sources.push(Box::new(v.active.list().iter_from(start)));
-        if let Some(imm) = &v.imm {
-            sources.push(Box::new(imm.list().iter_from(start)));
+        let mut sources: Vec<Source<'_>> = Vec::new();
+        for m in std::iter::once(&v.active).chain(&v.imm) {
+            sources.push(Box::new(m.list().iter_from(start).map(owned)));
         }
         for LevelView { level: l, .. } in v.levels.iter() {
-            for t in l.tables.iter().rev() {
-                sources.push(Box::new(t.list.iter_from(start)));
-            }
-            if let Some((new_t, old_t)) = &l.merging {
-                sources.push(Box::new(new_t.list.iter_from(start)));
-                // The in-flight node, materialized as a one-entry source.
-                if let Some(e) = l.mark.entry().filter(|e| e.key.as_slice() >= start) {
-                    sources.push(Box::new(std::iter::once(e)));
-                }
-                sources.push(Box::new(old_t.list.iter_from(start)));
-            }
-            if let Some(t) = &l.lazy_draining {
-                sources.push(Box::new(t.list.iter_from(start)));
+            let merging = l.merging.iter().flat_map(|(n, o)| [n, o]);
+            for t in l.tables.iter().rev().chain(merging).chain(&l.lazy_draining) {
+                sources.push(indexed(&t.index, &t.list, start));
             }
         }
-        sources.extend(inner.repo.scan_sources(start));
-
-        let merged = dedup_newest(KWayMerge::new(sources), true);
-        Ok(merged
-            .take(limit)
-            .map(|e| ScanEntry {
-                key: e.key,
-                value: e.value,
-            })
-            .collect())
+        match (&v.repo_index, &inner.repo) {
+            (Some(r), _) => sources.push(indexed(&r.index, &r.list, start)),
+            (None, Repository::Lsm(c)) => {
+                let runs = KWayMerge::new(c.scan_sources(start));
+                sources.push(Box::new(dedup_newest(runs, false).map(owned)));
+            }
+            (None, Repository::Pm(_)) => unreachable!("a huge PMTable has an index"),
+        }
+        Ok(ranked_merge(sources, limit))
     }
 
     /// Resolves a lookup result into the engine-level answer.

@@ -163,14 +163,6 @@ impl Repository {
         }
     }
 
-    /// Scan sources for the engine's merging iterator.
-    pub fn scan_sources(&self, start: &[u8]) -> Vec<Box<dyn Iterator<Item = OwnedEntry> + Send>> {
-        match self {
-            Repository::Pm(r) => vec![Box::new(r.list().iter_from(start))],
-            Repository::Lsm(c) => c.scan_sources(start),
-        }
-    }
-
     /// Runs pending LSM compactions (no-op for the PM repository).
     ///
     /// # Errors

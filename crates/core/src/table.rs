@@ -10,7 +10,10 @@ use miodb_wal::WriteAheadLog;
 
 /// A settled table's exact DRAM index, a sibling of its bloom filter: every
 /// key of the table, in key order, with where that key's newest version's
-/// value lives and whether that version is a tombstone ([`ValueRef`]).
+/// value lives, whether that version is a tombstone, and its node's tower
+/// height ([`ValueRef`]) — so an entry yields its node too
+/// ([`TableIndex::nodes`]), which is how a zero-copy merge finds its runs
+/// without reading NVM.
 /// Built once, with the table, from DRAM alone — the flushed MemTable's
 /// level 0, or the two inputs' indexes of a zero-copy merge — and
 /// immutable afterwards.
@@ -39,14 +42,16 @@ use miodb_wal::WriteAheadLog;
 /// the run of windows equal to its own.
 ///
 /// Keys live back to back in one buffer, and each array ends at its exact
-/// size: 24 bytes per entry plus the key, and 8 per block.
+/// size: 24 bytes per entry plus the key, and 8 per block. The tower
+/// height rides in the top byte of the value offset's word.
 #[derive(Debug, Default)]
 pub struct TableIndex {
     /// Every key, back to back.
     keys: Vec<u8>,
     /// Where entry `i`'s key ends in `keys`.
     ends: Vec<u32>,
-    /// Pool offset of entry `i`'s value ([`ValueRef::offset`]).
+    /// Pool offset of entry `i`'s value ([`ValueRef::offset`]), with its
+    /// node's tower height ([`ValueRef::height`]) in the top byte.
     values: Vec<u64>,
     /// Length and tombstone bit of entry `i`'s value ([`ValueRef::len`]).
     lens: Vec<u32>,
@@ -123,7 +128,9 @@ impl TableIndex {
         // 4 GiB.
         self.ends
             .push(u32::try_from(self.keys.len()).expect("index keys < 4 GiB"));
-        self.values.push(value.offset);
+        debug_assert_eq!(value.offset >> HEIGHT_SHIFT, 0);
+        self.values
+            .push(value.offset | u64::from(value.height) << HEIGHT_SHIFT);
         self.lens.push(value.len);
     }
 
@@ -143,15 +150,42 @@ impl TableIndex {
     }
 
     fn value(&self, i: usize) -> ValueRef {
+        let word = self.values[i];
         ValueRef {
-            offset: self.values[i],
+            offset: word & ((1 << HEIGHT_SHIFT) - 1),
             len: self.lens[i],
+            height: (word >> HEIGHT_SHIFT) as u8,
         }
     }
 
     /// Every key, in order.
     pub fn keys(&self) -> impl Iterator<Item = &[u8]> {
         (0..self.len()).map(|i| self.key(i))
+    }
+
+    /// Every key with the node holding its newest version, in key order:
+    /// a zero-copy merge's input ([`miodb_skiplist::RunMerge`]).
+    pub fn nodes(&self) -> impl Iterator<Item = (&[u8], u64)> {
+        (0..self.len()).map(|i| {
+            let key = self.key(i);
+            (key, self.value(i).node(key.len()))
+        })
+    }
+
+    /// Every key from the first at or after `start`, in order, with where
+    /// its value lives: a scan's source. Found by a binary search over
+    /// whole keys, in DRAM.
+    pub fn iter_from(&self, start: &[u8]) -> impl Iterator<Item = (&[u8], ValueRef)> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < start {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo..self.len()).map(|i| (self.key(i), self.value(i)))
     }
 
     /// The index of a flushed table: one walk of `mem`'s level 0 — the
@@ -308,7 +342,15 @@ impl TableIndex {
 }
 
 /// What an edit records for a removed key: offset 0 is never a value.
-const REMOVED: ValueRef = ValueRef { offset: 0, len: 0 };
+const REMOVED: ValueRef = ValueRef {
+    offset: 0,
+    len: 0,
+    height: 0,
+};
+
+/// Where a node's tower height starts in an index entry's value word; pool
+/// offsets stay below it.
+const HEIGHT_SHIFT: u32 = 56;
 
 /// How many bytes `a` and `b` share at their start.
 fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -371,7 +413,7 @@ pub struct PmTable {
     pub bloom: BloomFilter,
     /// Exact DRAM index over the table's keys.
     pub index: TableIndex,
-    /// Approximate number of nodes.
+    /// Number of nodes of a flushed table, of keys of a merged one.
     pub len: usize,
     /// Approximate user bytes.
     pub data_bytes: u64,

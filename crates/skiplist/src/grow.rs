@@ -203,16 +203,6 @@ impl GrowableSkipList {
         self.data_bytes.load(Ordering::Acquire)
     }
 
-    /// Total NVM bytes held by the repository's chunks.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.state
-            .lock()
-            .chunks
-            .iter()
-            .map(|c| c.region().len)
-            .sum()
-    }
-
     /// Read-only view.
     pub fn list(&self) -> SkipList {
         SkipList::from_raw(self.pool.clone(), self.head)
@@ -334,7 +324,7 @@ impl GrowableSkipList {
         }
         state.finger[..height].fill(off);
 
-        let written = ValueRef::new(kv_off + key.len() as u64, value.len(), kind);
+        let written = ValueRef::new(kv_off + key.len() as u64, value.len(), kind, height);
         let outcome = if existing != 0 {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
             self.bypass_older(&preds, off, height, key);

@@ -42,11 +42,6 @@ impl SkipListIter {
     pub(crate) fn new(pool: Arc<PmemPool>, start: u64) -> SkipListIter {
         SkipListIter { pool, cur: start }
     }
-
-    /// Offset of the node the iterator will yield next (0 when exhausted).
-    pub fn position(&self) -> u64 {
-        self.cur
-    }
 }
 
 impl Iterator for SkipListIter {

@@ -12,11 +12,12 @@
 //!   with a **single bulk memcpy**, then
 //!   [`flush::swizzle`] rebases every link word by the constant address
 //!   delta — the paper's background pointer swizzling (§4.2).
-//! - [`merge::zero_copy_merge`]: merges two PMTables by **re-linking
-//!   pointers only** (no data movement, §4.3), publishing every link with a
-//!   release store and keeping the in-flight node reachable through a
-//!   persistent [`merge::InsertionMark`] so concurrent lock-free scans
-//!   never miss it. The merge is resumable after a crash.
+//! - [`merge::zero_copy_merge`] and [`merge::RunMerge`]: merge two
+//!   PMTables by **re-linking pointers only** (no data movement, §4.3), a
+//!   run of newtable keys at a time at level 0, with three link stores and
+//!   a persistent [`merge::InsertionMark`] store per run; `RunMerge` plans
+//!   the runs from the two tables' DRAM indexes and reads no NVM. The
+//!   merge is resumable after a crash.
 //! - [`grow::GrowableSkipList`]: the bottom-level "huge PMTable" data
 //!   repository that receives lazy-copy compactions (§4.4).
 //!
@@ -49,7 +50,7 @@ pub use arena::SkipListArena;
 pub use flush::{one_piece_flush, swizzle, FlushedTable};
 pub use grow::{ApplyOutcome, GrowableSkipList};
 pub use iter::SkipListIter;
-pub use merge::{zero_copy_merge, InsertionMark, MergeOutcome, MergeStats};
+pub use merge::{zero_copy_merge, InsertionMark, MergeOutcome, MergeStats, RunMerge};
 pub use node::{LookupResult, SkipList, ValueRef, MAX_HEIGHT};
 
 /// Worst-case arena bytes one entry can consume (max tower height).

@@ -17,6 +17,8 @@
 //! Link words hold **pool-global offsets** — the reproduction's equivalent
 //! of absolute pointers at a fixed DAX mapping — so zero-copy compaction
 //! can link nodes of different arenas into one list. Offset `0` is NIL.
+//! Zero-copy compaction links at level 0 only: a PMTable's towers are
+//! searched and written by nothing after its flush.
 //!
 //! Payload bytes (`seq..key/value`) are written before a node is published
 //! and never mutated afterwards; link words are accessed only through
@@ -103,9 +105,9 @@ pub(crate) mod raw {
     /// Where the node's value lives, and its kind.
     #[inline]
     pub fn value_ref(pool: &PmemPool, off: u64) -> ValueRef {
-        let h = height(pool, off) as u64;
-        let offset = off + HEADER_BYTES + 8 * h + klen(pool, off) as u64;
-        ValueRef::new(offset, vlen(pool, off), kind(pool, off))
+        let h = height(pool, off);
+        let offset = off + HEADER_BYTES + 8 * h as u64 + klen(pool, off) as u64;
+        ValueRef::new(offset, vlen(pool, off), kind(pool, off), h)
     }
 
     /// Offset of the link word for `level`.
@@ -246,9 +248,9 @@ fn descend(
 /// otherwise be returned in its place, and a lookup would miss a key the
 /// list holds.
 ///
-/// This is the shared descent used by lookups, inserts, zero-copy merges
-/// and the data repository. Each inspected node is charged as one modeled
-/// device read.
+/// This is the shared descent used by MemTable lookups and inserts and by
+/// the data repository; no PMTable is descended once flushed. Each
+/// inspected node is charged as one modeled device read.
 pub(crate) fn find_preds(
     pool: &PmemPool,
     head: u64,
@@ -268,9 +270,10 @@ pub(crate) fn find_preds(
     succ
 }
 
-/// [`find_preds`] resumed from a *finger* instead of the head, for movers
-/// whose targets ascend: same `preds`, same return value, same charging
-/// rule, at the cost of the distance moved rather than the list's depth.
+/// [`find_preds`] resumed from a *finger* instead of the head, for the
+/// repository's lazy-copy applies, whose targets ascend: same `preds`, same
+/// return value, same charging rule, at the cost of the distance moved
+/// rather than the list's depth.
 ///
 /// `from` must be the `preds` of an earlier position in the same list that
 /// sorts before `(key, seq)`, kept current with every link written since:
@@ -348,9 +351,11 @@ mod smallset {
     }
 }
 
-/// Where a version's value lives, and whether the version is a tombstone:
-/// all an exact DRAM index keeps of a version, so that a hit reads the
-/// value and nothing else of its node ([`SkipList::value_at`]).
+/// Where a version's value lives, whether the version is a tombstone, and
+/// its node's tower height: all an exact DRAM index keeps of a version, so
+/// that a hit reads the value and nothing else of its node
+/// ([`SkipList::value_at`]), and the node is found with no read at all
+/// ([`ValueRef::node`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueRef {
     /// Pool-global offset of the value bytes.
@@ -358,18 +363,21 @@ pub struct ValueRef {
     /// The value's length, with [`ValueRef::TOMBSTONE`] set for a
     /// tombstone.
     pub len: u32,
+    /// The node's tower height.
+    pub height: u8,
 }
 
 impl ValueRef {
     /// The bit of [`len`](Self::len) that marks a tombstone.
     pub const TOMBSTONE: u32 = 1 << 31;
 
-    /// The value of `len` bytes at `offset`, of a version of `kind`.
+    /// The value of `len` bytes at `offset`, of a version of `kind` whose
+    /// node's tower is `height` high.
     ///
     /// # Panics
     ///
     /// Panics if `len` reaches 2 GiB; no arena holds such a value.
-    pub fn new(offset: u64, len: usize, kind: OpKind) -> ValueRef {
+    pub fn new(offset: u64, len: usize, kind: OpKind, height: usize) -> ValueRef {
         let len = u32::try_from(len)
             .ok()
             .filter(|&l| l < Self::TOMBSTONE)
@@ -378,7 +386,15 @@ impl ValueRef {
         ValueRef {
             offset,
             len: len | tombstone,
+            // Invariant: towers are at most `MAX_HEIGHT` high.
+            height: height as u8,
         }
+    }
+
+    /// Offset of the node whose key is `klen` bytes long: its value
+    /// follows the header, the tower and the key.
+    pub fn node(self, klen: usize) -> u64 {
+        self.offset - HEADER_BYTES - 8 * u64::from(self.height) - klen as u64
     }
 
     /// Put or tombstone.

@@ -128,10 +128,10 @@ fn scans_race_compactions_without_losing_keys() {
 /// memory freed and re-used under an iterator (a use-after-free: SIGSEGV
 /// in release, `pool access out of range` in debug) cannot pass as data.
 ///
-/// Scanners hold every level's merge gate, so an unthrottled writer
-/// outruns the compactors, tables pile up and each scan walks every
-/// version ever written; the buffer cap keeps the writer in step (and
-/// counts arenas that scans still pin, exercising that too).
+/// Scans take no merge gate — they read each PMTable through its index —
+/// so compactors keep pace with the unthrottled writer, and no elastic
+/// buffer cap holds it back: nothing but the scans' own `Version`s pins
+/// retired arenas.
 #[test]
 fn scans_survive_reclamation() {
     const KEYS: u64 = 2_000;
@@ -144,7 +144,6 @@ fn scans_survive_reclamation() {
             wal_segment_bytes: 32 * 1024,
             elastic_levels: 2,
             lazy_copy_trigger: 1,
-            elastic_buffer_cap: Some(8 * 32 * 1024),
             // Overwrites grow the repository (old versions are bypassed,
             // not reclaimed).
             nvm_pool_bytes: 256 << 20,
@@ -198,6 +197,106 @@ fn scans_survive_reclamation() {
         "retired arenas not returned: {} bytes still counted",
         db.elastic_buffer_bytes()
     );
+}
+
+/// Every scan checked against a model while one writer drives real
+/// flushes, zero-copy merges and lazy copies under two full-range scanners.
+/// The writer gives each key versions 1, 2, … in turn — every fifth a
+/// delete, the rest a put of a value naming key and version — and records
+/// per key the version it started and the one it acknowledged. A scan
+/// must return keys in order, each with a put version no older than the
+/// one acknowledged before the scan began nor newer than the one started
+/// after it ended; and a key it leaves out must have been deleted, or not
+/// yet written, within that window. Merges must keep completing while the
+/// scanners run: scans take no gate.
+#[test]
+fn scans_match_a_model_under_merges_and_lazy_copies() {
+    use std::collections::BTreeMap;
+    const KEYS: usize = 500;
+    const ROUNDS: u64 = 60;
+    let db = MioDb::open(MioOptions {
+        memtable_bytes: 32 * 1024,
+        wal_segment_bytes: 32 * 1024,
+        elastic_levels: 3,
+        lazy_copy_trigger: 2,
+        nvm_pool_bytes: 256 << 20,
+        ..MioOptions::small_for_tests()
+    })
+    .unwrap();
+    let key = |k: usize| format!("key{k:05}").into_bytes();
+    let is_delete = |v: u64| v.is_multiple_of(5);
+    let started: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let acked: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let done = AtomicBool::new(false);
+    let merges_before = db.stats().zero_copy_compactions.load(Ordering::Relaxed);
+    let mut merges_during = 0;
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for v in 1..=ROUNDS {
+                for k in 0..KEYS {
+                    started[k].store(v, Ordering::SeqCst);
+                    if is_delete(v) {
+                        db.delete(&key(k)).unwrap();
+                    } else {
+                        db.put(&key(k), format!("{k}@{v}:{}", "x".repeat(40)).as_bytes())
+                            .unwrap();
+                    }
+                    acked[k].store(v, Ordering::SeqCst);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let scanner = || {
+            let mut scans = 0;
+            while !done.load(Ordering::Acquire) || scans == 0 {
+                let lo: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let out = db.scan(b"", usize::MAX).unwrap();
+                let hi: Vec<u64> = started.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let mut model: BTreeMap<Vec<u8>, (u64, u64)> = BTreeMap::new();
+                for k in 0..KEYS {
+                    model.insert(key(k), (lo[k], hi[k]));
+                }
+                for w in out.windows(2) {
+                    assert!(w[0].key < w[1].key, "scan {scans}: order violated");
+                }
+                let mut returned = out.iter().peekable();
+                for (k, (name, &(lo, hi))) in model.iter().enumerate() {
+                    let found = returned.next_if(|e| &e.key == name);
+                    match found {
+                        Some(e) => {
+                            let value = std::str::from_utf8(&e.value).unwrap();
+                            let (who, rest) = value.split_once('@').unwrap();
+                            let v: u64 = rest.split_once(':').unwrap().0.parse().unwrap();
+                            assert_eq!(who.parse::<usize>().unwrap(), k, "scan {scans}");
+                            assert!(
+                                (lo..=hi).contains(&v) && !is_delete(v),
+                                "scan {scans}: key {k} at version {v}, window {lo}..={hi}"
+                            );
+                        }
+                        None => assert!(
+                            lo == 0 || (lo..=hi).any(is_delete),
+                            "scan {scans}: key {k} missing, window {lo}..={hi}"
+                        ),
+                    }
+                }
+                assert!(
+                    returned.next().is_none(),
+                    "scan {scans}: a key never written"
+                );
+                scans += 1;
+            }
+            scans
+        };
+        let scanners = [s.spawn(scanner), s.spawn(scanner)];
+        for h in scanners {
+            assert!(h.join().unwrap() > 0);
+        }
+        merges_during = db.stats().zero_copy_compactions.load(Ordering::Relaxed) - merges_before;
+    });
+    assert!(merges_during > 0, "no zero-copy merge ran under the scans");
+    db.wait_idle().unwrap();
+    assert!(db.report().stats.copy_compactions > 0, "no lazy copy ran");
 }
 
 #[test]

@@ -1,14 +1,17 @@
 //! Exact device-access budgets of the two background movers, and of a
 //! point lookup through the exact DRAM index of a settled table or of the
-//! data repository.
+//! data repository. These tests count modeled NVM bytes on an unthrottled
+//! pool: a count repeats exactly where a timing does not.
 //!
-//! Zero-copy merge and lazy copy take their inputs in ascending key order
-//! and resume each search from where the last one ended (a *finger*)
-//! instead of descending from the head of the list. These tests count, on
-//! an unthrottled pool, the modeled NVM node visits per moved node and per
-//! applied record — a count repeats exactly where a timing does not — and
-//! check that the bytes *written* are a function of the towers alone: the
-//! finger may change what is read, never what is written.
+//! A zero-copy merge moves runs of newtable keys at level 0, planned from
+//! the two tables' DRAM indexes: it reads no NVM, and writes exactly 32
+//! bytes a run (three link words and the insertion mark) and 8 a merge
+//! (the mark's clear). The walk-fed merge recovery runs instead reads each
+//! input node at most once, and writes the same.
+//!
+//! Lazy copy takes its input in ascending key order and resumes each
+//! repository search from where the last one ended (a *finger*); its
+//! bytes written are a function of the towers alone.
 //!
 //! An indexed lookup searches the index in DRAM (free, like a bloom probe)
 //! and finds where the value lives, so a hit reads exactly the value's
@@ -19,10 +22,8 @@
 //! merge joins, the repository's from the last one and a lazy-copy run's
 //! edits — reads no NVM at all.
 //!
-//! Searching from the head, these same cases read 18.33 / 26.24 / 34.28
-//! nodes per moved node at 490 / 4 000 / 31 000 nodes a side (21.09 with
-//! the newtable wholly above, 27.47 for 490 into 31 000), and an ascending
-//! run 22.54 / 30.00 / 31.81 per record into a repository of 0 / 62 000 /
+//! Searching the repository from the head, an ascending run reads 22.54 /
+//! 30.00 / 31.81 nodes per record into a repository of 0 / 62 000 /
 //! 372 000 — with exactly the bytes written that are asserted here.
 
 use std::sync::Arc;
@@ -33,7 +34,7 @@ use miodb::pmem::{DeviceModel, PmemPool};
 use miodb::skiplist::merge::MergeLimits;
 use miodb::skiplist::{
     node_size_upper, one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark,
-    SkipList, SkipListArena,
+    RunMerge, SkipList, SkipListArena,
 };
 use miodb::Stats;
 use rand::rngs::StdRng;
@@ -61,78 +62,128 @@ fn pool(bytes: usize) -> Arc<PmemPool> {
     .unwrap()
 }
 
-/// A table of `keys`; the sum of its tower heights, read off the arena's
-/// fill (every node is `FLAT` bytes plus one link word per level).
-fn table(pool: &Arc<PmemPool>, keys: &[u64], seq0: u64) -> (SkipListArena, u64) {
+/// A table of `keys` built in `pool`.
+fn table(pool: &Arc<PmemPool>, keys: &[u64], seq0: u64) -> SkipListArena {
     let cap = node_size_upper(0, 0) as usize + keys.len() * 80 + (64 << 10);
     let t = SkipListArena::new(pool.clone(), cap).unwrap();
     for (i, &k) in keys.iter().enumerate() {
         t.insert(&key(k), &[7u8; VLEN as usize], seq0 + i as u64, OpKind::Put)
             .unwrap();
     }
-    let towers = (t.used_bytes() - node_size_upper(0, 0) - FLAT * keys.len() as u64) / 8;
-    (t, towers)
+    t
 }
 
-/// Merges a table of `new` into a table of `old`; node visits per moved
-/// node. Asserts the write budget, which is exact.
-fn merge_visits(new: &[u64], old: &[u64]) -> f64 {
+/// The runs a merge of `new` keys into `old` keys moves: maximal
+/// sequences of newtable keys with no oldtable key that survives (one the
+/// newtable does not hold) between them.
+fn runs_of(new: &[u64], old: &[u64]) -> u64 {
+    let new: std::collections::BTreeSet<u64> = new.iter().copied().collect();
+    let mut all: Vec<(u64, bool)> = new.iter().map(|&k| (k, true)).collect();
+    all.extend(old.iter().filter(|k| !new.contains(k)).map(|&k| (k, false)));
+    all.sort_unstable();
+    all.dedup();
+    let starts = all.windows(2).filter(|w| w[1].1 && !w[0].1).count();
+    starts as u64 + u64::from(all.first().is_some_and(|f| f.1))
+}
+
+/// Merges a table of `new` into a table of `old`, fed from their DRAM
+/// indexes as the engine merges. Asserts that it reads no NVM, and writes
+/// exactly 32 bytes a run and 8 a merge. Returns the runs.
+fn index_fed_merge(new: &[u64], old: &[u64]) -> u64 {
     let p = pool(((new.len() + old.len()) * 80 + (1 << 20)).next_power_of_two());
-    let (old_t, _) = table(&p, old, 1);
-    let (new_t, new_towers) = table(&p, new, 1 << 32);
+    let (old_t, new_t) = (table(&p, old, 1), table(&p, new, 1 << 32));
+    let old_index = TableIndex::walk(&old_t.list());
+    let new_index = TableIndex::walk(&new_t.list());
+    let mark = InsertionMark::alloc(&p).unwrap();
+    let before = p.stats().snapshot();
+    let mut merge = RunMerge::new(
+        &p,
+        new_t.head(),
+        old_t.head(),
+        &mark,
+        new_index.nodes(),
+        old_index.nodes(),
+    );
+    let out = merge.run(MergeLimits::none());
+    let io = p.stats().snapshot().diff(&before);
+    let stats = out.stats();
+    assert!(out.is_complete());
+    assert_eq!(stats.moved, new_index.len() as u64);
+    assert_eq!(stats.runs, runs_of(new, old));
+    assert_eq!(io.nvm_bytes_read, 0, "an index-fed merge reads no NVM");
+    assert_eq!(io.nvm_bytes_written, 32 * stats.runs + 8);
+    assert_eq!(io.nvm_bytes_written, 8 * stats.stores);
+    let merged = TableIndex::merged(&new_index, &old_index);
+    assert_eq!(TableIndex::walk(&old_t.list()), merged);
+    stats.runs
+}
+
+#[test]
+fn an_index_fed_merge_reads_nothing_and_writes_32_bytes_a_run() {
+    let mut r = StdRng::seed_from_u64(1);
+    for side in [490usize, 31_000] {
+        let new: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
+        let old: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
+        let runs = index_fed_merge(&new, &old);
+        println!(
+            "merge {side} + {side}: {runs} runs, {:.2} keys a run, {:.2} B a moved key",
+            side as f64 / runs as f64,
+            (32 * runs + 8) as f64 / side as f64
+        );
+    }
+    // Full overlap: one run supersedes the whole oldtable.
+    let keys: Vec<u64> = (0..4_000).map(|_| r.next_u64()).collect();
+    assert_eq!(index_fed_merge(&keys, &keys), 1);
+}
+
+#[test]
+fn a_merge_of_a_newtable_wholly_above_is_one_run() {
+    let mut r = StdRng::seed_from_u64(2);
+    let old: Vec<u64> = (0..4_000).map(|_| r.next_u64() >> 1).collect();
+    let new: Vec<u64> = (0..4_000).map(|_| r.next_u64() | 1 << 63).collect();
+    assert_eq!(index_fed_merge(&new, &old), 1);
+}
+
+#[test]
+fn a_merge_of_a_small_table_into_a_large_one_moves_about_a_run_a_key() {
+    // 490 keys spread over 31 000: nearly every key is a run of its own,
+    // 32 B each, found with no NVM read.
+    let mut r = StdRng::seed_from_u64(3);
+    let new: Vec<u64> = (0..490).map(|_| r.next_u64()).collect();
+    let old: Vec<u64> = (0..31_000).map(|_| r.next_u64()).collect();
+    let runs = index_fed_merge(&new, &old);
+    println!("merge 490 into 31000: {runs} runs");
+    assert!(runs > 470, "{runs} runs");
+}
+
+#[test]
+fn a_walk_fed_merge_reads_each_input_node_at_most_once() {
+    // In-table duplicates on both sides. The walk-fed merge, recovery's,
+    // writes what the index-fed one writes, and reads each node at most
+    // once.
+    let mut r = StdRng::seed_from_u64(5);
+    let mut draw = || -> Vec<u64> { (0..4_000).map(|_| r.next_u64() % 6_000).collect() };
+    let (new, old) = (draw(), draw());
+    let p = pool(4 << 20);
+    let (old_t, new_t) = (table(&p, &old, 1), table(&p, &new, 1 << 32));
+    let nodes = (new_t.list().count_nodes() + old_t.list().count_nodes()) as u64;
     let mark = InsertionMark::alloc(&p).unwrap();
     let before = p.stats().snapshot();
     let out = zero_copy_merge(&p, new_t.head(), old_t.head(), &mark, MergeLimits::none());
     let io = p.stats().snapshot().diff(&before);
     let stats = out.stats();
     assert!(out.is_complete());
-    assert_eq!(stats.moved, new.len() as u64);
-    assert_eq!((stats.dropped_new, stats.bypassed_old), (0, 0));
-    assert_eq!(old_t.list().count_nodes(), new.len() + old.len());
-    // A moved node costs one link word per level to unlink and two to
-    // splice, two mark sets and a mark clear (8 + 8 + 16 B): 64.0 B a node
-    // at the expected tower of 4/3, whatever located its predecessors.
-    assert_eq!(stats.link_writes, 3 * new_towers);
-    assert_eq!(
-        io.nvm_bytes_written,
-        8 * stats.link_writes + 32 * stats.moved
+    assert_eq!(stats.runs, runs_of(&new, &old));
+    assert_eq!(io.nvm_bytes_written, 32 * stats.runs + 8);
+    assert!(
+        io.nvm_bytes_read <= VISIT * nodes,
+        "{} B read for {nodes} nodes",
+        io.nvm_bytes_read
     );
-    io.nvm_bytes_read as f64 / VISIT as f64 / stats.moved as f64
-}
-
-#[test]
-fn merge_reads_a_constant_number_of_nodes_per_moved_node() {
-    let mut r = StdRng::seed_from_u64(1);
-    for side in [490usize, 4_000, 31_000] {
-        let new: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
-        let old: Vec<u64> = (0..side).map(|_| r.next_u64()).collect();
-        let visits = merge_visits(&new, &old);
-        println!("merge {side} + {side}: {visits:.2} visits per moved node");
-        assert!(visits <= 5.0, "{side} a side: {visits:.2} visits a node");
-    }
-}
-
-#[test]
-fn merge_of_a_newtable_wholly_above_reads_only_the_moved_nodes() {
-    let mut r = StdRng::seed_from_u64(2);
-    let old: Vec<u64> = (0..4_000).map(|_| r.next_u64() >> 1).collect();
-    let new: Vec<u64> = (0..4_000).map(|_| r.next_u64() | 1 << 63).collect();
-    let visits = merge_visits(&new, &old);
-    println!("merge wholly above: {visits:.2} visits per moved node");
-    assert!(visits <= 2.0, "{visits:.2} visits a node");
-}
-
-#[test]
-fn merge_of_a_small_table_into_a_large_one_pays_for_the_distance() {
-    // 490 nodes spread over 31 000: each search moves ~63 nodes along, so
-    // the finger climbs about log4(63) levels — still well under the depth
-    // of the list.
-    let mut r = StdRng::seed_from_u64(3);
-    let new: Vec<u64> = (0..490).map(|_| r.next_u64()).collect();
-    let old: Vec<u64> = (0..31_000).map(|_| r.next_u64()).collect();
-    let visits = merge_visits(&new, &old);
-    println!("merge 490 into 31000: {visits:.2} visits per moved node");
-    assert!(visits <= 18.0, "{visits:.2} visits a node");
+    println!(
+        "walk-fed merge: {:.3} visits per input node",
+        io.nvm_bytes_read as f64 / (VISIT * nodes) as f64
+    );
 }
 
 #[test]
@@ -266,7 +317,7 @@ fn flushed(
     keys: &[u64],
     seq0: u64,
 ) -> (SkipList, TableIndex) {
-    let (mem, _) = table(dram, keys, seq0);
+    let mem = table(dram, keys, seq0);
     let copy = one_piece_flush(&mem, nvm).unwrap();
     swizzle(nvm, &copy);
     let before = nvm.stats().snapshot();
@@ -309,11 +360,19 @@ fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
             .or_else(|| old_index.get(&old_list, k))
     };
     let mark = InsertionMark::alloc(&nvm).unwrap();
-    let half = MergeLimits {
-        max_steps: Some(N / 2),
+    let mut merge = RunMerge::new(
+        &nvm,
+        new_list.head(),
+        old_list.head(),
+        &mark,
+        new_index.nodes(),
+        old_index.nodes(),
+    );
+    let part = MergeLimits {
+        max_steps: Some(N / 4),
         abandon_after_link_writes: None,
     };
-    let out = zero_copy_merge(&nvm, new_list.head(), old_list.head(), &mark, half);
+    let out = merge.run(part);
     assert!(!out.is_complete() && out.stats().moved > 0);
     let probes: Vec<u64> = (0..2_000)
         .map(|i| [&old_keys, &new_keys][i % 2][r.gen_range(0..N)])
@@ -322,25 +381,13 @@ fn an_indexed_get_reads_one_node_and_an_indexed_miss_none() {
     assert_eq!(hit, VLEN as f64, "a merging pair's indexed hit");
     assert_eq!(bytes_per_miss(&nvm, &absent, pair), 0);
 
-    let out = zero_copy_merge(
-        &nvm,
-        new_list.head(),
-        old_list.head(),
-        &mark,
-        MergeLimits::none(),
-    );
-    assert!(out.is_complete());
+    assert!(merge.run(MergeLimits::none()).is_complete());
     let before = nvm.stats().snapshot();
     let merged = TableIndex::merged(&new_index, &old_index);
     assert_eq!(nvm.stats().snapshot().diff(&before).nvm_bytes_read, 0);
     assert_eq!(merged.len(), 2 * N);
 
     let hit = bytes_per_hit(&nvm, &probes, |k| is_value(merged.get(&old_list, k)));
-    let head = bytes_per_hit(&nvm, &probes, |k| old_list.get(k).is_some());
-    println!(
-        "get in a merged {}: {hit} B read indexed, {head:.1} B from the head",
-        2 * N
-    );
     assert_eq!(hit, VLEN as f64, "a merged table's indexed hit");
     assert_eq!(
         bytes_per_miss(&nvm, &absent, |k| merged.get(&old_list, k)),
