@@ -15,6 +15,8 @@
 //! - [`durable`]: the durable-prefix oracle for crash tests — every
 //!   acknowledged write survives recovery, every unacknowledged write is
 //!   fully present or fully absent;
+//! - [`monotonic`]: an O(1)-per-operation monotonic-read checker for
+//!   storms too long to record, one per client thread;
 //! - [`stress`]: a seeded interleaving driver that composes with the
 //!   `miodb_common::fault` registry and feeds histories to the checker;
 //! - [`shim`]: a reference engine plus deliberately broken engines
@@ -28,6 +30,7 @@
 pub mod durable;
 pub mod history;
 pub mod linearize;
+pub mod monotonic;
 pub mod shim;
 pub mod stress;
 
@@ -38,5 +41,6 @@ pub use history::{
 pub use linearize::{
     check_history, check_history_with, CheckOptions, CheckStats, Verdict, Violation,
 };
+pub use monotonic::{MonotonicReads, StaleRead};
 pub use shim::{BrokenEngine, Bug, MapEngine};
 pub use stress::{run_stress, StressSpec};

@@ -260,10 +260,11 @@ declare_stats! {
     /// Number of bloom-filter false positives (table probed, key absent).
     bloom_false_positives => Count "miodb_bloom_false_positives_total" {}
         "Bloom filter false positives.";
-    /// Number of times a `get` re-probed a level because its structure
-    /// (settled/merging/lazy-draining sets) changed while the probe ran.
+    /// Always 0: a `get` answers from one published `Version` and never
+    /// re-probes a level. Registered only because the frozen benchmark
+    /// reads it (ROADMAP item 11 drops it).
     level_probe_retries => Count "miodb_level_probe_retries_total" {}
-        "Gets that re-probed a level whose structure changed under them.";
+        "Always 0: gets read one published Version and never re-probe a level.";
 }
 
 impl Stats {

@@ -189,16 +189,6 @@ pub(crate) struct Level {
     /// [`MioDb::snapshot`] excludes zero-copy pointer motion through this
     /// gate; nothing else takes it.
     pub(crate) gate: Arc<Mutex<()>>,
-    /// Structural version, bumped by [`Version::relinked`] whenever a table
-    /// changes role: settled ↔ merging ↔ lazy-draining ↔ pushed down.
-    /// Readers probe a level as one [`Version`] published it; if the
-    /// version moved by the time their probe ends, the level's tables may
-    /// have changed role under the probe — popped into `merging` behind a
-    /// newer table, or a merged table pushed down — so the probe retries
-    /// against a fresh `Version`. This closes the lost-read window where a
-    /// settled-table snapshot went stale the instant the compactor moved
-    /// those tables into `merging` (the multi_writer_stress flake).
-    pub(crate) version: Arc<AtomicU64>,
 }
 
 pub(crate) struct MemState {
@@ -259,7 +249,15 @@ pub(crate) struct Inner {
     /// Fast-path gate for the sink: one relaxed load on the write path
     /// when replication is off.
     repl_armed: AtomicBool,
+    /// Runs in every [`publish`], under the `Version` write lock, on the
+    /// `Version` just installed.
+    #[cfg(test)]
+    pub(crate) on_publish: OnceLock<PublishObserver>,
 }
+
+/// What a test runs on each newly published `Version`.
+#[cfg(test)]
+pub(crate) type PublishObserver = Box<dyn Fn(&Inner, &Version) + Send + Sync>;
 
 /// The MioDB key-value store. See the [crate docs](crate) for an overview
 /// and example.
@@ -372,7 +370,6 @@ impl MioDb {
                     lazy_draining: None,
                     mark,
                     gate: Arc::new(Mutex::new(())),
-                    version: Arc::new(AtomicU64::new(0)),
                 };
                 level.tables.extend(ls.tables.iter().map(rebuild));
                 if let Some((new_ts, old_ts)) = &ls.merging {
@@ -410,7 +407,6 @@ impl MioDb {
                     lazy_draining: None,
                     mark: InsertionMark::alloc(&nvm)?,
                     gate: Arc::new(Mutex::new(())),
-                    version: Arc::new(AtomicU64::new(0)),
                 });
             }
         }
@@ -466,7 +462,7 @@ impl MioDb {
         let current = RwLock::new(Arc::new(Version {
             active: active.clone(),
             imm: None,
-            levels: levels.iter().map(Level::view).collect(),
+            levels: levels[..].into(),
             // After the resumed drain: nothing writes the repository again
             // before the lazy worker's first run. The one index built from
             // NVM; every later one is built from this one in DRAM.
@@ -501,6 +497,8 @@ impl MioDb {
             telemetry,
             repl_sink: RwLock::new(None),
             repl_armed: AtomicBool::new(false),
+            #[cfg(test)]
+            on_publish: OnceLock::new(),
         });
 
         store_manifest(&inner)?;
@@ -582,7 +580,7 @@ impl MioDb {
         let inner = &*self.inner;
         let _writers = inner.write_mutex.lock();
         let v = inner.version();
-        let _gate_guards: Vec<_> = v.levels.iter().map(|l| l.level.gate.lock()).collect();
+        let _gate_guards: Vec<_> = v.levels.iter().map(|l| l.gate.lock()).collect();
         let _repo = inner.repo_writer.lock();
         let _levels = inner.levels.lock();
         inner.nvm.snapshot_to_file(path)
@@ -1053,17 +1051,8 @@ impl MioDb {
                 found.push("imm".to_string());
             }
         }
-        for (i, view) in v.levels.iter().enumerate() {
-            let l = &view.level;
-            let merging = l
-                .merging
-                .iter()
-                .flat_map(|(n, o)| [("merging.new", n), ("merging.old", o)]);
-            let tables = l.tables.iter().enumerate().map(|(j, t)| (j.to_string(), t));
-            let tables = tables
-                .chain(merging.map(|(role, t)| (role.to_string(), t)))
-                .chain(l.lazy_draining.iter().map(|t| ("lazy".to_string(), t)));
-            for (role, t) in tables {
+        for (i, l) in v.levels.iter().enumerate() {
+            for (role, t) in l.newest_first() {
                 if t.get(key).is_some() {
                     let bloom = t.bloom.may_contain(key);
                     found.push(format!("L{i}.{role} bloom={bloom} n={}", t.len));
@@ -1083,9 +1072,8 @@ impl MioDb {
     pub fn debug_bloom_audit(&self) -> Vec<String> {
         let inner = &*self.inner;
         let mut bad = Vec::new();
-        for (i, view) in inner.version().levels.iter().enumerate() {
-            let l = &view.level;
-            let mut audit = |label: String, t: &Arc<PmTable>| {
+        for (i, l) in inner.version().levels.iter().enumerate() {
+            for (role, t) in l.newest_first() {
                 let mut missing = 0usize;
                 let mut total = 0usize;
                 for key in t.index.keys() {
@@ -1096,19 +1084,9 @@ impl MioDb {
                 }
                 if missing > 0 {
                     bad.push(format!(
-                        "{label}: {missing}/{total} keys missing from bloom"
+                        "L{i}.{role}: {missing}/{total} keys missing from bloom"
                     ));
                 }
-            };
-            for (j, t) in l.tables.iter().enumerate() {
-                audit(format!("L{i}[{j}]"), t);
-            }
-            if let Some((new_t, old_t)) = &l.merging {
-                audit(format!("L{i}.merging.new"), new_t);
-                audit(format!("L{i}.merging.old"), old_t);
-            }
-            if let Some(t) = &l.lazy_draining {
-                audit(format!("L{i}.lazy"), t);
             }
         }
         bad
@@ -1506,7 +1484,7 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
         levels[0].tables.push_back(table);
         publish_level_gauges(inner, 0, &levels[0]);
         let stored = store_manifest_locked(inner, &levels);
-        publish(inner, |v| v.relinked(&levels, &[0]));
+        publish(inner, |v| v.relinked(&levels));
         stored?;
     }
     Ok(())
@@ -1516,24 +1494,13 @@ fn flush_one(inner: &Inner, imm: &Arc<MemTable>) -> Result<()> {
 /// [`KvEngine::report`]: settled tables plus both in-flight merge tables
 /// plus a draining table. Callers hold the levels lock.
 fn publish_level_gauges(inner: &Inner, i: usize, l: &Level) {
-    let mut bytes: u64 = l.tables.iter().map(|t| t.arena_bytes()).sum();
-    let mut tables = l.tables.len() as u64;
-    if let Some((new_t, old_t)) = &l.merging {
-        bytes += new_t.arena_bytes() + old_t.arena_bytes();
-        tables += 2;
-    }
-    if let Some(t) = &l.lazy_draining {
+    let (mut bytes, mut tables) = (0, 0);
+    for (_, t) in l.newest_first() {
         bytes += t.arena_bytes();
         tables += 1;
     }
     if let Some(m) = inner.telemetry.level(i) {
         m.set_occupancy(bytes, tables);
-    }
-}
-
-impl AsRef<Level> for Level {
-    fn as_ref(&self) -> &Level {
-        self
     }
 }
 
@@ -1553,15 +1520,15 @@ impl Level {
 
 /// The first level of `share`, from `turn` on, whose merge is due, in the
 /// locked levels or a published `Version`'s.
-fn merge_due<L: AsRef<Level>>(
+fn merge_due(
     opts: &MioOptions,
-    levels: &[L],
+    levels: &[Level],
     share: &std::ops::Range<usize>,
     turn: usize,
 ) -> Option<usize> {
     (0..share.len())
         .map(|k| share.start + (turn + k) % share.len())
-        .find(|&i| levels[i].as_ref().has_work(opts, i))
+        .find(|&i| levels[i].has_work(opts, i))
 }
 
 /// Zero-copy compactor for the elastic levels in `share` (level `i` pushes
@@ -1598,7 +1565,7 @@ fn compactor_worker(inner: Arc<Inner>, share: std::ops::Range<usize>) {
             let new_t = levels[i].tables.pop_front().unwrap();
             levels[i].merging = Some((new_t.clone(), old_t.clone()));
             let stored = store_manifest_locked(&inner, &levels);
-            publish(&inner, |v| v.relinked(&levels, &[i]));
+            publish(&inner, |v| v.relinked(&levels));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1700,7 +1667,7 @@ fn run_one_zero_copy_merge(
         // already see this compaction done.
         merge.finish(merged_bytes);
         let stored = store_manifest_locked(inner, &levels);
-        publish(inner, |v| v.relinked(&levels, &[i, i + 1]));
+        publish(inner, |v| v.relinked(&levels));
         if let Err(e) = stored {
             set_bg_error(inner, format!("manifest store failed: {e}"));
             return false;
@@ -1713,8 +1680,8 @@ fn run_one_zero_copy_merge(
 /// only if no in-flight merge could later push *older* data below it —
 /// draining its front (oldest) table to the repository then preserves the
 /// newer-shadows-older read order.
-fn pick_pressure_drain<L: AsRef<Level>>(levels: &[L]) -> Option<usize> {
-    for (i, l) in levels.iter().map(L::as_ref).enumerate().rev() {
+fn pick_pressure_drain(levels: &[Level]) -> Option<usize> {
+    for (i, l) in levels.iter().enumerate().rev() {
         let busy = l.merging.is_some() || l.lazy_draining.is_some();
         if !l.tables.is_empty() {
             return if busy { None } else { Some(i) };
@@ -1751,7 +1718,7 @@ fn lazy_worker(inner: Arc<Inner>) {
             let t = levels[picked].tables.pop_front().unwrap();
             levels[picked].lazy_draining = Some(t.clone());
             let stored = store_manifest_locked(&inner, &levels);
-            publish(&inner, |v| v.relinked(&levels, &[picked]));
+            publish(&inner, |v| v.relinked(&levels));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1822,7 +1789,7 @@ fn lazy_worker(inner: Arc<Inner>) {
                 table.retire();
             }
             drop(table);
-            publish(&inner, |v| v.relinked(&levels, &[level_idx]));
+            publish(&inner, |v| v.relinked(&levels));
             if let Err(e) = stored {
                 set_bg_error(&inner, format!("manifest store failed: {e}"));
                 return;
@@ -1834,9 +1801,9 @@ fn lazy_worker(inner: Arc<Inner>) {
 /// The level the lazy worker drains next, in the locked levels or a
 /// published `Version`'s: the bottom level once its drain is due, else,
 /// under elastic-cap pressure, [`pick_pressure_drain`]'s.
-fn drain_due<L: AsRef<Level>>(inner: &Inner, levels: &[L]) -> Option<usize> {
+fn drain_due(inner: &Inner, levels: &[Level]) -> Option<usize> {
     let b = levels.len() - 1;
-    if levels[b].as_ref().has_work(&inner.opts, b) {
+    if levels[b].has_work(&inner.opts, b) {
         Some(b)
     } else if inner.pressure.load(Ordering::Acquire) {
         pick_pressure_drain(levels)
@@ -1849,14 +1816,7 @@ fn drain_due<L: AsRef<Level>>(inner: &Inner, levels: &[L]) -> Option<usize> {
 fn build_report(inner: &Inner) -> EngineReport {
     let mut tables: Vec<usize> = {
         let levels = inner.levels.lock();
-        levels
-            .iter()
-            .map(|l| {
-                l.tables.len()
-                    + l.merging.as_ref().map_or(0, |_| 2)
-                    + l.lazy_draining.as_ref().map_or(0, |_| 1)
-            })
-            .collect()
+        levels.iter().map(|l| l.newest_first().count()).collect()
     };
     tables.extend(inner.repo.tables_per_level());
     EngineReport {
@@ -1929,8 +1889,7 @@ impl KvEngine for MioDb {
         let inner = &*self.inner;
         inner.wait_until(None, |v| {
             v.imm.is_none()
-                && v.levels.iter().enumerate().all(|(i, view)| {
-                    let l = &view.level;
+                && v.levels.iter().enumerate().all(|(i, l)| {
                     l.merging.is_none() && l.lazy_draining.is_none() && !l.has_work(&inner.opts, i)
                 })
                 && inner.repo.is_quiescent()
@@ -2050,21 +2009,17 @@ impl Drop for MioDb {
 #[cfg(test)]
 impl MioDb {
     /// Asserts that the published `Version` names exactly the locked
-    /// state: the same MemTable and table `Arc`s (by pointer) and, per
-    /// level, the same structural version as `seen`.
+    /// state: the same MemTable and table `Arc`s, by pointer, in the same
+    /// roles.
     fn assert_version_current(&self) {
         let inner = &*self.inner;
         let levels = inner.levels.lock();
         let mem = inner.mem.read();
         let v = inner.version();
         let tables = |l: &Level| {
-            (
-                l.tables.iter().map(Arc::as_ptr).collect::<Vec<_>>(),
-                l.merging
-                    .as_ref()
-                    .map(|(n, o)| (Arc::as_ptr(n), Arc::as_ptr(o))),
-                l.lazy_draining.as_ref().map(Arc::as_ptr),
-            )
+            l.newest_first()
+                .map(|(role, t)| (role, Arc::as_ptr(t)))
+                .collect::<Vec<_>>()
         };
         assert!(Arc::ptr_eq(&v.active, &mem.active), "active MemTable");
         assert_eq!(
@@ -2073,10 +2028,8 @@ impl MioDb {
             "immutable MemTable"
         );
         assert_eq!(v.levels.len(), levels.len());
-        for (i, (view, l)) in v.levels.iter().zip(levels.iter()).enumerate() {
-            assert_eq!(tables(&view.level), tables(l), "L{i} tables");
-            assert_eq!(view.seen, l.version.load(Ordering::Acquire), "L{i} seen");
-            assert!(Arc::ptr_eq(&view.level.version, &l.version), "L{i} version");
+        for (i, (published, l)) in v.levels.iter().zip(levels.iter()).enumerate() {
+            assert_eq!(tables(published), tables(l), "L{i} tables");
         }
     }
 }
@@ -2084,7 +2037,7 @@ impl MioDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::{LevelView, AFTER_LEVEL_PROBE, AFTER_NEWTABLE_PROBE};
+    use crate::read::{AFTER_NEWTABLE_PROBE, BEFORE_REPO_PROBE};
     use crate::table::IndexHit;
     use miodb_common::DramBytes;
     use proptest::prelude::*;
@@ -2466,7 +2419,7 @@ mod tests {
             expect.bloom += m.bloom_snapshot().num_bits() as u64 / 8;
         }
         let mut indexed = 0;
-        for l in v.levels.iter().map(|l| &l.level) {
+        for l in v.levels.iter() {
             assert!(l.merging.is_none() && l.lazy_draining.is_none());
             for t in &l.tables {
                 let mut keys: Vec<Vec<u8>> = t.list.iter().map(|e| e.key).collect();
@@ -2524,56 +2477,17 @@ mod tests {
         assert_eq!(elastic.load(Ordering::Relaxed), 0);
     }
 
-    /// A hit from a settled table is returned only if the level did not
-    /// change under the probe. Here a merge pops the probed table into
-    /// `merging`, behind a table holding a newer version, between the
-    /// probe and the check: the GET must retry and answer through the
-    /// merging pair.
-    #[test]
-    fn settled_hit_retries_when_the_level_changes_under_it() {
-        let d = db();
-        let inner = d.inner.clone();
-        let (dram, nvm, elastic) = (&inner.dram, &inner.nvm, &inner.elastic_bytes);
-        let rec = |value: &[u8], seq| (b"k".to_vec(), value.to_vec(), seq, OpKind::Put, None);
-        let old_t = flushed_table(dram, nvm, elastic, &[rec(b"old", 1)]);
-        let new_t = flushed_table(dram, nvm, elastic, &[rec(b"new", 2)]);
-        {
-            let mut levels = inner.levels.lock();
-            levels[0].tables.push_back(old_t);
-            publish(&inner, |v| v.relinked(&levels, &[0]));
-        }
-        d.assert_version_current();
-        let popper = inner.clone();
-        AFTER_LEVEL_PROBE.with(|h| {
-            h.set(Some(Box::new(move || {
-                let mut levels = popper.levels.lock();
-                let old_t = levels[0].tables.pop_back().unwrap();
-                levels[0].merging = Some((new_t, old_t));
-                publish(&popper, |v| v.relinked(&levels, &[0]));
-            })))
-        });
-        let retries = d.stats().level_probe_retries.load(Ordering::Relaxed);
-        assert_eq!(d.get(b"k").unwrap().as_deref(), Some(&b"new"[..]));
-        assert!(d.stats().level_probe_retries.load(Ordering::Relaxed) > retries);
-        d.assert_version_current();
-        // Leave the level as no merge would: empty.
-        let mut levels = inner.levels.lock();
-        levels[0].merging = None;
-        publish(&inner, |v| v.relinked(&levels, &[0]));
-    }
-
     /// A GET parked right after its probe of a merging pair's newtable —
     /// hit, miss or bloom skip — while the whole merge runs under the level
     /// gate, as the compactor runs it. One merge per key of a 160-key
     /// space, on a pair that holds keys in either table, keys updated in
     /// both, keys tombstoned in the newtable over puts in the oldtable, and
     /// several versions of a key on each side: the resumed GET answers with
-    /// the newest version of its key. When the hook leaves the pair
-    /// published, as the compactor does until it publishes the merged
-    /// table, the GET keeps its `Version` and answers through the
-    /// oldtable's index — though the oldtable's list now holds every node
-    /// of both. When the hook also publishes the merged table and pushes it
-    /// one level down, the level moved, and the GET retries it.
+    /// the newest version of its key, through the oldtable's index of the
+    /// `Version` it loaded — though the oldtable's list now holds every
+    /// node of both. Half the time the hook leaves the pair published, as
+    /// the compactor does until it publishes the merged table; half the
+    /// time it also publishes the merged table one level down.
     #[test]
     fn a_get_parked_between_the_merge_inputs_answers_every_key() {
         const SPACE: u32 = 160;
@@ -2622,7 +2536,7 @@ mod tests {
             let mut levels = inner.levels.lock();
             levels[0].merging = None;
             levels[1].tables.push_back(merged);
-            publish(inner, |v| v.relinked(&levels, &[0, 1]));
+            publish(inner, |v| v.relinked(&levels));
         };
         for probe in 0..SPACE {
             let (dram, nvm, elastic) = (&inner.dram, &inner.nvm, &inner.elastic_bytes);
@@ -2631,7 +2545,7 @@ mod tests {
             {
                 let mut levels = inner.levels.lock();
                 levels[0].merging = Some((new_t.clone(), old_t.clone()));
-                publish(&inner, |v| v.relinked(&levels, &[0]));
+                publish(&inner, |v| v.relinked(&levels));
             }
             let finish = probe % 2 == 1;
             let held = Arc::new(Mutex::new(None));
@@ -2654,15 +2568,12 @@ mod tests {
                     }
                 })))
             });
-            let retries = d.stats().level_probe_retries.load(Ordering::Relaxed);
             let got = d.get(&key(probe)).unwrap();
             assert!(
                 AFTER_NEWTABLE_PROBE.with(std::cell::Cell::take).is_none(),
                 "key {probe}: the merge ran under the GET"
             );
             assert_eq!(got.as_ref(), model.get(&key(probe)), "key {probe}");
-            let retried = d.stats().level_probe_retries.load(Ordering::Relaxed) > retries;
-            assert_eq!(retried, finish, "key {probe}: the GET kept its Version");
             if let Some(table) = held.lock().take() {
                 push_down(&inner, table);
             }
@@ -2670,7 +2581,7 @@ mod tests {
 
             let mut levels = inner.levels.lock();
             let table = levels[1].tables.pop_back().unwrap();
-            publish(&inner, |v| v.relinked(&levels, &[1]));
+            publish(&inner, |v| v.relinked(&levels));
             table.retire();
         }
     }
@@ -2737,6 +2648,84 @@ mod tests {
         }
     }
 
+    /// Every publish is a consistent cut. One writer puts ascending
+    /// versions: every fourth put a fresh key, written once and never
+    /// again, the rest into a hot set, over MemTables small enough that
+    /// flushes, merges and lazy copies run throughout, so every transition
+    /// moves some key's only version. After each publish, under the
+    /// `Version` write lock, every key acknowledged so far is read from the
+    /// newly published `Version` alone ([`Inner::get_in`]): it must be no
+    /// older than the version the writer had acknowledged by then.
+    #[test]
+    fn every_published_version_is_a_consistent_cut() {
+        const HOT: u64 = 64;
+        const PUTS: u64 = 6000;
+        const KEYS: usize = (HOT + PUTS / 4) as usize;
+        let d = MioDb::open(MioOptions {
+            memtable_bytes: 32 << 10,
+            ..MioOptions::small_for_tests()
+        })
+        .unwrap();
+        let key = |k: usize| format!("key{k:06}").into_bytes();
+        let acked: Arc<Vec<AtomicU64>> = Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
+        let violations = Arc::new(Mutex::new(Vec::new()));
+        let publishes = Arc::new(AtomicU64::new(0));
+        {
+            let (acked, violations, publishes) =
+                (acked.clone(), violations.clone(), publishes.clone());
+            let observe: PublishObserver = Box::new(move |inner, v| {
+                publishes.fetch_add(1, Ordering::Relaxed);
+                for (k, acked) in acked.iter().enumerate() {
+                    let floor = acked.load(Ordering::Acquire);
+                    if floor == 0 {
+                        continue;
+                    }
+                    let got = inner.get_in(v, &key(k)).unwrap();
+                    let version = got.map_or(0, |g| u64::from_le_bytes(g[..8].try_into().unwrap()));
+                    if version < floor {
+                        violations
+                            .lock()
+                            .push(format!("key {k}: read {version} after {floor}"));
+                    }
+                }
+            });
+            assert!(d.inner.on_publish.set(observe).is_ok());
+        }
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut value = vec![0u8; 256];
+        let mut fresh = HOT as usize;
+        for version in 1..=PUTS {
+            let k = if version % 4 == 0 {
+                fresh += 1;
+                fresh - 1
+            } else {
+                rng.gen_range(0..HOT as usize)
+            };
+            value[..8].copy_from_slice(&version.to_le_bytes());
+            d.put(&key(k), &value).unwrap();
+            acked[k].store(version, Ordering::Release);
+        }
+        d.wait_idle().unwrap();
+        let stats = d.stats();
+        let (merges, drains) = (
+            stats.zero_copy_compactions.load(Ordering::Relaxed),
+            stats.copy_compactions.load(Ordering::Relaxed),
+        );
+        let publishes = publishes.load(Ordering::Relaxed);
+        println!("{publishes} publishes observed, {merges} merges, {drains} lazy copies");
+        assert!(
+            merges > 0 && drains > 0,
+            "{merges} merges, {drains} lazy copies"
+        );
+        let violations = violations.lock();
+        assert!(
+            violations.is_empty(),
+            "{} stale reads from a published Version, first: {:?}",
+            violations.len(),
+            &violations[..violations.len().min(5)]
+        );
+    }
+
     /// Runs `work` on another thread while this one compares the published
     /// `Version` with the locked state, until `work` ends and once after.
     /// A mismatch fails here even if `work` — a `wait_idle` reading a stale
@@ -2756,7 +2745,7 @@ mod tests {
     /// Waits until `started` holds for the published levels. The caller
     /// may hold a gate or the repository writer: the start it waits for is
     /// published before the worker takes either.
-    fn wait_for(d: &MioDb, what: &str, started: impl Fn(&[LevelView]) -> bool) {
+    fn wait_for(d: &MioDb, what: &str, started: impl Fn(&[Level]) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(30);
         let began = d.inner.wait_until(Some(deadline), |v| started(&v.levels));
         assert!(began.unwrap(), "no {what} started");
@@ -2795,9 +2784,9 @@ mod tests {
         // Merge start, held at its first step; then its end.
         {
             let v = d.inner.version();
-            let _gate = v.levels[0].level.gate.lock();
+            let _gate = v.levels[0].gate.lock();
             fill(1);
-            wait_for(&d, "merge", |l| l[0].level.merging.is_some());
+            wait_for(&d, "merge", |l| l[0].merging.is_some());
             d.assert_version_current();
         }
         settle();
@@ -2812,7 +2801,7 @@ mod tests {
             let _repo = d.inner.repo_writer.lock();
             fill(24);
             wait_for(&d, "lazy copy", |l| {
-                l.iter().any(|l| l.level.lazy_draining.is_some())
+                l.iter().any(|l| l.lazy_draining.is_some())
             });
             d.assert_version_current();
         }
@@ -3045,28 +3034,15 @@ mod tests {
         }
     }
 
-    /// Arms `hook` to run once the next GET on this thread has probed
-    /// level `level`, before the probe is checked against the level
-    /// version: the hook of each level above re-arms it one level down.
-    fn after_probe_of_level(level: usize, hook: Box<dyn FnOnce()>) {
-        let hook = if level == 0 {
-            hook
-        } else {
-            Box::new(move || after_probe_of_level(level - 1, hook))
-        };
-        AFTER_LEVEL_PROBE.with(|h| h.set(Some(hook)));
-    }
-
-    /// A GET parked after its bottom-level probe, while a whole lazy-copy
-    /// run of the table it found `lazy_draining` replaces, inserts and
-    /// deletes keys of the repository and publishes the repository's next
-    /// index. Every key is probed so, one run each: the resumed GET answers
-    /// as the model does. When the run leaves the table `lazy_draining`,
-    /// as the lazy worker does until after the publish, the GET keeps its
-    /// `Version` and answers through the older index — or from the table,
-    /// for a key the run touched. When the hook also clears it, the level
-    /// moved, and the GET re-probes in the `Version` that carries the new
-    /// index.
+    /// A GET parked between its bottom-level probe and its repository
+    /// probe, while a whole lazy-copy run of the table it found
+    /// `lazy_draining` replaces, inserts and deletes keys of the repository
+    /// and publishes the repository's next index. Every key is probed so,
+    /// one run each: the resumed GET answers as the model does, through
+    /// the older index its `Version` carries; a key the run touched is
+    /// answered by the table before the park point. Half the time the hook
+    /// leaves the table `lazy_draining`, as the lazy worker does until
+    /// after the publish; half the time it also clears it.
     #[test]
     fn a_get_parked_under_a_lazy_copy_run_answers_every_key() {
         const SPACE: u32 = 160;
@@ -3090,7 +3066,7 @@ mod tests {
         let set_draining = |t: Option<Arc<PmTable>>| {
             let mut levels = inner.levels.lock();
             levels[b].lazy_draining = t;
-            publish(&inner, |v| v.relinked(&levels, &[b]));
+            publish(&inner, |v| v.relinked(&levels));
         };
         let mut rng = StdRng::seed_from_u64(11);
         for (run, probe) in (0..SPACE).enumerate() {
@@ -3122,30 +3098,31 @@ mod tests {
 
             let finish = run % 2 == 1;
             let (runner, drained) = (inner.clone(), t.clone());
-            after_probe_of_level(
-                b,
-                Box::new(move || {
+            BEFORE_REPO_PROBE.with(|h| {
+                h.set(Some(Box::new(move || {
                     repo_run_of(&runner, dedup_newest(drained.list.iter(), false));
                     if finish {
                         let mut levels = runner.levels.lock();
                         levels[b].lazy_draining = None;
-                        publish(&runner, |v| v.relinked(&levels, &[b]));
+                        publish(&runner, |v| v.relinked(&levels));
                     }
-                }),
-            );
-            let retries = d.stats().level_probe_retries.load(Ordering::Relaxed);
+                })))
+            });
             let got = d.get(&key(probe)).unwrap();
-            assert!(
-                AFTER_LEVEL_PROBE.with(std::cell::Cell::take).is_none(),
-                "run {run}: the run ran under the GET"
+            let in_table = recs.iter().any(|r| r.0 == key(probe));
+            assert_eq!(
+                BEFORE_REPO_PROBE.with(std::cell::Cell::take).is_none(),
+                !in_table,
+                "run {run}: the run ran under the GET unless the table answered it"
             );
+            if in_table {
+                repo_run_of(&inner, dedup_newest(t.list.iter(), false));
+            }
             assert_eq!(
                 got.as_ref(),
                 model.get(&key(probe)),
                 "run {run}, key {probe}"
             );
-            let retried = d.stats().level_probe_retries.load(Ordering::Relaxed) > retries;
-            assert_eq!(retried, finish, "run {run}: the GET kept its Version");
             let newer = inner.version().repo_index.clone().unwrap();
             assert!(!Arc::ptr_eq(&older, &newer), "run {run} published an index");
 
@@ -3206,7 +3183,7 @@ mod tests {
             let mut levels = inner.levels.lock();
             levels[b].lazy_draining = t;
             store_manifest_locked(inner, &levels).unwrap();
-            publish(inner, |v| v.relinked(&levels, &[b]));
+            publish(inner, |v| v.relinked(&levels));
         };
         set_draining(Some(draining.clone()));
         let path = std::env::temp_dir().join(format!(
@@ -3283,7 +3260,7 @@ mod tests {
                 let mut levels = inner.levels.lock();
                 levels[0].merging = Some((new_t.clone(), old_t.clone()));
                 store_manifest_locked(inner, &levels).unwrap();
-                publish(inner, |v| v.relinked(&levels, &[0]));
+                publish(inner, |v| v.relinked(&levels));
                 levels[0].mark.clone()
             };
             let out = RunMerge::new(
@@ -3330,7 +3307,7 @@ mod tests {
             }
             let v = r.inner.version();
             let mut merged = 0;
-            for LevelView { level, .. } in v.levels.iter() {
+            for level in v.levels.iter() {
                 assert!(level.mark.load().is_none(), "crash_at={crash_at}");
                 for t in level.tables.iter() {
                     assert_eq!(t.index, TableIndex::walk(&t.list), "crash_at={crash_at}");

@@ -10,8 +10,9 @@
 //! huge-PMTable repository through the one its `Version` carries
 //! ([`RepoIndex`](crate::repository::RepoIndex)). A hit reads its value
 //! from NVM and nothing else; a MemTable is descended only if its bloom
-//! filter admits the key. A scan ranks its sources as a GET probes them,
-//! newest first, and takes no lock and no merge gate.
+//! filter admits the key. A GET answers from one loaded `Version` alone
+//! ([`Inner::get_in`]); a scan ranks its sources as a GET probes them, newest
+//! first ([`Level::newest_first`]), and takes no lock and no merge gate.
 
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
@@ -40,7 +41,14 @@ use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 /// the repository's index through [`repo_run`]. So the published
 /// `Version` never lags the locked state a reader could otherwise have
 /// seen, and every engine wait, a predicate over it, is woken by the
-/// publish that can make it true. Lock order: `levels` before `mem` before
+/// publish that can make it true.
+///
+/// Every publish is a consistent cut: the `Version` it installs reaches
+/// the newest version of every key acknowledged before it, so a GET needs
+/// no other. A transition that moves data publishes its destination no
+/// later than it drops the source: a flushed table enters level 0 before
+/// `imm` clears, a merged table replaces its inputs in one publish, and a
+/// lazy-copy run's index is published before `lazy_draining` clears. Lock order: `levels` before `mem` before
 /// the `Version`, the repository writer before the `Version`, and
 /// `changed`, the engine's wait lock, before the `Version`; nothing takes
 /// `levels`, `mem`, the repository writer or `changed` while holding the
@@ -54,48 +62,81 @@ use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 pub(crate) struct Version {
     pub(crate) active: Arc<MemTable>,
     pub(crate) imm: Option<Arc<MemTable>>,
-    pub(crate) levels: Arc<[LevelView]>,
+    pub(crate) levels: Arc<[Level]>,
     /// The huge-PMTable repository's index as the last lazy-copy run left
     /// it (`None` for the LSM repository).
     pub(crate) repo_index: Option<Arc<RepoIndex>>,
 }
 
-/// One level of a [`Version`]: its state and the structural version
-/// (`seen`) that state had when it was published.
-pub(crate) struct LevelView {
-    pub(crate) level: Level,
-    pub(crate) seen: u64,
+/// Where a table sits in its [`Level`], as [`Level::newest_first`] names
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A settled table, by its position among them (oldest 0).
+    Settled(usize),
+    /// An in-flight merge's newtable.
+    MergingNew,
+    /// An in-flight merge's oldtable.
+    MergingOld,
+    /// The table a lazy copy is draining into the repository.
+    Draining,
+}
+
+impl std::fmt::Display for Role {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Role::Settled(j) => write!(f, "{j}"),
+            Role::MergingNew => f.write_str("merging.new"),
+            Role::MergingOld => f.write_str("merging.old"),
+            Role::Draining => f.write_str("lazy"),
+        }
+    }
+}
+
+impl Level {
+    /// The level's tables newest first, the order a GET probes them and a
+    /// scan ranks them: settled tables newest first, then an in-flight
+    /// merge's newtable, its oldtable, and a lazy-draining table.
+    pub(crate) fn newest_first(&self) -> impl Iterator<Item = (Role, &Arc<PmTable>)> {
+        let settled = self.tables.iter().enumerate().rev();
+        let merging = self
+            .merging
+            .iter()
+            .flat_map(|(new_t, old_t)| [(Role::MergingNew, new_t), (Role::MergingOld, old_t)]);
+        settled
+            .map(|(j, t)| (Role::Settled(j), t))
+            .chain(merging)
+            .chain(self.lazy_draining.iter().map(|t| (Role::Draining, t)))
+    }
 }
 
 /// Publishes the [`Version`] that `next` builds from the current one, then
 /// wakes every engine wait ([`Inner::wait_until`]): the one way a
 /// structural transition becomes visible, to readers and waiters alike.
-/// `next` runs under the `Version` write lock, so a level version it bumps
-/// ([`Version::relinked`]) is in place by the time a reader that saw the
-/// bump reloads. The replaced `Version` drops under that lock too, so a
-/// table it held last is freed before any reader or waiter can load the
-/// new one. The wake follows the release: a publisher never holds the
+/// The replaced `Version` drops under the `Version` write lock, so a table
+/// it held last is freed before any reader or waiter can load the new
+/// one. The wake follows the release: a publisher never holds the
 /// `Version` while it takes `changed`.
 pub(crate) fn publish(inner: &Inner, next: impl FnOnce(&Version) -> Version) {
     {
         let mut current = inner.current.write();
         *current = Arc::new(next(&current));
+        #[cfg(test)]
+        if let Some(observe) = inner.on_publish.get() {
+            observe(inner, &current);
+        }
     }
     inner.wake();
 }
 
 impl Version {
     /// This `Version` with every level's current state, after a `levels`
-    /// mutation: bumps the version of every level in `moved` first.
-    /// Callers hold the levels lock and publish last in the mutating
-    /// scope, so a reader that sees the new `Version` — `wait_idle` among
-    /// them — sees everything the scope did.
-    pub(crate) fn relinked(&self, levels: &[Level], moved: &[usize]) -> Version {
-        for &i in moved {
-            levels[i].version.fetch_add(1, Ordering::Release);
-        }
+    /// mutation. Callers hold the levels lock and publish last in the
+    /// mutating scope, so a reader that sees the new `Version` —
+    /// `wait_idle` among them — sees everything the scope did.
+    pub(crate) fn relinked(&self, levels: &[Level]) -> Version {
         Version {
-            levels: levels.iter().map(Level::view).collect(),
+            levels: levels.into(),
             ..self.clone()
         }
     }
@@ -150,36 +191,11 @@ impl Version {
             d.memtable += arena;
             d.bloom += bloom;
         }
-        for LevelView { level, .. } in self.levels.iter() {
-            let merging = level.merging.iter().flat_map(|(n, o)| [n, o]);
-            for t in level
-                .tables
-                .iter()
-                .chain(merging)
-                .chain(&level.lazy_draining)
-            {
-                d.bloom += t.bloom.bytes();
-                d.index += t.index.bytes();
-            }
+        for (_, t) in self.levels.iter().flat_map(Level::newest_first) {
+            d.bloom += t.bloom.bytes();
+            d.index += t.index.bytes();
         }
         d
-    }
-}
-
-impl AsRef<Level> for LevelView {
-    fn as_ref(&self) -> &Level {
-        &self.level
-    }
-}
-
-impl Level {
-    /// This level as a reader sees it. Callers hold the levels lock, so
-    /// `seen` is the version of exactly this state.
-    pub(crate) fn view(&self) -> LevelView {
-        LevelView {
-            level: self.clone(),
-            seen: self.version.load(Ordering::Acquire),
-        }
     }
 }
 
@@ -240,15 +256,14 @@ impl Inner {
 
 #[cfg(test)]
 thread_local! {
-    /// Runs once, in the next `get_impl` on this thread, after a level's
-    /// tables were probed and before the probe is checked against the
-    /// level version.
-    pub(crate) static AFTER_LEVEL_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
-        const { std::cell::Cell::new(None) };
-    /// Runs once, in the next `get_impl` on this thread, right after a
-    /// merging pair's newtable was probed — hit, miss or bloom skip — and
-    /// before the oldtable is.
+    /// Runs once, in the next GET on this thread, right after a merging
+    /// pair's newtable was probed — hit, miss or bloom skip — and before
+    /// the oldtable is.
     pub(crate) static AFTER_NEWTABLE_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+    /// Runs once, in the next GET on this thread that misses every level,
+    /// after the bottom level was probed and before the repository is.
+    pub(crate) static BEFORE_REPO_PROBE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::Cell::new(None) };
 }
 
@@ -312,7 +327,7 @@ fn ranked_merge(mut sources: Vec<Source<'_>>, limit: usize) -> Vec<ScanEntry> {
                 value: list.value_at(v),
             },
         };
-        if let Some(value) = MioDb::resolve(hit) {
+        if let Some(value) = resolve(hit) {
             out.push(ScanEntry {
                 key: key.into_owned(),
                 value,
@@ -322,43 +337,44 @@ fn ranked_merge(mut sources: Vec<Source<'_>>, limit: usize) -> Vec<ScanEntry> {
     out
 }
 
-/// The point where a test re-links a level, or runs a lazy copy, under a
-/// finished probe; nothing outside the tests.
-#[inline]
-fn after_level_probe() {
-    #[cfg(test)]
-    if let Some(hook) = AFTER_LEVEL_PROBE.with(std::cell::Cell::take) {
-        hook();
-    }
-}
-
-/// The point, after `t` was probed in `level`, where a test completes a
-/// merge under a GET that has probed the merging newtable `t` and not yet
+/// The point, after a table in `_role` was probed, where a test completes
+/// a merge under a GET that has probed the merging newtable and not yet
 /// its oldtable; nothing outside the tests.
 #[inline]
-fn after_table_probe(_level: &Level, _t: &Arc<PmTable>) {
+fn after_table_probe(_role: Role) {
     #[cfg(test)]
-    if _level
-        .merging
-        .as_ref()
-        .is_some_and(|(new_t, _)| Arc::ptr_eq(new_t, _t))
-    {
+    if _role == Role::MergingNew {
         if let Some(hook) = AFTER_NEWTABLE_PROBE.with(std::cell::Cell::take) {
             hook();
         }
     }
 }
 
-impl MioDb {
-    /// The `get` visibility walk;
-    /// [`KvEngine::get`](miodb_common::KvEngine::get) wraps it with latency
-    /// recording.
-    pub(crate) fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let inner = &*self.inner;
-        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let mut v = inner.version();
+/// The point, after the bottom level was probed, where a test runs a lazy
+/// copy under a GET; nothing outside the tests.
+#[inline]
+fn before_repo_probe() {
+    #[cfg(test)]
+    if let Some(hook) = BEFORE_REPO_PROBE.with(std::cell::Cell::take) {
+        hook();
+    }
+}
+
+impl Inner {
+    /// A GET answered from `v` alone: the MemTables, every level's tables
+    /// newest first, then the data repository. Each table `v` names is
+    /// read through its bloom filter and its exact index, which never
+    /// changes, and `v` holds it, so a merge or a lazy copy running
+    /// meanwhile changes nothing the GET reads; every publish being a
+    /// consistent cut, `v` reaches the newest version of every key
+    /// acknowledged before it was loaded.
+    pub(crate) fn get_in(&self, v: &Version, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.stats.gets.fetch_add(1, Ordering::Relaxed);
         // The key is hashed once, for every bloom filter probed.
         let h = key_hash(key);
+        let admits = |bloom: &miodb_bloom::BloomFilter| {
+            !self.opts.bloom_enabled || bloom.may_contain_hash(h)
+        };
 
         // 1. DRAM MemTables, each descended only if its filter admits the
         //    key. A writer stores a key's bits before it links the key's
@@ -366,107 +382,69 @@ impl MioDb {
         {
             let _probe_span = trace::span(SpanKind::MemtableProbe);
             for m in std::iter::once(&v.active).chain(&v.imm) {
-                if inner.opts.bloom_enabled && !m.may_contain_hash(h) {
+                if self.opts.bloom_enabled && !m.may_contain_hash(h) {
                     continue;
                 }
                 if let Some(r) = m.list().get(key) {
-                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Self::resolve(r.into()));
+                    self.stats.get_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(resolve(r.into()));
                 }
             }
         }
 
-        // 2. Elastic buffer, level by level. A level is one probe loop:
-        //    settled tables newest first, then an in-flight merge's
-        //    newtable, its oldtable, and a lazy-draining table — each
-        //    through its bloom filter and its exact index, which no merge
-        //    step that re-links the table's nodes can invalidate (node
-        //    payloads never change). So a merging pair needs neither the
-        //    insertion mark nor the level gate: the newtable's index holds
-        //    every key the newtable held, those of the runs already moved
-        //    included, and its versions are newer than the oldtable's.
-        //
-        //    What can change under a probe is the level: a merge can pop
-        //    the probed tables into `merging` behind a newer one, or push
-        //    its result down onto a level not yet probed. So every probe,
-        //    hit or miss, re-checks the level's structural version and, on
-        //    change, reloads the `Version` and retries the level. Bounded:
-        //    a level can only transition a handful of times while one probe
-        //    runs; the cap merely keeps a pathological schedule from
-        //    livelocking, and on exhaustion we take the last probe's answer
-        //    (no worse than the unversioned probe).
-        let may_contain = |bloom: &miodb_bloom::BloomFilter| {
-            !inner.opts.bloom_enabled || bloom.may_contain_hash(h)
-        };
-        const LEVEL_PROBE_RETRIES: u32 = 64;
-        for i in 0..v.levels.len() {
+        // 2. Elastic buffer, level by level, each level's tables newest
+        //    first. A merging pair needs neither the insertion mark nor
+        //    the level gate: the newtable's index holds every key the
+        //    newtable held, those of the runs already moved included, and
+        //    its versions are newer than the oldtable's.
+        for (i, level) in v.levels.iter().enumerate() {
             let mut level_span = trace::span(SpanKind::LevelProbe);
             level_span.annotate(i as u64);
-            // A level that changed since `v` was loaded is probed in the
-            // `Version` that changed it, not probed stale and retried.
-            if v.levels[i].level.version.load(Ordering::Acquire) != v.levels[i].seen {
-                v = inner.version();
-            }
-            for attempt in 1..=LEVEL_PROBE_RETRIES {
-                // `seen` was read under the lock that guards every bump, so
-                // it is the version of exactly this level state: read after
-                // unlocking, it could already include the bump of a merge
-                // that re-links these tables, and the check below would
-                // accept a probe of a stale snapshot.
-                let LevelView { level, seen } = &v.levels[i];
-                let merging = level.merging.iter().flat_map(|(n, o)| [n, o]);
-                let tables = level.tables.iter().rev().chain(merging);
-                let mut hit = None;
-                for t in tables.chain(&level.lazy_draining) {
-                    if !may_contain(&t.bloom) {
-                        inner.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(SpanKind::BloomSkip, i as u64);
-                    } else {
-                        hit = t.get(key);
-                        if hit.is_none() {
-                            inner
-                                .stats
-                                .bloom_false_positives
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
+            for (role, t) in level.newest_first() {
+                let hit = if admits(&t.bloom) {
+                    let hit = t.get(key);
+                    if hit.is_none() {
+                        self.stats
+                            .bloom_false_positives
+                            .fetch_add(1, Ordering::Relaxed);
                     }
-                    after_table_probe(level, t);
-                    if hit.is_some() {
-                        break;
-                    }
-                }
-                after_level_probe();
-                if level.version.load(Ordering::Acquire) != *seen {
-                    inner
-                        .stats
-                        .level_probe_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if attempt < LEVEL_PROBE_RETRIES {
-                        v = inner.version();
-                        continue;
-                    }
-                }
+                    hit
+                } else {
+                    self.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
+                    trace::instant(SpanKind::BloomSkip, i as u64);
+                    None
+                };
+                after_table_probe(role);
                 if let Some(r) = hit {
-                    inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Self::resolve(r));
+                    self.stats.get_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(resolve(r));
                 }
-                break;
             }
         }
+        before_repo_probe();
 
         // 3. Data repository, through the index `v` carries.
         let _repo_span = trace::span(SpanKind::RepoProbe);
         let found = match &v.repo_index {
             Some(r) => r.get(key),
-            None => inner.repo.get(key)?.map(IndexHit::from),
+            None => self.repo.get(key)?.map(IndexHit::from),
         };
-        match found.and_then(Self::resolve) {
+        match found.and_then(resolve) {
             Some(value) => {
-                inner.stats.get_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.get_hits.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(value))
             }
             None => Ok(None),
         }
+    }
+}
+
+impl MioDb {
+    /// The `get` visibility walk over the published `Version`;
+    /// [`KvEngine::get`](miodb_common::KvEngine::get) wraps it with latency
+    /// recording.
+    pub(crate) fn get_impl(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.inner.get_in(&self.inner.version(), key)
     }
 
     /// The `scan` source assembly and ranked merge;
@@ -488,11 +466,8 @@ impl MioDb {
         for m in std::iter::once(&v.active).chain(&v.imm) {
             sources.push(Box::new(m.list().iter_from(start).map(owned)));
         }
-        for LevelView { level: l, .. } in v.levels.iter() {
-            let merging = l.merging.iter().flat_map(|(n, o)| [n, o]);
-            for t in l.tables.iter().rev().chain(merging).chain(&l.lazy_draining) {
-                sources.push(indexed(&t.index, &t.list, start));
-            }
+        for (_, t) in v.levels.iter().flat_map(Level::newest_first) {
+            sources.push(indexed(&t.index, &t.list, start));
         }
         match (&v.repo_index, &inner.repo) {
             (Some(r), _) => sources.push(indexed(&r.index, &r.list, start)),
@@ -504,12 +479,12 @@ impl MioDb {
         }
         Ok(ranked_merge(sources, limit))
     }
+}
 
-    /// Resolves a lookup result into the engine-level answer.
-    fn resolve(r: IndexHit) -> Option<Vec<u8>> {
-        match r.kind {
-            OpKind::Put => Some(r.value),
-            OpKind::Delete => None,
-        }
+/// Resolves a lookup result into the engine-level answer.
+fn resolve(r: IndexHit) -> Option<Vec<u8>> {
+    match r.kind {
+        OpKind::Put => Some(r.value),
+        OpKind::Delete => None,
     }
 }
