@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use miodb_bloom::BloomFilter;
@@ -41,7 +41,7 @@ use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::merge::MergeLimits;
 use miodb_skiplist::{
     one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark, MergeOutcome,
-    RunMerge, SkipList,
+    RunMerge, SkipList, Unlinked,
 };
 use miodb_wal::{GroupOp, WriteAheadLog};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -49,7 +49,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState};
 use crate::options::{MioOptions, RepositoryMode};
 use crate::read::{publish, repo_run, Version};
-use crate::repository::Repository;
+use crate::repository::{RepoIndex, Repository};
 use crate::table::{MemTable, PmTable, TableIndex};
 
 /// Merge runs moved per gate acquisition: bounds how long
@@ -220,6 +220,10 @@ pub(crate) struct Inner {
     pub(crate) wakeup: Condvar,
     pub(crate) repo: Repository,
     repo_writer: Mutex<()>,
+    /// The repository nodes each lazy-copy run unlinked, in run order, with
+    /// the index the run started from: recycled once it is dropped
+    /// ([`repo_run`]). Taken under the repository writer.
+    pub(crate) repo_unlinked: Mutex<VecDeque<(Weak<RepoIndex>, Vec<Unlinked>)>>,
     /// Bytes of elastic-buffer arenas not yet back in the pool: every
     /// PMTable arena lease is counted in this gauge from flush (or
     /// recovery) until its region is actually freed.
@@ -487,6 +491,7 @@ impl MioDb {
             wakeup: Condvar::new(),
             repo,
             repo_writer: Mutex::new(()),
+            repo_unlinked: Mutex::new(VecDeque::new()),
             elastic_bytes,
             manifest,
             shutdown: AtomicBool::new(false),
@@ -1055,7 +1060,7 @@ impl MioDb {
             for (role, t) in l.newest_first() {
                 if t.get(key).is_some() {
                     let bloom = t.bloom.may_contain(key);
-                    found.push(format!("L{i}.{role} bloom={bloom} n={}", t.len));
+                    found.push(format!("L{i}.{role:?} bloom={bloom} n={}", t.len));
                 }
             }
         }
@@ -1084,7 +1089,7 @@ impl MioDb {
                 }
                 if missing > 0 {
                     bad.push(format!(
-                        "L{i}.{role}: {missing}/{total} keys missing from bloom"
+                        "L{i}.{role:?}: {missing}/{total} keys missing from bloom"
                     ));
                 }
             }
@@ -3131,6 +3136,81 @@ mod tests {
             for k in 0..SPACE {
                 assert_eq!(d.get(&key(k)).unwrap().as_ref(), model.get(&key(k)));
             }
+        }
+    }
+
+    /// A repository node a lazy-copy run bypasses is not reused while a
+    /// `Version` whose index names it is held, and is reused once the last
+    /// one is dropped.
+    #[test]
+    fn a_bypassed_repository_node_outlives_every_version_naming_it() {
+        let d = db();
+        let inner = &*d.inner;
+        let Repository::Pm(repo) = &inner.repo else {
+            unreachable!("a huge-PMTable repository")
+        };
+        let cursor = || repo.parts().2;
+        repo_run_of(inner, [put_entry(b"a", b"old", 1)]);
+        let held = inner.version();
+        let read = |key: &[u8]| held.repo_index.as_ref().unwrap().get(key).map(|h| h.value);
+        repo_run_of(inner, [put_entry(b"a", b"new", 2)]);
+        // Same key and value length as the bypassed node: not in its place.
+        let before = cursor();
+        repo_run_of(inner, [put_entry(b"b", b"bbb", 3)]);
+        assert!(cursor() > before, "a node was reused under a held Version");
+        assert_eq!(read(b"a").as_deref(), Some(&b"old"[..]));
+        drop(held);
+        // The next run recycles the node; the one after reuses it.
+        repo_run_of(inner, [put_entry(b"c", b"ccc", 4)]);
+        let before = cursor();
+        repo_run_of(inner, [put_entry(b"d", b"ddd", 5)]);
+        assert_eq!(cursor(), before, "the bypassed node was not reused");
+        for (key, value) in [
+            (b"a", b"new"),
+            (b"b", b"bbb"),
+            (b"c", b"ccc"),
+            (b"d", b"ddd"),
+        ] {
+            assert_eq!(d.get(key).unwrap().as_deref(), Some(&value[..]));
+        }
+    }
+
+    /// Lazy copies recycle the repository nodes they bypass once no
+    /// `Version` names them: rewriting the same keys through many drains
+    /// leaves the repository's chunk count flat, where keeping every
+    /// bypassed node added a repository's worth of chunks per drain.
+    #[test]
+    fn lazy_copies_reuse_the_repository_nodes_they_bypass() {
+        let d = db();
+        let Repository::Pm(repo) = &d.inner.repo else {
+            unreachable!("a huge-PMTable repository")
+        };
+        let chunks = || repo.parts().1.len();
+        let drains = || d.stats().copy_compactions.load(Ordering::Relaxed);
+        let value = vec![9u8; 256];
+        let rewrite = |rounds: u32| {
+            for _ in 0..rounds {
+                for k in 0..1000u32 {
+                    d.put(format!("key{k:05}").as_bytes(), &value).unwrap();
+                }
+            }
+            d.wait_idle().unwrap();
+        };
+        rewrite(8);
+        let (chunks0, drains0) = (chunks(), drains());
+        rewrite(24);
+        let drained = drains() - drains0;
+        assert!(drained >= 4, "{drained} lazy copies");
+        assert!(
+            chunks() <= chunks0 + 1,
+            "{chunks0} -> {} repository chunks over {drained} lazy copies",
+            chunks()
+        );
+        for k in 0..1000u32 {
+            assert_eq!(
+                d.get(format!("key{k:05}").as_bytes()).unwrap(),
+                Some(value.clone())
+            );
         }
     }
 

@@ -82,17 +82,6 @@ pub(crate) enum Role {
     Draining,
 }
 
-impl std::fmt::Display for Role {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Role::Settled(j) => write!(f, "{j}"),
-            Role::MergingNew => f.write_str("merging.new"),
-            Role::MergingOld => f.write_str("merging.old"),
-            Role::Draining => f.write_str("lazy"),
-        }
-    }
-}
-
 impl Level {
     /// The level's tables newest first, the order a GET probes them and a
     /// scan ranks them: settled tables newest first, then an in-flight
@@ -160,11 +149,19 @@ impl Version {
 /// applied loses none of them. Callers hold the repository writer, the
 /// one publisher of the index: the index the run starts from is still the
 /// published one when its successor is.
+///
+/// The nodes a run unlinks stay readable through the index it started
+/// from and any older one. They are recycled once no `Version` holding
+/// such an index is left, in run order, so an update-heavy workload
+/// reuses the repository's space instead of growing it without bound.
 pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce(&mut TableIndex) -> T) -> T {
     let mut edits = TableIndex::default();
     let out = apply(&mut edits);
-    let last = inner.version().repo_index.clone();
-    if let (Some(last), false) = (last, edits.is_empty()) {
+    let (Repository::Pm(repo), Some(last)) = (&inner.repo, inner.version().repo_index.clone())
+    else {
+        return out;
+    };
+    if !edits.is_empty() {
         let next = Arc::new(RepoIndex {
             list: last.list.clone(),
             index: last.index.edited(&edits),
@@ -173,6 +170,15 @@ pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce(&mut TableIndex) -> 
             repo_index: Some(next),
             ..v.clone()
         });
+    }
+    let mut unlinked = inner.repo_unlinked.lock();
+    let nodes = repo.take_unlinked();
+    if !nodes.is_empty() {
+        unlinked.push_back((Arc::downgrade(&last), nodes));
+    }
+    drop(last);
+    while let Some((_, nodes)) = unlinked.pop_front_if(|(held, _)| held.strong_count() == 0) {
+        repo.recycle(nodes);
     }
     out
 }

@@ -13,8 +13,12 @@
 //! The paper updates same-sized values in place; we substitute
 //! insert-new-node + atomic bypass of the old one, which has identical
 //! ordering behaviour but stays data-race-free for concurrent lock-free
-//! readers (documented in `DESIGN.md`).
+//! readers (documented in `DESIGN.md`). The bypassed node stays readable,
+//! unchanged, until its owner hands it back ([`GrowableSkipList::recycle`])
+//! once no reader can reach it; a later node of the same key and value
+//! length is then written in its place.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,6 +47,17 @@ pub enum ApplyOutcome {
     Superseded,
 }
 
+/// A node an apply bypassed or removed: unreachable from the head, but
+/// readable by whoever found it earlier, until it is
+/// [recycled](GrowableSkipList::recycle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unlinked {
+    off: u64,
+    height: usize,
+    /// Key plus value length: a node of the same one fits in its place.
+    payload: usize,
+}
+
 #[derive(Debug)]
 struct GrowState {
     chunks: Vec<RegionLease>,
@@ -55,6 +70,11 @@ struct GrowState {
     /// `finger[0]` is the head until the first apply. DRAM-only — a list
     /// rebuilt by [`GrowableSkipList::from_parts`] starts from the head.
     finger: [u64; MAX_HEIGHT],
+    /// Nodes unlinked since the last [`GrowableSkipList::take_unlinked`].
+    unlinked: Vec<Unlinked>,
+    /// Recycled nodes by payload: room for later nodes. DRAM-only, like
+    /// the finger; after a restart the nodes are lost to the pool.
+    free: HashMap<usize, Vec<Unlinked>>,
 }
 
 /// A growable, single-version-per-key persistent skip list.
@@ -133,6 +153,8 @@ impl GrowableSkipList {
                 end: first.end(),
                 chunks: vec![RegionLease::new(pool.clone(), first)],
                 finger: [head; MAX_HEIGHT],
+                unlinked: Vec::new(),
+                free: HashMap::new(),
             }),
             pool,
             head,
@@ -165,6 +187,8 @@ impl GrowableSkipList {
                 cursor,
                 end,
                 finger: [head; MAX_HEIGHT],
+                unlinked: Vec::new(),
+                free: HashMap::new(),
             }),
             pool,
             head,
@@ -292,7 +316,7 @@ impl GrowableSkipList {
                 return Ok(ApplyOutcome::DeletedAbsent);
             }
             let removed_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
-            self.unlink_chain(&preds, existing, key);
+            self.unlink_chain(&preds, existing, key, &mut state.unlinked);
             self.len.fetch_sub(1, Ordering::Release);
             self.data_bytes.fetch_sub(removed_bytes, Ordering::Release);
             return Ok(ApplyOutcome::Deleted);
@@ -303,10 +327,17 @@ impl GrowableSkipList {
         }
 
         // Insert the new node before any existing (older) version, then
-        // bypass the old chain.
-        let height = self.random_height();
-        let size = node_size(height, key.len(), value.len());
-        let off = self.alloc_node(&mut state, size)?;
+        // bypass the old chain. A recycled node of the same payload is
+        // reused whole, its height included.
+        let payload = key.len() + value.len();
+        let (off, height) = match state.free.get_mut(&payload).and_then(Vec::pop) {
+            Some(node) => (node.off, node.height),
+            None => {
+                let height = self.random_height();
+                let size = node_size(height, key.len(), value.len());
+                (self.alloc_node(&mut state, size)?, height)
+            }
+        };
         raw::write_header(pool, off, seq, key.len(), value.len(), height, kind);
         let kv_off = off + node::HEADER_BYTES + 8 * height as u64;
         pool.write_bytes(kv_off, key);
@@ -327,7 +358,7 @@ impl GrowableSkipList {
         let written = ValueRef::new(kv_off + key.len() as u64, value.len(), kind, height);
         let outcome = if existing != 0 {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
-            self.bypass_older(&preds, off, height, key);
+            self.bypass_older(&preds, off, height, key, &mut state.unlinked);
             self.data_bytes.fetch_sub(old_bytes, Ordering::Release);
             ApplyOutcome::Updated(written)
         } else {
@@ -340,8 +371,14 @@ impl GrowableSkipList {
     }
 
     /// Unlinks every same-key node reachable right after `preds` (used for
-    /// tombstone removal). `first` is the first such node.
-    fn unlink_chain(&self, preds: &[u64; MAX_HEIGHT], first: u64, key: &[u8]) {
+    /// tombstone removal) into `unlinked`. `first` is the first such node.
+    fn unlink_chain(
+        &self,
+        preds: &[u64; MAX_HEIGHT],
+        first: u64,
+        key: &[u8],
+        unlinked: &mut Vec<Unlinked>,
+    ) {
         let pool = &*self.pool;
         let mut victims = vec![first];
         let mut cur = raw::next(pool, first, 0);
@@ -356,12 +393,28 @@ impl GrowableSkipList {
                     raw::set_next(pool, preds[level], level, raw::next(pool, v, level));
                 }
             }
+            unlinked.push(self.unlinked(v, h));
+        }
+    }
+
+    fn unlinked(&self, off: u64, height: usize) -> Unlinked {
+        Unlinked {
+            off,
+            height,
+            payload: raw::klen(&self.pool, off) + raw::vlen(&self.pool, off),
         }
     }
 
     /// Bypasses older same-key nodes that now follow the freshly inserted
-    /// node at `new_off`.
-    fn bypass_older(&self, preds: &[u64; MAX_HEIGHT], new_off: u64, new_height: usize, key: &[u8]) {
+    /// node at `new_off`, into `unlinked`.
+    fn bypass_older(
+        &self,
+        preds: &[u64; MAX_HEIGHT],
+        new_off: u64,
+        new_height: usize,
+        key: &[u8],
+        unlinked: &mut Vec<Unlinked>,
+    ) {
         let pool = &*self.pool;
         let mut victims = Vec::new();
         let mut cur = raw::next(pool, new_off, 0);
@@ -378,6 +431,24 @@ impl GrowableSkipList {
                     raw::set_next(pool, preds[level], level, raw::next(pool, v, level));
                 }
             }
+            unlinked.push(self.unlinked(v, h));
+        }
+    }
+
+    /// Takes the nodes applies have unlinked since the last call. Each
+    /// stays readable, unchanged, until it is handed back to
+    /// [`recycle`](Self::recycle).
+    pub fn take_unlinked(&self) -> Vec<Unlinked> {
+        std::mem::take(&mut self.state.lock().unlinked)
+    }
+
+    /// Makes `nodes` room for later applies of the same key plus value
+    /// length. Callers pass only nodes taken from this list that no reader
+    /// can reach any more: an apply may overwrite them at once.
+    pub fn recycle(&self, nodes: Vec<Unlinked>) {
+        let free = &mut self.state.lock().free;
+        for node in nodes {
+            free.entry(node.payload).or_default().push(node);
         }
     }
 
@@ -431,6 +502,41 @@ mod tests {
         assert_eq!(r.list().value_at(first), b"v1");
         assert_eq!(r.len(), 1);
         assert_eq!(r.list().count_nodes(), 1, "old node bypassed");
+    }
+
+    #[test]
+    fn recycled_nodes_are_reused_by_later_nodes_of_their_length() {
+        let r = repo();
+        let ApplyOutcome::Inserted(first) = r.apply(b"k1", b"v1", 1, OpKind::Put).unwrap() else {
+            panic!("a new key is inserted")
+        };
+        r.apply(b"k1", b"v2", 2, OpKind::Put).unwrap();
+        r.apply(b"k2", b"v2", 3, OpKind::Put).unwrap();
+        r.apply(b"k2", b"", 4, OpKind::Delete).unwrap();
+        let unlinked = r.take_unlinked();
+        assert_eq!(unlinked.len(), 2, "the bypassed and the removed node");
+        assert!(r.take_unlinked().is_empty());
+        // Until recycled, an unlinked node stays as it was.
+        assert_eq!(r.list().value_at(first), b"v1");
+        r.recycle(unlinked);
+        // A key and value of another length takes fresh space; one of the
+        // same length takes a recycled node.
+        let ApplyOutcome::Inserted(longer) = r.apply(b"k3", b"v33", 5, OpKind::Put).unwrap() else {
+            panic!("a new key is inserted")
+        };
+        assert!(longer.offset > first.offset);
+        for (i, key) in [b"k4", b"k5"].into_iter().enumerate() {
+            let ApplyOutcome::Inserted(v) = r.apply(key, b"vv", 6 + i as u64, OpKind::Put).unwrap()
+            else {
+                panic!("a new key is inserted")
+            };
+            assert!(v.offset < longer.offset, "{key:?} reuses a node");
+        }
+        assert_eq!(r.get(b"k1").unwrap().value, b"v2");
+        assert_eq!(r.get(b"k4").unwrap().value, b"vv");
+        assert_eq!(r.get(b"k5").unwrap().value, b"vv");
+        assert!(r.get(b"k2").is_none());
+        assert_eq!(r.list().count_nodes(), 4);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod node;
 
 pub use arena::SkipListArena;
 pub use flush::{one_piece_flush, swizzle, FlushedTable};
-pub use grow::{ApplyOutcome, GrowableSkipList};
+pub use grow::{ApplyOutcome, GrowableSkipList, Unlinked};
 pub use iter::SkipListIter;
 pub use merge::{zero_copy_merge, InsertionMark, MergeOutcome, MergeStats, RunMerge};
 pub use node::{LookupResult, SkipList, ValueRef, MAX_HEIGHT};
