@@ -48,12 +48,14 @@ use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 /// no other. A transition that moves data publishes its destination no
 /// later than it drops the source: a flushed table enters level 0 before
 /// `imm` clears, a merged table replaces its inputs in one publish, and a
-/// lazy-copy run's index is published before `lazy_draining` clears. Lock order: `levels` before `mem` before
-/// the `Version`, the repository writer before the `Version`, and
-/// `changed`, the engine's wait lock, before the `Version`; nothing takes
-/// `levels`, `mem`, the repository writer or `changed` while holding the
-/// `Version`, and no waiter holds `levels`, `mem`, the repository writer
-/// or a gate while it holds `changed`.
+/// lazy-copy run's index is published before `lazy_draining` clears.
+///
+/// Lock order: `levels` before `mem` before the `Version`, the repository
+/// writer before the `Version`, and `changed`, the engine's wait lock,
+/// before the `Version`; nothing takes `levels`, `mem`, the repository
+/// writer or `changed` while holding the `Version`, and no waiter holds
+/// `levels`, `mem`, the repository writer or a gate while it holds
+/// `changed`.
 ///
 /// The `Version` holds each table it names, so a retired table's arenas
 /// return to the pool only once it is republished without them and every

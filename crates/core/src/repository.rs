@@ -19,9 +19,10 @@ use crate::table::{IndexHit, TableIndex};
 /// The huge-PMTable repository's exact DRAM index: every key with where
 /// its one node's value lives, as the last lazy-copy run left the list.
 ///
-/// It needs no check against runs in progress. Repository nodes are never
-/// rewritten and never freed while the engine runs, so an entry stays
-/// readable after a later run bypasses or unlinks its node. And a run only
+/// It needs no check against runs in progress. A node a later run bypasses
+/// or unlinks is recycled only once no `Version` holding this index is
+/// left (the engine's `repo_run`), so an entry stays readable
+/// for as long as the index is. And a run only
 /// touches keys of the table it drains, whose data any `Version` published
 /// before the run's own index names — as that table, in its level or as
 /// `lazy_draining` until after the publish, or, in a `Version` older than
