@@ -262,7 +262,7 @@ declare_stats! {
         "Bloom filter false positives.";
     /// Always 0: a `get` answers from one published `Version` and never
     /// re-probes a level. Registered only because the frozen benchmark
-    /// reads it (ROADMAP item 11 drops it).
+    /// reads it.
     level_probe_retries => Count "miodb_level_probe_retries_total" {}
         "Always 0: gets read one published Version and never re-probe a level.";
 }
