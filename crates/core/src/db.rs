@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use miodb_bloom::BloomFilter;
@@ -41,15 +41,15 @@ use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::merge::MergeLimits;
 use miodb_skiplist::{
     one_piece_flush, swizzle, zero_copy_merge, GrowableSkipList, InsertionMark, MergeOutcome,
-    RunMerge, SkipList, Unlinked,
+    RunMerge, SkipList,
 };
 use miodb_wal::{GroupOp, WriteAheadLog};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::{LevelState, Manifest, ManifestState, RepoState, TableState};
 use crate::options::{MioOptions, RepositoryMode};
-use crate::read::{publish, repo_run, Version};
-use crate::repository::{RepoIndex, Repository};
+use crate::read::{publish, repo_run, Unrecycled, Version};
+use crate::repository::Repository;
 use crate::table::{MemTable, PmTable, TableIndex};
 
 /// Merge runs moved per gate acquisition: bounds how long
@@ -219,11 +219,9 @@ pub(crate) struct Inner {
     /// wait checks.
     pub(crate) wakeup: Condvar,
     pub(crate) repo: Repository,
-    repo_writer: Mutex<()>,
-    /// The repository nodes each lazy-copy run unlinked, in run order, with
-    /// the index the run started from: recycled once it is dropped
-    /// ([`repo_run`]). Taken under the repository writer.
-    pub(crate) repo_unlinked: Mutex<VecDeque<(Weak<RepoIndex>, Vec<Unlinked>)>>,
+    /// The repository writer: held for each lazy-copy run, and guards the
+    /// nodes runs unlinked until [`repo_run`] recycles them.
+    pub(crate) repo_writer: Mutex<Unrecycled>,
     /// Bytes of elastic-buffer arenas not yet back in the pool: every
     /// PMTable arena lease is counted in this gauge from flush (or
     /// recovery) until its region is actually freed.
@@ -490,8 +488,7 @@ impl MioDb {
             changed: Mutex::new(()),
             wakeup: Condvar::new(),
             repo,
-            repo_writer: Mutex::new(()),
-            repo_unlinked: Mutex::new(VecDeque::new()),
+            repo_writer: Mutex::new(VecDeque::new()),
             elastic_bytes,
             manifest,
             shutdown: AtomicBool::new(false),
@@ -1742,8 +1739,8 @@ fn lazy_worker(inner: Arc<Inner>) {
         // simply overwritten (idempotent) rather than doubled. The backoff
         // waits with the repository writer released.
         let drained: Result<()> = with_bg_retries(&inner, || {
-            let _writer = inner.repo_writer.lock();
-            repo_run(&inner, |edits| {
+            let mut writer = inner.repo_writer.lock();
+            repo_run(&inner, &mut writer, |edits| {
                 if fault::hit(fault::points::ENGINE_LAZY).is_some() {
                     return Err(Error::Background("injected lazy-copy failure".to_string()));
                 }
@@ -3022,8 +3019,8 @@ mod tests {
         let Repository::Pm(repo) = &inner.repo else {
             unreachable!("a huge-PMTable repository")
         };
-        let _writer = inner.repo_writer.lock();
-        repo_run(inner, |edits| {
+        let mut writer = inner.repo_writer.lock();
+        repo_run(inner, &mut writer, |edits| {
             for e in entries {
                 edits.record(&e.key, repo.apply(&e.key, &e.value, e.seq, e.kind).unwrap());
             }
@@ -3171,6 +3168,28 @@ mod tests {
             (b"c", b"ccc"),
             (b"d", b"ddd"),
         ] {
+            assert_eq!(d.get(key).unwrap().as_deref(), Some(&value[..]));
+        }
+    }
+
+    /// A run that unlinks nothing still queues its entry, so a node named
+    /// by a held index older than the one the bypassing run started from
+    /// is not reused either: the value read through the held index stays
+    /// what it was.
+    #[test]
+    fn an_insert_only_run_keeps_recycling_behind_older_versions() {
+        let d = db();
+        let inner = &*d.inner;
+        repo_run_of(inner, [put_entry(b"a", b"old", 1)]);
+        let held = inner.version();
+        let read = |key: &[u8]| held.repo_index.as_ref().unwrap().get(key).map(|h| h.value);
+        repo_run_of(inner, [put_entry(b"b", b"bbb", 2)]);
+        repo_run_of(inner, [put_entry(b"a", b"new", 3)]);
+        // Same key and value length as the node of `a` the held index names.
+        repo_run_of(inner, [put_entry(b"c", b"ccc", 4)]);
+        assert_eq!(read(b"a").as_deref(), Some(&b"old"[..]));
+        drop(held);
+        for (key, value) in [(b"a", b"new"), (b"b", b"bbb"), (b"c", b"ccc")] {
             assert_eq!(d.get(key).unwrap().as_deref(), Some(&value[..]));
         }
     }

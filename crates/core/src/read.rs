@@ -15,8 +15,9 @@
 //! first ([`Level::newest_first`]), and takes no lock and no merge gate.
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use miodb_bloom::key_hash;
@@ -24,7 +25,7 @@ use miodb_common::trace::{self, SpanKind};
 use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
-use miodb_skiplist::{SkipList, ValueRef};
+use miodb_skiplist::{SkipList, Unlinked, ValueRef};
 
 use crate::db::{Inner, Level, MemState, MioDb};
 use crate::repository::{RepoIndex, Repository};
@@ -143,20 +144,30 @@ impl Version {
     }
 }
 
+/// The repository nodes each lazy-copy run unlinked, in run order, with
+/// the index the run started from. The repository writer's lock guards it.
+pub(crate) type Unrecycled = VecDeque<(Weak<RepoIndex>, Vec<Unlinked>)>;
+
 /// Runs `apply` as one lazy-copy run: `apply` writes the repository and
 /// records each change to its index, in key order, in the edits it is
 /// passed ([`TableIndex::record`]); then the index with those edits
 /// applied is built in DRAM and published. A run that fails part way
 /// publishes what it did, so a retry that finds those entries already
 /// applied loses none of them. Callers hold the repository writer, the
-/// one publisher of the index: the index the run starts from is still the
-/// published one when its successor is.
+/// one publisher of the index, and pass its queue: the index the run
+/// starts from is still the published one when its successor is.
 ///
 /// The nodes a run unlinks stay readable through the index it started
-/// from and any older one. They are recycled once no `Version` holding
-/// such an index is left, in run order, so an update-heavy workload
-/// reuses the repository's space instead of growing it without bound.
-pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce(&mut TableIndex) -> T) -> T {
+/// from and any older one. Every run queues an entry, nodes or none, so
+/// the front entry's index is the oldest a `Version` can still hold; its
+/// nodes are recycled once that index is dropped, in run order, so an
+/// update-heavy workload reuses the repository's space instead of
+/// growing it without bound.
+pub(crate) fn repo_run<T>(
+    inner: &Inner,
+    unrecycled: &mut Unrecycled,
+    apply: impl FnOnce(&mut TableIndex) -> T,
+) -> T {
     let mut edits = TableIndex::default();
     let out = apply(&mut edits);
     let (Repository::Pm(repo), Some(last)) = (&inner.repo, inner.version().repo_index.clone())
@@ -173,13 +184,9 @@ pub(crate) fn repo_run<T>(inner: &Inner, apply: impl FnOnce(&mut TableIndex) -> 
             ..v.clone()
         });
     }
-    let mut unlinked = inner.repo_unlinked.lock();
-    let nodes = repo.take_unlinked();
-    if !nodes.is_empty() {
-        unlinked.push_back((Arc::downgrade(&last), nodes));
-    }
+    unrecycled.push_back((Arc::downgrade(&last), repo.take_unlinked()));
     drop(last);
-    while let Some((_, nodes)) = unlinked.pop_front_if(|(held, _)| held.strong_count() == 0) {
+    while let Some((_, nodes)) = unrecycled.pop_front_if(|(held, _)| held.strong_count() == 0) {
         repo.recycle(nodes);
     }
     out
