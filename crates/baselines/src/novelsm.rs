@@ -108,10 +108,7 @@ impl NoveLsm {
         let levels = lsm.tables_per_level().len();
         // The WAL is appended to the NVM device.
         let front = MemFront::new(opts.memtable_bytes, opts.nvm_device, levels, stats)?;
-        let mem = Arc::new(GrowableSkipList::new_keeping_tombstones(
-            nvm.clone(),
-            1 << 20,
-        )?);
+        let mem = Arc::new(GrowableSkipList::new(nvm.clone(), 1 << 20)?);
         let compact: &[fn(&Inner)] = if opts.no_sst {
             &[]
         } else {
@@ -138,10 +135,7 @@ impl Inner {
 
     /// Serializes the full big NVM MemTable into `L0` SSTables.
     fn flush_big_memtable(&self) -> Result<()> {
-        let fresh = Arc::new(GrowableSkipList::new_keeping_tombstones(
-            self.nvm.clone(),
-            1 << 20,
-        )?);
+        let fresh = Arc::new(GrowableSkipList::new(self.nvm.clone(), 1 << 20)?);
         let full = {
             let mut big = self.big.write();
             let full = std::mem::replace(&mut big.mem, fresh);
@@ -210,7 +204,8 @@ impl Lower for Inner {
 
     fn get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, OpKind)>> {
         let (mem, imm) = self.big_lists();
-        if let Some(r) = mem.get(key).or_else(|| imm.and_then(|l| l.get(key))) {
+        let found = mem.list().get(key);
+        if let Some(r) = found.or_else(|| imm.and_then(|l| l.list().get(key))) {
             return Ok(Some((r.value, r.kind)));
         }
         if self.opts.no_sst {

@@ -57,8 +57,6 @@ pub struct RepoState {
     pub chunk_size: u64,
     pub cursor: u64,
     pub end: u64,
-    pub len: u64,
-    pub data_bytes: u64,
     pub chunks: Vec<PmemRegion>,
 }
 
@@ -338,8 +336,6 @@ fn encode(state: &ManifestState) -> Vec<u8> {
             put_u64(&mut out, r.chunk_size);
             put_u64(&mut out, r.cursor);
             put_u64(&mut out, r.end);
-            put_u64(&mut out, r.len);
-            put_u64(&mut out, r.data_bytes);
             put_regions(&mut out, &r.chunks);
         }
         None => out.push(0),
@@ -463,8 +459,6 @@ fn decode(buf: &[u8]) -> Result<ManifestState> {
             chunk_size: r.u64()?,
             cursor: r.u64()?,
             end: r.u64()?,
-            len: r.u64()?,
-            data_bytes: r.u64()?,
             chunks: r.regions()?,
         })
     } else {
@@ -531,8 +525,6 @@ mod tests {
                 chunk_size: 65536,
                 cursor: 90100,
                 end: 155536,
-                len: 5,
-                data_bytes: 500,
                 chunks: vec![PmemRegion {
                     offset: 90000,
                     len: 65536,

@@ -65,8 +65,6 @@ fn sample_state(seq: u64) -> ManifestState {
             chunk_size: 65536,
             cursor: 90100,
             end: 155536,
-            len: 5,
-            data_bytes: 500,
             chunks: vec![PmemRegion {
                 offset: 90000,
                 len: 65536,

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use miodb_common::{OpKind, Stats};
 use miodb_pmem::{DeviceModel, PmemPool};
+use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{
     flush::flush_and_swizzle, zero_copy_merge, GrowableSkipList, InsertionMark, MergeOutcome,
     SkipList, SkipListArena,
@@ -258,31 +259,40 @@ proptest! {
         prop_assert!(mark.load().is_none());
     }
 
-    /// The repository applies a versioned stream and ends up with exactly
-    /// the live set of the model (no tombstones, one version per key).
+    /// The repository takes a versioned stream as lazy-copy runs — the
+    /// stream cut into tables of `cut` ops, each drained as its newest op
+    /// per key, in key order, planned against the repository's level-0
+    /// walk — and ends up with exactly the live set of the model (no
+    /// tombstones, one version per key).
     #[test]
-    fn repository_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+    fn repository_matches_model(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+        cut in 1usize..24,
+    ) {
         let nvm = nvm_pool();
         let repo = GrowableSkipList::new(nvm, 256 * 1024).unwrap();
-        for (i, op) in ops.iter().enumerate() {
-            let seq = i as u64 + 1;
-            match op {
-                Op::Put(k, v) => { repo.apply(&key_bytes(*k), v, seq, OpKind::Put).unwrap(); }
-                Op::Delete(k) => { repo.apply(&key_bytes(*k), b"", seq, OpKind::Delete).unwrap(); }
+        for (c, chunk) in ops.chunks(cut).enumerate() {
+            let mut table = BTreeMap::new();
+            for (i, op) in chunk.iter().enumerate() {
+                let seq = (c * cut + i) as u64 + 1;
+                let (k, value, kind) = match op {
+                    Op::Put(k, v) => (k, v.clone(), OpKind::Put),
+                    Op::Delete(k) => (k, Vec::new(), OpKind::Delete),
+                };
+                table.insert(key_bytes(*k), OwnedEntry { key: key_bytes(*k), value, seq, kind });
             }
+            let mut stored = Vec::new();
+            repo.list().walk_newest(|k, v| stored.push((k.to_vec(), v)));
+            let stored = stored.iter().map(|(k, n)| (k.as_slice(), *n));
+            repo.run(table.into_values(), stored, |_, _| {}).unwrap();
         }
         let mut model = BTreeMap::new();
         apply_model(&mut model, &ops);
-        let live: Vec<_> = model.iter().filter_map(|(k, v)| v.as_ref().map(|v| (*k, v.clone()))).collect();
-        prop_assert_eq!(repo.len(), live.len());
-        for (k, v) in &live {
-            prop_assert_eq!(repo.get(&key_bytes(*k)).expect("live key missing").value, v.clone());
-        }
-        for (k, v) in &model {
-            if v.is_none() {
-                prop_assert!(repo.get(&key_bytes(*k)).is_none(), "tombstoned key visible");
-            }
-        }
-        prop_assert_eq!(repo.list().count_nodes(), live.len());
+        let live: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .filter_map(|(k, v)| v.as_ref().map(|v| (key_bytes(*k), v.clone())))
+            .collect();
+        let listed: Vec<(Vec<u8>, Vec<u8>)> = repo.list().iter().map(|e| (e.key, e.value)).collect();
+        prop_assert_eq!(listed, live);
     }
 }
