@@ -19,7 +19,10 @@
 //!   the runs from the two tables' DRAM indexes and reads no NVM. The
 //!   merge is resumable after a crash.
 //! - [`grow::GrowableSkipList`]: the bottom-level "huge PMTable" data
-//!   repository that receives lazy-copy compactions (§4.4).
+//!   repository that receives lazy-copy compactions (§4.4), each a run
+//!   planned from DRAM indexes and linked at level 0, one 8-byte store a
+//!   record; searched from the head instead, it is NoveLSM's big NVM
+//!   MemTable.
 //!
 //! # Examples
 //!
