@@ -78,11 +78,13 @@ thread_local! {
     static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Relaxed);
 }
 
-/// The calling thread's index, shared by every striped recorder (this
-/// histogram's buckets and the [`Stats`](crate::Stats) counters), so a
-/// thread writes the same stripe of each.
+/// The calling thread's index, shared by every striped structure (this
+/// histogram's buckets, the [`Stats`](crate::Stats) counters, the
+/// replicas of the engine's published read state), so a thread writes the
+/// same stripe of each. Threads take indexes in the order they first ask,
+/// so threads started one after another land on different stripes.
 #[inline]
-pub(crate) fn thread_index() -> usize {
+pub fn thread_index() -> usize {
     THREAD_INDEX.with(|i| *i)
 }
 

@@ -30,7 +30,8 @@ pub struct MioOptions {
     /// Number of elastic-buffer levels (`n`); one compactor thread per
     /// level. The bottom buffer level feeds the repository via lazy-copy.
     pub elastic_levels: usize,
-    /// Bloom filter density for PMTables (paper: 16).
+    /// Bloom filter density for PMTables (paper: 16): each table's filter
+    /// has this many bits per key it holds.
     pub bloom_bits_per_key: usize,
     /// Capacity of the NVM pool.
     pub nvm_pool_bytes: usize,
@@ -50,8 +51,9 @@ pub struct MioOptions {
     pub lazy_copy_trigger: usize,
     /// Repository placement.
     pub repository: RepositoryMode,
-    /// Attach mergeable bloom filters to PMTables (§4.6). Disabling them
-    /// is the read-optimization ablation: every lookup probes every table.
+    /// Consult bloom filters before probing a MemTable or a PMTable
+    /// (§4.6). Disabling them is the read-optimization ablation: every
+    /// lookup probes every table.
     pub bloom_enabled: bool,
     /// One compactor thread per level (§4.5). Disabling runs a single
     /// thread that serves all levels round-robin — the parallel-compaction
@@ -98,14 +100,22 @@ impl MioOptions {
         }
     }
 
-    /// Keys a PMTable bloom filter is sized for: enough for the deepest
-    /// merged table of the elastic buffer (a bottom-buffer table is up to
-    /// `2^(levels-1)` merged MemTables), so OR-merged filters stay useful
-    /// (§4.6). Capped to bound DRAM use; past the cap the false-positive
-    /// rate degrades — the paper's Figure 9 trade-off at extreme depths.
+    /// Keys a MemTable's bloom filter is sized for: a MemTable of
+    /// 256-byte entries. A MemTable of smaller entries holds more keys and
+    /// its filter admits more false positives; a false positive costs one
+    /// descent of the MemTable, never a wrong answer.
+    pub(crate) fn memtable_bloom_keys(&self) -> usize {
+        (self.memtable_bytes / 256).max(64)
+    }
+
+    /// Keys in the deepest merged table of the elastic buffer: a
+    /// bottom-buffer table is up to `2^(levels-1)` merged MemTables, capped
+    /// at a million. This is the size the paper's fixed-size, OR-mergeable
+    /// filters (§4.6) would need; the engine sizes each PMTable's filter to
+    /// the table's own keys instead, and only bloom probes outside the
+    /// engine size a filter by it.
     pub fn bloom_expected_keys(&self) -> usize {
-        let per_memtable = (self.memtable_bytes / 256).max(64);
-        per_memtable
+        self.memtable_bloom_keys()
             .saturating_mul(1usize << (self.elastic_levels.min(16).saturating_sub(1)))
             .min(1_000_000)
     }

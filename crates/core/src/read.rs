@@ -11,8 +11,9 @@
 //! ([`RepoIndex`](crate::repository::RepoIndex)). A hit reads its value
 //! from NVM and nothing else; a MemTable is descended only if its bloom
 //! filter admits the key. A GET answers from one loaded `Version` alone
-//! ([`Inner::get_in`]); a scan ranks its sources as a GET probes them, newest
-//! first ([`Level::newest_first`]), and takes no lock and no merge gate.
+//! ([`Inner::get_in`]), probing its tables in the flat list the `Version`
+//! carries ([`Version::probes`]); a scan ranks its sources in the same
+//! order, newest first, and takes no lock and no merge gate.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -21,11 +22,13 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use miodb_bloom::key_hash;
+use miodb_common::histogram::thread_index;
 use miodb_common::trace::{self, SpanKind};
 use miodb_common::{DramBytes, Error, OpKind, Result, ScanEntry};
 use miodb_lsm::merge_iter::{dedup_newest, KWayMerge};
 use miodb_skiplist::iter::OwnedEntry;
 use miodb_skiplist::{SkipList, Unlinked, ValueRef};
+use parking_lot::RwLock;
 
 use crate::db::{Inner, Level, MemState, MioDb};
 use crate::repository::{RepoIndex, Repository};
@@ -33,8 +36,10 @@ use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 
 /// Everything a GET or a scan reads, published as one immutable value:
 /// the MemTables and every level's tables (the Version/SuperVersion of
-/// LevelDB and RocksDB). A reader loads it once — one read-lock, one `Arc`
-/// clone — and takes neither the levels lock nor the MemTable lock.
+/// LevelDB and RocksDB). A reader loads it once from its thread's replica
+/// ([`Published`]) — a read lock and an `Arc` clone on cache lines no
+/// reader on another replica writes — and takes neither the levels lock
+/// nor the MemTable lock.
 ///
 /// It is republished through [`publish`], under the lock that guards the
 /// mutation, at every structural transition: `mem` changes with
@@ -61,14 +66,67 @@ use crate::table::{IndexHit, MemTable, PmTable, TableIndex};
 /// The `Version` holds each table it names, so a retired table's arenas
 /// return to the pool only once it is republished without them and every
 /// reader that loaded an older one has let go.
+///
+/// Aligned to 128 bytes so that each replica's `Arc` count, which every
+/// load writes, sits on a cache-line pair of its own.
 #[derive(Clone)]
+#[repr(align(128))]
 pub(crate) struct Version {
     pub(crate) active: Arc<MemTable>,
     pub(crate) imm: Option<Arc<MemTable>>,
     pub(crate) levels: Arc<[Level]>,
+    /// Every table `levels` hold, in [`probe_order`]: what a GET probes
+    /// and a scan ranks, collected once per [`Version::relinked`].
+    pub(crate) probes: Arc<[Probe]>,
     /// The huge-PMTable repository's index as the last lazy-copy run left
     /// it (`None` for the LSM repository).
     pub(crate) repo_index: Option<Arc<RepoIndex>>,
+}
+
+/// A table as [`probe_order`] yields it: its level, its role there, and
+/// the table.
+pub(crate) struct Probe {
+    pub(crate) level: usize,
+    pub(crate) role: Role,
+    pub(crate) table: Arc<PmTable>,
+}
+
+/// Replicas of the published [`Version`]: one per stripe of
+/// [`thread_index`], as [`Stats`](miodb_common::Stats)' counters are
+/// striped.
+pub(crate) const REPLICAS: usize = 8;
+
+/// One replica, alone on its cache-line pair: the lock word a reader
+/// writes is shared only with readers of the same stripe.
+#[repr(align(128))]
+struct Replica(RwLock<Arc<Version>>);
+
+/// The published [`Version`], replicated: a reader loads its own thread's
+/// replica ([`Published::load`]), and [`publish`] replaces every replica
+/// before it returns, each with its own copy of the one `Version` it
+/// built, naming the same tables.
+pub(crate) struct Published {
+    replicas: [Replica; REPLICAS],
+}
+
+impl Published {
+    /// Every replica holding a copy of `v`.
+    pub(crate) fn new(v: &Version) -> Published {
+        Published {
+            replicas: std::array::from_fn(|_| Replica(RwLock::new(Arc::new(v.clone())))),
+        }
+    }
+
+    /// The calling thread's replica: one read lock, one `Arc` clone.
+    pub(crate) fn load(&self) -> Arc<Version> {
+        self.replicas[thread_index() % REPLICAS].0.read().clone()
+    }
+
+    /// Every replica, in order, as [`publish`] holds them.
+    #[cfg(test)]
+    pub(crate) fn each(&self) -> impl Iterator<Item = Arc<Version>> + '_ {
+        self.replicas.iter().map(|r| r.0.read().clone())
+    }
 }
 
 /// Where a table sits in its [`Level`], as [`Level::newest_first`] names
@@ -119,26 +177,58 @@ pub(crate) fn probe_order(levels: &[Level]) -> impl Iterator<Item = (usize, Role
     newer.chain(draining)
 }
 
+/// The tables of `levels` in [`probe_order`], collected.
+fn probes(levels: &[Level]) -> Arc<[Probe]> {
+    let probe = |(level, role, table): (usize, Role, &Arc<PmTable>)| Probe {
+        level,
+        role,
+        table: table.clone(),
+    };
+    probe_order(levels).map(probe).collect()
+}
+
 /// Publishes the [`Version`] that `next` builds from the current one, then
 /// wakes every engine wait ([`Inner::wait_until`]): the one way a
 /// structural transition becomes visible, to readers and waiters alike.
-/// The replaced `Version` drops under the `Version` write lock, so a table
-/// it held last is freed before any reader or waiter can load the new
-/// one. The wake follows the release: a publisher never holds the
+/// It write-locks every replica, in order, builds the next `Version` once
+/// and installs a copy in each before it releases any, so publishers are
+/// serialized and no reader loads the new `Version` before every replica
+/// holds it. The replaced copies drop under those locks, so a table the
+/// old `Version` held last is freed before any reader or waiter can load
+/// the new one. The wake follows the release: a publisher never holds the
 /// `Version` while it takes `changed`.
 pub(crate) fn publish(inner: &Inner, next: impl FnOnce(&Version) -> Version) {
     {
-        let mut current = inner.current.write();
-        *current = Arc::new(next(&current));
+        let mut replicas = inner.current.replicas.each_ref().map(|r| r.0.write());
+        let v = next(&replicas[0]);
+        for replica in &mut replicas {
+            **replica = Arc::new(v.clone());
+        }
         #[cfg(test)]
         if let Some(observe) = inner.on_publish.get() {
-            observe(inner, &current);
+            observe(inner, &replicas[0]);
         }
     }
     inner.wake();
 }
 
 impl Version {
+    /// The first `Version`: `active`, no immutable MemTable, `levels` and
+    /// the repository's index.
+    pub(crate) fn new(
+        active: Arc<MemTable>,
+        levels: &[Level],
+        repo_index: Option<Arc<RepoIndex>>,
+    ) -> Version {
+        Version {
+            active,
+            imm: None,
+            levels: levels.into(),
+            probes: probes(levels),
+            repo_index,
+        }
+    }
+
     /// This `Version` with every level's current state, after a `levels`
     /// mutation. Callers hold the levels lock and publish last in the
     /// mutating scope, so a reader that sees the new `Version` —
@@ -146,6 +236,7 @@ impl Version {
     pub(crate) fn relinked(&self, levels: &[Level]) -> Version {
         Version {
             levels: levels.into(),
+            probes: probes(levels),
             ..self.clone()
         }
     }
@@ -237,9 +328,10 @@ impl Version {
 }
 
 impl Inner {
-    /// The published [`Version`]: one read-lock, one `Arc` clone.
+    /// The published [`Version`], from the calling thread's replica
+    /// ([`Published::load`]).
     pub(crate) fn version(&self) -> Arc<Version> {
-        self.current.read().clone()
+        self.current.load()
     }
 
     /// Wakes every engine wait to re-check its predicate. [`publish`]
@@ -399,19 +491,18 @@ fn before_repo_probe() {
 
 impl Inner {
     /// A GET answered from `v` alone: the MemTables, every level's tables
-    /// newest first, then the data repository. Each table `v` names is
-    /// read through its bloom filter and its exact index, which never
-    /// changes, and `v` holds it, so a merge or a lazy copy running
-    /// meanwhile changes nothing the GET reads; every publish being a
-    /// consistent cut, `v` reaches the newest version of every key
-    /// acknowledged before it was loaded.
+    /// newest first ([`Version::probes`]), then the data repository. Each
+    /// table `v` names is read through its bloom filter and its exact
+    /// index, which never changes, and `v` holds it, so a merge or a lazy
+    /// copy running meanwhile changes nothing the GET reads; every publish
+    /// being a consistent cut, `v` reaches the newest version of every key
+    /// acknowledged before it was loaded. The tables' bloom skips and false
+    /// positives are counted here and added once a GET.
     pub(crate) fn get_in(&self, v: &Version, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         // The key is hashed once, for every bloom filter probed.
         let h = key_hash(key);
-        let admits = |bloom: &miodb_bloom::BloomFilter| {
-            !self.opts.bloom_enabled || bloom.may_contain_hash(h)
-        };
+        let bloom = self.opts.bloom_enabled;
 
         // 1. DRAM MemTables, each descended only if its filter admits the
         //    key. A writer stores a key's bits before it links the key's
@@ -419,7 +510,7 @@ impl Inner {
         {
             let _probe_span = trace::span(SpanKind::MemtableProbe);
             for m in std::iter::once(&v.active).chain(&v.imm) {
-                if self.opts.bloom_enabled && !m.may_contain_hash(h) {
+                if bloom && !m.may_contain_hash(h) {
                     continue;
                 }
                 if let Some(r) = m.list().get(key) {
@@ -435,34 +526,41 @@ impl Inner {
         //    holds every key the newtable held, those of the runs already
         //    moved included, and its versions are newer than the
         //    oldtable's.
+        let (mut skips, mut false_positives) = (0, 0);
+        let mut hit = None;
         let mut level_span: Option<(usize, trace::SpanGuard)> = None;
-        for (i, role, t) in probe_order(&v.levels) {
-            if level_span.as_ref().is_none_or(|(at, _)| *at != i) {
+        for p in v.probes.iter() {
+            if level_span.as_ref().is_none_or(|(at, _)| *at != p.level) {
                 drop(level_span.take());
                 let mut span = trace::span(SpanKind::LevelProbe);
-                span.annotate(i as u64);
-                level_span = Some((i, span));
+                span.annotate(p.level as u64);
+                level_span = Some((p.level, span));
             }
-            let hit = if admits(&t.bloom) {
-                let hit = t.get(key);
-                if hit.is_none() {
-                    self.stats
-                        .bloom_false_positives
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                hit
+            if bloom && !p.table.bloom.may_contain_hash(h) {
+                skips += 1;
+                trace::instant(SpanKind::BloomSkip, p.level as u64);
             } else {
-                self.stats.bloom_skips.fetch_add(1, Ordering::Relaxed);
-                trace::instant(SpanKind::BloomSkip, i as u64);
-                None
-            };
-            after_table_probe(role);
-            if let Some(r) = hit {
-                self.stats.get_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(resolve(r));
+                hit = p.table.get(key);
+                false_positives += u64::from(hit.is_none());
+            }
+            after_table_probe(p.role);
+            if hit.is_some() {
+                break;
             }
         }
         drop(level_span);
+        if skips > 0 {
+            self.stats.bloom_skips.fetch_add(skips, Ordering::Relaxed);
+        }
+        if false_positives > 0 {
+            self.stats
+                .bloom_false_positives
+                .fetch_add(false_positives, Ordering::Relaxed);
+        }
+        if let Some(r) = hit {
+            self.stats.get_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(resolve(r));
+        }
         before_repo_probe();
 
         // 3. Data repository, through the index `v` carries.
@@ -520,8 +618,8 @@ impl MioDb {
         for m in std::iter::once(&v.active).chain(&v.imm) {
             sources.push(Box::new(m.list().iter_from(start).map(owned)));
         }
-        for (_, _, t) in probe_order(&v.levels) {
-            sources.push(indexed(&t.index, &t.list, start));
+        for p in v.probes.iter() {
+            sources.push(indexed(&p.table.index, &p.table.list, start));
         }
         match (&v.repo_index, &inner.repo) {
             (Some(r), _) => sources.push(indexed(&r.index, &r.list, start)),
