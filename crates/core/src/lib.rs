@@ -19,8 +19,10 @@
 //!   huge skip list in NVM, or a traditional SSTable LSM on SSD in
 //!   DRAM-NVM-SSD mode (§4.1 "Supporting Memory/Storage Hierarchy") — which
 //!   is also the only place memory of superseded nodes is reclaimed;
-//! - per-PMTable **mergeable bloom filters** (§4.6) and a configurable
-//!   buffer depth for the read/write trade-off of Figure 9;
+//! - per-PMTable **bloom filters** (§4.6), each sized to its table's keys
+//!   and built from its DRAM index rather than OR-merged at a fixed size,
+//!   and a configurable buffer depth for the read/write trade-off of
+//!   Figure 9;
 //! - a manifest in the NVM pool header plus WAL replay for crash recovery
 //!   (§4.7), including resumption of interrupted zero-copy merges.
 //!
